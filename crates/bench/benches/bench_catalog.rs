@@ -1,13 +1,11 @@
 //! Benches for the multi-tenant catalog: what routing a request through
-//! a [`CatalogSession`] costs over handing it straight to the tenant's
-//! `QueryService`.
+//! a two-tenant [`CatalogSession`] costs. Single-release serving runs the
+//! same per-line path through a one-release catalog; `serve/handle_line`
+//! measures that.
 //!
-//! * `catalog/handle_line_single` — the single-tenant baseline: one full
-//!   per-line path (parse, dispatch, encode) on a bare service;
-//! * `catalog/handle_line_default_route` — the same line through a
-//!   two-tenant catalog session's default route (the epoch-validated
-//!   fast path on top of the baseline; the PR-7 budget is <15% over
-//!   `handle_line_single`, measured ~3-8%);
+//! * `catalog/handle_line_default_route` — one full per-line path
+//!   (parse, route, dispatch) through a two-tenant catalog session's
+//!   default route, the epoch-validated fast path;
 //! * `catalog/handle_line_qualified` — the one-shot `count@beta` form:
 //!   qualifier parsing plus a checkout of the non-current tenant;
 //! * `catalog/use_switch` — rebinding the session between two tenants
@@ -58,18 +56,9 @@ fn fixture_catalog() -> Catalog {
 fn bench_catalog(c: &mut Criterion) {
     const LINE: &str = "count Job=eng Disease=flu";
 
-    let single = fixture_service(1800, 41);
     let catalog = fixture_catalog();
 
     let mut group = c.benchmark_group("catalog");
-    group.bench_function("handle_line_single", |b| {
-        let mut session = SessionStats::default();
-        b.iter(|| {
-            single
-                .handle_line(LINE, &mut session)
-                .expect("non-blank line answers")
-        });
-    });
     group.bench_function("handle_line_default_route", |b| {
         let mut routing = CatalogSession::new(&catalog);
         let mut session = SessionStats::default();

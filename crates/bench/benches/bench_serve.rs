@@ -9,17 +9,22 @@
 //!   within capacity (hit path with key variety);
 //! * `serve/batch8` — an 8-query batch answered through one prepared NA
 //!   match index;
-//! * `serve/handle_line` — the full per-line path including request
-//!   parsing and response encoding, cache on (observability recording,
+//! * `serve/handle_line` — the full per-line path every server runs:
+//!   `CatalogSession::handle_line` over a one-release catalog (what
+//!   `rpctl serve --publication` hosts) — parsing, routing and stage
+//!   timing — plus response encoding, cache on (observability recording,
 //!   the production default);
 //! * `serve/handle_line_obs_off` — the same path with the metrics
 //!   registry disabled; the ratio against `handle_line` is the
 //!   instrumentation overhead CI guards (budget ~5%).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use rp_bench::adult_fixture;
 use rp_engine::{
-    Publisher, QueryService, Request, Response, ServiceConfig, SessionStats, WireQuery,
+    Catalog, CatalogSession, Publisher, QueryService, Request, Response, ServiceConfig,
+    SessionStats, WireQuery,
 };
 
 /// Builds the service over the reduced published ADULT fixture.
@@ -84,8 +89,9 @@ fn expect_answered(response: &Response) {
 }
 
 fn bench_serve(c: &mut Criterion) {
-    let cached = service(1024);
+    let cached = Arc::new(service(1024));
     let uncached = service(0);
+    let catalog = Catalog::single(Arc::clone(&cached));
     let queries = wire_queries(&cached, 16);
     let single = Request::Query(queries[0].clone());
     let batch = Request::Batch(queries[..8].to_vec());
@@ -128,9 +134,10 @@ fn bench_serve(c: &mut Criterion) {
         });
     });
     group.bench_function("handle_line", |b| {
+        let mut routing = CatalogSession::new(&catalog);
         let mut session = SessionStats::default();
         b.iter(|| {
-            let r = cached
+            let r = routing
                 .handle_line(&line, &mut session)
                 .expect("non-empty line");
             expect_answered(&r);
@@ -140,9 +147,10 @@ fn bench_serve(c: &mut Criterion) {
     group.bench_function("handle_line_obs_off", |b| {
         let obs = rp_engine::obs::global();
         obs.set_enabled(false);
+        let mut routing = CatalogSession::new(&catalog);
         let mut session = SessionStats::default();
         b.iter(|| {
-            let r = cached
+            let r = routing
                 .handle_line(&line, &mut session)
                 .expect("non-empty line");
             expect_answered(&r);

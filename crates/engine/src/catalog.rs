@@ -10,6 +10,12 @@
 //! (initially the catalog's default), so old transcripts replay
 //! unchanged.
 //!
+//! Single-release serving is the same machinery: [`Catalog::unnamed`] /
+//! [`Catalog::single`] host one release the operator did not name (it
+//! answers to [`UNNAMED_RELEASE`]), whose `HELLO` banner carries no
+//! `release=` token. [`CatalogSession::handle_line`] is therefore the one
+//! per-line entry of every server.
+//!
 //! ## Leases and lifecycle
 //!
 //! Every request checks out a [`Lease`] on its target release: a cheap
@@ -17,8 +23,8 @@
 //! the release *closing* (new checkouts are refused), then blocks until
 //! the busy count drains to zero before dropping the tenant — a close can
 //! therefore never race an in-flight request's `Arc`. Hot-reload
-//! ([`Catalog::reload`] / [`Catalog::reload_from_source`]) is the
-//! opposite trade: it atomically swaps the service `Arc` without waiting,
+//! ([`Catalog::reload_from_source`], the `reload` verb) is the opposite
+//! trade: it atomically swaps the service `Arc` without waiting,
 //! so sessions holding the old lease finish against the old release while
 //! new checkouts see the new one — no tenant's session is ever dropped by
 //! another tenant's reload. [`Catalog::reload_from_source`] on a
@@ -46,6 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::fault::FaultHandle;
 use crate::protocol::{
     is_release_name, ErrorCode, ReleaseEntry, Request, Response, PROTOCOL_VERSION,
 };
@@ -97,7 +104,7 @@ impl std::fmt::Display for CatalogError {
                 write!(f, "release `{name}` has no source artifact to reload from")
             }
             CatalogError::Load(name, detail) => {
-                write!(f, "reloading release `{name}` failed: {detail}")
+                write!(f, "loading release `{name}` failed: {detail}")
             }
             CatalogError::Reloading(name) => {
                 write!(f, "release `{name}` is already reloading")
@@ -172,11 +179,18 @@ struct Tenant {
     reloading: Arc<AtomicBool>,
 }
 
+/// The name the one release of a [`Catalog::unnamed`] catalog answers to
+/// in `releases`, `use`, `reload` and `verb@release`.
+pub const UNNAMED_RELEASE: &str = "default";
+
 /// A catalog of named releases behind one server. See the
 /// [module docs](self) for the lease/close/reload lifecycle.
 #[derive(Debug)]
 pub struct Catalog {
     default: String,
+    /// Whether session banners name the default release (`release=`):
+    /// true exactly when the operator named it ([`Catalog::new`]).
+    named: bool,
     state: Mutex<BTreeMap<String, Tenant>>,
     drained: Condvar,
     /// Bumped by every open, close and reload; sessions revalidate their
@@ -222,12 +236,33 @@ impl Catalog {
         if !is_release_name(default) {
             return Err(CatalogError::BadName(default.to_string()));
         }
-        Ok(Self {
+        Ok(Self::with_default(default, true))
+    }
+
+    /// Creates an empty catalog for one release the operator did not name
+    /// (open it as [`UNNAMED_RELEASE`]): its sessions' `HELLO` banner
+    /// carries no `release=` token.
+    pub fn unnamed() -> Self {
+        Self::with_default(UNNAMED_RELEASE, false)
+    }
+
+    /// A [`Catalog::unnamed`] catalog serving `service` — how one bare
+    /// service is served.
+    pub fn single(service: Arc<QueryService>) -> Self {
+        let catalog = Self::unnamed();
+        // A fresh catalog and a valid constant name: nothing to refuse.
+        let _ = catalog.insert(UNNAMED_RELEASE, service, None);
+        catalog
+    }
+
+    fn with_default(default: &str, named: bool) -> Self {
+        Self {
             default: default.to_string(),
+            named,
             state: Mutex::new(BTreeMap::new()),
             drained: Condvar::new(),
             epoch: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The current topology epoch (see the [module docs](self)).
@@ -267,29 +302,29 @@ impl Catalog {
         path: &Path,
         config: ServiceConfig,
     ) -> Result<(), CatalogError> {
-        let publication = Publication::load_from_path(path)
-            .map_err(|e| CatalogError::Load(name.to_string(), e.to_string()))?;
-        let service = Arc::new(QueryService::from_publication(&publication, config));
-        self.insert(
-            name,
-            service,
-            Some(TenantSource::Artifact {
-                path: path.to_path_buf(),
-                config,
-            }),
-        )
+        let source = TenantSource::Artifact {
+            path: path.to_path_buf(),
+            config,
+        };
+        let service = build_source(name, &source, crate::fault::passthrough())?;
+        self.insert(name, service, Some(source))
     }
 
     /// Opens a *streaming* release as `name`: loads the base artifact at
-    /// `artifact`, attaches (creating or replaying) the WAL at `wal`,
-    /// and remembers both so [`Catalog::reload_from_source`] can rebuild
-    /// the release from disk — the recovery path when its stream
-    /// degrades after a storage fault.
+    /// `artifact`, attaches (creating or replaying) the WAL at `wal`
+    /// through `faults` — so WAL-creation fsyncs count against an
+    /// injected schedule — and remembers both paths so
+    /// [`Catalog::reload_from_source`] can rebuild the release from disk,
+    /// with passthrough I/O: the recovery path when its stream degrades
+    /// after a storage fault.
     ///
     /// # Errors
     ///
     /// [`CatalogError::BadName`], [`CatalogError::AlreadyOpen`] or
     /// [`CatalogError::Load`].
+    // The stream's whole opening recipe; a parameter struct would only
+    // ever be built at this one call.
+    #[allow(clippy::too_many_arguments)]
     pub fn open_stream_path(
         &self,
         name: &str,
@@ -298,6 +333,7 @@ impl Catalog {
         stream_config: StreamConfig,
         state_out: Option<PathBuf>,
         config: ServiceConfig,
+        faults: FaultHandle,
     ) -> Result<(), CatalogError> {
         let source = TenantSource::Stream {
             artifact: artifact.to_path_buf(),
@@ -306,7 +342,7 @@ impl Catalog {
             state_out,
             config,
         };
-        let service = build_source(name, &source)?;
+        let service = build_source(name, &source, faults)?;
         self.insert(name, service, Some(source))
     }
 
@@ -411,15 +447,7 @@ impl Catalog {
     /// see `service` immediately, outstanding leases finish against the
     /// old one (kept alive by their `Arc` clones). Returns the new
     /// `(records, groups)`. The reload source is left unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`CatalogError::UnknownRelease`] or [`CatalogError::Closing`].
-    pub fn reload(
-        &self,
-        name: &str,
-        service: Arc<QueryService>,
-    ) -> Result<(u64, u64), CatalogError> {
+    fn reload(&self, name: &str, service: Arc<QueryService>) -> Result<(u64, u64), CatalogError> {
         let summary = service.release_summary();
         let mut state = self.state_guard();
         let tenant = state
@@ -436,7 +464,8 @@ impl Catalog {
     /// Reloads `name` from the source it was opened with
     /// ([`Catalog::open_path`] or [`Catalog::open_stream_path`]). The
     /// load runs *outside* the catalog lock, so a slow disk never stalls
-    /// other tenants' routing; the swap itself is [`Catalog::reload`].
+    /// other tenants' routing; the swap itself is atomic and waits for no
+    /// lease.
     ///
     /// For a streaming release this is the **recovery path**, and it is
     /// equally safe on a *healthy* live release: before the WAL is
@@ -499,7 +528,7 @@ impl Catalog {
                 obs.inc("catalog.seal");
                 obs.trace("catalog.seal");
             }
-            let service = build_source(name, &source)?;
+            let service = build_source(name, &source, crate::fault::passthrough())?;
             self.reload(name, service)
         })();
         reloading.store(false, Ordering::SeqCst);
@@ -558,10 +587,14 @@ impl Catalog {
     }
 }
 
-/// Builds a fresh service from a tenant's reload source. Streams are
-/// reopened with passthrough (fault-free) I/O: recovery must never
-/// re-enter an injected schedule.
-fn build_source(name: &str, source: &TenantSource) -> Result<Arc<QueryService>, CatalogError> {
+/// Builds a fresh service from a tenant's source, its stream (if any)
+/// writing through `faults`. Reloads pass passthrough I/O: recovery must
+/// never re-enter an injected schedule.
+fn build_source(
+    name: &str,
+    source: &TenantSource,
+    faults: FaultHandle,
+) -> Result<Arc<QueryService>, CatalogError> {
     let load = |e: &dyn std::fmt::Display| CatalogError::Load(name.to_string(), e.to_string());
     match source {
         TenantSource::Artifact { path, config } => {
@@ -579,8 +612,8 @@ fn build_source(name: &str, source: &TenantSource) -> Result<Arc<QueryService>, 
             config,
         } => {
             let publication = Publication::load_from_path(artifact).map_err(|e| load(&e))?;
-            let stream =
-                StreamPublisher::open(publication, wal, *stream_config).map_err(|e| load(&e))?;
+            let stream = StreamPublisher::open_with(publication, wal, *stream_config, faults)
+                .map_err(|e| load(&e))?;
             Ok(Arc::new(QueryService::streaming(
                 stream,
                 state_out.clone(),
@@ -636,12 +669,13 @@ fn count_local(session: &mut SessionStats, response: &Response) {
 
 /// One session's routing state over a [`Catalog`]: the current release
 /// plus the rp/3 verb dispatch. Transports build one per connection and
-/// feed it lines exactly like a bare [`QueryService`].
+/// feed it every line.
 ///
-/// Tenant-bound requests are charged to the target release's own
-/// aggregate counters (via [`QueryService::handle`]); catalog-level verbs
-/// (`use`, `releases`, `reload`, routing failures, parse errors) are
-/// counted in the [`SessionStats`] only.
+/// Tenant-bound requests — and lines that do not parse — are charged to
+/// the target (or current) release's own aggregate counters (via
+/// [`QueryService::handle`]); catalog-level verbs (`use`, `releases`,
+/// `reload`) and routing failures are counted in the [`SessionStats`]
+/// only.
 #[derive(Debug)]
 pub struct CatalogSession<'a> {
     catalog: &'a Catalog,
@@ -687,12 +721,15 @@ impl<'a> CatalogSession<'a> {
         &self.current
     }
 
-    /// The session banner: the current release's parameters plus its
-    /// catalog name as the trailing `release=` token. An unopened default
-    /// yields the routing error instead (the transport should close).
+    /// Opens the session: charges its start to the current (default)
+    /// release and returns the banner — that release's parameters, plus
+    /// its name as the trailing `release=` token when the operator named
+    /// it. An unopened default yields the routing error instead (the
+    /// transport should close).
     pub fn hello(&self) -> Response {
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
+                lease.session_started();
                 let (sa, records, groups, p) = lease.release_summary();
                 Response::Hello {
                     version: PROTOCOL_VERSION,
@@ -700,36 +737,60 @@ impl<'a> CatalogSession<'a> {
                     records,
                     groups,
                     p,
-                    release: Some(self.current.clone()),
+                    release: self.catalog.named.then(|| self.current.clone()),
                 }
             }
             Err(e) => e.wire(),
         }
     }
 
-    /// Handles one raw request line — the catalog counterpart of
-    /// [`QueryService::handle_line`]. Returns `None` for blank lines.
+    /// Handles one raw request line: parse, route, count. Returns `None`
+    /// for blank lines. This is the one per-line entry every transport
+    /// uses, so a request line maps to the same response bytes on every
+    /// transport and in every serving mode.
     pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
-        match Request::parse(line) {
-            Ok(None) => None,
-            Ok(Some(request)) => Some(self.handle(&request, session)),
+        // Sampled stage timing (1-in-8 requests; see `crate::obs`) on
+        // handles resolved once per process. The three stages share one
+        // clock-read pair per boundary: parse = t1-t0, execute = t2-t1,
+        // handle = t2-t0.
+        let obs = crate::obs::global();
+        let hot = crate::obs::hot_path();
+        let t0 = (obs.enabled() && hot.handle.tick_sampled()).then(|| obs.now_ns());
+        let parsed = Request::parse(line).transpose()?;
+        let t1 = t0.map(|_| obs.now_ns());
+        let response = match parsed {
+            Ok(request) => self.handle(&request, session),
             Err(e) => {
+                // Charged to the current release like any request it
+                // answers; with no release to charge, to the session only.
                 let response = Response::from(e);
-                count_local(session, &response);
-                Some(response)
+                if self
+                    .with_current(|service| service.count(&response, session))
+                    .is_err()
+                {
+                    count_local(session, &response);
+                }
+                response
             }
+        };
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            let t2 = obs.now_ns();
+            hot.parse.record(t1.saturating_sub(t0));
+            hot.execute.record(t2.saturating_sub(t1));
+            hot.handle.record(t2.saturating_sub(t0));
         }
+        Some(response)
     }
 
     /// Handles one typed request: catalog verbs are answered here,
     /// everything else checks out the target release and delegates.
     pub fn handle(&mut self, request: &Request, session: &mut SessionStats) -> Response {
-        match request {
+        let local = match request {
             Request::Use(name) => {
                 // Epoch before checkout: if a reload slips in between,
                 // the cache is tagged stale and the next request re-routes.
                 let epoch = self.catalog.epoch_now();
-                let response = match self.catalog.checkout(name) {
+                match self.catalog.checkout(name) {
                     Ok(lease) => {
                         let (sa, records, groups, p) = lease.release_summary();
                         self.current = name.clone();
@@ -743,43 +804,36 @@ impl<'a> CatalogSession<'a> {
                         }
                     }
                     Err(e) => e.wire(),
-                };
-                count_local(session, &response);
-                response
-            }
-            Request::Releases => {
-                let response = Response::Releases(self.catalog.list());
-                count_local(session, &response);
-                response
-            }
-            Request::Reload(name) => {
-                let response = match self.catalog.reload_from_source(name) {
-                    Ok((records, groups)) => Response::Reloaded {
-                        release: name.clone(),
-                        records,
-                        groups,
-                    },
-                    Err(e) => e.wire(),
-                };
-                count_local(session, &response);
-                response
-            }
-            Request::At { release, inner } => match self.catalog.checkout(release) {
-                Ok(lease) => lease.handle(inner, session),
-                Err(e) => {
-                    let response = e.wire();
-                    count_local(session, &response);
-                    response
                 }
+            }
+            Request::Releases => Response::Releases(self.catalog.list()),
+            Request::Reload(name) => match self.catalog.reload_from_source(name) {
+                Ok((records, groups)) => Response::Reloaded {
+                    release: name.clone(),
+                    records,
+                    groups,
+                },
+                Err(e) => e.wire(),
             },
-            unqualified => self.route_current(unqualified, session),
-        }
+            Request::At { release, inner } => match self.catalog.checkout(release) {
+                Ok(lease) => return lease.handle(inner, session),
+                Err(e) => e.wire(),
+            },
+            unqualified => {
+                match self.with_current(|service| service.handle(unqualified, session)) {
+                    Ok(response) => return response,
+                    Err(e) => e.wire(),
+                }
+            }
+        };
+        count_local(session, &local);
+        local
     }
 
-    /// Routes an un-qualified request to the current release: the cached
-    /// fast path when the epoch still matches, a full checkout (which
-    /// repopulates the cache) otherwise.
-    fn route_current(&mut self, request: &Request, session: &mut SessionStats) -> Response {
+    /// Runs `f` on the current release: the cached fast path when the
+    /// epoch still matches, a full checkout (which repopulates the cache)
+    /// otherwise.
+    fn with_current<T>(&mut self, f: impl FnOnce(&QueryService) -> T) -> Result<T, CatalogError> {
         let epoch = self.catalog.epoch_now();
         if let Some(route) = self.route.as_ref().filter(|r| r.epoch == epoch) {
             route.busy.fetch_add(1, Ordering::SeqCst);
@@ -790,25 +844,19 @@ impl<'a> CatalogSession<'a> {
             if route.closing.load(Ordering::SeqCst) {
                 release_unit(self.catalog, &route.busy, &route.closing);
             } else {
-                crate::obs::global().inc("catalog.route_fast");
-                let response = route.service.handle(request, session);
+                if crate::obs::global().enabled() {
+                    crate::obs::hot_path().route_fast.inc();
+                }
+                let out = f(&route.service);
                 release_unit(self.catalog, &route.busy, &route.closing);
-                return response;
+                return Ok(out);
             }
         }
         self.route = None;
         crate::obs::global().inc("catalog.route_slow");
-        match self.catalog.checkout(&self.current) {
-            Ok(lease) => {
-                self.route = Some(RouteCache::from_lease(epoch, &lease));
-                lease.handle(request, session)
-            }
-            Err(e) => {
-                let response = e.wire();
-                count_local(session, &response);
-                response
-            }
-        }
+        let lease = self.catalog.checkout(&self.current)?;
+        self.route = Some(RouteCache::from_lease(epoch, &lease));
+        Ok(f(&lease))
     }
 }
 
@@ -1110,6 +1158,10 @@ mod tests {
 
         let catalog = Catalog::new("alpha").unwrap();
         catalog.open("alpha", service(400)).unwrap();
+        // The schedule is handed to the stream at open: creating the
+        // fresh WAL consumes syncs 1-2, so the first flush-time fsync is
+        // sync 3. The reload source stays registered, fault-free.
+        let faults: FaultHandle = Arc::new(FaultSchedule::fsync_at(3));
         catalog
             .open_stream_path(
                 "live",
@@ -1118,27 +1170,10 @@ mod tests {
                 StreamConfig::default(),
                 None,
                 ServiceConfig::default(),
+                faults,
             )
             .unwrap();
         assert!(catalog.list()[1].live, "streaming tenant reports live");
-
-        // Swap in a fault-injected replacement; the reload source stays
-        // registered. The WAL already exists, so the reopened log's
-        // first flush-time fsync is sync 1 on this schedule.
-        let faults: FaultHandle = Arc::new(FaultSchedule::fsync_at(1));
-        let base = Publication::load_from_path(&artifact).unwrap();
-        let stream =
-            StreamPublisher::open_with(base, &wal, StreamConfig::default(), faults).unwrap();
-        catalog
-            .reload(
-                "live",
-                Arc::new(QueryService::streaming(
-                    stream,
-                    None,
-                    ServiceConfig::default(),
-                )),
-            )
-            .unwrap();
 
         let mut s = CatalogSession::new(&catalog);
         let mut stats = SessionStats::default();
@@ -1215,6 +1250,7 @@ mod tests {
                 StreamConfig::default(),
                 None,
                 ServiceConfig::default(),
+                crate::fault::passthrough(),
             )
             .unwrap();
 
@@ -1302,21 +1338,26 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Regression: the per-line stage histograms are recorded on the
+    /// routed path, not only on a bare service's line entry.
     #[test]
-    fn catalog_verbs_on_a_bare_service_answer_unknown_release() {
-        let s = service(400);
+    fn routed_lines_record_the_per_line_stage_histograms() {
+        const STAGES: [&str; 3] = ["service.handle", "service.parse", "service.execute"];
+        let obs = crate::obs::global();
+        let counts = || STAGES.map(|name| obs.histogram(name).snapshot().count);
+        let before = counts();
+        let catalog = two_tenant_catalog();
+        let mut s = CatalogSession::new(&catalog);
         let mut stats = SessionStats::default();
-        for line in [
-            "use beta",
-            "releases",
-            "reload beta",
-            "count@beta Job=eng Disease=flu",
-        ] {
-            let r = s.handle_line(line, &mut stats).unwrap();
-            let Response::Error { code, .. } = r else {
-                panic!("expected error for `{line}`, got {r:?}");
-            };
-            assert_eq!(code, ErrorCode::UnknownRelease, "line `{line}`");
+        for _ in 0..64 {
+            let r = s
+                .handle_line("count Job=eng Disease=flu", &mut stats)
+                .unwrap();
+            assert!(!r.is_error(), "{r:?}");
+        }
+        let after = counts();
+        for ((name, b), a) in STAGES.iter().zip(before).zip(after) {
+            assert!(a > b, "{name} recorded nothing: {b} -> {a}");
         }
     }
 }

@@ -34,6 +34,8 @@
 //!                  ▼                        ▼
 //!             service::QueryService (answer cache, counters)
 //!                  │
+//!     catalog::Catalog (1..N releases) ─ CatalogSession (routing)
+//!                  │
 //!          protocol::Request/Response (one canonical line codec)
 //!                  │
 //!        server: stdio serve() loop │ TCP thread-per-connection
@@ -59,16 +61,17 @@
 //! * [`server`] — the transports: [`serve()`](serve::serve) runs one
 //!   session over any `BufRead`/`Write` pair (stdin/stdout included), and
 //!   [`Server`] is a TCP listener running that same loop
-//!   thread-per-connection over the shared service, with a connection cap
+//!   thread-per-connection over a shared catalog, with a connection cap
 //!   and graceful shutdown. Both surfaces answer a given request stream
 //!   byte-identically;
-//! * [`catalog`] — multi-tenancy: a [`Catalog`] hosts N named releases
-//!   (each its own [`QueryService`] — caches, counters and streams are
-//!   per-tenant by construction) with open/close/hot-reload lifecycle and
-//!   lease-based drain, and [`CatalogSession`] routes the rp/3 verbs
-//!   (`use`, `releases`, `reload`, `verb@release`) over either transport
-//!   via [`serve_catalog()`](serve::serve_catalog) /
-//!   [`Server::bind_catalog`];
+//! * [`catalog`] — the one serving path: a [`Catalog`] hosts 1..N
+//!   releases (each its own [`QueryService`] — caches, counters and
+//!   streams are per-tenant by construction) with open/close/hot-reload
+//!   lifecycle and lease-based drain, and [`CatalogSession`] — the one
+//!   per-line entry of every session — routes the rp/3 verbs (`use`,
+//!   `releases`, `reload`, `verb@release`). A single release is a
+//!   one-release catalog ([`Catalog::single`], as [`Server::bind`] builds
+//!   it) whose banner carries no `release=` token;
 //! * [`fault`] — deterministic fault injection: an injectable I/O
 //!   facade ([`fault::FaultIo`], default passthrough) threaded through
 //!   every durable writer, driven by a seeded counter-based schedule so
@@ -152,7 +155,7 @@ pub mod server;
 pub mod service;
 pub mod stream;
 
-pub use catalog::{Catalog, CatalogError, CatalogSession, Lease};
+pub use catalog::{Catalog, CatalogError, CatalogSession, Lease, UNNAMED_RELEASE};
 pub use engine::{Answer, EngineError, PreparedQueries, QueryEngine};
 pub use fault::{FaultHandle, FaultIo, FaultKind, FaultSchedule};
 pub use obs::{Clock, HistogramSummary, MockClock, MonotonicClock, Registry, TraceEvent};
@@ -162,7 +165,7 @@ pub use protocol::{
 };
 pub use publication::{DesignCheck, LiveGroupSnapshot, LiveState, Publication, PublicationError};
 pub use publisher::{PublishError, Publisher};
-pub use serve::{serve, serve_catalog};
+pub use serve::serve;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownHandle};
 pub use service::{QueryService, ServiceConfig, SessionStats};
 pub use stream::{InsertOutcome, StreamConfig, StreamError, StreamPublisher};

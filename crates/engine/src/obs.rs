@@ -573,6 +573,32 @@ pub fn span(name: &str) -> Span<'static> {
     global().span(name)
 }
 
+/// The per-request cells of the global registry, resolved once per
+/// process: the per-line path runs for every line of every session, so it
+/// pays atomics only — never a registry name lookup.
+pub(crate) struct HotPath {
+    pub(crate) route_fast: &'static Counter,
+    pub(crate) handle: &'static Histogram,
+    pub(crate) parse: &'static Histogram,
+    pub(crate) execute: &'static Histogram,
+    pub(crate) cache_lookup: &'static Histogram,
+}
+
+/// The global registry's [`HotPath`] handles.
+pub(crate) fn hot_path() -> &'static HotPath {
+    static HOT: OnceLock<HotPath> = OnceLock::new();
+    HOT.get_or_init(|| {
+        let obs = global();
+        HotPath {
+            route_fast: obs.counter("catalog.route_fast"),
+            handle: obs.histogram("service.handle"),
+            parse: obs.histogram("service.parse"),
+            execute: obs.histogram("service.execute"),
+            cache_lookup: obs.histogram("service.cache_lookup"),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

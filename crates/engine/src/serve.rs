@@ -1,12 +1,13 @@
 //! The line-oriented session loop: one transport function shared by
 //! every surface.
 //!
-//! [`serve`] drives a [`QueryService`] over any `BufRead`/`Write` pair —
+//! [`serve`] drives a [`Catalog`] over any `BufRead`/`Write` pair —
 //! stdin/stdout for `rpctl serve`, a `TcpStream` for each connection of
-//! [`crate::server::Server`]. Because both surfaces run this exact
-//! function over the same shared service, a given request stream produces
-//! byte-identical response bytes on either transport (the root
-//! integration suite proves it).
+//! [`crate::server::Server`]. Single-release serving is a catalog with one
+//! release ([`Catalog::single`]), so there is exactly one loop and one
+//! per-line entry ([`CatalogSession::handle_line`]): a given request stream
+//! produces byte-identical response bytes on either transport and in
+//! either mode (the root integration suite proves both).
 //!
 //! A session opens with the versioned `HELLO` banner, then answers one
 //! request per line until `quit` or end of input:
@@ -37,69 +38,22 @@
 use std::io::{self, BufRead, Write};
 
 use crate::catalog::{Catalog, CatalogSession};
-use crate::service::{QueryService, SessionStats};
+use crate::service::SessionStats;
 
-/// Runs one serve session: `HELLO` banner, then request/response lines
-/// from `input` to `output` until `quit` or end of input. Returns the
-/// session counters (aggregate counters accumulate on `service`).
+/// Runs one serve session over `catalog`: the `HELLO` banner of its
+/// default release, then request/response lines from `input` to `output`
+/// until `quit` or end of input. Un-qualified verbs hit the default
+/// release, which is also charged the session start. Returns the session
+/// counters (aggregate counters accumulate on each release's service).
+///
+/// If the default release is not open, the banner position carries the
+/// routing error and the session ends immediately.
 ///
 /// # Errors
 ///
 /// Returns only I/O errors on the transport; protocol-level problems are
 /// reported to the client as `error code=...` lines.
 pub fn serve<R: BufRead, W: Write>(
-    service: &QueryService,
-    input: R,
-    mut output: W,
-) -> io::Result<SessionStats> {
-    let obs = crate::obs::global();
-    let session_start = obs.now_ns();
-    obs.inc("serve.sessions_opened");
-    obs.trace("session.open");
-    service.session_started();
-    let mut session = SessionStats::default();
-    writeln!(output, "{}", service.hello().encode())?;
-    output.flush()?;
-    for line in input.lines() {
-        let line = line?;
-        // Always-on per-request latency (parse through write+flush):
-        // records into `serve.request` when the guard drops at the end
-        // of this iteration — including the `bye` break path.
-        let _request_span = obs.span("serve.request");
-        let Some(response) = service.handle_line(&line, &mut session) else {
-            continue; // blank line
-        };
-        let t0 = obs.sampled_start("serve.encode");
-        let text = response.encode();
-        if let Some(t0) = t0 {
-            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
-        }
-        writeln!(output, "{text}")?;
-        output.flush()?;
-        if matches!(response, crate::protocol::Response::Bye) {
-            break;
-        }
-    }
-    obs.inc("serve.sessions_closed");
-    obs.trace("session.close");
-    obs.record("serve.session", obs.now_ns().saturating_sub(session_start));
-    Ok(session)
-}
-
-/// Runs one *catalog* serve session: the same loop as [`serve`], but
-/// requests route through a [`CatalogSession`] so the rp/3 verbs
-/// (`use`/`releases`/`reload`/`verb@release`) work and un-qualified verbs
-/// hit the catalog's default release. The session start is charged to the
-/// default release's counters.
-///
-/// If the catalog's default release is not open, the banner position
-/// carries the routing error and the session ends immediately.
-///
-/// # Errors
-///
-/// Returns only I/O errors on the transport; protocol-level problems are
-/// reported to the client as `error code=...` lines.
-pub fn serve_catalog<R: BufRead, W: Write>(
     catalog: &Catalog,
     input: R,
     mut output: W,
@@ -111,32 +65,28 @@ pub fn serve_catalog<R: BufRead, W: Write>(
     let mut routing = CatalogSession::new(catalog);
     let mut session = SessionStats::default();
     let banner = routing.hello();
-    let banner_is_error = banner.is_error();
-    if let Ok(lease) = catalog.checkout(routing.current()) {
-        lease.session_started();
-    }
     writeln!(output, "{}", banner.encode())?;
     output.flush()?;
-    if banner_is_error {
-        obs.inc("serve.sessions_closed");
-        obs.trace("session.close");
-        return Ok(session);
-    }
-    for line in input.lines() {
-        let line = line?;
-        let _request_span = obs.span("serve.request");
-        let Some(response) = routing.handle_line(&line, &mut session) else {
-            continue; // blank line
-        };
-        let t0 = obs.sampled_start("serve.encode");
-        let text = response.encode();
-        if let Some(t0) = t0 {
-            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
-        }
-        writeln!(output, "{text}")?;
-        output.flush()?;
-        if matches!(response, crate::protocol::Response::Bye) {
-            break;
+    if !banner.is_error() {
+        for line in input.lines() {
+            let line = line?;
+            // Always-on per-request latency (parse through write+flush):
+            // records into `serve.request` when the guard drops at the
+            // end of this iteration — including the `bye` break path.
+            let _request_span = obs.span("serve.request");
+            let Some(response) = routing.handle_line(&line, &mut session) else {
+                continue; // blank line
+            };
+            let t0 = obs.sampled_start("serve.encode");
+            let text = response.encode();
+            if let Some(t0) = t0 {
+                obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
+            }
+            writeln!(output, "{text}")?;
+            output.flush()?;
+            if matches!(response, crate::protocol::Response::Bye) {
+                break;
+            }
         }
     }
     obs.inc("serve.sessions_closed");
@@ -150,8 +100,9 @@ mod tests {
     use super::*;
     use crate::protocol::{Response, PROTOCOL_VERSION};
     use crate::publisher::Publisher;
-    use crate::service::ServiceConfig;
+    use crate::service::{QueryService, ServiceConfig};
     use rp_table::{Attribute, Schema, TableBuilder};
+    use std::sync::Arc;
 
     fn fixture_service() -> QueryService {
         let schema = Schema::new(vec![
@@ -170,9 +121,9 @@ mod tests {
     }
 
     fn run(input: &str) -> (String, SessionStats) {
-        let service = fixture_service();
+        let catalog = Catalog::single(Arc::new(fixture_service()));
         let mut out = Vec::new();
-        let stats = serve(&service, input.as_bytes(), &mut out).unwrap();
+        let stats = serve(&catalog, input.as_bytes(), &mut out).unwrap();
         (String::from_utf8(out).unwrap(), stats)
     }
 
@@ -252,7 +203,6 @@ mod tests {
     #[test]
     fn engine_without_publication_serves_too() {
         use crate::engine::QueryEngine;
-        use std::sync::Arc;
 
         let schema = Schema::new(vec![
             Attribute::new("Job", ["eng", "doc"]),
@@ -268,8 +218,9 @@ mod tests {
             None,
             ServiceConfig::default(),
         );
+        let catalog = Catalog::single(Arc::new(service));
         let mut out = Vec::new();
-        let stats = serve(&service, &b"info\n"[..], &mut out).unwrap();
+        let stats = serve(&catalog, &b"info\n"[..], &mut out).unwrap();
         assert_eq!(stats.answered, 1);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("records=400"), "{text}");

@@ -1,5 +1,5 @@
 //! The TCP transport: a [`Server`] accepting concurrent sessions over one
-//! shared [`QueryService`].
+//! shared [`Catalog`] — a single release is a one-release catalog.
 //!
 //! Thread-per-connection over `std::net` — no async runtime, no unsafe.
 //! Every accepted connection runs the exact same session loop as the
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Response};
-use crate::serve::{serve, serve_catalog};
+use crate::serve::serve;
 use crate::service::QueryService;
 
 /// Default connection cap of [`ServerConfig`].
@@ -90,27 +90,18 @@ impl ShutdownHandle {
     }
 }
 
-/// What a [`Server`] answers from: one shared service, or a whole
-/// multi-tenant catalog (sessions then run the rp/3 routing loop,
-/// [`serve_catalog`]).
-#[derive(Debug, Clone)]
-enum Backend {
-    Single(Arc<QueryService>),
-    Catalog(Arc<Catalog>),
-}
-
-/// A bound TCP query server over one shared [`QueryService`] — or, with
-/// [`Server::bind_catalog`], over a multi-tenant [`Catalog`].
+/// A bound TCP query server over one shared [`Catalog`].
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    backend: Backend,
+    catalog: Arc<Catalog>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 to pick a free port) over `service`.
+    /// Binds `addr` (use port 0 to pick a free port) over one `service`,
+    /// served as a one-release catalog ([`Catalog::single`]).
     ///
     /// # Errors
     ///
@@ -120,11 +111,11 @@ impl Server {
         service: Arc<QueryService>,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        Self::bind_backend(addr, Backend::Single(service), config)
+        Self::bind_catalog(addr, Arc::new(Catalog::single(service)), config)
     }
 
-    /// Binds `addr` over a multi-tenant catalog: every session runs the
-    /// rp/3 routing loop starting on the catalog's default release.
+    /// Binds `addr` over `catalog`: every session starts on the catalog's
+    /// default release.
     ///
     /// # Errors
     ///
@@ -134,17 +125,9 @@ impl Server {
         catalog: Arc<Catalog>,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        Self::bind_backend(addr, Backend::Catalog(catalog), config)
-    }
-
-    fn bind_backend(
-        addr: impl ToSocketAddrs,
-        backend: Backend,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            backend,
+            catalog,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -169,24 +152,6 @@ impl Server {
             addr: self.local_addr()?,
             flag: Arc::clone(&self.shutdown),
         })
-    }
-
-    /// The service this server answers from (`None` on a catalog
-    /// server — see [`Server::catalog`]).
-    pub fn service(&self) -> Option<&Arc<QueryService>> {
-        match &self.backend {
-            Backend::Single(service) => Some(service),
-            Backend::Catalog(_) => None,
-        }
-    }
-
-    /// The catalog this server answers from (`None` on a single-release
-    /// server — see [`Server::service`]).
-    pub fn catalog(&self) -> Option<&Arc<Catalog>> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Catalog(catalog) => Some(catalog),
-        }
     }
 
     /// Runs the accept loop until shutdown is signalled, then joins the
@@ -230,14 +195,14 @@ impl Server {
                 continue;
             }
             active.fetch_add(1, Ordering::AcqRel);
-            let backend = self.backend.clone();
+            let catalog = Arc::clone(&self.catalog);
             let config = self.config;
             // The guard releases the slot even if the session panics; a
             // failed session just means the client disconnected mid-line.
             let slot = SlotGuard(Arc::clone(&active));
             workers.push(std::thread::spawn(move || {
                 let _slot = slot;
-                let _ = handle_connection(&backend, stream, &config);
+                let _ = handle_connection(&catalog, stream, &config);
             }));
         }
         for worker in workers {
@@ -310,11 +275,11 @@ impl Drop for SlotGuard {
 }
 
 /// One session: buffered reader/writer halves over the same socket, then
-/// the shared loop (plain or catalog-routed by backend). A session that
-/// trips its read/write deadline is *reaped* — reported as a clean end,
-/// its connection closed — rather than treated as an I/O failure.
+/// the shared loop. A session that trips its read/write deadline is
+/// *reaped* — reported as a clean end, its connection closed — rather
+/// than treated as an I/O failure.
 fn handle_connection(
-    backend: &Backend,
+    catalog: &Catalog,
     stream: TcpStream,
     config: &ServerConfig,
 ) -> io::Result<()> {
@@ -322,11 +287,7 @@ fn handle_connection(
     stream.set_write_timeout(config.write_timeout)?;
     let reader = BufReader::new(stream.try_clone()?);
     let writer = BufWriter::new(stream);
-    let result = match backend {
-        Backend::Single(service) => serve(service, reader, writer),
-        Backend::Catalog(catalog) => serve_catalog(catalog, reader, writer),
-    };
-    match result {
+    match serve(catalog, reader, writer) {
         // Platform-dependent: a timed-out socket read reports
         // WouldBlock (Unix) or TimedOut (Windows).
         Err(e)

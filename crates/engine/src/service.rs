@@ -6,9 +6,10 @@
 //! `info`, a bounded deterministic answer cache keyed by the canonical
 //! query form, and aggregate [`StatsSnapshot`] counters. Transports — the
 //! stdio loop in [`crate::serve()`](crate::serve::serve) and the TCP
-//! listener in [`crate::server`] — are thin: they frame lines and call
-//! [`QueryService::handle_line`], so every transport provably speaks the
-//! identical protocol.
+//! listener in [`crate::server`] — are thin: they frame lines and hand
+//! them to a [`crate::catalog::CatalogSession`], which routes each request
+//! to a release's [`QueryService::handle`], so every transport provably
+//! speaks the identical protocol.
 //!
 //! ## Caching
 //!
@@ -46,7 +47,7 @@ use rp_table::CountQuery;
 use crate::engine::{Answer, QueryEngine};
 use crate::protocol::{
     ErrorCode, ProtocolError, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer, WireQuery,
-    WireRecord, PROTOCOL_VERSION,
+    WireRecord,
 };
 use crate::publication::Publication;
 use crate::stream::{StreamError, StreamPublisher};
@@ -173,39 +174,12 @@ struct StreamBackend {
     state_out: Option<PathBuf>,
 }
 
-/// Histogram handles resolved once at construction. The per-request path
-/// runs for every line of every session, so it pays atomics only — never
-/// a registry name lookup.
-struct HotPathObs {
-    handle: &'static crate::obs::Histogram,
-    parse: &'static crate::obs::Histogram,
-    execute: &'static crate::obs::Histogram,
-    cache_lookup: &'static crate::obs::Histogram,
-}
-
-impl HotPathObs {
-    fn resolve() -> Self {
-        let obs = crate::obs::global();
-        Self {
-            handle: obs.histogram("service.handle"),
-            parse: obs.histogram("service.parse"),
-            execute: obs.histogram("service.execute"),
-            cache_lookup: obs.histogram("service.cache_lookup"),
-        }
-    }
-}
-
-impl std::fmt::Debug for HotPathObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("HotPathObs")
-    }
-}
-
 /// The shared query-answering service every transport runs over.
 ///
-/// Cheap to share: transports hold an `Arc<QueryService>` and call
-/// [`QueryService::handle_line`] per request line. All interior state
-/// (cache, counters) is synchronized, so concurrent sessions are safe.
+/// Cheap to share: a catalog holds an `Arc<QueryService>` per release and
+/// its sessions call [`QueryService::handle`] per routed request. All
+/// interior state (cache, counters) is synchronized, so concurrent
+/// sessions are safe.
 #[derive(Debug)]
 pub struct QueryService {
     engine: Arc<QueryEngine>,
@@ -218,7 +192,6 @@ pub struct QueryService {
     cache_capacity: usize,
     cache: Mutex<AnswerCache>,
     stats: AggregateStats,
-    obs: HotPathObs,
 }
 
 impl QueryService {
@@ -237,7 +210,6 @@ impl QueryService {
             cache_capacity: config.cache_entries,
             cache: Mutex::new(AnswerCache::new(config.cache_entries)),
             stats: AggregateStats::default(),
-            obs: HotPathObs::resolve(),
         }
     }
 
@@ -357,22 +329,9 @@ impl QueryService {
         (records, groups)
     }
 
-    /// The versioned banner a transport must send when a session opens.
-    pub fn hello(&self) -> Response {
-        let (records, groups) = self.records_groups();
-        Response::Hello {
-            version: PROTOCOL_VERSION,
-            sa: self.sa_name().to_string(),
-            records,
-            groups,
-            p: self.engine.p(),
-            release: None,
-        }
-    }
-
-    /// The banner-level parameters of the served view, as reported by
-    /// [`Response::Using`] when a catalog session binds this release:
-    /// `(sa, records, groups, p)`.
+    /// The banner-level parameters of the served view, as reported by the
+    /// session `HELLO` banner and by [`Response::Using`] when a catalog
+    /// session binds this release: `(sa, records, groups, p)`.
     pub fn release_summary(&self) -> (String, u64, u64, f64) {
         let (records, groups) = self.records_groups();
         (self.sa_name().to_string(), records, groups, self.engine.p())
@@ -423,47 +382,34 @@ impl QueryService {
         self.cache_guard().len()
     }
 
-    /// Handles one raw request line: parse, dispatch, count. Returns
-    /// `None` for blank lines (not counted as requests). This is the
-    /// single entry point every transport uses, so a request line maps to
-    /// the same response bytes on every transport.
+    /// Answers one raw request line from this release alone — no routing,
+    /// no stage timing — counting it exactly like a routed line. Returns
+    /// `None` for blank lines. Servers answer lines through
+    /// [`CatalogSession::handle_line`](crate::catalog::CatalogSession::handle_line);
+    /// this un-routed form remains for in-process reference answers
+    /// (`perfbench/harness`).
     pub fn handle_line(&self, line: &str, session: &mut SessionStats) -> Option<Response> {
-        // Sampled stage timing (1-in-8 requests; see `crate::obs`), via
-        // the handles resolved at construction. The three stages share
-        // one clock-read pair per boundary: parse = t1-t0,
-        // execute = t2-t1, handle = t2-t0.
-        let obs = crate::obs::global();
-        let t0 = (obs.enabled() && self.obs.handle.tick_sampled()).then(|| obs.now_ns());
-        let parsed = Request::parse(line);
-        let t1 = t0.map(|_| obs.now_ns());
-        let response = match parsed {
-            Ok(None) => None,
-            Ok(Some(request)) => Some(self.handle(&request, session)),
+        Some(match Request::parse(line).transpose()? {
+            Ok(request) => self.handle(&request, session),
             Err(e) => {
                 let response = Response::from(e);
                 self.count(&response, session);
-                Some(response)
+                response
             }
-        };
-        if let (Some(t0), Some(t1), Some(_)) = (t0, t1, response.as_ref()) {
-            let t2 = obs.now_ns();
-            self.obs.parse.record(t1.saturating_sub(t0));
-            self.obs.execute.record(t2.saturating_sub(t1));
-            self.obs.handle.record(t2.saturating_sub(t0));
-        }
-        response
+        })
     }
 
-    /// Handles one typed request (already parsed). Exposed for clients
-    /// that build [`Request`] values directly, e.g. benches. Counts the
-    /// request exactly like [`QueryService::handle_line`].
+    /// Handles one typed request (already parsed and routed to this
+    /// release), counting it in `session` and in the aggregate counters.
     pub fn handle(&self, request: &Request, session: &mut SessionStats) -> Response {
         let response = self.dispatch(request, session);
         self.count(&response, session);
         response
     }
 
-    fn count(&self, response: &Response, session: &mut SessionStats) {
+    /// Charges one answered request to `session` and to this release's
+    /// aggregate counters.
+    pub(crate) fn count(&self, response: &Response, session: &mut SessionStats) {
         session.requests += 1;
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         if response.is_error() {
@@ -524,15 +470,12 @@ impl QueryService {
                 Ok(r) => r,
                 Err(e) => Response::from(e),
             },
-            // Catalog verbs (rp/3) are routed by a
-            // [`crate::catalog::CatalogSession`] before they ever reach a
-            // service; a bare single-release service refuses them.
+            // A [`crate::catalog::CatalogSession`] answers catalog verbs
+            // itself; one reaching a release is a routing bug.
             Request::Use(_) | Request::Releases | Request::Reload(_) | Request::At { .. } => {
                 Response::Error {
-                    code: ErrorCode::UnknownRelease,
-                    message:
-                        "this server hosts a single release; catalog verbs need `rpctl serve --release NAME=PATH ...`"
-                            .to_string(),
+                    code: ErrorCode::Internal,
+                    message: "catalog verb reached a release unrouted".to_string(),
                 }
             }
         }
@@ -785,12 +728,11 @@ impl QueryService {
             // cache hit/miss trace events so tracing stays off the
             // steady-state hot path.
             let obs = crate::obs::global();
-            let t0 = (obs.enabled() && self.obs.cache_lookup.tick_sampled()).then(|| obs.now_ns());
+            let cache_lookup = crate::obs::hot_path().cache_lookup;
+            let t0 = (obs.enabled() && cache_lookup.tick_sampled()).then(|| obs.now_ns());
             let hit = self.cache_guard().get(&key);
             if let Some(t0) = t0 {
-                self.obs
-                    .cache_lookup
-                    .record(obs.now_ns().saturating_sub(t0));
+                cache_lookup.record(obs.now_ns().saturating_sub(t0));
                 obs.trace(if hit.is_some() {
                     "cache.hit"
                 } else {
@@ -870,6 +812,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PROTOCOL_VERSION;
     use crate::publisher::Publisher;
     use rp_table::{Attribute, Schema, TableBuilder};
 
@@ -1127,12 +1070,7 @@ mod tests {
         assert_eq!(s.stats().inserts, 3);
         // The banner and info also report the live view — records grow,
         // but inserts into existing base keys add no new groups.
-        let Response::Hello {
-            records, groups, ..
-        } = s.hello()
-        else {
-            panic!("expected hello");
-        };
+        let (_, records, groups, _) = s.release_summary();
         assert_eq!(records, 403);
         assert_eq!(groups, 2, "shared keys must not double-count");
         // Batches agree with singles on the merged view.
@@ -1317,18 +1255,22 @@ mod tests {
 
     #[test]
     fn hello_is_versioned() {
-        let s = service(0);
+        // A single release is served as a one-release catalog whose
+        // banner carries no `release=` token.
+        let catalog = crate::catalog::Catalog::single(Arc::new(service(0)));
         let Response::Hello {
             version,
             sa,
             records,
+            release,
             ..
-        } = s.hello()
+        } = crate::catalog::CatalogSession::new(&catalog).hello()
         else {
             panic!("expected hello");
         };
         assert_eq!(version, PROTOCOL_VERSION);
         assert_eq!(sa, "Disease");
         assert_eq!(records, 400);
+        assert_eq!(release, None);
     }
 }

@@ -14,14 +14,12 @@
 //!               [--raw data.csv]
 //! rpctl query   --connect HOST:PORT --where Gender=Male --value >50K
 //!               [--release NAME --timeout MS]
-//! rpctl serve   --publication release.rppub
+//! rpctl serve   --publication release.rppub | --release alpha=a.rppub [--release beta=b.rppub ...]
 //!               [--listen HOST:PORT --max-conns N --cache N
-//!                --read-timeout MS --write-timeout MS]
+//!                --read-timeout MS --write-timeout MS --trace-buffer N]
 //!               [--wal stream.rpwal --state-out state.rppub --max-resident N
 //!                --commit-batch N --commit-window MS --fault-fsync-at N]
-//! rpctl serve   --release alpha=a.rppub --release beta=b.rppub
-//!               [--listen HOST:PORT --max-conns N --cache N]
-//!               [--wal stream.rpwal ...]   # stream attaches to the first release
+//!               # the stream attaches to the first release
 //! rpctl releases --connect HOST:PORT
 //! rpctl reload  --connect HOST:PORT --release NAME
 //! rpctl metrics --connect HOST:PORT
@@ -72,16 +70,19 @@
 //! moves into per-group state records) — replay of the compacted log is
 //! byte-identical to replay of the full one.
 //!
-//! With repeated `--release NAME=PATH` flags (instead of `--publication`),
-//! `serve` hosts a **multi-tenant catalog**: every named artifact gets its
-//! own `QueryService` — its own answer cache and counters — and sessions
-//! route between them with the rp/3 verbs (`use NAME`, `releases`,
-//! `reload NAME`, or a one-shot `count@NAME ...`). The first `--release`
-//! is the default tenant that un-qualified verbs hit, so rp/2-era request
-//! streams keep working unchanged. `releases` and `reload` are the
-//! matching TCP clients; `query --connect --release NAME` targets one
-//! tenant by sending `use` first (and trusts the `using` response — not
-//! the HELLO banner — for that release's SA column and `p`).
+//! `serve` always hosts an `rp_engine::Catalog`. `--publication PATH` is
+//! a catalog of one release the operator did not name: its HELLO banner
+//! carries no `release=` token, and `releases`/`use`/`reload` address it
+//! as `default`. With repeated `--release NAME=PATH` flags instead, every
+//! named artifact gets its own `QueryService` — its own answer cache and
+//! counters — and sessions route between them with the rp/3 verbs
+//! (`use NAME`, `releases`, `reload NAME`, or a one-shot
+//! `count@NAME ...`). The first `--release` is the default that
+//! un-qualified verbs hit, so rp/2-era request streams keep working
+//! unchanged. `releases` and `reload` are the matching TCP clients;
+//! `query --connect --release NAME` targets one release by sending `use`
+//! first (and trusts the `using` response — not the HELLO banner — for
+//! that release's SA column and `p`).
 //!
 //! `bakeoff` publishes one CSV under both philosophies — the paper's SPS
 //! data perturbation and a calibrated binomial-DP contingency release
@@ -98,11 +99,12 @@
 //! produces a clear error and a nonzero exit instead of blocking forever;
 //! `serve` can arm per-connection `--read-timeout`/`--write-timeout`
 //! deadlines so idle sessions are reaped and their connection slots
-//! freed. `--fault-fsync-at N` arms deterministic fault injection on a
-//! streaming release — the Nth WAL fsync fails, the stream poisons and
-//! degrades to read-only (`error code=degraded`), and a catalog `reload`
-//! recovers it from disk. That flag exists for the fault-matrix CI round
-//! and for rehearsing the degradation contract; never use it in production.
+//! freed. `--fault-fsync-at N` arms deterministic fault injection on the
+//! streaming release — the Nth WAL fsync fails, counted from the stream's
+//! open (creating a fresh WAL takes two), the stream poisons and degrades
+//! to read-only (`error code=degraded`), and `reload` recovers it from
+//! disk. That flag exists for the fault-matrix CI round and for
+//! rehearsing the degradation contract; never use it in production.
 //!
 //! Observability (rp/5): `metrics` scrapes a live server's counter and
 //! latency-histogram registry (`rp_engine::obs`) — p50/p90/p99/max per
@@ -126,9 +128,9 @@ use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::PrivacyParams;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
-    serve, serve_catalog, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine,
-    QueryService, Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig,
-    StreamPublisher, WireAnswer, WireQuery, WireRecord,
+    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
+    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
+    WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
 };
 use rp_experiments::bakeoff;
 use rp_table::{read_csv, write_csv, Pattern, Table, Term};
@@ -225,8 +227,7 @@ fn usage() -> ExitCode {
          rpctl publish --input FILE | --adult FILE --sa COLUMN --output FILE.rppub [--csv FILE.csv] [--p P --lambda L --delta D --no-generalize --seed N --threads N]\n  \
          rpctl query   --publication FILE.rppub --where COL=VALUE ... --value SA_VALUE [--raw FILE.csv]\n  \
          rpctl query   --connect HOST:PORT --where COL=VALUE ... --value SA_VALUE [--release NAME --timeout MS]\n  \
-         rpctl serve   --publication FILE.rppub [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --max-resident N --commit-batch N --commit-window MS --fault-fsync-at N]\n  \
-         rpctl serve   --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal ...]\n  \
+         rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --max-resident N --commit-batch N --commit-window MS --fault-fsync-at N]\n  \
          rpctl releases --connect HOST:PORT\n  \
          rpctl reload  --connect HOST:PORT --release NAME\n  \
          rpctl metrics --connect HOST:PORT\n  \
@@ -712,220 +713,78 @@ fn true_answer(raw: &Table, conditions: &[(&str, &str)]) -> Result<u64, String> 
     Ok(Pattern::new(resolved).count(raw))
 }
 
+/// `serve`: one catalog behind stdio or TCP. `--publication PATH` is a
+/// one-release catalog whose release the operator did not name (its
+/// banner carries no `release=` token); each `--release NAME=PATH` is one
+/// named release, the first being the default that un-qualified verbs
+/// hit. With `--wal` the first release streams.
 fn cmd_serve(opts: &Options) -> Result<(), String> {
-    if !opts.releases.is_empty() {
-        if opts.publication.is_some() {
-            return Err("--release is mutually exclusive with --publication".into());
+    let (catalog, releases) = match (opts.publication.as_deref(), opts.releases.as_slice()) {
+        (Some(path), []) => (Catalog::unnamed(), vec![(UNNAMED_RELEASE, path)]),
+        (None, [_, ..]) => {
+            let releases = opts
+                .releases
+                .iter()
+                .map(|spec| {
+                    spec.split_once('=')
+                        .ok_or_else(|| format!("--release wants NAME=PATH, got `{spec}`"))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let catalog = Catalog::new(releases[0].0).map_err(|e| e.to_string())?;
+            (catalog, releases)
         }
-        return cmd_serve_catalog(opts);
+        (Some(_), [_, ..]) => {
+            return Err("--release is mutually exclusive with --publication".into())
+        }
+        (None, []) => return Err("--publication is required".into()),
+    };
+    if opts.fault_fsync_at > 0 && opts.wal.is_none() {
+        return Err("--fault-fsync-at wants a streaming release; add --wal".into());
     }
     apply_trace_buffer(opts);
-    let publication = load_publication(opts)?;
-    // The line protocol frames names and values as whitespace-separated
-    // tokens; a non-token SA name even breaks the HELLO banner. Serve
-    // anyway (other columns stay queryable) but say so up front.
-    for attr in 0..publication.schema().arity() {
-        let name = publication.schema().attribute(attr).name();
-        if !rp_engine::protocol::is_token(name) {
-            eprintln!(
-                "warning: column `{name}` is not a protocol token (whitespace/`;`/`=`); \
-                 it cannot be {} over the wire",
-                if attr == publication.sa() {
-                    "served — HELLO and info lines will not parse"
-                } else {
-                    "queried"
-                }
-            );
-        }
-    }
-    let sa_name = publication.sa_name().to_string();
-    let p = publication.p();
     let config = ServiceConfig {
         cache_entries: opts.cache,
     };
-    let service = if let Some(wal) = opts.wal.as_deref() {
-        if opts.fault_fsync_at > 0 {
-            eprintln!(
-                "fault injection armed: WAL fsync {} will fail and degrade the stream \
-                 to read-only",
-                opts.fault_fsync_at
-            );
-        }
-        let stream = StreamPublisher::open_with(
-            publication,
-            Path::new(wal),
-            opts.stream_config(),
-            opts.fault_handle(),
-        )
-        .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))?;
-        eprintln!(
-            "streaming: wal = {wal}, {} events applied, {} live groups ({} records); \
-             `insert COL=VALUE ...` to ingest, `flush` to commit{}",
-            stream.wal_seq(),
-            stream.live_groups(),
-            stream.live_records(),
-            match opts.state_out.as_deref() {
-                Some(path) => format!(" (snapshot -> {path})"),
-                None => String::new(),
-            }
-        );
-        QueryService::streaming(stream, opts.state_out.as_deref().map(PathBuf::from), config)
-    } else {
-        QueryService::from_publication(&publication, config)
-    };
-    eprintln!(
-        "serving {} records in {} groups (sa = {sa_name}, p = {p}, cache = {} entries); \
-         one `count COL=VALUE ... {sa_name}=VALUE` query per line, `quit` to stop",
-        service.engine().records(),
-        service.engine().groups(),
-        opts.cache,
-    );
-    if let Some(addr) = opts.listen.as_deref() {
-        let server = Server::bind(addr, Arc::new(service), opts.server_config())
-            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-        let bound = server
-            .local_addr()
-            .map_err(|e| format!("cannot resolve listen address: {e}"))?;
-        eprintln!(
-            "listening on {bound} (max {} concurrent sessions); \
-             connect with `rpctl query --connect {bound} ...`",
-            opts.max_conns
-        );
-        let service = Arc::clone(server.service().expect("bound as a single-release server"));
-        server.run().map_err(|e| format!("serve loop: {e}"))?;
-        checkpoint_on_exit(&service);
-    } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let stats =
-            serve(&service, stdin.lock(), stdout.lock()).map_err(|e| format!("serve loop: {e}"))?;
-        eprintln!(
-            "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
-             {} degraded refusals, {} faults)",
-            stats.requests,
-            stats.answered,
-            stats.errors,
-            stats.cache_hits,
-            stats.inserts,
-            stats.degraded,
-            stats.faults
-        );
-        checkpoint_on_exit(&service);
-    }
-    Ok(())
-}
-
-/// `--trace-buffer N` resizes the process-wide obs trace ring before the
-/// serve loop starts (`0` disables tracing entirely).
-fn apply_trace_buffer(opts: &Options) {
-    if let Some(capacity) = opts.trace_buffer {
-        rp_engine::obs::global().set_trace_capacity(capacity);
-        eprintln!("trace ring: {capacity} events");
-    }
-}
-
-/// Final durability point of a streaming server: sync the WAL (and write
-/// the snapshot) so a graceful shutdown never loses acknowledged events.
-fn checkpoint_on_exit(service: &QueryService) {
-    match service.checkpoint() {
-        Ok(Some(events)) => eprintln!("checkpoint: {events} events durable"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: final checkpoint failed: {e}"),
-    }
-}
-
-/// Multi-tenant serve: every `--release NAME=PATH` becomes one catalog
-/// tenant with its own `QueryService`; the first named release is the
-/// default that un-qualified (rp/2-style) verbs route to.
-fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
-    apply_trace_buffer(opts);
-    let mut pairs = Vec::with_capacity(opts.releases.len());
-    for spec in &opts.releases {
-        let (name, path) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("--release wants NAME=PATH, got `{spec}`"))?;
-        pairs.push((name, path));
-    }
-    let config = ServiceConfig {
-        cache_entries: opts.cache,
-    };
-    let catalog = Catalog::new(pairs[0].0).map_err(|e| e.to_string())?;
-    for (i, &(name, path)) in pairs.iter().enumerate() {
-        // With --wal the *first* release becomes the streaming tenant:
-        // the catalog remembers its artifact+WAL source, so the rp/4
-        // `reload` verb can rebuild it from disk — the recovery path for
-        // a degraded stream.
+    for (i, &(name, path)) in releases.iter().enumerate() {
         match opts.wal.as_deref().filter(|_| i == 0) {
-            Some(wal) => catalog
-                .open_stream_path(
+            Some(wal) => {
+                if opts.fault_fsync_at > 0 {
+                    eprintln!(
+                        "fault injection armed on release {name}: WAL fsync {} will fail and \
+                         degrade the stream to read-only (`reload {name}` recovers)",
+                        opts.fault_fsync_at
+                    );
+                }
+                catalog.open_stream_path(
                     name,
                     Path::new(path),
                     Path::new(wal),
                     opts.stream_config(),
                     opts.state_out.as_deref().map(PathBuf::from),
                     config,
+                    opts.fault_handle(),
                 )
-                .map_err(|e| format!("cannot open streaming release {name}: {e}"))?,
-            None => catalog
-                .open_path(name, Path::new(path), config)
-                .map_err(|e| format!("cannot open release {name}: {e}"))?,
-        }
-    }
-    if opts.fault_fsync_at > 0 {
-        let wal = opts
-            .wal
-            .as_deref()
-            .ok_or("--fault-fsync-at wants a streaming release; add --wal")?;
-        // Swap the (passthrough) streaming tenant for one opened behind
-        // the scripted schedule. `reload` rebuilds from the recorded
-        // source — passthrough again — so recovery never re-enters an
-        // injected schedule.
-        let (name, path) = pairs[0];
-        let publication =
-            Publication::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        let stream = StreamPublisher::open_with(
-            publication,
-            Path::new(wal),
-            opts.stream_config(),
-            opts.fault_handle(),
-        )
-        .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))?;
-        let service = Arc::new(QueryService::streaming(
-            stream,
-            opts.state_out.as_deref().map(PathBuf::from),
-            config,
-        ));
-        catalog
-            .reload(name, service)
-            .map_err(|e| format!("cannot arm faults on {name}: {e}"))?;
-        eprintln!(
-            "fault injection armed on release {name}: WAL fsync {} will fail and \
-             degrade the stream to read-only (`reload {name}` recovers)",
-            opts.fault_fsync_at
-        );
-    }
-    for entry in catalog.list() {
-        eprintln!(
-            "release {}: {} records in {} groups (sa = {}){}",
-            entry.name,
-            entry.records,
-            entry.groups,
-            entry.sa,
-            if entry.name == catalog.default_name() {
-                " [default]"
-            } else {
-                ""
             }
+            None => catalog.open_path(name, Path::new(path), config),
+        }
+        .map_err(|e| e.to_string())?;
+        let lease = catalog.checkout(name).map_err(|e| e.to_string())?;
+        warn_non_token_columns(&lease);
+        let (sa, records, groups, _) = lease.release_summary();
+        eprintln!(
+            "release {name}: {records} records in {groups} groups (sa = {sa}{}){}",
+            if lease.is_streaming() { ", live" } else { "" },
+            if i == 0 { " [default]" } else { "" }
         );
     }
     eprintln!(
-        "catalog: {} releases (cache = {} entries each); `use NAME` to switch, \
-         `releases` to list, `count@NAME ...` for one-shot routing",
-        pairs.len(),
+        "serving {} release(s) (cache = {} entries each); one request per line, `quit` to \
+         stop; `use NAME`, `releases` and `count@NAME ...` route between releases",
+        releases.len(),
         opts.cache,
     );
+    let catalog = Arc::new(catalog);
     if let Some(addr) = opts.listen.as_deref() {
-        let catalog = Arc::new(catalog);
         let server = Server::bind_catalog(addr, Arc::clone(&catalog), opts.server_config())
             .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
         let bound = server
@@ -933,15 +792,12 @@ fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
             .map_err(|e| format!("cannot resolve listen address: {e}"))?;
         eprintln!(
             "listening on {bound} (max {} concurrent sessions); \
-             connect with `rpctl query --connect {bound} --release NAME ...`",
+             connect with `rpctl query --connect {bound} [--release NAME] ...`",
             opts.max_conns
         );
         server.run().map_err(|e| format!("serve loop: {e}"))?;
-        catalog_checkpoint_on_exit(&catalog);
     } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let stats = serve_catalog(&catalog, stdin.lock(), stdout.lock())
+        let stats = serve(&catalog, std::io::stdin().lock(), std::io::stdout().lock())
             .map_err(|e| format!("serve loop: {e}"))?;
         eprintln!(
             "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
@@ -954,19 +810,47 @@ fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
             stats.degraded,
             stats.faults
         );
-        catalog_checkpoint_on_exit(&catalog);
     }
-    Ok(())
-}
-
-/// [`checkpoint_on_exit`] across every tenant of a catalog.
-fn catalog_checkpoint_on_exit(catalog: &Catalog) {
+    // Final durability point: sync every stream's WAL (and write its
+    // snapshot) so a graceful shutdown never loses acknowledged events.
     for (name, outcome) in catalog.checkpoint_all() {
         match outcome {
             Ok(Some(events)) => eprintln!("checkpoint {name}: {events} events durable"),
             Ok(None) => {}
             Err(e) => eprintln!("warning: final checkpoint of {name} failed: {e}"),
         }
+    }
+    Ok(())
+}
+
+/// The line protocol frames names and values as whitespace-separated
+/// tokens; a non-token SA name even breaks the HELLO banner. Serve anyway
+/// (other columns stay queryable) but say so up front, from the opened
+/// release's schema.
+fn warn_non_token_columns(service: &QueryService) {
+    let schema = service.engine().schema();
+    for attr in 0..schema.arity() {
+        let name = schema.attribute(attr).name();
+        if !rp_engine::protocol::is_token(name) {
+            eprintln!(
+                "warning: column `{name}` is not a protocol token (whitespace/`;`/`=`); \
+                 it cannot be {} over the wire",
+                if attr == service.engine().sa() {
+                    "served — HELLO and info lines will not parse"
+                } else {
+                    "queried"
+                }
+            );
+        }
+    }
+}
+
+/// `--trace-buffer N` resizes the process-wide obs trace ring before the
+/// serve loop starts (`0` disables tracing entirely).
+fn apply_trace_buffer(opts: &Options) {
+    if let Some(capacity) = opts.trace_buffer {
+        rp_engine::obs::global().set_trace_capacity(capacity);
+        eprintln!("trace ring: {capacity} events");
     }
 }
 

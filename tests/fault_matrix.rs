@@ -19,8 +19,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rp_repro::engine::{
-    serve_catalog, Catalog, FaultSchedule, Publication, Publisher, QueryService, ServiceConfig,
-    StreamConfig, StreamError, StreamPublisher,
+    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryService,
+    ServiceConfig, StreamConfig, StreamError, StreamPublisher,
 };
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
@@ -473,30 +473,28 @@ fn alpha_service() -> Arc<QueryService> {
 /// Builds the two-tenant catalog: `alpha` static (the default) and
 /// `live` streaming from `artifact` + `wal`, with the source recorded so
 /// the `reload` verb can rebuild it. When `fsync_at > 0` the live
-/// tenant's service is swapped for one opened behind that scripted
-/// schedule — exactly what `rpctl serve --fault-fsync-at` does.
+/// tenant's stream opens behind that scripted schedule — exactly what
+/// `rpctl serve --fault-fsync-at` does — so the fresh WAL's two creation
+/// syncs count against it.
 fn fixture_catalog(artifact: &Path, wal: &Path, fsync_at: u64) -> Catalog {
-    let config = ServiceConfig::default();
+    let faults: FaultHandle = if fsync_at > 0 {
+        Arc::new(FaultSchedule::fsync_at(fsync_at))
+    } else {
+        rp_repro::engine::fault::passthrough()
+    };
     let catalog = Catalog::new("alpha").unwrap();
     catalog.open("alpha", alpha_service()).unwrap();
     catalog
-        .open_stream_path("live", artifact, wal, StreamConfig::default(), None, config)
-        .unwrap();
-    if fsync_at > 0 {
-        let base = Publication::load_from_path(artifact).unwrap();
-        // The WAL already exists (created passthrough just above), so
-        // the reopen consumes no creation syncs: the first flush-time
-        // fsync is sync 1.
-        let stream = StreamPublisher::open_with(
-            base,
+        .open_stream_path(
+            "live",
+            artifact,
             wal,
             StreamConfig::default(),
-            Arc::new(FaultSchedule::fsync_at(fsync_at)),
+            None,
+            ServiceConfig::default(),
+            faults,
         )
         .unwrap();
-        let service = Arc::new(QueryService::streaming(stream, None, config));
-        catalog.reload("live", service).unwrap();
-    }
     catalog
 }
 
@@ -504,7 +502,7 @@ fn fixture_catalog(artifact: &Path, wal: &Path, fsync_at: u64) -> Catalog {
 fn run_session(catalog: &Catalog, script: &[&str]) -> String {
     let input = script.join("\n") + "\n";
     let mut out = Vec::new();
-    serve_catalog(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
+    serve(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
     String::from_utf8(out).unwrap()
 }
 
@@ -542,9 +540,10 @@ fn a_degraded_tenant_keeps_answering_and_neighbours_stay_byte_identical() {
     let _ = run_session(&reference, LIVE_SCRIPT);
     let alpha_reference = run_session(&reference, ALPHA_SCRIPT);
 
-    // Faulted: the live tenant's first flush-time fsync fails.
+    // Faulted: the live tenant's first flush-time fsync (sync 3, after
+    // the fresh WAL's two creation syncs) fails.
     let wal = tmp("catalog-fault.rpwal");
-    let catalog = fixture_catalog(&artifact, &wal, 1);
+    let catalog = fixture_catalog(&artifact, &wal, 3);
     let live = run_session(&catalog, LIVE_SCRIPT);
     let lines: Vec<&str> = live.lines().skip(1).collect(); // skip the banner
     assert!(lines[0].starts_with("inserted"), "{live}");

@@ -13,6 +13,9 @@
 //! * stdio and TCP are the same protocol: N concurrent TCP clients
 //!   running an interleaved request stream each receive bytes identical
 //!   to the sequential stdio loop's transcript;
+//! * single-release and catalog serving are one path: a script answers
+//!   byte-identically from a one-release catalog and from a catalog that
+//!   names its release, except the banner's `release=` token;
 //! * the answer cache changes no response bytes — only the hit counters
 //!   observable through `stats`;
 //! * two catalog tenants served concurrently stay isolated: per-tenant
@@ -30,8 +33,8 @@ use rp_repro::engine::protocol::{
     ErrorCode, ReleaseEntry, ReleaseMeta, StatsSnapshot, WireAnswer, WireHistogram, WireTraceEvent,
 };
 use rp_repro::engine::{
-    serve, serve_catalog, Catalog, Publisher, QueryService, Request, Response, Server,
-    ServerConfig, ServiceConfig, WireQuery, WireRecord,
+    serve, Catalog, Publisher, QueryService, Request, Response, Server, ServerConfig,
+    ServiceConfig, WireQuery, WireRecord,
 };
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
@@ -363,13 +366,72 @@ const SCRIPT: &[&str] = &[
     "quit",
 ];
 
+/// One sequential stdio session of `script` against `catalog`.
+fn session_transcript(catalog: &Catalog, script: &[&str]) -> String {
+    let input = script.join("\n") + "\n";
+    let mut out = Vec::new();
+    serve(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
+    String::from_utf8(out).unwrap()
+}
+
 /// The sequential stdio transcript of the script over a fresh service.
 fn stdio_transcript(cache_entries: usize) -> (String, StatsSnapshot) {
-    let service = fixture_service(cache_entries);
-    let input = SCRIPT.join("\n") + "\n";
-    let mut out = Vec::new();
-    serve(&service, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    (String::from_utf8(out).unwrap(), service.stats())
+    let service = Arc::new(fixture_service(cache_entries));
+    let transcript = session_transcript(&Catalog::single(Arc::clone(&service)), SCRIPT);
+    (transcript, service.stats())
+}
+
+#[test]
+fn single_release_and_named_catalog_modes_answer_identically() {
+    let single = Arc::new(fixture_service(1024));
+    let named = Arc::new(fixture_service(1024));
+    let single_catalog = Catalog::single(Arc::clone(&single));
+    let named_catalog = Catalog::new("alpha").expect("valid default name");
+    named_catalog
+        .open("alpha", Arc::clone(&named))
+        .expect("open alpha");
+    let single_out = session_transcript(&single_catalog, SCRIPT);
+    let named_out = session_transcript(&named_catalog, SCRIPT);
+    // Byte-identical except the banner's `release=` token, which appears
+    // exactly when the operator named the release.
+    let (single_banner, single_rest) = single_out.split_once('\n').unwrap();
+    let (named_banner, named_rest) = named_out.split_once('\n').unwrap();
+    assert!(!single_banner.contains(" release="), "{single_banner}");
+    assert_eq!(format!("{single_banner} release=alpha"), named_banner);
+    assert_eq!(single_rest, named_rest);
+    // Both modes charge the line-level parse error (`garbage`) to the
+    // release: the same 6 errors over the whole script.
+    for stats in [single.stats(), named.stats()] {
+        assert_eq!(stats.requests, SCRIPT.len() as u64, "{stats:?}");
+        assert_eq!(stats.errors, 6, "{stats:?}");
+    }
+    // The single-release server is a catalog of exactly one release,
+    // and unknown names answer `unknown-release` in either mode. Catalog
+    // verbs and routing failures are charged to no release.
+    let out = session_transcript(
+        &single_catalog,
+        &["releases", "use nope", "count@nope Disease=flu"],
+    );
+    assert_eq!(single.stats().requests, SCRIPT.len() as u64);
+    assert_eq!(single.stats().sessions, 2, "each banner charges a session");
+    let lines: Vec<&str> = out.lines().skip(1).collect();
+    let Ok(Response::Releases(entries)) = Response::parse(lines[0]) else {
+        panic!("expected a releases line: {out}");
+    };
+    assert_eq!(entries.len(), 1, "{out}");
+    for line in &lines[1..] {
+        let parsed = Response::parse(line).expect("error line parses");
+        assert!(
+            matches!(
+                parsed,
+                Response::Error {
+                    code: ErrorCode::UnknownRelease,
+                    ..
+                }
+            ),
+            "{line}"
+        );
+    }
 }
 
 #[test]
@@ -477,11 +539,17 @@ fn observability_changes_no_response_bytes() {
 fn metrics_and_trace_verbs_answer_canonical_lines() {
     // `metrics` and `trace` answered by a live service parse back to the
     // exact response (parse ∘ encode = id on real registry contents).
-    let service = fixture_service(1024);
-    let input = "ping\ncount Job=eng Disease=flu\nmetrics\ntrace 8\nquit\n";
-    let mut out = Vec::new();
-    serve(&service, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    let text = String::from_utf8(out).unwrap();
+    let catalog = Catalog::single(Arc::new(fixture_service(1024)));
+    let text = session_transcript(
+        &catalog,
+        &[
+            "ping",
+            "count Job=eng Disease=flu",
+            "metrics",
+            "trace 8",
+            "quit",
+        ],
+    );
     let metrics_line = text
         .lines()
         .find(|l| l.starts_with("metrics "))
@@ -561,11 +629,7 @@ const BETA_SCRIPT: &[&str] = &[
 
 /// The sequential stdio transcript of `script` over a fresh catalog.
 fn catalog_stdio_transcript(script: &[&str]) -> String {
-    let (catalog, _, _) = fixture_catalog();
-    let input = script.join("\n") + "\n";
-    let mut out = Vec::new();
-    serve_catalog(&catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    String::from_utf8(out).unwrap()
+    session_transcript(&fixture_catalog().0, script)
 }
 
 #[test]
