@@ -4,11 +4,12 @@
 //! * `serve/query_cache_on` — the steady-state hit path: the same query
 //!   repeated against a warm answer cache;
 //! * `serve/query_cache_off` — the same request stream with the cache
-//!   disabled, i.e. a full bitmap-match + reconstruction per request;
+//!   disabled, i.e. a full bitmap-match + reconstruction per request (CI
+//!   gates its ratio to `query_cache_on` from the same run at 3);
 //! * `serve/query_distinct_cache_on` — 16 distinct queries cycling
 //!   within capacity (hit path with key variety);
-//! * `serve/batch8` — an 8-query batch answered through one prepared NA
-//!   match index;
+//! * `serve/batch8` — an 8-query batch line, answered query by query
+//!   like eight uncached singles;
 //! * `serve/handle_line` — the full per-line path every server runs:
 //!   `CatalogSession::handle_line` over a one-release catalog (what
 //!   `rpctl serve --publication` hosts) — parsing, routing and stage

@@ -96,5 +96,6 @@ pub use perturb::UniformPerturbation;
 pub use privacy::{check_groups, group_is_private, max_group_size, PrivacyParams, ViolationReport};
 pub use sps::{sps, sps_histograms, uniform_perturb, up_histograms, SpsConfig, SpsOutput};
 pub use variance::{
-    confidence_interval, reconstruction_se, reconstruction_variance, ConfidenceInterval,
+    confidence_interval, confidence_interval_z, critical_value, reconstruction_se,
+    reconstruction_variance, ConfidenceInterval,
 };

@@ -69,6 +69,24 @@ impl ConfidenceInterval {
     }
 }
 
+/// The two-sided standard-normal critical value of a confidence `level`
+/// (`z ≈ 1.96` at 0.95): the `(1 + level)/2` quantile.
+///
+/// It runs the 100-step bisection of the normal quantile, so a caller
+/// building many intervals at one level computes it once and passes it to
+/// [`confidence_interval_z`].
+///
+/// # Panics
+///
+/// Panics on `level` outside `(0, 1)`.
+pub fn critical_value(level: f64) -> f64 {
+    assert!(
+        level > 0.0 && level < 1.0,
+        "level must lie in (0, 1), got {level}"
+    );
+    normal_quantile(0.5 + level / 2.0)
+}
+
 /// Builds the normal-approximation CI around an estimate `f_hat`
 /// reconstructed from `support` records. Uses `f_hat` clamped to `[0, 1]`
 /// as the plug-in frequency for the variance.
@@ -83,12 +101,24 @@ pub fn confidence_interval(
     m: usize,
     level: f64,
 ) -> ConfidenceInterval {
-    assert!(
-        level > 0.0 && level < 1.0,
-        "level must lie in (0, 1), got {level}"
-    );
+    confidence_interval_z(f_hat, support, p, m, level, critical_value(level))
+}
+
+/// [`confidence_interval`] with the critical value `z` computed beforehand
+/// by [`critical_value`]`(level)`; the result is bit-identical.
+///
+/// # Panics
+///
+/// Panics on invalid `(support, p, m)`.
+pub fn confidence_interval_z(
+    f_hat: f64,
+    support: u64,
+    p: f64,
+    m: usize,
+    level: f64,
+    z: f64,
+) -> ConfidenceInterval {
     let se = reconstruction_se(f_hat.clamp(0.0, 1.0), support, p, m);
-    let z = normal_quantile(0.5 + level / 2.0);
     ConfidenceInterval {
         estimate: f_hat,
         lo: f_hat - z * se,
@@ -97,9 +127,10 @@ pub fn confidence_interval(
     }
 }
 
-/// Standard-normal quantile by bisection on the CDF (the CDF is built on
-/// the crate's erfc; a handful of iterations suffice for the 1e-9
-/// tolerance needed here).
+/// Standard-normal quantile by bisection on the CDF (built on the crate's
+/// erfc). It always runs 100 halvings of `[-10, 10]`, far past the 1e-9
+/// tolerance needed here, each one an `erfc` call — hence
+/// [`critical_value`] is computed once per level, not once per interval.
 fn normal_quantile(prob: f64) -> f64 {
     assert!(prob > 0.0 && prob < 1.0, "probability must lie in (0, 1)");
     let (mut lo, mut hi) = (-10.0_f64, 10.0_f64);
@@ -169,6 +200,7 @@ mod tests {
     #[test]
     fn normal_quantile_known_values() {
         assert_close(normal_quantile(0.975), 1.959_964, 1e-4);
+        assert_close(critical_value(0.95), 1.959_964, 1e-4);
         assert_close(normal_quantile(0.5), 0.0, 1e-6);
         assert_close(normal_quantile(0.841_344_7), 1.0, 1e-4);
     }

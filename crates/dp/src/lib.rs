@@ -14,7 +14,6 @@
 //!   binomial mechanism of arXiv 1805.10559
 //!   ([`mechanism::calibrated_binomial`]) used as the head-to-head DP
 //!   baseline in `rpctl bakeoff`.
-//! * [`accountant`] — basic sequential composition accounting.
 //! * [`attack`] — the two-query ratio attack of Equation 2, which reproduces
 //!   Table 1 and exposes the Lemma-1 / Corollary-2 predictions.
 //! * [`histogram`] — an ε-DP contingency-table release (`Lap(1/ε)` per
@@ -24,12 +23,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod accountant;
 pub mod attack;
 pub mod histogram;
 pub mod mechanism;
 
-pub use accountant::{BudgetExceeded, SequentialAccountant};
 pub use attack::{AttackOutcome, MeanSe, RatioAttack};
 pub use histogram::{BinomialHistogram, DpHistogram};
 pub use mechanism::calibrated_binomial::{CalibratedBinomial, QuerySensitivity};

@@ -17,12 +17,15 @@ use std::hash::{Hash, Hasher};
 use rp_core::estimate::GroupedView;
 use rp_core::groups::PersonalGroups;
 use rp_core::mle::reconstruct_frequency;
-use rp_core::variance::{confidence_interval, ConfidenceInterval};
+use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
 use rp_datagen::querypool::QueryPool;
 use rp_stats::summary::relative_error;
 use rp_table::{AttrId, CountQuery, Schema, TableError};
 
 use crate::publication::Publication;
+
+/// Confidence level of every answer's interval.
+const CI_LEVEL: f64 = 0.95;
 
 /// One answered count query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,6 +170,9 @@ pub struct QueryEngine {
     sa: AttrId,
     m: usize,
     p: f64,
+    /// [`critical_value`]`(CI_LEVEL)`, computed once per engine rather
+    /// than once per answer.
+    z: f64,
     view: GroupedView,
 }
 
@@ -184,6 +190,7 @@ impl QueryEngine {
             sa,
             m,
             p: publication.p(),
+            z: critical_value(CI_LEVEL),
             view: GroupedView::from_histograms(&groups, hists),
         }
     }
@@ -211,6 +218,7 @@ impl QueryEngine {
             sa: groups.spec().sa(),
             m: groups.spec().m(),
             p,
+            z: critical_value(CI_LEVEL),
             view: GroupedView::from_histograms(groups, hists),
         }
     }
@@ -244,6 +252,11 @@ impl QueryEngine {
     /// `rp-learn`'s sufficient-statistics extraction).
     pub fn view(&self) -> &GroupedView {
         &self.view
+    }
+
+    /// The SA column's name, for the errors that cite it.
+    fn sa_name(&self) -> String {
+        self.schema.attribute(self.sa).name().to_string()
     }
 
     fn validate(&self, query: &CountQuery) -> Result<(), EngineError> {
@@ -293,8 +306,8 @@ impl QueryEngine {
             support,
             observed,
             frequency,
-            ci: Some(confidence_interval(
-                frequency, support, self.p, self.m, 0.95,
+            ci: Some(confidence_interval_z(
+                frequency, support, self.p, self.m, CI_LEVEL, self.z,
             )),
         }
     }
@@ -323,7 +336,6 @@ impl QueryEngine {
         &self,
         conditions: &[(&str, &str)],
     ) -> Result<CountQuery, EngineError> {
-        let sa_name = self.schema.attribute(self.sa).name().to_string();
         let mut na = Vec::new();
         let mut sa_value: Option<u32> = None;
         for &(col, value) in conditions {
@@ -341,7 +353,9 @@ impl QueryEngine {
                 })?;
             if attr == self.sa {
                 if sa_value.is_some() {
-                    return Err(EngineError::DuplicateSaCondition { sa_name });
+                    return Err(EngineError::DuplicateSaCondition {
+                        sa_name: self.sa_name(),
+                    });
                 }
                 sa_value = Some(code);
             } else {
@@ -356,7 +370,9 @@ impl QueryEngine {
             }
         }
         let Some(sa_value) = sa_value else {
-            return Err(EngineError::MissingSaCondition { sa_name });
+            return Err(EngineError::MissingSaCondition {
+                sa_name: self.sa_name(),
+            });
         };
         Ok(CountQuery::new(na, self.sa, sa_value)?)
     }
@@ -565,6 +581,25 @@ mod tests {
         assert!(ci.contains(a.frequency));
         let (lo, hi) = a.count_interval().unwrap();
         assert!(lo <= a.estimate && a.estimate <= hi);
+    }
+
+    #[test]
+    fn answer_intervals_are_bit_identical_to_confidence_interval() {
+        use rp_core::variance::confidence_interval;
+        let publication = demo_publication();
+        let engine = QueryEngine::new(&publication);
+        let (p, m) = (engine.p, engine.m);
+        for support in [1u64, 2, 3, 7, 10, 99, 1_000, 4_096, 65_537, 1_000_000] {
+            let step = (support / 16).max(1);
+            let observed = (0..=support).step_by(step as usize).chain([support]);
+            for observed in observed {
+                let a = engine.answer_from_counts(support, observed);
+                let ci = a.ci.expect("non-empty support");
+                let want = confidence_interval(a.frequency, support, p, m, 0.95);
+                assert_eq!(ci.lo.to_bits(), want.lo.to_bits(), "{support}/{observed}");
+                assert_eq!(ci.hi.to_bits(), want.hi.to_bits(), "{support}/{observed}");
+            }
+        }
     }
 
     #[test]

@@ -54,10 +54,11 @@
 //!   snapshot+tail restore are byte-identical to the live run;
 //! * [`service`] — the shared [`QueryService`]: an `Arc<QueryEngine>`
 //!   plus a bounded deterministic answer cache keyed by canonical query
-//!   form, a batch path through the prepared NA match index, per-session
-//!   / aggregate serve counters, and (in streaming mode) the live view —
-//!   answers merge base and live counts, and an insert invalidates
-//!   exactly the cached answers whose match set contains its group;
+//!   form, batches answered query by query like uncached singles,
+//!   per-session / aggregate serve counters, and (in streaming mode) the
+//!   live view — answers merge base and live counts, and an insert
+//!   invalidates exactly the cached answers whose match set contains its
+//!   group;
 //! * [`server`] — the transports: [`serve()`](serve::serve) runs one
 //!   session over any `BufRead`/`Write` pair (stdin/stdout included), and
 //!   [`Server`] is a TCP listener running that same loop

@@ -309,7 +309,7 @@ impl WireRecord {
 pub enum Request {
     /// Answer one count query.
     Query(WireQuery),
-    /// Answer several queries through one prepared match index.
+    /// Answer several queries, each exactly as a `count` line would be.
     Batch(Vec<WireQuery>),
     /// Insert one record into the live release (streaming services).
     Insert(WireRecord),

@@ -22,9 +22,10 @@
 //! never change a response byte — only the `cache_hits` / `cache_misses`
 //! counters observable through `stats`.
 //!
-//! Batches bypass the answer cache and instead reuse the engine's
-//! prepared NA match index ([`QueryEngine::prepare`]), which touches each
-//! group key once for the whole batch.
+//! Batches bypass the answer cache: every query of a `batch` line is
+//! resolved first (a bad one fails the whole line, naming it), then
+//! answered one by one through the same computation as an uncached
+//! `count`, so a batch answer is byte-equal to the single answer.
 //!
 //! ## Degradation
 //!
@@ -749,8 +750,7 @@ impl QueryService {
             None => {
                 // Static release: the engine is immutable, so computing
                 // and caching need no coordination.
-                let (support, observed) = self.base_counts(&key)?;
-                let answer = self.engine.answer_from_counts(support, observed);
+                let answer = self.compute(&key)?;
                 if self.cache_capacity > 0 {
                     self.cache_miss(key, answer, session);
                 }
@@ -786,26 +786,10 @@ impl QueryService {
                 message: format!("query {}: {}", i + 1, e.message),
             })?);
         }
-        if self.stream.is_some() {
-            // The live view has no prepared index (its group set mutates
-            // under inserts); answer query by query over base + live.
-            return resolved
-                .iter()
-                .map(|q| self.compute(q).map(|a| WireAnswer::from(&a)))
-                .collect();
-        }
-        let prepared = self.engine.prepare(&resolved).map_err(|e| ProtocolError {
-            code: ErrorCode::Internal,
-            message: e.to_string(),
-        })?;
-        let answers = self
-            .engine
-            .answer_batch(&resolved, &prepared)
-            .map_err(|e| ProtocolError {
-                code: ErrorCode::Internal,
-                message: e.to_string(),
-            })?;
-        Ok(answers.iter().map(WireAnswer::from).collect())
+        resolved
+            .iter()
+            .map(|q| self.compute(q).map(|a| WireAnswer::from(&a)))
+            .collect()
     }
 }
 
@@ -901,29 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_reuses_prepared_index_and_matches_singles() {
-        let s = service(0);
-        let mut session = SessionStats::default();
-        let batch = s.handle(
-            &query("batch Job=eng Disease=flu; Job=doc Disease=none"),
-            &mut session,
-        );
-        let Response::Batch(answers) = batch else {
-            panic!("expected batch, got {batch:?}");
-        };
-        assert_eq!(answers.len(), 2);
-        for (q, expected) in [
-            ("count Job=eng Disease=flu", answers[0]),
-            ("count Job=doc Disease=none", answers[1]),
-        ] {
-            let Response::Answer(single) = s.handle(&query(q), &mut session) else {
-                panic!("expected answer");
-            };
-            assert_eq!(single, expected);
-        }
-    }
-
-    #[test]
     fn batch_errors_name_the_failing_query() {
         let s = service(0);
         let mut session = SessionStats::default();
@@ -1016,6 +977,51 @@ mod tests {
         )
         .unwrap();
         QueryService::streaming(stream, None, ServiceConfig { cache_entries })
+    }
+
+    /// Sends one `batch` line over every fixture query shape (NA-free,
+    /// one NA condition, either condition order) and asserts its encoding
+    /// is byte-equal to the `count` answers of the same queries, before
+    /// and after those singles warmed the cache.
+    fn assert_batch_bytes_equal_singles(s: &QueryService) {
+        let queries = [
+            "Job=eng Disease=flu",
+            "Disease=none Job=doc",
+            "Job=doc Disease=flu",
+            "Disease=flu",
+            "Disease=none",
+        ];
+        let mut session = SessionStats::default();
+        let batch_line = format!("batch {}", queries.join("; "));
+        let batch = s.handle_line(&batch_line, &mut session).unwrap().encode();
+        let mut singles = format!("batch {}", queries.len());
+        for q in queries {
+            let single = s.handle_line(&format!("count {q}"), &mut session).unwrap();
+            assert!(matches!(single, Response::Answer(_)), "{single:?}");
+            singles.push_str("; ");
+            singles.push_str(&single.encode());
+        }
+        assert_eq!(batch, singles);
+        let again = s.handle_line(&batch_line, &mut session).unwrap().encode();
+        assert_eq!(again, singles, "a warm cache changed batch bytes");
+    }
+
+    #[test]
+    fn batch_answers_are_byte_equal_to_single_counts() {
+        for cache_entries in [0, DEFAULT_CACHE_ENTRIES] {
+            assert_batch_bytes_equal_singles(&service(cache_entries));
+        }
+        let s = streaming_service("batch-bytes.rpwal", DEFAULT_CACHE_ENTRIES);
+        let mut session = SessionStats::default();
+        for line in [
+            "insert Job=eng Disease=flu",
+            "insert Job=eng Disease=flu",
+            "insert Job=doc Disease=none",
+        ] {
+            let r = s.handle_line(line, &mut session).unwrap();
+            assert!(matches!(r, Response::Inserted { .. }), "{r:?}");
+        }
+        assert_batch_bytes_equal_singles(&s);
     }
 
     #[test]

@@ -249,19 +249,22 @@ impl BitmapIndex {
     /// attribute (everything matches); an out-of-domain code yields an
     /// all-zeros bitmap.
     pub fn select_bitmap(&self, pattern: &Pattern) -> Option<Bitmap> {
+        // Only the first term's bitmap is cloned; later ones AND in
+        // borrowed, so a query allocates once however many terms it has.
         let mut result: Option<Bitmap> = None;
         for &(attr, term) in pattern.terms() {
             let Term::Value(code) = term else { continue };
             if !self.attrs.contains(&attr) {
                 continue;
             }
-            let term_bitmap = match self.bitmap(attr, code) {
-                Some(b) => b.clone(),
-                None => Bitmap::zeros(self.len),
+            let Some(term_bitmap) = self.bitmap(attr, code) else {
+                // An out-of-domain code matches nothing, whatever else the
+                // pattern says.
+                return Some(Bitmap::zeros(self.len));
             };
             match &mut result {
-                None => result = Some(term_bitmap),
-                Some(acc) => acc.and_assign(&term_bitmap),
+                None => result = Some(term_bitmap.clone()),
+                Some(acc) => acc.and_assign(term_bitmap),
             }
         }
         result
@@ -387,6 +390,8 @@ mod tests {
             Pattern::new(vec![(0, Term::Wildcard), (1, Term::Value(1))]),
             Pattern::new(vec![]),
             Pattern::from_codes(&[1], &[9]), // out-of-domain code
+            Pattern::from_codes(&[0, 1], &[1, 9]), // ... after an in-domain term
+            Pattern::from_codes(&[0, 1], &[9, 1]), // ... before one
         ] {
             assert_eq!(idx.select(&pattern), pattern.select(&t), "{pattern:?}");
             assert_eq!(idx.count(&pattern), pattern.count(&t), "{pattern:?}");
