@@ -29,7 +29,6 @@ fn tmp(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(format!("{}.spill", path.display()));
     path
 }
 
@@ -134,9 +133,9 @@ fn bench_stream(c: &mut Criterion) {
     }
 
     group.bench_function("snapshot_1k", |b| {
-        let mut stream = loaded_stream("snapshot.rpwal", 1000);
+        let stream = loaded_stream("snapshot.rpwal", 1000);
         b.iter(|| {
-            let snapshot = stream.snapshot().unwrap();
+            let snapshot = stream.snapshot();
             assert_eq!(snapshot.live().unwrap().inserted, 1000);
             snapshot.table().rows()
         });

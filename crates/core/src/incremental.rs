@@ -246,15 +246,7 @@ impl IncrementalPublisher {
         self.groups.get(key)
     }
 
-    /// Removes a live group from the publisher and returns it — the
-    /// eviction half of a spill-to-disk residency policy: a cold group's
-    /// state moves out of memory and [`IncrementalPublisher::put_group`]
-    /// restores it losslessly when it heats up again.
-    pub fn take_group(&mut self, key: &[u32]) -> Option<LiveGroup> {
-        self.groups.remove(key)
-    }
-
-    /// Restores a previously taken (or deserialized) live group.
+    /// Restores a deserialized live group.
     ///
     /// # Panics
     ///
@@ -444,22 +436,6 @@ mod tests {
             (100..300).contains(&at),
             "re-flagged after {at} fresh records, expected near sg"
         );
-    }
-
-    #[test]
-    fn take_and_put_group_round_trip() {
-        let mut p = publisher();
-        let mut rng = StdRng::seed_from_u64(10);
-        for i in 0..30u32 {
-            let _ = p.insert(&mut rng, &[3], i % 2);
-        }
-        let taken = p.take_group(&[3]).expect("group exists");
-        assert_eq!(p.group_count(), 0);
-        assert!(p.group(&[3]).is_none());
-        let copy = taken.clone();
-        p.put_group(taken);
-        assert_eq!(p.group(&[3]), Some(&copy));
-        assert!(p.take_group(&[9]).is_none());
     }
 
     #[test]

@@ -1153,7 +1153,6 @@ mod tests {
         let artifact = dir.join("live.rppub");
         let wal = dir.join("live.rpwal");
         let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(format!("{}.spill", wal.display()));
         publication(400).save_to_path(&artifact).unwrap();
 
         let catalog = Catalog::new("alpha").unwrap();
@@ -1237,7 +1236,6 @@ mod tests {
         let artifact = dir.join("healthy.rppub");
         let wal = dir.join("healthy.rpwal");
         let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(format!("{}.spill", wal.display()));
         publication(400).save_to_path(&artifact).unwrap();
 
         let catalog = Catalog::new("alpha").unwrap();

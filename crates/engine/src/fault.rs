@@ -19,15 +19,15 @@
 //!   the failure shape the real world produces: an error before any
 //!   byte moves (EIO/ENOSPC), a short write that tears the tail, or a
 //!   failed fsync.
-//! * [`with_retry`] — bounded retry with backoff for *transient* fault
-//!   domains (spill page I/O, snapshot replacement). WAL fsync failures
+//! * [`with_retry`] — bounded retry with backoff for the *transient*
+//!   fault domain of snapshot replacement. WAL fsync failures
 //!   are **never** retried: a failed `sync_data` leaves the kernel's
 //!   dirty-page state unknowable, so the log manager latches poisoned
 //!   instead (the fsync-poisoning rule in [`crate::stream`]).
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -257,7 +257,7 @@ impl FaultIo for FaultSchedule {
 
 /// A [`File`] whose writes and syncs consult a [`FaultIo`] handle.
 ///
-/// Reads and seeks pass through untouched. A vetoed write fails before
+/// A vetoed write fails before
 /// any byte moves; a short write puts the approved prefix on disk and
 /// honestly reports the shorter count — the *next* write on the file is
 /// the one that fails, exactly like a disk that tore a write and then
@@ -332,25 +332,13 @@ impl Write for CheckedFile {
     }
 }
 
-impl Read for CheckedFile {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.file.read(buf)
-    }
-}
-
-impl Seek for CheckedFile {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.file.seek(pos)
-    }
-}
-
 /// Runs `op` up to 3 times with a short doubling backoff, returning
 /// the first success or the last error.
 ///
-/// Only for operations that are safe to repeat wholesale: spill page
-/// writes (a page rewrite is idempotent) and atomic file replacement
-/// (each attempt builds a fresh tmp sibling). Never used for WAL
-/// fsync — see the fsync-poisoning rule in [`crate::stream`].
+/// Only for operations that are safe to repeat wholesale, such as
+/// atomic file replacement (each attempt builds a fresh tmp sibling).
+/// Never used for WAL fsync — see the fsync-poisoning rule in
+/// [`crate::stream`].
 pub fn with_retry<T, E>(mut op: impl FnMut() -> Result<T, E>) -> Result<T, E> {
     let mut backoff = Duration::from_millis(1);
     let mut last = op();

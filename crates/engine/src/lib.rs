@@ -30,7 +30,7 @@
 //!                  ▼                        │ snapshot / restore
 //!             QueryEngine ◀── base ─── stream::StreamPublisher
 //!                  │                        │  insert WAL · per-group RNG
-//!                  │   base + live counts   │  auto-republish · spill
+//!                  │   base + live counts   │  auto-republish · compaction
 //!                  ▼                        ▼
 //!             service::QueryService (answer cache, counters)
 //!                  │
@@ -49,8 +49,9 @@
 //!   [`StreamPublisher`] wrapping `rp-core`'s incremental publisher in a
 //!   write-ahead log of inserts, counter-based per-group RNG streams
 //!   (one `u64` cursor each), automatic SPS re-publication when a group
-//!   crosses `sg`, bounded-memory cold-group spilling, and v2 snapshots
-//!   — state is a pure function of `(base artifact, WAL)`, so replay and
+//!   crosses `sg`, WAL compaction, and v2 snapshots — every live group
+//!   stays resident and persists as one [`GroupState`] record, and state
+//!   is a pure function of `(base artifact, WAL)`, so replay and
 //!   snapshot+tail restore are byte-identical to the live run;
 //! * [`service`] — the shared [`QueryService`]: an `Arc<QueryEngine>`
 //!   plus a bounded deterministic answer cache keyed by canonical query
@@ -164,7 +165,7 @@ pub use protocol::{
     ErrorCode, ProtocolError, ReleaseEntry, ReleaseMeta, Request, Response, StatsSnapshot,
     WireAnswer, WireQuery, WireRecord, PROTOCOL_VERSION,
 };
-pub use publication::{DesignCheck, LiveGroupSnapshot, LiveState, Publication, PublicationError};
+pub use publication::{DesignCheck, GroupState, LiveState, Publication, PublicationError};
 pub use publisher::{PublishError, Publisher};
 pub use serve::serve;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownHandle};

@@ -32,8 +32,7 @@
 //! overhead on the serving hot path stays within a few percent; the first
 //! event at each site is always sampled, so one request is enough to make
 //! every driven histogram non-empty. Expensive, infrequent operations (WAL
-//! `sync_data`, replay, spill page I/O, whole sessions) are timed on every
-//! occurrence.
+//! `sync_data`, replay, whole sessions) are timed on every occurrence.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,8 +80,6 @@ pub const HISTOGRAMS: &[&str] = &[
     "service.execute",
     "service.handle",
     "service.parse",
-    "spill.page_read",
-    "spill.page_write",
     "stream.replay",
     "wal.append",
     "wal.sync",

@@ -64,11 +64,21 @@ impl DesignCheck {
     }
 }
 
-/// Snapshot of one live personal group inside a streaming (v2)
-/// publication: everything [`crate::stream::StreamPublisher`] needs to
-/// resume the group exactly where the live run left it.
+/// The state of one live personal group: everything
+/// [`crate::stream::StreamPublisher`] needs to resume the group exactly
+/// where the live run left it.
+///
+/// Two containers persist it — the `lgroup` lines of a streaming (v2)
+/// artifact and the `s` state records of a compacted WAL — and both
+/// write the same tab-separated fields after their tag:
+///
+/// ```text
+/// (TAB code){arity-1}                      -- group key, schema order
+/// (TAB count){m} (TAB count){m}            -- raw + published histograms
+/// TAB rng TAB ("c"|"f") TAB len            -- cursor, status, republish baseline
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveGroupSnapshot {
+pub struct GroupState {
     /// Public-attribute codes (schema order, SA excluded).
     pub key: Vec<u32>,
     /// Raw SA histogram (owner-side secret state).
@@ -82,6 +92,100 @@ pub struct LiveGroupSnapshot {
     pub status: GroupStatus,
     /// Raw records covered by the group's last SPS re-publication.
     pub republished_len: u64,
+}
+
+impl GroupState {
+    /// The record's fields, each preceded by a tab, for writing after
+    /// the container's tag (`lgroup` or `s`).
+    pub(crate) fn encode(&self) -> impl fmt::Display + '_ {
+        EncodedFields(self)
+    }
+
+    /// Parses the fields after the container's tag, validating the key
+    /// codes and the histogram arity against `schema`. `after` is the
+    /// previous record's key: both containers keep their records
+    /// strictly sorted by key. Errors are bare messages; the container
+    /// attaches its line number.
+    pub(crate) fn parse(
+        fields: &[&str],
+        schema: &Schema,
+        sa: AttrId,
+        after: Option<&[u32]>,
+    ) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
+        where
+            T::Err: fmt::Display,
+        {
+            raw.parse().map_err(|e| format!("bad {what} `{raw}`: {e}"))
+        }
+        let m = schema.attribute(sa).domain_size();
+        let k = schema.arity() - 1;
+        let width = k + 2 * m + 3;
+        if fields.len() != width {
+            return Err(format!(
+                "group state needs {width} fields, got {}",
+                fields.len()
+            ));
+        }
+        let key = (0..schema.arity())
+            .filter(|&a| a != sa)
+            .zip(fields)
+            .map(|(attr, raw)| {
+                let code: u32 = number(raw, "key code")?;
+                let domain = schema.attribute(attr).domain_size();
+                if code as usize >= domain {
+                    return Err(format!(
+                        "key code {code} out of range for attribute `{}` (domain {domain})",
+                        schema.attribute(attr).name()
+                    ));
+                }
+                Ok(code)
+            })
+            .collect::<Result<Vec<u32>, String>>()?;
+        let hist = |raw: &[&str]| -> Result<Vec<u64>, String> {
+            raw.iter().map(|r| number(r, "count")).collect()
+        };
+        let raw_hist = hist(&fields[k..k + m])?;
+        let published_hist = hist(&fields[k + m..k + 2 * m])?;
+        let rng_state = number(fields[k + 2 * m], "rng state")?;
+        let status = match fields[k + 2 * m + 1] {
+            "c" => GroupStatus::Compliant,
+            "f" => GroupStatus::NeedsResampling,
+            other => return Err(format!("bad status `{other}` (want `c` or `f`)")),
+        };
+        let republished_len = number(fields[k + 2 * m + 2], "republished_len")?;
+        if after.is_some_and(|prev| prev >= key.as_slice()) {
+            return Err("group keys must be strictly increasing".into());
+        }
+        Ok(Self {
+            key,
+            raw_hist,
+            published_hist,
+            rng_state,
+            status,
+            republished_len,
+        })
+    }
+}
+
+/// See [`GroupState::encode`].
+struct EncodedFields<'a>(&'a GroupState);
+
+impl fmt::Display for EncodedFields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let g = self.0;
+        for c in &g.key {
+            write!(f, "\t{c}")?;
+        }
+        for c in g.raw_hist.iter().chain(&g.published_hist) {
+            write!(f, "\t{c}")?;
+        }
+        let status = match g.status {
+            GroupStatus::Compliant => 'c',
+            GroupStatus::NeedsResampling => 'f',
+        };
+        write!(f, "\t{}\t{status}\t{}", g.rng_state, g.republished_len)
+    }
 }
 
 /// The live extension of a v2 publication: the owner-side state of a
@@ -100,7 +204,7 @@ pub struct LiveState {
     /// Re-publication events so far.
     pub republished: u64,
     /// Every live group, sorted by key (the canonical order).
-    pub groups: Vec<LiveGroupSnapshot>,
+    pub groups: Vec<GroupState>,
 }
 
 /// A reconstruction-private release: the published table `D*₂` plus the
@@ -311,21 +415,7 @@ impl Publication {
                 live.republished
             )?;
             for g in &live.groups {
-                write!(w, "lgroup")?;
-                for &code in &g.key {
-                    write!(w, "\t{code}")?;
-                }
-                for &c in &g.raw_hist {
-                    write!(w, "\t{c}")?;
-                }
-                for &c in &g.published_hist {
-                    write!(w, "\t{c}")?;
-                }
-                let status = match g.status {
-                    GroupStatus::Compliant => 'c',
-                    GroupStatus::NeedsResampling => 'f',
-                };
-                writeln!(w, "\t{}\t{}\t{}", g.rng_state, status, g.republished_len)?;
+                writeln!(w, "lgroup{}", g.encode())?;
             }
         }
         Ok(())
@@ -456,7 +546,7 @@ impl Publication {
                 })?;
         }
         let live = if version >= 2 {
-            Some(read_live(&mut lines, &schema, sa, rows, m)?)
+            Some(read_live(&mut lines, &schema, sa, rows)?)
         } else {
             None
         };
@@ -497,7 +587,6 @@ fn read_live<R: BufRead>(
     schema: &Schema,
     sa: AttrId,
     rows: usize,
-    m: usize,
 ) -> Result<LiveState, PublicationError> {
     let header = lines.field("live")?;
     let count: usize = header.parse_at(0)?;
@@ -510,62 +599,16 @@ fn read_live<R: BufRead>(
             "live base_rows {base_rows} exceeds row count {rows}"
         )));
     }
-    let na_attrs: Vec<AttrId> = (0..schema.arity()).filter(|&a| a != sa).collect();
-    let width = na_attrs.len() + 2 * m + 3;
     // Like the row count, the group count is untrusted: cap the
     // pre-allocation; real groups past the cap still load.
-    let mut groups: Vec<LiveGroupSnapshot> = Vec::with_capacity(count.min(1 << 16));
+    let mut groups: Vec<GroupState> = Vec::with_capacity(count.min(1 << 16));
     let mut live_rows = 0u64;
     for _ in 0..count {
         let f = lines.field("lgroup")?;
-        if f.values.len() != width {
-            return Err(f.error(format!(
-                "lgroup line needs {width} fields, got {}",
-                f.values.len()
-            )));
-        }
-        let mut key = Vec::with_capacity(na_attrs.len());
-        for (i, &attr) in na_attrs.iter().enumerate() {
-            let code: u32 = f.parse_at(i)?;
-            let domain = schema.attribute(attr).domain_size();
-            if code as usize >= domain {
-                return Err(f.error(format!(
-                    "key code {code} out of range for attribute `{}` (domain {domain})",
-                    schema.attribute(attr).name()
-                )));
-            }
-            key.push(code);
-        }
-        let base = na_attrs.len();
-        let mut raw_hist = Vec::with_capacity(m);
-        let mut published_hist = Vec::with_capacity(m);
-        for i in 0..m {
-            raw_hist.push(f.parse_at(base + i)?);
-        }
-        for i in 0..m {
-            published_hist.push(f.parse_at(base + m + i)?);
-        }
-        let rng_state: u64 = f.parse_at(base + 2 * m)?;
-        let status = match f.values[base + 2 * m + 1] {
-            "c" => GroupStatus::Compliant,
-            "f" => GroupStatus::NeedsResampling,
-            other => return Err(f.error(format!("bad status `{other}` (want `c` or `f`)"))),
-        };
-        let republished_len: u64 = f.parse_at(base + 2 * m + 2)?;
-        if let Some(prev) = groups.last() {
-            if prev.key >= key {
-                return Err(f.error("lgroup keys must be strictly increasing"));
-            }
-        }
-        live_rows += published_hist.iter().sum::<u64>();
-        groups.push(LiveGroupSnapshot {
-            key,
-            raw_hist,
-            published_hist,
-            rng_state,
-            status,
-            republished_len,
-        });
+        let after = groups.last().map(|g| g.key.as_slice());
+        let g = GroupState::parse(&f.values, schema, sa, after).map_err(|m| f.error(m))?;
+        live_rows += g.published_hist.iter().sum::<u64>();
+        groups.push(g);
     }
     if live_rows != (rows - base_rows) as u64 {
         return Err(lines.err(format!(
@@ -828,7 +871,7 @@ mod tests {
             inserted: 5,
             republished: 1,
             groups: vec![
-                LiveGroupSnapshot {
+                GroupState {
                     key: vec![0],
                     raw_hist: vec![1, 1, 1],
                     published_hist: vec![2, 0, 1],
@@ -836,7 +879,7 @@ mod tests {
                     status: GroupStatus::Compliant,
                     republished_len: 3,
                 },
-                LiveGroupSnapshot {
+                GroupState {
                     key: vec![1],
                     raw_hist: vec![0, 2, 0],
                     published_hist: vec![0, 2, 0],

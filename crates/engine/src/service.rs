@@ -965,7 +965,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(format!("{}.spill", path.display()));
         path
     }
 

@@ -1,5 +1,5 @@
-//! The streaming publication subsystem: a durable, bounded-memory,
-//! deterministically replayable live release.
+//! The streaming publication subsystem: a durable, deterministically
+//! replayable live release.
 //!
 //! The paper's Section 3.1 argues data perturbation is uniquely amenable
 //! to record insertion — each record is perturbed independently, and a
@@ -22,30 +22,29 @@
 //!   `(stream seed, group key)`. A group's stream depends only on its own
 //!   event count, so WAL replay is exact regardless of how unrelated
 //!   groups interleaved, and the whole cursor snapshots as one `u64`.
-//! * **spill** — cold groups shed their owner-side secret state (raw
-//!   histogram, RNG cursor) to a page-managed side heap when the resident
-//!   bound is exceeded (fixed-size pages, buffer pool with clock
-//!   eviction, in-place rewrite — the file stops growing under churn);
-//!   published histograms stay resident because queries touch them.
+//! * **`LiveGroups`** — every live group's state (the perturbation
+//!   ledger plus its RNG cursor), always resident, and the one place a
+//!   WAL event is applied to it. The live insert path, replay, restore
+//!   and [`compaction`](wal::compact_wal) all go through it, and all
+//!   persist a group as one [`GroupState`] record.
 //! * **snapshot/restore** — [`StreamPublisher::snapshot`] materializes
 //!   the whole stream as a v2 [`Publication`]: base rows + live rows in
 //!   one table (so batch consumers just see a bigger release) plus the
-//!   [`LiveState`] extension to resume
-//!   from. Restore = load snapshot + replay the WAL tail.
+//!   [`LiveState`] extension to resume from. Restore = load snapshot +
+//!   replay the WAL tail.
 //!
 //! ## The determinism contract, extended to streams
 //!
 //! A stream's state is a pure function of `(base artifact, WAL)`:
 //! replaying a WAL against the base from a clean start is byte-identical
 //! to the live run, and any snapshot + tail replay lands on the same
-//! bytes — no matter how many restarts, where they fell, or whether cold
-//! groups were spilled in between. The root determinism suite
-//! (`tests/stream_determinism.rs`) proves this property over random
-//! insert interleavings and restart points.
+//! bytes — no matter how many restarts or where they fell. The root
+//! determinism suite (`tests/stream_determinism.rs`) proves this
+//! property over random insert interleavings and restart points.
 //!
 //! ## The durability contract
 //!
-//! Three artifacts, three different promises (tortured end to end by
+//! Two artifacts, two different promises (tortured end to end by
 //! `tests/stream_crash.rs`):
 //!
 //! * **WAL** — an insert is *acknowledged* once logged and *durable*
@@ -61,11 +60,6 @@
 //!   to a temp sibling, fsynced, renamed over the target, and the
 //!   directory synced. A crash at any byte leaves either the complete
 //!   old snapshot or the complete new one, never a torn mix.
-//! * **Spill** — explicitly *outside* the durability contract: it is
-//!   working state, recreated empty on every open and never consulted by
-//!   recovery. Corrupting or deleting it cannot change a recovered byte;
-//!   a torn record *read back during a run* is a loud
-//!   [`StreamError::Format`], never a silent truncation.
 //!
 //! ## The fsync-poisoning rule
 //!
@@ -84,45 +78,37 @@
 //! answering queries from its in-memory state; reopening it from disk
 //! (the catalog's `reload`) recovers exactly the durable prefix.
 //!
-//! Spill and snapshot I/O sit outside this rule: a spill page rewrite
-//! and an atomic snapshot replacement are idempotent, so those paths
-//! absorb *transient* faults with bounded retry-with-backoff
-//! ([`crate::fault::with_retry`]) and only a persistent fault surfaces
-//! — loudly, with the stream's state intact. Every durable writer in
-//! the subsystem consults an injectable [`crate::fault::FaultIo`]
-//! facade (default passthrough), so `tests/fault_matrix.rs` can drive
-//! all of the above from a seeded, replayable fault schedule.
+//! Snapshot I/O sits outside this rule: an atomic snapshot replacement
+//! is idempotent, so it absorbs *transient* faults with bounded
+//! retry-with-backoff ([`crate::fault::with_retry`]) and only a
+//! persistent fault surfaces — loudly, with the stream's state intact.
+//! Every durable writer in the subsystem consults an injectable
+//! [`crate::fault::FaultIo`] facade (default passthrough), so
+//! `tests/fault_matrix.rs` can drive all of the above from a seeded,
+//! replayable fault schedule.
 
 mod commit;
 pub mod rng;
-mod spill;
 pub mod wal;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rp_core::incremental::{GroupStatus, IncrementalPublisher, LiveGroup};
 use rp_core::privacy::PrivacyParams;
 use rp_table::{AttrId, CountQuery, Schema, TableBuilder, TableError, Term};
 
 use crate::fault::{self, FaultHandle};
-use crate::publication::{LiveGroupSnapshot, LiveState, Publication, PublicationError};
+use crate::publication::{GroupState, LiveState, Publication, PublicationError};
 use crate::stream::commit::LogManager;
 use crate::stream::rng::GroupRng;
-use crate::stream::spill::{SpillStore, SpilledGroup};
 use crate::stream::wal::{Wal, WalEvent, WalHeader};
 
 /// Tuning knobs of a [`StreamPublisher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamConfig {
-    /// Maximum live groups whose secret state stays resident; `0` means
-    /// unbounded. Exceeding the bound spills the least-recently-inserted
-    /// group's raw histogram and RNG cursor to the side file — published
-    /// histograms always stay resident for query answering, and spilling
-    /// never changes a single output byte.
-    pub max_resident: usize,
     /// Group commit by count: fsync the WAL automatically after this
     /// many logged events. `0` (the default) disables count-based
     /// commit — the log is synced only on an explicit
@@ -236,8 +222,132 @@ pub struct InsertOutcome {
     pub republished: bool,
 }
 
-/// A durable, bounded-memory live publication: the streaming counterpart
-/// of [`crate::Publisher`].
+/// Every live group's state — the perturbation ledger of an
+/// [`IncrementalPublisher`] plus each group's RNG cursor — and the one
+/// place a WAL event is applied to it.
+///
+/// The live insert path, clean-start replay, snapshot+tail restore and
+/// WAL compaction all apply events through [`LiveGroups::apply`] and
+/// persist groups through [`LiveGroups::states`], so they cannot drift.
+#[derive(Debug)]
+struct LiveGroups {
+    seed: u64,
+    sa: AttrId,
+    ledger: IncrementalPublisher,
+    cursors: HashMap<Vec<u32>, u64>,
+    /// Highest applied sequence number (compaction's absorption floor).
+    seq: u64,
+    inserted: u64,
+    republished: u64,
+}
+
+impl LiveGroups {
+    /// No groups, under the stream parameters a WAL header records.
+    fn new(header: &WalHeader) -> Self {
+        let m = header.schema.attribute(header.sa).domain_size();
+        Self {
+            seed: header.seed,
+            sa: header.sa,
+            ledger: IncrementalPublisher::new(header.p, m, header.params),
+            cursors: HashMap::new(),
+            seq: 0,
+            inserted: 0,
+            republished: 0,
+        }
+    }
+
+    /// Resumes persisted state — a snapshot's live section or a WAL's
+    /// compaction section: its groups, plus the cursor and counters of
+    /// the events it covers.
+    fn resume(
+        &mut self,
+        seq: u64,
+        inserted: u64,
+        republished: u64,
+        groups: impl IntoIterator<Item = GroupState>,
+    ) {
+        for g in groups {
+            self.cursors.insert(g.key.clone(), g.rng_state);
+            self.ledger.put_group(LiveGroup {
+                key: g.key,
+                raw_hist: g.raw_hist,
+                published_hist: g.published_hist,
+                status: g.status,
+                republished_len: g.republished_len,
+            });
+        }
+        self.seq = self.seq.max(seq);
+        self.inserted += inserted;
+        self.republished += republished;
+    }
+
+    /// Applies one WAL event: draws from the group's RNG (derived fresh
+    /// for a brand-new group), perturbs an insert or re-samples a group
+    /// through SPS, and stores the advanced cursor. Returns the group key
+    /// and its status afterwards.
+    ///
+    /// # Errors
+    ///
+    /// A re-publication of a group with no prior state (a corrupted
+    /// log); inserts cannot fail.
+    fn apply(&mut self, event: &WalEvent) -> Result<(Vec<u32>, GroupStatus), StreamError> {
+        let key = event.group_key(self.sa);
+        let mut rng = match self.cursors.get(&key) {
+            Some(&state) => GroupRng::from_state(state),
+            None => GroupRng::for_group(self.seed, &key),
+        };
+        let status = match event {
+            WalEvent::Insert { codes, .. } => {
+                self.inserted += 1;
+                self.ledger.insert(&mut rng, &key, codes[self.sa])
+            }
+            WalEvent::Republish { seq, .. } => {
+                if self.ledger.group(&key).is_none() {
+                    return Err(StreamError::Mismatch(format!(
+                        "event {seq} re-publishes unknown group {key:?} (corrupted log?)"
+                    )));
+                }
+                self.republished += 1;
+                self.ledger.republish_group(&mut rng, &key)
+            }
+        };
+        self.cursors.insert(key.clone(), rng.state());
+        // `max`, not assignment: a compacted log can retain events below
+        // the absorption floor the cursor already sits at.
+        self.seq = self.seq.max(event.seq());
+        Ok((key, status))
+    }
+
+    /// Every group's state, sorted by key — the canonical order of both
+    /// the artifact's `lgroup` lines and the WAL's `s` records.
+    fn states(&self) -> Vec<GroupState> {
+        let mut states: Vec<GroupState> = self
+            .ledger
+            .groups()
+            .map(|g| GroupState {
+                key: g.key.clone(),
+                raw_hist: g.raw_hist.clone(),
+                published_hist: g.published_hist.clone(),
+                rng_state: *self
+                    .cursors
+                    .get(&g.key)
+                    .expect("every live group carries a cursor"),
+                status: g.status,
+                republished_len: g.republished_len,
+            })
+            .collect();
+        states.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        states
+    }
+
+    /// Iterates over the live groups (unspecified order).
+    fn groups(&self) -> impl Iterator<Item = &LiveGroup> {
+        self.ledger.groups()
+    }
+}
+
+/// A durable live publication: the streaming counterpart of
+/// [`crate::Publisher`].
 ///
 /// Opened over a base artifact (a v1 batch release to start streaming on,
 /// or a v2 snapshot to resume) plus a WAL path. Every insert is logged
@@ -254,26 +364,9 @@ pub struct StreamPublisher {
     base_keys: HashSet<Vec<u32>>,
     schema: Schema,
     sa: AttrId,
-    m: usize,
-    seed: u64,
-    inner: IncrementalPublisher,
-    /// Per-group RNG cursors of the hot groups.
-    rngs: HashMap<Vec<u32>, u64>,
-    /// Published histograms of spilled groups (kept resident: queries
-    /// touch every group).
-    cold: HashMap<Vec<u32>, Vec<u64>>,
-    spill: Option<SpillStore>,
-    spill_path: PathBuf,
-    /// LRU bookkeeping over the hot set: clock → key and key → clock.
-    lru: BTreeMap<u64, Vec<u32>>,
-    touch: HashMap<Vec<u32>, u64>,
-    clock: u64,
+    live: LiveGroups,
     /// `None` in replay-only mode (no appends).
     wal: Option<LogManager>,
-    wal_seq: u64,
-    inserted: u64,
-    republished: u64,
-    config: StreamConfig,
     /// The fault policy every durable writer of this stream consults
     /// (passthrough in production, a schedule under fault injection).
     faults: FaultHandle,
@@ -301,9 +394,9 @@ impl StreamPublisher {
 
     /// [`StreamPublisher::open`] behind an injectable fault policy:
     /// every durable write the stream performs (WAL appends and syncs,
-    /// spill page write-backs, snapshot replacement) consults `faults`
-    /// first. Production uses [`StreamPublisher::open`] (passthrough);
-    /// the fault matrix drives this with seeded schedules.
+    /// snapshot replacement) consults `faults` first. Production uses
+    /// [`StreamPublisher::open`] (passthrough); the fault matrix drives
+    /// this with seeded schedules.
     ///
     /// # Errors
     ///
@@ -346,11 +439,10 @@ impl StreamPublisher {
         append: bool,
         faults: FaultHandle,
     ) -> Result<Self, StreamError> {
-        let (base, live) = split_artifact(artifact)?;
+        let (base, live_state) = split_artifact(artifact)?;
         let schema = base.schema().clone();
         let sa = base.sa();
-        let m = schema.attribute(sa).domain_size();
-        let covered = live.as_ref().map_or(0, |l| l.wal_seq);
+        let covered = live_state.as_ref().map_or(0, |l| l.wal_seq);
         let header = WalHeader {
             seed: base.seed(),
             p: base.p(),
@@ -360,65 +452,33 @@ impl StreamPublisher {
             base_rows: base.table().rows(),
             first_seq: covered + 1,
         };
-        let spill_path = PathBuf::from(format!("{}.spill", wal_path.display()));
-        let base_keys = group_keys(base.table(), sa);
-        let mut stream = Self {
-            seed: base.seed(),
-            inner: IncrementalPublisher::new(base.p(), m, base.params()),
-            base,
-            base_keys,
-            schema,
-            sa,
-            m,
-            rngs: HashMap::new(),
-            cold: HashMap::new(),
-            spill: None,
-            spill_path,
-            lru: BTreeMap::new(),
-            touch: HashMap::new(),
-            clock: 0,
-            wal: None,
-            wal_seq: covered,
-            inserted: live.as_ref().map_or(0, |l| l.inserted),
-            republished: live.as_ref().map_or(0, |l| l.republished),
-            config,
-            faults: std::sync::Arc::clone(&faults),
-        };
-        if let Some(live) = live {
-            for g in live.groups {
-                stream.restore_group(g);
-            }
+        let mut live = LiveGroups::new(&header);
+        if let Some(l) = live_state {
+            live.resume(l.wal_seq, l.inserted, l.republished, l.groups);
         }
         // `open_append` validates the log's sequence coverage against
         // `header.first_seq = covered + 1`: a log starting past it is
         // missing events, a log (even an empty one) whose next append
         // would rewind behind the snapshot is stale.
         let (wal, file) = if wal_path.exists() {
-            let (wal, file) = Wal::open_append_with(wal_path, &header, faults)?;
+            let (wal, file) = Wal::open_append_with(wal_path, &header, faults.clone())?;
             (wal, Some(file))
         } else if append {
-            (Wal::create_with(wal_path, &header, faults)?, None)
+            (Wal::create_with(wal_path, &header, faults.clone())?, None)
         } else {
             unreachable!("replay checked existence")
         };
         if let Some(file) = file {
-            if let Some(compaction) = &file.compaction {
+            if let Some(compaction) = file.compaction {
                 if covered == 0 {
                     // Clean start on a compacted log: the state records
                     // stand in for the absorbed events.
-                    for g in &compaction.groups {
-                        stream.restore_group(LiveGroupSnapshot {
-                            key: g.key.clone(),
-                            raw_hist: g.raw_hist.clone(),
-                            published_hist: g.published_hist.clone(),
-                            rng_state: g.rng_state,
-                            status: g.status,
-                            republished_len: g.republished_len,
-                        });
-                    }
-                    stream.inserted += compaction.absorbed_inserts;
-                    stream.republished += compaction.absorbed_republishes;
-                    stream.wal_seq = compaction.floor_seq;
+                    live.resume(
+                        compaction.floor_seq,
+                        compaction.absorbed_inserts,
+                        compaction.absorbed_republishes,
+                        compaction.groups,
+                    );
                 } else if covered < compaction.floor_seq {
                     // The snapshot's cursor falls strictly inside the
                     // absorbed range: those events no longer exist
@@ -441,7 +501,7 @@ impl StreamPublisher {
             let mut replayed: u64 = 0;
             for event in &file.events {
                 if event.seq() > covered {
-                    stream.apply(event)?;
+                    live.apply(event)?;
                     replayed += 1;
                 }
             }
@@ -450,26 +510,15 @@ impl StreamPublisher {
                 obs.trace("stream.replay");
             }
         }
-        if append {
-            stream.wal = Some(LogManager::new(wal, &config));
-        }
-        Ok(stream)
-    }
-
-    /// Restores one snapshot group into the hot set.
-    fn restore_group(&mut self, g: LiveGroupSnapshot) {
-        self.rngs.insert(g.key.clone(), g.rng_state);
-        self.inner.put_group(LiveGroup {
-            key: g.key.clone(),
-            raw_hist: g.raw_hist,
-            published_hist: g.published_hist,
-            status: g.status,
-            republished_len: g.republished_len,
-        });
-        self.touch_key(g.key);
-        // Residency is enforced lazily on the next insert: restore loads
-        // hot and lets the LRU spill the cold majority as traffic
-        // arrives, which keeps restore a pure in-memory operation.
+        Ok(Self {
+            base_keys: group_keys(base.table(), sa),
+            base,
+            schema,
+            sa,
+            live,
+            wal: append.then(|| LogManager::new(wal, &config)),
+            faults,
+        })
     }
 
     // -- accessors ---------------------------------------------------------
@@ -501,22 +550,22 @@ impl StreamPublisher {
 
     /// Records inserted into the stream so far (all restarts included).
     pub fn inserted(&self) -> u64 {
-        self.inserted
+        self.live.inserted
     }
 
     /// SPS re-publication events so far.
     pub fn republished(&self) -> u64 {
-        self.republished
+        self.live.republished
     }
 
     /// Sequence number of the last applied WAL event.
     pub fn wal_seq(&self) -> u64 {
-        self.wal_seq
+        self.live.seq
     }
 
-    /// Live groups (hot + spilled).
+    /// Live groups.
     pub fn live_groups(&self) -> usize {
-        self.inner.group_count() + self.cold.len()
+        self.live.ledger.group_count()
     }
 
     /// Live groups whose key does not already exist in the base release
@@ -524,35 +573,18 @@ impl StreamPublisher {
     /// totals (`HELLO`/`info`, the snapshot's `SpsStats::groups`) use
     /// this so a key shared by base and live counts once.
     pub fn novel_live_groups(&self) -> usize {
-        self.inner
+        self.live
             .groups()
-            .map(|g| &g.key)
-            // rp-analyze: allow(determinism, "feeds a count: set cardinality is iteration-order-independent")
-            .chain(self.cold.keys())
-            .filter(|key| !self.base_keys.contains(key.as_slice()))
+            .filter(|g| !self.base_keys.contains(&g.key))
             .count()
-    }
-
-    /// Live groups whose secret state is currently resident.
-    pub fn resident_groups(&self) -> usize {
-        self.inner.group_count()
-    }
-
-    /// Live groups whose secret state is spilled to disk.
-    pub fn spilled_groups(&self) -> usize {
-        self.cold.len()
     }
 
     /// Published records contributed by the live groups.
     pub fn live_records(&self) -> u64 {
-        let hot: u64 = self
-            .inner
+        self.live
             .groups()
             .map(|g| g.published_hist.iter().sum::<u64>())
-            .sum();
-        // rp-analyze: allow(determinism, "feeds a sum: u64 addition is commutative, so map order cannot change the total")
-        let cold: u64 = self.cold.values().map(|h| h.iter().sum::<u64>()).sum();
-        hot + cold
+            .sum()
     }
 
     // -- the insert path ---------------------------------------------------
@@ -627,186 +659,47 @@ impl StreamPublisher {
                 }));
             }
         }
-        if self.wal.is_none() {
+        let Some(wal) = self.wal.as_mut() else {
             return Err(StreamError::Mismatch(
                 "stream is read-only (opened for replay)".into(),
             ));
-        }
+        };
         // Write-ahead: the event is logged before it is applied.
-        let seq = self.wal.as_ref().expect("checked above").next_seq();
+        let seq = wal.next_seq();
         let insert = WalEvent::Insert {
             seq,
             codes: codes.to_vec(),
         };
-        self.wal.as_mut().expect("checked above").append(&insert)?;
-        let status = self.apply(&insert)?;
-        let key = self.key_of(codes);
-        let mut republished = false;
-        if status == GroupStatus::NeedsResampling {
+        wal.append(&insert)?;
+        let (key, status) = self.live.apply(&insert)?;
+        let republished = status == GroupStatus::NeedsResampling;
+        if republished {
             // The paper's remedy, automated: re-sample the group through
             // SPS in place. Its own WAL event keeps replay literal.
             let event = WalEvent::Republish {
                 seq: seq + 1,
                 key: key.clone(),
             };
-            self.wal.as_mut().expect("checked above").append(&event)?;
-            self.apply(&event)?;
-            republished = true;
+            wal.append(&event)?;
+            self.live.apply(&event)?;
             let obs = crate::obs::global();
             obs.inc("stream.republish");
             obs.trace("stream.republish");
         }
         let group_size = self
-            .inner
+            .live
+            .ledger
             .group(&key)
             .expect("group exists after insert")
             .len();
         // Group commit: the log manager decides whether this insert's
         // batch (or an expired commit window) warrants an fsync now.
-        self.wal.as_mut().expect("checked above").maybe_commit()?;
+        wal.maybe_commit()?;
         Ok(InsertOutcome {
             key,
             group_size,
             republished,
         })
-    }
-
-    /// Applies one WAL event to the in-memory state. Used verbatim by
-    /// both the live path (after appending) and replay (after reading),
-    /// so the two cannot drift.
-    fn apply(&mut self, event: &WalEvent) -> Result<GroupStatus, StreamError> {
-        let status = match event {
-            WalEvent::Insert { codes, .. } => {
-                let key = self.key_of(codes);
-                let sa_code = codes[self.sa];
-                self.make_hot(&key, true)?;
-                let mut rng = self.group_rng(&key);
-                let status = self.inner.insert(&mut rng, &key, sa_code);
-                self.rngs.insert(key.clone(), rng.state());
-                self.touch_key(key);
-                self.inserted += 1;
-                self.enforce_residency()?;
-                status
-            }
-            WalEvent::Republish { key, .. } => {
-                self.make_hot(key, false)?;
-                let mut rng = self.group_rng(key);
-                let status = self.inner.republish_group(&mut rng, key);
-                self.rngs.insert(key.clone(), rng.state());
-                self.republished += 1;
-                status
-            }
-        };
-        // `max`, not assignment: a compacted log can retain events below
-        // the absorption floor the cursor already sits at.
-        self.wal_seq = self.wal_seq.max(event.seq());
-        Ok(status)
-    }
-
-    /// The group key of a full code row (SA position removed).
-    fn key_of(&self, codes: &[u32]) -> Vec<u32> {
-        codes
-            .iter()
-            .enumerate()
-            .filter(|&(a, _)| a != self.sa)
-            .map(|(_, &c)| c)
-            .collect()
-    }
-
-    /// The hot group's RNG, freshly derived for a brand-new group.
-    fn group_rng(&self, key: &[u32]) -> GroupRng {
-        match self.rngs.get(key) {
-            Some(&state) => GroupRng::from_state(state),
-            None => GroupRng::for_group(self.seed, key),
-        }
-    }
-
-    /// Ensures a group's secret state is resident, reloading it from the
-    /// spill store if it went cold. `may_create` distinguishes inserts
-    /// (which create groups) from republishes (which must find one).
-    fn make_hot(&mut self, key: &[u32], may_create: bool) -> Result<(), StreamError> {
-        if self.inner.group(key).is_some() {
-            return Ok(());
-        }
-        if self.cold.contains_key(key) {
-            let spill = self
-                .spill
-                .as_mut()
-                .expect("cold groups imply a spill store");
-            // Read before removing anything: a failed read leaves the
-            // group spilled and the stream consistent, so the caller
-            // can retry or degrade without having lost state.
-            let state = spill.read(key)?;
-            spill.forget(key);
-            let published = self.cold.remove(key).expect("checked above");
-            self.inner.put_group(LiveGroup {
-                key: key.to_vec(),
-                raw_hist: state.raw_hist,
-                published_hist: published,
-                status: state.status,
-                republished_len: state.republished_len,
-            });
-            self.rngs.insert(key.to_vec(), state.rng_state);
-            self.touch_key(key.to_vec());
-            return Ok(());
-        }
-        if !may_create {
-            return Err(StreamError::Mismatch(format!(
-                "replayed event references unknown group {key:?} (corrupted log?)"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Bumps a key to most-recently-used.
-    fn touch_key(&mut self, key: Vec<u32>) {
-        if let Some(old) = self.touch.get(&key) {
-            self.lru.remove(old);
-        }
-        self.clock += 1;
-        self.lru.insert(self.clock, key.clone());
-        self.touch.insert(key, self.clock);
-    }
-
-    /// Spills least-recently-inserted groups until the hot set fits the
-    /// configured bound.
-    fn enforce_residency(&mut self) -> Result<(), StreamError> {
-        if self.config.max_resident == 0 {
-            return Ok(());
-        }
-        while self.inner.group_count() > self.config.max_resident {
-            if self.spill.is_none() {
-                self.spill = Some(SpillStore::create_with(
-                    &self.spill_path,
-                    self.m,
-                    std::sync::Arc::clone(&self.faults),
-                )?);
-            }
-            let (&clock, _) = self.lru.iter().next().expect("hot set is non-empty");
-            let key = self.lru.remove(&clock).expect("entry just observed");
-            self.touch.remove(&key);
-            let group = self.inner.take_group(&key).expect("LRU tracks hot groups");
-            let rng_state = self.rngs.remove(&key).expect("hot groups carry a cursor");
-            let spilled = self.spill.as_mut().expect("just created").spill(
-                &key,
-                &SpilledGroup {
-                    raw_hist: group.raw_hist.clone(),
-                    rng_state,
-                    status: group.status,
-                    republished_len: group.republished_len,
-                },
-            );
-            if let Err(e) = spilled {
-                // A failed spill must not lose the group: put its state
-                // back and surface the error with the stream intact.
-                self.rngs.insert(key.clone(), rng_state);
-                self.inner.put_group(group);
-                self.touch_key(key);
-                return Err(e.into());
-            }
-            self.cold.insert(key, group.published_hist);
-        }
-        Ok(())
     }
 
     // -- durability --------------------------------------------------------
@@ -825,7 +718,7 @@ impl StreamPublisher {
         match &mut self.wal {
             Some(wal) => {
                 wal.commit()?;
-                Ok(self.wal_seq)
+                Ok(self.live.seq)
             }
             None => Err(StreamError::Mismatch(
                 "stream is read-only (opened for replay)".into(),
@@ -841,7 +734,7 @@ impl StreamPublisher {
     pub fn durable_seq(&self) -> u64 {
         match &self.wal {
             Some(wal) => wal.durable_seq(),
-            None => self.wal_seq,
+            None => self.live.seq,
         }
     }
 
@@ -872,7 +765,7 @@ impl StreamPublisher {
     pub fn seal(&mut self) -> Result<u64, StreamError> {
         match &mut self.wal {
             Some(wal) => wal.seal(),
-            None => Ok(self.wal_seq),
+            None => Ok(self.live.seq),
         }
     }
 
@@ -882,49 +775,8 @@ impl StreamPublisher {
     /// [`LiveState`] extension attached.
     /// A pure function of the stream state: live run, clean-start replay
     /// and snapshot+tail restore all serialize to identical bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a spilled group cannot be read back.
-    pub fn snapshot(&mut self) -> Result<Publication, StreamError> {
-        let mut keys: Vec<Vec<u32>> = self
-            .inner
-            .groups()
-            .map(|g| g.key.clone())
-            // rp-analyze: allow(determinism, "collected then sort_unstable()d on the next line before any group is emitted")
-            .chain(self.cold.keys().cloned())
-            .collect();
-        keys.sort_unstable();
-        let mut groups = Vec::with_capacity(keys.len());
-        for key in keys {
-            let snapshot = match self.inner.group(&key) {
-                Some(g) => LiveGroupSnapshot {
-                    key: key.clone(),
-                    raw_hist: g.raw_hist.clone(),
-                    published_hist: g.published_hist.clone(),
-                    rng_state: *self.rngs.get(&key).expect("hot groups carry a cursor"),
-                    status: g.status,
-                    republished_len: g.republished_len,
-                },
-                None => {
-                    let published = self.cold.get(&key).expect("key came from a live set");
-                    let state = self
-                        .spill
-                        .as_mut()
-                        .expect("cold groups imply a spill store")
-                        .read(&key)?;
-                    LiveGroupSnapshot {
-                        key: key.clone(),
-                        raw_hist: state.raw_hist,
-                        published_hist: published.clone(),
-                        rng_state: state.rng_state,
-                        status: state.status,
-                        republished_len: state.republished_len,
-                    }
-                }
-            };
-            groups.push(snapshot);
-        }
+    pub fn snapshot(&self) -> Publication {
+        let groups = self.live.states();
         let base_table = self.base.table();
         let base_rows = base_table.rows();
         let arity = self.schema.arity();
@@ -966,17 +818,17 @@ impl StreamPublisher {
             .iter()
             .filter(|g| !self.base_keys.contains(&g.key))
             .count();
-        stats.groups_sampled += self.republished as usize;
-        stats.input_records += self.inserted;
+        stats.groups_sampled += self.live.republished as usize;
+        stats.input_records += self.live.inserted;
         stats.output_records = base_rows as u64 + live_rows;
         let live = LiveState {
             base_rows,
-            wal_seq: self.wal_seq,
-            inserted: self.inserted,
-            republished: self.republished,
+            wal_seq: self.live.seq,
+            inserted: self.live.inserted,
+            republished: self.live.republished,
             groups,
         };
-        Ok(Publication::from_parts(
+        Publication::from_parts(
             builder.build(),
             self.sa,
             self.base.p(),
@@ -985,7 +837,7 @@ impl StreamPublisher {
             stats,
             self.base.check(),
         )
-        .with_live(live))
+        .with_live(live)
     }
 
     /// Snapshots to a file, atomically and durably (temp sibling +
@@ -995,11 +847,10 @@ impl StreamPublisher {
     ///
     /// # Errors
     ///
-    /// As [`StreamPublisher::snapshot`], plus file-creation and
-    /// serialization errors.
-    pub fn save_snapshot(&mut self, path: impl AsRef<Path>) -> Result<(), StreamError> {
+    /// File-creation, I/O and serialization errors.
+    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StreamError> {
         use std::io::Write as _;
-        let publication = self.snapshot()?;
+        let publication = self.snapshot();
         // Serialize exactly once, outside the retry: a serialization
         // failure is deterministic, so re-running it could never
         // succeed — only the I/O below is transient-retryable.
@@ -1025,16 +876,10 @@ impl StreamPublisher {
         let sa_value = query.sa_value() as usize;
         let mut support = 0u64;
         let mut observed = 0u64;
-        for g in self.inner.groups() {
+        for g in self.live.groups() {
             if self.key_matches(&g.key, query) {
                 support += g.published_hist.iter().sum::<u64>();
                 observed += g.published_hist[sa_value];
-            }
-        }
-        for (key, hist) in &self.cold {
-            if self.key_matches(key, query) {
-                support += hist.iter().sum::<u64>();
-                observed += hist[sa_value];
             }
         }
         (support, observed)
@@ -1132,13 +977,13 @@ mod tests {
     use super::*;
     use crate::publisher::Publisher;
     use rp_table::Attribute;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rp-stream-tests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(format!("{}.spill", path.display()));
         path
     }
 
@@ -1178,7 +1023,7 @@ mod tests {
         assert_eq!(s.inserted(), 300);
         assert_eq!(s.live_records(), 300);
         s.flush().unwrap();
-        let snapshot = s.snapshot().unwrap();
+        let snapshot = s.snapshot();
         assert_eq!(snapshot.table().rows(), 200 + 300);
         assert_eq!(snapshot.live().unwrap().inserted, 300);
         // The snapshot round-trips bytes.
@@ -1196,11 +1041,11 @@ mod tests {
             live.insert_codes(&record(i)).unwrap();
         }
         live.flush().unwrap();
-        let live_bytes = save_bytes(&live.snapshot().unwrap());
+        let live_bytes = save_bytes(&live.snapshot());
         drop(live);
         let mut replayed =
             StreamPublisher::replay(base_publication(), &wal, StreamConfig::default()).unwrap();
-        assert_eq!(save_bytes(&replayed.snapshot().unwrap()), live_bytes);
+        assert_eq!(save_bytes(&replayed.snapshot()), live_bytes);
         // Replay-only streams refuse writes.
         assert!(replayed.insert_codes(&record(0)).is_err());
         assert!(replayed.flush().is_err());
@@ -1241,8 +1086,8 @@ mod tests {
             std::fs::read(&wal_batch).unwrap()
         );
         assert_eq!(
-            save_bytes(&sync.snapshot().unwrap()),
-            save_bytes(&batched.snapshot().unwrap())
+            save_bytes(&sync.snapshot()),
+            save_bytes(&batched.snapshot())
         );
     }
 
@@ -1305,7 +1150,7 @@ mod tests {
         }
         live.flush().unwrap();
         assert!(live.republished() > 0, "fixture must republish");
-        let live_bytes = save_bytes(&live.snapshot().unwrap());
+        let live_bytes = save_bytes(&live.snapshot());
         drop(live);
         let full = wal::read_wal(&wal).unwrap();
         let stats = wal::compact_wal(&wal, &wal).unwrap();
@@ -1313,9 +1158,9 @@ mod tests {
         assert!(stats.events_out < full.events.len());
         // Clean-start replay of the compacted log lands on the same
         // snapshot bytes as the live run over the full log.
-        let mut replayed =
+        let replayed =
             StreamPublisher::replay(base_publication(), &wal, StreamConfig::default()).unwrap();
-        assert_eq!(save_bytes(&replayed.snapshot().unwrap()), live_bytes);
+        assert_eq!(save_bytes(&replayed.snapshot()), live_bytes);
         // And the compacted log remains appendable: new inserts resume
         // the sequence past everything absorbed.
         let mut resumed =
@@ -1335,13 +1180,13 @@ mod tests {
             live.insert_codes(&[0, 0, u32::from(i % 10 == 0)]).unwrap();
         }
         live.flush().unwrap();
-        let early = live.snapshot().unwrap();
+        let early = live.snapshot();
         let early_seq = live.wal_seq();
         for i in 0..1500u32 {
             live.insert_codes(&[0, 0, u32::from(i % 10 == 0)]).unwrap();
         }
         live.flush().unwrap();
-        let late = live.snapshot().unwrap();
+        let late = live.snapshot();
         drop(live);
         let stats = wal::compact_wal(&wal, &wal).unwrap();
         assert!(
@@ -1353,9 +1198,8 @@ mod tests {
         let err = StreamPublisher::open(early, &wal, StreamConfig::default()).unwrap_err();
         assert!(err.to_string().contains("compacted"), "{err}");
         // A snapshot at/past the floor resumes fine and matches.
-        let mut resumed =
-            StreamPublisher::open(late.clone(), &wal, StreamConfig::default()).unwrap();
-        assert_eq!(save_bytes(&resumed.snapshot().unwrap()), save_bytes(&late));
+        let resumed = StreamPublisher::open(late.clone(), &wal, StreamConfig::default()).unwrap();
+        assert_eq!(save_bytes(&resumed.snapshot()), save_bytes(&late));
     }
 
     #[test]
@@ -1366,7 +1210,7 @@ mod tests {
         for i in 0..400u32 {
             a.insert_codes(&record(i)).unwrap();
         }
-        let reference = save_bytes(&a.snapshot().unwrap());
+        let reference = save_bytes(&a.snapshot());
 
         // Same stream, interrupted at 150 with a snapshot, then resumed
         // from (snapshot, same WAL) — the tail after the snapshot cursor
@@ -1377,7 +1221,7 @@ mod tests {
         for i in 0..150u32 {
             b.insert_codes(&record(i)).unwrap();
         }
-        let mid = b.snapshot().unwrap();
+        let mid = b.snapshot();
         for i in 150..220u32 {
             b.insert_codes(&record(i)).unwrap();
         }
@@ -1388,38 +1232,7 @@ mod tests {
         for i in 220..400u32 {
             b2.insert_codes(&record(i)).unwrap();
         }
-        assert_eq!(save_bytes(&b2.snapshot().unwrap()), reference);
-    }
-
-    #[test]
-    fn bounded_residency_spills_and_changes_no_bytes() {
-        let wal_a = tmp("unbounded.rpwal");
-        let wal_b = tmp("bounded.rpwal");
-        let mut a =
-            StreamPublisher::open(base_publication(), &wal_a, StreamConfig::default()).unwrap();
-        let mut b = StreamPublisher::open(
-            base_publication(),
-            &wal_b,
-            StreamConfig {
-                max_resident: 2,
-                ..StreamConfig::default()
-            },
-        )
-        .unwrap();
-        for i in 0..400u32 {
-            a.insert_codes(&record(i)).unwrap();
-            b.insert_codes(&record(i)).unwrap();
-        }
-        assert!(b.resident_groups() <= 2, "{}", b.resident_groups());
-        assert!(b.spilled_groups() > 0);
-        assert_eq!(
-            save_bytes(&a.snapshot().unwrap()),
-            save_bytes(&b.snapshot().unwrap()),
-            "spilling must not change a single published byte"
-        );
-        // The live view answers identically too.
-        let q = CountQuery::new(vec![(0, 0)], 2, 0).unwrap();
-        assert_eq!(a.live_support_observed(&q), b.live_support_observed(&q));
+        assert_eq!(save_bytes(&b2.snapshot()), reference);
     }
 
     #[test]
@@ -1446,12 +1259,12 @@ mod tests {
             .count();
         assert_eq!(logged, republished as usize);
         // And replay (which applies them literally) matches.
-        let mut replayed =
+        let replayed =
             StreamPublisher::replay(base_publication(), &wal, StreamConfig::default()).unwrap();
-        let mut live = s;
+        let live = s;
         assert_eq!(
-            save_bytes(&replayed.snapshot().unwrap()),
-            save_bytes(&live.snapshot().unwrap())
+            save_bytes(&replayed.snapshot()),
+            save_bytes(&live.snapshot())
         );
     }
 
@@ -1495,7 +1308,7 @@ mod tests {
         for i in 0..100u32 {
             s.insert_codes(&record(i)).unwrap();
         }
-        let snapshot = s.snapshot().unwrap();
+        let snapshot = s.snapshot();
         let covered = s.wal_seq();
         drop(s);
         // The old log is archived; a fresh one takes over at the cursor.
@@ -1506,12 +1319,11 @@ mod tests {
             s2.insert_codes(&record(i)).unwrap();
         }
         assert!(s2.wal_seq() > covered);
-        let final_bytes = save_bytes(&s2.snapshot().unwrap());
+        let final_bytes = save_bytes(&s2.snapshot());
         drop(s2);
         // Snapshot + new log replays to the same bytes.
-        let mut replayed =
-            StreamPublisher::replay(snapshot, &wal2, StreamConfig::default()).unwrap();
-        assert_eq!(save_bytes(&replayed.snapshot().unwrap()), final_bytes);
+        let replayed = StreamPublisher::replay(snapshot, &wal2, StreamConfig::default()).unwrap();
+        assert_eq!(save_bytes(&replayed.snapshot()), final_bytes);
     }
 
     #[test]
@@ -1522,11 +1334,11 @@ mod tests {
         for i in 0..50u32 {
             s.insert_codes(&record(i)).unwrap();
         }
-        let early = s.snapshot().unwrap();
+        let early = s.snapshot();
         for i in 50..100u32 {
             s.insert_codes(&record(i)).unwrap();
         }
-        let late = s.snapshot().unwrap();
+        let late = s.snapshot();
         drop(s);
         // A snapshot older than the log start (fresh log + stale
         // snapshot) is a gap.
@@ -1549,7 +1361,7 @@ mod tests {
         for i in 0..30u32 {
             s.insert_codes(&record(i)).unwrap();
         }
-        let snapshot = s.snapshot().unwrap();
+        let snapshot = s.snapshot();
         drop(s);
         let leftover = tmp("empty-leftover.rpwal");
         let fresh =
@@ -1569,7 +1381,7 @@ mod tests {
         s.insert_codes(&[0, 0, 0]).unwrap();
         assert_eq!(s.live_groups(), 1);
         assert_eq!(s.novel_live_groups(), 0);
-        let snapshot = s.snapshot().unwrap();
+        let snapshot = s.snapshot();
         assert_eq!(
             snapshot.stats().groups,
             s.base().stats().groups,

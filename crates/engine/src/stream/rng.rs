@@ -12,7 +12,7 @@
 //! * **O(1) snapshot/restore** — the generator is counter-based
 //!   (SplitMix64): its *entire* state is one `u64`, which the v2
 //!   artifact records as the group's RNG cursor
-//!   ([`crate::publication::LiveGroupSnapshot::rng_state`]) and restore
+//!   ([`crate::publication::GroupState::rng_state`]) and restore
 //!   reloads verbatim. No replaying of draws, no opaque state blobs.
 //!
 //! The generator implements the vendored `rand::RngCore`, so the

@@ -20,11 +20,11 @@
 //! event   := "i" TAB seq (TAB code){arity} NL      -- one inserted record
 //!          | "r" TAB seq (TAB code){arity-1} NL    -- SPS re-publication of a group key
 //! compact := "compact" TAB floor TAB inserts TAB republishes TAB n NL
-//!            sgroup{n}
-//! sgroup  := "s" (TAB code){arity-1}               -- group key
-//!            (TAB count){m} (TAB count){m}         -- raw + published histograms
-//!            TAB rng TAB ("c"|"f") TAB len NL      -- cursor, status, republish baseline
+//!            ("s" group NL){n}                     -- key-sorted group states
 //! ```
+//!
+//! `group` is the field codec of [`GroupState`], shared with the `lgroup`
+//! lines of a v2 artifact.
 //!
 //! Sequence numbers are contiguous from the header's `first_seq` (1 for
 //! a stream's first log; a log started fresh after a snapshot records
@@ -57,16 +57,14 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use rp_core::incremental::{GroupStatus, IncrementalPublisher, LiveGroup};
 use rp_core::privacy::PrivacyParams;
-use rp_table::Schema;
+use rp_table::{AttrId, Schema};
 
 use crate::codec::{canon_f64, read_schema, write_schema, Lines};
 use crate::fault::{self, CheckedFile, FaultHandle};
 use crate::fsutil;
-use crate::publication::PublicationError;
-use crate::stream::rng::GroupRng;
-use crate::stream::StreamError;
+use crate::publication::{GroupState, PublicationError};
+use crate::stream::{LiveGroups, StreamError};
 
 /// Magic line opening every WAL file.
 pub const WAL_MAGIC: &str = "rp-wal v1";
@@ -192,6 +190,20 @@ impl WalEvent {
         }
     }
 
+    /// The personal group the event touches: an insert's codes with the
+    /// SA position `sa` removed, or a re-publication's key.
+    pub(crate) fn group_key(&self, sa: AttrId) -> Vec<u32> {
+        match self {
+            WalEvent::Insert { codes, .. } => codes
+                .iter()
+                .enumerate()
+                .filter(|&(a, _)| a != sa)
+                .map(|(_, &c)| c)
+                .collect(),
+            WalEvent::Republish { key, .. } => key.clone(),
+        }
+    }
+
     /// Encodes the canonical line for this event (no trailing newline).
     pub fn encode(&self) -> String {
         use std::fmt::Write;
@@ -261,117 +273,6 @@ impl WalEvent {
     }
 }
 
-/// The state of one group absorbed by WAL compaction: everything replay
-/// needs to resume the group as if its absorbed events had been applied
-/// one by one (mirrors the snapshot's live-group record).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactGroup {
-    /// The group key (public-attribute codes, schema order).
-    pub key: Vec<u32>,
-    /// Raw SA histogram after the absorbed events.
-    pub raw_hist: Vec<u64>,
-    /// Published SA histogram after the absorbed events.
-    pub published_hist: Vec<u64>,
-    /// The group's RNG cursor after the absorbed events.
-    pub rng_state: u64,
-    /// Compliance status after the absorbed events.
-    pub status: GroupStatus,
-    /// Raw records covered by the last SPS re-publication.
-    pub republished_len: u64,
-}
-
-impl CompactGroup {
-    fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("s");
-        for &c in &self.key {
-            write!(out, "\t{c}").expect("writing to a String cannot fail");
-        }
-        for &c in self.raw_hist.iter().chain(&self.published_hist) {
-            write!(out, "\t{c}").expect("writing to a String cannot fail");
-        }
-        let status = match self.status {
-            GroupStatus::Compliant => 'c',
-            GroupStatus::NeedsResampling => 'f',
-        };
-        write!(
-            out,
-            "\t{}\t{status}\t{}",
-            self.rng_state, self.republished_len
-        )
-        .expect("writing to a String cannot fail");
-        out
-    }
-
-    fn parse(line: &str, line_no: usize, header: &WalHeader) -> Result<Self, StreamError> {
-        let bad = |message: String| StreamError::Format {
-            line: line_no,
-            message,
-        };
-        let mut parts = line.split('\t');
-        if parts.next() != Some("s") {
-            return Err(bad("expected an `s` state record".into()));
-        }
-        let m = header.schema.attribute(header.sa).domain_size();
-        let arity = header.schema.arity();
-        let mut key = Vec::with_capacity(arity - 1);
-        for attr in (0..arity).filter(|&a| a != header.sa) {
-            let code: u32 = parts
-                .next()
-                .ok_or_else(|| bad("`s` record has a short key".into()))?
-                .parse()
-                .map_err(|e| bad(format!("bad key code: {e}")))?;
-            let domain = header.schema.attribute(attr).domain_size();
-            if code as usize >= domain {
-                return Err(bad(format!(
-                    "key code {code} out of range for attribute `{}` (domain {domain})",
-                    header.schema.attribute(attr).name()
-                )));
-            }
-            key.push(code);
-        }
-        let mut hists = [Vec::with_capacity(m), Vec::with_capacity(m)];
-        for hist in &mut hists {
-            for _ in 0..m {
-                hist.push(
-                    parts
-                        .next()
-                        .ok_or_else(|| bad("`s` record has a short histogram".into()))?
-                        .parse::<u64>()
-                        .map_err(|e| bad(format!("bad count: {e}")))?,
-                );
-            }
-        }
-        let [raw_hist, published_hist] = hists;
-        let rng_state: u64 = parts
-            .next()
-            .ok_or_else(|| bad("`s` record is missing the rng state".into()))?
-            .parse()
-            .map_err(|e| bad(format!("bad rng state: {e}")))?;
-        let status = match parts.next() {
-            Some("c") => GroupStatus::Compliant,
-            Some("f") => GroupStatus::NeedsResampling,
-            other => return Err(bad(format!("bad status {other:?}"))),
-        };
-        let republished_len: u64 = parts
-            .next()
-            .ok_or_else(|| bad("`s` record is missing republished_len".into()))?
-            .parse()
-            .map_err(|e| bad(format!("bad republished_len: {e}")))?;
-        if parts.next().is_some() {
-            return Err(bad("trailing fields on `s` record".into()));
-        }
-        Ok(Self {
-            key,
-            raw_hist,
-            published_hist,
-            rng_state,
-            status,
-            republished_len,
-        })
-    }
-}
-
 /// The compaction section of a WAL: per-group state absorbing every
 /// event at or below `floor_seq` that a later re-publication superseded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -385,7 +286,26 @@ pub struct WalCompaction {
     /// Re-publication events absorbed into the state records.
     pub absorbed_republishes: u64,
     /// Absorbed group states, strictly sorted by key.
-    pub groups: Vec<CompactGroup>,
+    pub groups: Vec<GroupState>,
+}
+
+impl WalCompaction {
+    /// Writes the section: the `compact` line, then one `s` record per
+    /// group.
+    fn write<W: Write>(&self, mut w: W) -> std::io::Result<()> {
+        writeln!(
+            w,
+            "compact\t{}\t{}\t{}\t{}",
+            self.floor_seq,
+            self.absorbed_inserts,
+            self.absorbed_republishes,
+            self.groups.len()
+        )?;
+        for g in &self.groups {
+            writeln!(w, "s{}", g.encode())?;
+        }
+        Ok(())
+    }
 }
 
 /// Everything read from one WAL file: the header, the optional
@@ -553,16 +473,14 @@ fn read_compact_section<R: BufRead>(
                 format!("truncated compaction section ({i} of {n_groups} state records)"),
             ));
         }
-        let g = CompactGroup::parse(line.trim_end_matches(['\n', '\r']), line_no, header)?;
-        if let Some(prev) = groups.last() {
-            let prev: &CompactGroup = prev;
-            if prev.key >= g.key {
-                return Err(bad(
-                    line_no,
-                    "compaction state records must be strictly sorted by key".into(),
-                ));
-            }
+        let mut fields = line.trim_end_matches(['\n', '\r']).split('\t');
+        if fields.next() != Some("s") {
+            return Err(bad(line_no, "expected an `s` state record".into()));
         }
+        let fields: Vec<&str> = fields.collect();
+        let after = groups.last().map(|g: &GroupState| g.key.as_slice());
+        let g = GroupState::parse(&fields, &header.schema, header.sa, after)
+            .map_err(|message| bad(line_no, message))?;
         groups.push(g);
         bytes += n as u64;
     }
@@ -696,10 +614,10 @@ impl Wal {
                 expected.first_seq - 1
             )));
         }
-        let file = OpenOptions::new().write(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(wal_file.end_offset)?; // drop a torn tail, if any
-        let mut writer = BufWriter::new(CheckedFile::new(file, faults));
-        writer.seek(SeekFrom::End(0))?;
+        file.seek(SeekFrom::End(0))?;
+        let writer = BufWriter::new(CheckedFile::new(file, faults));
         Ok((
             Self {
                 writer,
@@ -796,13 +714,14 @@ pub struct CompactionStats {
 
 /// Compacts a WAL: every event of a group that a later `r` event of the
 /// same group supersedes is absorbed into one `s` state record, computed
-/// by simulating exactly that group's event subsequence (valid because a
-/// group's state is a pure function of its own events under per-group
-/// RNG streams). Retained events keep their sequence numbers; replaying
-/// the compacted log is byte-identical to replaying the original. The
-/// output is written atomically and durably, so `output` may equal
-/// `input` for in-place rotation. An already-compacted input composes:
-/// its state records seed the simulation.
+/// by applying exactly that group's event subsequence through the
+/// stream's own `LiveGroups` (valid because a group's state is a pure
+/// function of its own events under per-group RNG streams). Retained
+/// events keep their sequence numbers; replaying the compacted log is
+/// byte-identical to replaying the original. The output is written
+/// atomically and durably, so `output` may equal `input` for in-place
+/// rotation. An already-compacted input composes: its state records seed
+/// the absorption.
 ///
 /// # Errors
 ///
@@ -811,37 +730,15 @@ pub struct CompactionStats {
 pub fn compact_wal(input: &Path, output: &Path) -> Result<CompactionStats, StreamError> {
     let wal_file = read_wal(input)?;
     let header = &wal_file.header;
-    let m = header.schema.attribute(header.sa).domain_size();
-    let mut sim = IncrementalPublisher::new(header.p, m, header.params);
-    let mut rngs: HashMap<Vec<u32>, u64> = HashMap::new();
-    let (mut floor, mut absorbed_i, mut absorbed_r) =
-        wal_file.compaction.as_ref().map_or((0, 0, 0), |c| {
-            (c.floor_seq, c.absorbed_inserts, c.absorbed_republishes)
-        });
+    let mut absorbed = LiveGroups::new(header);
     if let Some(prior) = &wal_file.compaction {
-        for g in &prior.groups {
-            sim.put_group(LiveGroup {
-                key: g.key.clone(),
-                raw_hist: g.raw_hist.clone(),
-                published_hist: g.published_hist.clone(),
-                status: g.status,
-                republished_len: g.republished_len,
-            });
-            rngs.insert(g.key.clone(), g.rng_state);
-        }
+        absorbed.resume(
+            prior.floor_seq,
+            prior.absorbed_inserts,
+            prior.absorbed_republishes,
+            prior.groups.iter().cloned(),
+        );
     }
-    // The group key of an event (SA position removed for inserts).
-    let key_of = |event: &WalEvent| -> Vec<u32> {
-        match event {
-            WalEvent::Insert { codes, .. } => codes
-                .iter()
-                .enumerate()
-                .filter(|&(a, _)| a != header.sa)
-                .map(|(_, &c)| c)
-                .collect(),
-            WalEvent::Republish { key, .. } => key.clone(),
-        }
-    };
     // Per group, the sequence number of its last re-publication: every
     // event of the group at or before it is absorbable.
     let mut last_republish: HashMap<Vec<u32>, u64> = HashMap::new();
@@ -851,75 +748,37 @@ pub fn compact_wal(input: &Path, output: &Path) -> Result<CompactionStats, Strea
         }
     }
     let mut retained = Vec::new();
-    let mut absorbed_now = 0u64;
     for event in &wal_file.events {
-        let key = key_of(event);
-        let absorb = last_republish.get(&key).is_some_and(|&q| event.seq() <= q);
-        if !absorb {
-            retained.push(event.clone());
-            continue;
+        let key = event.group_key(header.sa);
+        if last_republish.get(&key).is_some_and(|&q| event.seq() <= q) {
+            // An absorbed insert's status is deliberately dropped: whether
+            // the group needed re-sampling at this point is recorded by
+            // the *next* `r` event in the log, not re-decided here.
+            absorbed.apply(event)?;
+        } else {
+            retained.push(event);
         }
-        let mut rng = match rngs.get(&key) {
-            Some(&state) => GroupRng::from_state(state),
-            None => GroupRng::for_group(header.seed, &key),
-        };
-        match event {
-            WalEvent::Insert { codes, .. } => {
-                // The status is deliberately dropped: whether the group
-                // needed re-sampling at this point is recorded by the
-                // *next* `r` event in the log, not re-decided here.
-                let _ = sim.insert(&mut rng, &key, codes[header.sa]);
-                absorbed_i += 1;
-            }
-            WalEvent::Republish { seq, .. } => {
-                if sim.group(&key).is_none() {
-                    return Err(StreamError::Mismatch(format!(
-                        "event {seq} re-publishes group {key:?} with no prior state \
-                         (corrupted log?)"
-                    )));
-                }
-                sim.republish_group(&mut rng, &key);
-                absorbed_r += 1;
-            }
-        }
-        rngs.insert(key, rng.state());
-        floor = floor.max(event.seq());
-        absorbed_now += 1;
     }
-    let mut groups: Vec<CompactGroup> = sim
-        .groups()
-        .map(|g| CompactGroup {
-            key: g.key.clone(),
-            raw_hist: g.raw_hist.clone(),
-            published_hist: g.published_hist.clone(),
-            rng_state: *rngs.get(&g.key).expect("simulated groups carry a cursor"),
-            status: g.status,
-            republished_len: g.republished_len,
-        })
-        .collect();
-    groups.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+    let compaction = WalCompaction {
+        floor_seq: absorbed.seq,
+        absorbed_inserts: absorbed.inserted,
+        absorbed_republishes: absorbed.republished,
+        groups: absorbed.states(),
+    };
     let stats = CompactionStats {
         events_in: wal_file.events.len(),
         events_out: retained.len(),
-        absorbed: absorbed_now,
-        groups: groups.len(),
-        floor_seq: floor,
+        absorbed: (wal_file.events.len() - retained.len()) as u64,
+        groups: compaction.groups.len(),
+        floor_seq: compaction.floor_seq,
     };
     fsutil::write_atomic::<StreamError>(output, |w| {
         header.write(&mut *w).map_err(StreamError::from)?;
-        if !groups.is_empty() {
-            writeln!(
-                w,
-                "compact\t{floor}\t{absorbed_i}\t{absorbed_r}\t{}",
-                groups.len()
-            )
-            .map_err(StreamError::from)?;
-            for g in &groups {
-                writeln!(w, "{}", g.encode()).map_err(StreamError::from)?;
-            }
+        if !compaction.groups.is_empty() {
+            compaction.write(&mut *w)?;
         }
         for event in &retained {
-            writeln!(w, "{}", event.encode()).map_err(StreamError::from)?;
+            writeln!(w, "{}", event.encode())?;
         }
         Ok(())
     })?;
@@ -929,7 +788,10 @@ pub fn compact_wal(input: &Path, output: &Path) -> Result<CompactionStats, Strea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_table::Attribute;
+    use crate::publication::{DesignCheck, LiveState, Publication};
+    use rp_core::incremental::GroupStatus;
+    use rp_core::sps::SpsStats;
+    use rp_table::{Attribute, TableBuilder};
 
     fn header() -> WalHeader {
         WalHeader {
@@ -1241,5 +1103,203 @@ mod tests {
         let err = read_wal(&gap).unwrap_err();
         assert!(err.to_string().contains("sequence"), "{err}");
         let _ = h;
+    }
+
+    // -- the group-state codec, shared with the v2 artifact ---------------
+
+    /// SA in the middle of the schema, so a key skips a position.
+    fn codec_header() -> WalHeader {
+        WalHeader {
+            seed: 3,
+            p: 0.5,
+            params: PrivacyParams::new(0.3, 0.3),
+            sa: 1,
+            schema: Schema::new(vec![
+                Attribute::new("Job", ["eng", "doc", "law"]),
+                Attribute::new("Disease", ["flu", "hiv", "none"]),
+                Attribute::new("City", ["rome", "oslo"]),
+            ]),
+            base_rows: 0,
+            first_seq: 1,
+        }
+    }
+
+    /// Random key-sorted group states over [`codec_header`]'s schema.
+    fn random_states(seed: u64) -> Vec<GroupState> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys: Vec<Vec<u32>> = (0..3u32)
+            .flat_map(|job| (0..2u32).map(move |city| vec![job, city]))
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        keys.into_iter()
+            .map(|key| GroupState {
+                key,
+                raw_hist: (0..3).map(|_| rng.gen_range(0..40u64)).collect(),
+                published_hist: (0..3).map(|_| rng.gen_range(0..40u64)).collect(),
+                rng_state: rng.gen(),
+                status: if rng.gen_bool(0.5) {
+                    GroupStatus::Compliant
+                } else {
+                    GroupStatus::NeedsResampling
+                },
+                republished_len: rng.gen(),
+            })
+            .collect()
+    }
+
+    /// The groups through a v2 artifact: the live rows materialized, the
+    /// artifact saved, then loaded back.
+    fn artifact_round_trip(groups: &[GroupState]) -> Vec<GroupState> {
+        let h = codec_header();
+        let mut b = TableBuilder::new(h.schema.clone());
+        for g in groups {
+            for (sa_code, &count) in g.published_hist.iter().enumerate() {
+                let row = [g.key[0], sa_code as u32, g.key[1]];
+                b.push_codes_batch(&row, count as usize).unwrap();
+            }
+        }
+        let publication = Publication::from_parts(
+            b.build(),
+            h.sa,
+            h.p,
+            h.params,
+            h.seed,
+            SpsStats::default(),
+            DesignCheck::default(),
+        )
+        .with_live(LiveState {
+            base_rows: 0,
+            wal_seq: 9,
+            inserted: 0,
+            republished: 0,
+            groups: groups.to_vec(),
+        });
+        let mut bytes = Vec::new();
+        publication.save(&mut bytes).unwrap();
+        let loaded = Publication::load(&bytes[..]).unwrap();
+        loaded.live().unwrap().groups.clone()
+    }
+
+    /// The groups through a compacted WAL's `s` records.
+    fn wal_round_trip(name: &str, groups: &[GroupState]) -> Vec<GroupState> {
+        let path = tmp(name);
+        let compaction = WalCompaction {
+            floor_seq: 5,
+            absorbed_inserts: 4,
+            absorbed_republishes: 1,
+            groups: groups.to_vec(),
+        };
+        let mut bytes = Vec::new();
+        codec_header().write(&mut bytes).unwrap();
+        compaction.write(&mut bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        let read = read_wal(&path).unwrap().compaction.unwrap();
+        assert_eq!(read.floor_seq, 5);
+        read.groups
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `parse ∘ encode = id` for group states, through both
+        /// containers that persist them.
+        #[test]
+        fn group_states_round_trip_through_artifact_and_wal(seed in proptest::any::<u64>()) {
+            let groups = random_states(seed);
+            proptest::prop_assert_eq!(artifact_round_trip(&groups), groups.clone());
+            proptest::prop_assert_eq!(wal_round_trip(&format!("codec-{seed:016x}.rpwal"), &groups), groups);
+        }
+    }
+
+    /// Loads `records` (the fields after the tag) as the `lgroup` lines
+    /// of a v2 artifact.
+    fn load_as_lgroups(records: &[&str]) -> Result<Vec<GroupState>, String> {
+        let h = codec_header();
+        let empty = Publication::from_parts(
+            TableBuilder::new(h.schema.clone()).build(),
+            h.sa,
+            h.p,
+            h.params,
+            h.seed,
+            SpsStats::default(),
+            DesignCheck::default(),
+        )
+        .with_live(LiveState {
+            base_rows: 0,
+            wal_seq: 0,
+            inserted: 0,
+            republished: 0,
+            groups: vec![],
+        });
+        let mut bytes = Vec::new();
+        empty.save(&mut bytes).unwrap();
+        let mut text = String::from_utf8(bytes).unwrap();
+        assert!(text.ends_with("live\t0\t0\t0\t0\t0\n"));
+        text.truncate(text.len() - "live\t0\t0\t0\t0\t0\n".len());
+        text += &format!("live\t{}\t0\t0\t0\t0\n", records.len());
+        for r in records {
+            text += &format!("lgroup{r}\n");
+        }
+        Publication::load(text.as_bytes())
+            .map(|p| p.live().unwrap().groups.clone())
+            .map_err(|e| e.to_string())
+    }
+
+    /// Reads `records` (the fields after the tag) as the `s` records of a
+    /// compacted WAL.
+    fn read_as_s_records(name: &str, records: &[&str]) -> Result<Vec<GroupState>, String> {
+        let path = tmp(name);
+        let mut bytes = Vec::new();
+        codec_header().write(&mut bytes).unwrap();
+        writeln!(bytes, "compact\t5\t4\t1\t{}", records.len()).unwrap();
+        for r in records {
+            writeln!(bytes, "s{r}").unwrap();
+        }
+        std::fs::write(&path, bytes).unwrap();
+        read_wal(&path)
+            .map(|f| f.compaction.unwrap().groups)
+            .map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn both_containers_reject_the_same_malformed_group_fields() {
+        // Key (doc, oslo); hists over (flu, hiv, none); cursor 7; status
+        // `c`; republished_len 3.
+        let valid = "\t1\t1\t1\t2\t0\t2\t0\t1\t7\tc\t3";
+        // The valid record parses in both containers (the artifact then
+        // refuses it only because its rows are not materialized).
+        let err = load_as_lgroups(&[valid]).unwrap_err();
+        assert!(err.contains("sum to"), "{err}");
+        assert_eq!(
+            read_as_s_records("codec-valid.rpwal", &[valid])
+                .unwrap()
+                .len(),
+            1
+        );
+        for (records, needle) in [
+            (
+                vec!["\t1\t1\t2\t0\t2\t0\t1\t7\tc\t3"],
+                "needs 11 fields, got 10",
+            ),
+            (vec!["\t1\t5\t1\t2\t0\t2\t0\t1\t7\tc\t3"], "out of range"),
+            (vec!["\t1\t1\t1\t2\t0\t2\t0\t1\t7\tz\t3"], "bad status"),
+            (
+                vec!["\t1\t1\t1\t2\t0\t2\t0\t1\t7\tc\t3\t9"],
+                "needs 11 fields, got 12",
+            ),
+            (vec!["\t1\t1\tx\t2\t0\t2\t0\t1\t7\tc\t3"], "bad count"),
+            (
+                vec![valid, "\t0\t1\t1\t2\t0\t2\t0\t1\t7\tc\t3"],
+                "strictly increasing",
+            ),
+            (vec![valid, valid], "strictly increasing"),
+        ] {
+            let err = load_as_lgroups(&records).unwrap_err();
+            assert!(err.contains(needle), "lgroup {records:?}: {err}");
+            let err = read_as_s_records("codec-bad.rpwal", &records).unwrap_err();
+            assert!(err.contains(needle), "s {records:?}: {err}");
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! rpctl serve   --publication release.rppub | --release alpha=a.rppub [--release beta=b.rppub ...]
 //!               [--listen HOST:PORT --max-conns N --cache N
 //!                --read-timeout MS --write-timeout MS --trace-buffer N]
-//!               [--wal stream.rpwal --state-out state.rppub --max-resident N
+//!               [--wal stream.rpwal --state-out state.rppub
 //!                --commit-batch N --commit-window MS --fault-fsync-at N]
 //!               # the stream attaches to the first release
 //! rpctl releases --connect HOST:PORT
@@ -29,7 +29,7 @@
 //!               [--dp-epsilon E --dp-delta D --dp-p P --max-queries N --detail N]
 //! rpctl ingest  --connect HOST:PORT --input new.csv
 //! rpctl ingest  --publication state.rppub --wal stream.rpwal --input new.csv
-//!               --output state2.rppub [--max-resident N --commit-batch N]
+//!               --output state2.rppub [--commit-batch N]
 //! rpctl replay  --publication base-or-snapshot.rppub --wal stream.rpwal
 //!               --output replayed.rppub
 //! rpctl compact --wal stream.rpwal [--output compacted.rpwal]
@@ -56,8 +56,7 @@
 //! requests mutate the live release (each record perturbed on arrival,
 //! groups re-sampled through SPS when they cross `sg`), every mutation is
 //! write-ahead logged, `flush` syncs the log and writes the v2 snapshot
-//! to `--state-out`, and `--max-resident` bounds the owner-side memory by
-//! spilling cold groups. `--commit-batch N` / `--commit-window MS` turn on
+//! to `--state-out`. `--commit-batch N` / `--commit-window MS` turn on
 //! group commit: the WAL is fsynced every N events (or at least every MS
 //! milliseconds while events are pending) instead of only on explicit
 //! `flush`, amortizing the sync cost over a batch — the logged bytes are
@@ -159,7 +158,6 @@ struct Options {
     cache: usize,
     wal: Option<String>,
     state_out: Option<String>,
-    max_resident: usize,
     commit_batch: u64,
     commit_window: u64,
     /// Client-side socket read deadline in ms (`0` disables).
@@ -189,7 +187,6 @@ impl Options {
     /// The stream tuning the flags describe.
     fn stream_config(&self) -> StreamConfig {
         StreamConfig {
-            max_resident: self.max_resident,
             commit_batch: self.commit_batch,
             commit_window_ms: self.commit_window,
         }
@@ -227,14 +224,14 @@ fn usage() -> ExitCode {
          rpctl publish --input FILE | --adult FILE --sa COLUMN --output FILE.rppub [--csv FILE.csv] [--p P --lambda L --delta D --no-generalize --seed N --threads N]\n  \
          rpctl query   --publication FILE.rppub --where COL=VALUE ... --value SA_VALUE [--raw FILE.csv]\n  \
          rpctl query   --connect HOST:PORT --where COL=VALUE ... --value SA_VALUE [--release NAME --timeout MS]\n  \
-         rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --max-resident N --commit-batch N --commit-window MS --fault-fsync-at N]\n  \
+         rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --commit-batch N --commit-window MS --fault-fsync-at N]\n  \
          rpctl releases --connect HOST:PORT\n  \
          rpctl reload  --connect HOST:PORT --release NAME\n  \
          rpctl metrics --connect HOST:PORT\n  \
          rpctl trace   --connect HOST:PORT [-n N]\n  \
          rpctl bakeoff --input FILE.csv --sa COLUMN [--p P --lambda L --delta D --seed N --dp-epsilon E --dp-delta D --dp-p P --max-queries N --detail N]\n  \
          rpctl ingest  --connect HOST:PORT --input FILE.csv\n  \
-         rpctl ingest  --publication FILE.rppub --wal FILE.rpwal --input FILE.csv --output FILE.rppub [--max-resident N --commit-batch N]\n  \
+         rpctl ingest  --publication FILE.rppub --wal FILE.rpwal --input FILE.csv --output FILE.rppub [--commit-batch N]\n  \
          rpctl replay  --publication FILE.rppub --wal FILE.rpwal --output FILE.rppub\n  \
          rpctl compact --wal FILE.rpwal [--output FILE.rpwal]"
     );
@@ -307,7 +304,6 @@ fn parse(args: &[String]) -> Option<Options> {
             "--cache" => opts.cache = it.next()?.parse().ok()?,
             "--wal" => opts.wal = Some(it.next()?.clone()),
             "--state-out" => opts.state_out = Some(it.next()?.clone()),
-            "--max-resident" => opts.max_resident = it.next()?.parse().ok()?,
             "--commit-batch" => opts.commit_batch = it.next()?.parse().ok()?,
             "--commit-window" => opts.commit_window = it.next()?.parse().ok()?,
             "--timeout" => opts.timeout = it.next()?.parse().ok()?,
@@ -1103,7 +1099,7 @@ fn cmd_replay(opts: &Options) -> Result<(), String> {
     let output = opts.output.as_deref().ok_or("--output is required")?;
     let publication = load_publication(opts)?;
     let from_snapshot = publication.live().is_some();
-    let mut stream = StreamPublisher::replay(publication, Path::new(wal), opts.stream_config())
+    let stream = StreamPublisher::replay(publication, Path::new(wal), opts.stream_config())
         .map_err(|e| format!("replay failed: {e}"))?;
     stream
         .save_snapshot(output)

@@ -1,6 +1,6 @@
 //! The fault matrix: deterministic fault injection across every durable
-//! path of the storage stack — WAL appends, group commit fsyncs, spill
-//! page write-backs, snapshot replacement — proving the failure
+//! path of the storage stack — WAL appends, group commit fsyncs,
+//! snapshot replacement — proving the failure
 //! contract end to end:
 //!
 //! * every faulted run either **fails loudly** (a structured error with a
@@ -29,7 +29,6 @@ fn tmp(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(format!("{}.spill", path.display()));
     path
 }
 
@@ -90,10 +89,10 @@ fn build_oracle(records: u32, config: StreamConfig) -> HashMap<u64, Vec<u8>> {
     let wal = tmp("oracle.rpwal");
     let mut live = StreamPublisher::open(base_publication(), &wal, config).unwrap();
     let mut oracle = HashMap::new();
-    oracle.insert(0, save_bytes(&live.snapshot().unwrap()));
+    oracle.insert(0, save_bytes(&live.snapshot()));
     for i in 0..records {
         live.insert_codes(&record(i)).unwrap();
-        oracle.insert(live.wal_seq(), save_bytes(&live.snapshot().unwrap()));
+        oracle.insert(live.wal_seq(), save_bytes(&live.snapshot()));
     }
     live.flush().unwrap();
     oracle
@@ -108,16 +107,16 @@ fn assert_matches_oracle(
     config: StreamConfig,
     label: &str,
 ) {
-    let mut recovered = StreamPublisher::open(base_publication(), wal, config).unwrap();
+    let recovered = StreamPublisher::open(base_publication(), wal, config).unwrap();
     let seq = recovered.wal_seq();
-    let bytes = save_bytes(&recovered.snapshot().unwrap());
+    let bytes = save_bytes(&recovered.snapshot());
     drop(recovered);
     match oracle.get(&seq) {
         Some(expected) => assert_eq!(&bytes, expected, "{label}: diverged from the oracle"),
         None => {
-            let mut again = StreamPublisher::replay(base_publication(), wal, config).unwrap();
+            let again = StreamPublisher::replay(base_publication(), wal, config).unwrap();
             assert_eq!(
-                save_bytes(&again.snapshot().unwrap()),
+                save_bytes(&again.snapshot()),
                 bytes,
                 "{label}: recovery must be deterministic"
             );
@@ -269,128 +268,6 @@ fn simulated_crash_at_the_durable_boundary_recovers_exactly_durable_seq() {
     assert_matches_oracle(&oracle, &wal, config, "crash at the durable boundary");
 }
 
-/// A base release with many distinct public groups: cycling inserts
-/// across 128 groups under `max_resident: 1` overflow the spill store's
-/// buffer pool, so dirty pages genuinely reach the disk (and its fault
-/// policy) instead of idling in frames.
-fn wide_publication() -> Publication {
-    let ids: Vec<String> = (0..128u32).map(|i| format!("u{i}")).collect();
-    let schema = Schema::new(vec![
-        Attribute::new("Id", ids.iter().map(String::as_str)),
-        Attribute::new("Disease", ["flu", "hiv", "none"]),
-    ]);
-    let mut b = TableBuilder::new(schema);
-    for i in 0..640u32 {
-        b.push_codes(&[i % 128, i % 3]).unwrap();
-    }
-    Publisher::new(b.build()).sa(1).seed(29).publish().unwrap()
-}
-
-#[test]
-fn spill_faults_are_absorbed_or_loud_and_never_corrupt_recovery() {
-    // A resident bound of 1 pushes every cold group through the spill
-    // file continuously — the write-back path sees heavy fault traffic.
-    let config = StreamConfig {
-        max_resident: 1,
-        ..StreamConfig::default()
-    };
-    let records = 300u32;
-    let wide_record = |i: u32| vec![i % 128, i % 3];
-
-    // Fault-free oracle bytes for the full run.
-    let oracle_wal = tmp("spill-oracle.rpwal");
-    let mut oracle = StreamPublisher::open(wide_publication(), &oracle_wal, config).unwrap();
-    for i in 0..records {
-        oracle.insert_codes(&wide_record(i)).unwrap();
-    }
-    oracle.flush().unwrap();
-    let expected = save_bytes(&oracle.snapshot().unwrap());
-    drop(oracle);
-
-    // Sampled transient faults: the bounded retry either absorbs them
-    // (and then the run is byte-identical to fault-free) or the run
-    // fails loudly — and recovery stays a pure function of (base, WAL).
-    let mut absorbed = 0u32;
-    for seed in 0..4u64 {
-        let wal = tmp(&format!("spill-sweep-{seed}.rpwal"));
-        let schedule = Arc::new(FaultSchedule::sampled(seed, 47));
-        let run = StreamPublisher::open_with(wide_publication(), &wal, config, schedule.clone());
-        let outcome = run.map(|mut stream| {
-            for i in 0..records {
-                if let Err(e) = stream.insert_codes(&wide_record(i)) {
-                    assert!(!e.to_string().is_empty(), "errors carry a message");
-                    return Err(e);
-                }
-            }
-            stream.flush()?;
-            Ok(save_bytes(&stream.snapshot().unwrap()))
-        });
-        match outcome {
-            Ok(Ok(bytes)) => {
-                assert_eq!(
-                    bytes, expected,
-                    "seed {seed}: an absorbed fault changed published bytes"
-                );
-                absorbed += u32::from(schedule.injected() > 0);
-            }
-            Ok(Err(_)) | Err(_) => {
-                // Loud failure. The half-written spill page must not
-                // reach recovered state: reopen fault-free and compare
-                // against replaying the same WAL prefix.
-                let mut a = StreamPublisher::open(wide_publication(), &wal, config).unwrap();
-                let a_bytes = save_bytes(&a.snapshot().unwrap());
-                drop(a);
-                let mut b = StreamPublisher::replay(wide_publication(), &wal, config).unwrap();
-                assert_eq!(
-                    save_bytes(&b.snapshot().unwrap()),
-                    a_bytes,
-                    "seed {seed}: recovery read corrupt spill state"
-                );
-            }
-        }
-    }
-    assert!(
-        absorbed > 0,
-        "at least one sweep must inject a fault the retry absorbs"
-    );
-
-    // Persistent faults (every op fails): the run must refuse loudly —
-    // replaying the oracle WAL spills and every write-back burns its
-    // retries — and a fault-free reopen of the intact WAL still
-    // reproduces the oracle bytes: the spill file is working state,
-    // never durable.
-    let everything_fails = Arc::new(FaultSchedule::sampled(1, 1));
-    let loud =
-        match StreamPublisher::open_with(wide_publication(), &oracle_wal, config, everything_fails)
-        {
-            Err(e) => e.to_string(),
-            Ok(mut stream) => {
-                let mut first_error = None;
-                for i in 0..records {
-                    if let Err(e) = stream.insert_codes(&wide_record(i)) {
-                        first_error = Some(e.to_string());
-                        break;
-                    }
-                }
-                // The WAL appends are buffered, so at the latest the flush's
-                // failed fsync surfaces the schedule.
-                first_error.unwrap_or_else(|| {
-                    stream
-                        .flush()
-                        .expect_err("persistent faults must surface by flush time")
-                        .to_string()
-                })
-            }
-        };
-    assert!(!loud.is_empty(), "errors carry a message");
-    let mut recovered = StreamPublisher::open(wide_publication(), &oracle_wal, config).unwrap();
-    assert_eq!(
-        save_bytes(&recovered.snapshot().unwrap()),
-        expected,
-        "persistent spill faults leaked into recovered state"
-    );
-}
-
 #[test]
 fn snapshot_faults_leave_the_target_untouched_or_land_oracle_bytes() {
     let config = StreamConfig::default();
@@ -411,7 +288,7 @@ fn snapshot_faults_leave_the_target_untouched_or_land_oracle_bytes() {
     // burns its attempts and save_snapshot must fail loudly — with the
     // published snapshot untouched and no temp litter left behind.
     let everything_fails = Arc::new(FaultSchedule::sampled(7, 1));
-    let mut faulted =
+    let faulted =
         StreamPublisher::open_with(base_publication(), &wal, config, everything_fails).unwrap();
     let err = faulted
         .save_snapshot(&snap)
@@ -431,14 +308,13 @@ fn snapshot_faults_leave_the_target_untouched_or_land_oracle_bytes() {
     // A single scripted write fault is absorbed by the retry (each
     // attempt writes a fresh temp file): the save succeeds and the bytes
     // equal the fault-free oracle's.
-    let mut reference = StreamPublisher::open(base_publication(), &wal, config).unwrap();
+    let reference = StreamPublisher::open(base_publication(), &wal, config).unwrap();
     let oracle_snap = tmp("snap-fault-oracle.rppub");
     reference.save_snapshot(&oracle_snap).unwrap();
     let expected = std::fs::read(&oracle_snap).unwrap();
     drop(reference);
     let one_fault = Arc::new(FaultSchedule::write_at(1, rp_repro::engine::FaultKind::Eio));
-    let mut retried =
-        StreamPublisher::open_with(base_publication(), &wal, config, one_fault).unwrap();
+    let retried = StreamPublisher::open_with(base_publication(), &wal, config, one_fault).unwrap();
     retried.save_snapshot(&snap).unwrap();
     assert_eq!(
         std::fs::read(&snap).unwrap(),

@@ -3,7 +3,7 @@
 //! durable prefix — or refuses loudly — but never invents state, never
 //! returns a silently wrong artifact, and never clobbers a predecessor.
 //!
-//! Three artifacts, three contracts:
+//! Two artifacts, two contracts:
 //!
 //! * **WAL** — a torn final line is discarded on open (the write that
 //!   never completed) and the stream recovers to the longest complete
@@ -13,9 +13,6 @@
 //!   crashed writer leaves the *old* snapshot fully intact; a truncated
 //!   artifact never loads as a shorter-but-valid one (the v2 magic is
 //!   declared before the data it promises).
-//! * **Spill** — explicitly *not* durable state: recovery never reads
-//!   it, so arbitrary corruption (or deletion) of the spill file must
-//!   not change one recovered byte.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -28,7 +25,6 @@ fn tmp(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(format!("{}.spill", path.display()));
     path
 }
 
@@ -89,10 +85,10 @@ fn wal_truncation_recovers_the_durable_prefix_exactly() {
     let mut oracle: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut live =
         StreamPublisher::open(base_publication(), &wal_ref, StreamConfig::default()).unwrap();
-    oracle.insert(0, save_bytes(&live.snapshot().unwrap()));
+    oracle.insert(0, save_bytes(&live.snapshot()));
     for i in 0..120u32 {
         live.insert_codes(&record(i)).unwrap();
-        oracle.insert(live.wal_seq(), save_bytes(&live.snapshot().unwrap()));
+        oracle.insert(live.wal_seq(), save_bytes(&live.snapshot()));
     }
     live.flush().unwrap();
     drop(live);
@@ -108,7 +104,7 @@ fn wal_truncation_recovers_the_durable_prefix_exactly() {
         std::fs::write(&path, &full[..cut]).unwrap();
         let result = StreamPublisher::open(base_publication(), &path, StreamConfig::default());
         let durable = event_ends.iter().filter(|&&e| e <= cut).count() as u64;
-        let mut recovered = match result {
+        let recovered = match result {
             Err(err) => {
                 // Refusal is only legitimate while the header itself is
                 // incomplete: past it there is always a well-defined
@@ -138,7 +134,7 @@ fn wal_truncation_recovers_the_durable_prefix_exactly() {
                 "cut at byte {cut}: torn tail must be truncated away"
             );
         }
-        let bytes = save_bytes(&recovered.snapshot().unwrap());
+        let bytes = save_bytes(&recovered.snapshot());
         match oracle.get(&durable) {
             // The cut fell on an insert-call boundary: recovery must
             // reproduce that moment of the live run byte for byte.
@@ -149,11 +145,11 @@ fn wal_truncation_recovers_the_durable_prefix_exactly() {
             None => {
                 drop(recovered);
                 std::fs::write(&path, &full[..boundary]).unwrap();
-                let mut again =
+                let again =
                     StreamPublisher::replay(base_publication(), &path, StreamConfig::default())
                         .unwrap();
                 assert_eq!(
-                    save_bytes(&again.snapshot().unwrap()),
+                    save_bytes(&again.snapshot()),
                     bytes,
                     "cut at byte {cut}: recovery must be deterministic"
                 );
@@ -232,14 +228,14 @@ fn cut_between_insert_and_its_republish_recovers_deterministically() {
     for (case, cut) in [r_start, r_start + 2].into_iter().enumerate() {
         let path = tmp(&format!("pair-cut-{case}.rpwal"));
         std::fs::write(&path, &full[..cut]).unwrap();
-        let mut recovered =
+        let recovered =
             StreamPublisher::open(base_publication(), &path, StreamConfig::default()).unwrap();
         assert_eq!(
             recovered.wal_seq(),
             durable,
             "the republish must roll back, its insert must not"
         );
-        recovered_bytes.push(save_bytes(&recovered.snapshot().unwrap()));
+        recovered_bytes.push(save_bytes(&recovered.snapshot()));
     }
     assert_eq!(
         recovered_bytes[0], recovered_bytes[1],
@@ -286,39 +282,4 @@ fn crashed_snapshot_writer_leaves_the_old_snapshot_intact() {
         "a completed save cleans up the temp sibling"
     );
     assert!(Publication::load_from_path(&snap).is_ok());
-}
-
-#[test]
-fn spill_corruption_cannot_reach_recovered_state() {
-    // Heavy spilling: a resident bound of 1 pushes every cold group to
-    // the side file continuously.
-    let config = StreamConfig {
-        max_resident: 1,
-        ..StreamConfig::default()
-    };
-    let wal = tmp("spill-crash.rpwal");
-    let mut live = StreamPublisher::open(base_publication(), &wal, config).unwrap();
-    for i in 0..300u32 {
-        live.insert_codes(&record(i)).unwrap();
-    }
-    live.flush().unwrap();
-    let expected = save_bytes(&live.snapshot().unwrap());
-    drop(live);
-
-    // Crash. The spill file is working state, not durable state: trash
-    // it completely — recovery must not read one byte of it.
-    let spill = format!("{}.spill", wal.display());
-    assert!(Path::new(&spill).exists(), "the run must have spilled");
-    std::fs::write(&spill, b"\0garbage\0that\0parses\0as\0nothing").unwrap();
-    let mut recovered = StreamPublisher::open(base_publication(), &wal, config).unwrap();
-    assert_eq!(
-        save_bytes(&recovered.snapshot().unwrap()),
-        expected,
-        "recovery must be a pure function of (base, WAL)"
-    );
-    // Deleting it outright is equally invisible.
-    drop(recovered);
-    std::fs::remove_file(&spill).unwrap();
-    let mut recovered = StreamPublisher::replay(base_publication(), &wal, config).unwrap();
-    assert_eq!(save_bytes(&recovered.snapshot().unwrap()), expected);
 }

@@ -4,8 +4,7 @@
 //! The property proven here (satellite of the Publication-v2 PR): for a
 //! random insert sequence split across N restarts — each restart either
 //! resuming from a fresh snapshot ("clean handoff") or from the previous
-//! artifact plus the WAL tail ("crash recovery"), with or without a
-//! bounded resident set forcing cold-group spills — the final snapshot
+//! artifact plus the WAL tail ("crash recovery") — the final snapshot
 //! bytes and the query answers are identical to the single uninterrupted
 //! run's. A clean-start replay of the full WAL lands on the same bytes
 //! too.
@@ -26,7 +25,6 @@ fn tmp(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(format!("{}.spill", path.display()));
     path
 }
 
@@ -87,7 +85,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any interleaving of inserts split across N restarts — snapshot
-    /// handoffs, crash recoveries, bounded-memory spilling — reproduces
+    /// handoffs, crash recoveries, group-commit batching — reproduces
     /// the single-run publication bytes and query answers exactly.
     #[test]
     fn restarts_reproduce_the_single_run_exactly(case_seed in any::<u64>()) {
@@ -103,17 +101,16 @@ proptest! {
             reference.insert_codes(r).unwrap();
         }
         reference.flush().unwrap();
-        let reference_snapshot = reference.snapshot().unwrap();
+        let reference_snapshot = reference.snapshot();
         let reference_bytes = save_bytes(&reference_snapshot);
 
         // The restarted run: 1..4 restart points, each a snapshot
-        // handoff or a crash recovery, under a bounded resident set.
+        // handoff or a crash recovery.
         let restarts = rng.gen_range(1..=3usize);
         let mut cuts: Vec<usize> = (0..restarts).map(|_| rng.gen_range(0..=n)).collect();
         cuts.sort_unstable();
         cuts.dedup();
         let config = StreamConfig {
-            max_resident: if rng.gen_bool(0.5) { 2 } else { 0 },
             // Group commit changes durability timing only, never bytes;
             // random batches let the property double as proof.
             commit_batch: if rng.gen_bool(0.5) { rng.gen_range(2..32) } else { 0 },
@@ -135,7 +132,7 @@ proptest! {
             if rng.gen_bool(0.5) {
                 // Clean handoff: the next incarnation resumes from a
                 // fresh snapshot plus an empty tail.
-                artifact = stream.snapshot().unwrap();
+                artifact = stream.snapshot();
             }
             // Crash recovery otherwise: `artifact` stays stale and the
             // next open replays the tail from the WAL.
@@ -148,16 +145,16 @@ proptest! {
         }
         last.flush().unwrap();
         prop_assert_eq!(
-            &save_bytes(&last.snapshot().unwrap()),
+            &save_bytes(&last.snapshot()),
             &reference_bytes,
             "restarted run diverged from the single run"
         );
 
         // Clean-start replay of the full WAL: same bytes again.
-        let mut replayed =
+        let replayed =
             StreamPublisher::replay(base_publication(), &wal, StreamConfig::default()).unwrap();
         prop_assert_eq!(
-            &save_bytes(&replayed.snapshot().unwrap()),
+            &save_bytes(&replayed.snapshot()),
             &reference_bytes,
             "clean-start replay diverged from the live run"
         );
@@ -215,11 +212,11 @@ fn republication_heavy_stream_replays_exactly() {
     }
     assert!(live.republished() > 0, "the stream must re-publish");
     live.flush().unwrap();
-    let live_bytes = save_bytes(&live.snapshot().unwrap());
+    let live_bytes = save_bytes(&live.snapshot());
     drop(live);
-    let mut replayed =
+    let replayed =
         StreamPublisher::replay(base_publication(), &wal, StreamConfig::default()).unwrap();
-    assert_eq!(save_bytes(&replayed.snapshot().unwrap()), live_bytes);
+    assert_eq!(save_bytes(&replayed.snapshot()), live_bytes);
 }
 
 /// WAL compaction absorbs events superseded by a later re-publication
@@ -243,7 +240,7 @@ fn compacted_replay_is_byte_identical_to_full_replay() {
     }
     assert!(live.republished() > 0, "the stream must re-publish");
     live.flush().unwrap();
-    let full_bytes = save_bytes(&live.snapshot().unwrap());
+    let full_bytes = save_bytes(&live.snapshot());
     drop(live);
 
     let wal_compact = tmp("compact-small.rpwal");
@@ -253,10 +250,10 @@ fn compacted_replay_is_byte_identical_to_full_replay() {
         stats.events_out < stats.events_in,
         "the compacted log must be shorter"
     );
-    let mut replayed =
+    let replayed =
         StreamPublisher::replay(base_publication(), &wal_compact, StreamConfig::default()).unwrap();
     assert_eq!(
-        save_bytes(&replayed.snapshot().unwrap()),
+        save_bytes(&replayed.snapshot()),
         full_bytes,
         "compacted replay diverged from full replay"
     );
@@ -271,13 +268,13 @@ fn compacted_replay_is_byte_identical_to_full_replay() {
         }
         resumed.flush().unwrap();
     }
-    let mut a =
+    let a =
         StreamPublisher::replay(base_publication(), &wal_full, StreamConfig::default()).unwrap();
-    let mut b =
+    let b =
         StreamPublisher::replay(base_publication(), &wal_compact, StreamConfig::default()).unwrap();
     assert_eq!(
-        save_bytes(&a.snapshot().unwrap()),
-        save_bytes(&b.snapshot().unwrap()),
+        save_bytes(&a.snapshot()),
+        save_bytes(&b.snapshot()),
         "post-compaction appends diverged"
     );
 }
