@@ -16,41 +16,36 @@
 //! `release=` token. [`CatalogSession::handle_line`] is therefore the one
 //! per-line entry of every server.
 //!
-//! ## Leases and lifecycle
+//! ## Reload
 //!
-//! Every request checks out a [`Lease`] on its target release: a cheap
-//! `Arc` clone plus a busy count on the tenant. [`Catalog::close`] sets
-//! the release *closing* (new checkouts are refused), then blocks until
-//! the busy count drains to zero before dropping the tenant — a close can
-//! therefore never race an in-flight request's `Arc`. Hot-reload
-//! ([`Catalog::reload_from_source`], the `reload` verb) is the opposite
-//! trade: it atomically swaps the service `Arc` without waiting,
-//! so sessions holding the old lease finish against the old release while
-//! new checkouts see the new one — no tenant's session is ever dropped by
-//! another tenant's reload. [`Catalog::reload_from_source`] on a
-//! streaming release additionally **seals** the old service's WAL write
-//! handle before reopening the log from disk ([`QueryService::seal`]):
-//! old leaseholders keep querying but degrade to read-only, so the old
-//! handle can never append concurrently with — or be truncated under —
-//! the rebuilt release's writer. A concurrent reload of the same release
-//! is refused ([`CatalogError::Reloading`]) for the same reason.
+//! Every request checks out its target release's service — a cheap `Arc`
+//! clone under the catalog lock. Hot-reload ([`Catalog::reload_from_source`],
+//! the `reload` verb) atomically swaps the service `Arc` without waiting:
+//! requests already holding the old `Arc` finish against the old release
+//! while new checkouts see the new one, so no tenant's session is ever
+//! dropped by another tenant's reload. Releases are never removed, so a
+//! checkout of an open name cannot fail. [`Catalog::reload_from_source`]
+//! on a streaming release additionally **seals** the old service's WAL
+//! write handle before reopening the log from disk
+//! ([`QueryService::seal`]): holders of the old service keep querying but
+//! degrade to read-only, so the old handle can never append concurrently
+//! with — or be truncated under — the rebuilt release's writer. A
+//! concurrent reload of the same release is refused
+//! ([`CatalogError::Reloading`]) for the same reason.
 //!
 //! ## The routing fast path
 //!
-//! A [`CatalogSession`] caches its current release's service and lease
-//! accounting, validated per request against the catalog's *epoch* — a
-//! counter bumped by every open, close and reload. A hit costs a handful
-//! of uncontended atomic operations instead of the catalog lock; any
-//! topology change invalidates the cache, and a close that races the
-//! cache is caught by re-checking the closing flag *after* the busy
-//! increment (the increment-then-check / flag-then-wait handshake with
-//! [`Catalog::close`]), so the drain guarantee is identical to the slow
-//! path's.
+//! A [`CatalogSession`] caches its current release's service, tagged with
+//! the catalog's *epoch* — a counter bumped by every reload, the only
+//! operation that changes the service behind a name. A request whose tag
+//! still matches routes with one epoch load and compare instead of the
+//! catalog lock; any reload invalidates every session's cache, and the
+//! next request re-routes through a full checkout.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultHandle;
 use crate::protocol::{
@@ -65,16 +60,10 @@ use crate::stream::{StreamConfig, StreamError, StreamPublisher};
 pub enum CatalogError {
     /// No open release has this name.
     UnknownRelease(String),
-    /// The release is draining towards [`Catalog::close`]; new checkouts
-    /// (and a second concurrent close) are refused.
-    Closing(String),
     /// [`Catalog::open`] was given a name that is already open.
     AlreadyOpen(String),
     /// The name does not satisfy [`is_release_name`].
     BadName(String),
-    /// [`Catalog::close`] refused the default release — the anchor of
-    /// every rp/2-compatible session.
-    DefaultRelease(String),
     /// [`Catalog::reload_from_source`] on a release opened without a
     /// source artifact path.
     NoSource(String),
@@ -91,15 +80,11 @@ impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CatalogError::UnknownRelease(name) => write!(f, "no release named `{name}`"),
-            CatalogError::Closing(name) => write!(f, "release `{name}` is closing"),
             CatalogError::AlreadyOpen(name) => write!(f, "release `{name}` is already open"),
             CatalogError::BadName(name) => write!(
                 f,
                 "bad release name `{name}`: need a token without whitespace, `;`, `=` or `@`"
             ),
-            CatalogError::DefaultRelease(name) => {
-                write!(f, "cannot close the default release `{name}`")
-            }
             CatalogError::NoSource(name) => {
                 write!(f, "release `{name}` has no source artifact to reload from")
             }
@@ -118,10 +103,10 @@ impl std::error::Error for CatalogError {}
 impl CatalogError {
     /// The wire error this failure maps to when it reaches a session.
     /// Only routing and reload failures can: the rest guard the
-    /// programmatic `open`/`close` API.
+    /// programmatic `open` API.
     fn wire(self) -> Response {
         let code = match self {
-            CatalogError::UnknownRelease(_) | CatalogError::Closing(_) => ErrorCode::UnknownRelease,
+            CatalogError::UnknownRelease(_) => ErrorCode::UnknownRelease,
             _ => ErrorCode::Internal,
         };
         Response::Error {
@@ -159,20 +144,13 @@ enum TenantSource {
     },
 }
 
-/// One hosted release: its service, where it can be reloaded from, and
-/// its lease accounting.
+/// One hosted release: its service and where it can be reloaded from.
 #[derive(Debug)]
 struct Tenant {
     service: Arc<QueryService>,
     /// Source for [`Catalog::reload_from_source`]; `None` for
     /// programmatic opens.
     source: Option<TenantSource>,
-    /// Outstanding [`Lease`]s (in-flight requests and session banners).
-    /// Shared with leases and route caches so releasing one never takes
-    /// the catalog lock.
-    busy: Arc<AtomicU64>,
-    /// Set by [`Catalog::close`]: refuse new checkouts, drain, drop.
-    closing: Arc<AtomicBool>,
     /// Held by an in-flight [`Catalog::reload_from_source`] (which runs
     /// outside the catalog lock): a second concurrent reload is refused
     /// rather than racing a second rebuild onto the same WAL file.
@@ -184,7 +162,7 @@ struct Tenant {
 pub const UNNAMED_RELEASE: &str = "default";
 
 /// A catalog of named releases behind one server. See the
-/// [module docs](self) for the lease/close/reload lifecycle.
+/// [module docs](self) for reload and routing.
 #[derive(Debug)]
 pub struct Catalog {
     default: String,
@@ -192,21 +170,9 @@ pub struct Catalog {
     /// true exactly when the operator named it ([`Catalog::new`]).
     named: bool,
     state: Mutex<BTreeMap<String, Tenant>>,
-    drained: Condvar,
-    /// Bumped by every open, close and reload; sessions revalidate their
-    /// cached route against it (see the [module docs](self)).
+    /// Bumped by every reload; sessions revalidate their cached route
+    /// against it (see the [module docs](self)).
     epoch: AtomicU64,
-}
-
-/// Drops one unit of lease accounting. Waking [`Catalog::close`] takes
-/// the lock only on the transition to zero of a closing tenant — the
-/// lock round-trip (not the notify itself) is what guarantees the waiter
-/// is parked on the condvar before the wakeup fires.
-fn release_unit(catalog: &Catalog, busy: &AtomicU64, closing: &AtomicBool) {
-    if busy.fetch_sub(1, Ordering::SeqCst) == 1 && closing.load(Ordering::SeqCst) {
-        drop(catalog.state_guard());
-        catalog.drained.notify_all();
-    }
 }
 
 impl Catalog {
@@ -214,8 +180,7 @@ impl Catalog {
     /// of propagating the panic to every session thread. Safe because
     /// every critical section over this lock is a single map operation
     /// plus atomic flag updates — there is no multi-step invariant a
-    /// mid-section panic could tear — and [`Catalog::close`] re-checks
-    /// its drain predicate in a loop after every wakeup.
+    /// mid-section panic could tear.
     fn state_guard(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Tenant>> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -227,7 +192,7 @@ impl Catalog {
     }
 
     /// Creates an empty catalog whose sessions start on `default` (open
-    /// it before serving). The default release can never be closed.
+    /// it before serving).
     ///
     /// # Errors
     ///
@@ -260,24 +225,13 @@ impl Catalog {
             default: default.to_string(),
             named,
             state: Mutex::new(BTreeMap::new()),
-            drained: Condvar::new(),
             epoch: AtomicU64::new(0),
         }
     }
 
-    /// The current topology epoch (see the [module docs](self)).
+    /// The current reload epoch (see the [module docs](self)).
     fn epoch_now(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Invalidates every session's cached route.
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The release every session starts bound to.
-    pub fn default_name(&self) -> &str {
-        &self.default
     }
 
     /// Opens `name` over an existing service (no reload source).
@@ -359,92 +313,35 @@ impl Catalog {
         if state.contains_key(name) {
             return Err(CatalogError::AlreadyOpen(name.to_string()));
         }
+        // No epoch bump: no session can hold a route to a name that was
+        // not open.
         state.insert(
             name.to_string(),
             Tenant {
                 service,
                 source,
-                busy: Arc::new(AtomicU64::new(0)),
-                closing: Arc::new(AtomicBool::new(false)),
                 reloading: Arc::new(AtomicBool::new(false)),
             },
         );
-        self.bump_epoch();
         Ok(())
     }
 
-    /// Checks out a lease on `name` for one request (or session banner).
-    /// The lease pins the release against [`Catalog::close`] until
-    /// dropped; a reload does *not* wait for it (the lease keeps the old
-    /// service alive through its `Arc`).
+    /// Checks out `name`'s current service for one request (or session
+    /// banner). A later reload does not wait for it: the `Arc` keeps the
+    /// old service alive until the request finishes.
     ///
     /// # Errors
     ///
-    /// [`CatalogError::UnknownRelease`] or [`CatalogError::Closing`].
-    pub fn checkout(&self, name: &str) -> Result<Lease<'_>, CatalogError> {
-        let state = self.state_guard();
-        let tenant = state
+    /// [`CatalogError::UnknownRelease`].
+    pub fn checkout(&self, name: &str) -> Result<Arc<QueryService>, CatalogError> {
+        self.state_guard()
             .get(name)
-            .ok_or_else(|| CatalogError::UnknownRelease(name.to_string()))?;
-        if tenant.closing.load(Ordering::SeqCst) {
-            return Err(CatalogError::Closing(name.to_string()));
-        }
-        tenant.busy.fetch_add(1, Ordering::SeqCst);
-        Ok(Lease {
-            catalog: self,
-            name: name.to_string(),
-            service: Arc::clone(&tenant.service),
-            busy: Arc::clone(&tenant.busy),
-            closing: Arc::clone(&tenant.closing),
-        })
-    }
-
-    /// Closes `name` gracefully: marks it closing (new checkouts answer
-    /// `unknown-release`), *blocks* until every outstanding lease drops,
-    /// then removes the tenant. In-flight requests therefore always
-    /// finish against a live service — close never races the `Arc` drop.
-    ///
-    /// # Errors
-    ///
-    /// [`CatalogError::DefaultRelease`] (the default cannot close),
-    /// [`CatalogError::UnknownRelease`] or [`CatalogError::Closing`]
-    /// (a concurrent close is already draining it).
-    pub fn close(&self, name: &str) -> Result<(), CatalogError> {
-        if name == self.default {
-            return Err(CatalogError::DefaultRelease(name.to_string()));
-        }
-        let mut state = self.state_guard();
-        {
-            let tenant = state
-                .get(name)
-                .ok_or_else(|| CatalogError::UnknownRelease(name.to_string()))?;
-            if tenant.closing.swap(true, Ordering::SeqCst) {
-                return Err(CatalogError::Closing(name.to_string()));
-            }
-        }
-        self.bump_epoch();
-        while state
-            .get(name)
-            .map(|t| t.busy.load(Ordering::SeqCst))
-            .unwrap_or(0)
-            > 0
-        {
-            state = match self.drained.wait(state) {
-                Ok(guard) => guard,
-                // The predicate loop re-checks the drain condition, so
-                // recovering a poisoned wait cannot return early.
-                Err(poisoned) => {
-                    self.state.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
-        }
-        state.remove(name);
-        Ok(())
+            .map(|tenant| Arc::clone(&tenant.service))
+            .ok_or_else(|| CatalogError::UnknownRelease(name.to_string()))
     }
 
     /// Hot-swaps `name` to a new service without waiting: new checkouts
-    /// see `service` immediately, outstanding leases finish against the
+    /// see `service` immediately, requests in flight finish against the
     /// old one (kept alive by their `Arc` clones). Returns the new
     /// `(records, groups)`. The reload source is left unchanged.
     fn reload(&self, name: &str, service: Arc<QueryService>) -> Result<(u64, u64), CatalogError> {
@@ -453,11 +350,9 @@ impl Catalog {
         let tenant = state
             .get_mut(name)
             .ok_or_else(|| CatalogError::UnknownRelease(name.to_string()))?;
-        if tenant.closing.load(Ordering::SeqCst) {
-            return Err(CatalogError::Closing(name.to_string()));
-        }
         tenant.service = service;
-        self.bump_epoch();
+        // Invalidates every session's cached route.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         Ok((summary.1, summary.2))
     }
 
@@ -465,7 +360,7 @@ impl Catalog {
     /// ([`Catalog::open_path`] or [`Catalog::open_stream_path`]). The
     /// load runs *outside* the catalog lock, so a slow disk never stalls
     /// other tenants' routing; the swap itself is atomic and waits for no
-    /// lease.
+    /// request in flight.
     ///
     /// For a streaming release this is the **recovery path**, and it is
     /// equally safe on a *healthy* live release: before the WAL is
@@ -474,8 +369,8 @@ impl Catalog {
     /// refused, atomically with respect to inserts). The old handle can
     /// therefore never append concurrently with the reopened one, and
     /// the reopen's end-of-log repositioning cannot truncate an
-    /// acknowledged commit racing in through it. Sessions still leased
-    /// to the old service keep querying it; their `insert`/`flush` get
+    /// acknowledged commit racing in through it. Requests still holding
+    /// the old service keep querying it; their `insert`/`flush` get
     /// the degraded error until they route to the new service. On a
     /// degraded stream the seal's flush refuses — the poisoned WAL
     /// wrote its last good byte long ago — and the reopen recovers
@@ -487,18 +382,15 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`CatalogError::UnknownRelease`], [`CatalogError::Closing`],
-    /// [`CatalogError::NoSource`], [`CatalogError::Reloading`] (a
-    /// concurrent reload of the same release) or [`CatalogError::Load`].
+    /// [`CatalogError::UnknownRelease`], [`CatalogError::NoSource`],
+    /// [`CatalogError::Reloading`] (a concurrent reload of the same
+    /// release) or [`CatalogError::Load`].
     pub fn reload_from_source(&self, name: &str) -> Result<(u64, u64), CatalogError> {
         let (source, old_service, reloading) = {
             let state = self.state_guard();
             let tenant = state
                 .get(name)
                 .ok_or_else(|| CatalogError::UnknownRelease(name.to_string()))?;
-            if tenant.closing.load(Ordering::SeqCst) {
-                return Err(CatalogError::Closing(name.to_string()));
-            }
             let source = tenant
                 .source
                 .clone()
@@ -540,12 +432,11 @@ impl Catalog {
         result
     }
 
-    /// Lists the open (non-closing) releases, sorted by name.
+    /// Lists the open releases, sorted by name.
     pub fn list(&self) -> Vec<ReleaseEntry> {
         let state = self.state_guard();
         state
             .iter()
-            .filter(|(_, tenant)| !tenant.closing.load(Ordering::SeqCst))
             .map(|(name, tenant)| {
                 let (sa, records, groups, _p) = tenant.service.release_summary();
                 ReleaseEntry {
@@ -557,13 +448,6 @@ impl Catalog {
                 }
             })
             .collect()
-    }
-
-    /// Outstanding leases on `name`, or `None` if it is not open. Meant
-    /// for tests and monitoring of the close/drain lifecycle.
-    pub fn busy(&self, name: &str) -> Option<u64> {
-        let state = self.state_guard();
-        state.get(name).map(|t| t.busy.load(Ordering::SeqCst))
     }
 
     /// Checkpoints every release that has a live stream (WAL sync +
@@ -623,38 +507,6 @@ fn build_source(
     }
 }
 
-/// A checked-out release: dereferences to its [`QueryService`] and holds
-/// the release open (against [`Catalog::close`]) until dropped.
-#[derive(Debug)]
-pub struct Lease<'a> {
-    catalog: &'a Catalog,
-    name: String,
-    service: Arc<QueryService>,
-    busy: Arc<AtomicU64>,
-    closing: Arc<AtomicBool>,
-}
-
-impl Lease<'_> {
-    /// The catalog name this lease was checked out under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl std::ops::Deref for Lease<'_> {
-    type Target = QueryService;
-
-    fn deref(&self) -> &QueryService {
-        &self.service
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        release_unit(self.catalog, &self.busy, &self.closing);
-    }
-}
-
 /// Counts a catalog-level response into the session counters only — the
 /// routing layer has no tenant to charge, and per-tenant aggregates must
 /// never mix tenants.
@@ -680,30 +532,9 @@ fn count_local(session: &mut SessionStats, response: &Response) {
 pub struct CatalogSession<'a> {
     catalog: &'a Catalog,
     current: String,
-    /// Cached route for the current release, valid while its epoch
-    /// matches the catalog's (see the [module docs](self)).
-    route: Option<RouteCache>,
-}
-
-/// A session's memoised checkout target: the current release's service
-/// and lease accounting, tagged with the catalog epoch it was read at.
-#[derive(Debug)]
-struct RouteCache {
-    epoch: u64,
-    service: Arc<QueryService>,
-    busy: Arc<AtomicU64>,
-    closing: Arc<AtomicBool>,
-}
-
-impl RouteCache {
-    fn from_lease(epoch: u64, lease: &Lease<'_>) -> Self {
-        Self {
-            epoch,
-            service: Arc::clone(&lease.service),
-            busy: Arc::clone(&lease.busy),
-            closing: Arc::clone(&lease.closing),
-        }
-    }
+    /// Cached route for the current release: its service, valid while
+    /// the tagged epoch matches the catalog's (see the [module docs](self)).
+    route: Option<(u64, Arc<QueryService>)>,
 }
 
 impl<'a> CatalogSession<'a> {
@@ -711,14 +542,9 @@ impl<'a> CatalogSession<'a> {
     pub fn new(catalog: &'a Catalog) -> Self {
         Self {
             catalog,
-            current: catalog.default_name().to_string(),
+            current: catalog.default.clone(),
             route: None,
         }
-    }
-
-    /// The release un-qualified verbs currently route to.
-    pub fn current(&self) -> &str {
-        &self.current
     }
 
     /// Opens the session: charges its start to the current (default)
@@ -728,9 +554,9 @@ impl<'a> CatalogSession<'a> {
     /// transport should close).
     pub fn hello(&self) -> Response {
         match self.catalog.checkout(&self.current) {
-            Ok(lease) => {
-                lease.session_started();
-                let (sa, records, groups, p) = lease.release_summary();
+            Ok(service) => {
+                service.session_started();
+                let (sa, records, groups, p) = service.release_summary();
                 Response::Hello {
                     version: PROTOCOL_VERSION,
                     sa,
@@ -791,10 +617,10 @@ impl<'a> CatalogSession<'a> {
                 // the cache is tagged stale and the next request re-routes.
                 let epoch = self.catalog.epoch_now();
                 match self.catalog.checkout(name) {
-                    Ok(lease) => {
-                        let (sa, records, groups, p) = lease.release_summary();
+                    Ok(service) => {
+                        let (sa, records, groups, p) = service.release_summary();
                         self.current = name.clone();
-                        self.route = Some(RouteCache::from_lease(epoch, &lease));
+                        self.route = Some((epoch, service));
                         Response::Using {
                             release: name.clone(),
                             sa,
@@ -816,7 +642,7 @@ impl<'a> CatalogSession<'a> {
                 Err(e) => e.wire(),
             },
             Request::At { release, inner } => match self.catalog.checkout(release) {
-                Ok(lease) => return lease.handle(inner, session),
+                Ok(service) => return service.handle(inner, session),
                 Err(e) => e.wire(),
             },
             unqualified => {
@@ -835,28 +661,16 @@ impl<'a> CatalogSession<'a> {
     /// otherwise.
     fn with_current<T>(&mut self, f: impl FnOnce(&QueryService) -> T) -> Result<T, CatalogError> {
         let epoch = self.catalog.epoch_now();
-        if let Some(route) = self.route.as_ref().filter(|r| r.epoch == epoch) {
-            route.busy.fetch_add(1, Ordering::SeqCst);
-            // Re-check *after* the increment: a close that set the flag
-            // before this point either saw our unit (and waits for the
-            // release below) or we see its flag and back off to the slow
-            // path, which answers `unknown-release`.
-            if route.closing.load(Ordering::SeqCst) {
-                release_unit(self.catalog, &route.busy, &route.closing);
-            } else {
-                if crate::obs::global().enabled() {
-                    crate::obs::hot_path().route_fast.inc();
-                }
-                let out = f(&route.service);
-                release_unit(self.catalog, &route.busy, &route.closing);
-                return Ok(out);
+        if let Some((_, service)) = self.route.as_ref().filter(|(at, _)| *at == epoch) {
+            if crate::obs::global().enabled() {
+                crate::obs::hot_path().route_fast.inc();
             }
+            return Ok(f(service));
         }
-        self.route = None;
         crate::obs::global().inc("catalog.route_slow");
-        let lease = self.catalog.checkout(&self.current)?;
-        self.route = Some(RouteCache::from_lease(epoch, &lease));
-        Ok(f(&lease))
+        let service = self.catalog.checkout(&self.current)?;
+        let (_, service) = self.route.insert((epoch, service));
+        Ok(f(service))
     }
 }
 
@@ -865,7 +679,7 @@ mod tests {
     use super::*;
     use crate::publisher::Publisher;
     use rp_table::{Attribute, Schema, TableBuilder};
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::AtomicUsize;
 
     /// Scales by group *count*, not group size: every group stays at 200
     /// records (under its Equation-10 threshold, so SPS degenerates to UP
@@ -919,17 +733,6 @@ mod tests {
             catalog.open("with@at", service(200)).unwrap_err(),
             CatalogError::BadName("with@at".into())
         );
-        assert_eq!(
-            catalog.close("alpha").unwrap_err(),
-            CatalogError::DefaultRelease("alpha".into())
-        );
-        catalog.close("beta").unwrap();
-        assert_eq!(
-            catalog.close("beta").unwrap_err(),
-            CatalogError::UnknownRelease("beta".into())
-        );
-        assert!(catalog.checkout("beta").is_err());
-        assert_eq!(catalog.list().len(), 1);
     }
 
     #[test]
@@ -961,7 +764,7 @@ mod tests {
             panic!("{r:?}")
         };
         assert_eq!(a.support, 800);
-        assert_eq!(s.current(), "alpha");
+        assert_eq!(s.current, "alpha");
 
         // `use` rebinds and reports the target's parameters.
         let r = s.handle_line("use beta", &mut stats).unwrap();
@@ -977,7 +780,7 @@ mod tests {
         assert_eq!(release, "beta");
         assert_eq!(records, 800);
         assert_eq!(sa, "Disease");
-        assert_eq!(s.current(), "beta");
+        assert_eq!(s.current, "beta");
         let r = s.handle_line("count Disease=flu", &mut stats).unwrap();
         let Response::Answer(a) = r else {
             panic!("{r:?}")
@@ -1026,78 +829,22 @@ mod tests {
         assert_eq!(stats.answered, 5);
     }
 
-    /// Regression (ISSUE 7 satellite): close on a release with live
-    /// leases must drain — block until busy hits zero — instead of racing
-    /// the Arc drop.
-    #[test]
-    fn close_drains_outstanding_leases() {
-        let catalog = Arc::new({
-            let c = Catalog::new("alpha").unwrap();
-            c.open("alpha", service(400)).unwrap();
-            c.open("beta", service(800)).unwrap();
-            c
-        });
-        let hold = Duration::from_millis(200);
-        let worker = {
-            let catalog = Arc::clone(&catalog);
-            std::thread::spawn(move || {
-                let lease = catalog.checkout("beta").unwrap();
-                // The request is "in flight" for `hold`; the service must
-                // stay answerable the whole time.
-                std::thread::sleep(hold);
-                let mut stats = SessionStats::default();
-                let r = lease.handle(
-                    &Request::parse("count Job=eng Disease=flu")
-                        .unwrap()
-                        .unwrap(),
-                    &mut stats,
-                );
-                assert!(!r.is_error(), "{r:?}");
-            })
-        };
-        // Wait until the worker holds its lease, then close.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while catalog.busy("beta") != Some(1) {
-            assert!(Instant::now() < deadline, "worker never checked out");
-            std::thread::yield_now();
-        }
-        let started = Instant::now();
-        catalog.close("beta").unwrap();
-        assert!(
-            started.elapsed() >= hold / 2,
-            "close returned before the lease drained"
-        );
-        assert_eq!(catalog.busy("beta"), None, "tenant removed after drain");
-        worker.join().unwrap();
-        // While closing/closed, new checkouts answer unknown-release.
-        let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
-        let r = s.handle_line("use beta", &mut stats).unwrap();
-        assert!(matches!(
-            r,
-            Response::Error {
-                code: ErrorCode::UnknownRelease,
-                ..
-            }
-        ));
-    }
-
     #[test]
     fn reload_swaps_without_dropping_outstanding_leases() {
         let catalog = two_tenant_catalog();
-        let old_lease = catalog.checkout("beta").unwrap();
+        let old = catalog.checkout("beta").unwrap();
         let (records, _groups) = catalog.reload("beta", service(1200)).unwrap();
         assert_eq!(records, 1200);
-        // The outstanding lease still answers against the old release...
+        // The outstanding checkout still answers against the old release...
         let mut stats = SessionStats::default();
         let q = Request::parse("count Disease=flu").unwrap().unwrap();
-        let Response::Answer(a) = old_lease.handle(&q, &mut stats) else {
-            panic!("old lease must keep answering");
+        let Response::Answer(a) = old.handle(&q, &mut stats) else {
+            panic!("the old service must keep answering");
         };
         assert_eq!(a.support, 800, "old view");
         // ...while new checkouts see the new one.
-        let new_lease = catalog.checkout("beta").unwrap();
-        let Response::Answer(a) = new_lease.handle(&q, &mut stats) else {
+        let new = catalog.checkout("beta").unwrap();
+        let Response::Answer(a) = new.handle(&q, &mut stats) else {
             panic!("expected answer");
         };
         assert_eq!(a.support, 1200, "new view");
@@ -1261,17 +1008,17 @@ mod tests {
                 .unwrap();
             assert!(!r.is_error(), "{r:?}");
         }
-        // A lease checked out *before* the reload keeps the old service
-        // alive — exactly the writer that must not race the reopened WAL.
-        let old_lease = catalog.checkout("live").unwrap();
+        // A service checked out *before* the reload stays alive — exactly
+        // the writer that must not race the reopened WAL.
+        let old = catalog.checkout("live").unwrap();
         let (records, _) = catalog.reload_from_source("live").unwrap();
         assert_eq!(records, 403, "the unsynced tail was flushed, not lost");
 
-        // The old service is sealed: its leaseholder's writes refuse...
+        // The old service is sealed: its holder's writes refuse...
         let ins = Request::parse("insert Job=eng Disease=flu")
             .unwrap()
             .unwrap();
-        let r = old_lease.handle(&ins, &mut stats);
+        let r = old.handle(&ins, &mut stats);
         assert!(
             matches!(
                 r,
@@ -1286,7 +1033,7 @@ mod tests {
         let q = Request::parse("count Job=eng Disease=flu")
             .unwrap()
             .unwrap();
-        assert!(!old_lease.handle(&q, &mut stats).is_error());
+        assert!(!old.handle(&q, &mut stats).is_error());
         // The reopened service owns the WAL exclusively: it ingests,
         // flushes, and serves the full durable history.
         let r = s
@@ -1333,6 +1080,104 @@ mod tests {
                 .store(false, Ordering::SeqCst);
         }
         catalog.reload_from_source("beta").unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Opens `alpha` (static) and `beta` over a fresh artifact of `rows`
+    /// records at `file`, so `beta` can be republished and reloaded.
+    fn reloadable_catalog(file: &str, rows: u32) -> (Catalog, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("rp-catalog-tests-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        publication(rows).save_to_path(&path).unwrap();
+        let catalog = Catalog::new("alpha").unwrap();
+        catalog.open("alpha", service(400)).unwrap();
+        catalog
+            .open_path("beta", &path, ServiceConfig::default())
+            .unwrap();
+        (catalog, path)
+    }
+
+    /// The support of an un-qualified `count Disease=flu` — the whole
+    /// release — on `s`, panicking on any non-answer.
+    fn release_support(s: &mut CatalogSession<'_>, stats: &mut SessionStats) -> u64 {
+        match s.handle_line("count Disease=flu", stats).unwrap() {
+            Response::Answer(a) => a.support,
+            r => panic!("expected an answer, got {r:?}"),
+        }
+    }
+
+    /// The epoch is the only thing that invalidates a warm route: a
+    /// reload on another session must reach this session's next request.
+    #[test]
+    fn reload_invalidates_a_warm_route_of_another_session() {
+        let (catalog, path) = reloadable_catalog("warm.rppub", 800);
+        let mut bound = CatalogSession::new(&catalog);
+        let mut stats = SessionStats::default();
+        bound.handle_line("use beta", &mut stats).unwrap();
+        assert_eq!(release_support(&mut bound, &mut stats), 800);
+        assert_eq!(release_support(&mut bound, &mut stats), 800, "warm route");
+
+        publication(1200).save_to_path(&path).unwrap();
+        let mut other = CatalogSession::new(&catalog);
+        let r = other.handle_line("reload beta", &mut stats).unwrap();
+        assert!(
+            matches!(r, Response::Reloaded { records: 1200, .. }),
+            "{r:?}"
+        );
+        assert_eq!(release_support(&mut bound, &mut stats), 1200);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Sessions routing un-qualified lines while their release reloads
+    /// underneath them always answer from one whole release, and see the
+    /// last reload on their next request.
+    #[test]
+    fn routing_during_repeated_reloads_answers_from_a_whole_release() {
+        // Odd, so the last release (1200 rows) differs from the first.
+        const RELOADS: usize = 15;
+        const SESSIONS: usize = 3;
+        let (catalog, path) = reloadable_catalog("churn.rppub", 800);
+        let done = AtomicBool::new(false);
+        let warm = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..SESSIONS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut s = CatalogSession::new(&catalog);
+                        let mut stats = SessionStats::default();
+                        s.handle_line("use beta", &mut stats).unwrap();
+                        assert_eq!(release_support(&mut s, &mut stats), 800);
+                        warm.fetch_add(1, Ordering::SeqCst);
+                        while !done.load(Ordering::SeqCst) {
+                            let support = release_support(&mut s, &mut stats);
+                            assert!([800, 1200].contains(&support), "support {support}");
+                        }
+                        release_support(&mut s, &mut stats)
+                    })
+                })
+                .collect();
+            // A worker that panicked before warming up ends the wait; its
+            // join below reports the panic.
+            while warm.load(Ordering::SeqCst) < SESSIONS && !workers.iter().any(|w| w.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            for i in 0..RELOADS {
+                let rows = if i % 2 == 0 { 1200 } else { 800 };
+                publication(rows).save_to_path(&path).unwrap();
+                let (records, _) = catalog.reload_from_source("beta").unwrap();
+                assert_eq!(records, u64::from(rows));
+            }
+            done.store(true, Ordering::SeqCst);
+            for worker in workers {
+                assert_eq!(
+                    worker.join().unwrap(),
+                    1200,
+                    "stale route after the last reload"
+                );
+            }
+        });
         let _ = std::fs::remove_file(&path);
     }
 

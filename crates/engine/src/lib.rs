@@ -68,12 +68,13 @@
 //!   byte-identically;
 //! * [`catalog`] — the one serving path: a [`Catalog`] hosts 1..N
 //!   releases (each its own [`QueryService`] — caches, counters and
-//!   streams are per-tenant by construction) with open/close/hot-reload
-//!   lifecycle and lease-based drain, and [`CatalogSession`] — the one
+//!   streams are per-tenant by construction) that opens releases and
+//!   hot-reloads them without waiting, and [`CatalogSession`] — the one
 //!   per-line entry of every session — routes the rp/3 verbs (`use`,
-//!   `releases`, `reload`, `verb@release`). A single release is a
-//!   one-release catalog ([`Catalog::single`], as [`Server::bind`] builds
-//!   it) whose banner carries no `release=` token;
+//!   `releases`, `reload`, `verb@release`) with one epoch check per
+//!   request. A single release is a one-release catalog
+//!   ([`Catalog::single`], as [`Server::bind`] builds it) whose banner
+//!   carries no `release=` token;
 //! * [`fault`] — deterministic fault injection: an injectable I/O
 //!   facade ([`fault::FaultIo`], default passthrough) threaded through
 //!   every durable writer, driven by a seeded counter-based schedule so
@@ -157,10 +158,10 @@ pub mod server;
 pub mod service;
 pub mod stream;
 
-pub use catalog::{Catalog, CatalogError, CatalogSession, Lease, UNNAMED_RELEASE};
+pub use catalog::{Catalog, CatalogError, CatalogSession, UNNAMED_RELEASE};
 pub use engine::{Answer, EngineError, PreparedQueries, QueryEngine};
 pub use fault::{FaultHandle, FaultIo, FaultKind, FaultSchedule};
-pub use obs::{Clock, HistogramSummary, MockClock, MonotonicClock, Registry, TraceEvent};
+pub use obs::{Clock, HistogramSummary, MonotonicClock, Registry, TraceEvent};
 pub use protocol::{
     ErrorCode, ProtocolError, ReleaseEntry, ReleaseMeta, Request, Response, StatsSnapshot,
     WireAnswer, WireQuery, WireRecord, PROTOCOL_VERSION,

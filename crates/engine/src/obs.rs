@@ -7,7 +7,8 @@
 //! takes a (leaf-only, never nested) mutex. Everything hangs off a
 //! [`Registry`]; production code uses the process-global registry returned by
 //! [`global`], while tests construct private registries with
-//! [`Registry::with_clock`] and a [`MockClock`] for deterministic timings.
+//! [`Registry::with_clock`] over a mock [`Clock`] for deterministic
+//! timings.
 //!
 //! # Contracts
 //!
@@ -119,35 +120,6 @@ impl Clock for MonotonicClock {
         // u64 nanoseconds cover ~584 years of uptime; saturate rather than
         // wrap if something absurd happens.
         u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Deterministic test clock: time advances only when the test says so.
-#[derive(Default)]
-pub struct MockClock {
-    now: AtomicU64,
-}
-
-impl MockClock {
-    /// A mock clock starting at 0 ns.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Jump the clock to an absolute reading.
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::Relaxed);
-    }
-}
-
-impl Clock for MockClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
     }
 }
 
@@ -367,11 +339,6 @@ impl TraceLog {
             buf.events.pop_front();
         }
     }
-
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.locked().capacity
-    }
 }
 
 /// Map an arbitrary label to a protocol-token-safe form: alphanumerics and
@@ -437,7 +404,7 @@ impl Registry {
         Self::with_clock(Arc::new(MonotonicClock::new()))
     }
 
-    /// A registry on an injected clock (tests pass a [`MockClock`]).
+    /// A registry on an injected clock (tests pass a mock one).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         Self {
             clock,
@@ -538,11 +505,6 @@ impl Registry {
         self.trace.set_capacity(capacity);
     }
 
-    /// Current trace ring capacity.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace.capacity()
-    }
-
     /// All counters in sorted name order.
     pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().map(|(&n, c)| (n, c.get())).collect()
@@ -600,8 +562,26 @@ pub(crate) fn hot_path() -> &'static HotPath {
 mod tests {
     use super::*;
 
+    /// Deterministic test clock: time advances only when the test says so.
+    #[derive(Default)]
+    struct MockClock {
+        now: AtomicU64,
+    }
+
+    impl MockClock {
+        fn advance(&self, ns: u64) {
+            self.now.fetch_add(ns, Ordering::Relaxed);
+        }
+    }
+
+    impl Clock for MockClock {
+        fn now_ns(&self) -> u64 {
+            self.now.load(Ordering::Relaxed)
+        }
+    }
+
     fn mock_registry() -> (Arc<MockClock>, Registry) {
-        let clock = Arc::new(MockClock::new());
+        let clock = Arc::new(MockClock::default());
         let registry = Registry::with_clock(clock.clone());
         (clock, registry)
     }
@@ -775,7 +755,6 @@ mod tests {
             log.push(label);
         }
         log.set_capacity(2);
-        assert_eq!(log.capacity(), 2);
         let got: Vec<u64> = log.recent(10).iter().map(|e| e.seq).collect();
         assert_eq!(got, vec![2, 3]);
         log.set_capacity(0);

@@ -25,7 +25,9 @@
 //! Batches bypass the answer cache: every query of a `batch` line is
 //! resolved first (a bad one fails the whole line, naming it), then
 //! answered one by one through the same computation as an uncached
-//! `count`, so a batch answer is byte-equal to the single answer.
+//! `count`, so a batch answer is byte-equal to the single answer. A
+//! streaming batch holds the stream lock across its queries, so every
+//! answer of one line sees the same live view.
 //!
 //! ## Degradation
 //!
@@ -41,7 +43,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rp_table::CountQuery;
 
@@ -138,10 +140,6 @@ impl AnswerCache {
         if self.map.insert(key.clone(), answer).is_none() {
             self.order.push_back(key);
         }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// Drops every cached answer whose query satisfies `stale` — the
@@ -364,25 +362,6 @@ impl QueryService {
         }
     }
 
-    /// Whether the live stream behind this service is degraded (its WAL
-    /// poisoned after a failed write or fsync). Always `false` on a
-    /// static service.
-    pub fn is_degraded(&self) -> bool {
-        self.stream
-            .as_ref()
-            .is_some_and(|b| match b.publisher.lock() {
-                Ok(publisher) => publisher.degraded().is_some(),
-                // A lock poisoned by a panicking writer *is* a degraded
-                // stream: the WAL's true state is unknowable.
-                Err(_) => true,
-            })
-    }
-
-    /// Cached single-query answers currently held.
-    pub fn cached_answers(&self) -> usize {
-        self.cache_guard().len()
-    }
-
     /// Answers one raw request line from this release alone — no routing,
     /// no stage timing — counting it exactly like a routed line. Returns
     /// `None` for blank lines. Servers answer lines through
@@ -540,7 +519,7 @@ impl QueryService {
     fn publisher_guard<'a>(
         &self,
         backend: &'a StreamBackend,
-    ) -> Result<std::sync::MutexGuard<'a, StreamPublisher>, ProtocolError> {
+    ) -> Result<MutexGuard<'a, StreamPublisher>, ProtocolError> {
         backend.publisher.lock().map_err(|_| {
             self.stats.faults.fetch_add(1, Ordering::Relaxed);
             ProtocolError {
@@ -556,7 +535,7 @@ impl QueryService {
     /// transparent — it only ever re-serves answers the deterministic
     /// engine already computed — so poison is recovered by resetting to
     /// an empty cache and continuing, never by failing the request.
-    fn cache_guard(&self) -> std::sync::MutexGuard<'_, AnswerCache> {
+    fn cache_guard(&self) -> MutexGuard<'_, AnswerCache> {
         match self.cache.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -688,21 +667,28 @@ impl QueryService {
         })
     }
 
-    /// The base-release counts for a canonical query.
-    fn base_counts(&self, key: &CountQuery) -> Result<(u64, u64), ProtocolError> {
-        self.engine.counts(key).map_err(|e| ProtocolError {
-            code: ErrorCode::BadQuery,
-            message: e.to_string(),
-        })
+    /// Locks the live view for answering: the stream publisher on a
+    /// streaming service, `None` on a static one.
+    fn live_view(&self) -> Result<Option<MutexGuard<'_, StreamPublisher>>, ProtocolError> {
+        self.stream
+            .as_ref()
+            .map(|backend| self.publisher_guard(backend))
+            .transpose()
     }
 
     /// Answers one canonical query against the served view: base-release
-    /// counts (bitmap-indexed) plus, on a streaming service, the live
-    /// groups' counts, estimated over the union.
-    fn compute(&self, key: &CountQuery) -> Result<Answer, ProtocolError> {
-        let (mut support, mut observed) = self.base_counts(key)?;
-        if let Some(backend) = &self.stream {
-            let publisher = self.publisher_guard(backend)?;
+    /// counts (bitmap-indexed) plus, given the caller's locked `live`
+    /// view, the live groups' counts, estimated over the union.
+    fn compute(
+        &self,
+        key: &CountQuery,
+        live: Option<&StreamPublisher>,
+    ) -> Result<Answer, ProtocolError> {
+        let (mut support, mut observed) = self.engine.counts(key).map_err(|e| ProtocolError {
+            code: ErrorCode::BadQuery,
+            message: e.to_string(),
+        })?;
+        if let Some(publisher) = live {
             let (live_support, live_observed) = publisher.live_support_observed(key);
             support += live_support;
             observed += live_observed;
@@ -746,35 +732,17 @@ impl QueryService {
                 return Ok(WireAnswer::from(&hit));
             }
         }
-        let answer = match &self.stream {
-            None => {
-                // Static release: the engine is immutable, so computing
-                // and caching need no coordination.
-                let answer = self.compute(&key)?;
-                if self.cache_capacity > 0 {
-                    self.cache_miss(key, answer, session);
-                }
-                answer
-            }
-            Some(backend) => {
-                // Streaming: compute AND cache under the stream lock.
-                // Releasing it in between would race with a concurrent
-                // insert — its surgical invalidation could run before
-                // this (pre-insert) answer lands in the cache, leaving a
-                // stale entry behind. The insert path takes the locks in
-                // the same stream→cache order, so no deadlock.
-                let publisher = self.publisher_guard(backend)?;
-                let (mut support, mut observed) = self.base_counts(&key)?;
-                let (live_support, live_observed) = publisher.live_support_observed(&key);
-                support += live_support;
-                observed += live_observed;
-                let answer = self.engine.answer_from_counts(support, observed);
-                if self.cache_capacity > 0 {
-                    self.cache_miss(key, answer, session);
-                }
-                answer
-            }
-        };
+        // Streaming: compute AND cache under the stream lock. Releasing it
+        // in between would race with a concurrent insert — its surgical
+        // invalidation could run before this (pre-insert) answer lands in
+        // the cache, leaving a stale entry behind. The insert path takes
+        // the locks in the same stream→cache order, so no deadlock. A
+        // static release holds no lock: its engine is immutable.
+        let live = self.live_view()?;
+        let answer = self.compute(&key, live.as_deref())?;
+        if self.cache_capacity > 0 {
+            self.cache_miss(key, answer, session);
+        }
         Ok(WireAnswer::from(&answer))
     }
 
@@ -786,9 +754,13 @@ impl QueryService {
                 message: format!("query {}: {}", i + 1, e.message),
             })?);
         }
+        let live = self.live_view()?;
         resolved
             .iter()
-            .map(|q| self.compute(q).map(|a| WireAnswer::from(&a)))
+            .map(|q| {
+                self.compute(q, live.as_deref())
+                    .map(|a| WireAnswer::from(&a))
+            })
             .collect()
     }
 }
@@ -821,6 +793,13 @@ mod tests {
 
     fn query(line: &str) -> Request {
         Request::parse(line).unwrap().unwrap()
+    }
+
+    impl QueryService {
+        /// Cached single-query answers currently held.
+        pub(crate) fn cached_answers(&self) -> usize {
+            self.cache_guard().map.len()
+        }
     }
 
     #[test]
@@ -1163,7 +1142,6 @@ mod tests {
         };
         assert_eq!(code, ErrorCode::Degraded);
         assert!(message.contains("durable through event 0"), "{message}");
-        assert!(s.is_degraded());
         // Writes keep refusing — the fsync is never retried-and-acked...
         let r = s
             .handle_line("insert Job=eng Disease=flu", &mut session)

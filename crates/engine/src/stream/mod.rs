@@ -456,7 +456,7 @@ impl StreamPublisher {
         if let Some(l) = live_state {
             live.resume(l.wal_seq, l.inserted, l.republished, l.groups);
         }
-        // `open_append` validates the log's sequence coverage against
+        // `open_append_with` validates the log's sequence coverage against
         // `header.first_seq = covered + 1`: a log starting past it is
         // missing events, a log (even an empty one) whose next append
         // would rewind behind the snapshot is stale.

@@ -497,8 +497,8 @@ fn read_compact_section<R: BufRead>(
 }
 
 /// An open WAL accepting appends. Create with [`Wal::create`] (new file,
-/// header written) or [`Wal::open_append`] (existing file validated, torn
-/// tail truncated, positioned at the end).
+/// header written) or [`Wal::open_append_with`] (existing file validated,
+/// torn tail truncated, positioned at the end).
 #[derive(Debug)]
 pub struct Wal {
     writer: BufWriter<CheckedFile>,
@@ -516,7 +516,8 @@ impl Wal {
     /// crash right after a stream reports itself live can leave neither
     /// a torn header nor a missing directory entry. Refuses to overwrite
     /// an existing file — an existing log must be opened with
-    /// [`Wal::open_append`] so its history is validated, not clobbered.
+    /// [`Wal::open_append_with`] so its history is validated, not
+    /// clobbered.
     ///
     /// # Errors
     ///
@@ -557,7 +558,10 @@ impl Wal {
     /// with `expected.first_seq` (the caller's first uncovered event) —
     /// reads every complete event, truncates a torn final line, and
     /// positions writes at the end. Returns the log handle and the
-    /// parsed file (compaction section + events, for replay).
+    /// parsed file (compaction section + events, for replay). The opened
+    /// log's future writes and syncs consult `faults` before touching the
+    /// disk (the validating read is never faulted — reads are outside the
+    /// injection surface).
     ///
     /// # Errors
     ///
@@ -565,18 +569,6 @@ impl Wal {
     /// does not match the expected stream parameters, a log that starts
     /// after the expected sequence (events are missing), or a stale log
     /// whose next append would rewind the sequence.
-    pub fn open_append(path: &Path, expected: &WalHeader) -> Result<(Self, WalFile), StreamError> {
-        Self::open_append_with(path, expected, fault::passthrough())
-    }
-
-    /// [`Wal::open_append`] behind an injectable fault policy: the
-    /// opened log's future writes and syncs consult `faults` before
-    /// touching the disk (the validating read is never faulted — reads
-    /// are outside the injection surface).
-    ///
-    /// # Errors
-    ///
-    /// As [`Wal::open_append`].
     pub fn open_append_with(
         path: &Path,
         expected: &WalHeader,
@@ -879,7 +871,7 @@ mod tests {
         assert_eq!(file.events, events);
         assert!(file.compaction.is_none());
         // Reopen for append and continue the sequence.
-        let (mut wal, replayed) = Wal::open_append(&path, &h).unwrap();
+        let (mut wal, replayed) = Wal::open_append_with(&path, &h, fault::passthrough()).unwrap();
         assert_eq!(replayed.events, events);
         assert_eq!(wal.next_seq(), 4);
         wal.append(&WalEvent::Insert {
@@ -911,7 +903,7 @@ mod tests {
         }
         let events = read_wal(&path).unwrap().events;
         assert_eq!(events.len(), 1, "torn line must not replay");
-        let (mut wal, replayed) = Wal::open_append(&path, &h).unwrap();
+        let (mut wal, replayed) = Wal::open_append_with(&path, &h, fault::passthrough()).unwrap();
         assert_eq!(replayed.events.len(), 1);
         assert_eq!(wal.next_seq(), 2);
         wal.append(&WalEvent::Insert {
@@ -951,7 +943,7 @@ mod tests {
         let path2 = tmp("mismatch.rpwal");
         let _ = std::fs::remove_file(&path2);
         Wal::create(&path2, &h).unwrap();
-        let err = Wal::open_append(&path2, &other).unwrap_err();
+        let err = Wal::open_append_with(&path2, &other, fault::passthrough()).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
@@ -1022,7 +1014,7 @@ mod tests {
             vec![4, 5]
         );
         // Appending resumes past everything the log covers.
-        let (wal, _) = Wal::open_append(&out, &h).unwrap();
+        let (wal, _) = Wal::open_append_with(&out, &h, fault::passthrough()).unwrap();
         assert_eq!(wal.next_seq(), 6);
     }
 
@@ -1048,7 +1040,7 @@ mod tests {
         let file = read_wal(&path).unwrap();
         assert!(file.compaction.is_some());
         assert_eq!(file.events.len(), 2);
-        let (wal, _) = Wal::open_append(&path, &h).unwrap();
+        let (wal, _) = Wal::open_append_with(&path, &h, fault::passthrough()).unwrap();
         assert_eq!(wal.next_seq(), 6);
     }
 

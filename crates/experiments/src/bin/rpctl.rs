@@ -764,12 +764,12 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             None => catalog.open_path(name, Path::new(path), config),
         }
         .map_err(|e| e.to_string())?;
-        let lease = catalog.checkout(name).map_err(|e| e.to_string())?;
-        warn_non_token_columns(&lease);
-        let (sa, records, groups, _) = lease.release_summary();
+        let service = catalog.checkout(name).map_err(|e| e.to_string())?;
+        warn_non_token_columns(&service);
+        let (sa, records, groups, _) = service.release_summary();
         eprintln!(
             "release {name}: {records} records in {groups} groups (sa = {sa}{}){}",
-            if lease.is_streaming() { ", live" } else { "" },
+            if service.is_streaming() { ", live" } else { "" },
             if i == 0 { " [default]" } else { "" }
         );
     }
