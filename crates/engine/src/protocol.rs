@@ -23,13 +23,12 @@
 //!           | "pong" | "bye"
 //!           | "publication sa=" NAME " records=" N " groups=" N " p=" P
 //!             [" lambda=" L " delta=" D " seed=" S]
-//!           | "est=" E " support=" N " observed=" N " f=" F
-//!             [" ci95=" LO "," HI]
-//!           | "batch " N "; " answer ("; " answer)*
+//!           | answer
+//!           | "batch " N ("; " answer)*              (N answers)
 //!           | "inserted group_size=" N " republished=" ("true"|"false")
 //!           | "flushed events=" N
 //!           | "using release=" RELEASE " sa=" NAME " records=" N " groups=" N " p=" P
-//!           | "releases " N "; " entry ("; " entry)*
+//!           | "releases " N ("; " entry)*            (N entries)
 //!             entry := "name=" RELEASE " sa=" NAME " records=" N " groups=" N
 //!                      " live=" ("true"|"false")
 //!           | "reloaded release=" RELEASE " records=" N " groups=" N
@@ -40,6 +39,7 @@
 //!             (" h:" NAME "=" COUNT ":" P50 ":" P90 ":" P99 ":" MAX ":" MEAN)*
 //!           | "trace n=" N (" seq=" N " label=" LABEL)*
 //!           | "error code=" CODE " " MESSAGE
+//! answer   := "est=" E " support=" N " observed=" N " f=" F [" ci95=" LO "," HI]
 //! ```
 //!
 //! `insert` and `flush` are the streaming pair (rp/2): they mutate the
@@ -80,15 +80,26 @@
 //! cannot be framed on this line protocol: a schema whose SA column name
 //! is not a token produces an unparseable `HELLO` banner, and such
 //! values cannot be queried over the wire (use [`is_token`] to check;
-//! `rpctl serve` warns about non-token schemas at startup). The parser
-//! additionally accepts
+//! `rpctl serve` warns about non-token schemas at startup). The request
+//! parser additionally accepts
 //! a few human conveniences — the optional `count` verb, the `exit` alias
 //! for `quit`, surrounding whitespace — which normalize into the same
 //! typed values. Errors are structured: every failure carries an
 //! [`ErrorCode`] so clients can distinguish a malformed line from an
 //! invalid query without string matching.
+//!
+//! Each response line is declared once and both directions are driven
+//! from that declaration: a private `Wire` trait says how a scalar rides
+//! (` key=value`), how a record rides (its fields in wire order, declared
+//! by `record!`) and how an optional tail rides (absent at the end of the
+//! line), and one table (`keyed_lines!`) lists the lines that are a head
+//! followed by keyed parts. The response parser reads exactly the
+//! declared tokens and then requires the end of the line, so it accepts
+//! only canonical lines and never reserves memory for an untrusted count.
 
 use std::fmt;
+use std::iter::Peekable;
+use std::str::SplitWhitespace;
 
 use crate::codec::canon_f64;
 
@@ -123,62 +134,57 @@ pub fn is_release_name(s: &str) -> bool {
     is_token(s) && !s.contains('@')
 }
 
-/// Machine-readable failure classes carried by [`Response::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorCode {
+/// Declares [`ErrorCode`] from one table of variants and wire tokens.
+macro_rules! error_codes {
+    ($($(#[$doc:meta])* $variant:ident = $token:literal,)*) => {
+        /// Machine-readable failure classes carried by [`Response::Error`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl ErrorCode {
+            /// The wire token of this code.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $token,)*
+                }
+            }
+
+            /// Parses a wire token back into a code.
+            fn from_str_token(s: &str) -> Option<Self> {
+                match s {
+                    $($token => Some(ErrorCode::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
     /// The request line did not parse (bad token, empty batch, ...).
-    Parse,
+    Parse = "parse",
     /// The first token is neither a known verb nor a `Column=value` pair.
-    UnknownCommand,
+    UnknownCommand = "unknown-command",
     /// The request parsed but the query failed engine validation
     /// (unknown column or value, missing or duplicate SA condition).
-    BadQuery,
+    BadQuery = "bad-query",
     /// The server refused the connection at its concurrency cap.
-    Busy,
+    Busy = "busy",
     /// The service failed internally; the session stays up.
-    Internal,
+    Internal = "internal",
     /// An `insert`/`flush` reached a service without a live stream
     /// behind it (static artifact, no WAL).
-    ReadOnly,
+    ReadOnly = "read-only",
     /// A catalog verb named a release the server does not host — or
     /// reached a single-release server with no catalog at all.
-    UnknownRelease,
+    UnknownRelease = "unknown-release",
     /// An `insert`/`flush` reached a live release whose WAL poisoned
     /// after a failed write or fsync: the release is read-only until it
     /// is reloaded from disk. The message reports the durable sequence
     /// number — everything past it should be considered lost.
-    Degraded,
-}
-
-impl ErrorCode {
-    /// The wire token of this code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Parse => "parse",
-            ErrorCode::UnknownCommand => "unknown-command",
-            ErrorCode::BadQuery => "bad-query",
-            ErrorCode::Busy => "busy",
-            ErrorCode::Internal => "internal",
-            ErrorCode::ReadOnly => "read-only",
-            ErrorCode::UnknownRelease => "unknown-release",
-            ErrorCode::Degraded => "degraded",
-        }
-    }
-
-    /// Parses a wire token back into a code.
-    pub fn from_str_token(s: &str) -> Option<Self> {
-        Some(match s {
-            "parse" => ErrorCode::Parse,
-            "unknown-command" => ErrorCode::UnknownCommand,
-            "bad-query" => ErrorCode::BadQuery,
-            "busy" => ErrorCode::Busy,
-            "internal" => ErrorCode::Internal,
-            "read-only" => ErrorCode::ReadOnly,
-            "unknown-release" => ErrorCode::UnknownRelease,
-            "degraded" => ErrorCode::Degraded,
-            _ => return None,
-        })
-    }
+    Degraded = "degraded",
 }
 
 impl fmt::Display for ErrorCode {
@@ -214,6 +220,11 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// A malformed line: an [`ErrorCode::Parse`] failure.
+fn bad(message: impl Into<String>) -> ProtocolError {
+    ProtocolError::new(ErrorCode::Parse, message)
+}
+
 /// One count query as it appears on the wire: unresolved
 /// `(column, value)` string conditions. Resolution against the release
 /// schema (and the SA split) happens in the service layer.
@@ -234,40 +245,21 @@ impl WireQuery {
         }
     }
 
-    fn encode_into(&self, out: &mut String) {
-        out.push_str("count");
-        for (col, value) in &self.conditions {
-            out.push(' ');
-            out.push_str(col);
-            out.push('=');
-            out.push_str(value);
-        }
-    }
-
     /// Parses the body of a query (the `count` verb already stripped if
     /// present). At least one condition is required.
     fn parse_body(body: &str) -> Result<Self, ProtocolError> {
         let mut conditions = Vec::new();
         for token in body.split_whitespace() {
-            let (col, value) = token.split_once('=').ok_or_else(|| {
-                ProtocolError::new(
-                    ErrorCode::Parse,
-                    format!("expected Column=value, got `{token}`"),
-                )
-            })?;
+            let (col, value) = token
+                .split_once('=')
+                .ok_or_else(|| bad(format!("expected Column=value, got `{token}`")))?;
             if col.is_empty() || value.is_empty() {
-                return Err(ProtocolError::new(
-                    ErrorCode::Parse,
-                    format!("empty column or value in `{token}`"),
-                ));
+                return Err(bad(format!("empty column or value in `{token}`")));
             }
             conditions.push((col.to_string(), value.to_string()));
         }
         if conditions.is_empty() {
-            return Err(ProtocolError::new(
-                ErrorCode::Parse,
-                "empty query; try `count Column=value ... SA=value`",
-            ));
+            return Err(bad("empty query; try `count Column=value ... SA=value`"));
         }
         Ok(Self { conditions })
     }
@@ -292,15 +284,13 @@ impl WireRecord {
                 .collect(),
         }
     }
+}
 
-    fn encode_into(&self, out: &mut String) {
-        out.push_str("insert");
-        for (col, value) in &self.fields {
-            out.push(' ');
-            out.push_str(col);
-            out.push('=');
-            out.push_str(value);
-        }
+/// Appends `verb` followed by ` column=value` per pair.
+fn put_pairs(out: &mut String, verb: &str, pairs: &[(String, String)]) {
+    out.push_str(verb);
+    for (col, value) in pairs {
+        put(out, format_args!(" {col}={value}"));
     }
 }
 
@@ -351,6 +341,40 @@ pub enum Request {
     },
 }
 
+/// Declares the argument-less request verbs, one row each: the wire verb
+/// and its variant.
+macro_rules! bare_verbs {
+    ($($verb:literal => $variant:ident,)*) => {
+        impl Request {
+            /// The wire verb of an argument-less request.
+            fn bare_verb(&self) -> Option<&'static str> {
+                match self {
+                    $(Request::$variant => Some($verb),)*
+                    _ => None,
+                }
+            }
+
+            /// The argument-less request named by `verb`.
+            fn from_bare_verb(verb: &str) -> Option<Self> {
+                match verb {
+                    $($verb => Some(Request::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+bare_verbs! {
+    "ping" => Ping,
+    "quit" => Quit,
+    "info" => Info,
+    "stats" => Stats,
+    "metrics" => Metrics,
+    "flush" => Flush,
+    "releases" => Releases,
+}
+
 impl Request {
     /// Encodes the canonical line for this request (no trailing newline).
     ///
@@ -362,38 +386,25 @@ impl Request {
     pub fn encode(&self) -> String {
         let mut out = String::new();
         match self {
-            Request::Query(q) => q.encode_into(&mut out),
+            Request::Query(q) => put_pairs(&mut out, "count", &q.conditions),
             Request::Batch(queries) => {
                 out.push_str("batch ");
                 for (i, q) in queries.iter().enumerate() {
                     if i > 0 {
                         out.push_str("; ");
                     }
-                    q.encode_into(&mut out);
+                    put_pairs(&mut out, "count", &q.conditions);
                 }
             }
-            Request::Insert(record) => record.encode_into(&mut out),
-            Request::Flush => out.push_str("flush"),
-            Request::Info => out.push_str("info"),
-            Request::Stats => out.push_str("stats"),
-            Request::Metrics => out.push_str("metrics"),
+            Request::Insert(record) => put_pairs(&mut out, "insert", &record.fields),
             Request::Trace(n) => {
                 out.push_str("trace");
                 if let Some(n) = n {
                     put(&mut out, format_args!(" {n}"));
                 }
             }
-            Request::Ping => out.push_str("ping"),
-            Request::Quit => out.push_str("quit"),
-            Request::Use(release) => {
-                out.push_str("use ");
-                out.push_str(release);
-            }
-            Request::Releases => out.push_str("releases"),
-            Request::Reload(release) => {
-                out.push_str("reload ");
-                out.push_str(release);
-            }
+            Request::Use(release) => put(&mut out, format_args!("use {release}")),
+            Request::Reload(release) => put(&mut out, format_args!("reload {release}")),
             Request::At { release, inner } => {
                 // Splice `@release` onto the inner verb token: `count
                 // Job=eng` becomes `count@alpha Job=eng`. Inner variants
@@ -401,47 +412,13 @@ impl Request {
                 // lines, like other unencodable values.
                 let line = inner.encode();
                 match line.split_once(' ') {
-                    Some((verb, rest)) => {
-                        out.push_str(verb);
-                        out.push('@');
-                        out.push_str(release);
-                        out.push(' ');
-                        out.push_str(rest);
-                    }
-                    None => {
-                        out.push_str(&line);
-                        out.push('@');
-                        out.push_str(release);
-                    }
+                    Some((verb, rest)) => put(&mut out, format_args!("{verb}@{release} {rest}")),
+                    None => put(&mut out, format_args!("{line}@{release}")),
                 }
             }
+            bare => out.push_str(bare.bare_verb().unwrap_or_default()),
         }
         out
-    }
-
-    fn parse_insert_body(rest: &str) -> Result<Self, ProtocolError> {
-        if rest.trim().is_empty() {
-            return Err(ProtocolError::new(
-                ErrorCode::Parse,
-                "empty record; try `insert Column=value ...` covering every column",
-            ));
-        }
-        Ok(Request::Insert(WireRecord {
-            fields: WireQuery::parse_body(rest)?.conditions,
-        }))
-    }
-
-    fn parse_batch_body(rest: &str) -> Result<Self, ProtocolError> {
-        if rest.trim().is_empty() {
-            return Err(ProtocolError::new(ErrorCode::Parse, "empty batch"));
-        }
-        let mut queries = Vec::new();
-        for part in rest.split(';') {
-            let part = part.trim();
-            let body = part.strip_prefix("count ").unwrap_or(part);
-            queries.push(WireQuery::parse_body(body)?);
-        }
-        Ok(Request::Batch(queries))
     }
 
     /// Parses one request line. Returns `Ok(None)` for blank lines (the
@@ -468,94 +445,202 @@ impl Request {
         };
         // `verb@release` qualifier (rp/3). A `=` before the `@` means the
         // token is really a condition like `Job=a@b`; fall through.
-        if let Some((base, release)) = verb.split_once('@') {
-            if !base.contains('=') {
-                if !is_release_name(release) {
-                    return Err(ProtocolError::new(
-                        ErrorCode::Parse,
-                        format!("bad release name `{release}` in `{verb}`"),
-                    ));
-                }
-                let inner = match base {
-                    "count" => Request::Query(WireQuery::parse_body(rest)?),
-                    "batch" => Request::parse_batch_body(rest)?,
-                    "insert" => Request::parse_insert_body(rest)?,
-                    "flush" | "info" => {
-                        if !rest.is_empty() {
-                            return Err(ProtocolError::new(
-                                ErrorCode::Parse,
-                                format!("`{base}@{release}` takes no arguments"),
-                            ));
-                        }
-                        if base == "flush" {
-                            Request::Flush
-                        } else {
-                            Request::Info
-                        }
-                    }
-                    _ => {
-                        return Err(ProtocolError::new(
-                            ErrorCode::UnknownCommand,
-                            format!(
-                                "unknown qualified command `{base}`; only count/batch/insert/flush/info take @{release}"
-                            ),
-                        ));
-                    }
-                };
-                return Ok(Some(Request::At {
-                    release: release.to_string(),
-                    inner: Box::new(inner),
-                }));
-            }
-        }
-        let no_args = |req: Request| {
-            if rest.is_empty() {
-                Ok(Some(req))
-            } else {
-                Err(ProtocolError::new(
-                    ErrorCode::Parse,
-                    format!("`{verb}` takes no arguments"),
-                ))
-            }
+        let qualified = verb.split_once('@').filter(|(base, _)| !base.contains('='));
+        let Some((base, release)) = qualified else {
+            return Self::parse_verb(verb, verb, rest, line).map(Some);
         };
+        if !is_release_name(release) {
+            return Err(bad(format!("bad release name `{release}` in `{verb}`")));
+        }
+        if !matches!(base, "count" | "batch" | "insert" | "flush" | "info") {
+            return Err(ProtocolError::new(
+                ErrorCode::UnknownCommand,
+                format!(
+                    "unknown qualified command `{base}`; only count/batch/insert/flush/info take @{release}"
+                ),
+            ));
+        }
+        Ok(Some(Request::At {
+            release: release.to_string(),
+            inner: Box::new(Self::parse_verb(verb, base, rest, line)?),
+        }))
+    }
+
+    /// Parses the request named by `base` (the verb token `verb` without
+    /// its `@release` qualifier) with arguments `rest`; messages quote
+    /// the whole token.
+    fn parse_verb(verb: &str, base: &str, rest: &str, line: &str) -> Result<Self, ProtocolError> {
+        let base = if base == "exit" { "quit" } else { base };
+        if let Some(request) = Self::from_bare_verb(base) {
+            if !rest.is_empty() {
+                return Err(bad(format!("`{verb}` takes no arguments")));
+            }
+            return Ok(request);
+        }
         let release_arg = || {
             if !is_release_name(rest) {
-                return Err(ProtocolError::new(
-                    ErrorCode::Parse,
-                    format!("`{verb}` expects one release name, got `{rest}`"),
-                ));
+                return Err(bad(format!(
+                    "`{verb}` expects one release name, got `{rest}`"
+                )));
             }
             Ok(rest.to_string())
         };
-        match verb {
-            "quit" | "exit" => no_args(Request::Quit),
-            "ping" => no_args(Request::Ping),
-            "info" => no_args(Request::Info),
-            "stats" => no_args(Request::Stats),
-            "metrics" => no_args(Request::Metrics),
-            "trace" => {
-                if rest.is_empty() {
-                    Ok(Some(Request::Trace(None)))
-                } else {
-                    Ok(Some(Request::Trace(Some(parse_u64(rest)?))))
-                }
+        Ok(match base {
+            "trace" if rest.is_empty() => Request::Trace(None),
+            "trace" => Request::Trace(Some(parse_u64(rest)?)),
+            "use" => Request::Use(release_arg()?),
+            "reload" => Request::Reload(release_arg()?),
+            "count" => Request::Query(WireQuery::parse_body(rest)?),
+            "insert" if rest.is_empty() => {
+                return Err(bad(
+                    "empty record; try `insert Column=value ...` covering every column",
+                ));
             }
-            "flush" => no_args(Request::Flush),
-            "releases" => no_args(Request::Releases),
-            "use" => Ok(Some(Request::Use(release_arg()?))),
-            "reload" => Ok(Some(Request::Reload(release_arg()?))),
-            "count" => Ok(Some(Request::Query(WireQuery::parse_body(rest)?))),
-            "insert" => Ok(Some(Request::parse_insert_body(rest)?)),
-            "batch" => Ok(Some(Request::parse_batch_body(rest)?)),
-            _ if verb.contains('=') => Ok(Some(Request::Query(WireQuery::parse_body(line)?))),
-            _ => Err(ProtocolError::new(
-                ErrorCode::UnknownCommand,
-                format!(
-                    "unknown command `{verb}`; try count/batch/insert/flush/info/stats/metrics/trace/ping/quit/use/releases/reload"
-                ),
-            )),
+            "insert" => Request::Insert(WireRecord {
+                fields: WireQuery::parse_body(rest)?.conditions,
+            }),
+            "batch" if rest.is_empty() => return Err(bad("empty batch")),
+            "batch" => Request::Batch(
+                rest.split(';')
+                    .map(|part| {
+                        let part = part.trim();
+                        WireQuery::parse_body(part.strip_prefix("count ").unwrap_or(part))
+                    })
+                    .collect::<Result<_, _>>()?,
+            ),
+            _ if verb.contains('=') => Request::Query(WireQuery::parse_body(line)?),
+            _ => {
+                return Err(ProtocolError::new(
+                    ErrorCode::UnknownCommand,
+                    format!(
+                        "unknown command `{verb}`; try count/batch/insert/flush/info/stats/metrics/trace/ping/quit/use/releases/reload"
+                    ),
+                ));
+            }
+        })
+    }
+}
+
+/// A value riding a response line, described once for both directions:
+/// a scalar is one ` key=value` token, a record is its fields in wire
+/// order (see `record!`), and an `Option` is a tail that is absent at the
+/// end of the line.
+trait Wire: Sized {
+    /// Appends the value under `key` (a record ignores the key).
+    fn put(&self, key: &str, out: &mut String);
+
+    /// Reads back what [`Wire::put`] wrote under `key`.
+    fn take(key: &str, r: &mut Reader<'_>) -> Result<Self, ProtocolError>;
+}
+
+/// The whitespace-separated tokens of one response line (or one `;`
+/// part of it), read in declared order.
+struct Reader<'a>(Peekable<SplitWhitespace<'a>>);
+
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Self {
+        Reader(s.split_whitespace().peekable())
+    }
+
+    /// The value of the next token, which must be `key=value`.
+    fn value(&mut self, key: &str) -> Result<&'a str, ProtocolError> {
+        let token = self
+            .0
+            .next()
+            .ok_or_else(|| bad(format!("missing {key}=")))?;
+        token
+            .strip_prefix(key)
+            .and_then(|r| r.strip_prefix('='))
+            .ok_or_else(|| bad(format!("expected {key}=..., got `{token}`")))
+    }
+
+    /// Requires that every token was read.
+    fn end(mut self) -> Result<(), ProtocolError> {
+        match self.0.next() {
+            None => Ok(()),
+            Some(token) => Err(bad(format!("unexpected trailing token `{token}`"))),
         }
     }
+}
+
+/// Reads exactly one `T` from `s`: its declared tokens, then the end.
+fn read<T: Wire>(s: &str) -> Result<T, ProtocolError> {
+    let mut r = Reader::new(s);
+    let value = T::take("", &mut r)?;
+    r.end().map(|()| value)
+}
+
+/// Implements [`Wire`] for scalars: `|v| show` renders the value after
+/// `key=` and `|s| read` parses it back.
+macro_rules! scalar {
+    ($($ty:ty: |$v:ident| $show:expr, |$s:ident| $read:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, key: &str, out: &mut String) {
+                let $v = self;
+                out.push(' ');
+                out.push_str(key);
+                out.push('=');
+                put(out, format_args!("{}", $show));
+            }
+
+            fn take(key: &str, r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+                let $s = r.value(key)?;
+                $read
+            }
+        }
+    )*};
+}
+
+scalar! {
+    u64: |v| v, |s| parse_u64(s);
+    bool: |v| v, |s| s.parse().map_err(|_| bad(format!("bad flag `{s}`")));
+    String: |v| v, |s| Ok(s.to_string());
+    f64: |v| canon_f64(*v), |s| parse_f64(s);
+    (f64, f64): |v| format_args!("{},{}", canon_f64(v.0), canon_f64(v.1)), |s| {
+        let (lo, hi) = s.split_once(',').ok_or_else(|| bad(format!("expected lo,hi, got `{s}`")))?;
+        Ok((parse_f64(lo)?, parse_f64(hi)?))
+    };
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, key: &str, out: &mut String) {
+        if let Some(v) = self {
+            v.put(key, out);
+        }
+    }
+
+    fn take(key: &str, r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+        if r.0.peek().is_none() {
+            return Ok(None);
+        }
+        T::take(key, r).map(Some)
+    }
+}
+
+/// The first of its token trees: an explicit key or binding when one is
+/// given, else the default that follows it.
+macro_rules! first {
+    ($first:tt $($rest:tt)*) => {
+        $first
+    };
+}
+
+/// Implements [`Wire`] for a struct riding as its fields in wire order,
+/// each keyed by its name or by its `as "key"`.
+macro_rules! record {
+    ($ty:ident { $($field:ident $(as $key:literal)?),* }) => {
+        impl Wire for $ty {
+            fn put(&self, _: &str, out: &mut String) {
+                $(self.$field.put(first!($($key)? (stringify!($field))), out);)*
+            }
+
+            fn take(_: &str, r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+                Ok($ty {
+                    $($field: Wire::take(first!($($key)? (stringify!($field))), r)?,)*
+                })
+            }
+        }
+    };
 }
 
 /// One answered query as encoded on the wire. Mirrors
@@ -575,6 +660,8 @@ pub struct WireAnswer {
     pub ci: Option<(f64, f64)>,
 }
 
+record! { WireAnswer { estimate as "est", support, observed, frequency as "f", ci as "ci95" } }
+
 impl From<&crate::Answer> for WireAnswer {
     fn from(a: &crate::Answer) -> Self {
         Self {
@@ -584,61 +671,6 @@ impl From<&crate::Answer> for WireAnswer {
             frequency: a.frequency,
             ci: a.ci.map(|ci| (ci.lo, ci.hi)),
         }
-    }
-}
-
-impl WireAnswer {
-    fn encode_into(&self, out: &mut String) {
-        put(
-            out,
-            format_args!(
-                "est={} support={} observed={} f={}",
-                canon_f64(self.estimate),
-                self.support,
-                self.observed,
-                canon_f64(self.frequency)
-            ),
-        );
-        if let Some((lo, hi)) = self.ci {
-            put(
-                out,
-                format_args!(" ci95={},{}", canon_f64(lo), canon_f64(hi)),
-            );
-        }
-    }
-
-    fn parse_body(part: &str) -> Result<Self, ProtocolError> {
-        let bad = |msg: &str| ProtocolError::new(ErrorCode::Parse, format!("answer: {msg}"));
-        let mut estimate = None;
-        let mut support = None;
-        let mut observed = None;
-        let mut frequency = None;
-        let mut ci = None;
-        for token in part.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| bad(&format!("expected key=value, got `{token}`")))?;
-            match key {
-                "est" => estimate = Some(parse_f64(value)?),
-                "support" => support = Some(parse_u64(value)?),
-                "observed" => observed = Some(parse_u64(value)?),
-                "f" => frequency = Some(parse_f64(value)?),
-                "ci95" => {
-                    let (lo, hi) = value
-                        .split_once(',')
-                        .ok_or_else(|| bad("ci95 expects lo,hi"))?;
-                    ci = Some((parse_f64(lo)?, parse_f64(hi)?));
-                }
-                _ => return Err(bad(&format!("unknown field `{key}`"))),
-            }
-        }
-        Ok(Self {
-            estimate: estimate.ok_or_else(|| bad("missing est"))?,
-            support: support.ok_or_else(|| bad("missing support"))?,
-            observed: observed.ok_or_else(|| bad("missing observed"))?,
-            frequency: frequency.ok_or_else(|| bad("missing f"))?,
-            ci,
-        })
     }
 }
 
@@ -655,6 +687,8 @@ pub struct ReleaseMeta {
     pub seed: u64,
 }
 
+record! { ReleaseMeta { lambda, delta, seed } }
+
 /// One catalog release as listed by [`Response::Releases`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReleaseEntry {
@@ -670,6 +704,8 @@ pub struct ReleaseEntry {
     /// `insert`/`flush`).
     pub live: bool,
 }
+
+record! { ReleaseEntry { name, sa, records, groups, live } }
 
 /// Aggregate service counters reported by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -694,6 +730,12 @@ pub struct StatsSnapshot {
     /// Storage faults observed by the service: every degradation plus
     /// internal I/O errors on insert/flush/checkpoint paths.
     pub faults: u64,
+}
+
+record! {
+    StatsSnapshot {
+        requests, answered, errors, cache_hits, cache_misses, sessions, inserts, degraded, faults
+    }
 }
 
 /// One histogram summary as rendered by [`Response::Metrics`]:
@@ -727,6 +769,8 @@ pub struct WireTraceEvent {
     /// The sanitized event label, e.g. `session.open`.
     pub label: String,
 }
+
+record! { WireTraceEvent { seq, label } }
 
 /// One server response.
 #[derive(Debug, Clone, PartialEq)]
@@ -839,28 +883,11 @@ pub enum Response {
 }
 
 fn parse_f64(s: &str) -> Result<f64, ProtocolError> {
-    s.parse()
-        .map_err(|_| ProtocolError::new(ErrorCode::Parse, format!("bad float `{s}`")))
+    s.parse().map_err(|_| bad(format!("bad float `{s}`")))
 }
 
 fn parse_u64(s: &str) -> Result<u64, ProtocolError> {
-    s.parse()
-        .map_err(|_| ProtocolError::new(ErrorCode::Parse, format!("bad integer `{s}`")))
-}
-
-/// Splits `key=value` asserting the expected key.
-fn expect_kv<'a>(token: Option<&'a str>, key: &str) -> Result<&'a str, ProtocolError> {
-    let token =
-        token.ok_or_else(|| ProtocolError::new(ErrorCode::Parse, format!("missing {key}=")))?;
-    token
-        .strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| {
-            ProtocolError::new(
-                ErrorCode::Parse,
-                format!("expected {key}=..., got `{token}`"),
-            )
-        })
+    s.parse().map_err(|_| bad(format!("bad integer `{s}`")))
 }
 
 /// Appends formatted text to a response buffer. Every encoder routes
@@ -872,10 +899,82 @@ fn put(out: &mut String, args: fmt::Arguments<'_>) {
     out.write_fmt(args).expect("infallible String write");
 }
 
+/// Encodes a counted list: `head N`, then `; item` per item.
+fn put_list<T: Wire>(out: &mut String, head: &str, items: &[T]) {
+    put(out, format_args!("{head} {}", items.len()));
+    for item in items {
+        out.push(';');
+        item.put("", out);
+    }
+}
+
+/// Parses what [`put_list`] wrote after `head`.
+fn take_list<T: Wire>(head: &str, rest: &str) -> Result<Vec<T>, ProtocolError> {
+    let mut parts = rest.split(';');
+    let count: usize = parts
+        .next()
+        .and_then(|n| n.trim().parse().ok())
+        .ok_or_else(|| bad(format!("{head} response needs a count")))?;
+    let items: Vec<T> = parts.map(read).collect::<Result<_, _>>()?;
+    if items.len() != count {
+        let found = items.len();
+        return Err(bad(format!(
+            "{head} count {count} does not match {found} items"
+        )));
+    }
+    Ok(items)
+}
+
+/// Declares the response lines that are a head followed by keyed parts,
+/// one row each: the head, then the variant's fields in wire order (a
+/// tuple variant binds its record as `0: name`).
+macro_rules! keyed_lines {
+    ($($head:literal => $variant:ident { $($field:tt $(: $bind:ident)?),* },)*) => {
+        impl Response {
+            /// Encodes a keyed line; any other variant appends nothing.
+            fn put_keyed(&self, out: &mut String) {
+                match self {
+                    $(Response::$variant { $($field: first!($($bind)? $field)),* } => {
+                        out.push_str($head);
+                        $(first!($($bind)? $field).put(stringify!($field), out);)*
+                    })*
+                    _ => {}
+                }
+            }
+
+            /// Parses the keyed line opened by `head` (`None` for any
+            /// other head).
+            fn take_keyed(head: &str, rest: &str) -> Result<Option<Self>, ProtocolError> {
+                let mut r = Reader::new(rest);
+                let response = match head {
+                    $($head => Response::$variant {
+                        $($field: Wire::take(stringify!($field), &mut r)?,)*
+                    },)*
+                    _ => return Ok(None),
+                };
+                r.end().map(|()| Some(response))
+            }
+        }
+    };
+}
+
+keyed_lines! {
+    "publication" => Info { sa, records, groups, p, release },
+    "inserted" => Inserted { group_size, republished },
+    "flushed" => Flushed { events },
+    "using" => Using { release, sa, records, groups, p },
+    "reloaded" => Reloaded { release, records, groups },
+    "stats" => Stats { 0: stats },
+    "pong" => Pong {},
+    "bye" => Bye {},
+}
+
 impl Response {
     /// Encodes the canonical line for this response (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        // Room for every fixed-shape line: one allocation, as many small
+        // appends as the line has fields.
+        let mut out = String::with_capacity(128);
         match self {
             Response::Hello {
                 version,
@@ -885,121 +984,25 @@ impl Response {
                 p,
                 release,
             } => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "HELLO rp/{version} sa={sa} records={records} groups={groups} p={}",
-                        canon_f64(*p)
-                    ),
-                );
-                if let Some(release) = release {
-                    put(&mut out, format_args!(" release={release}"));
-                }
+                put(&mut out, format_args!("HELLO rp/{version}"));
+                sa.put("sa", &mut out);
+                records.put("records", &mut out);
+                groups.put("groups", &mut out);
+                p.put("p", &mut out);
+                release.put("release", &mut out);
             }
-            Response::Answer(a) => a.encode_into(&mut out),
-            Response::Batch(answers) => {
-                put(&mut out, format_args!("batch {}", answers.len()));
-                for a in answers {
-                    out.push_str("; ");
-                    a.encode_into(&mut out);
-                }
+            Response::Answer(a) => {
+                a.put("", &mut out);
+                out.remove(0); // the answer opens its line: no separator
             }
-            Response::Info {
-                sa,
-                records,
-                groups,
-                p,
-                release,
-            } => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "publication sa={sa} records={records} groups={groups} p={}",
-                        canon_f64(*p)
-                    ),
-                );
-                if let Some(meta) = release {
-                    put(
-                        &mut out,
-                        format_args!(
-                            " lambda={} delta={} seed={}",
-                            canon_f64(meta.lambda),
-                            canon_f64(meta.delta),
-                            meta.seed
-                        ),
-                    );
-                }
-            }
-            Response::Inserted {
-                group_size,
-                republished,
-            } => {
-                put(
-                    &mut out,
-                    format_args!("inserted group_size={group_size} republished={republished}"),
-                );
-            }
-            Response::Flushed { events } => {
-                put(&mut out, format_args!("flushed events={events}"));
-            }
-            Response::Using {
-                release,
-                sa,
-                records,
-                groups,
-                p,
-            } => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "using release={release} sa={sa} records={records} groups={groups} p={}",
-                        canon_f64(*p)
-                    ),
-                );
-            }
-            Response::Releases(entries) => {
-                put(&mut out, format_args!("releases {}", entries.len()));
-                for e in entries {
-                    put(
-                        &mut out,
-                        format_args!(
-                            "; name={} sa={} records={} groups={} live={}",
-                            e.name, e.sa, e.records, e.groups, e.live
-                        ),
-                    );
-                }
-            }
-            Response::Reloaded {
-                release,
-                records,
-                groups,
-            } => {
-                put(
-                    &mut out,
-                    format_args!("reloaded release={release} records={records} groups={groups}"),
-                );
-            }
-            Response::Stats(s) => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "stats requests={} answered={} errors={} cache_hits={} cache_misses={} sessions={} inserts={} degraded={} faults={}",
-                        s.requests, s.answered, s.errors, s.cache_hits, s.cache_misses, s.sessions, s.inserts, s.degraded, s.faults
-                    ),
-                );
-            }
+            Response::Batch(answers) => put_list(&mut out, "batch", answers),
+            Response::Releases(entries) => put_list(&mut out, "releases", entries),
             Response::Metrics {
                 counters,
                 histograms,
             } => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "metrics counters={} hists={}",
-                        counters.len(),
-                        histograms.len()
-                    ),
-                );
+                let (nc, nh) = (counters.len(), histograms.len());
+                put(&mut out, format_args!("metrics counters={nc} hists={nh}"));
                 for (name, value) in counters {
                     put(&mut out, format_args!(" c:{name}={value}"));
                 }
@@ -1022,14 +1025,13 @@ impl Response {
             Response::Trace(events) => {
                 put(&mut out, format_args!("trace n={}", events.len()));
                 for e in events {
-                    put(&mut out, format_args!(" seq={} label={}", e.seq, e.label));
+                    e.put("", &mut out);
                 }
             }
-            Response::Pong => out.push_str("pong"),
-            Response::Bye => out.push_str("bye"),
             Response::Error { code, message } => {
                 put(&mut out, format_args!("error code={code} {message}"));
             }
+            keyed => keyed.put_keyed(&mut out),
         }
         out
     }
@@ -1042,264 +1044,99 @@ impl Response {
     /// that is not a canonical response line.
     pub fn parse(line: &str) -> Result<Self, ProtocolError> {
         let line = line.trim();
-        let bad = |msg: String| ProtocolError::new(ErrorCode::Parse, msg);
-        if line == "pong" {
-            return Ok(Response::Pong);
-        }
-        if line == "bye" {
-            return Ok(Response::Bye);
-        }
-        if let Some(rest) = line.strip_prefix("HELLO ") {
-            let mut tokens = rest.split_whitespace();
-            let proto = tokens
-                .next()
-                .ok_or_else(|| bad("missing protocol tag".into()))?;
-            let version = proto
-                .strip_prefix("rp/")
-                .ok_or_else(|| bad(format!("expected rp/<version>, got `{proto}`")))?
-                .parse()
-                .map_err(|_| bad(format!("bad protocol version in `{proto}`")))?;
-            let sa = expect_kv(tokens.next(), "sa")?.to_string();
-            let records = parse_u64(expect_kv(tokens.next(), "records")?)?;
-            let groups = parse_u64(expect_kv(tokens.next(), "groups")?)?;
-            let p = parse_f64(expect_kv(tokens.next(), "p")?)?;
-            let release = match tokens.next() {
-                None => None,
-                token => Some(expect_kv(token, "release")?.to_string()),
-            };
-            return Ok(Response::Hello {
-                version,
-                sa,
-                records,
-                groups,
-                p,
-                release,
-            });
-        }
         if line.starts_with("est=") {
-            return Ok(Response::Answer(WireAnswer::parse_body(line)?));
+            return read(line).map(Response::Answer);
         }
-        if let Some(rest) = line.strip_prefix("batch ") {
-            let mut parts = rest.split(';');
-            let count: usize = parts
-                .next()
-                .and_then(|n| n.trim().parse().ok())
-                .ok_or_else(|| bad("batch response needs a count".into()))?;
-            let answers: Vec<WireAnswer> = parts
-                .map(|p| WireAnswer::parse_body(p.trim()))
-                .collect::<Result<_, _>>()?;
-            if answers.len() != count {
-                return Err(bad(format!(
-                    "batch count {count} does not match {} answers",
-                    answers.len()
-                )));
-            }
-            return Ok(Response::Batch(answers));
+        let (head, rest) = line.split_once(' ').unwrap_or((line, ""));
+        if let Some(response) = Self::take_keyed(head, rest)? {
+            return Ok(response);
         }
-        if let Some(rest) = line.strip_prefix("publication ") {
-            let mut tokens = rest.split_whitespace();
-            let sa = expect_kv(tokens.next(), "sa")?.to_string();
-            let records = parse_u64(expect_kv(tokens.next(), "records")?)?;
-            let groups = parse_u64(expect_kv(tokens.next(), "groups")?)?;
-            let p = parse_f64(expect_kv(tokens.next(), "p")?)?;
-            let release = match tokens.next() {
-                None => None,
-                lambda_token => Some(ReleaseMeta {
-                    lambda: parse_f64(expect_kv(lambda_token, "lambda")?)?,
-                    delta: parse_f64(expect_kv(tokens.next(), "delta")?)?,
-                    seed: parse_u64(expect_kv(tokens.next(), "seed")?)?,
-                }),
-            };
-            return Ok(Response::Info {
-                sa,
-                records,
-                groups,
-                p,
-                release,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("inserted ") {
-            let mut tokens = rest.split_whitespace();
-            let group_size = parse_u64(expect_kv(tokens.next(), "group_size")?)?;
-            let republished = match expect_kv(tokens.next(), "republished")? {
-                "true" => true,
-                "false" => false,
-                other => return Err(bad(format!("bad republished flag `{other}`"))),
-            };
-            return Ok(Response::Inserted {
-                group_size,
-                republished,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("flushed ") {
-            let mut tokens = rest.split_whitespace();
-            let events = parse_u64(expect_kv(tokens.next(), "events")?)?;
-            return Ok(Response::Flushed { events });
-        }
-        if let Some(rest) = line.strip_prefix("using ") {
-            let mut tokens = rest.split_whitespace();
-            return Ok(Response::Using {
-                release: expect_kv(tokens.next(), "release")?.to_string(),
-                sa: expect_kv(tokens.next(), "sa")?.to_string(),
-                records: parse_u64(expect_kv(tokens.next(), "records")?)?,
-                groups: parse_u64(expect_kv(tokens.next(), "groups")?)?,
-                p: parse_f64(expect_kv(tokens.next(), "p")?)?,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("releases ") {
-            let mut parts = rest.split(';');
-            let count: usize = parts
-                .next()
-                .and_then(|n| n.trim().parse().ok())
-                .ok_or_else(|| bad("releases response needs a count".into()))?;
-            let entries: Vec<ReleaseEntry> = parts
-                .map(|part| {
-                    let mut tokens = part.split_whitespace();
-                    Ok(ReleaseEntry {
-                        name: expect_kv(tokens.next(), "name")?.to_string(),
-                        sa: expect_kv(tokens.next(), "sa")?.to_string(),
-                        records: parse_u64(expect_kv(tokens.next(), "records")?)?,
-                        groups: parse_u64(expect_kv(tokens.next(), "groups")?)?,
-                        live: match expect_kv(tokens.next(), "live")? {
-                            "true" => true,
-                            "false" => false,
-                            other => return Err(bad(format!("bad live flag `{other}`"))),
-                        },
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            if entries.len() != count {
-                return Err(bad(format!(
-                    "releases count {count} does not match {} entries",
-                    entries.len()
-                )));
-            }
-            return Ok(Response::Releases(entries));
-        }
-        if let Some(rest) = line.strip_prefix("reloaded ") {
-            let mut tokens = rest.split_whitespace();
-            return Ok(Response::Reloaded {
-                release: expect_kv(tokens.next(), "release")?.to_string(),
-                records: parse_u64(expect_kv(tokens.next(), "records")?)?,
-                groups: parse_u64(expect_kv(tokens.next(), "groups")?)?,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("stats ") {
-            let mut tokens = rest.split_whitespace();
-            return Ok(Response::Stats(StatsSnapshot {
-                requests: parse_u64(expect_kv(tokens.next(), "requests")?)?,
-                answered: parse_u64(expect_kv(tokens.next(), "answered")?)?,
-                errors: parse_u64(expect_kv(tokens.next(), "errors")?)?,
-                cache_hits: parse_u64(expect_kv(tokens.next(), "cache_hits")?)?,
-                cache_misses: parse_u64(expect_kv(tokens.next(), "cache_misses")?)?,
-                sessions: parse_u64(expect_kv(tokens.next(), "sessions")?)?,
-                inserts: parse_u64(expect_kv(tokens.next(), "inserts")?)?,
-                degraded: parse_u64(expect_kv(tokens.next(), "degraded")?)?,
-                faults: parse_u64(expect_kv(tokens.next(), "faults")?)?,
-            }));
-        }
-        if let Some(rest) = line.strip_prefix("metrics ") {
-            let mut tokens = rest.split_whitespace();
-            let counter_count: usize = parse_u64(expect_kv(tokens.next(), "counters")?)?
-                .try_into()
-                .map_err(|_| bad("counter count does not fit".into()))?;
-            let hist_count: usize = parse_u64(expect_kv(tokens.next(), "hists")?)?
-                .try_into()
-                .map_err(|_| bad("histogram count does not fit".into()))?;
-            let mut counters = Vec::with_capacity(counter_count);
-            let mut histograms = Vec::with_capacity(hist_count);
-            for token in tokens {
-                if let Some(pair) = token.strip_prefix("c:") {
-                    let (name, value) = pair
-                        .split_once('=')
-                        .ok_or_else(|| bad(format!("expected c:name=value, got `{token}`")))?;
-                    if name.is_empty() {
-                        return Err(bad(format!("empty counter name in `{token}`")));
-                    }
-                    counters.push((name.to_string(), parse_u64(value)?));
-                } else if let Some(pair) = token.strip_prefix("h:") {
-                    let (name, value) = pair
-                        .split_once('=')
-                        .ok_or_else(|| bad(format!("expected h:name=summary, got `{token}`")))?;
-                    if name.is_empty() {
-                        return Err(bad(format!("empty histogram name in `{token}`")));
-                    }
-                    let mut fields = value.split(':');
-                    let mut next = |what: &str| -> Result<&str, ProtocolError> {
-                        fields
-                            .next()
-                            .ok_or_else(|| bad(format!("histogram `{name}` missing {what}")))
-                    };
-                    let histogram = WireHistogram {
-                        name: name.to_string(),
-                        count: parse_u64(next("count")?)?,
-                        p50: parse_u64(next("p50")?)?,
-                        p90: parse_u64(next("p90")?)?,
-                        p99: parse_u64(next("p99")?)?,
-                        max: parse_u64(next("max")?)?,
-                        mean: parse_f64(next("mean")?)?,
-                    };
-                    if fields.next().is_some() {
-                        return Err(bad(format!("trailing fields on histogram `{name}`")));
-                    }
-                    histograms.push(histogram);
-                } else {
-                    return Err(bad(format!("expected c: or h: token, got `{token}`")));
+        let mut r = Reader::new(rest);
+        let response = match head {
+            "HELLO" => {
+                let proto = r.0.next().unwrap_or_default();
+                Response::Hello {
+                    version: proto
+                        .strip_prefix("rp/")
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| bad(format!("expected rp/<version>, got `{proto}`")))?,
+                    sa: Wire::take("sa", &mut r)?,
+                    records: Wire::take("records", &mut r)?,
+                    groups: Wire::take("groups", &mut r)?,
+                    p: Wire::take("p", &mut r)?,
+                    release: Wire::take("release", &mut r)?,
                 }
             }
-            if counters.len() != counter_count || histograms.len() != hist_count {
-                return Err(bad(format!(
-                    "metrics counts {counter_count}/{hist_count} do not match {}/{} tokens",
-                    counters.len(),
-                    histograms.len()
-                )));
+            "batch" => return take_list(head, rest).map(Response::Batch),
+            "releases" => return take_list(head, rest).map(Response::Releases),
+            "metrics" => {
+                // Untrusted counts: read token by token, reserving nothing.
+                let nc: u64 = Wire::take("counters", &mut r)?;
+                let nh: u64 = Wire::take("hists", &mut r)?;
+                let mut named = |class: &str| {
+                    let token = r.0.next().unwrap_or_default();
+                    token
+                        .strip_prefix(class)
+                        .and_then(|t| t.split_once('='))
+                        .filter(|(name, _)| !name.is_empty())
+                        .ok_or_else(|| bad(format!("expected {class}name=..., got `{token}`")))
+                };
+                let counters = (0..nc)
+                    .map(|_| named("c:").and_then(|(n, v)| Ok((n.to_string(), parse_u64(v)?))))
+                    .collect::<Result<_, _>>()?;
+                let histograms = (0..nh)
+                    .map(|_| named("h:").and_then(|(n, v)| histogram(n, v)))
+                    .collect::<Result<_, _>>()?;
+                Response::Metrics {
+                    counters,
+                    histograms,
+                }
             }
-            return Ok(Response::Metrics {
-                counters,
-                histograms,
-            });
-        }
-        if let Some(rest) = line.strip_prefix("trace ") {
-            let mut tokens = rest.split_whitespace();
-            let count: usize = parse_u64(expect_kv(tokens.next(), "n")?)?
-                .try_into()
-                .map_err(|_| bad("trace count does not fit".into()))?;
-            let mut events = Vec::with_capacity(count.min(4096));
-            while let Some(token) = tokens.next() {
-                events.push(WireTraceEvent {
-                    seq: parse_u64(expect_kv(Some(token), "seq")?)?,
-                    label: expect_kv(tokens.next(), "label")?.to_string(),
+            "trace" => {
+                let n: u64 = Wire::take("n", &mut r)?;
+                Response::Trace(
+                    (0..n)
+                        .map(|_| Wire::take("", &mut r))
+                        .collect::<Result<_, _>>()?,
+                )
+            }
+            "error" => {
+                let (code, message) = rest.split_once(' ').unwrap_or((rest, ""));
+                let code = code
+                    .strip_prefix("code=")
+                    .and_then(ErrorCode::from_str_token)
+                    .ok_or_else(|| bad(format!("expected code=CODE, got `{code}`")))?;
+                return Ok(Response::Error {
+                    code,
+                    message: message.to_string(),
                 });
             }
-            if events.len() != count {
-                return Err(bad(format!(
-                    "trace count {count} does not match {} events",
-                    events.len()
-                )));
-            }
-            return Ok(Response::Trace(events));
-        }
-        if let Some(rest) = line.strip_prefix("error ") {
-            let (code_token, message) = match rest.split_once(char::is_whitespace) {
-                Some((c, m)) => (c, m),
-                None => (rest, ""),
-            };
-            let code_str = code_token
-                .strip_prefix("code=")
-                .ok_or_else(|| bad(format!("expected code=..., got `{code_token}`")))?;
-            let code = ErrorCode::from_str_token(code_str)
-                .ok_or_else(|| bad(format!("unknown error code `{code_str}`")))?;
-            return Ok(Response::Error {
-                code,
-                message: message.to_string(),
-            });
-        }
-        Err(bad(format!("unrecognized response line `{line}`")))
+            _ => return Err(bad(format!("unrecognized response line `{line}`"))),
+        };
+        r.end().map(|()| response)
     }
 
     /// Whether this response reports a failure.
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error { .. })
+    }
+}
+
+/// Parses one `count:p50:p90:p99:max:mean` histogram summary.
+fn histogram(name: &str, summary: &str) -> Result<WireHistogram, ProtocolError> {
+    match summary.split(':').collect::<Vec<_>>().as_slice() {
+        [count, p50, p90, p99, max, mean] => Ok(WireHistogram {
+            name: name.to_string(),
+            count: parse_u64(count)?,
+            p50: parse_u64(p50)?,
+            p90: parse_u64(p90)?,
+            p99: parse_u64(p99)?,
+            max: parse_u64(max)?,
+            mean: parse_f64(mean)?,
+        }),
+        _ => Err(bad(format!(
+            "histogram `{name}` needs count:p50:p90:p99:max:mean"
+        ))),
     }
 }
 
@@ -1689,6 +1526,339 @@ mod tests {
             ci: Some((f64::MIN_POSITIVE, 1e300)),
         };
         roundtrip_response(&Response::Answer(a));
+    }
+
+    /// One value of every request variant with its canonical line.
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        let q = WireQuery::new(vec![("Job", "eng"), ("Disease", "flu")]);
+        let q2 = WireQuery::new(vec![("Disease", "none")]);
+        let rec = WireRecord::new(vec![("Job", "eng"), ("Disease", "flu")]);
+        let at = |release: &str, inner: Request| Request::At {
+            release: release.into(),
+            inner: Box::new(inner),
+        };
+        vec![
+            (Request::Query(q.clone()), "count Job=eng Disease=flu"),
+            (
+                Request::Batch(vec![q.clone(), q2.clone()]),
+                "batch count Job=eng Disease=flu; count Disease=none",
+            ),
+            (Request::Insert(rec.clone()), "insert Job=eng Disease=flu"),
+            (Request::Flush, "flush"),
+            (Request::Info, "info"),
+            (Request::Stats, "stats"),
+            (Request::Metrics, "metrics"),
+            (Request::Trace(None), "trace"),
+            (Request::Trace(Some(7)), "trace 7"),
+            (Request::Ping, "ping"),
+            (Request::Quit, "quit"),
+            (Request::Use("alpha".into()), "use alpha"),
+            (Request::Releases, "releases"),
+            (Request::Reload("beta".into()), "reload beta"),
+            (
+                at("alpha", Request::Query(q.clone())),
+                "count@alpha Job=eng Disease=flu",
+            ),
+            (
+                at("beta", Request::Batch(vec![q, q2])),
+                "batch@beta count Job=eng Disease=flu; count Disease=none",
+            ),
+            (
+                at("alpha", Request::Insert(rec)),
+                "insert@alpha Job=eng Disease=flu",
+            ),
+            (at("beta", Request::Flush), "flush@beta"),
+            (at("alpha", Request::Info), "info@alpha"),
+        ]
+    }
+
+    /// One value of every response variant with its canonical line.
+    fn golden_responses() -> Vec<(Response, &'static str)> {
+        let answer = WireAnswer {
+            estimate: 412.5,
+            support: 2000,
+            observed: 309,
+            frequency: 0.20625,
+            ci: Some((0.1621, 0.2499)),
+        };
+        let no_ci = WireAnswer {
+            estimate: 0.0,
+            support: 0,
+            observed: 3,
+            frequency: 0.0,
+            ci: None,
+        };
+        let entry = |name: &str, sa: &str, records, groups, live| ReleaseEntry {
+            name: name.into(),
+            sa: sa.into(),
+            records,
+            groups,
+            live,
+        };
+        vec![
+            (
+                Response::Hello {
+                    version: 5,
+                    sa: "Disease".into(),
+                    records: 6000,
+                    groups: 6,
+                    p: 0.5,
+                    release: None,
+                },
+                "HELLO rp/5 sa=Disease records=6000 groups=6 p=0.5",
+            ),
+            (
+                Response::Hello {
+                    version: 5,
+                    sa: "Disease".into(),
+                    records: 6000,
+                    groups: 6,
+                    p: 0.5,
+                    release: Some("alpha".into()),
+                },
+                "HELLO rp/5 sa=Disease records=6000 groups=6 p=0.5 release=alpha",
+            ),
+            (
+                Response::Answer(answer),
+                "est=412.5 support=2000 observed=309 f=0.20625 ci95=0.1621,0.2499",
+            ),
+            (Response::Answer(no_ci), "est=0 support=0 observed=3 f=0"),
+            (
+                Response::Batch(vec![answer, no_ci]),
+                "batch 2; est=412.5 support=2000 observed=309 f=0.20625 ci95=0.1621,0.2499; \
+                 est=0 support=0 observed=3 f=0",
+            ),
+            (Response::Batch(Vec::new()), "batch 0"),
+            (
+                Response::Info {
+                    sa: "Disease".into(),
+                    records: 6000,
+                    groups: 6,
+                    p: 0.5,
+                    release: Some(ReleaseMeta {
+                        lambda: 0.3,
+                        delta: 0.25,
+                        seed: 7,
+                    }),
+                },
+                "publication sa=Disease records=6000 groups=6 p=0.5 lambda=0.3 delta=0.25 seed=7",
+            ),
+            (
+                Response::Info {
+                    sa: "Income".into(),
+                    records: 30162,
+                    groups: 127,
+                    p: 0.25,
+                    release: None,
+                },
+                "publication sa=Income records=30162 groups=127 p=0.25",
+            ),
+            (
+                Response::Inserted {
+                    group_size: 501,
+                    republished: true,
+                },
+                "inserted group_size=501 republished=true",
+            ),
+            (Response::Flushed { events: 12345 }, "flushed events=12345"),
+            (
+                Response::Using {
+                    release: "alpha".into(),
+                    sa: "Disease".into(),
+                    records: 6000,
+                    groups: 6,
+                    p: 0.5,
+                },
+                "using release=alpha sa=Disease records=6000 groups=6 p=0.5",
+            ),
+            (
+                Response::Releases(vec![
+                    entry("alpha", "Disease", 6000, 6, false),
+                    entry("beta", "Income", 30162, 127, true),
+                ]),
+                "releases 2; name=alpha sa=Disease records=6000 groups=6 live=false; \
+                 name=beta sa=Income records=30162 groups=127 live=true",
+            ),
+            (Response::Releases(Vec::new()), "releases 0"),
+            (
+                Response::Reloaded {
+                    release: "beta".into(),
+                    records: 30163,
+                    groups: 127,
+                },
+                "reloaded release=beta records=30163 groups=127",
+            ),
+            (
+                Response::Stats(StatsSnapshot {
+                    requests: 10,
+                    answered: 8,
+                    errors: 2,
+                    cache_hits: 5,
+                    cache_misses: 3,
+                    sessions: 2,
+                    inserts: 7,
+                    degraded: 1,
+                    faults: 4,
+                }),
+                "stats requests=10 answered=8 errors=2 cache_hits=5 cache_misses=3 sessions=2 \
+                 inserts=7 degraded=1 faults=4",
+            ),
+            (
+                Response::Metrics {
+                    counters: vec![
+                        ("catalog.reload".into(), 1),
+                        ("service.requests".into(), 41),
+                    ],
+                    histograms: vec![WireHistogram {
+                        name: "wal.sync".into(),
+                        count: 2,
+                        p50: 511,
+                        p90: 2047,
+                        p99: 8191,
+                        max: 6200,
+                        mean: 1.5,
+                    }],
+                },
+                "metrics counters=2 hists=1 c:catalog.reload=1 c:service.requests=41 \
+                 h:wal.sync=2:511:2047:8191:6200:1.5",
+            ),
+            (
+                Response::Trace(vec![
+                    WireTraceEvent {
+                        seq: 5,
+                        label: "stream.degraded".into(),
+                    },
+                    WireTraceEvent {
+                        seq: 6,
+                        label: "session.open".into(),
+                    },
+                ]),
+                "trace n=2 seq=5 label=stream.degraded seq=6 label=session.open",
+            ),
+            (Response::Trace(Vec::new()), "trace n=0"),
+            (Response::Pong, "pong"),
+            (Response::Bye, "bye"),
+            (
+                Response::Error {
+                    code: ErrorCode::UnknownRelease,
+                    message: "no release named `gamma`".into(),
+                },
+                "error code=unknown-release no release named `gamma`",
+            ),
+        ]
+    }
+
+    #[test]
+    fn golden_wire_lines() {
+        for (request, line) in golden_requests() {
+            assert_eq!(request.encode(), line);
+            assert_eq!(Request::parse(line).unwrap(), Some(request), "`{line}`");
+        }
+        for (response, line) in golden_responses() {
+            assert_eq!(response.encode(), line);
+            assert_eq!(Response::parse(line).unwrap(), response, "`{line}`");
+        }
+        for (code, token) in [
+            (ErrorCode::Parse, "parse"),
+            (ErrorCode::UnknownCommand, "unknown-command"),
+            (ErrorCode::BadQuery, "bad-query"),
+            (ErrorCode::Busy, "busy"),
+            (ErrorCode::Internal, "internal"),
+            (ErrorCode::ReadOnly, "read-only"),
+            (ErrorCode::UnknownRelease, "unknown-release"),
+            (ErrorCode::Degraded, "degraded"),
+        ] {
+            let line = format!("error code={token} m");
+            let response = Response::Error {
+                code,
+                message: "m".into(),
+            };
+            assert_eq!(response.encode(), line);
+            assert_eq!(Response::parse(&line).unwrap(), response);
+        }
+    }
+
+    #[test]
+    fn non_canonical_response_lines_are_rejected() {
+        for line in [
+            "flushed events=3 junk",
+            "HELLO rp/5 sa=D records=1 groups=1 p=0.5 release=a junk",
+            "reloaded release=a records=1 groups=1 x",
+            "stats requests=1 answered=1 errors=0 cache_hits=0 cache_misses=0 sessions=1 \
+             inserts=0 degraded=0 faults=0 x=1",
+            "est=1 est=2 support=1 observed=1 f=0.5",
+            "est=1 support=1 observed=1 f=0.5 ci95=0.1,0.2 junk",
+            "publication sa=D records=1 groups=1 p=0.5 lambda=0.3",
+            "pong now",
+            "metrics counters=1 hists=1 h:x=1:2:3:4:5:6 c:y=1",
+            // An untrusted count reserves nothing: this line once aborted
+            // the client on a 128 GiB allocation.
+            "metrics counters=4294967296 hists=0",
+            "metrics counters=0 hists=4294967296",
+            "trace n=1099511627776",
+            "batch 1099511627776; est=1 support=1 observed=1 f=0.5",
+        ] {
+            let err = Response::parse(line).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Parse, "line `{line}`");
+        }
+    }
+
+    /// Every head and `key=` of every golden line appears in the README's
+    /// grammar blocks and in this module's doc grammar, so neither copy
+    /// can drift from the codec.
+    #[test]
+    fn grammar_docs_cover_every_encoded_line() {
+        let readme = include_str!("../../../README.md");
+        let readme_grammar: String = readme
+            .split("```text")
+            .skip(1)
+            .filter_map(|block| block.split("```").next())
+            .filter(|block| block.contains(":="))
+            .collect();
+        let module_doc: String = include_str!("protocol.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let module_grammar = module_doc.split("```").nth(1).unwrap();
+        // Needles: the version tag, every request verb (and the `@`
+        // qualifier), every response head, and every `key=` (`c:`/`h:`
+        // for metrics) up to an error's free-text message.
+        let mut needles = vec![format!("rp/{PROTOCOL_VERSION}")];
+        for (request, _) in golden_requests() {
+            let line = request.encode();
+            needles.push(line.split([' ', '@']).next().unwrap().into());
+            if line.contains('@') {
+                needles.push("@".into());
+            }
+        }
+        for (response, _) in golden_responses() {
+            let line = response.encode();
+            let keyed = if response.is_error() { 2 } else { usize::MAX };
+            for (i, token) in line.split(' ').take(keyed).enumerate() {
+                if let Some(class) = ["c:", "h:"].into_iter().find(|c| token.starts_with(c)) {
+                    needles.push(class.into());
+                } else if let Some((key, _)) = token.split_once('=') {
+                    needles.push(format!("{key}="));
+                } else if i == 0 {
+                    needles.push(token.into());
+                }
+            }
+        }
+        // A needle opens a quoted literal or follows a space inside one.
+        let covers = |grammar: &str, needle: &str| {
+            grammar.contains(&format!("\"{needle}")) || grammar.contains(&format!(" {needle}"))
+        };
+        for needle in &needles {
+            assert!(
+                covers(&readme_grammar, needle),
+                "README grammar lacks `{needle}`"
+            );
+            assert!(
+                covers(module_grammar, needle),
+                "module grammar lacks `{needle}`"
+            );
+        }
     }
 
     #[test]

@@ -319,6 +319,69 @@ proptest! {
     }
 }
 
+/// Tokens appended by [`mutate_response_line`]: garbage, keys of other
+/// lines, and separators.
+const JUNK: [&str; 6] = ["junk", "x=1", "est=1", ";", "c:x=1", "seq=1"];
+
+/// One token-level mutation of a canonical response line: drop,
+/// duplicate or swap tokens, append a junk token, or inflate a list
+/// count (`batch N;`, `releases N;`, `counters=`, `hists=`, `n=`) to 2⁴⁰.
+fn mutate_response_line(line: &str, rng: &mut StdRng) -> String {
+    let mut tokens: Vec<String> = line.split(' ').map(str::to_string).collect();
+    let i = rng.gen_range(0..tokens.len());
+    let counts: Vec<usize> = (0..tokens.len())
+        .filter(|&k| {
+            let t = &tokens[k];
+            (k == 1 && (tokens[0] == "batch" || tokens[0] == "releases"))
+                || ["counters=", "hists=", "n="]
+                    .iter()
+                    .any(|p| t.starts_with(p))
+        })
+        .collect();
+    match rng.gen_range(0..5u32) {
+        0 => {
+            tokens.remove(i);
+        }
+        1 => {
+            let t = tokens[i].clone();
+            tokens.insert(i, t);
+        }
+        2 => {
+            let j = rng.gen_range(0..tokens.len());
+            tokens.swap(i, j);
+        }
+        4 if !counts.is_empty() => {
+            let k = counts[rng.gen_range(0..counts.len())];
+            let t = &tokens[k];
+            let key = t.split_once('=').map_or("", |(key, _)| key);
+            let sep = if key.is_empty() { "" } else { "=" };
+            let tail = if t.ends_with(';') { ";" } else { "" };
+            tokens[k] = format!("{key}{sep}{}{tail}", 1u64 << 40);
+        }
+        _ => tokens.push(JUNK[rng.gen_range(0..JUNK.len())].to_string()),
+    }
+    tokens.join(" ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The response parser accepts only canonical lines: every
+    /// token-level mutation of an encoded response either fails to parse
+    /// (with `code=parse`) or parses to a value that encodes back to the
+    /// mutated line exactly.
+    #[test]
+    fn mutated_response_lines_are_rejected_or_canonical(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let line = arb_response(&mut rng).encode();
+        let mutated = mutate_response_line(&line, &mut rng);
+        match Response::parse(&mutated) {
+            Ok(parsed) => prop_assert_eq!(parsed.encode(), mutated, "from `{}`", line),
+            Err(e) => prop_assert_eq!(e.code, ErrorCode::Parse, "`{}`: {}", mutated, e),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Transport equivalence over a real publication.
 // ---------------------------------------------------------------------------
