@@ -20,7 +20,7 @@
 
 use rp_table::{AttrId, BitmapIndex, CountQuery, Table};
 
-use crate::groups::PersonalGroups;
+use crate::groups::{PersonalGroups, SaSpec};
 use crate::mle::reconstruct_frequency;
 
 /// Estimates the answer to `query` against the perturbed table by a full
@@ -157,6 +157,14 @@ impl GroupedView {
         }
     }
 
+    /// Builds the view straight from a published table: the personal
+    /// groups of `spec` with their SA histograms.
+    pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
+        let groups = PersonalGroups::build(table, spec.clone());
+        let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
+        Self::from_histograms(&groups, hists)
+    }
+
     /// Number of groups in the view.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -243,7 +251,6 @@ impl GroupedView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::SaSpec;
     use crate::sps::{uniform_perturb, up_histograms};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -425,6 +432,90 @@ mod tests {
                 let sharded =
                     GroupedView::from_histograms_sharded(&groups, hists.clone(), shards, threads);
                 assert_eq!(reference, sharded, "shards={shards} threads={threads}");
+            }
+        }
+    }
+
+    /// A random table over one of three key spaces: `0` dense (packed,
+    /// direct-addressable), `1` sparse (packed, past `direct_addressable`),
+    /// `2` too wide to pack into a `u64` (eight 256-value attributes).
+    fn random_table(seed: u64, shape: u8) -> (Table, AttrId) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let na_domains: Vec<usize> = match shape {
+            0 => (0..rng.gen_range(1..4))
+                .map(|_| rng.gen_range(1..7))
+                .collect(),
+            1 => vec![rng.gen_range(3_000..5_000), rng.gen_range(3_000..5_000)],
+            _ => vec![256; 8],
+        };
+        let m = rng.gen_range(2..6);
+        let sa = rng.gen_range(0..=na_domains.len());
+        let mut domains = na_domains;
+        domains.insert(sa, m);
+        let schema = Schema::new(
+            domains
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| Attribute::with_anonymous_domain(format!("A{i}"), d))
+                .collect(),
+        );
+        // Few distinct values per attribute, so groups repeat in every shape.
+        let picks: Vec<Vec<u32>> = domains
+            .iter()
+            .map(|&d| (0..3).map(|_| rng.gen_range(0..d) as u32).collect())
+            .collect();
+        let mut b = TableBuilder::new(schema);
+        for _ in 0..rng.gen_range(0..300) {
+            let codes: Vec<u32> = domains
+                .iter()
+                .zip(&picks)
+                .map(|(&d, pick)| {
+                    if rng.gen_bool(0.2) {
+                        rng.gen_range(0..d) as u32
+                    } else {
+                        pick[rng.gen_range(0..pick.len())]
+                    }
+                })
+                .collect();
+            b.push_codes(&codes).unwrap();
+        }
+        (b.build(), sa)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn from_table_equals_histograms_of_personal_groups(
+            seed in proptest::any::<u64>(),
+            shape in 0u8..3,
+        ) {
+            let (t, sa) = random_table(seed, shape);
+            let spec = SaSpec::new(&t, sa);
+            let groups = PersonalGroups::build(&t, spec.clone());
+            let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
+            let reference = GroupedView::from_histograms(&groups, hists);
+            let view = GroupedView::from_table(&t, &spec);
+            proptest::prop_assert_eq!(&view.keys, &reference.keys);
+            proptest::prop_assert_eq!(&view.hists, &reference.hists);
+            proptest::prop_assert_eq!(&view.sizes, &reference.sizes);
+            proptest::prop_assert_eq!(&view, &reference);
+            // Answers over queries pinning random subsets of NA attributes
+            // to codes seen in the table (or the first row's, when empty).
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for _ in 0..16 {
+                use rand::Rng;
+                let row = if t.is_empty() { None } else { Some(rng.gen_range(0..t.rows())) };
+                let na: Vec<(AttrId, u32)> = spec
+                    .na()
+                    .iter()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .map(|&a| (a, row.map_or(0, |r| t.code(r, a))))
+                    .collect();
+                let q = CountQuery::new(na, sa, rng.gen_range(0..spec.m()) as u32).unwrap();
+                proptest::prop_assert_eq!(view.support_and_observed(&q), reference.support_and_observed(&q));
+                proptest::prop_assert_eq!(view.estimate(&q, 0.5).to_bits(), reference.estimate(&q, 0.5).to_bits());
             }
         }
     }

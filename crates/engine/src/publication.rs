@@ -827,6 +827,233 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
+    /// The demo artifact with the record on row `row` (line `13 + row`)
+    /// replaced by `bytes` and the `rows` header set to `rows`.
+    fn demo_bytes_with_row(row: usize, bytes: &[u8], rows: usize) -> Vec<u8> {
+        let p = demo_publication();
+        let mut saved = Vec::new();
+        p.save(&mut saved).unwrap();
+        let mut out = Vec::new();
+        for (i, line) in saved.split_inclusive(|&b| b == b'\n').enumerate() {
+            match i {
+                11 => out.extend_from_slice(format!("rows\t{rows}\n").as_bytes()),
+                i if i == 12 + row => {
+                    out.extend_from_slice(bytes);
+                    out.push(b'\n');
+                }
+                _ => out.extend_from_slice(line),
+            }
+        }
+        out
+    }
+
+    /// Golden table of malformed record rows: each case pins the whole
+    /// message, line number included.
+    #[test]
+    fn load_rejects_malformed_rows_with_exact_messages() {
+        for (row, bytes, rows, want) in [
+            (
+                3,
+                &b"1\tx"[..],
+                50,
+                "line 16: bad code `x`: invalid digit found in string",
+            ),
+            (
+                3,
+                b"1\t",
+                50,
+                "line 16: bad code ``: cannot parse integer from empty string",
+            ),
+            (
+                3,
+                b"",
+                50,
+                "line 16: bad code ``: cannot parse integer from empty string",
+            ),
+            (
+                4,
+                b"4294967296\t0",
+                50,
+                "line 17: bad code `4294967296`: number too large to fit in target type",
+            ),
+            (
+                4,
+                b"-1\t0",
+                50,
+                "line 17: bad code `-1`: invalid digit found in string",
+            ),
+            (
+                4,
+                b"+\t0",
+                50,
+                "line 17: bad code `+`: invalid digit found in string",
+            ),
+            (
+                4,
+                b"++1\t0",
+                50,
+                "line 17: bad code `++1`: invalid digit found in string",
+            ),
+            (
+                4,
+                b" 1\t0",
+                50,
+                "line 17: bad code ` 1`: invalid digit found in string",
+            ),
+            (
+                4,
+                b"1\r\t0",
+                50,
+                "line 17: bad code `1\r`: invalid digit found in string",
+            ),
+            (
+                5,
+                b"0\t9",
+                50,
+                "line 18: code 9 out of range for attribute `Disease` (domain size 3)",
+            ),
+            (
+                5,
+                b"7\tx",
+                50,
+                "line 18: bad code `x`: invalid digit found in string",
+            ),
+            (
+                5,
+                b"2\t0",
+                50,
+                "line 18: code 2 out of range for attribute `Gender` (domain size 2)",
+            ),
+            (
+                6,
+                b"1\t\xff",
+                50,
+                "I/O error: stream did not contain valid UTF-8",
+            ),
+            (
+                6,
+                b"x\t\xff",
+                50,
+                "I/O error: stream did not contain valid UTF-8",
+            ),
+            (
+                7,
+                b"1",
+                50,
+                "line 20: row has 1 values but the schema has 2 attributes",
+            ),
+            (
+                7,
+                b"1\t0\t0",
+                50,
+                "line 20: row has 3 values but the schema has 2 attributes",
+            ),
+            (
+                7,
+                b"1\t0\t9\t9",
+                50,
+                "line 20: row has 4 values but the schema has 2 attributes",
+            ),
+            (
+                7,
+                b"1\t0\tz",
+                50,
+                "line 20: bad code `z`: invalid digit found in string",
+            ),
+            (
+                0,
+                b"0\t0",
+                49,
+                "line 62: trailing content after the declared row count",
+            ),
+            (0, b"0\t0", 51, "line 63: unexpected end of input"),
+        ] {
+            let broken = demo_bytes_with_row(row, bytes, rows);
+            let err = Publication::load(&broken[..]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                want,
+                "row {row} = {:?}",
+                bytes.escape_ascii()
+            );
+        }
+    }
+
+    /// Forms `str::parse::<u32>` accepts keep loading as the same table:
+    /// a leading `+`, leading zeros, CRLF endings, a missing final newline.
+    #[test]
+    fn load_accepts_every_form_str_parse_accepts() {
+        let p = demo_publication();
+        let mut saved = Vec::new();
+        p.save(&mut saved).unwrap();
+        let text = String::from_utf8(saved.clone()).unwrap();
+        let plus = demo_bytes_with_row(3, b"+1\t+0", 50);
+        let zeros = demo_bytes_with_row(3, b"0001\t000", 50);
+        let crlf = text.replace('\n', "\r\n").into_bytes();
+        let cr_runs = text.replace('\n', "\r\r\n").into_bytes();
+        let unterminated = saved[..saved.len() - 1].to_vec();
+        for bytes in [plus, zeros, crlf, cr_runs, unterminated] {
+            let loaded = Publication::load(&bytes[..]).unwrap();
+            assert_eq!(loaded, p, "{:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// A random table over multi-digit domains, with its SA attribute.
+    fn random_publication(seed: u64) -> Publication {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arity = rng.gen_range(2..6usize);
+        let domains: Vec<usize> = (0..arity)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => rng.gen_range(2..10),
+                1 => rng.gen_range(10..2_000),
+                _ => rng.gen_range(10_000..20_000),
+            })
+            .collect();
+        let schema = Schema::new(
+            domains
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| Attribute::with_anonymous_domain(format!("A{i}"), d))
+                .collect(),
+        );
+        let mut b = TableBuilder::new(schema);
+        for _ in 0..rng.gen_range(0..200) {
+            let codes: Vec<u32> = domains
+                .iter()
+                .map(|&d| rng.gen_range(0..d) as u32)
+                .collect();
+            b.push_codes(&codes).unwrap();
+        }
+        let sa = rng.gen_range(0..arity);
+        Publication::from_parts(
+            b.build(),
+            sa,
+            0.5,
+            PrivacyParams::new(0.3, 0.3),
+            seed,
+            SpsStats::default(),
+            DesignCheck::default(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn save_load_round_trips_random_tables(seed in proptest::any::<u64>()) {
+            let p = random_publication(seed);
+            let mut first = Vec::new();
+            p.save(&mut first).unwrap();
+            let loaded = Publication::load(&first[..]).unwrap();
+            proptest::prop_assert_eq!(&loaded, &p);
+            let mut second = Vec::new();
+            loaded.save(&mut second).unwrap();
+            proptest::prop_assert_eq!(first, second);
+        }
+    }
+
     #[test]
     fn unrepresentable_values_refused_at_save() {
         let schema = Schema::new(vec![
