@@ -18,7 +18,7 @@
 //!   then answer each query by summing over the matching groups. The large
 //!   CENSUS sweeps are only tractable this way.
 
-use rp_table::{AttrId, BitmapIndex, CountQuery, Table};
+use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table};
 
 use crate::groups::{PersonalGroups, SaSpec};
 use crate::mle::reconstruct_frequency;
@@ -42,9 +42,10 @@ pub fn estimate_by_scan(perturbed: &Table, query: &CountQuery, p: f64) -> f64 {
 /// Per-personal-group SA histograms of a perturbed publication, indexed for
 /// fast aggregate-query answering.
 ///
-/// Built either from a perturbed [`Table`] or directly from histogram-level
-/// perturbation output (`up_histograms` / `sps_histograms`), paired with
-/// the *raw* table's [`PersonalGroups`] for the group keys.
+/// Built either from a perturbed [`Table`] ([`GroupedView::from_table`])
+/// or directly from histogram-level perturbation output (`up_histograms` /
+/// `sps_histograms`), paired with the *raw* table's [`PersonalGroups`] for
+/// the group keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupedView {
     na_attrs: Vec<AttrId>,
@@ -119,18 +120,8 @@ impl GroupedView {
         for h in &hists {
             assert_eq!(h.len(), m, "histogram arity must equal the SA domain size");
         }
-        let sizes = hists.iter().map(|h| h.iter().sum()).collect();
-        let keys: Vec<Vec<u32>> = groups.groups().iter().map(|g| g.key.clone()).collect();
-        let key_index = build_key_index(groups.spec().na(), &keys, shards, threads);
-        Self {
-            na_attrs: groups.spec().na().to_vec(),
-            sa_attr: groups.spec().sa(),
-            m,
-            keys,
-            hists,
-            sizes,
-            key_index,
-        }
+        let keys = groups.groups().iter().map(|g| g.key.clone()).collect();
+        Self::assemble(groups.spec(), keys, hists, shards, threads)
     }
 
     /// Builds the view by grouping a perturbed table along the same spec as
@@ -138,31 +129,36 @@ impl GroupedView {
     /// perturbed table, whose public attributes are identical to the raw
     /// table's.
     pub fn from_perturbed_table(groups: &PersonalGroups, perturbed: &Table) -> Self {
-        let spec = groups.spec();
-        let regrouped = PersonalGroups::build(perturbed, spec.clone());
-        let keys: Vec<Vec<u32>> = regrouped.groups().iter().map(|g| g.key.clone()).collect();
-        let key_index = build_key_index(spec.na(), &keys, 1, 1);
+        Self::from_table(perturbed, groups.spec())
+    }
+
+    /// Builds the view straight from a published table: the sorted keys
+    /// of `spec`'s personal groups with their SA histograms, from one pass
+    /// of [`group_histograms`] (no member row lists are built).
+    pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
+        let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
+        Self::assemble(spec, keys, hists, 1, 1)
+    }
+
+    /// The view over sorted `keys` and their aligned histograms.
+    fn assemble(
+        spec: &SaSpec,
+        keys: Vec<Vec<u32>>,
+        hists: Vec<Vec<u64>>,
+        shards: usize,
+        threads: usize,
+    ) -> Self {
+        let sizes = hists.iter().map(|h| h.iter().sum()).collect();
+        let key_index = build_key_index(spec.na(), &keys, shards, threads);
         Self {
             na_attrs: spec.na().to_vec(),
             sa_attr: spec.sa(),
             m: spec.m(),
             keys,
-            hists: regrouped
-                .groups()
-                .iter()
-                .map(|g| g.sa_hist.clone())
-                .collect(),
-            sizes: regrouped.groups().iter().map(|g| g.len() as u64).collect(),
+            hists,
+            sizes,
             key_index,
         }
-    }
-
-    /// Builds the view straight from a published table: the personal
-    /// groups of `spec` with their SA histograms.
-    pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
-        let groups = PersonalGroups::build(table, spec.clone());
-        let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
-        Self::from_histograms(&groups, hists)
     }
 
     /// Number of groups in the view.

@@ -6,11 +6,21 @@
 //! line up front, `parse ∘ encode = id` over every representable value.
 //! This module holds the pieces they share: a position-tracking line
 //! reader, `key\tv1\tv2...` field parsing, the token check for writable
-//! strings, and the schema section (`attrs` + `attr` lines) both formats
-//! embed so either file is self-describing.
+//! strings, the schema section (`attrs` + `attr` lines) both formats
+//! embed so either file is self-describing, and the code-row codec.
+//!
+//! A *code row* is tab-separated `u32` dictionary codes: an artifact's
+//! records, a WAL event's codes, a group key. An artifact's records are
+//! read and written as bytes: [`Lines::next_row`] hands each row's bytes
+//! to `TableBuilder::push_code_row`, which parses the digits straight into
+//! the table's columns, and [`write_code_row`] formats them without `fmt`.
+//! A row that parser does not take, like every WAL and group-key code,
+//! goes through [`parse_codes`] as text, so each form `str::parse::<u32>`
+//! accepts (a leading `+`, long runs of leading zeros) still loads and
+//! each rejection carries that parser's exact message.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 use rp_table::{Attribute, Schema};
 
@@ -83,11 +93,54 @@ pub(crate) fn read_schema<R: BufRead>(
     Ok(attributes)
 }
 
-/// Line reader with position tracking for error messages.
+/// Parses one code token; a rejection reads ``bad {what} `{token}`: {e}``
+/// with `e` the `str::parse::<u32>` error.
+pub(crate) fn parse_code(token: &str, what: &str) -> Result<u32, String> {
+    token
+        .parse()
+        .map_err(|e| format!("bad {what} `{token}`: {e}"))
+}
+
+/// Appends code tokens to `codes`, stopping at the first bad one.
+pub(crate) fn parse_codes<'a>(
+    tokens: impl Iterator<Item = &'a str>,
+    codes: &mut Vec<u32>,
+) -> Result<(), String> {
+    for token in tokens {
+        codes.push(parse_code(token, "code")?);
+    }
+    Ok(())
+}
+
+/// Appends one code row, newline included, to `out`.
+pub(crate) fn write_code_row(out: &mut Vec<u8>, codes: impl Iterator<Item = u32>) {
+    for (i, mut code) in codes.enumerate() {
+        if i > 0 {
+            out.push(b'\t');
+        }
+        let mut digits = [0u8; 10];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (code % 10) as u8;
+            code /= 10;
+            if code == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[start..]);
+    }
+    out.push(b'\n');
+}
+
+/// Line reader with position tracking for error messages. Lines are read
+/// as bytes into one reused buffer. A line read as text is checked as
+/// UTF-8, failing with the I/O error `read_line` raises; a record row is
+/// checked only if the byte parser does not take it.
 pub(crate) struct Lines<R> {
     inner: R,
     pub(crate) line_no: usize,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 /// One parsed `key\tv1\tv2...` metadata line.
@@ -102,7 +155,7 @@ impl<R: BufRead> Lines<R> {
         Self {
             inner,
             line_no: 0,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -113,22 +166,56 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
-    pub(crate) fn next_line(&mut self) -> Result<&str, PublicationError> {
+    /// Reads the next line's bytes, terminator included, into the buffer.
+    fn advance(&mut self) -> Result<(), PublicationError> {
         self.buf.clear();
-        let n = self.inner.read_line(&mut self.buf)?;
+        let n = self.inner.read_until(b'\n', &mut self.buf)?;
         self.line_no += 1;
         if n == 0 {
-            return Err(PublicationError::Format {
-                line: self.line_no,
-                message: "unexpected end of input".to_string(),
-            });
+            return Err(self.err("unexpected end of input".to_string()));
         }
-        Ok(self.buf.trim_end_matches(['\n', '\r']))
+        Ok(())
+    }
+
+    /// The buffered line as text, without its `\n`/`\r` terminator.
+    fn text(&self) -> Result<&str, PublicationError> {
+        let text = std::str::from_utf8(&self.buf).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        Ok(text.trim_end_matches(['\n', '\r']))
+    }
+
+    pub(crate) fn next_line(&mut self) -> Result<&str, PublicationError> {
+        self.advance()?;
+        self.text()
+    }
+
+    /// Reads the next line as bytes without its `\n`/`\r` terminator:
+    /// a record row for `TableBuilder::push_code_row`.
+    pub(crate) fn next_row(&mut self) -> Result<&[u8], PublicationError> {
+        self.advance()?;
+        let end = self
+            .buf
+            .iter()
+            .rposition(|&b| b != b'\n' && b != b'\r')
+            .map_or(0, |i| i + 1);
+        Ok(&self.buf[..end])
+    }
+
+    /// Parses the row [`Lines::next_row`] read as text into `codes`
+    /// (cleared first): the path of a row the byte parser did not take.
+    pub(crate) fn row_codes(&self, codes: &mut Vec<u32>) -> Result<(), PublicationError> {
+        codes.clear();
+        parse_codes(self.text()?.split('\t'), codes).map_err(|message| self.err(message))
     }
 
     pub(crate) fn expect_eof(&mut self) -> Result<(), PublicationError> {
         self.buf.clear();
-        if self.inner.read_line(&mut self.buf)? != 0 {
+        if self.inner.read_until(b'\n', &mut self.buf)? != 0 {
+            self.text()?;
             return Err(PublicationError::Format {
                 line: self.line_no + 1,
                 message: "trailing content after the declared row count".to_string(),

@@ -1,9 +1,11 @@
 //! The long-lived [`QueryEngine`]: answer many Section-6 count queries
 //! from one release without rescanning it.
 //!
-//! Construction pays the preprocessing once — personal-group histograms of
-//! the published table (the cached per-group reconstruction substrate) plus
-//! per-`(NA attribute, code)` selection bitmaps over the group keys — and
+//! Construction pays the preprocessing once — the personal-group keys and
+//! SA histograms of the published table, built in one pass with no member
+//! row lists (the engine keeps only keys and histograms, the per-group
+//! reconstruction substrate), plus per-`(NA attribute, code)` selection
+//! bitmaps over the group keys — and
 //! every query is then answered by ANDing the cached bitmaps and summing
 //! the matching groups, 64 groups per word, never key by key. For query
 //! batches and pools the NA match index is precomputed too
@@ -177,21 +179,18 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Builds the engine from a release: groups the published table once
-    /// and caches the per-group SA histograms.
+    /// Builds the engine from a release: one pass over the published
+    /// table keeps each personal group's key and SA histogram, and nothing
+    /// else of the table.
     pub fn new(publication: &Publication) -> Self {
         let spec = publication.spec();
-        let sa = spec.sa();
-        let m = spec.m();
-        let groups = PersonalGroups::build(publication.table(), spec);
-        let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
         Self {
             schema: publication.schema().clone(),
-            sa,
-            m,
+            sa: spec.sa(),
+            m: spec.m(),
             p: publication.p(),
             z: critical_value(CI_LEVEL),
-            view: GroupedView::from_histograms(&groups, hists),
+            view: GroupedView::from_table(publication.table(), &spec),
         }
     }
 

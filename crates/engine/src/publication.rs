@@ -21,7 +21,7 @@ use rp_core::privacy::PrivacyParams;
 use rp_core::sps::SpsStats;
 use rp_table::{AttrId, Schema, Table, TableBuilder};
 
-use crate::codec::{canon_f64, read_schema, write_schema, Lines};
+use crate::codec::{canon_f64, parse_code, read_schema, write_code_row, write_schema, Lines};
 
 /// Summary of the Equation-10 design check the publisher ran before SPS:
 /// how the *uniform-perturbation* design stood against `(λ, δ)` on the
@@ -131,7 +131,7 @@ impl GroupState {
             .filter(|&a| a != sa)
             .zip(fields)
             .map(|(attr, raw)| {
-                let code: u32 = number(raw, "key code")?;
+                let code = parse_code(raw, "key code")?;
                 let domain = schema.attribute(attr).domain_size();
                 if code as usize >= domain {
                     return Err(format!(
@@ -393,17 +393,18 @@ impl Publication {
         )?;
         write_schema(&mut w, schema)?;
         writeln!(w, "rows\t{}", self.table.rows())?;
-        let arity = schema.arity();
+        let columns: Vec<&[u32]> = (0..schema.arity())
+            .map(|a| self.table.column(a).codes())
+            .collect();
+        let mut out = Vec::with_capacity(1 << 16);
         for r in 0..self.table.rows() {
-            for a in 0..arity {
-                if a == 0 {
-                    write!(w, "{}", self.table.code(r, a))?;
-                } else {
-                    write!(w, "\t{}", self.table.code(r, a))?;
-                }
+            write_code_row(&mut out, columns.iter().map(|c| c[r]));
+            if out.len() >= 1 << 16 {
+                w.write_all(&out)?;
+                out.clear();
             }
-            writeln!(w)?;
         }
+        w.write_all(&out)?;
         if let Some(live) = &self.live {
             writeln!(
                 w,
@@ -514,36 +515,15 @@ impl Publication {
         // Schema clones are Arc-backed, so keeping one for the live
         // section's key validation is free.
         let mut builder = TableBuilder::with_capacity(schema.clone(), rows.min(1 << 20));
-        let mut codes = Vec::with_capacity(arity.min(1 << 10));
+        let mut codes = Vec::new();
         for _ in 0..rows {
-            let line_no = lines.line_no + 1;
-            let bad = {
-                let line = lines.next_line()?;
-                codes.clear();
-                let mut bad = None;
-                for part in line.split('\t') {
-                    match part.parse::<u32>() {
-                        Ok(c) => codes.push(c),
-                        Err(e) => {
-                            bad = Some(format!("bad code `{part}`: {e}"));
-                            break;
-                        }
-                    }
-                }
-                bad
-            };
-            if let Some(message) = bad {
-                return Err(PublicationError::Format {
-                    line: line_no,
-                    message,
-                });
+            if builder.push_code_row(lines.next_row()?) {
+                continue;
             }
+            lines.row_codes(&mut codes)?;
             builder
                 .push_codes(&codes)
-                .map_err(|e| PublicationError::Format {
-                    line: line_no,
-                    message: e.to_string(),
-                })?;
+                .map_err(|e| lines.err(e.to_string()))?;
         }
         let live = if version >= 2 {
             Some(read_live(&mut lines, &schema, sa, rows)?)
@@ -989,10 +969,11 @@ mod tests {
         let text = String::from_utf8(saved.clone()).unwrap();
         let plus = demo_bytes_with_row(3, b"+1\t+0", 50);
         let zeros = demo_bytes_with_row(3, b"0001\t000", 50);
+        let long_zeros = demo_bytes_with_row(3, b"0000000001\t0000000000000", 50);
         let crlf = text.replace('\n', "\r\n").into_bytes();
         let cr_runs = text.replace('\n', "\r\r\n").into_bytes();
         let unterminated = saved[..saved.len() - 1].to_vec();
-        for bytes in [plus, zeros, crlf, cr_runs, unterminated] {
+        for bytes in [plus, zeros, long_zeros, crlf, cr_runs, unterminated] {
             let loaded = Publication::load(&bytes[..]).unwrap();
             assert_eq!(loaded, p, "{:?}", String::from_utf8_lossy(&bytes));
         }

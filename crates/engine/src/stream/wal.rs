@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use rp_core::privacy::PrivacyParams;
 use rp_table::{AttrId, Schema};
 
-use crate::codec::{canon_f64, read_schema, write_schema, Lines};
+use crate::codec::{canon_f64, parse_codes, read_schema, write_schema, Lines};
 use crate::fault::{self, CheckedFile, FaultHandle};
 use crate::fsutil;
 use crate::publication::{GroupState, PublicationError};
@@ -239,12 +239,7 @@ impl WalEvent {
             .parse()
             .map_err(|e| bad(format!("bad sequence number: {e}")))?;
         let mut codes = Vec::new();
-        for part in parts {
-            codes.push(
-                part.parse::<u32>()
-                    .map_err(|e| bad(format!("bad code `{part}`: {e}")))?,
-            );
-        }
+        parse_codes(parts, &mut codes).map_err(bad)?;
         let arity = header.schema.arity();
         let (want, attrs): (usize, Vec<usize>) = match tag {
             "i" => (arity, (0..arity).collect()),

@@ -320,6 +320,66 @@ pub fn group_by_sort(table: &Table, attrs: &[AttrId]) -> Grouping {
     }
 }
 
+/// Sorted group keys over `attrs`, each with the histogram of
+/// `hist_attr` over the group's rows: the groups of [`group_by_sort`]
+/// summarized, without their member row lists.
+///
+/// A packed, direct-addressable key space takes one pass over the packed
+/// keys. A key→group slot table (one `u32` per key, bounded to `O(rows)`
+/// like [`group_by_hash`]'s count tables) gives each new key the next
+/// histogram, and one ascending scan of the slots moves the histograms out
+/// in key order. Memory is `O(rows + groups · m)`, never
+/// `O(key space · m)`.
+/// Sparse or unpackable key spaces fall back to [`group_by_sort`].
+///
+/// # Panics
+///
+/// Panics if `attrs` is empty or contains an out-of-range attribute, or if
+/// `hist_attr` is out of range.
+pub fn group_histograms(
+    table: &Table,
+    attrs: &[AttrId],
+    hist_attr: AttrId,
+) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
+    check_attrs(table, attrs);
+    let m = table.schema().attribute(hist_attr).domain_size();
+    if let Some((keys, radices)) = pack_keys(table, attrs) {
+        let product: u128 = radices.iter().map(|&d| d as u128).product();
+        if direct_addressable(product, keys.len()) {
+            const EMPTY: u32 = u32::MAX;
+            let mut slots = vec![EMPTY; product as usize];
+            let mut hists: Vec<Vec<u64>> = Vec::new();
+            for (&key, &value) in keys.iter().zip(table.column(hist_attr).codes()) {
+                let slot = &mut slots[key as usize];
+                if *slot == EMPTY {
+                    *slot = hists.len() as u32;
+                    hists.push(vec![0; m]);
+                }
+                hists[*slot as usize][value as usize] += 1;
+            }
+            return slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &slot)| slot != EMPTY)
+                .map(|(key, &slot)| {
+                    (
+                        unpack_key(key as u64, &radices),
+                        std::mem::take(&mut hists[slot as usize]),
+                    )
+                })
+                .unzip();
+        }
+    }
+    group_by_sort(table, attrs)
+        .groups
+        .into_iter()
+        .map(|g| {
+            let hist = table.histogram_over(hist_attr, &g.rows);
+            (g.key, hist)
+        })
+        .unzip()
+}
+
 /// Finalizer step of SplitMix64 — mixes a packed key into a well-spread
 /// shard hash. Fixed constants, so shard assignment is deterministic across
 /// runs, platforms and thread counts.
@@ -595,6 +655,33 @@ mod tests {
         assert_eq!(total, t.rows());
         for shards in [1, 4, 9] {
             assert_eq!(s, group_by_hash_sharded(&t, &attrs, shards, 2));
+        }
+    }
+
+    /// The one-pass kernel against grouping then histogramming, on a
+    /// dense key space, a sparse one (2^32 keys for 200 rows) and one too
+    /// wide for a `u64` (2^64 keys).
+    #[test]
+    fn group_histograms_match_sorted_groups() {
+        let dense = demo_table();
+        let wide = unpackable_table();
+        for (t, attrs, hist_attr) in [
+            (&dense, vec![0, 1], 2),
+            (&dense, vec![1], 0),
+            (&wide, vec![0, 1], 4),
+            (&wide, vec![0, 1, 2, 3], 4),
+        ] {
+            let (keys, hists) = group_histograms(t, &attrs, hist_attr);
+            let reference = group_by_sort(t, &attrs);
+            let want_keys: Vec<Vec<u32>> =
+                reference.groups().iter().map(|g| g.key.clone()).collect();
+            let want_hists: Vec<Vec<u64>> = reference
+                .groups()
+                .iter()
+                .map(|g| t.histogram_over(hist_attr, &g.rows))
+                .collect();
+            assert_eq!(keys, want_keys, "attrs {attrs:?}");
+            assert_eq!(hists, want_hists, "attrs {attrs:?}");
         }
     }
 

@@ -15,7 +15,8 @@
 //! * [`predicate`] — the `D(x1, ..., xn)` selection patterns with wildcards
 //!   (personal vs aggregate groups, Section 3.2).
 //! * [`group`] — sort-based (as prescribed by the paper's SPS algorithm) and
-//!   hash-based group-by producing personal groups.
+//!   hash-based group-by producing personal groups, and the one-pass
+//!   per-group histogram kernel the query engine is built from.
 //! * [`query`] — the Section-6 conjunctive count queries with one `SA`
 //!   condition.
 //! * [`index`] — an inverted index with posting-list intersection, the
@@ -52,7 +53,9 @@ pub use bitmap::{Bitmap, BitmapIndex};
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
 pub use error::TableError;
-pub use group::{group_by_hash, group_by_hash_sharded, group_by_sort, Group, Grouping};
+pub use group::{
+    group_by_hash, group_by_hash_sharded, group_by_sort, group_histograms, Group, Grouping,
+};
 pub use index::InvertedIndex;
 pub use predicate::{Pattern, Term};
 pub use query::CountQuery;

@@ -290,13 +290,25 @@ impl Table {
 pub struct TableBuilder {
     schema: Schema,
     columns: Vec<Vec<u32>>,
+    /// Each attribute's domain size, read once so [`TableBuilder::push_codes`]
+    /// checks a row against a flat slice.
+    domains: Vec<usize>,
 }
 
 impl TableBuilder {
     /// Creates a builder for the given schema.
     pub fn new(schema: Schema) -> Self {
         let columns = vec![Vec::new(); schema.arity()];
-        Self { schema, columns }
+        Self::with_columns(schema, columns)
+    }
+
+    fn with_columns(schema: Schema, columns: Vec<Vec<u32>>) -> Self {
+        let domains = schema.iter().map(|(_, a)| a.domain_size()).collect();
+        Self {
+            schema,
+            columns,
+            domains,
+        }
     }
 
     /// Creates a builder with per-column capacity reserved. Buffers come
@@ -307,7 +319,7 @@ impl TableBuilder {
         let columns = (0..schema.arity())
             .map(|_| crate::recycle::take(rows))
             .collect();
-        Self { schema, columns }
+        Self::with_columns(schema, columns)
     }
 
     /// Appends a row of codes.
@@ -322,13 +334,54 @@ impl TableBuilder {
                 expected: self.schema.arity(),
             });
         }
-        for (id, &code) in codes.iter().enumerate() {
-            self.schema.check_code(id, code)?;
+        for (id, (&code, &domain)) in codes.iter().zip(&self.domains).enumerate() {
+            if code as usize >= domain {
+                return self.schema.check_code(id, code);
+            }
         }
         for (col, &code) in self.columns.iter_mut().zip(codes) {
             col.push(code);
         }
         Ok(())
+    }
+
+    /// Appends one row written as text, the record format of a saved
+    /// release: tab-separated codes of one to nine ASCII digits each. One
+    /// pass parses the digits straight into the columns, each code checked
+    /// against the domain bounds read at construction. Returns `false`,
+    /// with nothing appended, for a row in any other form (a sign, a longer
+    /// digit run, a stray byte), of the wrong arity or with an out-of-domain
+    /// code: the caller parses such a row field by field, and
+    /// [`TableBuilder::push_codes`] accepts it or names the exact error.
+    pub fn push_code_row(&mut self, row: &[u8]) -> bool {
+        let base = self.rows();
+        let last = self.columns.len() - 1;
+        let (mut attr, mut code, mut digits) = (0, 0u32, 0);
+        for &b in row {
+            let digit = b.wrapping_sub(b'0');
+            if digit <= 9 && digits < 9 {
+                code = code * 10 + u32::from(digit);
+                digits += 1;
+            } else if b == b'\t'
+                && digits > 0
+                && attr < last
+                && (code as usize) < self.domains[attr]
+            {
+                self.columns[attr].push(code);
+                (attr, code, digits) = (attr + 1, 0, 0);
+            } else {
+                digits = 0;
+                break;
+            }
+        }
+        if digits > 0 && attr == last && (code as usize) < self.domains[attr] {
+            self.columns[attr].push(code);
+            return true;
+        }
+        for column in &mut self.columns[..attr] {
+            column.truncate(base);
+        }
+        false
     }
 
     /// Appends `copies` identical rows of codes, validating the row once.
@@ -610,6 +663,53 @@ mod tests {
             Err(TableError::CodeOutOfRange { .. })
         ));
         assert_eq!(b.rows(), 0, "failed batch must not partially append");
+    }
+
+    /// Every row up to six bytes over digits, `+`, tab and a stray byte:
+    /// a row `push_code_row` takes appends exactly what a per-field
+    /// `str::parse::<u32>` and `push_codes` would, a row it refuses
+    /// appends nothing, and it refuses a valid row only for a sign.
+    #[test]
+    fn push_code_row_agrees_with_str_parse_and_push_codes() {
+        let schema = Schema::new(vec![
+            Attribute::new("A", ["a0", "a1"]),
+            Attribute::with_anonymous_domain("B", 10),
+        ]);
+        let alphabet = b"019+\tx";
+        let mut rows: Vec<Vec<u8>> = vec![Vec::new()];
+        for len in 1..=6 {
+            let start = rows.len() - alphabet.len().pow(len - 1);
+            for i in start..rows.len() {
+                for &b in alphabet {
+                    let mut row = rows[i].clone();
+                    row.push(b);
+                    rows.push(row);
+                }
+            }
+        }
+        let mut b = TableBuilder::new(schema.clone());
+        let mut reference = TableBuilder::new(schema);
+        for row in &rows {
+            let text = std::str::from_utf8(row).unwrap();
+            let parsed: Result<Vec<u32>, _> = text.split('\t').map(str::parse::<u32>).collect();
+            let want = parsed
+                .as_ref()
+                .is_ok_and(|codes| reference.push_codes(codes).is_ok());
+            let rows_before = b.rows();
+            let took = b.push_code_row(row);
+            if !took {
+                assert_eq!(b.rows(), rows_before, "{text:?} appended on refusal");
+                if let Ok(codes) = &parsed {
+                    let _ = b.push_codes(codes);
+                }
+            }
+            assert!(took == want || (want && text.contains('+')), "{text:?}");
+        }
+        assert_eq!(b.clone().build(), reference.build());
+        assert!(b.push_code_row(b"1\t000000009"));
+        assert!(!b.push_code_row(b"1\t0000000009"), "ten digits");
+        assert!(!b.push_code_row("1\t\u{e9}".as_bytes()), "non-ASCII");
+        assert_eq!(b.build().column(1).codes().last(), Some(&9));
     }
 
     #[test]
