@@ -498,7 +498,7 @@ mod tests {
             proptest::prop_assert_eq!(&view.sizes, &reference.sizes);
             proptest::prop_assert_eq!(&view, &reference);
             // Answers over queries pinning random subsets of NA attributes
-            // to codes seen in the table (or the first row's, when empty).
+            // to the codes of one row (code 0 on an empty table).
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             for _ in 0..16 {
                 use rand::Rng;

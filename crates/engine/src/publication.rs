@@ -9,6 +9,13 @@
 //! `Publication` carries all of it as one typed value, (de)serializable to
 //! a simple line-oriented on-disk format so the publish and query sides of
 //! a deployment stop re-deriving parameters out-of-band.
+//!
+//! The record rows are nearly all of an artifact's bytes, so both
+//! directions treat them as bytes (the code-row codec of `crate::codec`).
+//! [`Publication::save`] formats them without `fmt`. [`Publication::load`]
+//! parses each row's digits straight into the table's columns, and parses
+//! a row as text only when it is in another accepted form or invalid, so
+//! that every error keeps its message and line number.
 
 use std::fmt;
 use std::fs::File;
