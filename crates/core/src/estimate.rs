@@ -133,8 +133,9 @@ impl GroupedView {
     }
 
     /// Builds the view straight from a published table: the sorted keys
-    /// of `spec`'s personal groups with their SA histograms, from one pass
-    /// of [`group_histograms`] (no member row lists are built).
+    /// of `spec`'s personal groups with their SA histograms, from
+    /// [`group_histograms`] (one pass and no member row lists when the
+    /// key space can be addressed directly).
     pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
         let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
         Self::assemble(spec, keys, hists, 1, 1)

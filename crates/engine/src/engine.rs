@@ -2,10 +2,10 @@
 //! from one release without rescanning it.
 //!
 //! Construction pays the preprocessing once — the personal-group keys and
-//! SA histograms of the published table, built in one pass with no member
-//! row lists (the engine keeps only keys and histograms, the per-group
-//! reconstruction substrate), plus per-`(NA attribute, code)` selection
-//! bitmaps over the group keys — and
+//! SA histograms of the published table (the engine keeps only keys and
+//! histograms, the per-group reconstruction substrate; a direct-addressable
+//! key space builds them in one pass with no member row lists), plus
+//! per-`(NA attribute, code)` selection bitmaps over the group keys — and
 //! every query is then answered by ANDing the cached bitmaps and summing
 //! the matching groups, 64 groups per word, never key by key. For query
 //! batches and pools the NA match index is precomputed too
