@@ -215,6 +215,7 @@ impl<R: BufRead> Lines<R> {
     pub(crate) fn expect_eof(&mut self) -> Result<(), PublicationError> {
         self.buf.clear();
         if self.inner.read_until(b'\n', &mut self.buf)? != 0 {
+            // A tail that is not UTF-8 fails as `read_line` failed on it.
             self.text()?;
             return Err(PublicationError::Format {
                 line: self.line_no + 1,
