@@ -517,6 +517,61 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The view's counts equal a key-by-key scan of the personal
+        /// groups, over group counts that are rarely a multiple of 64,
+        /// queries without NA terms, NA codes past the domain and every
+        /// SA code up to `m − 1`.
+        #[test]
+        fn support_and_observed_equals_reference_key_scan(
+            seed in proptest::any::<u64>(),
+            shape in 0u8..3,
+        ) {
+            use rand::Rng;
+            let (t, sa) = random_table(seed, shape);
+            let spec = SaSpec::new(&t, sa);
+            let groups = PersonalGroups::build(&t, spec.clone());
+            let view = GroupedView::from_table(&t, &spec);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc01);
+            for _ in 0..24 {
+                let row = if t.is_empty() { None } else { Some(rng.gen_range(0..t.rows())) };
+                let mut na: Vec<(AttrId, u32)> = Vec::new();
+                for &a in spec.na() {
+                    if rng.gen_bool(0.6) {
+                        continue;
+                    }
+                    let domain = t.schema().attribute(a).domain_size() as u32;
+                    let code = match row {
+                        Some(r) if rng.gen_bool(0.8) => t.code(r, a),
+                        _ => rng.gen_range(0..domain + 2),
+                    };
+                    na.push((a, code));
+                }
+                let sa_value = if rng.gen_bool(0.3) {
+                    spec.m() as u32 - 1
+                } else {
+                    rng.gen_range(0..spec.m()) as u32
+                };
+                let q = CountQuery::new(na, sa, sa_value).unwrap();
+                let mut reference = (0u64, 0u64);
+                for g in groups.groups() {
+                    if q.na_pattern().matches_key(spec.na(), &g.key) {
+                        reference.0 += g.sa_hist.iter().sum::<u64>();
+                        reference.1 += g.sa_hist[sa_value as usize];
+                    }
+                }
+                proptest::prop_assert_eq!(view.support_and_observed(&q), reference, "{:?}", q);
+                let matching = &view.match_index(std::slice::from_ref(&q))[0];
+                proptest::prop_assert_eq!(
+                    view.support_and_observed_indexed(&q, matching),
+                    reference
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one histogram per personal group")]
     fn misaligned_histograms_panic() {
