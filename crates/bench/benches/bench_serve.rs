@@ -17,12 +17,22 @@
 //!   the production default);
 //! * `serve/handle_line_obs_off` — the same path with the metrics
 //!   registry disabled; the ratio against `handle_line` is the
-//!   instrumentation overhead CI guards (budget ~5%).
+//!   instrumentation overhead CI guards (budget ~5%);
+//! * `serve/batch32_line` — a 32-query `batch` line over the reduced
+//!   CENSUS fixture through `CatalogSession::handle_line`, plus encoding
+//!   its response: parse, resolve, bitmap match, estimate, encode;
+//! * `serve/batch32_encode` — encoding that response alone, the
+//!   float-formatting floor under `batch32_line`. CI gates the same-run
+//!   ratio `batch32_line / batch32_encode`, which does not depend on the
+//!   host's speed.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rp_bench::adult_fixture;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rp_bench::{adult_fixture, census_fixture};
+use rp_engine::protocol::is_token;
 use rp_engine::{
     Catalog, CatalogSession, Publisher, QueryService, Request, Response, ServiceConfig,
     SessionStats, WireQuery,
@@ -79,6 +89,51 @@ fn wire_queries(service: &QueryService, count: usize) -> Vec<WireQuery> {
             WireQuery::new(vec![(col, value), (&sa_name, sa_value)])
         })
         .collect()
+}
+
+/// A one-release catalog over the reduced published CENSUS fixture and a
+/// 32-query `batch` line over it: each query pins one to three NA columns
+/// to the values of a random published row, plus that row's SA value.
+fn census_batch32() -> (Catalog, String) {
+    let dataset = census_fixture();
+    let publication = Publisher::new(dataset.generalized.clone())
+        .sa(dataset.sa)
+        .seed(7)
+        .publish()
+        .expect("generalized CENSUS publishes");
+    let table = publication.table();
+    let schema = table.schema();
+    let mut rng = StdRng::seed_from_u64(32);
+    let na: Vec<usize> = (0..schema.arity()).filter(|&a| a != dataset.sa).collect();
+    let mut queries = Vec::new();
+    while queries.len() < 32 {
+        let row = rng.gen_range(0..table.rows());
+        let dims = rng.gen_range(1..=3);
+        let mut attrs: Vec<usize> = Vec::new();
+        while attrs.len() < dims {
+            let attr = na[rng.gen_range(0..na.len())];
+            if !attrs.contains(&attr) {
+                attrs.push(attr);
+            }
+        }
+        attrs.push(dataset.sa);
+        let conditions: Vec<(&str, &str)> = attrs
+            .iter()
+            .map(|&a| {
+                let attribute = schema.attribute(a);
+                let value = attribute.dictionary().values()[table.code(row, a) as usize].as_str();
+                (attribute.name(), value)
+            })
+            .collect();
+        if conditions.iter().all(|&(_, v)| is_token(v)) {
+            queries.push(WireQuery::new(conditions));
+        }
+    }
+    let service = QueryService::from_publication(&publication, ServiceConfig::default());
+    (
+        Catalog::single(Arc::new(service)),
+        Request::Batch(queries).encode(),
+    )
 }
 
 fn expect_answered(response: &Response) {
@@ -159,6 +214,23 @@ fn bench_serve(c: &mut Criterion) {
         });
         obs.set_enabled(true);
     });
+    let (census, batch32) = census_batch32();
+    let mut routing = CatalogSession::new(&census);
+    let response = routing
+        .handle_line(&batch32, &mut SessionStats::default())
+        .expect("non-empty line");
+    expect_answered(&response);
+    group.bench_function("batch32_line", |b| {
+        let mut session = SessionStats::default();
+        b.iter(|| {
+            let r = routing
+                .handle_line(&batch32, &mut session)
+                .expect("non-empty line");
+            expect_answered(&r);
+            r.encode()
+        });
+    });
+    group.bench_function("batch32_encode", |b| b.iter(|| response.encode()));
     group.finish();
 }
 

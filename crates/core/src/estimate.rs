@@ -17,6 +17,12 @@
 //! * [`GroupedView`] — pre-aggregate per-personal-group SA histograms once,
 //!   then answer each query by summing over the matching groups. The large
 //!   CENSUS sweeps are only tractable this way.
+//!
+//! The view stores the histograms SA-major: one block of `m` columns,
+//! `counts[sa * groups + g]`, beside the group sizes. A query ANDs the key
+//! bitmaps of its NA terms word by word and, for every set bit `g`, adds
+//! `sizes[g]` and entry `g` of the queried SA column — two flat arrays,
+//! with no per-group heap row and no bitmap copy.
 
 use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table};
 
@@ -52,7 +58,10 @@ pub struct GroupedView {
     sa_attr: AttrId,
     m: usize,
     keys: Vec<Vec<u32>>,
-    hists: Vec<Vec<u64>>,
+    /// The SA histograms as one SA-major column block: `counts[sa *
+    /// groups + g]` is group `g`'s count of SA code `sa`, so a query reads
+    /// one contiguous column.
+    counts: Vec<u64>,
     sizes: Vec<u64>,
     /// Per-`(NA attribute, code)` selection bitmaps over the group keys:
     /// every query's NA conjunction is the AND of the named bitmaps, 64
@@ -141,7 +150,8 @@ impl GroupedView {
         Self::assemble(spec, keys, hists, 1, 1)
     }
 
-    /// The view over sorted `keys` and their aligned histograms.
+    /// The view over sorted `keys` and their aligned histograms, which are
+    /// transposed into the SA-major column block and dropped.
     fn assemble(
         spec: &SaSpec,
         keys: Vec<Vec<u32>>,
@@ -149,6 +159,13 @@ impl GroupedView {
         shards: usize,
         threads: usize,
     ) -> Self {
+        let groups = hists.len();
+        let mut counts = vec![0u64; spec.m() * groups];
+        for (g, hist) in hists.iter().enumerate() {
+            for (sa, &count) in hist.iter().enumerate() {
+                counts[sa * groups + g] = count;
+            }
+        }
         let sizes = hists.iter().map(|h| h.iter().sum()).collect();
         let key_index = build_key_index(spec.na(), &keys, shards, threads);
         Self {
@@ -156,7 +173,7 @@ impl GroupedView {
             sa_attr: spec.sa(),
             m: spec.m(),
             keys,
-            hists,
+            counts,
             sizes,
             key_index,
         }
@@ -177,27 +194,25 @@ impl GroupedView {
         self.sizes.iter().sum()
     }
 
+    /// The SA-major column of SA code `sa`: one count per group.
+    fn column(&self, sa: u32) -> &[u64] {
+        let groups = self.keys.len();
+        &self.counts[sa as usize * groups..][..groups]
+    }
+
     /// `(support, observed)` of the perturbed subset matching the query's
     /// `NA` pattern: `|S*|` and `O*`. The NA conjunction is evaluated on the
     /// cached key bitmaps (bitwise AND over 64-group words), never key by
-    /// key; answers are identical to the scan it replaces.
+    /// key, and each matching group adds its size and its entry of the
+    /// queried SA column; answers are identical to the scan it replaces.
     pub fn support_and_observed(&self, query: &CountQuery) -> (u64, u64) {
-        let sa = query.sa_value() as usize;
-        match self.key_index.select_bitmap(query.na_pattern()) {
-            None => (
-                self.sizes.iter().sum(),
-                self.hists.iter().map(|h| h[sa]).sum(),
-            ),
-            Some(matching) => {
-                let mut support = 0u64;
-                let mut observed = 0u64;
-                for g in matching.iter_ones() {
-                    support += self.sizes[g as usize];
-                    observed += self.hists[g as usize][sa];
-                }
-                (support, observed)
-            }
-        }
+        let column = self.column(query.sa_value());
+        let (mut support, mut observed) = (0u64, 0u64);
+        self.key_index.for_each_match(query.na_pattern(), |g| {
+            support += self.sizes[g];
+            observed += column[g];
+        });
+        (support, observed)
     }
 
     /// Precomputes, for each query, the indices of the matching groups (by
@@ -207,21 +222,18 @@ impl GroupedView {
     pub fn match_index(&self, queries: &[CountQuery]) -> Vec<Vec<u32>> {
         queries
             .iter()
-            .map(|q| match self.key_index.select_bitmap(q.na_pattern()) {
-                None => (0..self.keys.len() as u32).collect(),
-                Some(matching) => matching.iter_ones().collect(),
-            })
+            .map(|q| self.key_index.select(q.na_pattern()))
             .collect()
     }
 
     /// `(support, observed)` using a precomputed match index entry.
     pub fn support_and_observed_indexed(&self, query: &CountQuery, matching: &[u32]) -> (u64, u64) {
-        let sa = query.sa_value() as usize;
+        let column = self.column(query.sa_value());
         let mut support = 0u64;
         let mut observed = 0u64;
         for &g in matching {
             support += self.sizes[g as usize];
-            observed += self.hists[g as usize][sa];
+            observed += column[g as usize];
         }
         (support, observed)
     }
@@ -395,10 +407,10 @@ mod tests {
             let sa = q.sa_value() as usize;
             let mut support = 0u64;
             let mut observed = 0u64;
-            for ((key, hist), &size) in view.keys.iter().zip(&view.hists).zip(&view.sizes) {
+            for (g, (key, &size)) in view.keys.iter().zip(&view.sizes).enumerate() {
                 if q.na_pattern().matches_key(&view.na_attrs, key) {
                     support += size;
-                    observed += hist[sa];
+                    observed += view.counts[sa * view.len() + g];
                 }
             }
             assert_eq!(view.support_and_observed(q), (support, observed), "{q:?}");
@@ -495,7 +507,7 @@ mod tests {
             let reference = GroupedView::from_histograms(&groups, hists);
             let view = GroupedView::from_table(&t, &spec);
             proptest::prop_assert_eq!(&view.keys, &reference.keys);
-            proptest::prop_assert_eq!(&view.hists, &reference.hists);
+            proptest::prop_assert_eq!(&view.counts, &reference.counts);
             proptest::prop_assert_eq!(&view.sizes, &reference.sizes);
             proptest::prop_assert_eq!(&view, &reference);
             // Answers over queries pinning random subsets of NA attributes

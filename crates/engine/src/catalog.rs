@@ -49,7 +49,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultHandle;
 use crate::protocol::{
-    is_release_name, ErrorCode, ReleaseEntry, Request, Response, PROTOCOL_VERSION,
+    is_release_name, ErrorCode, Line, ProtocolError, ReleaseEntry, Request, Response,
+    PROTOCOL_VERSION,
 };
 use crate::publication::Publication;
 use crate::service::{QueryService, ServiceConfig, SessionStats};
@@ -573,7 +574,9 @@ impl<'a> CatalogSession<'a> {
     /// Handles one raw request line: parse, route, count. Returns `None`
     /// for blank lines. This is the one per-line entry every transport
     /// uses, so a request line maps to the same response bytes on every
-    /// transport and in every serving mode.
+    /// transport and in every serving mode. A `count` or `batch` line,
+    /// qualified or not, is answered straight from its conditions borrowed
+    /// from `line`; any other line becomes an owned [`Request`].
     pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
         // Sampled stage timing (1-in-8 requests; see `crate::obs`) on
         // handles resolved once per process. The three stages share one
@@ -582,22 +585,14 @@ impl<'a> CatalogSession<'a> {
         let obs = crate::obs::global();
         let hot = crate::obs::hot_path();
         let t0 = (obs.enabled() && hot.handle.tick_sampled()).then(|| obs.now_ns());
-        let parsed = Request::parse(line).transpose()?;
+        let parsed = Line::parse(line).transpose()?;
         let t1 = t0.map(|_| obs.now_ns());
         let response = match parsed {
-            Ok(request) => self.handle(&request, session),
-            Err(e) => {
-                // Charged to the current release like any request it
-                // answers; with no release to charge, to the session only.
-                let response = Response::from(e);
-                if self
-                    .with_current(|service| service.count(&response, session))
-                    .is_err()
-                {
-                    count_local(session, &response);
-                }
-                response
-            }
+            Ok(Line::Queries { release, queries }) => self.route(release, session, |service, s| {
+                service.handle_queries(&queries, s)
+            }),
+            Ok(Line::Request(request)) => self.handle(&request, session),
+            Err(e) => self.refuse(e, session),
         };
         if let (Some(t0), Some(t1)) = (t0, t1) {
             let t2 = obs.now_ns();
@@ -606,6 +601,40 @@ impl<'a> CatalogSession<'a> {
             hot.handle.record(t2.saturating_sub(t0));
         }
         Some(response)
+    }
+
+    /// As [`CatalogSession::handle_line`] over the raw bytes of a line: a
+    /// line that is not UTF-8 answers `error code=parse` and is charged
+    /// like any other line that does not parse.
+    pub(crate) fn handle_bytes(
+        &mut self,
+        line: &[u8],
+        session: &mut SessionStats,
+    ) -> Option<Response> {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.handle_line(line, session),
+            Err(_) => {
+                let e = ProtocolError {
+                    code: ErrorCode::Parse,
+                    message: "request line is not valid UTF-8".to_string(),
+                };
+                Some(self.refuse(e, session))
+            }
+        }
+    }
+
+    /// The response to a line that does not parse, charged to the current
+    /// release like any request it answers; with no release to charge, to
+    /// the session only.
+    fn refuse(&mut self, e: ProtocolError, session: &mut SessionStats) -> Response {
+        let response = Response::from(e);
+        if self
+            .with_current(|service| service.count(&response, session))
+            .is_err()
+        {
+            count_local(session, &response);
+        }
+        response
     }
 
     /// Handles one typed request: catalog verbs are answered here,
@@ -641,19 +670,41 @@ impl<'a> CatalogSession<'a> {
                 },
                 Err(e) => e.wire(),
             },
-            Request::At { release, inner } => match self.catalog.checkout(release) {
-                Ok(service) => return service.handle(inner, session),
-                Err(e) => e.wire(),
-            },
+            Request::At { release, inner } => {
+                return self.route(Some(release), session, |service, s| {
+                    service.handle(inner, s)
+                });
+            }
             unqualified => {
-                match self.with_current(|service| service.handle(unqualified, session)) {
-                    Ok(response) => return response,
-                    Err(e) => e.wire(),
-                }
+                return self.route(None, session, |service, s| service.handle(unqualified, s));
             }
         };
         count_local(session, &local);
         local
+    }
+
+    /// Answers a tenant-bound request with `f` on the named release (a
+    /// checkout per request) or, for `None`, on the current release. A
+    /// routing failure answers the catalog error, counted in the session
+    /// only.
+    fn route(
+        &mut self,
+        release: Option<&str>,
+        session: &mut SessionStats,
+        f: impl FnOnce(&QueryService, &mut SessionStats) -> Response,
+    ) -> Response {
+        let routed = match release {
+            Some(name) => self
+                .catalog
+                .checkout(name)
+                .map(|service| f(&service, session)),
+            None => self.with_current(|service| f(service, session)),
+        };
+        routed.unwrap_or_else(|e| {
+            let response = e.wire();
+            count_local(session, &response);
+            response
+        })
     }
 
     /// Runs `f` on the current release: the cached fast path when the

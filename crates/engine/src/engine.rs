@@ -5,12 +5,14 @@
 //! SA histograms of the published table (the engine keeps only keys and
 //! histograms, the per-group reconstruction substrate; a direct-addressable
 //! key space builds them in one pass with no member row lists), plus
-//! per-`(NA attribute, code)` selection bitmaps over the group keys — and
-//! every query is then answered by ANDing the cached bitmaps and summing
-//! the matching groups, 64 groups per word, never key by key. For query
-//! batches and pools the NA match index is precomputed too
-//! ([`QueryEngine::prepare`]), so repeated workloads over the same release
-//! touch each group key once.
+//! per-`(NA attribute, code)` selection bitmaps over the group keys. The
+//! histograms are stored SA-major, one contiguous column of group counts
+//! per SA value. Every query is then answered by ANDing its terms' cached
+//! bitmaps word by word into a stack buffer, 64 groups per word and no
+//! bitmap copied, and by adding each matching group's size and its entry
+//! of the queried SA column — never key by key. For query batches and
+//! pools the NA match index is precomputed too ([`QueryEngine::prepare`]),
+//! so repeated workloads over the same release touch each group key once.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;

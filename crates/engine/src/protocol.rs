@@ -73,6 +73,14 @@
 //! only *read* instrumentation: they change zero response bytes of every
 //! other verb.
 //!
+//! One tokenizer reads every `count` and `batch` body (and `insert`
+//! records): it yields each condition as a borrowed `(column, value)` span
+//! of the request line, query by query. A session answers a `count` or
+//! `batch` line straight from those spans; [`Request::parse`] copies them
+//! into owned [`WireQuery`]s, and [`crate::QueryService::handle`] borrows
+//! an owned request back into the same span form, so there is one
+//! answering path and one set of parse errors.
+//!
 //! Parsing and encoding are exact inverses over the canonical forms:
 //! `parse(encode(x)) == x` for every value expressible in the token
 //! grammar (floats are encoded with Rust's shortest round-trip
@@ -228,7 +236,7 @@ fn bad(message: impl Into<String>) -> ProtocolError {
 /// One count query as it appears on the wire: unresolved
 /// `(column, value)` string conditions. Resolution against the release
 /// schema (and the SA split) happens in the service layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct WireQuery {
     /// Equality conditions in request order.
     pub conditions: Vec<(String, String)>,
@@ -244,11 +252,44 @@ impl WireQuery {
                 .collect(),
         }
     }
+}
 
-    /// Parses the body of a query (the `count` verb already stripped if
-    /// present). At least one condition is required.
-    fn parse_body(body: &str) -> Result<Self, ProtocolError> {
-        let mut conditions = Vec::new();
+/// The `(column, value)` conditions of the queries of one `count` or
+/// `batch` line, borrowed from the line (or from owned [`WireQuery`]s):
+/// the one form every query is resolved and answered from.
+#[derive(Debug, Default)]
+pub(crate) struct Queries<'a> {
+    /// Whether the line is a `batch`, answered as one `batch N` list even
+    /// for a single query, rather than a `count`.
+    pub(crate) batch: bool,
+    /// Every query's conditions, query after query.
+    conditions: Vec<(&'a str, &'a str)>,
+    /// Where each query's conditions end in `conditions`.
+    ends: Vec<usize>,
+}
+
+impl<'a> Queries<'a> {
+    /// Borrows owned wire queries.
+    pub(crate) fn of_wire(batch: bool, queries: &'a [WireQuery]) -> Self {
+        let mut spans = Self {
+            batch,
+            ..Self::default()
+        };
+        for q in queries {
+            spans
+                .conditions
+                .extend(q.conditions.iter().map(|(c, v)| (c.as_str(), v.as_str())));
+            spans.ends.push(spans.conditions.len());
+        }
+        spans
+    }
+
+    /// The one tokenizer of query and record bodies: appends the
+    /// whitespace-separated `Column=value` tokens of `body` (the `count`
+    /// verb already stripped if present) as one query. At least one
+    /// condition is required.
+    fn push_query(&mut self, body: &'a str) -> Result<(), ProtocolError> {
+        let start = self.conditions.len();
         for token in body.split_whitespace() {
             let (col, value) = token
                 .split_once('=')
@@ -256,12 +297,54 @@ impl WireQuery {
             if col.is_empty() || value.is_empty() {
                 return Err(bad(format!("empty column or value in `{token}`")));
             }
-            conditions.push((col.to_string(), value.to_string()));
+            self.conditions.push((col, value));
         }
-        if conditions.is_empty() {
+        if self.conditions.len() == start {
             return Err(bad("empty query; try `count Column=value ... SA=value`"));
         }
-        Ok(Self { conditions })
+        self.ends.push(self.conditions.len());
+        Ok(())
+    }
+
+    /// The conditions of a one-query body.
+    fn single(body: &'a str) -> Result<Self, ProtocolError> {
+        let mut spans = Self::default();
+        spans.push_query(body)?;
+        Ok(spans)
+    }
+
+    /// The queries of a `batch` body: `;`-separated parts, each with an
+    /// optional `count ` verb.
+    fn batch(body: &'a str) -> Result<Self, ProtocolError> {
+        let mut spans = Self {
+            batch: true,
+            ..Self::default()
+        };
+        for part in body.split(';') {
+            let part = part.trim();
+            spans.push_query(part.strip_prefix("count ").unwrap_or(part))?;
+        }
+        Ok(spans)
+    }
+
+    /// Each query's conditions, in line order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(&'a str, &'a str)]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| self.conditions.get(start..end).unwrap_or_default())
+    }
+
+    /// The owned wire queries.
+    fn to_wire(&self) -> Vec<WireQuery> {
+        self.iter()
+            .map(|q| WireQuery {
+                conditions: q
+                    .iter()
+                    .map(|&(c, v)| (c.to_string(), v.to_string()))
+                    .collect(),
+            })
+            .collect()
     }
 }
 
@@ -435,6 +518,29 @@ impl Request {
     /// lines and [`ErrorCode::UnknownCommand`] when the first token is
     /// neither a verb nor a `Column=value` condition.
     pub fn parse(line: &str) -> Result<Option<Self>, ProtocolError> {
+        Ok(Line::parse(line)?.map(Line::into_request))
+    }
+}
+
+/// One request line as a session parses it: a `count` or `batch` line
+/// keeps its conditions borrowed from the line, any other line is an
+/// owned [`Request`].
+#[derive(Debug)]
+pub(crate) enum Line<'a> {
+    /// A `count` or `batch` line, qualified with `@release` or not.
+    Queries {
+        /// The `@release` qualifier, if any.
+        release: Option<&'a str>,
+        /// The line's queries.
+        queries: Queries<'a>,
+    },
+    /// Any other request.
+    Request(Request),
+}
+
+impl<'a> Line<'a> {
+    /// Parses one request line; see [`Request::parse`].
+    pub(crate) fn parse(line: &'a str) -> Result<Option<Self>, ProtocolError> {
         let line = line.trim();
         if line.is_empty() {
             return Ok(None);
@@ -447,7 +553,7 @@ impl Request {
         // token is really a condition like `Job=a@b`; fall through.
         let qualified = verb.split_once('@').filter(|(base, _)| !base.contains('='));
         let Some((base, release)) = qualified else {
-            return Self::parse_verb(verb, verb, rest, line).map(Some);
+            return Self::parse_verb(verb, verb, rest, line, None).map(Some);
         };
         if !is_release_name(release) {
             return Err(bad(format!("bad release name `{release}` in `{verb}`")));
@@ -460,18 +566,36 @@ impl Request {
                 ),
             ));
         }
-        Ok(Some(Request::At {
-            release: release.to_string(),
-            inner: Box::new(Self::parse_verb(verb, base, rest, line)?),
-        }))
+        Self::parse_verb(verb, base, rest, line, Some(release)).map(Some)
     }
 
     /// Parses the request named by `base` (the verb token `verb` without
     /// its `@release` qualifier) with arguments `rest`; messages quote
     /// the whole token.
-    fn parse_verb(verb: &str, base: &str, rest: &str, line: &str) -> Result<Self, ProtocolError> {
+    fn parse_verb(
+        verb: &str,
+        base: &str,
+        rest: &'a str,
+        line: &'a str,
+        release: Option<&'a str>,
+    ) -> Result<Self, ProtocolError> {
         let base = if base == "exit" { "quit" } else { base };
-        if let Some(request) = Self::from_bare_verb(base) {
+        let queries = match base {
+            "count" => Queries::single(rest)?,
+            "batch" if rest.is_empty() => return Err(bad("empty batch")),
+            "batch" => Queries::batch(rest)?,
+            _ if verb.contains('=') => Queries::single(line)?,
+            _ => {
+                let request = Self::parse_other(verb, base, rest)?;
+                return Ok(Line::Request(qualify(release, request)));
+            }
+        };
+        Ok(Line::Queries { release, queries })
+    }
+
+    /// Parses a request that is neither `count` nor `batch`.
+    fn parse_other(verb: &str, base: &str, rest: &str) -> Result<Request, ProtocolError> {
+        if let Some(request) = Request::from_bare_verb(base) {
             if !rest.is_empty() {
                 return Err(bad(format!("`{verb}` takes no arguments")));
             }
@@ -490,25 +614,12 @@ impl Request {
             "trace" => Request::Trace(Some(parse_u64(rest)?)),
             "use" => Request::Use(release_arg()?),
             "reload" => Request::Reload(release_arg()?),
-            "count" => Request::Query(WireQuery::parse_body(rest)?),
             "insert" if rest.is_empty() => {
                 return Err(bad(
                     "empty record; try `insert Column=value ...` covering every column",
                 ));
             }
-            "insert" => Request::Insert(WireRecord {
-                fields: WireQuery::parse_body(rest)?.conditions,
-            }),
-            "batch" if rest.is_empty() => return Err(bad("empty batch")),
-            "batch" => Request::Batch(
-                rest.split(';')
-                    .map(|part| {
-                        let part = part.trim();
-                        WireQuery::parse_body(part.strip_prefix("count ").unwrap_or(part))
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            _ if verb.contains('=') => Request::Query(WireQuery::parse_body(line)?),
+            "insert" => Request::Insert(WireRecord::new(Queries::single(rest)?.conditions)),
             _ => {
                 return Err(ProtocolError::new(
                     ErrorCode::UnknownCommand,
@@ -518,6 +629,33 @@ impl Request {
                 ));
             }
         })
+    }
+
+    /// The owned request.
+    fn into_request(self) -> Request {
+        let (release, queries) = match self {
+            Line::Request(request) => return request,
+            Line::Queries { release, queries } => (release, queries),
+        };
+        let wire = queries.to_wire();
+        let request = if queries.batch {
+            Request::Batch(wire)
+        } else {
+            // A `count` line holds exactly one query.
+            Request::Query(wire.into_iter().next().unwrap_or_default())
+        };
+        qualify(release, request)
+    }
+}
+
+/// `request`, wrapped in [`Request::At`] when it carries a qualifier.
+fn qualify(release: Option<&str>, request: Request) -> Request {
+    match release {
+        Some(release) => Request::At {
+            release: release.to_string(),
+            inner: Box::new(request),
+        },
+        None => request,
     }
 }
 
@@ -995,7 +1133,12 @@ impl Response {
                 a.put("", &mut out);
                 out.remove(0); // the answer opens its line: no separator
             }
-            Response::Batch(answers) => put_list(&mut out, "batch", answers),
+            Response::Batch(answers) => {
+                // One reservation for the whole line: an answer with its
+                // `; ` separator is typically under 128 bytes.
+                out.reserve(answers.len() * 128);
+                put_list(&mut out, "batch", answers);
+            }
             Response::Releases(entries) => put_list(&mut out, "releases", entries),
             Response::Metrics {
                 counters,

@@ -24,9 +24,14 @@
 //! bye
 //! ```
 //!
-//! Protocol-level failures answer a structured `error code=...` line and
-//! the loop keeps serving — a bad request must never take a session down.
-//! Only transport I/O errors abort the session. That includes the
+//! The loop reads each line with `read_until` into one reused byte
+//! buffer and writes each encoded response with one `write_all`, then
+//! flushes. Protocol-level failures answer a structured `error code=...`
+//! line and the loop keeps serving — a bad request must never take a
+//! session down. That includes a line that is not valid UTF-8: it answers
+//! `error code=parse request line is not valid UTF-8`, counts as an error
+//! request, and the next line is read as usual. Only transport I/O errors
+//! abort the session. That includes the
 //! per-connection read/write deadlines [`crate::server::Server`] may arm:
 //! when a socket read times out, the blocking read surfaces
 //! `WouldBlock`/`TimedOut`, the server treats the session as idle and
@@ -55,7 +60,7 @@ use crate::service::SessionStats;
 /// reported to the client as `error code=...` lines.
 pub fn serve<R: BufRead, W: Write>(
     catalog: &Catalog,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<SessionStats> {
     let obs = crate::obs::global();
@@ -67,26 +72,30 @@ pub fn serve<R: BufRead, W: Write>(
     let banner = routing.hello();
     writeln!(output, "{}", banner.encode())?;
     output.flush()?;
-    if !banner.is_error() {
-        for line in input.lines() {
-            let line = line?;
-            // Always-on per-request latency (parse through write+flush):
-            // records into `serve.request` when the guard drops at the
-            // end of this iteration — including the `bye` break path.
-            let _request_span = obs.span("serve.request");
-            let Some(response) = routing.handle_line(&line, &mut session) else {
-                continue; // blank line
-            };
-            let t0 = obs.sampled_start("serve.encode");
-            let text = response.encode();
-            if let Some(t0) = t0 {
-                obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
-            }
-            writeln!(output, "{text}")?;
-            output.flush()?;
-            if matches!(response, crate::protocol::Response::Bye) {
-                break;
-            }
+    let mut line = Vec::new();
+    while !banner.is_error() {
+        line.clear();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            break; // end of input
+        }
+        // Always-on per-request latency (parse through write+flush):
+        // records into `serve.request` when the guard drops at the end
+        // of this iteration — including the `bye` break path.
+        let _request_span = obs.span("serve.request");
+        let bytes = line.strip_suffix(b"\n").unwrap_or(&line);
+        let Some(response) = routing.handle_bytes(bytes, &mut session) else {
+            continue; // blank line
+        };
+        let t0 = obs.sampled_start("serve.encode");
+        let mut text = response.encode();
+        if let Some(t0) = t0 {
+            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
+        }
+        text.push('\n');
+        output.write_all(text.as_bytes())?;
+        output.flush()?;
+        if matches!(response, crate::protocol::Response::Bye) {
+            break;
         }
     }
     obs.inc("serve.sessions_closed");
@@ -191,6 +200,26 @@ mod tests {
         };
         assert_eq!(answers.len(), 2);
         assert_eq!(stats.answered, 2);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_a_parse_error_and_the_session_goes_on() {
+        let catalog = Catalog::single(Arc::new(fixture_service()));
+        let mut out = Vec::new();
+        let input = &b"ping\n\xff\nping\nquit\n"[..];
+        let stats = serve(&catalog, input, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().skip(1).collect();
+        assert_eq!(
+            lines,
+            [
+                "pong",
+                "error code=parse request line is not valid UTF-8",
+                "pong",
+                "bye"
+            ]
+        );
+        assert_eq!((stats.requests, stats.errors, stats.answered), (4, 1, 3));
     }
 
     #[test]

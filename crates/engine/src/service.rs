@@ -49,7 +49,7 @@ use rp_table::CountQuery;
 
 use crate::engine::{Answer, QueryEngine};
 use crate::protocol::{
-    ErrorCode, ProtocolError, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer, WireQuery,
+    ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer,
     WireRecord,
 };
 use crate::publication::Publication;
@@ -381,8 +381,22 @@ impl QueryService {
 
     /// Handles one typed request (already parsed and routed to this
     /// release), counting it in `session` and in the aggregate counters.
+    /// A `count` or `batch` request is answered from its conditions
+    /// borrowed in the same form as a line a session parses.
     pub fn handle(&self, request: &Request, session: &mut SessionStats) -> Response {
         let response = self.dispatch(request, session);
+        self.count(&response, session);
+        response
+    }
+
+    /// Answers the queries of one routed `count` or `batch` line and
+    /// counts the request, like [`QueryService::handle`].
+    pub(crate) fn handle_queries(
+        &self,
+        queries: &Queries<'_>,
+        session: &mut SessionStats,
+    ) -> Response {
+        let response = self.answer(queries, session);
         self.count(&response, session);
         response
     }
@@ -434,14 +448,10 @@ impl QueryService {
                         .collect(),
                 )
             }
-            Request::Query(q) => match self.answer_single(q, session) {
-                Ok(a) => Response::Answer(a),
-                Err(e) => Response::from(e),
-            },
-            Request::Batch(queries) => match self.answer_batch(queries) {
-                Ok(answers) => Response::Batch(answers),
-                Err(e) => Response::from(e),
-            },
+            Request::Query(q) => {
+                self.answer(&Queries::of_wire(false, std::slice::from_ref(q)), session)
+            }
+            Request::Batch(queries) => self.answer(&Queries::of_wire(true, queries), session),
             Request::Insert(record) => match self.insert(record, session) {
                 Ok(r) => r,
                 Err(e) => Response::from(e),
@@ -631,16 +641,11 @@ impl QueryService {
         }
     }
 
-    /// Resolves a wire query against the engine schema, splitting the SA
-    /// condition out of the NA conditions.
-    fn resolve(&self, q: &WireQuery) -> Result<CountQuery, ProtocolError> {
-        let conditions: Vec<(&str, &str)> = q
-            .conditions
-            .iter()
-            .map(|(c, v)| (c.as_str(), v.as_str()))
-            .collect();
+    /// Resolves one query's `(column, value)` conditions against the
+    /// engine schema, splitting the SA condition out of the NA conditions.
+    fn resolve(&self, conditions: &[(&str, &str)]) -> Result<CountQuery, ProtocolError> {
         self.engine
-            .query_from_values(&conditions)
+            .query_from_values(conditions)
             .map_err(|e| ProtocolError {
                 code: ErrorCode::BadQuery,
                 message: e.to_string(),
@@ -703,12 +708,25 @@ impl QueryService {
         self.cache_guard().insert(key, answer);
     }
 
+    /// The response to a `count` line (one query, answered through the
+    /// cache) or a `batch` line (every query, bypassing it).
+    fn answer(&self, queries: &Queries<'_>, session: &mut SessionStats) -> Response {
+        let answered = if queries.batch {
+            self.answer_batch(queries).map(Response::Batch)
+        } else {
+            let conditions = queries.iter().next().unwrap_or_default();
+            self.answer_single(conditions, session)
+                .map(Response::Answer)
+        };
+        answered.unwrap_or_else(Response::from)
+    }
+
     fn answer_single(
         &self,
-        q: &WireQuery,
+        conditions: &[(&str, &str)],
         session: &mut SessionStats,
     ) -> Result<WireAnswer, ProtocolError> {
-        let query = self.resolve(q)?;
+        let query = self.resolve(conditions)?;
         let key = Self::canonical_key(&query)?;
         if self.cache_capacity > 0 {
             // Sampled lookup timing; the same 1-in-8 decision gates the
@@ -746,14 +764,17 @@ impl QueryService {
         Ok(WireAnswer::from(&answer))
     }
 
-    fn answer_batch(&self, queries: &[WireQuery]) -> Result<Vec<WireAnswer>, ProtocolError> {
-        let mut resolved = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            resolved.push(self.resolve(q).map_err(|e| ProtocolError {
-                code: e.code,
-                message: format!("query {}: {}", i + 1, e.message),
-            })?);
-        }
+    fn answer_batch(&self, queries: &Queries<'_>) -> Result<Vec<WireAnswer>, ProtocolError> {
+        let resolved = queries
+            .iter()
+            .enumerate()
+            .map(|(i, conditions)| {
+                self.resolve(conditions).map_err(|e| ProtocolError {
+                    code: e.code,
+                    message: format!("query {}: {}", i + 1, e.message),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let live = self.live_view()?;
         resolved
             .iter()

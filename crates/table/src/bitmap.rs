@@ -4,8 +4,12 @@
 //!
 //! This is the vectorized counterpart of [`Pattern::matches_row`]'s
 //! row-at-a-time scan: a [`BitmapIndex`] is built column by column in one
-//! pass, and every conjunctive selection afterwards is a handful of word-wide
-//! AND + popcount loops. The same structure doubles as the *group-key* match
+//! pass, and every conjunctive selection afterwards is one word-wide AND
+//! loop. [`BitmapIndex::for_each_match_word`] is the only matcher: it ANDs
+//! the term bitmaps' words into a stack buffer and hands each result word
+//! to its caller, so no selection clones or allocates a [`Bitmap`]; every
+//! other selection (`select`, `count`, `support_and_observed`) is a fold
+//! over its words. The same structure doubles as the *group-key* match
 //! index behind `rp-core`'s `GroupedView` and the query engine's prepared
 //! pools, where each bit stands for one personal group instead of one row.
 //! Quantified by the `matching` bench group (`bench_matching`).
@@ -244,47 +248,68 @@ impl BitmapIndex {
         self.bitmaps[pos].get(code as usize)
     }
 
-    /// Evaluates a conjunctive pattern: the AND of the bitmaps named by its
-    /// equality terms. Returns `None` when no term constrains an indexed
-    /// attribute (everything matches); an out-of-domain code yields an
-    /// all-zeros bitmap.
-    pub fn select_bitmap(&self, pattern: &Pattern) -> Option<Bitmap> {
-        // Only the first term's bitmap is cloned; later ones AND in
-        // borrowed, so a query allocates once however many terms it has.
-        let mut result: Option<Bitmap> = None;
-        for &(attr, term) in pattern.terms() {
-            let Term::Value(code) = term else { continue };
-            if !self.attrs.contains(&attr) {
-                continue;
+    /// The one matcher behind every selection: calls `f(w, word)` for each
+    /// 64-position word `w` of the pattern's match set, in ascending order.
+    /// Each word is the AND of the words of the bitmaps named by the
+    /// pattern's equality terms, computed into a stack buffer a chunk of
+    /// words at a time, so no [`Bitmap`] is cloned or allocated. A pattern
+    /// that constrains no indexed attribute matches every position; a
+    /// code outside the indexed domain matches none, and `f` is never
+    /// called. Bits past [`BitmapIndex::len`] are always clear.
+    pub fn for_each_match_word(&self, pattern: &Pattern, mut f: impl FnMut(usize, u64)) {
+        const CHUNK_WORDS: usize = 64;
+        let words = self.len.div_ceil(64);
+        let mut buf = [0u64; CHUNK_WORDS];
+        for start in (0..words).step_by(CHUNK_WORDS) {
+            let chunk = &mut buf[..CHUNK_WORDS.min(words - start)];
+            chunk.fill(u64::MAX);
+            // Every chunk reads every term, so an out-of-domain code is
+            // seen in the first chunk, before `f` is first called.
+            for &(attr, term) in pattern.terms() {
+                let Term::Value(code) = term else { continue };
+                let Some(pos) = self.attrs.iter().position(|&a| a == attr) else {
+                    continue;
+                };
+                let Some(bitmap) = self.bitmaps[pos].get(code as usize) else {
+                    return;
+                };
+                for (acc, &word) in chunk.iter_mut().zip(&bitmap.words[start..]) {
+                    *acc &= word;
+                }
             }
-            let Some(term_bitmap) = self.bitmap(attr, code) else {
-                // An out-of-domain code matches nothing, whatever else the
-                // pattern says.
-                return Some(Bitmap::zeros(self.len));
-            };
-            match &mut result {
-                None => result = Some(term_bitmap.clone()),
-                Some(acc) => acc.and_assign(term_bitmap),
+            if start + chunk.len() == words && !self.len.is_multiple_of(64) {
+                chunk[chunk.len() - 1] &= (1u64 << (self.len % 64)) - 1;
+            }
+            for (i, &word) in chunk.iter().enumerate() {
+                f(start + i, word);
             }
         }
-        result
+    }
+
+    /// Calls `f(position)` for each position matching the pattern, in
+    /// ascending order (see [`BitmapIndex::for_each_match_word`]).
+    pub fn for_each_match(&self, pattern: &Pattern, mut f: impl FnMut(usize)) {
+        self.for_each_match_word(pattern, |w, mut word| {
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        });
     }
 
     /// Indices matching the pattern, ascending — bitmap counterpart of
     /// [`Pattern::select`].
     pub fn select(&self, pattern: &Pattern) -> Vec<u32> {
-        match self.select_bitmap(pattern) {
-            Some(bitmap) => bitmap.iter_ones().collect(),
-            None => (0..self.len as u32).collect(),
-        }
+        let mut out = Vec::new();
+        self.for_each_match(pattern, |i| out.push(i as u32));
+        out
     }
 
     /// Matching-position count — bitmap counterpart of [`Pattern::count`].
     pub fn count(&self, pattern: &Pattern) -> u64 {
-        match self.select_bitmap(pattern) {
-            Some(bitmap) => bitmap.count_ones(),
-            None => self.len as u64,
-        }
+        let mut count = 0;
+        self.for_each_match_word(pattern, |_, word| count += u64::from(word.count_ones()));
+        count
     }
 
     /// `(support, observed)` of a count query: positions matching the `NA`
@@ -305,22 +330,15 @@ impl BitmapIndex {
             "SA attribute {} is not covered by this bitmap index",
             query.sa_attr()
         );
-        let sa_bitmap = self.bitmap(query.sa_attr(), query.sa_value());
-        match self.select_bitmap(query.na_pattern()) {
-            Some(na) => {
-                let support = na.count_ones();
-                let observed = match sa_bitmap {
-                    Some(sa) => {
-                        let mut both = na;
-                        both.and_assign(sa);
-                        both.count_ones()
-                    }
-                    None => 0,
-                };
-                (support, observed)
+        let sa = self.bitmap(query.sa_attr(), query.sa_value());
+        let (mut support, mut observed) = (0u64, 0u64);
+        self.for_each_match_word(query.na_pattern(), |w, word| {
+            support += u64::from(word.count_ones());
+            if let Some(sa) = sa {
+                observed += u64::from((word & sa.words[w]).count_ones());
             }
-            None => (self.len as u64, sa_bitmap.map_or(0, Bitmap::count_ones)),
-        }
+        });
+        (support, observed)
     }
 }
 
@@ -396,6 +414,47 @@ mod tests {
             assert_eq!(idx.select(&pattern), pattern.select(&t), "{pattern:?}");
             assert_eq!(idx.count(&pattern), pattern.count(&t), "{pattern:?}");
         }
+    }
+
+    #[test]
+    fn match_words_span_chunks_and_mask_the_tail() {
+        // 9,001 rows: three stack chunks, the last one ragged.
+        let schema = Schema::new(vec![
+            Attribute::new("G", ["a", "b", "c"]),
+            Attribute::with_anonymous_domain("SA", 5),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..9_001u32 {
+            b.push_codes(&[i % 3, i % 5]).unwrap();
+        }
+        let t = b.build();
+        let idx = BitmapIndex::build(&t);
+        let mut words = 0;
+        idx.for_each_match_word(&Pattern::new(vec![]), |w, word| {
+            assert_eq!(w, words);
+            words += 1;
+            let last = w == 9_001 / 64;
+            assert_eq!(
+                word,
+                if last {
+                    (1 << (9_001 % 64)) - 1
+                } else {
+                    u64::MAX
+                }
+            );
+        });
+        assert_eq!(words, 9_001usize.div_ceil(64));
+        for pattern in [
+            Pattern::new(vec![]),
+            Pattern::from_codes(&[0], &[2]),
+            Pattern::from_codes(&[0, 1], &[1, 4]),
+            Pattern::from_codes(&[0, 1], &[1, 5]),
+        ] {
+            assert_eq!(idx.select(&pattern), pattern.select(&t), "{pattern:?}");
+            assert_eq!(idx.count(&pattern), pattern.count(&t), "{pattern:?}");
+        }
+        let q = CountQuery::new(vec![(0, 1)], 1, 4).unwrap();
+        assert_eq!(idx.support_and_observed(&q), q.answer_with_support(&t));
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! * a property: every answer of a random `batch` line is byte-identical
 //!   to `QueryEngine::answer` on the same resolved query.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rp_repro::engine::protocol::WireAnswer;
-use rp_repro::engine::{serve, Catalog, Publisher, QueryService, Response, ServiceConfig};
+use rp_repro::engine::{
+    serve, Catalog, Publisher, QueryService, Response, Server, ServerConfig, ServiceConfig,
+};
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
 /// `Job` × `City` personal groups over the SA `Disease`.
@@ -260,6 +264,47 @@ fn crlf_tab_and_space_runs_answer_like_the_canonical_line() {
         lines[1],
         answer_line(&catalog, "batch Disease=flu; Job=doc Disease=none")
     );
+}
+
+#[test]
+fn a_non_utf8_line_keeps_the_tcp_session_open() {
+    let service = Arc::new(fixture_service());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
+        .expect("bind an ephemeral port");
+    let handle = server.spawn().expect("spawn server");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut writer = stream;
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        line
+    };
+    assert!(read_line().starts_with("HELLO "));
+    let mut exchange = |request: &[u8]| {
+        writer.write_all(request).expect("send request");
+        writer.flush().expect("flush");
+        read_line()
+    };
+    assert_eq!(exchange(b"ping\n"), "pong\n");
+    assert_eq!(
+        exchange(b"count Job=\xe9ng Disease=flu\n"),
+        "error code=parse request line is not valid UTF-8\n"
+    );
+    assert_eq!(
+        exchange(b"count Job=eng Disease=flu\n"),
+        format!(
+            "{}\n",
+            answer_line(
+                &Catalog::single(Arc::new(fixture_service())),
+                "count Job=eng Disease=flu"
+            )
+        )
+    );
+    assert_eq!(exchange(b"quit\n"), "bye\n");
+    handle.shutdown().expect("graceful shutdown");
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.errors), (4, 1));
 }
 
 // ---------------------------------------------------------------------------
