@@ -1,8 +1,8 @@
 //! Benches for the observability core: the per-event costs the serving
 //! stack pays when instrumented, and the scrape-side rendering cost.
 //!
-//! * `obs/counter_inc` — one relaxed atomic counter increment, the cost
-//!   of every `obs.inc(..)` site;
+//! * `obs/counter_inc` — one relaxed atomic counter increment through
+//!   the enable switch, the cost of every `obs.inc(&obs.counters.x)` site;
 //! * `obs/span` — open + drop one always-on span (two clock reads and a
 //!   histogram record);
 //! * `obs/histogram_record` — one log₂-bucketed record (bucket index,
@@ -22,11 +22,11 @@ use rp_engine::{Registry, Response};
 fn populated_registry() -> Registry {
     let registry = Registry::new();
     for i in 0..4096u64 {
-        registry.record("wal.sync", i * 131 + 17);
-        registry.record("serve.request", i * 7 + 3);
+        registry.record(&registry.histograms.wal_sync, i * 131 + 17);
+        registry.record(&registry.histograms.serve_request, i * 7 + 3);
     }
     for _ in 0..1000 {
-        registry.inc("catalog.reload");
+        registry.inc(&registry.counters.catalog_reload);
     }
     registry
 }
@@ -65,11 +65,11 @@ fn bench_obs(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("obs");
     group.bench_function("counter_inc", |b| {
-        b.iter(|| registry.inc("stream.republish"));
+        b.iter(|| registry.inc(&registry.counters.stream_republish));
     });
     group.bench_function("span", |b| {
         b.iter(|| {
-            let span = registry.span("wal.sync");
+            let span = registry.span(&registry.histograms.wal_sync);
             drop(span);
         });
     });
@@ -77,7 +77,7 @@ fn bench_obs(c: &mut Criterion) {
         let mut v = 1u64;
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            registry.record("serve.request", v >> 40);
+            registry.record(&registry.histograms.serve_request, v >> 40);
         });
     });
     group.bench_function("histogram_quantile", |b| {

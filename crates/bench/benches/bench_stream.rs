@@ -97,7 +97,6 @@ fn bench_stream(c: &mut Criterion) {
                 &tmp(&format!("commit-{batch}.rpwal")),
                 StreamConfig {
                     commit_batch: batch,
-                    ..StreamConfig::default()
                 },
             )
             .unwrap();

@@ -418,7 +418,7 @@ impl Catalog {
                 // needs.
                 let _ = old_service.seal();
                 let obs = crate::obs::global();
-                obs.inc("catalog.seal");
+                obs.inc(&obs.counters.catalog_seal);
                 obs.trace("catalog.seal");
             }
             let service = build_source(name, &source, crate::fault::passthrough())?;
@@ -427,7 +427,7 @@ impl Catalog {
         reloading.store(false, Ordering::SeqCst);
         if result.is_ok() {
             let obs = crate::obs::global();
-            obs.inc("catalog.reload");
+            obs.inc(&obs.counters.catalog_reload);
             obs.trace("catalog.reload");
         }
         result
@@ -578,13 +578,12 @@ impl<'a> CatalogSession<'a> {
     /// qualified or not, is answered straight from its conditions borrowed
     /// from `line`; any other line becomes an owned [`Request`].
     pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
-        // Sampled stage timing (1-in-8 requests; see `crate::obs`) on
-        // handles resolved once per process. The three stages share one
-        // clock-read pair per boundary: parse = t1-t0, execute = t2-t1,
-        // handle = t2-t0.
+        // Sampled stage timing (1-in-8 requests; see `crate::obs`). The
+        // three stages share one clock-read pair per boundary: parse =
+        // t1-t0, execute = t2-t1, handle = t2-t0.
         let obs = crate::obs::global();
-        let hot = crate::obs::hot_path();
-        let t0 = (obs.enabled() && hot.handle.tick_sampled()).then(|| obs.now_ns());
+        let stages = &obs.histograms;
+        let t0 = obs.sampled_start(&stages.service_handle);
         let parsed = Line::parse(line).transpose()?;
         let t1 = t0.map(|_| obs.now_ns());
         let response = match parsed {
@@ -596,9 +595,9 @@ impl<'a> CatalogSession<'a> {
         };
         if let (Some(t0), Some(t1)) = (t0, t1) {
             let t2 = obs.now_ns();
-            hot.parse.record(t1.saturating_sub(t0));
-            hot.execute.record(t2.saturating_sub(t1));
-            hot.handle.record(t2.saturating_sub(t0));
+            stages.service_parse.record(t1.saturating_sub(t0));
+            stages.service_execute.record(t2.saturating_sub(t1));
+            stages.service_handle.record(t2.saturating_sub(t0));
         }
         Some(response)
     }
@@ -711,14 +710,13 @@ impl<'a> CatalogSession<'a> {
     /// epoch still matches, a full checkout (which repopulates the cache)
     /// otherwise.
     fn with_current<T>(&mut self, f: impl FnOnce(&QueryService) -> T) -> Result<T, CatalogError> {
+        let obs = crate::obs::global();
         let epoch = self.catalog.epoch_now();
         if let Some((_, service)) = self.route.as_ref().filter(|(at, _)| *at == epoch) {
-            if crate::obs::global().enabled() {
-                crate::obs::hot_path().route_fast.inc();
-            }
+            obs.inc(&obs.counters.catalog_route_fast);
             return Ok(f(service));
         }
-        crate::obs::global().inc("catalog.route_slow");
+        obs.inc(&obs.counters.catalog_route_slow);
         let service = self.catalog.checkout(&self.current)?;
         let (_, service) = self.route.insert((epoch, service));
         Ok(f(service))
@@ -1237,8 +1235,10 @@ mod tests {
     #[test]
     fn routed_lines_record_the_per_line_stage_histograms() {
         const STAGES: [&str; 3] = ["service.handle", "service.parse", "service.execute"];
-        let obs = crate::obs::global();
-        let counts = || STAGES.map(|name| obs.histogram(name).snapshot().count);
+        let h = &crate::obs::global().histograms;
+        let counts = || {
+            [&h.service_handle, &h.service_parse, &h.service_execute].map(|h| h.snapshot().count)
+        };
         let before = counts();
         let catalog = two_tenant_catalog();
         let mut s = CatalogSession::new(&catalog);

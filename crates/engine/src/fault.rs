@@ -190,7 +190,7 @@ impl FaultSchedule {
     fn inject(&self, kind: FaultKind, op: u64) -> io::Error {
         self.injected.fetch_add(1, Ordering::Relaxed);
         let obs = crate::obs::global();
-        obs.inc("fault.injected");
+        obs.inc(&obs.counters.fault_injected);
         obs.trace("fault.injected");
         io::Error::other(format!("injected {kind} (op {op})"))
     }
@@ -224,7 +224,7 @@ impl FaultIo for FaultSchedule {
             FaultKind::ShortWrite if len > 1 => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 let obs = crate::obs::global();
-                obs.inc("fault.injected");
+                obs.inc(&obs.counters.fault_injected);
                 obs.trace("fault.injected");
                 Ok(len / 2)
             }

@@ -1,4 +1,4 @@
-//! Process-wide observability: named counters, log₂-bucketed latency
+//! Process-wide observability: typed counters, log₂-bucketed latency
 //! histograms, scope-timing spans, and a bounded ring buffer of recent
 //! structured trace events.
 //!
@@ -9,6 +9,16 @@
 //! [`global`], while tests construct private registries with
 //! [`Registry::with_clock`] over a mock [`Clock`] for deterministic
 //! timings.
+//!
+//! # Closed world by type
+//!
+//! Every metric is declared once, as a field of a `metric_set!` table
+//! that also fixes its exported name: [`Counters`] and [`Histograms`] for
+//! the process scope, and `ServiceCounters` for each release
+//! ([`crate::service`]). A call site names the cell, not a string —
+//! `obs.inc(&obs.counters.stream_republish)` — so recording is a field
+//! access plus an atomic, and a misspelt metric is a compile error.
+//! Trace labels stay free-form strings.
 //!
 //! # Contracts
 //!
@@ -35,7 +45,7 @@
 //! every driven histogram non-empty. Expensive, infrequent operations (WAL
 //! `sync_data`, replay, whole sessions) are timed on every occurrence.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -53,38 +63,67 @@ pub const SAMPLE_EVERY: u64 = 8;
 /// overrides it at startup).
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
-/// Every counter the engine increments, sorted by name. The registry is
-/// closed-world: looking up a name outside this list returns a shared
-/// fallback cell that is never exported, so a typo cannot panic a server.
-pub const COUNTERS: &[&str] = &[
-    "catalog.reload",
-    "catalog.route_fast",
-    "catalog.route_slow",
-    "catalog.seal",
-    "fault.injected",
-    "serve.sessions_closed",
-    "serve.sessions_opened",
-    "server.busy_refused",
-    "stream.degraded",
-    "stream.replayed_events",
-    "stream.republish",
-];
+/// Declares a set of metric cells: one public field per metric, each with
+/// its exported name, listed in sorted name order. The set gets `NAMES`
+/// (every exported name, in declaration order) and `iter` (every cell
+/// with its name, in the same order).
+macro_rules! metric_set {
+    ($(#[$meta:meta])* $vis:vis struct $set:ident<$cell:ty> {
+        $($field:ident => $name:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $set {
+            $(#[doc = concat!("`", $name, "`")] pub $field: $cell,)+
+        }
 
-/// Every histogram the engine records into, sorted by name. Values are
-/// nanoseconds except `commit.batch_events` (events per commit batch).
-pub const HISTOGRAMS: &[&str] = &[
-    "commit.batch_events",
-    "serve.encode",
-    "serve.request",
-    "serve.session",
-    "service.cache_lookup",
-    "service.execute",
-    "service.handle",
-    "service.parse",
-    "stream.replay",
-    "wal.append",
-    "wal.sync",
-];
+        impl $set {
+            /// Every exported name, sorted.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
+
+            /// Every cell with its exported name, in [`Self::NAMES`] order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, &$cell)> {
+                Self::NAMES.iter().copied().zip([$(&self.$field),+])
+            }
+        }
+    };
+}
+pub(crate) use metric_set;
+
+metric_set! {
+    /// Every process-scope counter the engine increments.
+    pub struct Counters<Counter> {
+        catalog_reload => "catalog.reload",
+        catalog_route_fast => "catalog.route_fast",
+        catalog_route_slow => "catalog.route_slow",
+        catalog_seal => "catalog.seal",
+        fault_injected => "fault.injected",
+        serve_sessions_closed => "serve.sessions_closed",
+        serve_sessions_opened => "serve.sessions_opened",
+        server_busy_refused => "server.busy_refused",
+        stream_degraded => "stream.degraded",
+        stream_replayed_events => "stream.replayed_events",
+        stream_republish => "stream.republish",
+    }
+}
+
+metric_set! {
+    /// Every process-scope histogram the engine records into. Values are
+    /// nanoseconds except `commit.batch_events` (events per commit batch).
+    pub struct Histograms<Histogram> {
+        commit_batch_events => "commit.batch_events",
+        serve_encode => "serve.encode",
+        serve_request => "serve.request",
+        serve_session => "serve.session",
+        service_cache_lookup => "service.cache_lookup",
+        service_execute => "service.execute",
+        service_handle => "service.handle",
+        service_parse => "service.parse",
+        stream_replay => "stream.replay",
+        wal_append => "wal.append",
+        wal_sync => "wal.sync",
+    }
+}
 
 /// A monotonic nanosecond clock. Implementations must be cheap: `now_ns` sits
 /// on every span and sampled stage timing.
@@ -124,7 +163,7 @@ impl Clock for MonotonicClock {
 }
 
 /// A monotonically increasing event counter.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
 }
@@ -377,17 +416,17 @@ impl Drop for Span<'_> {
     }
 }
 
-/// The registry: a closed-world set of counters and histograms (see
-/// [`COUNTERS`] / [`HISTOGRAMS`]), a trace ring, an injectable clock, and a
-/// global enable switch. Exposition order is the sorted name order, which is
-/// what the rp/5 `metrics` verb renders.
+/// The registry: the process-scope [`Counters`] and [`Histograms`], a
+/// trace ring, an injectable clock, and a global enable switch. Exposition
+/// order is the sorted name order, which is what the rp/5 `metrics` verb
+/// renders.
 pub struct Registry {
     clock: Arc<dyn Clock>,
     enabled: AtomicBool,
-    counters: BTreeMap<&'static str, Counter>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    fallback_counter: Counter,
-    fallback_histogram: Histogram,
+    /// Every process-scope counter.
+    pub counters: Counters,
+    /// Every process-scope histogram.
+    pub histograms: Histograms,
     trace: TraceLog,
 }
 
@@ -409,10 +448,8 @@ impl Registry {
         Self {
             clock,
             enabled: AtomicBool::new(true),
-            counters: COUNTERS.iter().map(|&n| (n, Counter::default())).collect(),
-            histograms: HISTOGRAMS.iter().map(|&n| (n, Histogram::new())).collect(),
-            fallback_counter: Counter::default(),
-            fallback_histogram: Histogram::new(),
+            counters: Counters::default(),
+            histograms: Histograms::default(),
             trace: TraceLog::new(DEFAULT_TRACE_CAPACITY),
         }
     }
@@ -433,59 +470,43 @@ impl Registry {
         self.clock.now_ns()
     }
 
-    /// Look up a counter; unknown names resolve to an unexported fallback.
-    pub fn counter(&self, name: &str) -> &Counter {
-        self.counters.get(name).unwrap_or(&self.fallback_counter)
-    }
-
-    /// Look up a histogram; unknown names resolve to an unexported fallback.
-    pub fn histogram(&self, name: &str) -> &Histogram {
-        self.histograms
-            .get(name)
-            .unwrap_or(&self.fallback_histogram)
-    }
-
     /// Increment a counter by one (no-op while disabled).
-    pub fn inc(&self, name: &str) {
+    pub fn inc(&self, counter: &Counter) {
         if self.enabled() {
-            self.counter(name).inc();
+            counter.inc();
         }
     }
 
     /// Increment a counter by `n` (no-op while disabled).
-    pub fn add(&self, name: &str, n: u64) {
+    pub fn add(&self, counter: &Counter, n: u64) {
         if self.enabled() {
-            self.counter(name).add(n);
+            counter.add(n);
         }
     }
 
     /// Record one histogram observation (no-op while disabled).
-    pub fn record(&self, name: &str, v: u64) {
+    pub fn record(&self, hist: &Histogram, v: u64) {
         if self.enabled() {
-            self.histogram(name).record(v);
+            hist.record(v);
         }
     }
 
-    /// Start an always-on scope timer for `name`; the returned [`Span`]
+    /// Start an always-on scope timer into `hist`; the returned [`Span`]
     /// records on drop. Inert while disabled.
-    pub fn span(&self, name: &str) -> Span<'_> {
+    pub fn span<'a>(&'a self, hist: &'a Histogram) -> Span<'a> {
         let enabled = self.enabled();
         Span {
-            hist: enabled.then(|| self.histogram(name)),
+            hist: enabled.then_some(hist),
             clock: self.clock.as_ref(),
             start: if enabled { self.clock.now_ns() } else { 0 },
         }
     }
 
     /// Sampled stage timing: returns `Some(start_ns)` on the sampled
-    /// 1-in-[`SAMPLE_EVERY`] ticks of `name`'s histogram, `None` otherwise
-    /// (and always while disabled). Pair with [`Registry::record`].
-    pub fn sampled_start(&self, name: &str) -> Option<u64> {
-        if self.enabled() && self.histogram(name).tick_sampled() {
-            Some(self.clock.now_ns())
-        } else {
-            None
-        }
+    /// 1-in-[`SAMPLE_EVERY`] ticks of `hist`, `None` otherwise (and always
+    /// while disabled). Pair with [`Registry::record`].
+    pub fn sampled_start(&self, hist: &Histogram) -> Option<u64> {
+        (self.enabled() && hist.tick_sampled()).then(|| self.clock.now_ns())
     }
 
     /// Append a trace event (no-op while disabled).
@@ -507,14 +528,14 @@ impl Registry {
 
     /// All counters in sorted name order.
     pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
-        self.counters.iter().map(|(&n, c)| (n, c.get())).collect()
+        self.counters.iter().map(|(n, c)| (n, c.get())).collect()
     }
 
     /// All histogram summaries in sorted name order.
     pub fn histogram_summaries(&self) -> Vec<(&'static str, HistogramSummary)> {
         self.histograms
             .iter()
-            .map(|(&n, h)| (n, h.snapshot()))
+            .map(|(n, h)| (n, h.snapshot()))
             .collect()
     }
 }
@@ -525,37 +546,6 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 /// monotonic clock). All engine instrumentation routes through this.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Convenience: an always-on span on the global registry.
-pub fn span(name: &str) -> Span<'static> {
-    global().span(name)
-}
-
-/// The per-request cells of the global registry, resolved once per
-/// process: the per-line path runs for every line of every session, so it
-/// pays atomics only — never a registry name lookup.
-pub(crate) struct HotPath {
-    pub(crate) route_fast: &'static Counter,
-    pub(crate) handle: &'static Histogram,
-    pub(crate) parse: &'static Histogram,
-    pub(crate) execute: &'static Histogram,
-    pub(crate) cache_lookup: &'static Histogram,
-}
-
-/// The global registry's [`HotPath`] handles.
-pub(crate) fn hot_path() -> &'static HotPath {
-    static HOT: OnceLock<HotPath> = OnceLock::new();
-    HOT.get_or_init(|| {
-        let obs = global();
-        HotPath {
-            route_fast: obs.counter("catalog.route_fast"),
-            handle: obs.histogram("service.handle"),
-            parse: obs.histogram("service.parse"),
-            execute: obs.histogram("service.execute"),
-            cache_lookup: obs.histogram("service.cache_lookup"),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -652,15 +642,16 @@ mod tests {
     #[test]
     fn span_times_scope_under_mock_clock() {
         let (clock, registry) = mock_registry();
+        let wal_sync = &registry.histograms.wal_sync;
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(wal_sync);
             clock.advance(1_500);
         }
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(wal_sync);
             clock.advance(40);
         }
-        let s = registry.histogram("wal.sync").snapshot();
+        let s = wal_sync.snapshot();
         assert_eq!(s.count, 2);
         assert_eq!(s.max, 1_500);
         assert_eq!(s.sum, 1_540);
@@ -684,53 +675,48 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let (clock, registry) = mock_registry();
+        let (reload, wal_sync) = (
+            &registry.counters.catalog_reload,
+            &registry.histograms.wal_sync,
+        );
         registry.set_enabled(false);
-        registry.inc("catalog.reload");
-        registry.record("wal.sync", 9);
+        registry.inc(reload);
+        registry.add(reload, 3);
+        registry.record(wal_sync, 9);
         registry.trace("session.open");
-        assert!(registry.sampled_start("service.handle").is_none());
+        assert!(registry
+            .sampled_start(&registry.histograms.service_handle)
+            .is_none());
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(wal_sync);
             clock.advance(100);
         }
-        assert_eq!(registry.counter("catalog.reload").get(), 0);
-        assert_eq!(registry.histogram("wal.sync").snapshot().count, 0);
+        assert_eq!(reload.get(), 0);
+        assert_eq!(wal_sync.snapshot().count, 0);
         assert!(registry.trace_recent(10).is_empty());
 
         registry.set_enabled(true);
-        registry.inc("catalog.reload");
-        assert_eq!(registry.counter("catalog.reload").get(), 1);
-    }
-
-    #[test]
-    fn unknown_names_hit_the_fallback_without_exporting() {
-        let (_clock, registry) = mock_registry();
-        registry.inc("no.such.counter");
-        registry.record("no.such.histogram", 5);
-        assert!(registry.counter_values().iter().all(|&(_, v)| v == 0));
-        assert!(registry
-            .histogram_summaries()
-            .iter()
-            .all(|&(_, s)| s.count == 0));
+        registry.inc(reload);
+        assert_eq!(reload.get(), 1);
     }
 
     #[test]
     fn exposition_order_is_sorted_and_complete() {
         let (_clock, registry) = mock_registry();
         let counters: Vec<&str> = registry.counter_values().iter().map(|&(n, _)| n).collect();
-        assert_eq!(counters, COUNTERS);
+        assert_eq!(counters, Counters::NAMES);
         let hists: Vec<&str> = registry
             .histogram_summaries()
             .iter()
             .map(|&(n, _)| n)
             .collect();
-        assert_eq!(hists, HISTOGRAMS);
-        let mut sorted = COUNTERS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, COUNTERS, "COUNTERS list must stay sorted");
-        let mut sorted = HISTOGRAMS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, HISTOGRAMS, "HISTOGRAMS list must stay sorted");
+        assert_eq!(hists, Histograms::NAMES);
+        for names in [Counters::NAMES, Histograms::NAMES] {
+            assert!(
+                names.windows(2).all(|w| w[0] < w[1]),
+                "metric_set! names must be declared sorted and unique: {names:?}"
+            );
+        }
     }
 
     #[test]

@@ -960,7 +960,7 @@ pub enum Response {
     /// Flush is the protocol's durability barrier. Under group commit
     /// an `inserted` response only acknowledges that the event is
     /// *logged* — it may sit in the commit batch's OS buffer until the
-    /// batch fills, the commit window expires, or this request forces
+    /// batch fills or this request forces
     /// the sync. A client that needs an insert to survive a crash sends
     /// `flush` and waits for `flushed` before acting on it.
     Flushed {

@@ -65,7 +65,7 @@ pub fn serve<R: BufRead, W: Write>(
 ) -> io::Result<SessionStats> {
     let obs = crate::obs::global();
     let session_start = obs.now_ns();
-    obs.inc("serve.sessions_opened");
+    obs.inc(&obs.counters.serve_sessions_opened);
     obs.trace("session.open");
     let mut routing = CatalogSession::new(catalog);
     let mut session = SessionStats::default();
@@ -81,15 +81,16 @@ pub fn serve<R: BufRead, W: Write>(
         // Always-on per-request latency (parse through write+flush):
         // records into `serve.request` when the guard drops at the end
         // of this iteration — including the `bye` break path.
-        let _request_span = obs.span("serve.request");
+        let _request_span = obs.span(&obs.histograms.serve_request);
         let bytes = line.strip_suffix(b"\n").unwrap_or(&line);
         let Some(response) = routing.handle_bytes(bytes, &mut session) else {
             continue; // blank line
         };
-        let t0 = obs.sampled_start("serve.encode");
+        let encode = &obs.histograms.serve_encode;
+        let t0 = obs.sampled_start(encode);
         let mut text = response.encode();
         if let Some(t0) = t0 {
-            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
+            encode.record(obs.now_ns().saturating_sub(t0));
         }
         text.push('\n');
         output.write_all(text.as_bytes())?;
@@ -98,9 +99,10 @@ pub fn serve<R: BufRead, W: Write>(
             break;
         }
     }
-    obs.inc("serve.sessions_closed");
+    obs.inc(&obs.counters.serve_sessions_closed);
     obs.trace("session.close");
-    obs.record("serve.session", obs.now_ns().saturating_sub(session_start));
+    let session_ns = obs.now_ns().saturating_sub(session_start);
+    obs.record(&obs.histograms.serve_session, session_ns);
     Ok(session)
 }
 

@@ -304,7 +304,8 @@ fn handle_connection(
 
 /// Answers one `busy` error line and closes (no `HELLO`, no session).
 fn refuse_busy(stream: TcpStream, cap: usize) {
-    crate::obs::global().inc("server.busy_refused");
+    let obs = crate::obs::global();
+    obs.inc(&obs.counters.server_busy_refused);
     let response = Response::Error {
         code: ErrorCode::Busy,
         message: format!("server at its {cap}-connection cap; retry later"),

@@ -4,12 +4,22 @@
 //! The service owns an `Arc<`[`QueryEngine`]`>` plus everything a session
 //! needs that the engine itself does not carry: the release parameters for
 //! `info`, a bounded deterministic answer cache keyed by the canonical
-//! query form, and aggregate [`StatsSnapshot`] counters. Transports — the
+//! query form, and the release's counters. Transports — the
 //! stdio loop in [`crate::serve()`](crate::serve::serve) and the TCP
 //! listener in [`crate::server`] — are thin: they frame lines and hand
 //! them to a [`crate::catalog::CatalogSession`], which routes each request
 //! to a release's [`QueryService::handle`], so every transport provably
 //! speaks the identical protocol.
+//!
+//! ## Release counters
+//!
+//! Each service owns one `ServiceCounters` set, declared once with the
+//! same `metric_set!` table as the process-scope [`crate::obs::Counters`]
+//! and shared by every session of the release. `stats` renders it as a
+//! [`StatsSnapshot`]; `metrics` exports it under its `service.*` names,
+//! sorted in among the process counters. These counters count requests,
+//! not performance, so the observability enable switch does not gate
+//! them: `stats` answers the same with the registry on or off.
 //!
 //! ## Caching
 //!
@@ -42,12 +52,12 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rp_table::CountQuery;
 
 use crate::engine::{Answer, QueryEngine};
+use crate::obs::{metric_set, Counter};
 use crate::protocol::{
     ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer,
     WireRecord,
@@ -102,7 +112,7 @@ pub struct SessionStats {
     pub degraded: u64,
     /// Storage faults this session observed (same meaning as
     /// [`StatsSnapshot::faults`]; lock-poison refusals, which have no
-    /// session context, count only in the aggregate).
+    /// session context, count only in the release counters).
     pub faults: u64,
 }
 
@@ -151,18 +161,21 @@ impl AnswerCache {
     }
 }
 
-/// Aggregate counters shared by all sessions of one service.
-#[derive(Debug, Default)]
-struct AggregateStats {
-    requests: AtomicU64,
-    answered: AtomicU64,
-    errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    sessions: AtomicU64,
-    inserts: AtomicU64,
-    degraded: AtomicU64,
-    faults: AtomicU64,
+metric_set! {
+    /// The release-scope counters of one [`QueryService`], shared by all
+    /// its sessions (see the module docs).
+    #[derive(Debug)]
+    pub(crate) struct ServiceCounters<Counter> {
+        answered => "service.answered",
+        cache_hits => "service.cache_hits",
+        cache_misses => "service.cache_misses",
+        degraded => "service.degraded",
+        errors => "service.errors",
+        faults => "service.faults",
+        inserts => "service.inserts",
+        requests => "service.requests",
+        sessions => "service.sessions",
+    }
 }
 
 /// The live half of a streaming service: the stream publisher behind a
@@ -190,7 +203,7 @@ pub struct QueryService {
     /// never takes the lock on the hot path.
     cache_capacity: usize,
     cache: Mutex<AnswerCache>,
-    stats: AggregateStats,
+    counters: ServiceCounters,
 }
 
 impl QueryService {
@@ -208,7 +221,7 @@ impl QueryService {
             stream: None,
             cache_capacity: config.cache_entries,
             cache: Mutex::new(AnswerCache::new(config.cache_entries)),
-            stats: AggregateStats::default(),
+            counters: ServiceCounters::default(),
         }
     }
 
@@ -344,21 +357,22 @@ impl QueryService {
     /// Registers one session start (transports call this once per
     /// connection or stdio run).
     pub fn session_started(&self) {
-        self.stats.sessions.fetch_add(1, Ordering::Relaxed);
+        self.counters.sessions.inc();
     }
 
-    /// A snapshot of the aggregate counters across all sessions.
+    /// A snapshot of the release counters across all sessions.
     pub fn stats(&self) -> StatsSnapshot {
+        let c = &self.counters;
         StatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            answered: self.stats.answered.load(Ordering::Relaxed),
-            errors: self.stats.errors.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            sessions: self.stats.sessions.load(Ordering::Relaxed),
-            inserts: self.stats.inserts.load(Ordering::Relaxed),
-            degraded: self.stats.degraded.load(Ordering::Relaxed),
-            faults: self.stats.faults.load(Ordering::Relaxed),
+            requests: c.requests.get(),
+            answered: c.answered.get(),
+            errors: c.errors.get(),
+            cache_hits: c.cache_hits.get(),
+            cache_misses: c.cache_misses.get(),
+            sessions: c.sessions.get(),
+            inserts: c.inserts.get(),
+            degraded: c.degraded.get(),
+            faults: c.faults.get(),
         }
     }
 
@@ -380,7 +394,7 @@ impl QueryService {
     }
 
     /// Handles one typed request (already parsed and routed to this
-    /// release), counting it in `session` and in the aggregate counters.
+    /// release), counting it in `session` and in the release counters.
     /// A `count` or `batch` request is answered from its conditions
     /// borrowed in the same form as a line a session parses.
     pub fn handle(&self, request: &Request, session: &mut SessionStats) -> Response {
@@ -402,16 +416,16 @@ impl QueryService {
     }
 
     /// Charges one answered request to `session` and to this release's
-    /// aggregate counters.
+    /// counters.
     pub(crate) fn count(&self, response: &Response, session: &mut SessionStats) {
         session.requests += 1;
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.inc();
         if response.is_error() {
             session.errors += 1;
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            self.counters.errors.inc();
         } else {
             session.answered += 1;
-            self.stats.answered.fetch_add(1, Ordering::Relaxed);
+            self.counters.answered.inc();
         }
     }
 
@@ -472,29 +486,18 @@ impl QueryService {
     }
 
     /// Renders the rp/5 `metrics` response: the process-global
-    /// observability registry merged with this service's own
-    /// [`StatsSnapshot`] exposed under `service.*` names, everything
-    /// sorted by name within its class. Like `stats`, the snapshot is
-    /// taken before the in-flight request is counted.
+    /// observability registry merged with this release's
+    /// `ServiceCounters`, everything sorted by name within its class.
+    /// Like `stats`, the snapshot is taken before the in-flight request
+    /// is counted.
     fn metrics(&self) -> Response {
         let obs = crate::obs::global();
-        let stats = self.stats();
         let mut counters: Vec<(String, u64)> = obs
             .counter_values()
             .into_iter()
+            .chain(self.counters.iter().map(|(name, c)| (name, c.get())))
             .map(|(name, value)| (name.to_string(), value))
             .collect();
-        counters.extend([
-            ("service.answered".to_string(), stats.answered),
-            ("service.cache_hits".to_string(), stats.cache_hits),
-            ("service.cache_misses".to_string(), stats.cache_misses),
-            ("service.degraded".to_string(), stats.degraded),
-            ("service.errors".to_string(), stats.errors),
-            ("service.faults".to_string(), stats.faults),
-            ("service.inserts".to_string(), stats.inserts),
-            ("service.requests".to_string(), stats.requests),
-            ("service.sessions".to_string(), stats.sessions),
-        ]);
         counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let histograms = obs
             .histogram_summaries()
@@ -531,7 +534,7 @@ impl QueryService {
         backend: &'a StreamBackend,
     ) -> Result<MutexGuard<'a, StreamPublisher>, ProtocolError> {
         backend.publisher.lock().map_err(|_| {
-            self.stats.faults.fetch_add(1, Ordering::Relaxed);
+            self.counters.faults.inc();
             ProtocolError {
                 code: ErrorCode::Internal,
                 message:
@@ -589,7 +592,7 @@ impl QueryService {
                 .invalidate_matching(|query| publisher.key_matches(&outcome.key, query));
         }
         session.inserts += 1;
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        self.counters.inserts.inc();
         Ok(Response::Inserted {
             group_size: outcome.group_size,
             republished: outcome.republished,
@@ -612,7 +615,7 @@ impl QueryService {
     }
 
     /// Maps a stream failure to its wire error, recording the fault
-    /// counters (aggregate *and* per-session): a degradation counts
+    /// counters (release *and* per-session): a degradation counts
     /// under both `degraded` and `faults`, any other I/O failure under
     /// `faults` alone, and validation failures (bad column, unknown
     /// value) under neither.
@@ -626,12 +629,12 @@ impl QueryService {
             ErrorCode::Degraded => {
                 session.degraded += 1;
                 session.faults += 1;
-                self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
+                self.counters.degraded.inc();
+                self.counters.faults.inc();
             }
             ErrorCode::Internal => {
                 session.faults += 1;
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
+                self.counters.faults.inc();
             }
             _ => {}
         }
@@ -704,7 +707,7 @@ impl QueryService {
     /// Records a cache miss and stores the freshly computed answer.
     fn cache_miss(&self, key: CountQuery, answer: Answer, session: &mut SessionStats) {
         session.cache_misses += 1;
-        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_misses.inc();
         self.cache_guard().insert(key, answer);
     }
 
@@ -733,8 +736,8 @@ impl QueryService {
             // cache hit/miss trace events so tracing stays off the
             // steady-state hot path.
             let obs = crate::obs::global();
-            let cache_lookup = crate::obs::hot_path().cache_lookup;
-            let t0 = (obs.enabled() && cache_lookup.tick_sampled()).then(|| obs.now_ns());
+            let cache_lookup = &obs.histograms.service_cache_lookup;
+            let t0 = obs.sampled_start(cache_lookup);
             let hit = self.cache_guard().get(&key);
             if let Some(t0) = t0 {
                 cache_lookup.record(obs.now_ns().saturating_sub(t0));
@@ -746,7 +749,7 @@ impl QueryService {
             }
             if let Some(hit) = hit {
                 session.cache_hits += 1;
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.cache_hits.inc();
                 return Ok(WireAnswer::from(&hit));
             }
         }
@@ -1231,10 +1234,17 @@ mod tests {
         // Sorted by name within each class, and the service.* counters
         // report this service's own snapshot (taken before the metrics
         // request itself is counted).
+        // Exactly the declared names, sorted, each once.
         let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted, "counters must be sorted");
+        let mut declared = [crate::obs::Counters::NAMES, ServiceCounters::NAMES].concat();
+        declared.sort_unstable();
+        declared.dedup();
+        assert_eq!(
+            declared.len(),
+            crate::obs::Counters::NAMES.len() + ServiceCounters::NAMES.len(),
+            "a release counter shadows a process counter"
+        );
+        assert_eq!(names, declared);
         let lookup = |name: &str| {
             counters
                 .iter()
@@ -1246,7 +1256,7 @@ mod tests {
         assert_eq!(lookup("service.answered"), 2);
         assert_eq!(lookup("service.cache_misses"), 1);
         let hist_names: Vec<&str> = histograms.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(hist_names, crate::obs::HISTOGRAMS.to_vec());
+        assert_eq!(hist_names, crate::obs::Histograms::NAMES);
         // The response is wire-canonical: parse ∘ encode = id.
         assert_eq!(Response::parse(&r.encode()).unwrap(), r);
         // `trace` answers a canonical line too.

@@ -5,18 +5,18 @@
 //! the disk's flush rate. The [`LogManager`] wraps a [`Wal`] and turns
 //! the per-append sync into a *policy*: appends accumulate as pending,
 //! and the log is forced to stable storage when the pending count
-//! reaches `commit_batch`, when `commit_window_ms` has elapsed since
-//! the last sync, or on an explicit [`commit`](LogManager::commit)
-//! (the [`StreamPublisher::flush`](crate::stream::StreamPublisher::flush)
-//! path). Both knobs at `0` — the [`StreamConfig`] default — mean
+//! reaches `commit_batch`, or on an explicit
+//! [`commit`](LogManager::commit) (the
+//! [`StreamPublisher::flush`](crate::stream::StreamPublisher::flush)
+//! path). `commit_batch = 0` — the [`StreamConfig`] default — means
 //! *explicit flush only*, the subsystem's original behavior.
 //!
 //! Group commit changes **when** bytes become durable, never which
 //! bytes are written: the WAL content, and therefore replay, is
 //! byte-identical under any commit policy. What a crash can cost is
 //! bounded by the policy — at most `commit_batch − 1` acknowledged but
-//! unsynced events (or one window's worth) roll back to the durable
-//! prefix, which replay then reconstructs exactly.
+//! unsynced events roll back to the durable prefix, which replay then
+//! reconstructs exactly.
 //!
 //! ## The fsync-poisoning rule
 //!
@@ -33,8 +33,6 @@
 //! is a fresh open (catalog `reload`), which replays exactly the
 //! durable prefix from disk.
 
-use std::time::Duration;
-
 use crate::stream::wal::{Wal, WalEvent};
 use crate::stream::{StreamConfig, StreamError};
 
@@ -44,19 +42,12 @@ use crate::stream::{StreamConfig, StreamError};
 #[derive(Debug)]
 pub(crate) struct LogManager {
     wal: Wal,
-    /// Appends per automatic sync; `0` disables count-based commit.
+    /// Appends per automatic sync; `0` disables automatic commit.
     commit_batch: u64,
-    /// Maximum time between syncs while appends are pending; `0`
-    /// disables the timer.
-    commit_window: Option<Duration>,
     /// Appended-but-not-yet-synced event count.
     pending: u64,
     /// Highest sequence number known to be on stable storage.
     durable_seq: u64,
-    /// When the last sync happened (or the manager was created), in
-    /// nanoseconds on the observability clock ([`crate::obs::Clock`]).
-    /// The clock only decides *when* fsync runs, never what is written.
-    last_commit_ns: u64,
     /// Set once a sync or append has failed: the manager is dead, and
     /// every later mutation refuses with the message recorded here.
     poisoned: Option<String>,
@@ -71,11 +62,8 @@ impl LogManager {
         LogManager {
             wal,
             commit_batch: config.commit_batch,
-            commit_window: (config.commit_window_ms > 0)
-                .then(|| Duration::from_millis(config.commit_window_ms)),
             pending: 0,
             durable_seq,
-            last_commit_ns: crate::obs::global().now_ns(),
             poisoned: None,
         }
     }
@@ -103,7 +91,7 @@ impl LogManager {
     fn poison(&mut self, message: String) -> StreamError {
         self.poisoned = Some(message.clone());
         let obs = crate::obs::global();
-        obs.inc("stream.degraded");
+        obs.inc(&obs.counters.stream_degraded);
         obs.trace("stream.degraded");
         StreamError::Degraded {
             durable_seq: self.durable_seq,
@@ -152,21 +140,10 @@ impl LogManager {
         Ok(durable)
     }
 
-    /// Commits if the policy says so: the pending count reached the
-    /// batch size, or the commit window expired with appends pending.
-    /// Called once per insert by the publisher. Wall-clock time only
-    /// ever decides *when* a sync happens — never what is written.
+    /// Commits if the pending count reached the batch size. Called once
+    /// per insert by the publisher.
     pub(crate) fn maybe_commit(&mut self) -> Result<(), StreamError> {
-        let batch_full = self.commit_batch > 0 && self.pending >= self.commit_batch;
-        let window_over = self.commit_window.is_some_and(|w| {
-            let window_ns = u64::try_from(w.as_nanos()).unwrap_or(u64::MAX);
-            self.pending > 0
-                && crate::obs::global()
-                    .now_ns()
-                    .saturating_sub(self.last_commit_ns)
-                    >= window_ns
-        });
-        if batch_full || window_over {
+        if self.commit_batch > 0 && self.pending >= self.commit_batch {
             self.commit()?;
         }
         Ok(())
@@ -185,7 +162,7 @@ impl LogManager {
         self.check_poison()?;
         let obs = crate::obs::global();
         if self.pending > 0 {
-            obs.record("commit.batch_events", self.pending);
+            obs.record(&obs.histograms.commit_batch_events, self.pending);
             obs.trace("commit.flush");
             if let Err(e) = self.wal.sync() {
                 return Err(self.poison(format!("WAL fsync failed: {e}")));
@@ -193,7 +170,6 @@ impl LogManager {
             self.durable_seq = self.wal.next_seq() - 1;
             self.pending = 0;
         }
-        self.last_commit_ns = obs.now_ns();
         Ok(self.durable_seq)
     }
 }
@@ -232,7 +208,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let config = StreamConfig {
             commit_batch: batch,
-            ..StreamConfig::default()
         };
         LogManager::new(Wal::create(&path, &header()).unwrap(), &config)
     }

@@ -16,7 +16,7 @@
 //!   the compacted log is byte-identical to replay of the full one.
 //! * **commit** — a group-commit log manager over the WAL: appends
 //!   accumulate and one `fsync` makes a whole batch durable
-//!   ([`StreamConfig::commit_batch`] / `commit_window_ms`), amortizing
+//!   ([`StreamConfig::commit_batch`]), amortizing
 //!   the dominant cost of the insert path.
 //! * **[`rng`]** — one counter-based RNG *per group*, derived from
 //!   `(stream seed, group key)`. A group's stream depends only on its own
@@ -49,9 +49,8 @@
 //!
 //! * **WAL** — an insert is *acknowledged* once logged and *durable*
 //!   once synced. With group commit off (the default) the two coincide
-//!   only at [`StreamPublisher::flush`]; with `commit_batch` /
-//!   `commit_window_ms` set, at most one batch (or window) of
-//!   acknowledged events can roll back in a crash, and
+//!   only at [`StreamPublisher::flush`]; with `commit_batch` set, at
+//!   most one batch of acknowledged events can roll back in a crash, and
 //!   [`StreamPublisher::durable_seq`] reports the guaranteed cursor.
 //!   Recovery truncates a torn final line and replays the longest
 //!   complete prefix — commit policy changes durability *timing*, never
@@ -112,17 +111,10 @@ pub struct StreamConfig {
     /// Group commit by count: fsync the WAL automatically after this
     /// many logged events. `0` (the default) disables count-based
     /// commit — the log is synced only on an explicit
-    /// [`flush`](StreamPublisher::flush) or when the commit window
-    /// expires. Larger batches amortize the sync cost over more inserts
-    /// at the price of a wider crash-loss window; the *written bytes*
-    /// are identical under every setting.
+    /// [`flush`](StreamPublisher::flush). Larger batches amortize the
+    /// sync cost over more inserts at the price of a wider crash-loss
+    /// window; the *written bytes* are identical under every setting.
     pub commit_batch: u64,
-    /// Group commit by time: with appends pending, fsync once this many
-    /// milliseconds have elapsed since the last sync (checked on the
-    /// insert path). `0` (the default) disables the timer. Wall-clock
-    /// time only ever decides *when* durability happens, never what is
-    /// written, so replay determinism is unaffected.
-    pub commit_window_ms: u64,
 }
 
 /// Errors raised by the streaming subsystem.
@@ -497,7 +489,7 @@ impl StreamPublisher {
                 // cursor replay below.
             }
             let obs = crate::obs::global();
-            let _replay_span = obs.span("stream.replay");
+            let _replay_span = obs.span(&obs.histograms.stream_replay);
             let mut replayed: u64 = 0;
             for event in &file.events {
                 if event.seq() > covered {
@@ -506,7 +498,7 @@ impl StreamPublisher {
                 }
             }
             if replayed > 0 {
-                obs.add("stream.replayed_events", replayed);
+                obs.add(&obs.counters.stream_replayed_events, replayed);
                 obs.trace("stream.replay");
             }
         }
@@ -683,7 +675,7 @@ impl StreamPublisher {
             wal.append(&event)?;
             self.live.apply(&event)?;
             let obs = crate::obs::global();
-            obs.inc("stream.republish");
+            obs.inc(&obs.counters.stream_republish);
             obs.trace("stream.republish");
         }
         let group_size = self
@@ -692,8 +684,8 @@ impl StreamPublisher {
             .group(&key)
             .expect("group exists after insert")
             .len();
-        // Group commit: the log manager decides whether this insert's
-        // batch (or an expired commit window) warrants an fsync now.
+        // Group commit: the log manager decides whether this insert
+        // completes a batch that warrants an fsync now.
         wal.maybe_commit()?;
         Ok(InsertOutcome {
             key,
@@ -706,7 +698,7 @@ impl StreamPublisher {
 
     /// Forces the WAL to stable storage — the durability point — and
     /// returns the sequence number now durable. Under group commit
-    /// ([`StreamConfig::commit_batch`] / `commit_window_ms`) inserts
+    /// ([`StreamConfig::commit_batch`]) inserts
     /// are acknowledged before they are synced; this is the explicit
     /// barrier that closes the gap. With nothing pending it skips the
     /// fsync entirely, so an idle flush is free.
@@ -727,8 +719,8 @@ impl StreamPublisher {
     }
 
     /// The highest WAL sequence number guaranteed to survive a crash.
-    /// Lags [`wal_seq`](Self::wal_seq) by up to one commit batch (or
-    /// window) while group commit holds acknowledged events in the OS
+    /// Lags [`wal_seq`](Self::wal_seq) by up to one commit batch
+    /// while group commit holds acknowledged events in the OS
     /// buffer; [`flush`](Self::flush) closes the gap. A replay-only
     /// stream reports its cursor: everything it knows came from disk.
     pub fn durable_seq(&self) -> u64 {
@@ -1060,10 +1052,7 @@ mod tests {
         let mut batched = StreamPublisher::open(
             base_publication(),
             &wal_batch,
-            StreamConfig {
-                commit_batch: 8,
-                ..StreamConfig::default()
-            },
+            StreamConfig { commit_batch: 8 },
         )
         .unwrap();
         for i in 0..100u32 {

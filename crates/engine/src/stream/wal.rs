@@ -653,10 +653,10 @@ impl Wal {
             "WAL events must be appended in sequence"
         );
         let obs = crate::obs::global();
-        let t0 = obs.sampled_start("wal.append");
+        let t0 = obs.sampled_start(&obs.histograms.wal_append);
         writeln!(self.writer, "{}", event.encode())?;
         if let Some(t0) = t0 {
-            obs.record("wal.append", obs.now_ns().saturating_sub(t0));
+            obs.record(&obs.histograms.wal_append, obs.now_ns().saturating_sub(t0));
         }
         self.next_seq += 1;
         Ok(())
@@ -673,7 +673,8 @@ impl Wal {
     pub fn sync(&mut self) -> std::io::Result<()> {
         // Always-on: fsync dominates its own measurement cost, and the
         // sync-latency distribution is the whole point of group commit.
-        let _span = crate::obs::global().span("wal.sync");
+        let obs = crate::obs::global();
+        let _span = obs.span(&obs.histograms.wal_sync);
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
         if !self.dir_synced {

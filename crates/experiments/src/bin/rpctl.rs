@@ -18,7 +18,7 @@
 //!               [--listen HOST:PORT --max-conns N --cache N
 //!                --read-timeout MS --write-timeout MS --trace-buffer N]
 //!               [--wal stream.rpwal --state-out state.rppub
-//!                --commit-batch N --commit-window MS --fault-fsync-at N]
+//!                --commit-batch N --fault-fsync-at N]
 //!               # the stream attaches to the first release
 //! rpctl releases --connect HOST:PORT
 //! rpctl reload  --connect HOST:PORT --release NAME
@@ -56,10 +56,9 @@
 //! requests mutate the live release (each record perturbed on arrival,
 //! groups re-sampled through SPS when they cross `sg`), every mutation is
 //! write-ahead logged, `flush` syncs the log and writes the v2 snapshot
-//! to `--state-out`. `--commit-batch N` / `--commit-window MS` turn on
-//! group commit: the WAL is fsynced every N events (or at least every MS
-//! milliseconds while events are pending) instead of only on explicit
-//! `flush`, amortizing the sync cost over a batch — the logged bytes are
+//! to `--state-out`. `--commit-batch N` turns on group commit: the WAL
+//! is fsynced every N events instead of only on explicit `flush`,
+//! amortizing the sync cost over a batch — the logged bytes are
 //! identical either way, only durability *timing* changes. `ingest` feeds
 //! a CSV into a streaming server (over TCP, or locally straight into the
 //! WAL); `replay` reconstructs the stream state from artifact + WAL and
@@ -159,7 +158,6 @@ struct Options {
     wal: Option<String>,
     state_out: Option<String>,
     commit_batch: u64,
-    commit_window: u64,
     /// Client-side socket read deadline in ms (`0` disables).
     timeout: u64,
     /// Server-side per-connection read deadline in ms (`0` disables).
@@ -188,7 +186,6 @@ impl Options {
     fn stream_config(&self) -> StreamConfig {
         StreamConfig {
             commit_batch: self.commit_batch,
-            commit_window_ms: self.commit_window,
         }
     }
 
@@ -224,7 +221,7 @@ fn usage() -> ExitCode {
          rpctl publish --input FILE | --adult FILE --sa COLUMN --output FILE.rppub [--csv FILE.csv] [--p P --lambda L --delta D --no-generalize --seed N --threads N]\n  \
          rpctl query   --publication FILE.rppub --where COL=VALUE ... --value SA_VALUE [--raw FILE.csv]\n  \
          rpctl query   --connect HOST:PORT --where COL=VALUE ... --value SA_VALUE [--release NAME --timeout MS]\n  \
-         rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --commit-batch N --commit-window MS --fault-fsync-at N]\n  \
+         rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --commit-batch N --fault-fsync-at N]\n  \
          rpctl releases --connect HOST:PORT\n  \
          rpctl reload  --connect HOST:PORT --release NAME\n  \
          rpctl metrics --connect HOST:PORT\n  \
@@ -305,7 +302,6 @@ fn parse(args: &[String]) -> Option<Options> {
             "--wal" => opts.wal = Some(it.next()?.clone()),
             "--state-out" => opts.state_out = Some(it.next()?.clone()),
             "--commit-batch" => opts.commit_batch = it.next()?.parse().ok()?,
-            "--commit-window" => opts.commit_window = it.next()?.parse().ok()?,
             "--timeout" => opts.timeout = it.next()?.parse().ok()?,
             "--read-timeout" => opts.read_timeout = it.next()?.parse().ok()?,
             "--write-timeout" => opts.write_timeout = it.next()?.parse().ok()?,
@@ -614,6 +610,16 @@ impl RemoteSession {
             .map_err(|e| format!("write to {}: {e}", self.addr))
     }
 
+    /// Sends one request and reads its response; an `error` line becomes
+    /// the `server refused` error.
+    fn call(&mut self, request: &Request) -> Result<Response, String> {
+        self.send(request)?;
+        match self.read_response()? {
+            Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
+            other => Ok(other),
+        }
+    }
+
     /// Switches the session to a named catalog release. The `using`
     /// response — not the HELLO banner, which described the *default*
     /// release — is the authority for the active release's SA column,
@@ -645,6 +651,16 @@ impl RemoteSession {
     }
 }
 
+/// The one-shot TCP client: connects to `--connect`, makes one call, and
+/// says a best-effort `quit` (the response is already in hand).
+fn one_shot(opts: &Options, request: &Request) -> Result<Response, String> {
+    let addr = opts.connect.as_deref().ok_or("--connect is required")?;
+    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
+    let response = session.call(request);
+    let _ = writeln!(session.writer, "quit");
+    response
+}
+
 /// Speaks the `rp_engine::protocol` over TCP: HELLO banner (which names
 /// the SA column), one `count` request, one response, `quit`.
 fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
@@ -659,11 +675,10 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
     let p = session.p;
     let mut conditions: Vec<(String, String)> = opts.conditions.clone();
     conditions.push((session.sa.clone(), value.to_string()));
-    session.send(&Request::Query(WireQuery::new(conditions.clone())))?;
-    let response = session.read_response()?;
+    let response = session.call(&Request::Query(WireQuery::new(conditions.clone())));
     // Best-effort farewell; the answer is already in hand.
     let _ = writeln!(session.writer, "quit");
-    match response {
+    match response? {
         Response::Answer(answer) => {
             print_answer(&answer, p, "server");
             // --raw is a purely client-side comparison; it works the same
@@ -684,7 +699,6 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
             }
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
         other => Err(format!("unexpected response: {}", other.encode())),
     }
 }
@@ -852,12 +866,7 @@ fn apply_trace_buffer(opts: &Options) {
 
 /// Lists a catalog server's releases over TCP.
 fn cmd_releases(opts: &Options) -> Result<(), String> {
-    let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Releases)?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match one_shot(opts, &Request::Releases)? {
         Response::Releases(entries) => {
             for e in &entries {
                 println!(
@@ -872,23 +881,19 @@ fn cmd_releases(opts: &Options) -> Result<(), String> {
             println!("{} releases", entries.len());
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
         other => Err(format!("unexpected response: {}", other.encode())),
     }
 }
 
 /// Hot-reloads one release of a catalog server from its source artifact.
 fn cmd_reload(opts: &Options) -> Result<(), String> {
-    let addr = opts.connect.as_deref().ok_or("--connect is required")?;
+    // A missing `--connect` is named before a missing `--release`.
+    opts.connect.as_deref().ok_or("--connect is required")?;
     let name = opts
         .releases
         .first()
         .ok_or("--release NAME names the release to reload")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Reload(name.clone()))?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match one_shot(opts, &Request::Reload(name.clone()))? {
         Response::Reloaded {
             release,
             records,
@@ -897,7 +902,6 @@ fn cmd_reload(opts: &Options) -> Result<(), String> {
             println!("reloaded {release}: {records} records in {groups} groups");
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
         other => Err(format!("unexpected response: {}", other.encode())),
     }
 }
@@ -905,12 +909,7 @@ fn cmd_reload(opts: &Options) -> Result<(), String> {
 /// Scrapes a live server's metrics registry over TCP: every counter,
 /// then every latency histogram with its bucket-derived quantiles.
 fn cmd_metrics(opts: &Options) -> Result<(), String> {
-    let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Metrics)?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match one_shot(opts, &Request::Metrics)? {
         Response::Metrics {
             counters,
             histograms,
@@ -931,7 +930,6 @@ fn cmd_metrics(opts: &Options) -> Result<(), String> {
             );
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
         other => Err(format!("unexpected response: {}", other.encode())),
     }
 }
@@ -939,12 +937,7 @@ fn cmd_metrics(opts: &Options) -> Result<(), String> {
 /// Tails a live server's trace ring over TCP: the most recent `-n N`
 /// structured events (default: the whole retained ring), oldest first.
 fn cmd_trace(opts: &Options) -> Result<(), String> {
-    let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Trace(opts.trace_n))?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match one_shot(opts, &Request::Trace(opts.trace_n))? {
         Response::Trace(events) => {
             for e in &events {
                 println!("{} {}", e.seq, e.label);
@@ -952,7 +945,6 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
             println!("{} trace events", events.len());
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
         other => Err(format!("unexpected response: {}", other.encode())),
     }
 }

@@ -188,10 +188,7 @@ fn drive_sweep_run(wal: &Path, schedule: Arc<FaultSchedule>, config: StreamConfi
 fn seeded_fault_sweep_fails_loudly_or_recovers_the_durable_prefix() {
     // Group commit every 4 events: commit-time fsyncs interleave with
     // appends, so sync faults land mid-stream, not only at flush.
-    let config = StreamConfig {
-        commit_batch: 4,
-        ..StreamConfig::default()
-    };
+    let config = StreamConfig { commit_batch: 4 };
     let oracle = build_oracle(SWEEP_RECORDS, config);
 
     for seed in 0..6u64 {
@@ -224,10 +221,7 @@ fn seeded_fault_sweep_fails_loudly_or_recovers_the_durable_prefix() {
 
 #[test]
 fn simulated_crash_at_the_durable_boundary_recovers_exactly_durable_seq() {
-    let config = StreamConfig {
-        commit_batch: 4,
-        ..StreamConfig::default()
-    };
+    let config = StreamConfig { commit_batch: 4 };
     let oracle = build_oracle(SWEEP_RECORDS, config);
 
     // Fail the 7th fsync: the creation consumes two, so the poison lands

@@ -585,17 +585,29 @@ fn observability_changes_no_response_bytes() {
             rp_repro::engine::obs::global().set_enabled(true);
         }
     }
-    let (enabled, enabled_stats) = stdio_transcript(1024);
+    // The script ends in `stats`, so the compared bytes carry all nine
+    // release counters: the enable switch must not gate them.
+    let (quit, rest) = SCRIPT.split_last().expect("script is non-empty");
+    let script = [rest, &["stats", quit]].concat();
+    let transcript = || {
+        let service = Arc::new(fixture_service(1024));
+        let text = session_transcript(&Catalog::single(Arc::clone(&service)), &script);
+        (text, service.stats())
+    };
+    let (enabled, enabled_stats) = transcript();
     let _restore = Restore;
     rp_repro::engine::obs::global().set_enabled(false);
-    let (disabled, disabled_stats) = stdio_transcript(1024);
+    let (disabled, disabled_stats) = transcript();
     assert_eq!(
         enabled, disabled,
         "observability instrumentation altered response bytes"
     );
-    assert_eq!(enabled_stats.requests, disabled_stats.requests);
-    assert_eq!(enabled_stats.answered, disabled_stats.answered);
-    assert_eq!(enabled_stats.errors, disabled_stats.errors);
+    let stats_line = enabled
+        .lines()
+        .find(|l| l.starts_with("stats "))
+        .expect("stats response present");
+    assert!(stats_line.contains(" sessions=1 "), "{stats_line}");
+    assert_eq!(enabled_stats, disabled_stats);
 }
 
 #[test]

@@ -114,7 +114,6 @@ proptest! {
             // Group commit changes durability timing only, never bytes;
             // random batches let the property double as proof.
             commit_batch: if rng.gen_bool(0.5) { rng.gen_range(2..32) } else { 0 },
-            ..StreamConfig::default()
         };
         let wal = tmp(&format!("split-{case_seed:016x}.rpwal"));
         // `artifact` is what a restart reopens: the base at first, then
