@@ -14,7 +14,7 @@ use rp_core::perturb::UniformPerturbation;
 use rp_core::sps::up_histograms;
 use rp_datagen::adult::{self, AdultConfig};
 use rp_stats::chi2::binned_chi2_test;
-use rp_table::{group_by_hash, group_by_sort, CountQuery};
+use rp_table::{group_by_hash, group_by_sort, group_histograms, CountQuery};
 
 fn bench_perturbation(c: &mut Criterion) {
     let mut group = c.benchmark_group("perturbation");
@@ -77,6 +77,9 @@ fn bench_grouping(c: &mut Criterion) {
     });
     group.bench_function("group_by_hash", |b| {
         b.iter(|| group_by_hash(&table, &[0, 1, 2, 3]));
+    });
+    group.bench_function("group_histograms", |b| {
+        b.iter(|| group_histograms(&table, &[0, 1, 2, 3], adult::attr::INCOME));
     });
     group.finish();
 }

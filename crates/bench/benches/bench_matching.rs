@@ -1,17 +1,12 @@
-//! Benches for the vectorized data-path kernels:
-//!
-//! * `matching/*` — bitmap AND-matching vs the row-at-a-time scan for
-//!   Section-6 count queries on a published table (plus the one-off cost of
-//!   building the bitmap index);
-//! * `grouping_sharded/*` — `PersonalGroups::build_sharded` at shard counts
-//!   K ∈ {1, 4, 16} (single-threaded, so the numbers isolate the sharded
-//!   kernel itself rather than the machine's core count).
+//! Benches for the vectorized matching kernel: bitmap AND-matching vs the
+//! row-at-a-time scan for Section-6 count queries on a published table
+//! (plus the one-off cost of building the bitmap index).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_bench::adult_fixture;
-use rp_core::groups::{PersonalGroups, SaSpec};
+use rp_core::groups::SaSpec;
 use rp_core::sps::uniform_perturb;
 use rp_datagen::adult;
 use rp_table::{BitmapIndex, CountQuery};
@@ -50,18 +45,5 @@ fn bench_matching(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_grouping_sharded(c: &mut Criterion) {
-    let dataset = adult_fixture();
-    let spec = SaSpec::new(&dataset.generalized, adult::attr::INCOME);
-    let mut group = c.benchmark_group("grouping_sharded");
-    group.sample_size(20);
-    for shards in [1usize, 4, 16] {
-        group.bench_with_input(BenchmarkId::new("k", shards), &shards, |b, &shards| {
-            b.iter(|| PersonalGroups::build_sharded(&dataset.generalized, spec.clone(), shards, 1));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_matching, bench_grouping_sharded);
+criterion_group!(benches, bench_matching);
 criterion_main!(benches);

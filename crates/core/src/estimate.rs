@@ -73,12 +73,7 @@ pub struct GroupedView {
 /// Builds the per-`(attribute, code)` bitmap index over group keys. Code
 /// domains are taken as `max key code + 1` per attribute — queries naming a
 /// larger code match no group, exactly like the key scan they replace.
-fn build_key_index(
-    na_attrs: &[AttrId],
-    keys: &[Vec<u32>],
-    shards: usize,
-    threads: usize,
-) -> BitmapIndex {
+fn build_key_index(na_attrs: &[AttrId], keys: &[Vec<u32>]) -> BitmapIndex {
     let width = na_attrs.len();
     let mut columns: Vec<Vec<u32>> = vec![vec![0u32; keys.len()]; width];
     for (g, key) in keys.iter().enumerate() {
@@ -91,7 +86,7 @@ fn build_key_index(
         .map(|c| c.iter().max().map_or(0, |&max| max as usize + 1))
         .collect();
     let column_refs: Vec<&[u32]> = columns.iter().map(Vec::as_slice).collect();
-    BitmapIndex::from_columns(na_attrs, &column_refs, &domains, shards, threads)
+    BitmapIndex::from_columns(na_attrs, &column_refs, &domains)
 }
 
 impl GroupedView {
@@ -103,23 +98,6 @@ impl GroupedView {
     /// Panics if `hists` is not aligned with the groups or a histogram has
     /// the wrong arity.
     pub fn from_histograms(groups: &PersonalGroups, hists: Vec<Vec<u64>>) -> Self {
-        Self::from_histograms_sharded(groups, hists, 1, 1)
-    }
-
-    /// As [`GroupedView::from_histograms`], building the key bitmap index
-    /// in `shards` word-aligned chunks on up to `threads` scoped workers.
-    /// The view is bit-for-bit identical for every `(shards, threads)`
-    /// combination; sharding only changes how the construction work is cut.
-    ///
-    /// # Panics
-    ///
-    /// As [`GroupedView::from_histograms`], and if `shards == 0`.
-    pub fn from_histograms_sharded(
-        groups: &PersonalGroups,
-        hists: Vec<Vec<u64>>,
-        shards: usize,
-        threads: usize,
-    ) -> Self {
         assert_eq!(
             hists.len(),
             groups.len(),
@@ -130,7 +108,7 @@ impl GroupedView {
             assert_eq!(h.len(), m, "histogram arity must equal the SA domain size");
         }
         let keys = groups.groups().iter().map(|g| g.key.clone()).collect();
-        Self::assemble(groups.spec(), keys, hists, shards, threads)
+        Self::assemble(groups.spec(), keys, hists)
     }
 
     /// Builds the view by grouping a perturbed table along the same spec as
@@ -147,18 +125,12 @@ impl GroupedView {
     /// key space can be addressed directly).
     pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
         let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
-        Self::assemble(spec, keys, hists, 1, 1)
+        Self::assemble(spec, keys, hists)
     }
 
     /// The view over sorted `keys` and their aligned histograms, which are
     /// transposed into the SA-major column block and dropped.
-    fn assemble(
-        spec: &SaSpec,
-        keys: Vec<Vec<u32>>,
-        hists: Vec<Vec<u64>>,
-        shards: usize,
-        threads: usize,
-    ) -> Self {
+    fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
         let groups = hists.len();
         let mut counts = vec![0u64; spec.m() * groups];
         for (g, hist) in hists.iter().enumerate() {
@@ -167,7 +139,7 @@ impl GroupedView {
             }
         }
         let sizes = hists.iter().map(|h| h.iter().sum()).collect();
-        let key_index = build_key_index(spec.na(), &keys, shards, threads);
+        let key_index = build_key_index(spec.na(), &keys);
         Self {
             na_attrs: spec.na().to_vec(),
             sa_attr: spec.sa(),
@@ -425,23 +397,6 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(matching, &reference, "{q:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_view_construction_is_identical() {
-        let t = demo_table();
-        let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec);
-        let mut rng = StdRng::seed_from_u64(58);
-        let hists = up_histograms(&mut rng, &groups, 0.5);
-        let reference = GroupedView::from_histograms(&groups, hists.clone());
-        for shards in [2, 4, 16] {
-            for threads in [1, 3] {
-                let sharded =
-                    GroupedView::from_histograms_sharded(&groups, hists.clone(), shards, threads);
-                assert_eq!(reference, sharded, "shards={shards} threads={threads}");
-            }
         }
     }
 

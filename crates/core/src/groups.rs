@@ -3,12 +3,12 @@
 //! Fixing one attribute as `SA` and the rest as `NA`, a *personal group*
 //! `D(x1, ..., xn)` collects all records agreeing on every public attribute;
 //! an *aggregate group* leaves at least one attribute wild. Personal groups
-//! are the unit at which reconstruction privacy is tested and enforced, so
-//! this module materializes them together with their SA histograms.
+//! are the unit at which reconstruction privacy is tested and enforced.
+//! Every public attribute is constant within a personal group, so a group
+//! is fully described by its key and its SA histogram; member row lists are
+//! never materialized.
 
-use rp_table::{
-    group_by_hash_sharded, group_by_sort, parallel::run_shards, AttrId, Pattern, Table,
-};
+use rp_table::{group_histograms, AttrId, Pattern, Table};
 
 /// Declares which attribute of a table is sensitive; all others are public.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,21 +74,19 @@ impl SaSpec {
 pub struct PersonalGroup {
     /// Codes of the public attributes (in [`SaSpec::na`] order).
     pub key: Vec<u32>,
-    /// Row indices of the group's members in the source table.
-    pub rows: Vec<u32>,
     /// Histogram of SA values within the group.
     pub sa_hist: Vec<u64>,
 }
 
 impl PersonalGroup {
-    /// Group size `|g|`.
+    /// Group size `|g|`: the sum of the SA histogram.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.sa_hist.iter().sum::<u64>() as usize
     }
 
     /// Whether the group has no members.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.sa_hist.iter().all(|&c| c == 0)
     }
 
     /// Frequency (in fraction) of SA value `code` within the group.
@@ -123,19 +121,16 @@ pub struct PersonalGroups {
 }
 
 impl PersonalGroups {
-    /// Partitions `table` into personal groups by sorting on the public
-    /// attributes (the paper's prescribed strategy) and computes each
-    /// group's SA histogram in the same pass.
+    /// Partitions `table` into personal groups, sorted by key, with each
+    /// group's SA histogram, in one pass of [`group_histograms`]. The
+    /// paper's sort-based strategy (`rp_table::group_by_sort`) yields the
+    /// same groups and is kept as the grouping ablation.
     pub fn build(table: &Table, spec: SaSpec) -> Self {
-        let grouping = group_by_sort(table, spec.na());
-        let groups = grouping
-            .groups()
-            .iter()
-            .map(|g| PersonalGroup {
-                key: g.key.clone(),
-                sa_hist: table.histogram_over(spec.sa(), &g.rows),
-                rows: g.rows.clone(),
-            })
+        let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
+        let groups = keys
+            .into_iter()
+            .zip(hists)
+            .map(|(key, sa_hist)| PersonalGroup { key, sa_hist })
             .collect();
         Self {
             spec,
@@ -144,52 +139,11 @@ impl PersonalGroups {
         }
     }
 
-    /// Sharded construction: rows are dealt into `shards` hash-disjoint
-    /// shards by group-key hash, each shard is grouped independently —
-    /// optionally on up to `threads` scoped workers — and the per-shard
-    /// results are merged back into global key order. SA histograms are
-    /// computed per contiguous group chunk on the same worker pool.
-    ///
-    /// Personal groups have no cross-group dependencies (UP and SPS treat
-    /// each group in isolation), so this is embarrassingly parallel; the
-    /// result is **identical** to [`PersonalGroups::build`] for every
-    /// combination of `shards` and `threads`. Quantified by the
-    /// `grouping_sharded` bench group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn build_sharded(table: &Table, spec: SaSpec, shards: usize, threads: usize) -> Self {
-        let grouping = group_by_hash_sharded(table, spec.na(), shards, threads);
-        let groups = grouping.groups();
-        // Per-group SA histograms over contiguous chunks, one chunk per
-        // shard slot: deterministic (chunking never reorders groups) and
-        // thread-safe (chunks are disjoint).
-        let chunk_count = shards.min(groups.len()).max(1);
-        let chunk_len = groups.len().div_ceil(chunk_count);
-        let sa = spec.sa();
-        let hist_chunks = run_shards(chunk_count, threads, |c| {
-            let start = (c * chunk_len).min(groups.len());
-            let end = ((c + 1) * chunk_len).min(groups.len());
-            groups[start..end]
-                .iter()
-                .map(|g| table.histogram_over(sa, &g.rows))
-                .collect::<Vec<_>>()
-        });
-        let groups = groups
-            .iter()
-            .zip(hist_chunks.into_iter().flatten())
-            .map(|(g, sa_hist)| PersonalGroup {
-                key: g.key.clone(),
-                sa_hist,
-                rows: g.rows.clone(),
-            })
-            .collect();
-        Self {
-            spec,
-            total_rows: table.rows(),
-            groups,
-        }
+    /// Forwards to [`PersonalGroups::build`]; `shards` and `threads` are
+    /// ignored. Kept only because the `perfbench` harness still calls it,
+    /// and removed once the harness stops doing so.
+    pub fn build_sharded(table: &Table, spec: SaSpec, _shards: usize, _threads: usize) -> Self {
+        Self::build(table, spec)
     }
 
     /// The SA/NA spec the groups were built under.
@@ -357,27 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn build_sharded_matches_build_for_all_k_and_threads() {
-        let t = demo_table();
-        let spec = SaSpec::new(&t, 2);
-        let reference = PersonalGroups::build(&t, spec.clone());
-        for shards in [1, 2, 3, 8, 32] {
-            for threads in [1, 4] {
-                let sharded = PersonalGroups::build_sharded(&t, spec.clone(), shards, threads);
-                assert_eq!(reference, sharded, "K={shards} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn build_sharded_on_empty_table() {
+    fn build_on_empty_table() {
         let schema = Schema::new(vec![
             Attribute::new("NA", ["x", "y"]),
             Attribute::new("SA", ["a", "b"]),
         ]);
         let t = TableBuilder::new(schema).build();
         let spec = SaSpec::new(&t, 1);
-        let g = PersonalGroups::build_sharded(&t, spec, 4, 2);
+        let g = PersonalGroups::build(&t, spec);
         assert!(g.is_empty());
         assert_eq!(g.total_rows(), 0);
     }

@@ -17,10 +17,10 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use rp_stats::sampling::stochastic_round;
 
 use crate::perturb::UniformPerturbation;
 use crate::privacy::{max_group_size, PrivacyParams};
+use crate::sps::sps_group;
 
 /// Compliance status of one live personal group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,8 +156,6 @@ impl IncrementalPublisher {
     ///
     /// Panics if `key` is unknown.
     pub fn republish_group<R: Rng + ?Sized>(&mut self, rng: &mut R, key: &[u32]) -> GroupStatus {
-        let op = self.op;
-        let params = self.params;
         let group = self
             .groups
             .get_mut(key)
@@ -166,47 +164,18 @@ impl IncrementalPublisher {
         if size == 0 {
             return GroupStatus::Compliant;
         }
-        let f = *group.raw_hist.iter().max().expect("non-empty") as f64 / size as f64;
-        let sg = max_group_size(params, op.retention(), op.domain_size(), f);
-        if size as f64 <= sg {
-            // Whole-group perturbation is compliant: republish plainly.
-            // The whole group is exposed through plain UP again, so the
-            // sampled-prefix baseline resets.
-            group.republished_len = 0;
-            group.published_hist = op.perturb_histogram(rng, &group.raw_hist);
-        } else {
-            let tau = sg / size as f64;
-            let mut sample: Vec<u64> = group
-                .raw_hist
-                .iter()
-                .map(|&c| stochastic_round(rng, c as f64 * tau).min(c))
-                .collect();
-            let mut g1: u64 = sample.iter().sum();
-            if g1 == 0 {
-                let argmax = group
-                    .raw_hist
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &c)| c)
-                    .map(|(i, _)| i)
-                    .expect("non-empty histogram");
-                sample[argmax] = 1;
-                g1 = 1;
-            }
-            let perturbed = op.perturb_histogram(rng, &sample);
-            let tau_prime = size as f64 / g1 as f64;
-            group.published_hist = perturbed
-                .iter()
-                .map(|&c| {
-                    let base = tau_prime.floor() as u64 * c;
-                    let frac = tau_prime - tau_prime.floor();
-                    base + rp_stats::sampling::sample_binomial(rng, c, frac)
-                })
-                .collect();
-            // Every current record is now covered by the SPS sample; only
-            // records inserted after this point count against `sg` again.
-            group.republished_len = size;
-        }
+        let sample = sps_group(
+            rng,
+            &self.op,
+            self.params,
+            &group.raw_hist,
+            &mut group.published_hist,
+        );
+        // A sample covers every current record, so only records inserted
+        // after this point count against `sg` again. A whole-group
+        // perturbation exposes the whole group through plain UP again, so
+        // the sampled-prefix baseline resets.
+        group.republished_len = if sample.is_some() { size } else { 0 };
         group.status = GroupStatus::Compliant;
         GroupStatus::Compliant
     }

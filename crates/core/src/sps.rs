@@ -15,13 +15,17 @@
 //! that is small enough the algorithm degrades to plain uniform
 //! perturbation (UP).
 //!
-//! Both a record-level executor (producing a publishable [`Table`]) and a
-//! histogram-level executor (producing per-group perturbed SA histograms,
-//! used by the Section-6 parameter sweeps) are provided; they are
-//! distributionally identical.
+//! Every public attribute is constant within a personal group, so a
+//! group's output is fully described by its histogram of SA codes.
+//! [`sps_group`] is the one per-group kernel: it maps a raw SA histogram to
+//! the published one. The record-level executor [`sps`] (producing a
+//! publishable [`Table`]), the histogram-level executor [`sps_histograms`]
+//! (used by the Section-6 parameter sweeps) and the streaming re-publication
+//! in [`crate::incremental`] all run it, so for one seed the per-group SA
+//! histograms of [`sps`]'s table equal [`sps_histograms`] exactly.
 
 use rand::Rng;
-use rp_stats::sampling::stochastic_round;
+use rp_stats::sampling::{sample_binomial, stochastic_round};
 use rp_table::{Table, TableBuilder};
 
 use crate::groups::{PersonalGroups, SaSpec};
@@ -74,11 +78,75 @@ pub fn uniform_perturb<R: Rng + ?Sized>(
     UniformPerturbation::new(p, spec.m()).perturb_table(rng, table, spec.sa())
 }
 
+/// SPS on one personal group at histogram level: writes the published SA
+/// histogram of `g*₂` for the raw histogram `hist` into `out` (cleared and
+/// refilled) and returns `Some(|g1|)` when the group exceeded its threshold
+/// `sg` and was sampled, `None` when it was perturbed whole.
+///
+/// Draw order: within the threshold, one `perturb_histogram`; above it,
+/// one `stochastic_round` per SA value (sampling), `perturb_histogram` of
+/// the sample, then one `sample_binomial` per SA value (scaling: the `c`
+/// records of a cell get `⌊τ′⌋` copies each plus `Binomial(c, frac(τ′))`
+/// extras). An empty histogram draws nothing and publishes zeros.
+///
+/// # Panics
+///
+/// Panics if `hist` is non-empty and its length is not the operator's
+/// domain size.
+pub fn sps_group<R: Rng + ?Sized>(
+    rng: &mut R,
+    op: &UniformPerturbation,
+    params: PrivacyParams,
+    hist: &[u64],
+    out: &mut Vec<u64>,
+) -> Option<u64> {
+    let size: u64 = hist.iter().sum();
+    let max = hist.iter().copied().max().unwrap_or(0);
+    if size == 0 {
+        out.clear();
+        out.resize(hist.len(), 0);
+        return None;
+    }
+    let f_max = max as f64 / size as f64;
+    let sg = max_group_size(params, op.retention(), op.domain_size(), f_max);
+    if size as f64 <= sg {
+        op.perturb_histogram_into(rng, hist, out);
+        return None;
+    }
+    // Sampling: per SA value, a frequency-preserving draw. Records within
+    // one (group, SA value) cell are identical, so sampling "any" ⌊c·τ⌋
+    // records is just a count.
+    let tau = sg / size as f64;
+    let mut sample: Vec<u64> = hist
+        .iter()
+        .map(|&c| stochastic_round(rng, c as f64 * tau).min(c))
+        .collect();
+    let mut g1: u64 = sample.iter().sum();
+    if g1 == 0 {
+        // Degenerate draw (tiny sg): keep one record of the most common
+        // value (the last one on a tie) so the group does not vanish from
+        // the publication.
+        let argmax = hist.iter().rposition(|&c| c == max).expect("non-empty");
+        sample[argmax] = 1;
+        g1 = 1;
+    }
+    op.perturb_histogram_into(rng, &sample, out);
+    // Scaling back to the original size.
+    let tau_prime = size as f64 / g1 as f64;
+    let floor = tau_prime.floor();
+    for c in out.iter_mut() {
+        *c = floor as u64 * *c + sample_binomial(rng, *c, tau_prime - floor);
+    }
+    Some(g1)
+}
+
 /// Record-level SPS: returns the published `D*₂` plus run statistics.
 ///
-/// The input is consumed as [`PersonalGroups`] (the sort + scan
-/// preprocessing of Section 5); `table` must be the table those groups were
-/// built from.
+/// The input is consumed as [`PersonalGroups`] (the grouping preprocessing
+/// of Section 5); `table` must be the table those groups were built from.
+/// Each group runs [`sps_group`] and is emitted as one columnar run: every
+/// NA column a constant fill from the group key, the SA column one fill
+/// per non-empty value of the published histogram.
 ///
 /// # Panics
 ///
@@ -103,124 +171,27 @@ pub fn sps<R: Rng + ?Sized>(
         input_records: table.rows() as u64,
         ..SpsStats::default()
     };
-
-    // Columnar emission: each group's output is one run — every NA column a
-    // single constant fill from the group key, the SA column either a
-    // precomputed perturbed slice (within-threshold path) or a handful of
-    // per-value fills (scaled path). The RNG is drawn in exactly the row
-    // order the row-at-a-time executor used, so publications for a given
-    // seed are byte-identical to the seed implementation.
-    let sa_attr = spec.sa();
-    let sa_column = table.column(sa_attr).codes();
-    // Scratch buffers reused across groups — the sampled path otherwise
-    // allocates three short vectors per group.
-    let mut sa_buffer: Vec<u32> = Vec::new();
-    let mut sample_hist: Vec<u64> = Vec::new();
-    let mut perturbed_hist: Vec<u64> = Vec::new();
-    let mut cell_copies: Vec<u64> = Vec::new();
-    let mut emit =
-        |rows: usize, key: &[u32], sa_fill: &mut dyn FnMut(&mut rp_table::RunWriter<'_>)| {
-            let mut run = builder.begin_run(rows);
-            for (i, &attr) in spec.na().iter().enumerate() {
-                run.fill(attr, key[i], rows)
-                    .expect("group key codes are valid");
-            }
-            sa_fill(&mut run);
-            run.finish()
-                .expect("every column filled to the declared run length");
-        };
+    let mut hist = Vec::new();
     for group in groups.groups() {
-        let size = group.len() as u64;
-        let f_max = if group.is_empty() {
-            0.0
-        } else {
-            group.max_frequency()
-        };
-        let sg = max_group_size(config.params, config.p, spec.m(), f_max);
-
-        if size as f64 <= sg {
-            // Within the threshold: perturb every record, no sampling. One
-            // pass over the member rows draws the perturbed SA codes (same
-            // RNG order as perturbing row by row), then the whole group is
-            // emitted as per-column runs.
-            sa_buffer.clear();
-            sa_buffer.extend(
-                group
-                    .rows
-                    .iter()
-                    .map(|&r| op.perturb_code(rng, sa_column[r as usize])),
-            );
-            let sa_codes = &sa_buffer;
-            emit(group.len(), &group.key, &mut |run| {
-                run.copy_from_slice(sa_attr, sa_codes)
-                    .expect("perturbed codes stay within the SA domain");
-            });
-            continue;
+        if let Some(g1) = sps_group(rng, &op, config.params, &group.sa_hist, &mut hist) {
+            stats.groups_sampled += 1;
+            stats.sampled_records += g1;
         }
-
-        stats.groups_sampled += 1;
-        let tau = sg / size as f64;
-        // Sampling: per SA value, a frequency-preserving draw. Records
-        // within one (group, SA value) cell are identical, so sampling
-        // "any" ⌊c·τ⌋ records is just a count.
-        sample_hist.clear();
-        sample_hist.extend(
-            group
-                .sa_hist
-                .iter()
-                .map(|&c| stochastic_round(rng, c as f64 * tau).min(c)),
-        );
-        let mut g1_size: u64 = sample_hist.iter().sum();
-        if g1_size == 0 {
-            // Degenerate draw (tiny sg): keep one record of the most common
-            // value so the group does not vanish from the publication.
-            let argmax = group
-                .sa_hist
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .expect("non-empty histogram");
-            sample_hist[argmax] = 1;
-            g1_size = 1;
+        let rows = hist.iter().sum::<u64>() as usize;
+        let mut run = builder.begin_run(rows);
+        for (&attr, &code) in spec.na().iter().zip(&group.key) {
+            run.fill(attr, code, rows)
+                .expect("group key codes are valid");
         }
-        stats.sampled_records += g1_size;
-        // Perturbing the sample.
-        op.perturb_histogram_into(rng, &sample_hist, &mut perturbed_hist);
-        // Scaling back to the original size. All records of one
-        // (group, SA value) cell share a single code template, so their
-        // `⌊τ′⌋ + Bernoulli` copy counts are summed (same RNG draws as
-        // duplicating row by row) and the group is emitted as one columnar
-        // run: constant NA fills plus one SA fill per non-empty cell.
-        let tau_prime = size as f64 / g1_size as f64;
-        // Per-record `stochastic_round(tau_prime)` with the constant parts
-        // hoisted: each record contributes ⌊τ′⌋ plus a Bernoulli(frac(τ′))
-        // draw — drawn only when the fraction is non-zero, exactly like the
-        // per-record call it replaces (identical RNG stream and totals).
-        let tau_floor = tau_prime.floor() as u64;
-        let tau_frac = tau_prime - tau_prime.floor();
-        cell_copies.clear();
-        for &count in &perturbed_hist {
-            let extras: u64 = if tau_frac > 0.0 {
-                (0..count)
-                    .map(|_| u64::from(rng.gen::<f64>() < tau_frac))
-                    .sum()
-            } else {
-                0
-            };
-            cell_copies.push(tau_floor * count + extras);
-        }
-        let total: u64 = cell_copies.iter().sum();
-        emit(total as usize, &group.key, &mut |run| {
-            for (sa_code, &copies) in cell_copies.iter().enumerate() {
-                if copies > 0 {
-                    run.fill(sa_attr, sa_code as u32, copies as usize)
-                        .expect("SA codes index the SA domain");
-                }
+        for (sa_code, &count) in (0u32..).zip(&hist) {
+            if count > 0 {
+                run.fill(spec.sa(), sa_code, count as usize)
+                    .expect("SA codes index the SA domain");
             }
-        });
+        }
+        run.finish()
+            .expect("every column filled to the declared run length");
     }
-
     let table = builder.build();
     stats.output_records = table.rows() as u64;
     SpsOutput { table, stats }
@@ -230,59 +201,23 @@ pub fn sps<R: Rng + ?Sized>(
 /// histogram of `g*₂` without materializing records. Returns one histogram
 /// per group, aligned with `groups.groups()`.
 ///
-/// Distributionally identical to [`sps`] followed by per-group histograms;
-/// this is the fast path used by the Figure 3/5 sweeps (DESIGN.md
-/// ablation #3).
+/// Both executors run [`sps_group`] in group order, so for one seed these
+/// histograms equal the per-group SA histograms of [`sps`]'s table exactly.
+/// This is the fast path used by the Figure 3/5 sweeps (DESIGN.md ablation
+/// #3).
 pub fn sps_histograms<R: Rng + ?Sized>(
     rng: &mut R,
     groups: &PersonalGroups,
     config: SpsConfig,
 ) -> Vec<Vec<u64>> {
-    let spec = groups.spec();
-    let op = UniformPerturbation::new(config.p, spec.m());
+    let op = UniformPerturbation::new(config.p, groups.spec().m());
     groups
         .groups()
         .iter()
         .map(|group| {
-            let size = group.len() as u64;
-            if size == 0 {
-                return vec![0u64; spec.m()];
-            }
-            let f_max = group.max_frequency();
-            let sg = max_group_size(config.params, config.p, spec.m(), f_max);
-            if size as f64 <= sg {
-                return op.perturb_histogram(rng, &group.sa_hist);
-            }
-            let tau = sg / size as f64;
-            let mut sample_hist: Vec<u64> = group
-                .sa_hist
-                .iter()
-                .map(|&c| stochastic_round(rng, c as f64 * tau).min(c))
-                .collect();
-            let mut g1_size: u64 = sample_hist.iter().sum();
-            if g1_size == 0 {
-                let argmax = group
-                    .sa_hist
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &c)| c)
-                    .map(|(i, _)| i)
-                    .expect("non-empty histogram");
-                sample_hist[argmax] = 1;
-                g1_size = 1;
-            }
-            let perturbed = op.perturb_histogram(rng, &sample_hist);
-            let tau_prime = size as f64 / g1_size as f64;
-            perturbed
-                .iter()
-                .map(|&c| {
-                    // Each of the c records is duplicated ⌊τ′⌋ + Bernoulli
-                    // times; the sum is c·⌊τ′⌋ + Binomial(c, frac).
-                    let base = tau_prime.floor() as u64 * c;
-                    let frac = tau_prime - tau_prime.floor();
-                    base + rp_stats::sampling::sample_binomial(rng, c, frac)
-                })
-                .collect()
+            let mut out = Vec::new();
+            sps_group(rng, &op, config.params, &group.sa_hist, &mut out);
+            out
         })
         .collect()
 }
@@ -460,6 +395,47 @@ mod tests {
                 diff < 0.03 * rec_mean[i].max(1.0),
                 "executors diverge on value {i}: {rec_mean:?} vs {his_mean:?}"
             );
+        }
+    }
+
+    /// For one seed, the per-group SA histograms of `sps`' table equal
+    /// `sps_histograms`, and `sampled_records` is Σ g1 over the groups
+    /// `sps_group` sampled: within the threshold, sampled, and with every
+    /// sample degenerate (δ = 1 makes `sg` = 0, so each draw keeps no record
+    /// and falls back to g1 = 1).
+    #[test]
+    fn record_level_histograms_equal_histogram_level_for_one_seed() {
+        let degenerate = SpsConfig {
+            p: 0.5,
+            params: PrivacyParams::new(0.3, 1.0),
+        };
+        for (seed, table, config, sampled) in [
+            (31, demo_table(20, 20), config(), 0),
+            (32, demo_table(5000, 20), config(), 1),
+            (33, demo_table(5000, 20), degenerate, 2),
+        ] {
+            let spec = SaSpec::new(&table, 1);
+            let groups = PersonalGroups::build(&table, spec.clone());
+            let out = sps(&mut StdRng::seed_from_u64(seed), &table, &groups, config);
+            let hists = sps_histograms(&mut StdRng::seed_from_u64(seed), &groups, config);
+            let (keys, published) = rp_table::group_histograms(&out.table, spec.na(), spec.sa());
+            let want_keys: Vec<Vec<u32>> = groups.groups().iter().map(|g| g.key.clone()).collect();
+            assert_eq!(keys, want_keys, "seed {seed}");
+            assert_eq!(published, hists, "seed {seed}");
+            assert_eq!(out.stats.groups_sampled, sampled, "seed {seed}");
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let op = UniformPerturbation::new(config.p, spec.m());
+            let mut scratch = Vec::new();
+            let g1: u64 = groups
+                .groups()
+                .iter()
+                .filter_map(|g| sps_group(&mut rng, &op, config.params, &g.sa_hist, &mut scratch))
+                .sum();
+            assert_eq!(out.stats.sampled_records, g1, "seed {seed}");
+            if config == degenerate {
+                assert_eq!(g1, sampled as u64, "one record per degenerate sample");
+            }
         }
     }
 

@@ -50,8 +50,6 @@ pub struct Publisher {
     lambda: f64,
     delta: f64,
     seed: u64,
-    shards: usize,
-    threads: usize,
 }
 
 impl Publisher {
@@ -65,23 +63,13 @@ impl Publisher {
             lambda: DEFAULT_LAMBDA,
             delta: DEFAULT_DELTA,
             seed: DEFAULT_SEED,
-            shards: 1,
-            threads: 1,
         }
     }
 
-    /// Runs the grouping stage in `shards` hash-disjoint shards on up to
-    /// `threads` scoped workers. Purely an execution knob: the grouping
-    /// merge is deterministic, so the publication is byte-identical for
-    /// every `(shards, threads)` combination — including the single-shard
-    /// default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` (at publish time).
-    pub fn parallelism(mut self, shards: usize, threads: usize) -> Self {
-        self.shards = shards;
-        self.threads = threads;
+    /// Returns the builder unchanged; `shards` and `threads` are ignored.
+    /// Kept only because the `perfbench` harness still calls it, and
+    /// removed once the harness stops doing so.
+    pub fn parallelism(self, _shards: usize, _threads: usize) -> Self {
         self
     }
 
@@ -153,14 +141,7 @@ impl Publisher {
         }
         let params = PrivacyParams::new(self.lambda, self.delta);
         let spec = SaSpec::new(&self.table, sa);
-        // `shards != 1` (not `> 1`) so the documented shards == 0 panic in
-        // `build_sharded` actually fires instead of silently running the
-        // unsharded path.
-        let groups = if self.shards != 1 {
-            PersonalGroups::build_sharded(&self.table, spec, self.shards, self.threads)
-        } else {
-            PersonalGroups::build(&self.table, spec)
-        };
+        let groups = PersonalGroups::build(&self.table, spec);
         let report = check_groups(&groups, self.p, params);
         let check = DesignCheck {
             total_groups: groups.len(),
@@ -291,30 +272,6 @@ mod tests {
         assert_eq!(publication.stats(), out.stats);
         assert_eq!(publication.seed(), 77);
         assert!(!publication.check().is_private(), "big group violates");
-    }
-
-    #[test]
-    fn sharded_publish_is_byte_identical() {
-        let t = demo_table();
-        let save = |p: &Publication| {
-            let mut buf = Vec::new();
-            p.save(&mut buf).expect("in-memory save cannot fail");
-            buf
-        };
-        let reference = Publisher::new(t.clone()).sa(1).seed(77).publish().unwrap();
-        for (shards, threads) in [(4, 1), (8, 3), (1, 4)] {
-            let sharded = Publisher::new(t.clone())
-                .sa(1)
-                .seed(77)
-                .parallelism(shards, threads)
-                .publish()
-                .unwrap();
-            assert_eq!(
-                save(&reference),
-                save(&sharded),
-                "shards={shards} threads={threads}"
-            );
-        }
     }
 
     #[test]

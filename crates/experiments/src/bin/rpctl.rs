@@ -8,7 +8,7 @@
 //! rpctl audit   --input data.csv --sa Income [--p 0.5 --lambda 0.3 --delta 0.3]
 //! rpctl publish --input data.csv --sa Income --output release.rppub
 //!               [--csv published.csv --p 0.5 --lambda 0.3 --delta 0.3
-//!                --no-generalize --seed N --threads N]
+//!                --no-generalize --seed N]
 //! rpctl publish --adult adult.data --sa Income --output release.rppub
 //! rpctl query   --publication release.rppub --where Gender=Male --value >50K
 //!               [--raw data.csv]
@@ -40,9 +40,6 @@
 //! and SPS enforcement (Section 5) — through `rp_engine::Publisher`, and
 //! writes a `Publication` artifact that carries the published records
 //! *and* every estimator parameter (`p`, λ, δ, seed, SPS counters).
-//! Grouping parallelism defaults to the machine's available cores
-//! (override with `--threads`); the release is byte-identical at every
-//! thread count.
 //!
 //! `query` and `serve` answer count queries through a
 //! `rp_engine::QueryService` with the MLE estimator `est = |S*|·F′` and
@@ -150,7 +147,6 @@ struct Options {
     generalize: bool,
     conditions: Vec<(String, String)>,
     value: Option<String>,
-    threads: Option<usize>,
     listen: Option<String>,
     connect: Option<String>,
     max_conns: usize,
@@ -218,7 +214,7 @@ impl Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  rpctl audit   --input FILE --sa COLUMN [--p P --lambda L --delta D]\n  \
-         rpctl publish --input FILE | --adult FILE --sa COLUMN --output FILE.rppub [--csv FILE.csv] [--p P --lambda L --delta D --no-generalize --seed N --threads N]\n  \
+         rpctl publish --input FILE | --adult FILE --sa COLUMN --output FILE.rppub [--csv FILE.csv] [--p P --lambda L --delta D --no-generalize --seed N]\n  \
          rpctl query   --publication FILE.rppub --where COL=VALUE ... --value SA_VALUE [--raw FILE.csv]\n  \
          rpctl query   --connect HOST:PORT --where COL=VALUE ... --value SA_VALUE [--release NAME --timeout MS]\n  \
          rpctl serve   --publication FILE.rppub | --release NAME=FILE.rppub [--release NAME=FILE.rppub ...] [--listen HOST:PORT --max-conns N --cache ENTRIES --read-timeout MS --write-timeout MS --trace-buffer N] [--wal FILE.rpwal --state-out FILE.rppub --commit-batch N --fault-fsync-at N]\n  \
@@ -238,13 +234,6 @@ fn usage() -> ExitCode {
 /// How long a TCP client waits on one socket read before declaring the
 /// server stalled (`--timeout`, milliseconds; `0` disables).
 const DEFAULT_CLIENT_TIMEOUT_MS: u64 = 30_000;
-
-/// The machine's usable thread count — the default for `--threads`.
-fn machine_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 fn parse(args: &[String]) -> Option<Options> {
     let mut opts = Options {
@@ -283,13 +272,6 @@ fn parse(args: &[String]) -> Option<Options> {
                 opts.conditions.push((col.to_string(), value.to_string()));
             }
             "--value" => opts.value = Some(it.next()?.clone()),
-            "--threads" => {
-                let threads: usize = it.next()?.parse().ok()?;
-                if threads == 0 {
-                    return None;
-                }
-                opts.threads = Some(threads);
-            }
             "--listen" => opts.listen = Some(it.next()?.clone()),
             "--connect" => opts.connect = Some(it.next()?.clone()),
             "--max-conns" => {
@@ -412,20 +394,11 @@ fn cmd_publish(opts: &Options) -> Result<(), String> {
     } else {
         table
     };
-    // Grouping parallelism defaults to the machine's core count; the
-    // deterministic shard merge keeps the release byte-identical for
-    // every (shards, threads) choice, so this is purely an execution knob.
-    let threads = opts.threads.unwrap_or_else(machine_threads);
-    let shards = if threads > 1 { threads * 4 } else { 1 };
-    if threads > 1 {
-        println!("grouping on {threads} threads ({shards} shards)");
-    }
     let publication = Publisher::new(published_input)
         .sa(sa)
         .privacy(opts.lambda, opts.delta)
         .retention(opts.p)
         .seed(opts.seed)
-        .parallelism(shards, threads)
         .publish()
         .map_err(|e| e.to_string())?;
     let check = publication.check();

@@ -150,80 +150,37 @@ impl BitmapIndex {
             .iter()
             .map(|&a| table.schema().attribute(a).domain_size())
             .collect();
-        Self::from_columns(&attrs, &columns, &domains, 1, 1)
+        Self::from_columns(&attrs, &columns, &domains)
     }
 
     /// Builds the index from parallel code columns (one slice per attribute
     /// in `attrs`), `domains[i]` giving the code domain of `attrs[i]`.
     ///
-    /// `shards` splits each column into word-aligned chunks that are filled
-    /// independently (and merged by copying disjoint word ranges), so the
-    /// result is bit-for-bit identical for every shard count; `threads > 1`
-    /// builds the shards on a scoped thread pool with the same guarantee.
-    ///
     /// # Panics
     ///
-    /// Panics if the slices are not parallel, a code exceeds its domain, or
-    /// `shards == 0`.
-    pub fn from_columns(
-        attrs: &[AttrId],
-        columns: &[&[u32]],
-        domains: &[usize],
-        shards: usize,
-        threads: usize,
-    ) -> Self {
+    /// Panics if the slices are not parallel or a code exceeds its domain.
+    pub fn from_columns(attrs: &[AttrId], columns: &[&[u32]], domains: &[usize]) -> Self {
         assert_eq!(attrs.len(), columns.len(), "attrs and columns parallel");
         assert_eq!(attrs.len(), domains.len(), "attrs and domains parallel");
-        assert!(shards > 0, "need at least one shard");
         let len = columns.first().map_or(0, |c| c.len());
         for c in columns {
             assert_eq!(c.len(), len, "columns must have equal length");
         }
-        // Word-aligned chunk boundaries so shards fill disjoint word ranges.
-        let words = len.div_ceil(64);
-        let shard_count = shards.min(words.max(1));
-        let words_per_shard = words.div_ceil(shard_count);
-        let bounds: Vec<(usize, usize)> = (0..shard_count)
-            .map(|s| {
-                let w0 = s * words_per_shard;
-                let w1 = ((s + 1) * words_per_shard).min(words);
-                ((w0 * 64).min(len), (w1 * 64).min(len))
-            })
-            .collect();
-        // Each shard builds the word range of every (attr, code) bitmap for
-        // its row chunk; the merge below copies disjoint word ranges.
-        let partials = crate::parallel::run_shards(bounds.len(), threads, |s| {
-            let (start, end) = bounds[s];
-            let local_words = (end - start).div_ceil(64);
-            let mut local: Vec<Vec<Vec<u64>>> = domains
-                .iter()
-                .map(|&d| vec![vec![0u64; local_words]; d])
-                .collect();
-            for (per_code, (&column, &domain)) in local.iter_mut().zip(columns.iter().zip(domains))
-            {
-                for (i, &code) in column[start..end].iter().enumerate() {
+        let bitmaps = columns
+            .iter()
+            .zip(domains)
+            .map(|(&column, &domain)| {
+                let mut per_code = vec![Bitmap::zeros(len); domain];
+                for (i, &code) in column.iter().enumerate() {
                     assert!(
                         (code as usize) < domain,
                         "code {code} out of range for domain {domain}"
                     );
-                    per_code[code as usize][i / 64] |= 1u64 << (i % 64);
+                    per_code[code as usize].words[i / 64] |= 1u64 << (i % 64);
                 }
-            }
-            local
-        });
-        let mut bitmaps: Vec<Vec<Bitmap>> = domains
-            .iter()
-            .map(|&d| vec![Bitmap::zeros(len); d])
+                per_code
+            })
             .collect();
-        for (shard, &(start, _)) in partials.iter().zip(&bounds) {
-            let word_base = start / 64;
-            for (per_attr, local_attr) in bitmaps.iter_mut().zip(shard) {
-                for (bitmap, local_words) in per_attr.iter_mut().zip(local_attr) {
-                    bitmap.words[word_base..word_base + local_words.len()]
-                        .copy_from_slice(local_words);
-                }
-            }
-        }
         Self {
             len,
             attrs: attrs.to_vec(),
@@ -475,27 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_bit_identical() {
-        let t = demo_table();
-        let attrs: Vec<AttrId> = vec![0, 1, 2];
-        let columns: Vec<&[u32]> = attrs.iter().map(|&a| t.column(a).codes()).collect();
-        let domains = vec![2, 3, 4];
-        let reference = BitmapIndex::from_columns(&attrs, &columns, &domains, 1, 1);
-        for shards in [2, 3, 7, 64] {
-            for threads in [1, 3] {
-                let sharded =
-                    BitmapIndex::from_columns(&attrs, &columns, &domains, shards, threads);
-                assert_eq!(reference, sharded, "shards={shards} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn unindexed_attribute_is_unconstrained() {
         let t = demo_table();
         let attrs: Vec<AttrId> = vec![0];
         let columns: Vec<&[u32]> = vec![t.column(0).codes()];
-        let idx = BitmapIndex::from_columns(&attrs, &columns, &[2], 1, 1);
+        let idx = BitmapIndex::from_columns(&attrs, &columns, &[2]);
         // A term on attribute 1 constrains nothing in a keys-only index.
         let p = Pattern::from_codes(&[0, 1], &[1, 2]);
         assert_eq!(idx.count(&p), 150);
@@ -504,7 +445,7 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let idx = BitmapIndex::from_columns(&[0], &[&[]], &[3], 4, 2);
+        let idx = BitmapIndex::from_columns(&[0], &[&[]], &[3]);
         assert!(idx.is_empty());
         assert_eq!(idx.count(&Pattern::from_codes(&[0], &[1])), 0);
         assert_eq!(idx.select(&Pattern::new(vec![])), Vec::<u32>::new());

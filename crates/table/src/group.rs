@@ -12,14 +12,12 @@
 //! one mixed-radix `u64` per row, column by column, so comparisons, hashing
 //! and bucketing touch a single machine word instead of re-reading the table
 //! per attribute. Tables whose key-domain cross product overflows `u64`
-//! fall back to materialized `Vec<u32>` keys. [`group_by_hash_sharded`]
-//! additionally splits the rows into `K` hash-disjoint shards with a
-//! deterministic merge, so the result is identical for every shard and
-//! thread count.
+//! fall back to materialized `Vec<u32>` keys. [`group_histograms`] is the
+//! one-pass kernel for callers that need only each group's key and
+//! histogram, not its member rows.
 
 use std::collections::HashMap;
 
-use crate::parallel::run_shards;
 use crate::schema::AttrId;
 use crate::table::Table;
 
@@ -163,16 +161,13 @@ fn cut_runs(pairs: &[(u64, u32)], radices: &[u64]) -> Vec<Group> {
     groups
 }
 
-/// Direct-address grouping over packed `(key, row)` pairs: count per key,
-/// then scatter rows in pair order (ascending rows in ⇒ ascending rows per
-/// group out). `O(pairs + product)`; only used when the key space is
-/// comparable to the row count. Two passes, hence the `Clone` iterator.
-fn group_by_counting<I>(pairs: I, count: usize, product: usize, radices: &[u64]) -> Vec<Group>
-where
-    I: Iterator<Item = (u64, u32)> + Clone,
-{
+/// Direct-address grouping over packed row keys: count per key, then
+/// scatter rows in ascending order (so member rows stay ascending per
+/// group). `O(rows + product)`; only used when the key space is comparable
+/// to the row count.
+fn group_by_counting(keys: &[u64], product: usize, radices: &[u64]) -> Vec<Group> {
     let mut counts = vec![0u32; product];
-    for (k, _) in pairs.clone() {
+    for &k in keys {
         counts[k as usize] += 1;
     }
     // Ascending-key prefix sums double as scatter cursors.
@@ -183,8 +178,8 @@ where
         running += count;
     }
     let mut cursors = starts.clone();
-    let mut rows_flat = vec![0u32; count];
-    for (k, row) in pairs {
+    let mut rows_flat = vec![0u32; keys.len()];
+    for (row, &k) in (0u32..).zip(keys) {
         let cursor = &mut cursors[k as usize];
         rows_flat[*cursor as usize] = row;
         *cursor += 1;
@@ -230,12 +225,7 @@ pub fn group_by_hash(table: &Table, attrs: &[AttrId]) -> Grouping {
     if let Some((keys, radices)) = pack_keys(table, attrs) {
         let product: u128 = radices.iter().map(|&d| d as u128).product();
         let groups = if direct_addressable(product, keys.len()) {
-            group_by_counting(
-                keys.iter().copied().zip(0u32..),
-                keys.len(),
-                product as usize,
-                &radices,
-            )
+            group_by_counting(&keys, product as usize, &radices)
         } else {
             let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
             for (row, &k) in keys.iter().enumerate() {
@@ -380,122 +370,6 @@ pub fn group_histograms(
         .unzip()
 }
 
-/// Finalizer step of SplitMix64 — mixes a packed key into a well-spread
-/// shard hash. Fixed constants, so shard assignment is deterministic across
-/// runs, platforms and thread counts.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a code tuple, for the unpackable fallback.
-#[inline]
-fn fnv1a(codes: &[u32]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &c in codes {
-        for byte in c.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
-/// Sharded hash group-by: rows are dealt to `shards` hash-disjoint shards
-/// (every row of a group lands in the same shard), each shard is grouped
-/// independently — on up to `threads` scoped workers — and the per-shard
-/// results are merged by a global key sort.
-///
-/// The output is identical to [`group_by_hash`] for **every** combination
-/// of `shards` and `threads` (groups sorted by key, member rows ascending):
-/// sharding is purely an execution strategy, never an observable one.
-///
-/// # Panics
-///
-/// Panics if `attrs` is empty, contains an out-of-range attribute, or
-/// `shards == 0`.
-pub fn group_by_hash_sharded(
-    table: &Table,
-    attrs: &[AttrId],
-    shards: usize,
-    threads: usize,
-) -> Grouping {
-    check_attrs(table, attrs);
-    assert!(shards > 0, "need at least one shard");
-    if shards == 1 {
-        return group_by_hash(table, attrs);
-    }
-    let mut groups: Vec<Group> = if let Some((keys, radices)) = pack_keys(table, attrs) {
-        // Deal (key, row) pairs to shards; push order keeps rows ascending.
-        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); shards];
-        for (row, &k) in keys.iter().enumerate() {
-            buckets[(splitmix64(k) % shards as u64) as usize].push((k, row as u32));
-        }
-        let product: u128 = radices.iter().map(|&d| d as u128).product();
-        let radices = &radices;
-        run_shards(shards, threads, |s| {
-            let pairs = &buckets[s];
-            // Decide per shard: the count/scatter tables span the *global*
-            // key space, so they must be justified by this shard's own row
-            // count — otherwise every shard would pay (and, threaded, hold)
-            // product-sized allocations for a fraction of the rows.
-            if direct_addressable(product, pairs.len()) {
-                group_by_counting(
-                    pairs.iter().copied(),
-                    pairs.len(),
-                    product as usize,
-                    radices,
-                )
-            } else {
-                let mut pairs = pairs.clone();
-                pairs.sort_unstable();
-                cut_runs(&pairs, radices)
-            }
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        let width = attrs.len();
-        let flat = materialize_keys(table, attrs);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for row in 0..table.rows() {
-            let key = &flat[row * width..(row + 1) * width];
-            buckets[(fnv1a(key) % shards as u64) as usize].push(row as u32);
-        }
-        let flat = &flat;
-        run_shards(shards, threads, |s| {
-            let mut map: HashMap<&[u32], Vec<u32>> = HashMap::new();
-            for &row in &buckets[s] {
-                let key = &flat[row as usize * width..(row as usize + 1) * width];
-                map.entry(key).or_default().push(row);
-            }
-            let mut groups: Vec<Group> = map
-                // rp-analyze: allow(determinism, "per-shard groups are collected then sorted by key before the shards are merged")
-                .into_iter()
-                .map(|(key, rows)| Group {
-                    key: key.to_vec(),
-                    rows,
-                })
-                .collect();
-            groups.sort_by(|a, b| a.key.cmp(&b.key));
-            groups
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-    // Shards hold disjoint key sets, so one global sort restores key order.
-    groups.sort_by(|a, b| a.key.cmp(&b.key));
-    Grouping {
-        attrs: attrs.to_vec(),
-        groups,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,18 +490,6 @@ mod tests {
         group_by_hash(&demo_table(), &[]);
     }
 
-    #[test]
-    fn sharded_matches_unsharded_for_all_k_and_threads() {
-        let t = demo_table();
-        let reference = group_by_hash(&t, &[0, 1]);
-        for shards in [1, 2, 3, 8, 64] {
-            for threads in [1, 4] {
-                let sharded = group_by_hash_sharded(&t, &[0, 1], shards, threads);
-                assert_eq!(reference, sharded, "K={shards} threads={threads}");
-            }
-        }
-    }
-
     /// Five attributes with 2^16 values each: the 2^80 key space cannot be
     /// packed into a u64, exercising the materialized-key fallbacks.
     fn unpackable_table() -> Table {
@@ -653,9 +515,6 @@ mod tests {
         assert_eq!(s, h);
         let total: usize = s.groups().iter().map(Group::len).sum();
         assert_eq!(total, t.rows());
-        for shards in [1, 4, 9] {
-            assert_eq!(s, group_by_hash_sharded(&t, &attrs, shards, 2));
-        }
     }
 
     /// The one-pass kernel against grouping then histogramming, on a

@@ -15,8 +15,8 @@
 //! * [`predicate`] — the `D(x1, ..., xn)` selection patterns with wildcards
 //!   (personal vs aggregate groups, Section 3.2).
 //! * [`group`] — sort-based (as prescribed by the paper's SPS algorithm) and
-//!   hash-based group-by producing personal groups, and the one-pass
-//!   per-group histogram kernel the query engine is built from.
+//!   hash-based group-by, and the one-pass per-group histogram kernel that
+//!   personal grouping and the query engine are built from.
 //! * [`query`] — the Section-6 conjunctive count queries with one `SA`
 //!   condition.
 //! * [`index`] — an inverted index with posting-list intersection, the
@@ -24,8 +24,6 @@
 //! * [`bitmap`] — per-`(attribute, code)` selection bitmaps combined with
 //!   bitwise AND: the vectorized matching path for conjunctive patterns,
 //!   count queries and the engine's group-key match index.
-//! * [`parallel`] — deterministic shard fan-out (results independent of the
-//!   thread count) used by the sharded grouping and index kernels.
 //! * [`csv`] — CSV import/export so real microdata (e.g. the actual UCI
 //!   ADULT file) can be loaded in place of the synthetic substitutes.
 //!
@@ -42,7 +40,6 @@ pub mod error;
 pub mod group;
 pub mod index;
 pub mod ops;
-pub mod parallel;
 pub mod predicate;
 pub mod query;
 mod recycle;
@@ -53,9 +50,7 @@ pub use bitmap::{Bitmap, BitmapIndex};
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
 pub use error::TableError;
-pub use group::{
-    group_by_hash, group_by_hash_sharded, group_by_sort, group_histograms, Group, Grouping,
-};
+pub use group::{group_by_hash, group_by_sort, group_histograms, Group, Grouping};
 pub use index::InvertedIndex;
 pub use predicate::{Pattern, Term};
 pub use query::CountQuery;

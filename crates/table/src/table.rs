@@ -445,18 +445,16 @@ impl TableBuilder {
     }
 
     /// Begins a columnar run of `rows` rows: the returned [`RunWriter`]
-    /// fills each column independently with `extend_from_slice`-style
-    /// appends ([`RunWriter::fill`] for constant runs,
-    /// [`RunWriter::copy_from_slice`] for precomputed codes), validating
-    /// each run once instead of once per row. [`RunWriter::finish`] checks
+    /// fills each column independently with constant runs
+    /// ([`RunWriter::fill`]), validating each run once instead of once per
+    /// row. [`RunWriter::finish`] checks
     /// that every column received exactly `rows` codes; dropping the writer
     /// without finishing rolls the whole run back, so a failed run never
     /// leaves the builder ragged.
     ///
     /// This is the bulk-emission path the columnar SPS executor uses: a
     /// personal group's output is one run — each `NA` column a single
-    /// constant fill, the `SA` column a handful of per-value fills or one
-    /// slice copy.
+    /// constant fill, the `SA` column one fill per non-empty value.
     pub fn begin_run(&mut self, rows: usize) -> RunWriter<'_> {
         let base = self.rows();
         RunWriter {
@@ -515,30 +513,6 @@ impl RunWriter<'_> {
             });
         }
         self.builder.columns[attr].extend(std::iter::repeat_n(code, copies));
-        Ok(())
-    }
-
-    /// Appends a precomputed slice of codes to column `attr`. The slice is
-    /// validated in one pass over its maximum (domain checks are
-    /// `code < domain_size`, so checking the maximum checks them all).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `attr` is out of range, any code is outside the
-    /// attribute's domain, or the append would overfill the run.
-    pub fn copy_from_slice(&mut self, attr: AttrId, codes: &[u32]) -> Result<(), TableError> {
-        self.builder.schema.get(attr)?;
-        if let Some(&max) = codes.iter().max() {
-            self.builder.schema.check_code(attr, max)?;
-        }
-        if codes.len() > self.remaining(attr) {
-            return Err(TableError::ColumnRunMismatch {
-                attribute: self.builder.schema.attribute(attr).name().to_string(),
-                got: self.builder.columns[attr].len() - self.base + codes.len(),
-                expected: self.rows,
-            });
-        }
-        self.builder.columns[attr].extend_from_slice(codes);
         Ok(())
     }
 
@@ -720,7 +694,9 @@ mod tests {
         run.fill(0, 0, 5).unwrap();
         run.fill(1, 1, 2).unwrap();
         run.fill(1, 0, 3).unwrap();
-        run.copy_from_slice(2, &[0, 1, 2, 0, 1]).unwrap();
+        for code in [0, 1, 2, 0, 1] {
+            run.fill(2, code, 1).unwrap();
+        }
         run.finish().unwrap();
         let t = b.build();
         assert_eq!(t.rows(), 6);
@@ -740,7 +716,7 @@ mod tests {
                 Err(TableError::CodeOutOfRange { .. })
             ));
             assert!(matches!(
-                run.copy_from_slice(2, &[0, 9]),
+                run.fill(2, 9, 1),
                 Err(TableError::CodeOutOfRange { .. })
             ));
             assert!(matches!(
@@ -753,7 +729,7 @@ mod tests {
             ));
             run.fill(2, 0, 2).unwrap();
             assert!(matches!(
-                run.copy_from_slice(2, &[0]),
+                run.fill(2, 0, 1),
                 Err(TableError::ColumnRunMismatch { .. })
             ));
         }
@@ -802,7 +778,9 @@ mod tests {
         let mut run = by_run.begin_run(3);
         run.fill(0, 0, 3).unwrap();
         run.fill(1, 1, 3).unwrap();
-        run.copy_from_slice(2, &[2, 0, 1]).unwrap();
+        for code in [2, 0, 1] {
+            run.fill(2, code, 1).unwrap();
+        }
         run.finish().unwrap();
         assert_eq!(by_rows.build(), by_run.build());
     }
