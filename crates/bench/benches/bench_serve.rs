@@ -24,8 +24,15 @@
 //! * `serve/batch32_encode` — encoding that response alone, the
 //!   float-formatting floor under `batch32_line`. CI gates the same-run
 //!   ratio `batch32_line / batch32_encode`, which does not depend on the
-//!   host's speed.
+//!   host's speed;
+//! * `serve/f64_canon` — the 128 floats of that response (`est`, `f` and
+//!   both `ci95` bounds of 32 answers) rendered through `canon_f64`, the
+//!   writer behind every float on the wire;
+//! * `serve/f64_std` — the same floats through `f64`'s `Display`, the
+//!   format `canon_f64` reproduces byte for byte. CI gates the same-run
+//!   ratio `f64_canon / f64_std`.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use rp_bench::{adult_fixture, census_fixture};
 use rp_engine::protocol::is_token;
 use rp_engine::{
-    Catalog, CatalogSession, Publisher, QueryService, Request, Response, ServiceConfig,
+    canon_f64, Catalog, CatalogSession, Publisher, QueryService, Request, Response, ServiceConfig,
     SessionStats, WireQuery,
 };
 
@@ -231,6 +238,38 @@ fn bench_serve(c: &mut Criterion) {
         });
     });
     group.bench_function("batch32_encode", |b| b.iter(|| response.encode()));
+    let floats: Vec<f64> = match &response {
+        Response::Batch(answers) => answers
+            .iter()
+            .flat_map(|a| {
+                let ci = a.ci.map(|(lo, hi)| [lo, hi]);
+                [a.estimate, a.frequency]
+                    .into_iter()
+                    .chain(ci.into_iter().flatten())
+            })
+            .collect(),
+        other => panic!("expected a batch response, got {}", other.encode()),
+    };
+    let mut text = String::with_capacity(floats.len() * 24);
+    group.bench_function("f64_canon", |b| {
+        b.iter(|| {
+            text.clear();
+            for &v in &floats {
+                canon_f64(v).append_to(&mut text);
+                text.push(' ');
+            }
+            text.len()
+        })
+    });
+    group.bench_function("f64_std", |b| {
+        b.iter(|| {
+            text.clear();
+            for &v in &floats {
+                write!(text, "{v} ").expect("infallible String write");
+            }
+            text.len()
+        })
+    });
     group.finish();
 }
 

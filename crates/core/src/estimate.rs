@@ -22,7 +22,12 @@
 //! `counts[sa * groups + g]`, beside the group sizes. A query ANDs the key
 //! bitmaps of its NA terms word by word and, for every set bit `g`, adds
 //! `sizes[g]` and entry `g` of the queried SA column — two flat arrays,
-//! with no per-group heap row and no bitmap copy.
+//! with no per-group heap row and no bitmap copy. Beside them the view
+//! keeps per-64-group block sums of the sizes and of every column, one
+//! per bitmap word, so a word whose 64 groups all match adds two block
+//! sums instead of 64 entries: a query over a contiguous run of groups
+//! (a leading key attribute, or no NA term at all) costs one step per
+//! word, not per group.
 
 use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table};
 
@@ -63,6 +68,11 @@ pub struct GroupedView {
     /// one contiguous column.
     counts: Vec<u64>,
     sizes: Vec<u64>,
+    /// Per-64-group block sums, one per bitmap word: `block_sizes[w]` sums
+    /// `sizes` over groups `64w..64w + 64`, and `block_counts[sa * words +
+    /// w]` sums the same groups of SA column `sa`.
+    block_sizes: Vec<u64>,
+    block_counts: Vec<u64>,
     /// Per-`(NA attribute, code)` selection bitmaps over the group keys:
     /// every query's NA conjunction is the AND of the named bitmaps, 64
     /// groups per word. Built once at construction, so pool workloads over
@@ -129,7 +139,8 @@ impl GroupedView {
     }
 
     /// The view over sorted `keys` and their aligned histograms, which are
-    /// transposed into the SA-major column block and dropped.
+    /// transposed into the SA-major column block and dropped; the block
+    /// sums come from one pass over the sizes and the columns.
     fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
         let groups = hists.len();
         let mut counts = vec![0u64; spec.m() * groups];
@@ -138,7 +149,14 @@ impl GroupedView {
                 counts[sa * groups + g] = count;
             }
         }
-        let sizes = hists.iter().map(|h| h.iter().sum()).collect();
+        let sizes: Vec<u64> = hists.iter().map(|h| h.iter().sum()).collect();
+        let block_sums = |column: &[u64]| -> Vec<u64> {
+            column.chunks(64).map(|block| block.iter().sum()).collect()
+        };
+        let block_sizes = block_sums(&sizes);
+        let block_counts = (0..spec.m())
+            .flat_map(|sa| block_sums(&counts[sa * groups..][..groups]))
+            .collect();
         let key_index = build_key_index(spec.na(), &keys);
         Self {
             na_attrs: spec.na().to_vec(),
@@ -147,6 +165,8 @@ impl GroupedView {
             keys,
             counts,
             sizes,
+            block_sizes,
+            block_counts,
             key_index,
         }
     }
@@ -175,15 +195,29 @@ impl GroupedView {
     /// `(support, observed)` of the perturbed subset matching the query's
     /// `NA` pattern: `|S*|` and `O*`. The NA conjunction is evaluated on the
     /// cached key bitmaps (bitwise AND over 64-group words), never key by
-    /// key, and each matching group adds its size and its entry of the
-    /// queried SA column; answers are identical to the scan it replaces.
+    /// key. A fully set word adds its block sums of the sizes and of the
+    /// queried SA column; any other word adds each set group's size and
+    /// column entry. Answers are identical to the scan it replaces.
     pub fn support_and_observed(&self, query: &CountQuery) -> (u64, u64) {
-        let column = self.column(query.sa_value());
+        let sa = query.sa_value();
+        let column = self.column(sa);
+        let words = self.block_sizes.len();
+        let blocks = &self.block_counts[sa as usize * words..][..words];
         let (mut support, mut observed) = (0u64, 0u64);
-        self.key_index.for_each_match(query.na_pattern(), |g| {
-            support += self.sizes[g];
-            observed += column[g];
-        });
+        self.key_index
+            .for_each_match_word(query.na_pattern(), |w, mut word| {
+                if word == u64::MAX {
+                    support += self.block_sizes[w];
+                    observed += blocks[w];
+                    return;
+                }
+                while word != 0 {
+                    let g = w * 64 + word.trailing_zeros() as usize;
+                    support += self.sizes[g];
+                    observed += column[g];
+                    word &= word - 1;
+                }
+            });
         (support, observed)
     }
 
@@ -400,9 +434,11 @@ mod tests {
         }
     }
 
-    /// A random table over one of three key spaces: `0` dense (packed,
+    /// A random table over one of four key spaces: `0` dense (packed,
     /// direct-addressable), `1` sparse (packed, past `direct_addressable`),
-    /// `2` too wide to pack into a `u64` (eight 256-value attributes).
+    /// `2` too wide to pack into a `u64` (eight 256-value attributes), `3`
+    /// a 2 × 10 × 10 key space drawn uniformly by 1,000 rows or more, so
+    /// about 200 groups and whole 64-group words that match.
     fn random_table(seed: u64, shape: u8) -> (Table, AttrId) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -411,7 +447,8 @@ mod tests {
                 .map(|_| rng.gen_range(1..7))
                 .collect(),
             1 => vec![rng.gen_range(3_000..5_000), rng.gen_range(3_000..5_000)],
-            _ => vec![256; 8],
+            2 => vec![256; 8],
+            _ => vec![2, 10, 10],
         };
         let m = rng.gen_range(2..6);
         let sa = rng.gen_range(0..=na_domains.len());
@@ -429,13 +466,18 @@ mod tests {
             .iter()
             .map(|&d| (0..3).map(|_| rng.gen_range(0..d) as u32).collect())
             .collect();
+        let (rows, uniform) = if shape == 3 {
+            (rng.gen_range(1_000..1_500), 1.0)
+        } else {
+            (rng.gen_range(0..300), 0.2)
+        };
         let mut b = TableBuilder::new(schema);
-        for _ in 0..rng.gen_range(0..300) {
+        for _ in 0..rows {
             let codes: Vec<u32> = domains
                 .iter()
                 .zip(&picks)
                 .map(|(&d, pick)| {
-                    if rng.gen_bool(0.2) {
+                    if rng.gen_bool(uniform) {
                         rng.gen_range(0..d) as u32
                     } else {
                         pick[rng.gen_range(0..pick.len())]
@@ -453,7 +495,7 @@ mod tests {
         #[test]
         fn from_table_equals_histograms_of_personal_groups(
             seed in proptest::any::<u64>(),
-            shape in 0u8..3,
+            shape in 0u8..4,
         ) {
             let (t, sa) = random_table(seed, shape);
             let spec = SaSpec::new(&t, sa);
@@ -494,7 +536,7 @@ mod tests {
         #[test]
         fn support_and_observed_equals_reference_key_scan(
             seed in proptest::any::<u64>(),
-            shape in 0u8..3,
+            shape in 0u8..4,
         ) {
             use rand::Rng;
             let (t, sa) = random_table(seed, shape);
@@ -537,6 +579,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// 260 groups (2 × 10 × 13 keys, every one present), so the last of
+    /// five words is partial and `A = 0` covers groups 0..130: two whole
+    /// words and part of a third. The no-term query matches every full
+    /// word. Each such query must equal the key-by-key scan for every SA
+    /// code, through the block sums.
+    #[test]
+    fn full_match_words_add_block_sums() {
+        let schema = Schema::new(vec![
+            Attribute::with_anonymous_domain("A", 2),
+            Attribute::with_anonymous_domain("B", 10),
+            Attribute::with_anonymous_domain("C", 13),
+            Attribute::with_anonymous_domain("SA", 4),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for a in 0..2u32 {
+            for bb in 0..10u32 {
+                for c in 0..13u32 {
+                    for i in 0..(a + bb + c) % 5 + 1 {
+                        b.push_codes(&[a, bb, c, (i + bb * c) % 4]).unwrap();
+                    }
+                }
+            }
+        }
+        let t = b.build();
+        let spec = SaSpec::new(&t, 3);
+        let groups = PersonalGroups::build(&t, spec.clone());
+        let view = GroupedView::from_table(&t, &spec);
+        assert_eq!(view.len(), 260);
+        assert_eq!(view.block_sizes.len(), 5);
+        assert_eq!(view.block_counts.len(), 5 * 4);
+        for na in [vec![], vec![(0, 0)], vec![(0, 1)], vec![(0, 1), (1, 9)]] {
+            for sa_value in 0..4 {
+                let q = CountQuery::new(na.clone(), 3, sa_value).unwrap();
+                let mut reference = (0u64, 0u64);
+                for g in groups.groups() {
+                    if q.na_pattern().matches_key(spec.na(), &g.key) {
+                        reference.0 += g.sa_hist.iter().sum::<u64>();
+                        reference.1 += g.sa_hist[sa_value as usize];
+                    }
+                }
+                assert_eq!(view.support_and_observed(&q), reference, "{q:?}");
+            }
+        }
+        let everything = CountQuery::new(vec![], 3, 0).unwrap();
+        assert_eq!(view.support_and_observed(&everything).0, t.rows() as u64);
     }
 
     #[test]

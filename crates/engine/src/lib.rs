@@ -159,6 +159,7 @@ pub mod service;
 pub mod stream;
 
 pub use catalog::{Catalog, CatalogError, CatalogSession, UNNAMED_RELEASE};
+pub use codec::{canon_f64, CanonF64};
 pub use engine::{Answer, EngineError, PreparedQueries, QueryEngine};
 pub use fault::{FaultHandle, FaultIo, FaultKind, FaultSchedule};
 pub use obs::{Clock, HistogramSummary, MonotonicClock, Registry, TraceEvent};

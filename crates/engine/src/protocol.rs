@@ -109,7 +109,7 @@ use std::fmt;
 use std::iter::Peekable;
 use std::str::SplitWhitespace;
 
-use crate::codec::canon_f64;
+use crate::codec::{canon_f64, put_u64};
 
 /// Protocol revision spoken by this build, advertised in the
 /// [`Response::Hello`] banner as `rp/<version>`. Revision 2 added the
@@ -708,17 +708,18 @@ fn read<T: Wire>(s: &str) -> Result<T, ProtocolError> {
     r.end().map(|()| value)
 }
 
-/// Implements [`Wire`] for scalars: `|v| show` renders the value after
-/// `key=` and `|s| read` parses it back.
+/// Implements [`Wire`] for scalars: `|v, out| put` appends the value
+/// after `key=` (straight into the line, with no `fmt` in between) and
+/// `|s| read` parses it back.
 macro_rules! scalar {
-    ($($ty:ty: |$v:ident| $show:expr, |$s:ident| $read:expr;)*) => {$(
+    ($($ty:ty: |$v:ident, $out:ident| $put:expr, |$s:ident| $read:expr;)*) => {$(
         impl Wire for $ty {
-            fn put(&self, key: &str, out: &mut String) {
+            fn put(&self, key: &str, $out: &mut String) {
                 let $v = self;
-                out.push(' ');
-                out.push_str(key);
-                out.push('=');
-                put(out, format_args!("{}", $show));
+                $out.push(' ');
+                $out.push_str(key);
+                $out.push('=');
+                $put;
             }
 
             fn take(key: &str, r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
@@ -730,11 +731,16 @@ macro_rules! scalar {
 }
 
 scalar! {
-    u64: |v| v, |s| parse_u64(s);
-    bool: |v| v, |s| s.parse().map_err(|_| bad(format!("bad flag `{s}`")));
-    String: |v| v, |s| Ok(s.to_string());
-    f64: |v| canon_f64(*v), |s| parse_f64(s);
-    (f64, f64): |v| format_args!("{},{}", canon_f64(v.0), canon_f64(v.1)), |s| {
+    u64: |v, out| put_u64(out, *v), |s| parse_u64(s);
+    bool: |v, out| out.push_str(if *v { "true" } else { "false" }),
+        |s| s.parse().map_err(|_| bad(format!("bad flag `{s}`")));
+    String: |v, out| out.push_str(v), |s| Ok(s.to_string());
+    f64: |v, out| canon_f64(*v).append_to(out), |s| parse_f64(s);
+    (f64, f64): |v, out| {
+        canon_f64(v.0).append_to(out);
+        out.push(',');
+        canon_f64(v.1).append_to(out);
+    }, |s| {
         let (lo, hi) = s.split_once(',').ok_or_else(|| bad(format!("expected lo,hi, got `{s}`")))?;
         Ok((parse_f64(lo)?, parse_f64(hi)?))
     };
@@ -1039,7 +1045,9 @@ fn put(out: &mut String, args: fmt::Arguments<'_>) {
 
 /// Encodes a counted list: `head N`, then `; item` per item.
 fn put_list<T: Wire>(out: &mut String, head: &str, items: &[T]) {
-    put(out, format_args!("{head} {}", items.len()));
+    out.push_str(head);
+    out.push(' ');
+    put_u64(out, items.len() as u64);
     for item in items {
         out.push(';');
         item.put("", out);
@@ -1107,12 +1115,22 @@ keyed_lines! {
     "bye" => Bye {},
 }
 
+/// Bytes reserved per answer on a response line: its keys and separators
+/// take 35, its two counts at most 40 and each of its four floats rarely
+/// more than 24 at full precision.
+const ANSWER_BYTES: usize = 176;
+
 impl Response {
     /// Encodes the canonical line for this response (no trailing newline).
     pub fn encode(&self) -> String {
-        // Room for every fixed-shape line: one allocation, as many small
-        // appends as the line has fields.
-        let mut out = String::with_capacity(128);
+        // One allocation for the whole line and the `\n` a session appends
+        // to it: a batch is sized from its answer count, any other line as
+        // one answer (a `metrics` line may still grow).
+        let answers = match self {
+            Response::Batch(answers) => answers.len(),
+            _ => 1,
+        };
+        let mut out = String::with_capacity(16 + answers * ANSWER_BYTES + 1);
         match self {
             Response::Hello {
                 version,
@@ -1133,12 +1151,7 @@ impl Response {
                 a.put("", &mut out);
                 out.remove(0); // the answer opens its line: no separator
             }
-            Response::Batch(answers) => {
-                // One reservation for the whole line: an answer with its
-                // `; ` separator is typically under 128 bytes.
-                out.reserve(answers.len() * 128);
-                put_list(&mut out, "batch", answers);
-            }
+            Response::Batch(answers) => put_list(&mut out, "batch", answers),
             Response::Releases(entries) => put_list(&mut out, "releases", entries),
             Response::Metrics {
                 counters,
@@ -1383,6 +1396,26 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, code, "line `{line}` -> {err}");
         }
+    }
+
+    /// A 32-answer line at full float precision, negative and tiny values
+    /// included, fits the buffer `encode` reserves for it, with room for
+    /// the session's `\n`: the line is sized once and never regrows.
+    #[test]
+    fn batch_line_fits_its_reservation() {
+        let answer = WireAnswer {
+            estimate: -1234.5678901234567,
+            support: 4_000_000_000,
+            observed: 3_999_999_999,
+            frequency: -0.00012345678901234567,
+            ci: Some((-0.0012345678901234567, 0.009876543210987654)),
+        };
+        let reserved = 16 + 32 * ANSWER_BYTES + 1;
+        let mut line = Response::Batch(vec![answer; 32]).encode();
+        assert!(line.len() < reserved, "{} bytes", line.len());
+        assert_eq!(line.capacity(), reserved);
+        line.push('\n');
+        assert_eq!(line.capacity(), reserved);
     }
 
     #[test]
