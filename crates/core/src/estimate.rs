@@ -22,14 +22,13 @@
 //! `counts[sa * groups + g]`, beside the group sizes. A query ANDs the key
 //! bitmaps of its NA terms word by word and, for every set bit `g`, adds
 //! `sizes[g]` and entry `g` of the queried SA column — two flat arrays,
-//! with no per-group heap row and no bitmap copy. Beside them the view
-//! keeps per-64-group block sums of the sizes and of every column, one
-//! per bitmap word, so a word whose 64 groups all match adds two block
-//! sums instead of 64 entries: a query over a contiguous run of groups
-//! (a leading key attribute, or no NA term at all) costs one step per
-//! word, not per group.
+//! with no per-group heap row and no bitmap copy. A query that constrains
+//! at most one NA attribute (most served queries pin one NA column) never
+//! walks the bitmaps: the view keeps the marginal of every `(NA attribute,
+//! code)` and of the whole view, its summed size and its summed count of
+//! every SA code, so such a query reads two entries.
 
-use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table};
+use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Pattern, Table, Term};
 
 use crate::groups::{PersonalGroups, SaSpec};
 use crate::mle::reconstruct_frequency;
@@ -68,11 +67,17 @@ pub struct GroupedView {
     /// one contiguous column.
     counts: Vec<u64>,
     sizes: Vec<u64>,
-    /// Per-64-group block sums, one per bitmap word: `block_sizes[w]` sums
-    /// `sizes` over groups `64w..64w + 64`, and `block_counts[sa * words +
-    /// w]` sums the same groups of SA column `sa`.
-    block_sizes: Vec<u64>,
-    block_counts: Vec<u64>,
+    /// The marginals of the patterns that constrain at most one NA
+    /// attribute, one slot each: slot 0 is the whole view, NA position
+    /// `pos` takes slots `term_slots[pos]..term_slots[pos + 1]` (one per
+    /// code of its key domain), and the last slot is the empty selection
+    /// that a code past the domain makes. `marginal_sizes[slot]` sums the
+    /// sizes of the groups a slot selects and `marginal_counts[slot * m +
+    /// sa]` sums their SA column `sa`, so a group adds its histogram to a
+    /// slot's row in one contiguous pass.
+    term_slots: Vec<usize>,
+    marginal_sizes: Vec<u64>,
+    marginal_counts: Vec<u64>,
     /// Per-`(NA attribute, code)` selection bitmaps over the group keys:
     /// every query's NA conjunction is the AND of the named bitmaps, 64
     /// groups per word. Built once at construction, so pool workloads over
@@ -139,34 +144,52 @@ impl GroupedView {
     }
 
     /// The view over sorted `keys` and their aligned histograms, which are
-    /// transposed into the SA-major column block and dropped; the block
-    /// sums come from one pass over the sizes and the columns.
+    /// transposed into the SA-major column block and dropped; the same
+    /// pass adds each group into the marginals of the whole view and of
+    /// each of its key codes.
     fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
         let groups = hists.len();
-        let mut counts = vec![0u64; spec.m() * groups];
-        for (g, hist) in hists.iter().enumerate() {
+        let m = spec.m();
+        // Key domains are `max key code + 1`, as in `build_key_index`.
+        let mut term_slots = vec![1];
+        for pos in 0..spec.na().len() {
+            let domain = keys.iter().map(|k| k[pos] as usize + 1).max().unwrap_or(0);
+            term_slots.push(term_slots[pos] + domain);
+        }
+        let slots = term_slots[spec.na().len()] + 1;
+        let mut counts = vec![0u64; m * groups];
+        let mut sizes = Vec::with_capacity(groups);
+        let mut marginal_sizes = vec![0u64; slots];
+        let mut marginal_counts = vec![0u64; m * slots];
+        for (g, (key, hist)) in keys.iter().zip(&hists).enumerate() {
+            let size = hist.iter().sum();
+            sizes.push(size);
+            let group_slots = key
+                .iter()
+                .zip(&term_slots)
+                .map(|(&code, &start)| start + code as usize);
+            for slot in std::iter::once(0).chain(group_slots) {
+                marginal_sizes[slot] += size;
+                let row = &mut marginal_counts[slot * m..][..m];
+                for (total, &count) in row.iter_mut().zip(hist) {
+                    *total += count;
+                }
+            }
             for (sa, &count) in hist.iter().enumerate() {
                 counts[sa * groups + g] = count;
             }
         }
-        let sizes: Vec<u64> = hists.iter().map(|h| h.iter().sum()).collect();
-        let block_sums = |column: &[u64]| -> Vec<u64> {
-            column.chunks(64).map(|block| block.iter().sum()).collect()
-        };
-        let block_sizes = block_sums(&sizes);
-        let block_counts = (0..spec.m())
-            .flat_map(|sa| block_sums(&counts[sa * groups..][..groups]))
-            .collect();
         let key_index = build_key_index(spec.na(), &keys);
         Self {
             na_attrs: spec.na().to_vec(),
             sa_attr: spec.sa(),
-            m: spec.m(),
+            m,
             keys,
             counts,
             sizes,
-            block_sizes,
-            block_counts,
+            term_slots,
+            marginal_sizes,
+            marginal_counts,
             key_index,
         }
     }
@@ -193,32 +216,49 @@ impl GroupedView {
     }
 
     /// `(support, observed)` of the perturbed subset matching the query's
-    /// `NA` pattern: `|S*|` and `O*`. The NA conjunction is evaluated on the
+    /// `NA` pattern: `|S*|` and `O*`. A pattern that constrains at most one
+    /// NA attribute reads its marginal; any other is evaluated on the
     /// cached key bitmaps (bitwise AND over 64-group words), never key by
-    /// key. A fully set word adds its block sums of the sizes and of the
-    /// queried SA column; any other word adds each set group's size and
-    /// column entry. Answers are identical to the scan it replaces.
+    /// key, and each matching group adds its size and its entry of the
+    /// queried SA column. Answers are identical to the scan they replace.
     pub fn support_and_observed(&self, query: &CountQuery) -> (u64, u64) {
         let sa = query.sa_value();
+        if let Some(slot) = self.marginal_slot(query.na_pattern()) {
+            let row = &self.marginal_counts[slot * self.m..][..self.m];
+            return (self.marginal_sizes[slot], row[sa as usize]);
+        }
         let column = self.column(sa);
-        let words = self.block_sizes.len();
-        let blocks = &self.block_counts[sa as usize * words..][..words];
         let (mut support, mut observed) = (0u64, 0u64);
-        self.key_index
-            .for_each_match_word(query.na_pattern(), |w, mut word| {
-                if word == u64::MAX {
-                    support += self.block_sizes[w];
-                    observed += blocks[w];
-                    return;
-                }
-                while word != 0 {
-                    let g = w * 64 + word.trailing_zeros() as usize;
-                    support += self.sizes[g];
-                    observed += column[g];
-                    word &= word - 1;
-                }
-            });
+        self.key_index.for_each_match(query.na_pattern(), |g| {
+            support += self.sizes[g];
+            observed += column[g];
+        });
         (support, observed)
+    }
+
+    /// The marginal slot of a pattern with at most one equality term on an
+    /// NA attribute of the view, or `None` for a pattern with more. Terms
+    /// the key index does not constrain (wildcards, other attributes) are
+    /// skipped as the bitmap matcher skips them, and a code past the key
+    /// domain selects the empty slot as it matches no group.
+    fn marginal_slot(&self, pattern: &Pattern) -> Option<usize> {
+        let mut term_slot = None;
+        for &(attr, term) in pattern.terms() {
+            let Term::Value(code) = term else { continue };
+            let Some(pos) = self.na_attrs.iter().position(|&a| a == attr) else {
+                continue;
+            };
+            if term_slot.is_some() {
+                return None;
+            }
+            let (start, end) = (self.term_slots[pos], self.term_slots[pos + 1]);
+            term_slot = Some(if (code as usize) < end - start {
+                start + code as usize
+            } else {
+                self.marginal_sizes.len() - 1
+            });
+        }
+        Some(term_slot.unwrap_or(0))
     }
 
     /// Precomputes, for each query, the indices of the matching groups (by
@@ -438,7 +478,7 @@ mod tests {
     /// direct-addressable), `1` sparse (packed, past `direct_addressable`),
     /// `2` too wide to pack into a `u64` (eight 256-value attributes), `3`
     /// a 2 × 10 × 10 key space drawn uniformly by 1,000 rows or more, so
-    /// about 200 groups and whole 64-group words that match.
+    /// about 200 groups over four bitmap words.
     fn random_table(seed: u64, shape: u8) -> (Table, AttrId) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -581,17 +621,17 @@ mod tests {
         }
     }
 
-    /// 260 groups (2 × 10 × 13 keys, every one present), so the last of
-    /// five words is partial and `A = 0` covers groups 0..130: two whole
-    /// words and part of a third. The no-term query matches every full
-    /// word. Each such query must equal the key-by-key scan for every SA
-    /// code, through the block sums.
+    /// 260 groups (2 × 10 × 13 keys, every one present, so the last of
+    /// five bitmap words is partial). The no-term query, every one-term
+    /// query (codes past the key domain included) and some two-term ones
+    /// must equal the key-by-key scan for every SA code: the first two
+    /// through the marginals, the last through the bitmaps.
     #[test]
-    fn full_match_words_add_block_sums() {
+    fn one_term_queries_read_marginals() {
         let schema = Schema::new(vec![
             Attribute::with_anonymous_domain("A", 2),
             Attribute::with_anonymous_domain("B", 10),
-            Attribute::with_anonymous_domain("C", 13),
+            Attribute::with_anonymous_domain("C", 14),
             Attribute::with_anonymous_domain("SA", 4),
         ]);
         let mut b = TableBuilder::new(schema);
@@ -609,9 +649,14 @@ mod tests {
         let groups = PersonalGroups::build(&t, spec.clone());
         let view = GroupedView::from_table(&t, &spec);
         assert_eq!(view.len(), 260);
-        assert_eq!(view.block_sizes.len(), 5);
-        assert_eq!(view.block_counts.len(), 5 * 4);
-        for na in [vec![], vec![(0, 0)], vec![(0, 1)], vec![(0, 1), (1, 9)]] {
+        // The whole view, 2 + 10 + 13 codes and the empty slot.
+        assert_eq!(view.marginal_sizes.len(), 1 + 25 + 1);
+        let mut patterns = vec![vec![], vec![(0, 1), (1, 9)], vec![(1, 3), (2, 12)]];
+        for (attr, domain) in [(0, 2), (1, 10), (2, 13)] {
+            // `C = 13` is in the schema's domain but past the key domain.
+            patterns.extend((0..=domain).map(|code| vec![(attr, code)]));
+        }
+        for na in patterns {
             for sa_value in 0..4 {
                 let q = CountQuery::new(na.clone(), 3, sa_value).unwrap();
                 let mut reference = (0u64, 0u64);

@@ -76,53 +76,24 @@ impl CanonF64 {
             return out.push('0');
         }
         let (mantissa, exponent) = shortest(v.to_bits());
-        let n = decimal_len(mantissa);
+        let mut buf = [0u8; 20];
+        let digits = &mut buf[..decimal_len(mantissa)];
+        write_digits(mantissa, digits);
         // The value is `0.d₁…dₙ × 10^point`: `point` digits lead the point.
-        let point = n as i32 + exponent;
-        let len = if exponent >= 0 {
-            n + exponent as usize
-        } else if point > 0 {
-            n + 1
-        } else {
-            2 + point.unsigned_abs() as usize + n
-        };
-        // Laid out in one zero-filled buffer and pushed at once; only a
-        // value past 10^32 or below 10^-13 needs more room.
-        let mut buf = [b'0'; 32];
-        let Some(text) = buf.get_mut(..len) else {
-            return append_long(out, mantissa, n, exponent);
-        };
+        let point = digits.len() as i32 + exponent;
         if exponent >= 0 {
-            write_digits(mantissa, &mut text[..n]);
+            push_ascii(out, digits);
+            out.extend(std::iter::repeat_n('0', exponent as usize));
         } else if point > 0 {
-            let point = point as usize;
-            write_digits(mantissa, &mut text[1..]);
-            text.copy_within(1..=point, 0);
-            text[point] = b'.';
+            let (whole, fraction) = digits.split_at(point as usize);
+            push_ascii(out, whole);
+            out.push('.');
+            push_ascii(out, fraction);
         } else {
-            text[1] = b'.';
-            write_digits(mantissa, &mut text[len - n..]);
+            out.push_str("0.");
+            out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
+            push_ascii(out, digits);
         }
-        push_ascii(out, text);
-    }
-}
-
-/// [`CanonF64::append_to`] for a value whose plain notation runs past 32
-/// characters, always by a long run of zeros: the `n` digits of
-/// `mantissa`, then `exponent ≥ 0` zeros, or `0.`, the zeros and then the
-/// digits.
-fn append_long(out: &mut String, mantissa: u64, n: usize, exponent: i32) {
-    let mut buf = [0u8; 20];
-    let digits = &mut buf[..n];
-    write_digits(mantissa, digits);
-    if exponent >= 0 {
-        push_ascii(out, digits);
-        out.extend(std::iter::repeat_n('0', exponent as usize));
-    } else {
-        out.push_str("0.");
-        let zeros = exponent.unsigned_abs() as usize - n;
-        out.extend(std::iter::repeat_n('0', zeros));
-        push_ascii(out, digits);
     }
 }
 

@@ -7,14 +7,15 @@
 //! key space builds them in one pass with no member row lists), plus
 //! per-`(NA attribute, code)` selection bitmaps over the group keys. The
 //! histograms are stored SA-major, one contiguous column of group counts
-//! per SA value, beside per-64-group block sums of the sizes and of every
-//! column. Every query is then answered by ANDing its terms' cached
-//! bitmaps word by word into a stack buffer, 64 groups per word and no
-//! bitmap copied, and by adding each matching group's size and its entry
-//! of the queried SA column — never key by key; a word whose 64 groups
-//! all match adds its two block sums in one step. For query batches and
-//! pools the NA match index is precomputed too ([`QueryEngine::prepare`]),
-//! so repeated workloads over the same release touch each group key once.
+//! per SA value, beside the marginals of every `(NA attribute, code)`
+//! and of the whole release. A query that pins at most one NA column
+//! reads its marginal in one step; any other is answered by ANDing its
+//! terms' cached bitmaps word by word into a stack buffer, 64 groups per
+//! word and no bitmap copied, and by adding each matching group's size
+//! and its entry of the queried SA column — never key by key. For query
+//! batches and pools the NA match index is precomputed too
+//! ([`QueryEngine::prepare`]), so repeated workloads over the same release
+//! touch each group key once.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;

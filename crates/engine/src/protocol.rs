@@ -286,18 +286,22 @@ impl<'a> Queries<'a> {
 
     /// The one tokenizer of query and record bodies: appends the
     /// whitespace-separated `Column=value` tokens of `body` (the `count`
-    /// verb already stripped if present) as one query. At least one
-    /// condition is required.
+    /// verb already stripped if present) as one query, each split at its
+    /// first `=`. At least one condition is required.
     fn push_query(&mut self, body: &'a str) -> Result<(), ProtocolError> {
         let start = self.conditions.len();
-        for token in body.split_whitespace() {
-            let (col, value) = token
-                .split_once('=')
-                .ok_or_else(|| bad(format!("expected Column=value, got `{token}`")))?;
+        let mut rest = body.trim_start();
+        while !rest.is_empty() {
+            let (token, tail, eq) = split_token(rest);
+            let Some((col, value)) = eq.and_then(|eq| token.get(..eq).zip(token.get(eq + 1..)))
+            else {
+                return Err(bad(format!("expected Column=value, got `{token}`")));
+            };
             if col.is_empty() || value.is_empty() {
                 return Err(bad(format!("empty column or value in `{token}`")));
             }
             self.conditions.push((col, value));
+            rest = tail.trim_start();
         }
         if self.conditions.len() == start {
             return Err(bad("empty query; try `count Column=value ... SA=value`"));
@@ -327,6 +331,11 @@ impl<'a> Queries<'a> {
         Ok(spans)
     }
 
+    /// The number of queries.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
     /// Each query's conditions, in line order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[(&'a str, &'a str)]> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
@@ -346,6 +355,49 @@ impl<'a> Queries<'a> {
             })
             .collect()
     }
+}
+
+/// Splits the token that opens `s` from the rest of `s` at the token's
+/// first whitespace character (as [`char::is_whitespace`] has it), with
+/// the offset of the token's first `=`. Eight bytes are tested at a time
+/// for the only bytes that need a closer look: ASCII controls and space,
+/// `=`, and the bytes of non-ASCII characters.
+fn split_token(s: &str) -> (&str, &str, Option<usize>) {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    const EQ: u64 = u64::from_le_bytes([b'='; 8]);
+    let bytes = s.as_bytes();
+    let (mut end, mut eq) = (0, None);
+    loop {
+        while let Some(&chunk) = bytes.get(end..).and_then(|b| b.first_chunk::<8>()) {
+            let word = u64::from_le_bytes(chunk);
+            // High bit of each byte below 0x21 (`below`), equal to `=`
+            // (`equals`) or at least 0x80 (`word`). A borrow can mark
+            // bytes above a true hit, never below one, so the lowest set
+            // bit is exact.
+            let below = word.wrapping_sub(ONES * 0x21) & !word;
+            let equals = (word ^ EQ).wrapping_sub(ONES) & !(word ^ EQ);
+            let hits = (below | equals | word) & HIGH;
+            if hits != 0 {
+                end += hits.trailing_zeros() as usize / 8;
+                break;
+            }
+            end += 8;
+        }
+        // The character at a hit, or one of the last seven bytes.
+        let Some(c) = s.get(end..).and_then(|rest| rest.chars().next()) else {
+            break;
+        };
+        if c.is_whitespace() {
+            break;
+        }
+        if c == '=' {
+            eq.get_or_insert(end);
+        }
+        end += c.len_utf8();
+    }
+    let (token, tail) = s.split_at_checked(end).unwrap_or((s, ""));
+    (token, tail, eq)
 }
 
 /// One record to insert, as it appears on the wire: unresolved
@@ -1397,6 +1449,72 @@ mod tests {
             assert_eq!(err.code, code, "line `{line}` -> {err}");
         }
     }
+
+    /// The tokenizer before its byte scanner: `split_whitespace`, then a
+    /// split at each token's first `=`.
+    fn reference_tokens(body: &str) -> Result<Vec<(&str, &str)>, ProtocolError> {
+        let mut conditions = Vec::new();
+        for token in body.split_whitespace() {
+            let (col, value) = token
+                .split_once('=')
+                .ok_or_else(|| bad(format!("expected Column=value, got `{token}`")))?;
+            if col.is_empty() || value.is_empty() {
+                return Err(bad(format!("empty column or value in `{token}`")));
+            }
+            conditions.push((col, value));
+        }
+        if conditions.is_empty() {
+            return Err(bad("empty query; try `count Column=value ... SA=value`"));
+        }
+        Ok(conditions)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        /// The byte scanner splits a body exactly as the reference does,
+        /// errors included, over runs of letters long enough for its
+        /// eight-byte steps, ASCII controls that are and are not
+        /// whitespace, `=`, `;`, multi-byte letters and Unicode spaces.
+        #[test]
+        fn tokenizer_splits_as_split_whitespace(
+            picks in proptest::collection::vec(0usize..TOKEN_PIECES.len(), 0..24),
+        ) {
+            let body: String = picks.iter().map(|&i| TOKEN_PIECES[i]).collect();
+            let scanned = Queries::single(&body).map(|q| q.conditions);
+            proptest::prop_assert_eq!(scanned, reference_tokens(&body), "{:?}", body);
+        }
+    }
+
+    /// What the tokenizer proptest builds bodies from.
+    const TOKEN_PIECES: &[&str] = &[
+        "a",
+        "Occupation",
+        "Occupation_49",
+        "Gender=Gender_1",
+        "=",
+        "==",
+        ";",
+        " ",
+        "  ",
+        "\t",
+        "\n",
+        "\r",
+        "\u{b}",
+        "\u{c}",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+        "\u{85}",
+        "\u{a0}",
+        "\u{2003}",
+        "\u{3000}",
+        "é",
+        "€",
+        "😀",
+        "ab=cd=ef",
+        "x=é",
+    ];
 
     /// A 32-answer line at full float precision, negative and tiny values
     /// included, fits the buffer `encode` reserves for it, with room for

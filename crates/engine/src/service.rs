@@ -768,24 +768,20 @@ impl QueryService {
     }
 
     fn answer_batch(&self, queries: &Queries<'_>) -> Result<Vec<WireAnswer>, ProtocolError> {
-        let resolved = queries
-            .iter()
-            .enumerate()
-            .map(|(i, conditions)| {
-                self.resolve(conditions).map_err(|e| ProtocolError {
-                    code: e.code,
-                    message: format!("query {}: {}", i + 1, e.message),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut resolved = Vec::with_capacity(queries.len());
+        for (i, conditions) in queries.iter().enumerate() {
+            let query = self.resolve(conditions).map_err(|e| ProtocolError {
+                code: e.code,
+                message: format!("query {}: {}", i + 1, e.message),
+            })?;
+            resolved.push(query);
+        }
         let live = self.live_view()?;
-        resolved
-            .iter()
-            .map(|q| {
-                self.compute(q, live.as_deref())
-                    .map(|a| WireAnswer::from(&a))
-            })
-            .collect()
+        let mut answers = Vec::with_capacity(resolved.len());
+        for query in &resolved {
+            answers.push(WireAnswer::from(&self.compute(query, live.as_deref())?));
+        }
+        Ok(answers)
     }
 }
 
