@@ -71,7 +71,7 @@ fn ablation_query_strategy(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let spec = SaSpec::new(&dataset.generalized, adult::attr::INCOME);
     let published = uniform_perturb(&mut rng, &dataset.generalized, &spec, 0.5);
-    let view = GroupedView::from_perturbed_table(&dataset.groups, &published);
+    let view = GroupedView::from_table(&published, dataset.groups.spec());
     let query = CountQuery::new(vec![(0, 0)], adult::attr::INCOME, 1).expect("valid count query");
     let mut group = c.benchmark_group("ablation_query_strategy");
     group.bench_function("full_scan", |b| {
@@ -111,27 +111,12 @@ fn ablation_merge_test(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_selection_path(c: &mut Criterion) {
-    let dataset = adult_fixture();
-    let index = rp_table::InvertedIndex::build(&dataset.raw);
-    let pattern = rp_table::Pattern::from_codes(&[0, 1, 2], &[8, 0, 0]);
-    let mut group = c.benchmark_group("ablation_selection_path");
-    group.bench_function("full_scan_select", |b| {
-        b.iter(|| pattern.select(&dataset.raw));
-    });
-    group.bench_function("inverted_index_select", |b| {
-        b.iter(|| index.select(&pattern));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablation_grouping,
     ablation_reconstruction,
     ablation_sps_level,
     ablation_query_strategy,
-    ablation_merge_test,
-    ablation_selection_path
+    ablation_merge_test
 );
 criterion_main!(benches);

@@ -104,9 +104,11 @@ fn bench_query_answering(c: &mut Criterion) {
     group.bench_function("grouped_view", |b| {
         b.iter(|| view.estimate(&query, 0.5));
     });
-    let queries = vec![query.clone(); 64];
-    group.bench_function("match_index_64", |b| {
-        b.iter(|| view.match_index(&queries));
+    // Two NA terms: no marginal covers it, so this times the word matcher.
+    let two_terms =
+        CountQuery::new(vec![(0, 1), (1, 0)], adult::attr::INCOME, 0).expect("valid count query");
+    group.bench_function("support_and_observed_2term", |b| {
+        b.iter(|| view.support_and_observed(&two_terms));
     });
     group.finish();
 }

@@ -1,5 +1,5 @@
 //! Figures 3/5 regeneration bench: the UP-vs-SPS relative-error protocol
-//! (pool generation, histogram-level publication, indexed query answering)
+//! (pool generation, histogram-level publication, per-query answering)
 //! at reduced pool/run counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};

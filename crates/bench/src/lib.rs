@@ -3,8 +3,12 @@
 //! Criterion benchmark harness for the reconstruction-privacy workspace:
 //! one bench per paper table/figure (reduced scale — the full-scale
 //! regeneration lives in the `repro` binary of `rp-experiments`), plus
-//! component microbenches and the ablation benches called out in
-//! DESIGN.md §6.
+//! component microbenches, the ablation benches called out in DESIGN.md
+//! §6, and the serving-path benches (`bench_serve`, `bench_catalog`,
+//! `bench_open`, `bench_stream`, `bench_obs`). Every count query is
+//! answered by `GroupedView::support_and_observed`; `bench_components`'
+//! `query_answering` group times its one-term marginal read and its
+//! multi-term word matcher.
 //!
 //! Shared fixtures live here so every bench sees identical inputs.
 

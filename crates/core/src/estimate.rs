@@ -79,9 +79,8 @@ pub struct GroupedView {
     marginal_sizes: Vec<u64>,
     marginal_counts: Vec<u64>,
     /// Per-`(NA attribute, code)` selection bitmaps over the group keys:
-    /// every query's NA conjunction is the AND of the named bitmaps, 64
-    /// groups per word. Built once at construction, so pool workloads over
-    /// the same release never re-match keys row by row.
+    /// a query that constrains two or more NA attributes is the AND of the
+    /// named bitmaps, 64 groups per word. Built once at construction.
     key_index: BitmapIndex,
 }
 
@@ -124,14 +123,6 @@ impl GroupedView {
         }
         let keys = groups.groups().iter().map(|g| g.key.clone()).collect();
         Self::assemble(groups.spec(), keys, hists)
-    }
-
-    /// Builds the view by grouping a perturbed table along the same spec as
-    /// `groups` (the raw-table grouping): the keys are recomputed from the
-    /// perturbed table, whose public attributes are identical to the raw
-    /// table's.
-    pub fn from_perturbed_table(groups: &PersonalGroups, perturbed: &Table) -> Self {
-        Self::from_table(perturbed, groups.spec())
     }
 
     /// Builds the view straight from a published table: the sorted keys
@@ -261,41 +252,9 @@ impl GroupedView {
         Some(term_slot.unwrap_or(0))
     }
 
-    /// Precomputes, for each query, the indices of the matching groups (by
-    /// ANDing the cached key bitmaps). Matching depends only on the (fixed)
-    /// keys, so the index can be reused across perturbation runs — this is
-    /// what makes the 10-run sweeps of Figures 3/5 cheap.
-    pub fn match_index(&self, queries: &[CountQuery]) -> Vec<Vec<u32>> {
-        queries
-            .iter()
-            .map(|q| self.key_index.select(q.na_pattern()))
-            .collect()
-    }
-
-    /// `(support, observed)` using a precomputed match index entry.
-    pub fn support_and_observed_indexed(&self, query: &CountQuery, matching: &[u32]) -> (u64, u64) {
-        let column = self.column(query.sa_value());
-        let mut support = 0u64;
-        let mut observed = 0u64;
-        for &g in matching {
-            support += self.sizes[g as usize];
-            observed += column[g as usize];
-        }
-        (support, observed)
-    }
-
     /// The Section-6 estimate `est = |S*| · F′` for the query.
     pub fn estimate(&self, query: &CountQuery, p: f64) -> f64 {
         let (support, observed) = self.support_and_observed(query);
-        if support == 0 {
-            return 0.0;
-        }
-        support as f64 * reconstruct_frequency(observed, support, p, self.m)
-    }
-
-    /// As [`GroupedView::estimate`] but through a match-index entry.
-    pub fn estimate_indexed(&self, query: &CountQuery, matching: &[u32], p: f64) -> f64 {
-        let (support, observed) = self.support_and_observed_indexed(query, matching);
         if support == 0 {
             return 0.0;
         }
@@ -354,10 +313,9 @@ mod tests {
         // The two strategies must agree answer-by-answer on the same D*.
         let t = demo_table();
         let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec.clone());
         let mut rng = StdRng::seed_from_u64(52);
         let perturbed = uniform_perturb(&mut rng, &t, &spec, 0.5);
-        let view = GroupedView::from_perturbed_table(&groups, &perturbed);
+        let view = GroupedView::from_table(&perturbed, &spec);
         for q in [
             CountQuery::new(vec![(0, 0)], 2, 0).expect("valid count query"),
             CountQuery::new(vec![(0, 1), (1, 1)], 2, 1).expect("valid count query"),
@@ -384,35 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn match_index_agrees_with_direct_answering() {
-        let t = demo_table();
-        let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec);
-        let mut rng = StdRng::seed_from_u64(54);
-        let view = GroupedView::from_histograms(&groups, up_histograms(&mut rng, &groups, 0.3));
-        let queries = vec![
-            CountQuery::new(vec![(0, 0)], 2, 0).expect("valid count query"),
-            CountQuery::new(vec![(1, 1)], 2, 1).expect("valid count query"),
-            CountQuery::new(vec![(0, 1), (1, 0)], 2, 2).expect("valid count query"), // empty group
-        ];
-        let index = view.match_index(&queries);
-        for (q, matching) in queries.iter().zip(&index) {
-            assert_close(
-                view.estimate_indexed(q, matching, 0.3),
-                view.estimate(q, 0.3),
-                1e-12,
-            );
-        }
-    }
-
-    #[test]
     fn empty_support_estimates_zero() {
         let t = demo_table();
         let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec.clone());
         let mut rng = StdRng::seed_from_u64(55);
         let perturbed = uniform_perturb(&mut rng, &t, &spec, 0.5);
-        let view = GroupedView::from_perturbed_table(&groups, &perturbed);
+        let view = GroupedView::from_table(&perturbed, &spec);
         // G=a ∧ J=y never occurs.
         let q = CountQuery::new(vec![(0, 0), (1, 1)], 2, 0).expect("valid count query");
         assert_eq!(estimate_by_scan(&perturbed, &q, 0.5), 0.0);
@@ -460,17 +395,6 @@ mod tests {
                 }
             }
             assert_eq!(view.support_and_observed(q), (support, observed), "{q:?}");
-        }
-        let index = view.match_index(&queries);
-        for (q, matching) in queries.iter().zip(&index) {
-            let reference: Vec<u32> = view
-                .keys
-                .iter()
-                .enumerate()
-                .filter(|(_, key)| q.na_pattern().matches_key(&view.na_attrs, key))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(matching, &reference, "{q:?}");
         }
     }
 
@@ -612,11 +536,6 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(view.support_and_observed(&q), reference, "{:?}", q);
-                let matching = &view.match_index(std::slice::from_ref(&q))[0];
-                proptest::prop_assert_eq!(
-                    view.support_and_observed_indexed(&q, matching),
-                    reference
-                );
             }
         }
     }

@@ -12,10 +12,9 @@
 //! reads its marginal in one step; any other is answered by ANDing its
 //! terms' cached bitmaps word by word into a stack buffer, 64 groups per
 //! word and no bitmap copied, and by adding each matching group's size
-//! and its entry of the queried SA column — never key by key. For query
-//! batches and pools the NA match index is precomputed too
-//! ([`QueryEngine::prepare`]), so repeated workloads over the same release
-//! touch each group key once.
+//! and its entry of the queried SA column — never key by key. Singles,
+//! batches and Section-6 pools are all counted this one way
+//! ([`QueryEngine::answer`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -58,20 +57,19 @@ impl Answer {
     }
 }
 
-/// A precomputed NA match index for a fixed query list (one group-id list
-/// per query). Reusable across engines built over the same grouping — the
-/// sweeps of Figures 3/5 answer 10 perturbation runs through one index.
-/// The query list is fingerprinted at preparation time, so using the index
-/// with a different (even same-length) list is a [`EngineError::PreparedMismatch`].
+/// A validated query list, fingerprinted so that [`QueryEngine::answer_batch`]
+/// answers exactly the list it was prepared for: a different (even
+/// same-length) or reordered list is a [`EngineError::PreparedMismatch`].
+/// It holds no match state, so it is valid on any engine over the same
+/// schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedQueries {
-    index: Vec<Vec<u32>>,
-    groups: usize,
+    len: usize,
     fingerprint: u64,
 }
 
-/// Order-sensitive hash of a query list, for prepared-index validation.
-fn fingerprint<'a>(queries: impl Iterator<Item = &'a CountQuery>) -> u64 {
+/// Order-sensitive hash of a query list, for prepared-batch validation.
+fn fingerprint(queries: &[CountQuery]) -> u64 {
     let mut hasher = DefaultHasher::new();
     for q in queries {
         q.hash(&mut hasher);
@@ -82,12 +80,12 @@ fn fingerprint<'a>(queries: impl Iterator<Item = &'a CountQuery>) -> u64 {
 impl PreparedQueries {
     /// Number of prepared queries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Whether no queries were prepared.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 }
 
@@ -119,7 +117,7 @@ pub enum EngineError {
         /// The repeated column's name.
         name: String,
     },
-    /// A prepared index was built for a different query list or grouping.
+    /// Prepared queries were validated for a different query list.
     PreparedMismatch {
         /// What was inconsistent.
         detail: String,
@@ -168,9 +166,8 @@ impl From<TableError> for EngineError {
 /// A query-answering service over one release.
 ///
 /// Holds the published schema, the estimator parameters and the per-group
-/// SA histograms; answers single queries ([`QueryEngine::answer`]), batches
-/// ([`QueryEngine::answer_batch`]) and whole Section-6 pools
-/// ([`QueryEngine::answer_pool`]).
+/// SA histograms; answers single queries ([`QueryEngine::answer`]) and
+/// measures whole Section-6 pools ([`QueryEngine::mean_relative_error`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryEngine {
     schema: Schema,
@@ -274,14 +271,6 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Builds the Section-6 answer from raw `(support, observed)` counts
-    /// using this release's estimator parameters. The merge point of the
-    /// streaming path: a live service sums the base release's counts with
-    /// the live groups' counts and estimates over the union.
-    pub fn answer_from_counts(&self, support: u64, observed: u64) -> Answer {
-        self.answer_from(support, observed)
-    }
-
     /// `(support, observed)` of the release subset matching the query —
     /// the raw counts behind [`QueryEngine::answer`], exposed so a
     /// streaming service can combine them with the live view's counts.
@@ -294,7 +283,11 @@ impl QueryEngine {
         Ok(self.view.support_and_observed(query))
     }
 
-    fn answer_from(&self, support: u64, observed: u64) -> Answer {
+    /// Builds the Section-6 answer from raw `(support, observed)` counts
+    /// using this release's estimator parameters. The merge point of the
+    /// streaming path: a live service sums the base release's counts with
+    /// the live groups' counts and estimates over the union.
+    pub fn answer_from_counts(&self, support: u64, observed: u64) -> Answer {
         if support == 0 {
             return Answer {
                 estimate: 0.0,
@@ -325,12 +318,13 @@ impl QueryEngine {
     pub fn answer(&self, query: &CountQuery) -> Result<Answer, EngineError> {
         self.validate(query)?;
         let (support, observed) = self.view.support_and_observed(query);
-        Ok(self.answer_from(support, observed))
+        Ok(self.answer_from_counts(support, observed))
     }
 
     /// Builds a count query from `(column name, value)` conditions.
     /// Exactly one condition must name the SA column; the rest become NA
-    /// equality conditions.
+    /// equality conditions, sorted by attribute, so the query is canonical:
+    /// condition order never changes it (it is the answer cache's key).
     ///
     /// # Errors
     ///
@@ -378,13 +372,14 @@ impl QueryEngine {
                 sa_name: self.sa_name(),
             });
         };
+        na.sort_unstable_by_key(|&(attr, _)| attr);
         Ok(CountQuery::new(na, self.sa, sa_value)?)
     }
 
-    /// Precomputes the NA match index for a query list, validating each
-    /// query once. The index depends only on the group keys, so it is
-    /// reusable across engines built over the same grouping (e.g. the 10
-    /// perturbation runs of a sweep).
+    /// Validates a query list once and fingerprints it for
+    /// [`QueryEngine::answer_batch`]. Kept, with `answer_batch`, only
+    /// because the `perfbench` harness still times the pair; removed once
+    /// the harness stops doing so.
     ///
     /// # Errors
     ///
@@ -394,121 +389,56 @@ impl QueryEngine {
             self.validate(q)?;
         }
         Ok(PreparedQueries {
-            index: self.view.match_index(queries),
-            groups: self.view.len(),
-            fingerprint: fingerprint(queries.iter()),
+            len: queries.len(),
+            fingerprint: fingerprint(queries),
         })
     }
 
-    /// Precomputes the match index for a Section-6 query pool.
+    /// Answers a prepared batch, each query through [`QueryEngine::answer`].
     ///
     /// # Errors
     ///
-    /// As [`QueryEngine::prepare`].
-    pub fn prepare_pool(&self, pool: &QueryPool) -> Result<PreparedQueries, EngineError> {
-        let queries: Vec<CountQuery> = pool.queries.iter().map(|pq| pq.query.clone()).collect();
-        self.prepare(&queries)
-    }
-
-    /// Answers a batch through a prepared match index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `prepared` was built for a different query count
-    /// or grouping.
+    /// Returns [`EngineError::PreparedMismatch`] if `prepared` was built
+    /// for a different query list, and otherwise any error of
+    /// [`QueryEngine::answer`].
     pub fn answer_batch(
         &self,
         queries: &[CountQuery],
         prepared: &PreparedQueries,
     ) -> Result<Vec<Answer>, EngineError> {
-        self.check_prepared(queries.iter(), prepared)?;
-        Ok(queries
-            .iter()
-            .zip(&prepared.index)
-            .map(|(q, matching)| {
-                let (support, observed) = self.view.support_and_observed_indexed(q, matching);
-                self.answer_from(support, observed)
-            })
-            .collect())
-    }
-
-    /// Answers a whole Section-6 pool through a prepared index, returning
-    /// one answer per pooled query (aligned with `pool.queries`).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::answer_batch`].
-    pub fn answer_pool(
-        &self,
-        pool: &QueryPool,
-        prepared: &PreparedQueries,
-    ) -> Result<Vec<Answer>, EngineError> {
-        self.check_prepared(pool.queries.iter().map(|pq| &pq.query), prepared)?;
-        Ok(pool
-            .queries
-            .iter()
-            .zip(&prepared.index)
-            .map(|(pq, matching)| {
-                let (support, observed) =
-                    self.view.support_and_observed_indexed(&pq.query, matching);
-                self.answer_from(support, observed)
-            })
-            .collect())
-    }
-
-    /// Mean relative error `|est − ans| / ans` over a pool — the paper's
-    /// Section-6 utility measure for one perturbation run.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::answer_batch`].
-    pub fn mean_relative_error(
-        &self,
-        pool: &QueryPool,
-        prepared: &PreparedQueries,
-    ) -> Result<f64, EngineError> {
-        if pool.is_empty() {
-            return Ok(0.0);
-        }
-        let answers = self.answer_pool(pool, prepared)?;
-        let total: f64 = pool
-            .queries
-            .iter()
-            .zip(&answers)
-            .map(|(pq, a)| relative_error(a.estimate, pq.answer as f64))
-            .sum();
-        Ok(total / pool.queries.len() as f64)
-    }
-
-    fn check_prepared<'a>(
-        &self,
-        queries: impl ExactSizeIterator<Item = &'a CountQuery> + Clone,
-        prepared: &PreparedQueries,
-    ) -> Result<(), EngineError> {
-        if prepared.index.len() != queries.len() {
+        if prepared.len != queries.len() {
             return Err(EngineError::PreparedMismatch {
                 detail: format!(
-                    "index covers {} queries, batch has {}",
-                    prepared.index.len(),
+                    "prepared {} queries, batch has {}",
+                    prepared.len,
                     queries.len()
-                ),
-            });
-        }
-        if prepared.groups != self.view.len() {
-            return Err(EngineError::PreparedMismatch {
-                detail: format!(
-                    "index built over {} groups, engine has {}",
-                    prepared.groups,
-                    self.view.len()
                 ),
             });
         }
         if prepared.fingerprint != fingerprint(queries) {
             return Err(EngineError::PreparedMismatch {
-                detail: "index was prepared for a different query list".to_string(),
+                detail: "prepared for a different query list".to_string(),
             });
         }
-        Ok(())
+        queries.iter().map(|q| self.answer(q)).collect()
+    }
+
+    /// Mean relative error `|est − ans| / ans` over a pool — the paper's
+    /// Section-6 utility measure for one perturbation run. Each pooled
+    /// query is answered through [`QueryEngine::answer`].
+    ///
+    /// # Errors
+    ///
+    /// As [`QueryEngine::answer`].
+    pub fn mean_relative_error(&self, pool: &QueryPool) -> Result<f64, EngineError> {
+        if pool.is_empty() {
+            return Ok(0.0);
+        }
+        let mut total = 0.0;
+        for pq in &pool.queries {
+            total += relative_error(self.answer(&pq.query)?.estimate, pq.answer as f64);
+        }
+        Ok(total / pool.queries.len() as f64)
     }
 }
 
@@ -651,6 +581,14 @@ mod tests {
         assert_eq!(q.sa_attr(), 2);
         assert_eq!(q.sa_value(), 0);
         assert_eq!(q.dimensionality(), 1);
+        // NA conditions come back sorted by attribute whatever their order,
+        // so the query is the answer cache's canonical key.
+        assert_eq!(
+            engine
+                .query_from_values(&[("J", "y"), ("SA", "s1"), ("G", "b")])
+                .unwrap(),
+            CountQuery::new(vec![(0, 1), (1, 1)], 2, 1).unwrap()
+        );
         assert!(matches!(
             engine.query_from_values(&[("G", "a")]),
             Err(EngineError::MissingSaCondition { .. })

@@ -655,26 +655,6 @@ impl QueryService {
             })
     }
 
-    /// The canonical cache key of a resolved query: NA conditions sorted
-    /// by `(attribute, code)`, so condition order on the wire is
-    /// irrelevant to cache identity.
-    fn canonical_key(query: &CountQuery) -> Result<CountQuery, ProtocolError> {
-        let mut na: Vec<(rp_table::AttrId, u32)> = query
-            .na_pattern()
-            .terms()
-            .iter()
-            .filter_map(|&(attr, term)| match term {
-                rp_table::Term::Value(code) => Some((attr, code)),
-                rp_table::Term::Wildcard => None,
-            })
-            .collect();
-        na.sort_unstable();
-        CountQuery::new(na, query.sa_attr(), query.sa_value()).map_err(|e| ProtocolError {
-            code: ErrorCode::Internal,
-            message: format!("canonicalization produced an invalid query: {e}"),
-        })
-    }
-
     /// Locks the live view for answering: the stream publisher on a
     /// streaming service, `None` on a static one.
     fn live_view(&self) -> Result<Option<MutexGuard<'_, StreamPublisher>>, ProtocolError> {
@@ -729,8 +709,9 @@ impl QueryService {
         conditions: &[(&str, &str)],
         session: &mut SessionStats,
     ) -> Result<WireAnswer, ProtocolError> {
-        let query = self.resolve(conditions)?;
-        let key = Self::canonical_key(&query)?;
+        // The resolved query is canonical (NA terms sorted by attribute),
+        // so it is the cache key as it stands.
+        let key = self.resolve(conditions)?;
         if self.cache_capacity > 0 {
             // Sampled lookup timing; the same 1-in-8 decision gates the
             // cache hit/miss trace events so tracing stays off the

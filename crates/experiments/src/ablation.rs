@@ -68,21 +68,21 @@ pub fn run(
     epsilon: f64,
     protocol: ErrorProtocol,
 ) -> AblationResult {
-    let (pool, prepared) = build_pool(dataset, protocol);
+    let pool = build_pool(dataset, protocol);
     let groups = &dataset.groups;
     let schema = dataset.generalized.schema();
     let mut rng = StdRng::seed_from_u64(protocol.seed ^ 0x0B1A);
 
     // Evaluate a per-run histogram producer against the pool through a
-    // QueryEngine, reusing the prepared match index across every strategy.
+    // QueryEngine, one answer per pooled query.
     let evaluate = |mut make_hists: HistogramProducer, answer_p: f64, rng: &mut StdRng| {
         let mut err = OnlineStats::new();
         for _ in 0..protocol.runs {
             let engine = QueryEngine::from_histograms(groups, make_hists(rng), schema, answer_p);
             err.push(
                 engine
-                    .mean_relative_error(&pool, &prepared)
-                    .expect("prepared index matches the pool"),
+                    .mean_relative_error(&pool)
+                    .expect("pool queries fit the generalized schema"),
             );
         }
         err.mean().unwrap_or(f64::NAN)

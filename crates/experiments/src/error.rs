@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use rp_core::privacy::PrivacyParams;
 use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
 use rp_datagen::querypool::{QueryPool, QueryPoolConfig};
-use rp_engine::{PreparedQueries, QueryEngine};
+use rp_engine::QueryEngine;
 
 use crate::config::{defaults, PreparedDataset};
 use crate::violation::SweepAxis;
@@ -61,13 +61,11 @@ impl Default for ErrorProtocol {
 
 /// Mean relative error of UP and SPS for one `(p, λ, δ)` setting.
 ///
-/// The query pool and its prepared match index are computed by the caller
-/// so sweeps reuse them across settings: the index depends only on the
-/// group keys, which every perturbed engine below shares.
+/// The query pool is generated by the caller so sweeps reuse it across
+/// settings; every perturbed engine below answers it query by query.
 fn measure(
     dataset: &PreparedDataset,
     pool: &QueryPool,
-    prepared: &PreparedQueries,
     p: f64,
     params: PrivacyParams,
     runs: usize,
@@ -80,8 +78,6 @@ fn measure(
     for _ in 0..runs {
         let up_engine =
             QueryEngine::from_histograms(groups, up_histograms(rng, groups, p), schema, p);
-        // SPS scaling keeps group sizes near the original, so the same
-        // index applies; supports are re-read from the SPS engine.
         let sps_engine = QueryEngine::from_histograms(
             groups,
             sps_histograms(rng, groups, SpsConfig { p, params }),
@@ -89,22 +85,19 @@ fn measure(
             p,
         );
         up_total += up_engine
-            .mean_relative_error(pool, prepared)
-            .expect("prepared index matches the pool");
+            .mean_relative_error(pool)
+            .expect("pool queries fit the generalized schema");
         sps_total += sps_engine
-            .mean_relative_error(pool, prepared)
-            .expect("prepared index matches the pool");
+            .mean_relative_error(pool)
+            .expect("pool queries fit the generalized schema");
     }
     (up_total / runs as f64, sps_total / runs as f64)
 }
 
-/// Builds the query pool and its prepared match index for a data set.
-pub fn build_pool(
-    dataset: &PreparedDataset,
-    protocol: ErrorProtocol,
-) -> (QueryPool, PreparedQueries) {
+/// Builds the Section-6 query pool for a data set.
+pub fn build_pool(dataset: &PreparedDataset, protocol: ErrorProtocol) -> QueryPool {
     let mut rng = StdRng::seed_from_u64(protocol.seed);
-    let pool = QueryPool::generate(
+    QueryPool::generate(
         &mut rng,
         dataset.raw.schema(),
         &dataset.generalization,
@@ -113,24 +106,7 @@ pub fn build_pool(
             pool_size: protocol.pool_size,
             ..QueryPoolConfig::default()
         },
-    );
-    // Any histogram set gives the same keys; a base engine over the raw
-    // histograms prepares the index once.
-    let base = QueryEngine::from_histograms(
-        &dataset.groups,
-        dataset
-            .groups
-            .groups()
-            .iter()
-            .map(|g| g.sa_hist.clone())
-            .collect(),
-        dataset.generalized.schema(),
-        defaults::P,
-    );
-    let prepared = base
-        .prepare_pool(&pool)
-        .expect("pool queries fit the generalized schema");
-    (pool, prepared)
+    )
 }
 
 /// Runs one sweep, holding the other parameters at the paper's defaults.
@@ -140,7 +116,7 @@ pub fn sweep(
     values: &[f64],
     protocol: ErrorProtocol,
 ) -> ErrorSweep {
-    let (pool, index) = build_pool(dataset, protocol);
+    let pool = build_pool(dataset, protocol);
     let mut rng = StdRng::seed_from_u64(protocol.seed ^ 0xABCD);
     let points = values
         .iter()
@@ -151,7 +127,7 @@ pub fn sweep(
                 SweepAxis::Delta => (defaults::P, defaults::LAMBDA, value),
             };
             let params = PrivacyParams::new(lambda, delta);
-            let (up, sps) = measure(dataset, &pool, &index, p, params, protocol.runs, &mut rng);
+            let (up, sps) = measure(dataset, &pool, p, params, protocol.runs, &mut rng);
             ErrorPoint { value, up, sps }
         })
         .collect();
@@ -184,12 +160,11 @@ pub fn census_size_sweep(sizes: &[usize], protocol: ErrorProtocol) -> ErrorSweep
     let mut points = Vec::with_capacity(sizes.len());
     for &rows in sizes {
         let dataset = PreparedDataset::census(rows);
-        let (pool, index) = build_pool(&dataset, protocol);
+        let pool = build_pool(&dataset, protocol);
         let mut rng = StdRng::seed_from_u64(protocol.seed ^ rows as u64);
         let (up, sps) = measure(
             &dataset,
             &pool,
-            &index,
             defaults::P,
             params,
             protocol.runs,

@@ -19,11 +19,9 @@
 //!   personal grouping and the query engine are built from.
 //! * [`query`] — the Section-6 conjunctive count queries with one `SA`
 //!   condition.
-//! * [`index`] — an inverted index with posting-list intersection, the
-//!   fast access path for selective conjunctions.
 //! * [`bitmap`] — per-`(attribute, code)` selection bitmaps combined with
-//!   bitwise AND: the vectorized matching path for conjunctive patterns,
-//!   count queries and the engine's group-key match index.
+//!   bitwise AND: the word-at-a-time matcher that `rp-core`'s grouped view
+//!   runs conjunctive patterns through over its group keys.
 //! * [`csv`] — CSV import/export so real microdata (e.g. the actual UCI
 //!   ADULT file) can be loaded in place of the synthetic substitutes.
 //!
@@ -38,7 +36,6 @@ pub mod csv;
 pub mod dictionary;
 pub mod error;
 pub mod group;
-pub mod index;
 pub mod ops;
 pub mod predicate;
 pub mod query;
@@ -46,12 +43,11 @@ mod recycle;
 pub mod schema;
 pub mod table;
 
-pub use bitmap::{Bitmap, BitmapIndex};
+pub use bitmap::BitmapIndex;
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
 pub use error::TableError;
 pub use group::{group_by_hash, group_by_sort, group_histograms, Group, Grouping};
-pub use index::InvertedIndex;
 pub use predicate::{Pattern, Term};
 pub use query::CountQuery;
 pub use schema::{AttrId, Attribute, Schema};

@@ -91,15 +91,6 @@ impl CountQuery {
             .count() as u64
     }
 
-    /// As [`CountQuery::answer_with_support`] but evaluated against a
-    /// prebuilt [`crate::bitmap::BitmapIndex`]: the `NA` conjunction is the
-    /// AND of per-`(attribute, code)` bitmaps, 64 rows per word, instead of
-    /// a row-at-a-time scan. Answers are identical; the index pays off once
-    /// several queries are asked of the same table.
-    pub fn answer_with_support_indexed(&self, index: &crate::bitmap::BitmapIndex) -> (u64, u64) {
-        index.support_and_observed(self)
-    }
-
     /// The number of rows matching only the `NA` part (`|S|`), and the
     /// number also matching `SA = sa` (`ans`), in one scan.
     pub fn answer_with_support(&self, table: &Table) -> (u64, u64) {

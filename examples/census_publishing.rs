@@ -5,8 +5,7 @@
 //! parameter sweeps tractable: prepare a CENSUS-like table, generalize,
 //! measure violation under plain perturbation, then answer a pool of
 //! count queries through `QueryEngine`s built over UP and SPS histogram
-//! releases — the NA match index is prepared once and reused across both
-//! engines and all perturbation runs.
+//! releases, one engine per release and perturbation run.
 //!
 //! Run with: `cargo run --release -p rp-experiments --example census_publishing`
 
@@ -60,22 +59,7 @@ fn main() {
         pool.attempts
     );
 
-    // Prepare the NA match index once from a base engine over the raw
-    // histograms; it depends only on the group keys, so every perturbed
-    // engine below reuses it.
     let schema = dataset.generalized.schema();
-    let base_engine = QueryEngine::from_histograms(
-        &dataset.groups,
-        dataset
-            .groups
-            .groups()
-            .iter()
-            .map(|g| g.sa_hist.clone())
-            .collect(),
-        schema,
-        p,
-    );
-    let prepared = base_engine.prepare_pool(&pool).expect("pool fits schema");
 
     // Publish both ways (histogram-level), answer the pool, compare.
     let mut up_err = OnlineStats::new();
@@ -95,13 +79,13 @@ fn main() {
         );
         up_err.push(
             up_engine
-                .mean_relative_error(&pool, &prepared)
-                .expect("prepared index matches"),
+                .mean_relative_error(&pool)
+                .expect("pool fits schema"),
         );
         sps_err.push(
             sps_engine
-                .mean_relative_error(&pool, &prepared)
-                .expect("prepared index matches"),
+                .mean_relative_error(&pool)
+                .expect("pool fits schema"),
         );
     }
     println!(

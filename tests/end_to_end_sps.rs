@@ -110,7 +110,7 @@ fn aggregate_reconstruction_unbiased_through_whole_pipeline() {
     let mut mean = 0.0;
     for _ in 0..runs {
         let out = sps(&mut rng, &d.generalized, &d.groups, SpsConfig { p, params });
-        let view = GroupedView::from_perturbed_table(&d.groups, &out.table);
+        let view = GroupedView::from_table(&out.table, d.groups.spec());
         mean += view.estimate(&query, p) / runs as f64;
     }
     assert!(
@@ -125,7 +125,7 @@ fn scan_and_grouped_estimates_agree_on_up_publication() {
     let mut rng = StdRng::seed_from_u64(5);
     let spec = SaSpec::new(&d.generalized, adult::attr::INCOME);
     let published = uniform_perturb(&mut rng, &d.generalized, &spec, 0.4);
-    let view = GroupedView::from_perturbed_table(&d.groups, &published);
+    let view = GroupedView::from_table(&published, d.groups.spec());
     let schema = d.generalized.schema();
     for edu_code in 0..schema.attribute(0).domain_size() as u32 {
         let q = CountQuery::new(vec![(0, edu_code)], adult::attr::INCOME, 1)
