@@ -61,7 +61,9 @@ pub struct GroupedView {
     na_attrs: Vec<AttrId>,
     sa_attr: AttrId,
     m: usize,
-    keys: Vec<Vec<u32>>,
+    /// Number of groups; the key bitmaps and the marginals hold what
+    /// queries read of the keys, so the keys themselves are not kept.
+    groups: usize,
     /// The SA histograms as one SA-major column block: `counts[sa *
     /// groups + g]` is group `g`'s count of SA code `sa`, so a query reads
     /// one contiguous column.
@@ -175,7 +177,7 @@ impl GroupedView {
             na_attrs: spec.na().to_vec(),
             sa_attr: spec.sa(),
             m,
-            keys,
+            groups,
             counts,
             sizes,
             term_slots,
@@ -187,12 +189,12 @@ impl GroupedView {
 
     /// Number of groups in the view.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.groups
     }
 
     /// Whether the view has no groups.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.groups == 0
     }
 
     /// Total records across all groups.
@@ -202,8 +204,7 @@ impl GroupedView {
 
     /// The SA-major column of SA code `sa`: one count per group.
     fn column(&self, sa: u32) -> &[u64] {
-        let groups = self.keys.len();
-        &self.counts[sa as usize * groups..][..groups]
+        &self.counts[sa as usize * self.groups..][..self.groups]
     }
 
     /// `(support, observed)` of the perturbed subset matching the query's
@@ -388,8 +389,8 @@ mod tests {
             let sa = q.sa_value() as usize;
             let mut support = 0u64;
             let mut observed = 0u64;
-            for (g, (key, &size)) in view.keys.iter().zip(&view.sizes).enumerate() {
-                if q.na_pattern().matches_key(&view.na_attrs, key) {
+            for (g, (group, &size)) in groups.groups().iter().zip(&view.sizes).enumerate() {
+                if q.na_pattern().matches_key(&view.na_attrs, &group.key) {
                     support += size;
                     observed += view.counts[sa * view.len() + g];
                 }
@@ -467,7 +468,6 @@ mod tests {
             let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
             let reference = GroupedView::from_histograms(&groups, hists);
             let view = GroupedView::from_table(&t, &spec);
-            proptest::prop_assert_eq!(&view.keys, &reference.keys);
             proptest::prop_assert_eq!(&view.counts, &reference.counts);
             proptest::prop_assert_eq!(&view.sizes, &reference.sizes);
             proptest::prop_assert_eq!(&view, &reference);

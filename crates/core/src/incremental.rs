@@ -6,15 +6,18 @@
 //! by the user himself. In contrast, updating (published) noisy query
 //! answers can be tricky."
 //!
-//! [`IncrementalPublisher`] maintains a live publication: every inserted
-//! record is perturbed on arrival (one coin, independent of everything
-//! else), per-group histograms are kept current, and the `(λ, δ)` status
-//! of each personal group is re-evaluated incrementally. When a compliant
-//! group grows past its threshold `sg`, the publisher reports it so the
-//! owner can re-publish that group through SPS — the paper's remedy —
-//! while the rest of the publication is untouched.
+//! A [`LiveGroup`] runs both per-group steps of that claim:
+//! [`LiveGroup::insert`] perturbs one arriving record (one coin,
+//! independent of everything else), counts it in the raw and published
+//! histograms and re-evaluates the group's `(λ, δ)` status, and
+//! [`LiveGroup::republish`] re-samples a group that grew past its
+//! threshold `sg` through SPS — the paper's remedy — leaving every other
+//! group untouched. [`IncrementalPublisher`] keeps the live groups of one
+//! publication in a key-ordered map and drives them with a single RNG;
+//! the streaming subsystem of `rp-engine` drives the same two steps with
+//! one RNG per group.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -51,6 +54,18 @@ pub struct LiveGroup {
 }
 
 impl LiveGroup {
+    /// An empty, compliant group under `key` over an SA domain of size
+    /// `m`.
+    pub fn new(key: Vec<u32>, m: usize) -> Self {
+        Self {
+            key,
+            raw_hist: vec![0; m],
+            published_hist: vec![0; m],
+            status: GroupStatus::Compliant,
+            republished_len: 0,
+        }
+    }
+
     /// Raw group size (histogram counts sum to `u64`; a `usize` cast
     /// could overflow on 32-bit targets by construction, so the sum is
     /// returned as-is).
@@ -68,6 +83,77 @@ impl LiveGroup {
     pub fn exposed_len(&self) -> u64 {
         self.len().saturating_sub(self.republished_len)
     }
+
+    /// Inserts one record with sensitive code `sa`: perturbs it with one
+    /// draw of `op`, counts it in both histograms and re-evaluates the
+    /// group against `params`. Returns the status after the insertion —
+    /// discarding it silently drops the paper's remedy, hence
+    /// `#[must_use]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sa` is outside the SA domain.
+    #[must_use = "a NeedsResampling status requires re-publishing the group through SPS"]
+    pub fn insert<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        op: &UniformPerturbation,
+        params: PrivacyParams,
+        sa: u32,
+    ) -> GroupStatus {
+        let m = op.domain_size();
+        assert!((sa as usize) < m, "SA code {sa} out of domain {m}");
+        let perturbed = op.perturb_code(rng, sa);
+        self.raw_hist[sa as usize] += 1;
+        self.published_hist[perturbed as usize] += 1;
+        self.status = self.evaluate(op, params);
+        self.status
+    }
+
+    fn evaluate(&self, op: &UniformPerturbation, params: PrivacyParams) -> GroupStatus {
+        let size = self.len();
+        let exposed = size.saturating_sub(self.republished_len);
+        if exposed == 0 {
+            return GroupStatus::Compliant;
+        }
+        // The threshold is evaluated on the records inserted since the
+        // last SPS re-publication (the sampled prefix is private by
+        // design), with the whole-group maximum frequency as the
+        // conservative `f` — the tail of a skewed group never gets a
+        // laxer threshold than the group itself.
+        let f = *self.raw_hist.iter().max().expect("non-empty") as f64 / size as f64;
+        let sg = max_group_size(params, op.retention(), op.domain_size(), f);
+        if exposed as f64 <= sg {
+            GroupStatus::Compliant
+        } else {
+            GroupStatus::NeedsResampling
+        }
+    }
+
+    /// Re-publishes the group through the SPS steps (sample to `sg`,
+    /// perturb, scale back), replacing its published histogram. Leaves the
+    /// raw state untouched and returns the new status (always
+    /// [`GroupStatus::Compliant`] — the sample size *is* the design). An
+    /// empty group draws nothing.
+    pub fn republish<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        op: &UniformPerturbation,
+        params: PrivacyParams,
+    ) -> GroupStatus {
+        let size = self.len();
+        if size == 0 {
+            return GroupStatus::Compliant;
+        }
+        let sample = sps_group(rng, op, params, &self.raw_hist, &mut self.published_hist);
+        // A sample covers every current record, so only records inserted
+        // after this point count against `sg` again. A whole-group
+        // perturbation exposes the whole group through plain UP again, so
+        // the sampled-prefix baseline resets.
+        self.republished_len = if sample.is_some() { size } else { 0 };
+        self.status = GroupStatus::Compliant;
+        GroupStatus::Compliant
+    }
 }
 
 /// A live reconstruction-private publication accepting record insertions.
@@ -75,7 +161,7 @@ impl LiveGroup {
 pub struct IncrementalPublisher {
     op: UniformPerturbation,
     params: PrivacyParams,
-    groups: HashMap<Vec<u32>, LiveGroup>,
+    groups: BTreeMap<Vec<u32>, LiveGroup>,
     inserted: u64,
 }
 
@@ -90,14 +176,14 @@ impl IncrementalPublisher {
         Self {
             op: UniformPerturbation::new(p, m),
             params,
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
             inserted: 0,
         }
     }
 
     /// Inserts one record: `key` is its public-attribute codes, `sa` its
     /// sensitive code. The record is perturbed immediately and added to
-    /// the published histogram of its group. Returns the group's status
+    /// its group ([`LiveGroup::insert`]). Returns the group's status
     /// *after* the insertion — discarding it silently drops the paper's
     /// remedy (a flagged group must be re-sampled before release), hence
     /// `#[must_use]`.
@@ -107,97 +193,38 @@ impl IncrementalPublisher {
     /// Panics if `sa` is outside the SA domain.
     #[must_use = "a NeedsResampling status requires re-publishing the group through SPS"]
     pub fn insert<R: Rng + ?Sized>(&mut self, rng: &mut R, key: &[u32], sa: u32) -> GroupStatus {
-        let m = self.op.domain_size();
-        assert!((sa as usize) < m, "SA code {sa} out of domain {m}");
         self.inserted += 1;
-        let perturbed = self.op.perturb_code(rng, sa);
-        let group = self
-            .groups
+        self.groups
             .entry(key.to_vec())
-            .or_insert_with(|| LiveGroup {
-                key: key.to_vec(),
-                raw_hist: vec![0; m],
-                published_hist: vec![0; m],
-                status: GroupStatus::Compliant,
-                republished_len: 0,
-            });
-        group.raw_hist[sa as usize] += 1;
-        group.published_hist[perturbed as usize] += 1;
-        group.status = Self::evaluate(&self.op, self.params, group);
-        group.status
+            .or_insert_with(|| LiveGroup::new(key.to_vec(), self.op.domain_size()))
+            .insert(rng, &self.op, self.params, sa)
     }
 
-    fn evaluate(op: &UniformPerturbation, params: PrivacyParams, group: &LiveGroup) -> GroupStatus {
-        let size: u64 = group.raw_hist.iter().sum();
-        let exposed = size.saturating_sub(group.republished_len);
-        if size == 0 || exposed == 0 {
-            return GroupStatus::Compliant;
-        }
-        // The threshold is evaluated on the records inserted since the
-        // last SPS re-publication (the sampled prefix is private by
-        // design), with the whole-group maximum frequency as the
-        // conservative `f` — the tail of a skewed group never gets a
-        // laxer threshold than the group itself.
-        let f = *group.raw_hist.iter().max().expect("non-empty") as f64 / size as f64;
-        let sg = max_group_size(params, op.retention(), op.domain_size(), f);
-        if exposed as f64 <= sg {
-            GroupStatus::Compliant
-        } else {
-            GroupStatus::NeedsResampling
-        }
-    }
-
-    /// Re-publishes one group through the SPS steps (sample to `sg`,
-    /// perturb, scale back), replacing its published histogram. Leaves the
-    /// raw state untouched and returns the new status (always
-    /// [`GroupStatus::Compliant`] — the sample size *is* the design).
+    /// Re-publishes one group through SPS ([`LiveGroup::republish`]) and
+    /// returns its new status (always [`GroupStatus::Compliant`]).
     ///
     /// # Panics
     ///
     /// Panics if `key` is unknown.
     pub fn republish_group<R: Rng + ?Sized>(&mut self, rng: &mut R, key: &[u32]) -> GroupStatus {
-        let group = self
-            .groups
+        self.groups
             .get_mut(key)
-            .unwrap_or_else(|| panic!("unknown group key {key:?}"));
-        let size: u64 = group.raw_hist.iter().sum();
-        if size == 0 {
-            return GroupStatus::Compliant;
-        }
-        let sample = sps_group(
-            rng,
-            &self.op,
-            self.params,
-            &group.raw_hist,
-            &mut group.published_hist,
-        );
-        // A sample covers every current record, so only records inserted
-        // after this point count against `sg` again. A whole-group
-        // perturbation exposes the whole group through plain UP again, so
-        // the sampled-prefix baseline resets.
-        group.republished_len = if sample.is_some() { size } else { 0 };
-        group.status = GroupStatus::Compliant;
-        GroupStatus::Compliant
+            .unwrap_or_else(|| panic!("unknown group key {key:?}"))
+            .republish(rng, &self.op, self.params)
     }
 
     /// Re-publishes every group currently flagged
-    /// [`GroupStatus::NeedsResampling`]; returns how many were fixed.
+    /// [`GroupStatus::NeedsResampling`], in key order (so the RNG draws
+    /// follow the keys); returns how many were fixed.
     pub fn republish_flagged<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let mut keys: Vec<Vec<u32>> = self
-            .groups
-            // rp-analyze: allow(determinism, "keys are sorted below before any RNG draw, so map order never reaches the output")
-            .values()
-            .filter(|g| g.status == GroupStatus::NeedsResampling)
-            .map(|g| g.key.clone())
-            .collect();
-        // Republish in sorted key order: the RNG consumption order (and
-        // therefore the published histograms) must not depend on
-        // HashMap iteration order.
-        keys.sort_unstable();
-        for key in &keys {
-            self.republish_group(rng, key);
+        let mut fixed = 0;
+        for group in self.groups.values_mut() {
+            if group.status == GroupStatus::NeedsResampling {
+                group.republish(rng, &self.op, self.params);
+                fixed += 1;
+            }
         }
-        keys.len()
+        fixed
     }
 
     /// Records inserted so far.
@@ -215,34 +242,14 @@ impl IncrementalPublisher {
         self.groups.get(key)
     }
 
-    /// Restores a deserialized live group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a group with the same key is already live or the
-    /// histograms do not match the publisher's SA domain size.
-    pub fn put_group(&mut self, group: LiveGroup) {
-        let m = self.op.domain_size();
-        assert_eq!(group.raw_hist.len(), m, "raw histogram arity must be m");
-        assert_eq!(
-            group.published_hist.len(),
-            m,
-            "published histogram arity must be m"
-        );
-        let prev = self.groups.insert(group.key.clone(), group);
-        assert!(prev.is_none(), "group key is already live");
-    }
-
-    /// Iterates over all live groups (unspecified order).
+    /// Iterates over all live groups in key order.
     pub fn groups(&self) -> impl Iterator<Item = &LiveGroup> {
-        // rp-analyze: allow(determinism, "documented unspecified order; every caller sorts or reduces commutatively before bytes are emitted")
         self.groups.values()
     }
 
-    /// Groups currently flagged for resampling.
+    /// Groups currently flagged for resampling, in key order.
     pub fn flagged(&self) -> impl Iterator<Item = &LiveGroup> {
         self.groups
-            // rp-analyze: allow(determinism, "documented unspecified order; callers count or re-collect and sort before any output")
             .values()
             .filter(|g| g.status == GroupStatus::NeedsResampling)
     }
@@ -405,16 +412,6 @@ mod tests {
             (100..300).contains(&at),
             "re-flagged after {at} fresh records, expected near sg"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "already live")]
-    fn put_duplicate_group_panics() {
-        let mut p = publisher();
-        let mut rng = StdRng::seed_from_u64(11);
-        let _ = p.insert(&mut rng, &[0], 0);
-        let g = p.group(&[0]).unwrap().clone();
-        p.put_group(g);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! line up front, `parse ∘ encode = id` over every representable value.
 //! This module holds the pieces they share: a position-tracking line
 //! reader, `key\tv1\tv2...` field parsing, the token check for writable
-//! strings, the schema section (`attrs` + `attr` lines) both formats
-//! embed so either file is self-describing, and the code-row codec.
+//! strings, the perturbation section (`p`, `lambda` and `delta` lines,
+//! validated once) and the schema section (`attrs` + `attr` lines) both
+//! formats embed so either file is self-describing, and the code-row
+//! codec.
 //!
 //! A *code row* is tab-separated `u32` dictionary codes: an artifact's
 //! records, a WAL event's codes, a group key. An artifact's records are
@@ -31,6 +33,7 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
+use rp_core::privacy::PrivacyParams;
 use rp_table::{Attribute, Schema};
 
 use crate::publication::PublicationError;
@@ -415,6 +418,35 @@ pub(crate) fn check_writable(s: &str) -> Result<(), PublicationError> {
         return Err(PublicationError::Unrepresentable(s.to_string()));
     }
     Ok(())
+}
+
+/// Writes the perturbation section both formats record: the `p`,
+/// `lambda` and `delta` lines.
+pub(crate) fn write_params<W: Write>(mut w: W, p: f64, params: PrivacyParams) -> io::Result<()> {
+    writeln!(w, "p\t{}", canon_f64(p))?;
+    writeln!(w, "lambda\t{}", canon_f64(params.lambda()))?;
+    writeln!(w, "delta\t{}", canon_f64(params.delta()))
+}
+
+/// Reads the perturbation section written by [`write_params`]: the
+/// retention `p`, which must lie in (0, 1), and the `(λ, δ)` requirement,
+/// with `λ` positive and finite and `δ` in (0, 1].
+pub(crate) fn read_params<R: BufRead>(
+    lines: &mut Lines<R>,
+) -> Result<(f64, PrivacyParams), PublicationError> {
+    let p: f64 = lines.field("p")?.parse_one()?;
+    if !(p > 0.0 && p < 1.0) {
+        return Err(lines.err(format!("retention p must lie in (0, 1), got {p}")));
+    }
+    let lambda: f64 = lines.field("lambda")?.parse_one()?;
+    if !(lambda > 0.0 && lambda.is_finite()) {
+        return Err(lines.err(format!("lambda must be positive and finite, got {lambda}")));
+    }
+    let delta: f64 = lines.field("delta")?.parse_one()?;
+    if !(delta > 0.0 && delta <= 1.0) {
+        return Err(lines.err(format!("delta must lie in (0, 1], got {delta}")));
+    }
+    Ok((p, PrivacyParams::new(lambda, delta)))
 }
 
 /// Writes the schema section: one `attrs` count line, then one `attr`

@@ -46,9 +46,10 @@
 //!   versioned `HELLO` banner, and structured
 //!   [`ErrorCode`]-carrying errors instead of free-form strings;
 //! * [`stream`] — the streaming subsystem: a durable
-//!   [`StreamPublisher`] wrapping `rp-core`'s incremental publisher in a
-//!   write-ahead log of inserts, counter-based per-group RNG streams
-//!   (one `u64` cursor each), automatic SPS re-publication when a group
+//!   [`StreamPublisher`] running `rp-core`'s per-group insert and
+//!   republish steps behind a write-ahead log of inserts, counter-based
+//!   per-group RNG streams (one `u64` cursor each, kept in the group's
+//!   own record), automatic SPS re-publication when a group
 //!   crosses `sg`, WAL compaction, and v2 snapshots — every live group
 //!   stays resident and persists as one [`GroupState`] record, and state
 //!   is a pure function of `(base artifact, WAL)`, so replay and

@@ -23,12 +23,14 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use rp_core::groups::SaSpec;
-use rp_core::incremental::GroupStatus;
+use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::privacy::PrivacyParams;
 use rp_core::sps::SpsStats;
 use rp_table::{AttrId, Schema, Table, TableBuilder};
 
-use crate::codec::{canon_f64, parse_code, read_schema, write_code_row, write_schema, Lines};
+use crate::codec::{
+    parse_code, read_params, read_schema, write_code_row, write_params, write_schema, Lines,
+};
 
 /// Summary of the Equation-10 design check the publisher ran before SPS:
 /// how the *uniform-perturbation* design stood against `(λ, δ)` on the
@@ -73,7 +75,7 @@ impl DesignCheck {
 
 /// The state of one live personal group: everything
 /// [`crate::stream::StreamPublisher`] needs to resume the group exactly
-/// where the live run left it.
+/// where the live run left it — the group itself plus its RNG cursor.
 ///
 /// Two containers persist it — the `lgroup` lines of a streaming (v2)
 /// artifact and the `s` state records of a compacted WAL — and both
@@ -86,19 +88,12 @@ impl DesignCheck {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupState {
-    /// Public-attribute codes (schema order, SA excluded).
-    pub key: Vec<u32>,
-    /// Raw SA histogram (owner-side secret state).
-    pub raw_hist: Vec<u64>,
-    /// Published (perturbed) SA histogram.
-    pub published_hist: Vec<u64>,
+    /// The group: key, raw and published histograms, compliance status
+    /// and republish baseline.
+    pub group: LiveGroup,
     /// The group's RNG cursor: the full state of its counter-based
     /// per-group generator (see `crate::stream::rng`).
     pub rng_state: u64,
-    /// Compliance status at snapshot time.
-    pub status: GroupStatus,
-    /// Raw records covered by the group's last SPS re-publication.
-    pub republished_len: u64,
 }
 
 impl GroupState {
@@ -165,12 +160,14 @@ impl GroupState {
             return Err("group keys must be strictly increasing".into());
         }
         Ok(Self {
-            key,
-            raw_hist,
-            published_hist,
+            group: LiveGroup {
+                key,
+                raw_hist,
+                published_hist,
+                status,
+                republished_len,
+            },
             rng_state,
-            status,
-            republished_len,
         })
     }
 }
@@ -180,7 +177,7 @@ struct EncodedFields<'a>(&'a GroupState);
 
 impl fmt::Display for EncodedFields<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.0;
+        let g = &self.0.group;
         for c in &g.key {
             write!(f, "\t{c}")?;
         }
@@ -191,7 +188,7 @@ impl fmt::Display for EncodedFields<'_> {
             GroupStatus::Compliant => 'c',
             GroupStatus::NeedsResampling => 'f',
         };
-        write!(f, "\t{}\t{status}\t{}", g.rng_state, g.republished_len)
+        write!(f, "\t{}\t{status}\t{}", self.0.rng_state, g.republished_len)
     }
 }
 
@@ -287,7 +284,7 @@ impl Publication {
         let live_rows: u64 = live
             .groups
             .iter()
-            .map(|g| g.published_hist.iter().sum::<u64>())
+            .map(|g| g.group.published_hist.iter().sum::<u64>())
             .sum();
         assert_eq!(
             live_rows,
@@ -377,9 +374,7 @@ impl Publication {
         };
         writeln!(w, "{magic}")?;
         writeln!(w, "sa\t{}", self.sa)?;
-        writeln!(w, "p\t{}", canon_f64(self.p))?;
-        writeln!(w, "lambda\t{}", canon_f64(self.params.lambda()))?;
-        writeln!(w, "delta\t{}", canon_f64(self.params.delta()))?;
+        write_params(&mut w, self.p, self.params)?;
         writeln!(w, "seed\t{}", self.seed)?;
         writeln!(
             w,
@@ -465,18 +460,7 @@ impl Publication {
         };
         let sa: AttrId = lines.field("sa")?.parse_one()?;
         let sa_line = lines.line_no;
-        let p: f64 = lines.field("p")?.parse_one()?;
-        if !(p > 0.0 && p < 1.0) {
-            return Err(lines.err(format!("retention p must lie in (0, 1), got {p}")));
-        }
-        let lambda: f64 = lines.field("lambda")?.parse_one()?;
-        if !(lambda > 0.0 && lambda.is_finite()) {
-            return Err(lines.err(format!("lambda must be positive and finite, got {lambda}")));
-        }
-        let delta: f64 = lines.field("delta")?.parse_one()?;
-        if !(delta > 0.0 && delta <= 1.0) {
-            return Err(lines.err(format!("delta must lie in (0, 1], got {delta}")));
-        }
+        let (p, params) = read_params(&mut lines)?;
         let seed: u64 = lines.field("seed")?.parse_one()?;
         let stats_fields = lines.field("stats")?;
         let stats = SpsStats {
@@ -513,7 +497,6 @@ impl Publication {
         if m < 2 {
             return Err(lines.err(format!("SA domain must have at least 2 values, got {m}")));
         }
-        let params = PrivacyParams::new(lambda, delta);
         let schema = Schema::new(attributes);
         let rows: usize = lines.field("rows")?.parse_one()?;
         // The row count is untrusted input: cap the pre-allocation so a
@@ -592,9 +575,9 @@ fn read_live<R: BufRead>(
     let mut live_rows = 0u64;
     for _ in 0..count {
         let f = lines.field("lgroup")?;
-        let after = groups.last().map(|g| g.key.as_slice());
+        let after = groups.last().map(|g| g.group.key.as_slice());
         let g = GroupState::parse(&f.values, schema, sa, after).map_err(|m| f.error(m))?;
-        live_rows += g.published_hist.iter().sum::<u64>();
+        live_rows += g.group.published_hist.iter().sum::<u64>();
         groups.push(g);
     }
     if live_rows != (rows - base_rows) as u64 {
@@ -1087,20 +1070,24 @@ mod tests {
             republished: 1,
             groups: vec![
                 GroupState {
-                    key: vec![0],
-                    raw_hist: vec![1, 1, 1],
-                    published_hist: vec![2, 0, 1],
+                    group: LiveGroup {
+                        key: vec![0],
+                        raw_hist: vec![1, 1, 1],
+                        published_hist: vec![2, 0, 1],
+                        status: GroupStatus::Compliant,
+                        republished_len: 3,
+                    },
                     rng_state: 0xDEAD_BEEF,
-                    status: GroupStatus::Compliant,
-                    republished_len: 3,
                 },
                 GroupState {
-                    key: vec![1],
-                    raw_hist: vec![0, 2, 0],
-                    published_hist: vec![0, 2, 0],
+                    group: LiveGroup {
+                        key: vec![1],
+                        raw_hist: vec![0, 2, 0],
+                        published_hist: vec![0, 2, 0],
+                        status: GroupStatus::NeedsResampling,
+                        republished_len: 0,
+                    },
                     rng_state: 42,
-                    status: GroupStatus::NeedsResampling,
-                    republished_len: 0,
                 },
             ],
         };

@@ -3,9 +3,10 @@
 //!
 //! The paper's Section 3.1 argues data perturbation is uniquely amenable
 //! to record insertion — each record is perturbed independently, and a
-//! group that outgrows its threshold `sg` is re-sampled in place. The
-//! in-memory sketch of that claim lives in `rp-core::incremental`; this
-//! module wraps it in the machinery a server needs to run it for real:
+//! group that outgrows its threshold `sg` is re-sampled in place. Both
+//! per-group steps live on `rp-core`'s [`LiveGroup`]
+//! (`insert` and `republish`); this module wraps them in the machinery a
+//! server needs to run them for real:
 //!
 //! * **[`wal`]** — a write-ahead log of inserts and re-publications with
 //!   the crate's usual codec discipline (versioned header recording the
@@ -22,11 +23,12 @@
 //!   `(stream seed, group key)`. A group's stream depends only on its own
 //!   event count, so WAL replay is exact regardless of how unrelated
 //!   groups interleaved, and the whole cursor snapshots as one `u64`.
-//! * **`LiveGroups`** — every live group's state (the perturbation
-//!   ledger plus its RNG cursor), always resident, and the one place a
-//!   WAL event is applied to it. The live insert path, replay, restore
-//!   and [`compaction`](wal::compact_wal) all go through it, and all
-//!   persist a group as one [`GroupState`] record.
+//! * **`LiveGroups`** — every live group once: one [`GroupState`] (the
+//!   [`LiveGroup`] plus its RNG cursor) per key in one key-ordered map,
+//!   always resident, and the one place a WAL event is applied to it.
+//!   The live insert path, replay, restore and
+//!   [`compaction`](wal::compact_wal) all go through it, and all persist
+//!   a group as that same record, in the map's order.
 //! * **snapshot/restore** — [`StreamPublisher::snapshot`] materializes
 //!   the whole stream as a v2 [`Publication`]: base rows + live rows in
 //!   one table (so batch consumers just see a bigger release) plus the
@@ -90,14 +92,15 @@ mod commit;
 pub mod rng;
 pub mod wal;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
 
-use rp_core::incremental::{GroupStatus, IncrementalPublisher, LiveGroup};
+use rp_core::incremental::{GroupStatus, LiveGroup};
+use rp_core::perturb::UniformPerturbation;
 use rp_core::privacy::PrivacyParams;
-use rp_table::{AttrId, CountQuery, Schema, TableBuilder, TableError, Term};
+use rp_table::{group_histograms, AttrId, CountQuery, Schema, TableBuilder, TableError};
 
 use crate::fault::{self, FaultHandle};
 use crate::publication::{GroupState, LiveState, Publication, PublicationError};
@@ -214,19 +217,22 @@ pub struct InsertOutcome {
     pub republished: bool,
 }
 
-/// Every live group's state — the perturbation ledger of an
-/// [`IncrementalPublisher`] plus each group's RNG cursor — and the one
-/// place a WAL event is applied to it.
+/// Every live group, once: one [`GroupState`] (the group plus its RNG
+/// cursor) per key in a key-ordered map, and the one place a WAL event
+/// is applied to it.
 ///
 /// The live insert path, clean-start replay, snapshot+tail restore and
 /// WAL compaction all apply events through [`LiveGroups::apply`] and
 /// persist groups through [`LiveGroups::states`], so they cannot drift.
+/// The map's order is the canonical key order of the artifact's `lgroup`
+/// lines and the WAL's `s` records, so persisting sorts nothing.
 #[derive(Debug)]
 struct LiveGroups {
     seed: u64,
     sa: AttrId,
-    ledger: IncrementalPublisher,
-    cursors: HashMap<Vec<u32>, u64>,
+    op: UniformPerturbation,
+    params: PrivacyParams,
+    groups: BTreeMap<Vec<u32>, GroupState>,
     /// Highest applied sequence number (compaction's absorption floor).
     seq: u64,
     inserted: u64,
@@ -240,8 +246,9 @@ impl LiveGroups {
         Self {
             seed: header.seed,
             sa: header.sa,
-            ledger: IncrementalPublisher::new(header.p, m, header.params),
-            cursors: HashMap::new(),
+            op: UniformPerturbation::new(header.p, m),
+            params: header.params,
+            groups: BTreeMap::new(),
             seq: 0,
             inserted: 0,
             republished: 0,
@@ -251,32 +258,37 @@ impl LiveGroups {
     /// Resumes persisted state — a snapshot's live section or a WAL's
     /// compaction section: its groups, plus the cursor and counters of
     /// the events it covers.
+    ///
+    /// # Errors
+    ///
+    /// A group whose key is already live: two persisted sections claim
+    /// the same group, and merging them would double its counts.
     fn resume(
         &mut self,
         seq: u64,
         inserted: u64,
         republished: u64,
         groups: impl IntoIterator<Item = GroupState>,
-    ) {
-        for g in groups {
-            self.cursors.insert(g.key.clone(), g.rng_state);
-            self.ledger.put_group(LiveGroup {
-                key: g.key,
-                raw_hist: g.raw_hist,
-                published_hist: g.published_hist,
-                status: g.status,
-                republished_len: g.republished_len,
-            });
+    ) -> Result<(), StreamError> {
+        for state in groups {
+            if let Some(prev) = self.groups.insert(state.group.key.clone(), state) {
+                return Err(StreamError::Mismatch(format!(
+                    "group {:?} is resumed twice (a snapshot's live section and a \
+                     compacted WAL both hold it)",
+                    prev.group.key
+                )));
+            }
         }
         self.seq = self.seq.max(seq);
         self.inserted += inserted;
         self.republished += republished;
+        Ok(())
     }
 
     /// Applies one WAL event: draws from the group's RNG (derived fresh
     /// for a brand-new group), perturbs an insert or re-samples a group
-    /// through SPS, and stores the advanced cursor. Returns the group key
-    /// and its status afterwards.
+    /// through SPS, and stores the advanced cursor in the group's record.
+    /// Returns the group key and its status afterwards.
     ///
     /// # Errors
     ///
@@ -284,57 +296,50 @@ impl LiveGroups {
     /// log); inserts cannot fail.
     fn apply(&mut self, event: &WalEvent) -> Result<(Vec<u32>, GroupStatus), StreamError> {
         let key = event.group_key(self.sa);
-        let mut rng = match self.cursors.get(&key) {
-            Some(&state) => GroupRng::from_state(state),
-            None => GroupRng::for_group(self.seed, &key),
+        let state = match event {
+            WalEvent::Insert { .. } => {
+                self.groups
+                    .entry(key.clone())
+                    .or_insert_with(|| GroupState {
+                        rng_state: GroupRng::for_group(self.seed, &key).state(),
+                        group: LiveGroup::new(key.clone(), self.op.domain_size()),
+                    })
+            }
+            WalEvent::Republish { seq, .. } => self.groups.get_mut(&key).ok_or_else(|| {
+                StreamError::Mismatch(format!(
+                    "event {seq} re-publishes unknown group {key:?} (corrupted log?)"
+                ))
+            })?,
         };
+        let mut rng = GroupRng::from_state(state.rng_state);
         let status = match event {
             WalEvent::Insert { codes, .. } => {
                 self.inserted += 1;
-                self.ledger.insert(&mut rng, &key, codes[self.sa])
+                state
+                    .group
+                    .insert(&mut rng, &self.op, self.params, codes[self.sa])
             }
-            WalEvent::Republish { seq, .. } => {
-                if self.ledger.group(&key).is_none() {
-                    return Err(StreamError::Mismatch(format!(
-                        "event {seq} re-publishes unknown group {key:?} (corrupted log?)"
-                    )));
-                }
+            WalEvent::Republish { .. } => {
                 self.republished += 1;
-                self.ledger.republish_group(&mut rng, &key)
+                state.group.republish(&mut rng, &self.op, self.params)
             }
         };
-        self.cursors.insert(key.clone(), rng.state());
+        state.rng_state = rng.state();
         // `max`, not assignment: a compacted log can retain events below
         // the absorption floor the cursor already sits at.
         self.seq = self.seq.max(event.seq());
         Ok((key, status))
     }
 
-    /// Every group's state, sorted by key — the canonical order of both
+    /// Every group's state in key order — the canonical order of both
     /// the artifact's `lgroup` lines and the WAL's `s` records.
     fn states(&self) -> Vec<GroupState> {
-        let mut states: Vec<GroupState> = self
-            .ledger
-            .groups()
-            .map(|g| GroupState {
-                key: g.key.clone(),
-                raw_hist: g.raw_hist.clone(),
-                published_hist: g.published_hist.clone(),
-                rng_state: *self
-                    .cursors
-                    .get(&g.key)
-                    .expect("every live group carries a cursor"),
-                status: g.status,
-                republished_len: g.republished_len,
-            })
-            .collect();
-        states.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        states
+        self.groups.values().cloned().collect()
     }
 
-    /// Iterates over the live groups (unspecified order).
+    /// Iterates over the live groups in key order.
     fn groups(&self) -> impl Iterator<Item = &LiveGroup> {
-        self.ledger.groups()
+        self.groups.values().map(|state| &state.group)
     }
 }
 
@@ -350,12 +355,15 @@ impl LiveGroups {
 #[derive(Debug)]
 pub struct StreamPublisher {
     base: Publication,
-    /// Group keys present in the base release — so group counts (and the
-    /// snapshot's `SpsStats::groups`) count a key shared by base and
-    /// live once, not twice.
-    base_keys: HashSet<Vec<u32>>,
+    /// The sorted group keys of the base release, computed once per open
+    /// — so group counts (and the snapshot's `SpsStats::groups`) count a
+    /// key shared by base and live once, not twice.
+    base_keys: Vec<Vec<u32>>,
     schema: Schema,
     sa: AttrId,
+    /// The public attributes in schema order: the attributes a group key
+    /// holds.
+    na: Vec<AttrId>,
     live: LiveGroups,
     /// `None` in replay-only mode (no appends).
     wal: Option<LogManager>,
@@ -431,9 +439,12 @@ impl StreamPublisher {
         append: bool,
         faults: FaultHandle,
     ) -> Result<Self, StreamError> {
-        let (base, live_state) = split_artifact(artifact)?;
+        let sa = artifact.sa();
+        let na: Vec<AttrId> = (0..artifact.schema().arity())
+            .filter(|&a| a != sa)
+            .collect();
+        let (base, base_keys, live_state) = split_artifact(artifact, &na)?;
         let schema = base.schema().clone();
-        let sa = base.sa();
         let covered = live_state.as_ref().map_or(0, |l| l.wal_seq);
         let header = WalHeader {
             seed: base.seed(),
@@ -446,7 +457,7 @@ impl StreamPublisher {
         };
         let mut live = LiveGroups::new(&header);
         if let Some(l) = live_state {
-            live.resume(l.wal_seq, l.inserted, l.republished, l.groups);
+            live.resume(l.wal_seq, l.inserted, l.republished, l.groups)?;
         }
         // `open_append_with` validates the log's sequence coverage against
         // `header.first_seq = covered + 1`: a log starting past it is
@@ -470,7 +481,7 @@ impl StreamPublisher {
                         compaction.absorbed_inserts,
                         compaction.absorbed_republishes,
                         compaction.groups,
-                    );
+                    )?;
                 } else if covered < compaction.floor_seq {
                     // The snapshot's cursor falls strictly inside the
                     // absorbed range: those events no longer exist
@@ -503,10 +514,11 @@ impl StreamPublisher {
             }
         }
         Ok(Self {
-            base_keys: group_keys(base.table(), sa),
             base,
+            base_keys,
             schema,
             sa,
+            na,
             live,
             wal: append.then(|| LogManager::new(wal, &config)),
             faults,
@@ -557,7 +569,7 @@ impl StreamPublisher {
 
     /// Live groups.
     pub fn live_groups(&self) -> usize {
-        self.live.ledger.group_count()
+        self.live.groups.len()
     }
 
     /// Live groups whose key does not already exist in the base release
@@ -567,7 +579,7 @@ impl StreamPublisher {
     pub fn novel_live_groups(&self) -> usize {
         self.live
             .groups()
-            .filter(|g| !self.base_keys.contains(&g.key))
+            .filter(|g| self.base_keys.binary_search(&g.key).is_err())
             .count()
     }
 
@@ -680,9 +692,10 @@ impl StreamPublisher {
         }
         let group_size = self
             .live
-            .ledger
-            .group(&key)
-            .expect("group exists after insert")
+            .groups
+            .get(&key)
+            .expect("the applied insert holds its group")
+            .group
             .len();
         // Group commit: the log manager decides whether this insert
         // completes a batch that warrants an fsync now.
@@ -774,7 +787,7 @@ impl StreamPublisher {
         let arity = self.schema.arity();
         let live_rows: u64 = groups
             .iter()
-            .map(|g| g.published_hist.iter().sum::<u64>())
+            .map(|g| g.group.published_hist.iter().sum::<u64>())
             .sum();
         let mut builder =
             TableBuilder::with_capacity(self.schema.clone(), base_rows + live_rows as usize);
@@ -786,7 +799,7 @@ impl StreamPublisher {
             }
             builder.push_codes(&row).expect("base rows are in-domain");
         }
-        for g in &groups {
+        for GroupState { group: g, .. } in &groups {
             for (sa_code, &count) in g.published_hist.iter().enumerate() {
                 if count == 0 {
                     continue;
@@ -806,10 +819,7 @@ impl StreamPublisher {
             }
         }
         let mut stats = self.base.stats();
-        stats.groups += groups
-            .iter()
-            .filter(|g| !self.base_keys.contains(&g.key))
-            .count();
+        stats.groups += self.novel_live_groups();
         stats.groups_sampled += self.live.republished as usize;
         stats.input_records += self.live.inserted;
         stats.output_records = base_rows as u64 + live_rows;
@@ -882,25 +892,22 @@ impl StreamPublisher {
     /// insert to group *g* invalidates precisely the cached answers
     /// whose match set contains *g*.
     pub fn key_matches(&self, key: &[u32], query: &CountQuery) -> bool {
-        for &(attr, term) in query.na_pattern().terms() {
-            if let Term::Value(code) = term {
-                // NA keys drop the SA position from schema order.
-                let pos = if attr > self.sa { attr - 1 } else { attr };
-                if key[pos] != code {
-                    return false;
-                }
-            }
-        }
-        true
+        query.na_pattern().matches_key(&self.na, key)
     }
 }
 
+/// An artifact split into its base release, the sorted group keys of the
+/// base and its live extension.
+type Split = (Publication, Vec<Vec<u32>>, Option<LiveState>);
+
 /// Splits an artifact into its immutable base publication (table
 /// truncated to the base rows, batch counters rolled back to the base
-/// release) and its live extension.
-fn split_artifact(artifact: Publication) -> Result<(Publication, Option<LiveState>), StreamError> {
+/// release), the sorted group keys of the base over the public
+/// attributes `na`, and its live extension.
+fn split_artifact(artifact: Publication, na: &[AttrId]) -> Result<Split, StreamError> {
     let Some(live) = artifact.live().cloned() else {
-        return Ok((artifact, None));
+        let (base_keys, _) = group_histograms(artifact.table(), na, artifact.sa());
+        return Ok((artifact, base_keys, None));
     };
     let table = artifact.table();
     let arity = table.schema().arity();
@@ -919,11 +926,11 @@ fn split_artifact(artifact: Publication) -> Result<(Publication, Option<LiveStat
     // mirrors `snapshot`: only live groups whose key is absent from the
     // base were counted.
     let base = builder.build();
-    let base_key_set = group_keys(&base, artifact.sa());
+    let (base_keys, _) = group_histograms(&base, na, artifact.sa());
     let novel = live
         .groups
         .iter()
-        .filter(|g| !base_key_set.contains(&g.key))
+        .filter(|g| base_keys.binary_search(&g.group.key).is_err())
         .count();
     let mut stats = artifact.stats();
     stats.groups = stats.groups.saturating_sub(novel);
@@ -941,27 +948,7 @@ fn split_artifact(artifact: Publication) -> Result<(Publication, Option<LiveStat
         stats,
         artifact.check(),
     );
-    Ok((base, Some(live)))
-}
-
-/// The set of personal-group keys (public-attribute codes, schema order)
-/// present in a table.
-fn group_keys(table: &rp_table::Table, sa: AttrId) -> HashSet<Vec<u32>> {
-    let arity = table.schema().arity();
-    let mut seen = HashSet::new();
-    let mut key = Vec::with_capacity(arity.saturating_sub(1));
-    for r in 0..table.rows() {
-        key.clear();
-        for a in 0..arity {
-            if a != sa {
-                key.push(table.code(r, a));
-            }
-        }
-        if !seen.contains(&key) {
-            seen.insert(key.clone());
-        }
-    }
-    seen
+    Ok((base, base_keys, Some(live)))
 }
 
 #[cfg(test)]
@@ -1189,6 +1176,30 @@ mod tests {
         // A snapshot at/past the floor resumes fine and matches.
         let resumed = StreamPublisher::open(late.clone(), &wal, StreamConfig::default()).unwrap();
         assert_eq!(save_bytes(&resumed.snapshot()), save_bytes(&late));
+    }
+
+    #[test]
+    fn a_group_resumed_twice_is_a_typed_error() {
+        // A live section that claims `wal_seq = 0` yet lists groups takes
+        // the clean-start branch on a compacted log, which also resumes
+        // the log's state records: a key held by both is refused, never
+        // merged.
+        let wal = tmp("resumed-twice.rpwal");
+        let mut live =
+            StreamPublisher::open(base_publication(), &wal, StreamConfig::default()).unwrap();
+        for i in 0..2000u32 {
+            live.insert_codes(&[0, 0, u32::from(i % 10 == 0)]).unwrap();
+        }
+        live.flush().unwrap();
+        let snapshot = live.snapshot();
+        drop(live);
+        assert!(wal::compact_wal(&wal, &wal).unwrap().absorbed > 0);
+        let mut forged_live = snapshot.live().unwrap().clone();
+        forged_live.wal_seq = 0;
+        let forged = snapshot.clone().with_live(forged_live);
+        let err = StreamPublisher::open(forged, &wal, StreamConfig::default()).unwrap_err();
+        assert!(matches!(err, StreamError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("resumed twice"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   reloads verbatim. No replaying of draws, no opaque state blobs.
 //!
 //! The generator implements the vendored `rand::RngCore`, so the
-//! existing `rp-core` primitives (`perturb_code`, `republish_group`,
+//! existing `rp-core` primitives (`perturb_code`, `LiveGroup::republish`,
 //! `sample_binomial`, ...) consume it unchanged.
 
 use rand::RngCore;

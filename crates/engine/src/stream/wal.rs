@@ -52,7 +52,7 @@
 //! proves it); a snapshot whose cursor lies strictly *between* zero and
 //! the floor cannot resume on a compacted log and is refused loudly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use rp_core::privacy::PrivacyParams;
 use rp_table::{AttrId, Schema};
 
-use crate::codec::{canon_f64, parse_codes, read_schema, write_schema, Lines};
+use crate::codec::{parse_codes, read_params, read_schema, write_params, write_schema, Lines};
 use crate::fault::{self, CheckedFile, FaultHandle};
 use crate::fsutil;
 use crate::publication::{GroupState, PublicationError};
@@ -107,9 +107,7 @@ impl WalHeader {
     fn write<W: Write>(&self, mut w: W) -> Result<(), PublicationError> {
         writeln!(w, "{WAL_MAGIC}")?;
         writeln!(w, "seed\t{}", self.seed)?;
-        writeln!(w, "p\t{}", canon_f64(self.p))?;
-        writeln!(w, "lambda\t{}", canon_f64(self.params.lambda()))?;
-        writeln!(w, "delta\t{}", canon_f64(self.params.delta()))?;
+        write_params(&mut w, self.p, self.params)?;
         writeln!(w, "sa\t{}", self.sa)?;
         write_schema(&mut w, &self.schema)?;
         writeln!(w, "base\t{}", self.base_rows)?;
@@ -126,18 +124,7 @@ impl WalHeader {
             return Err(PublicationError::Format { line: 1, message });
         }
         let seed: u64 = lines.field("seed")?.parse_one()?;
-        let p: f64 = lines.field("p")?.parse_one()?;
-        if !(p > 0.0 && p < 1.0) {
-            return Err(lines.err(format!("retention p must lie in (0, 1), got {p}")));
-        }
-        let lambda: f64 = lines.field("lambda")?.parse_one()?;
-        if !(lambda > 0.0 && lambda.is_finite()) {
-            return Err(lines.err(format!("lambda must be positive and finite, got {lambda}")));
-        }
-        let delta: f64 = lines.field("delta")?.parse_one()?;
-        if !(delta > 0.0 && delta <= 1.0) {
-            return Err(lines.err(format!("delta must lie in (0, 1], got {delta}")));
-        }
+        let (p, params) = read_params(lines)?;
         let sa: usize = lines.field("sa")?.parse_one()?;
         let attributes = read_schema(lines)?;
         if sa >= attributes.len() {
@@ -154,7 +141,7 @@ impl WalHeader {
         Ok(Self {
             seed,
             p,
-            params: PrivacyParams::new(lambda, delta),
+            params,
             sa,
             schema: Schema::new(attributes),
             base_rows,
@@ -473,7 +460,7 @@ fn read_compact_section<R: BufRead>(
             return Err(bad(line_no, "expected an `s` state record".into()));
         }
         let fields: Vec<&str> = fields.collect();
-        let after = groups.last().map(|g: &GroupState| g.key.as_slice());
+        let after = groups.last().map(|g: &GroupState| g.group.key.as_slice());
         let g = GroupState::parse(&fields, &header.schema, header.sa, after)
             .map_err(|message| bad(line_no, message))?;
         groups.push(g);
@@ -716,20 +703,20 @@ pub struct CompactionStats {
 /// Returns an error on I/O failure, a malformed input log, or a
 /// republish event referencing a group with no prior state.
 pub fn compact_wal(input: &Path, output: &Path) -> Result<CompactionStats, StreamError> {
-    let wal_file = read_wal(input)?;
-    let header = &wal_file.header;
-    let mut absorbed = LiveGroups::new(header);
-    if let Some(prior) = &wal_file.compaction {
+    let mut wal_file = read_wal(input)?;
+    let mut absorbed = LiveGroups::new(&wal_file.header);
+    if let Some(prior) = wal_file.compaction.take() {
         absorbed.resume(
             prior.floor_seq,
             prior.absorbed_inserts,
             prior.absorbed_republishes,
-            prior.groups.iter().cloned(),
-        );
+            prior.groups,
+        )?;
     }
+    let header = &wal_file.header;
     // Per group, the sequence number of its last re-publication: every
     // event of the group at or before it is absorbable.
-    let mut last_republish: HashMap<Vec<u32>, u64> = HashMap::new();
+    let mut last_republish: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
     for event in &wal_file.events {
         if let WalEvent::Republish { seq, key } = event {
             last_republish.insert(key.clone(), *seq);
@@ -777,7 +764,7 @@ pub fn compact_wal(input: &Path, output: &Path) -> Result<CompactionStats, Strea
 mod tests {
     use super::*;
     use crate::publication::{DesignCheck, LiveState, Publication};
-    use rp_core::incremental::GroupStatus;
+    use rp_core::incremental::{GroupStatus, LiveGroup};
     use rp_core::sps::SpsStats;
     use rp_table::{Attribute, TableBuilder};
 
@@ -1003,8 +990,8 @@ mod tests {
         assert_eq!(c.absorbed_inserts, 2);
         assert_eq!(c.absorbed_republishes, 1);
         assert_eq!(c.groups.len(), 1);
-        assert_eq!(c.groups[0].key, vec![0]);
-        assert_eq!(c.groups[0].raw_hist.iter().sum::<u64>(), 2);
+        assert_eq!(c.groups[0].group.key, vec![0]);
+        assert_eq!(c.groups[0].group.raw_hist.iter().sum::<u64>(), 2);
         assert_eq!(
             file.events.iter().map(WalEvent::seq).collect::<Vec<_>>(),
             vec![4, 5]
@@ -1122,17 +1109,23 @@ mod tests {
             .filter(|_| rng.gen_bool(0.5))
             .collect();
         keys.into_iter()
-            .map(|key| GroupState {
-                key,
-                raw_hist: (0..3).map(|_| rng.gen_range(0..40u64)).collect(),
-                published_hist: (0..3).map(|_| rng.gen_range(0..40u64)).collect(),
-                rng_state: rng.gen(),
-                status: if rng.gen_bool(0.5) {
+            .map(|key| {
+                let raw_hist = (0..3).map(|_| rng.gen_range(0..40u64)).collect();
+                let published_hist = (0..3).map(|_| rng.gen_range(0..40u64)).collect();
+                let rng_state = rng.gen();
+                let status = if rng.gen_bool(0.5) {
                     GroupStatus::Compliant
                 } else {
                     GroupStatus::NeedsResampling
-                },
-                republished_len: rng.gen(),
+                };
+                let group = LiveGroup {
+                    key,
+                    raw_hist,
+                    published_hist,
+                    status,
+                    republished_len: rng.gen(),
+                };
+                GroupState { group, rng_state }
             })
             .collect()
     }
@@ -1143,6 +1136,7 @@ mod tests {
         let h = codec_header();
         let mut b = TableBuilder::new(h.schema.clone());
         for g in groups {
+            let g = &g.group;
             for (sa_code, &count) in g.published_hist.iter().enumerate() {
                 let row = [g.key[0], sa_code as u32, g.key[1]];
                 b.push_codes_batch(&row, count as usize).unwrap();
