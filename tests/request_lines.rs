@@ -3,7 +3,12 @@
 //!
 //! * golden tables: every malformed or invalid `count`/`batch` line maps
 //!   to one exact `error code=... message` line, run through the real
-//!   session loop (`serve`) over a one-release catalog;
+//!   session loop (`serve`) over a one-release catalog, through
+//!   `CatalogSession::handle_line` and through the owned `Request` path,
+//!   on a static and on a live release;
+//! * precedence: a parse error anywhere in a line wins over routing, and
+//!   routing over resolution; a parse error is charged to the session's
+//!   current release whatever release the line names;
 //! * separator forms (CRLF endings, tabs, runs of spaces) answer the same
 //!   bytes as the canonical line;
 //! * a property: every answer of a random `batch` line is byte-identical
@@ -11,6 +16,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -18,12 +24,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rp_repro::engine::protocol::WireAnswer;
 use rp_repro::engine::{
-    serve, Catalog, Publisher, QueryService, Response, Server, ServerConfig, ServiceConfig,
+    serve, Catalog, CatalogSession, Publication, Publisher, QueryService, Request, Response,
+    Server, ServerConfig, ServiceConfig, SessionStats, StreamConfig, StreamPublisher,
 };
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
 /// `Job` × `City` personal groups over the SA `Disease`.
-fn fixture_service() -> QueryService {
+fn fixture_publication() -> Publication {
     let schema = Schema::new(vec![
         Attribute::new("Job", ["eng", "doc", "law"]),
         Attribute::new("City", ["rome", "oslo"]),
@@ -33,12 +40,16 @@ fn fixture_service() -> QueryService {
     for i in 0..1800u32 {
         b.push_codes(&[i % 3, (i / 3) % 2, (i / 6) % 2]).unwrap();
     }
-    let publication = Publisher::new(b.build())
+    Publisher::new(b.build())
         .sa(2)
         .seed(41)
         .publish()
-        .expect("fixture publishes");
-    QueryService::from_publication(&publication, ServiceConfig::default())
+        .expect("fixture publishes")
+}
+
+/// The fixture release served from its artifact.
+fn fixture_service() -> QueryService {
+    QueryService::from_publication(&fixture_publication(), ServiceConfig::default())
 }
 
 /// The response lines (banner dropped) of one stdio session fed `input`.
@@ -218,6 +229,244 @@ fn golden_error_lines_are_one_session_and_keep_it_serving() {
     let stats = service.stats();
     assert_eq!(stats.requests, want.len() as u64 - 1);
     assert_eq!(stats.errors, want.len() as u64 - 2);
+}
+
+/// The fixture release served live: a fresh WAL under the temp dir,
+/// removed when the guard drops.
+struct LiveFixture {
+    service: Arc<QueryService>,
+    wal: PathBuf,
+}
+
+impl LiveFixture {
+    fn new(tag: &str) -> Self {
+        let wal = std::env::temp_dir().join(format!(
+            "rp-request-lines-{tag}-{}.rpwal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&wal);
+        let stream = StreamPublisher::open(fixture_publication(), &wal, StreamConfig::default())
+            .expect("open a fresh stream");
+        let service = QueryService::streaming(stream, None, ServiceConfig::default());
+        Self {
+            service: Arc::new(service),
+            wal,
+        }
+    }
+}
+
+impl Drop for LiveFixture {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.wal);
+    }
+}
+
+/// Every golden line answers the same bytes through
+/// `CatalogSession::handle_line` as through the session loop, and through
+/// the owned path (`Request::parse`, then `CatalogSession::handle`), on a
+/// static release and on a live one.
+#[test]
+fn golden_error_lines_answer_alike_through_the_catalog_session_and_the_owned_path() {
+    let live = LiveFixture::new("golden");
+    for service in [Arc::new(fixture_service()), Arc::clone(&live.service)] {
+        let catalog = Catalog::single(service);
+        let mut lines = CatalogSession::new(&catalog);
+        let mut owned = CatalogSession::new(&catalog);
+        let mut stats = SessionStats::default();
+        for (line, want) in golden_errors() {
+            let response = lines.handle_line(line, &mut stats).expect("not blank");
+            assert_eq!(response.encode(), want, "line `{line}`");
+            let response = match Request::parse(line) {
+                Ok(Some(request)) => owned.handle(&request, &mut stats),
+                Ok(None) => panic!("`{line}` parsed as blank"),
+                Err(e) => Response::from(e),
+            };
+            assert_eq!(response.encode(), want, "owned `{line}`");
+        }
+    }
+}
+
+/// `(line, exact response)` for each resolve failure in `count` and
+/// `batch` form, a failure in query k of a longer batch, and conditions
+/// whose value contains `=` (split at the first `=`).
+fn resolve_failures() -> Vec<(&'static str, String)> {
+    let bad_query = |m: &str| format!("error code=bad-query {m}");
+    vec![
+        (
+            "count Nope=1 Disease=flu",
+            bad_query("unknown attribute `Nope`"),
+        ),
+        (
+            "batch Nope=1 Disease=flu",
+            bad_query("query 1: unknown attribute `Nope`"),
+        ),
+        (
+            "count Job=zzz Disease=flu",
+            bad_query("value `zzz` not in the dictionary of attribute `Job`"),
+        ),
+        (
+            "batch Job=zzz Disease=flu",
+            bad_query("query 1: value `zzz` not in the dictionary of attribute `Job`"),
+        ),
+        (
+            "count Job=eng=doc Disease=flu",
+            bad_query("value `eng=doc` not in the dictionary of attribute `Job`"),
+        ),
+        (
+            "count Disease=flu=none",
+            bad_query("value `flu=none` not in the dictionary of attribute `Disease`"),
+        ),
+        (
+            "count Job=eng City=oslo",
+            bad_query("query needs a condition on the SA column `Disease`"),
+        ),
+        (
+            "batch Job=eng City=oslo",
+            bad_query("query 1: query needs a condition on the SA column `Disease`"),
+        ),
+        (
+            "count Disease=flu Job=eng Disease=flu",
+            bad_query("query names the SA column `Disease` more than once"),
+        ),
+        (
+            "batch Disease=flu Job=eng Disease=flu",
+            bad_query("query 1: query names the SA column `Disease` more than once"),
+        ),
+        (
+            "count City=oslo Job=eng Disease=flu City=rome",
+            bad_query("query names the column `City` more than once"),
+        ),
+        (
+            "batch City=oslo Job=eng Disease=flu City=rome",
+            bad_query("query 1: query names the column `City` more than once"),
+        ),
+        // The first failing query is named, whatever follows it; within
+        // a query, the first failing condition is reported.
+        (
+            "batch Disease=flu; Job=eng Disease=none; City=oslo Disease=flu; \
+             Job=law City=rome Disease=none; Job=doc Nope=1 Disease=flu; Job=zzz",
+            bad_query("query 5: unknown attribute `Nope`"),
+        ),
+        (
+            "batch Disease=flu; Job=eng Disease=none; count Job=doc Nope=1 Job=zzz",
+            bad_query("query 3: unknown attribute `Nope`"),
+        ),
+        // A repeated column's value is looked up before the repeat is
+        // reported.
+        (
+            "batch Disease=flu; Job=eng Disease=none; Job=doc Job=zzz Nope=1",
+            bad_query("query 3: value `zzz` not in the dictionary of attribute `Job`"),
+        ),
+        (
+            "batch Disease=flu; Job=eng Disease=none; Job=doc Job=eng Nope=1",
+            bad_query("query 3: query names the column `Job` more than once"),
+        ),
+        (
+            "batch Disease=none; City=rome; Job=eng Disease=flu",
+            bad_query("query 2: query needs a condition on the SA column `Disease`"),
+        ),
+    ]
+}
+
+#[test]
+fn resolve_failures_answer_exact_lines_through_the_catalog_session() {
+    let live = LiveFixture::new("resolve");
+    for service in [Arc::new(fixture_service()), Arc::clone(&live.service)] {
+        let catalog = Catalog::single(Arc::clone(&service));
+        let mut session = CatalogSession::new(&catalog);
+        let mut stats = SessionStats::default();
+        let table = resolve_failures();
+        for (line, want) in &table {
+            let response = session.handle_line(line, &mut stats).expect("not blank");
+            assert_eq!(&response.encode(), want, "line `{line}`");
+            let request = Request::parse(line).expect("parses").expect("not blank");
+            let response = session.handle(&request, &mut stats);
+            assert_eq!(&response.encode(), want, "owned `{line}`");
+        }
+        let n = 2 * table.len() as u64;
+        assert_eq!((stats.requests, stats.errors, stats.answered), (n, n, 0));
+        let release = service.stats();
+        assert_eq!((release.requests, release.errors), (n, n));
+    }
+}
+
+/// A parse error is reported before routing and charged to the session's
+/// current release, whichever release the line names; a routing failure
+/// is reported before any resolve failure and charged to no release.
+#[test]
+fn parse_errors_win_over_routing_and_routing_over_resolution() {
+    let alpha = Arc::new(fixture_service());
+    let beta = Arc::new(fixture_service());
+    let catalog = Catalog::new("alpha").expect("valid default name");
+    catalog
+        .open("alpha", Arc::clone(&alpha))
+        .expect("open alpha");
+    catalog.open("beta", Arc::clone(&beta)).expect("open beta");
+    let mut session = CatalogSession::new(&catalog);
+    let mut stats = SessionStats::default();
+    let parse = |m: &str| format!("error code=parse {m}");
+    let script: Vec<(&str, String)> = vec![
+        (
+            "batch@beta Nope=1 Disease=flu; Job",
+            parse("expected Column=value, got `Job`"),
+        ),
+        ("count@beta Job", parse("expected Column=value, got `Job`")),
+        (
+            "batch@beta Disease=flu;",
+            parse(&format!("empty query; {TRY}")),
+        ),
+        (
+            "batch@nope Nope=1 Disease=flu; Job=",
+            parse("empty column or value in `Job=`"),
+        ),
+        (
+            "batch@nope Nope=1 Disease=flu",
+            "error code=unknown-release no release named `nope`".to_string(),
+        ),
+        (
+            "count@nope Job=zzz",
+            "error code=unknown-release no release named `nope`".to_string(),
+        ),
+        (
+            "batch@beta Disease=flu; Nope=1 Disease=flu",
+            "error code=bad-query query 2: unknown attribute `Nope`".to_string(),
+        ),
+    ];
+    for (line, want) in &script {
+        let response = session.handle_line(line, &mut stats).expect("not blank");
+        assert_eq!(&response.encode(), want, "line `{line}`");
+    }
+    assert_eq!((stats.requests, stats.errors), (7, 7));
+    let (a, b) = (alpha.stats(), beta.stats());
+    assert_eq!((a.requests, a.errors), (4, 4), "alpha {a:?}");
+    assert_eq!((b.requests, b.errors), (1, 1), "beta {b:?}");
+
+    // With the current release gone, a parse error is still a parse
+    // error, charged to the session alone.
+    let orphan = Catalog::new("gone").expect("valid default name");
+    orphan.open("beta", Arc::clone(&beta)).expect("open beta");
+    let mut session = CatalogSession::new(&orphan);
+    let mut stats = SessionStats::default();
+    for (line, want) in [
+        (
+            "batch Disease=flu; Job",
+            parse("expected Column=value, got `Job`"),
+        ),
+        (
+            "batch Nope=1 Disease=flu",
+            "error code=unknown-release no release named `gone`".to_string(),
+        ),
+        (
+            "count Job=eng Disease=flu",
+            "error code=unknown-release no release named `gone`".to_string(),
+        ),
+    ] {
+        let response = session.handle_line(line, &mut stats).expect("not blank");
+        assert_eq!(response.encode(), want, "line `{line}`");
+    }
+    assert_eq!((stats.requests, stats.errors), (3, 3));
+    let b = beta.stats();
+    assert_eq!((b.requests, b.errors), (1, 1), "beta {b:?}");
 }
 
 /// `(separator variant, canonical line)`: each pair answers the same bytes.

@@ -21,6 +21,10 @@
 //! * two catalog tenants served concurrently stay isolated: per-tenant
 //!   transcripts are byte-identical to their stdio references and no
 //!   session's queries touch the other tenant's cache.
+//! * condition resolution: `QueryEngine::query_from_values` resolves every
+//!   `(column, value)` pair of random schemas (with `=` inside names and
+//!   values), and random misses, exactly as `Schema::attr_id` plus
+//!   `Dictionary::code` do.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -29,14 +33,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rp_repro::core::groups::{PersonalGroups, SaSpec};
 use rp_repro::engine::protocol::{
     ErrorCode, ReleaseEntry, ReleaseMeta, StatsSnapshot, WireAnswer, WireHistogram, WireTraceEvent,
 };
 use rp_repro::engine::{
-    serve, Catalog, Publisher, QueryService, Request, Response, Server, ServerConfig,
+    serve, Catalog, Publisher, QueryEngine, QueryService, Request, Response, Server, ServerConfig,
     ServiceConfig, WireQuery, WireRecord,
 };
-use rp_repro::table::{Attribute, Schema, TableBuilder};
+use rp_repro::table::{Attribute, CountQuery, Schema, TableBuilder};
 
 // ---------------------------------------------------------------------------
 // Generators: typed requests/responses from a seeded RNG. The vendored
@@ -316,6 +321,140 @@ proptest! {
         let line = arb_request(&mut rng).encode();
         let reparsed = Request::parse(&line).unwrap().unwrap();
         prop_assert_eq!(reparsed.encode(), line);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Condition resolution: every (column, value) pair of a random schema
+// resolves as `Schema::attr_id` plus `Dictionary::code` say it does.
+// ---------------------------------------------------------------------------
+
+/// Name and value pieces: with `=` among them, pairs such as (`A`, `b=c`)
+/// and (`A=b`, `c`) spell the same `column=value` text.
+const NAME_PIECES: [&str; 4] = ["A", "b", "=", "c"];
+
+fn arb_piece_string(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(1..=3usize))
+        .map(|_| NAME_PIECES[rng.gen_range(0..NAME_PIECES.len())])
+        .collect()
+}
+
+/// `n` distinct piece strings.
+fn distinct_piece_strings(rng: &mut StdRng, n: usize) -> Vec<String> {
+    let mut out: Vec<String> = Vec::with_capacity(n);
+    while out.len() < n {
+        let s = arb_piece_string(rng);
+        if !out.contains(&s) {
+            out.push(s);
+        }
+    }
+    out
+}
+
+/// The reference resolution of one condition list by name scan and
+/// dictionary lookup, as `query_from_values` reports it.
+fn reference_query(
+    schema: &Schema,
+    sa: usize,
+    conditions: &[(&str, &str)],
+) -> Result<CountQuery, String> {
+    let mut na = Vec::new();
+    let mut sa_value = None;
+    for &(col, value) in conditions {
+        let attr = schema.attr_id(col).map_err(|e| e.to_string())?;
+        let Some(code) = schema.attribute(attr).dictionary().code(value) else {
+            return Err(format!(
+                "value `{value}` not in the dictionary of attribute `{col}`"
+            ));
+        };
+        if attr == sa {
+            if sa_value.is_some() {
+                return Err(format!(
+                    "query names the SA column `{}` more than once",
+                    schema.attribute(sa).name()
+                ));
+            }
+            sa_value = Some(code);
+        } else {
+            if na.iter().any(|&(a, _)| a == attr) {
+                return Err(format!("query names the column `{col}` more than once"));
+            }
+            na.push((attr, code));
+        }
+    }
+    let Some(sa_value) = sa_value else {
+        return Err(format!(
+            "query needs a condition on the SA column `{}`",
+            schema.attribute(sa).name()
+        ));
+    };
+    na.sort_unstable_by_key(|&(attr, _)| attr);
+    CountQuery::new(na, sa, sa_value).map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `query_from_values` resolves every (column, value) pair of a random
+    /// schema, and random misses, exactly as `attr_id` + `Dictionary::code`
+    /// do — with `=` inside column names and values.
+    #[test]
+    fn query_from_values_resolves_like_attr_id_and_dictionary_code(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arity = rng.gen_range(2..=5usize);
+        let sa = rng.gen_range(0..arity);
+        let names = distinct_piece_strings(&mut rng, arity);
+        let attributes: Vec<Attribute> = names
+            .iter()
+            .enumerate()
+            .map(|(attr, name)| {
+                // The SA domain needs two values at least.
+                let domain = rng.gen_range(usize::from(attr == sa) + 1..=4);
+                Attribute::new(name.clone(), distinct_piece_strings(&mut rng, domain))
+            })
+            .collect();
+        let schema = Schema::new(attributes);
+        let mut b = TableBuilder::new(schema.clone());
+        for _ in 0..rng.gen_range(1..=12usize) {
+            let row: Vec<u32> = schema
+                .iter()
+                .map(|(_, a)| rng.gen_range(0..a.domain_size() as u32))
+                .collect();
+            b.push_codes(&row).unwrap();
+        }
+        let table = b.build();
+        let groups = PersonalGroups::build(&table, SaSpec::new(&table, sa));
+        let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
+        let engine = QueryEngine::from_histograms(&groups, hists, &schema, 0.5);
+        let resolve = |conditions: &[(&str, &str)]| {
+            engine.query_from_values(conditions).map_err(|e| e.to_string())
+        };
+        let sa_name = schema.attribute(sa).name();
+        let sa_dict = schema.attribute(sa).dictionary();
+        for (attr, attribute) in schema.iter() {
+            for (code, value) in attribute.dictionary().iter() {
+                let sa_value = sa_dict.values()[code as usize % sa_dict.len()].as_str();
+                let conditions = if attr == sa {
+                    vec![(attribute.name(), value)]
+                } else {
+                    vec![(sa_name, sa_value), (attribute.name(), value)]
+                };
+                let want = reference_query(&schema, sa, &conditions);
+                prop_assert!(want.is_ok(), "{conditions:?}: {want:?}");
+                prop_assert_eq!(resolve(&conditions), want);
+            }
+        }
+        for _ in 0..16 {
+            let (col, value) = (arb_piece_string(&mut rng), arb_piece_string(&mut rng));
+            let (other, other_value) = (arb_piece_string(&mut rng), arb_piece_string(&mut rng));
+            for conditions in [
+                vec![(col.as_str(), value.as_str())],
+                vec![(col.as_str(), value.as_str()), (sa_name, sa_dict.values()[0].as_str())],
+                vec![(other.as_str(), other_value.as_str()), (col.as_str(), value.as_str())],
+            ] {
+                prop_assert_eq!(resolve(&conditions), reference_query(&schema, sa, &conditions));
+            }
+        }
     }
 }
 
