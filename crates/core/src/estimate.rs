@@ -18,6 +18,12 @@
 //!   then answer each query by summing over the matching groups. The large
 //!   CENSUS sweeps are only tractable this way.
 //!
+//! Every count goes through [`GroupedView::support_and_observed_terms`],
+//! which reads borrowed `(attribute, term)` pairs and the SA code, so a
+//! server that resolves query text straight into terms counts without
+//! building a [`CountQuery`]; [`GroupedView::support_and_observed`] hands
+//! it a query's pattern.
+//!
 //! The view stores the histograms SA-major: one block of `m` columns,
 //! `counts[sa * groups + g]`, beside the group sizes. A query ANDs the key
 //! bitmaps of its NA terms word by word and, for every set bit `g`, adds
@@ -28,7 +34,7 @@
 //! code)` and of the whole view, its summed size and its summed count of
 //! every SA code, so such a query reads two entries.
 
-use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Pattern, Table, Term};
+use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table, Term};
 
 use crate::groups::{PersonalGroups, SaSpec};
 use crate::mle::reconstruct_frequency;
@@ -208,34 +214,46 @@ impl GroupedView {
     }
 
     /// `(support, observed)` of the perturbed subset matching the query's
-    /// `NA` pattern: `|S*|` and `O*`. A pattern that constrains at most one
-    /// NA attribute reads its marginal; any other is evaluated on the
-    /// cached key bitmaps (bitwise AND over 64-group words), never key by
-    /// key, and each matching group adds its size and its entry of the
-    /// queried SA column. Answers are identical to the scan they replace.
+    /// `NA` pattern: `|S*|` and `O*`, counted by
+    /// [`GroupedView::support_and_observed_terms`].
     pub fn support_and_observed(&self, query: &CountQuery) -> (u64, u64) {
-        let sa = query.sa_value();
-        if let Some(slot) = self.marginal_slot(query.na_pattern()) {
+        self.support_and_observed_terms(query.na_pattern().terms(), query.sa_value())
+    }
+
+    /// `(support, observed)` of the groups matching the NA `terms`, with
+    /// `sa` the queried SA code: the one counting path, over borrowed
+    /// terms so a caller need not build a [`CountQuery`]. Terms that
+    /// constrain at most one NA attribute read their marginal; any others
+    /// are evaluated on the cached key bitmaps (bitwise AND over 64-group
+    /// words), never key by key, and each matching group adds its size
+    /// and its entry of the queried SA column. Answers are identical to
+    /// the scan they replace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sa` is not a code of the view's SA domain.
+    pub fn support_and_observed_terms(&self, terms: &[(AttrId, Term)], sa: u32) -> (u64, u64) {
+        if let Some(slot) = self.marginal_slot(terms) {
             let row = &self.marginal_counts[slot * self.m..][..self.m];
             return (self.marginal_sizes[slot], row[sa as usize]);
         }
         let column = self.column(sa);
         let (mut support, mut observed) = (0u64, 0u64);
-        self.key_index.for_each_match(query.na_pattern(), |g| {
+        self.key_index.for_each_match(terms, |g| {
             support += self.sizes[g];
             observed += column[g];
         });
         (support, observed)
     }
 
-    /// The marginal slot of a pattern with at most one equality term on an
-    /// NA attribute of the view, or `None` for a pattern with more. Terms
-    /// the key index does not constrain (wildcards, other attributes) are
-    /// skipped as the bitmap matcher skips them, and a code past the key
-    /// domain selects the empty slot as it matches no group.
-    fn marginal_slot(&self, pattern: &Pattern) -> Option<usize> {
+    /// The marginal slot of terms with at most one equality term on an NA
+    /// attribute of the view, or `None` for terms with more. Terms the key
+    /// index does not constrain (wildcards, other attributes) are skipped
+    /// as the bitmap matcher skips them, and a code past the key domain
+    /// selects the empty slot as it matches no group.
+    fn marginal_slot(&self, terms: &[(AttrId, Term)]) -> Option<usize> {
         let mut term_slot = None;
-        for &(attr, term) in pattern.terms() {
+        for &(attr, term) in terms {
             let Term::Value(code) = term else { continue };
             let Some(pos) = self.na_attrs.iter().position(|&a| a == attr) else {
                 continue;

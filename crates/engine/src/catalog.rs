@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultHandle;
 use crate::protocol::{
-    is_release_name, ErrorCode, Line, ProtocolError, ReleaseEntry, Request, Response,
+    is_release_name, ErrorCode, Line, ProtocolError, Queries, ReleaseEntry, Request, Response,
     PROTOCOL_VERSION,
 };
 use crate::publication::Publication;
@@ -575,8 +575,9 @@ impl<'a> CatalogSession<'a> {
     /// for blank lines. This is the one per-line entry every transport
     /// uses, so a request line maps to the same response bytes on every
     /// transport and in every serving mode. A `count` or `batch` line,
-    /// qualified or not, is answered straight from its conditions borrowed
-    /// from `line`; any other line becomes an owned [`Request`].
+    /// qualified or not, is answered straight from its body borrowed from
+    /// `line`, which the release tokenizes as it resolves it; any other
+    /// line becomes an owned [`Request`].
     pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
         // Sampled stage timing (1-in-8 requests; see `crate::obs`). The
         // three stages share one clock-read pair per boundary: parse =
@@ -587,9 +588,9 @@ impl<'a> CatalogSession<'a> {
         let parsed = Line::parse(line).transpose()?;
         let t1 = t0.map(|_| obs.now_ns());
         let response = match parsed {
-            Ok(Line::Queries { release, queries }) => self.route(release, session, |service, s| {
-                service.handle_queries(&queries, s)
-            }),
+            Ok(Line::Queries { release, queries }) => {
+                self.answer_queries(release, &queries, session)
+            }
             Ok(Line::Request(request)) => self.handle(&request, session),
             Err(e) => self.refuse(e, session),
         };
@@ -619,6 +620,55 @@ impl<'a> CatalogSession<'a> {
                 };
                 Some(self.refuse(e, session))
             }
+        }
+    }
+
+    /// Answers a `count` or `batch` line on the named or the current
+    /// release. Its body is tokenized only as that release resolves it, so
+    /// a malformed body is found after routing; it is answered exactly as
+    /// a line that failed to parse before routing: the parse error wins
+    /// over a routing failure, and it is charged to the current release
+    /// whatever release the line names.
+    fn answer_queries(
+        &mut self,
+        release: Option<&str>,
+        queries: &Queries<'_>,
+        session: &mut SessionStats,
+    ) -> Response {
+        let routed = match release {
+            Some(name) => self
+                .catalog
+                .checkout(name)
+                .map(|service| service.handle_queries(queries, session)),
+            // The routed release is the current one: charge it here.
+            None => self.with_current(|service| {
+                Ok(service
+                    .handle_queries(queries, session)
+                    .unwrap_or_else(|e| {
+                        let response = Response::from(e);
+                        service.count(&response, session);
+                        response
+                    }))
+            }),
+        };
+        match routed {
+            Ok(Ok(response)) => response,
+            Ok(Err(e)) => self.refuse(e, session),
+            Err(e) => match queries.walk(|_| {}) {
+                // The current release is not open: the session alone is
+                // charged, as `refuse` would find.
+                Err(parse) if release.is_none() => {
+                    let response = Response::from(parse);
+                    count_local(session, &response);
+                    response
+                }
+                Err(parse) => self.refuse(parse, session),
+                Ok(()) => {
+                    let response = e.wire();
+                    count_local(session, &response);
+                    response
+                }
+            },
         }
     }
 

@@ -25,7 +25,8 @@
 //! pairs (code rows, and the wire's `u64` fields). Every float that
 //! reaches the wire or an artifact goes through [`canon_f64`], one
 //! in-tree shortest-round-trip writer: Ryu's digits over power-of-five
-//! tables computed at compile time. Its output is byte-identical to
+//! tables computed at compile time, laid out with their sign, point and
+//! zeros in one stack buffer that is pushed to the output once. Its output is byte-identical to
 //! `f64`'s `Display`, the format these files have always used, ties
 //! included: an exact tie between two shortest candidates takes the upper
 //! one, as `Display` does. The tests check it against `Display` itself.
@@ -62,41 +63,67 @@ pub fn canon_f64(v: f64) -> CanonF64 {
 #[derive(Debug, Clone, Copy)]
 pub struct CanonF64(f64);
 
+/// Renderings up to this long are laid out on the stack; longer ones
+/// (magnitudes past about `1e30` or below about `1e-20`) in a heap buffer
+/// of their exact length.
+const CANON_STACK_LEN: usize = 40;
+
 impl CanonF64 {
-    /// Appends the canonical rendering to `out`.
+    /// Appends the canonical rendering to `out`: sign, digits, point and
+    /// zeros are laid out in one buffer pre-filled with `0`s, then pushed
+    /// at once.
     pub fn append_to(self, out: &mut String) {
         let v = self.0;
+        let negative = v.is_sign_negative();
         if v.is_nan() {
             return out.push_str("NaN");
         }
-        if v.is_sign_negative() {
-            out.push('-');
-        }
         if v.is_infinite() {
-            return out.push_str("inf");
+            return out.push_str(if negative { "-inf" } else { "inf" });
         }
         if v == 0.0 {
-            return out.push('0');
+            return out.push_str(if negative { "-0" } else { "0" });
         }
         let (mantissa, exponent) = shortest(v.to_bits());
-        let mut buf = [0u8; 20];
-        let digits = &mut buf[..decimal_len(mantissa)];
-        write_digits(mantissa, digits);
+        let digits = decimal_len(mantissa);
+        let at = usize::from(negative);
         // The value is `0.d₁…dₙ × 10^point`: `point` digits lead the point.
-        let point = digits.len() as i32 + exponent;
-        if exponent >= 0 {
-            push_ascii(out, digits);
-            out.extend(std::iter::repeat_n('0', exponent as usize));
+        let point = digits as i32 + exponent;
+        let len = if exponent >= 0 {
+            at + digits + exponent as usize
         } else if point > 0 {
-            let (whole, fraction) = digits.split_at(point as usize);
-            push_ascii(out, whole);
-            out.push('.');
-            push_ascii(out, fraction);
+            at + digits + 1
         } else {
-            out.push_str("0.");
-            out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
-            push_ascii(out, digits);
+            at + 2 + point.unsigned_abs() as usize + digits
+        };
+        let mut stack = [b'0'; CANON_STACK_LEN];
+        let mut heap = Vec::new();
+        let buf = match stack.get_mut(..len) {
+            Some(buf) => buf,
+            None => {
+                heap.resize(len, b'0');
+                &mut heap[..]
+            }
+        };
+        if negative {
+            buf[0] = b'-';
         }
+        if exponent >= 0 {
+            // Digits, then `exponent` zeros.
+            write_digits(mantissa, &mut buf[at..at + digits]);
+        } else if point > 0 {
+            // The digits one place right, then the whole part back left
+            // over the gap it leaves for the point.
+            let point = point as usize;
+            write_digits(mantissa, &mut buf[at + 1..]);
+            buf.copy_within(at + 1..at + 1 + point, at);
+            buf[at + point] = b'.';
+        } else {
+            // `0.`, then `-point` zeros, then the digits.
+            buf[at + 1] = b'.';
+            write_digits(mantissa, &mut buf[len - digits..]);
+        }
+        push_ascii(out, buf);
     }
 }
 

@@ -15,6 +15,20 @@
 //! and its entry of the queried SA column — never key by key. Singles,
 //! batches and Section-6 pools are all counted this one way
 //! ([`QueryEngine::answer`]).
+//!
+//! Construction also builds the condition index: one flat open-addressing
+//! table over every `(column, value)` pair of the schema, mapping each to
+//! its `(attribute, code)`. A query condition is resolved by one probe
+//! under a fixed, unkeyed hash of the pair. Unkeyed is safe because the
+//! keys are the release's own schema: a client can only probe the table,
+//! never insert into it. The table is keyed on the pair, not on the text
+//! `column=value`, so a column name containing `=` cannot alias another
+//! pair. [`QueryEngine::query_from_values`], the borrowed line path and the
+//! owned request path of the service all resolve through it; a miss asks
+//! [`Schema::attr_id`] only to tell an unknown column from an unknown
+//! value. The served path resolves a whole line into one flat buffer of
+//! terms and counts straight from it, with no [`CountQuery`] built and no
+//! code validated twice.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -24,9 +38,7 @@ use rp_core::estimate::GroupedView;
 use rp_core::groups::PersonalGroups;
 use rp_core::mle::reconstruct_frequency;
 use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
-use rp_datagen::querypool::QueryPool;
-use rp_stats::summary::relative_error;
-use rp_table::{AttrId, CountQuery, Schema, TableError};
+use rp_table::{AttrId, CountQuery, Schema, TableError, Term};
 
 use crate::publication::Publication;
 
@@ -163,11 +175,137 @@ impl From<TableError> for EngineError {
     }
 }
 
+/// A fixed, unkeyed hash of a `(column, value)` pair: each string eight
+/// bytes at a time, its length folded in with its last word, so the two
+/// strings of a pair never run together.
+fn pair_hash(column: &str, value: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = 0u64;
+    for s in [column, value] {
+        let mut bytes = s.as_bytes();
+        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+            h = (h ^ u64::from_le_bytes(*word))
+                .wrapping_mul(K)
+                .rotate_left(31);
+            bytes = rest;
+        }
+        let mut tail = [0u8; 8];
+        if let Some(dst) = tail.get_mut(..bytes.len()) {
+            dst.copy_from_slice(bytes);
+        }
+        h = (h ^ u64::from_le_bytes(tail) ^ ((s.len() as u64) << 59))
+            .wrapping_mul(K)
+            .rotate_left(31);
+    }
+    h ^ (h >> 29)
+}
+
+/// A vacant slot of the [`ConditionIndex`].
+const VACANT: u32 = u32::MAX;
+
+/// Every `(column, value)` pair of a schema in one flat open-addressing
+/// table (see the module docs): each slot holds an `(attribute, code)`
+/// or is [`VACANT`], and the table is at most half full, so a probe ends
+/// at a vacant slot within a few steps. A slot stores no text: a probe
+/// compares the column name and the value it reaches in the schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ConditionIndex {
+    slots: Vec<(u32, u32)>,
+}
+
+impl ConditionIndex {
+    fn new(schema: &Schema) -> Self {
+        let pairs: usize = schema.iter().map(|(_, a)| a.domain_size()).sum();
+        let len = (2 * pairs).next_power_of_two().max(2);
+        let mut slots = vec![(VACANT, 0); len];
+        for (attr, attribute) in schema.iter() {
+            for (code, value) in attribute.dictionary().iter() {
+                let mut i = pair_hash(attribute.name(), value) as usize;
+                while let Some(slot) = slots.get_mut(i & (len - 1)) {
+                    if slot.0 == VACANT {
+                        *slot = (attr as u32, code);
+                        break;
+                    }
+                    i += 1;
+                }
+            }
+        }
+        Self { slots }
+    }
+
+    /// The `(attribute, code)` of `column = value` in `schema` (the schema
+    /// the index was built over), or `None` if it names no pair.
+    fn get(&self, schema: &Schema, column: &str, value: &str) -> Option<(AttrId, u32)> {
+        let mask = self.slots.len() - 1;
+        let mut i = pair_hash(column, value) as usize;
+        loop {
+            let &(attr, code) = self.slots.get(i & mask)?;
+            if attr == VACANT {
+                return None;
+            }
+            let attribute = schema.get(attr as usize).ok()?;
+            if attribute.name() == column
+                && attribute
+                    .dictionary()
+                    .value(code)
+                    .is_some_and(|v| v == value)
+            {
+                return Some((attr as usize, code));
+            }
+            i += 1;
+        }
+    }
+}
+
+/// The queries of one request resolved to terms: every query's NA terms
+/// back to back in one buffer, and per query the end of its terms and its
+/// SA code. Sized once from bounds on the request's queries and
+/// conditions, it never grows, so resolving a request allocates the same
+/// whatever its query count.
+#[derive(Debug, Default)]
+pub(crate) struct ResolvedQueries {
+    terms: Vec<(AttrId, Term)>,
+    queries: Vec<(usize, u32)>,
+    /// The SA code of the query being resolved, once it is named.
+    open_sa: Option<u32>,
+}
+
+impl ResolvedQueries {
+    /// Room for `queries` queries of `conditions` conditions in all.
+    pub(crate) fn with_capacity(queries: usize, conditions: usize) -> Self {
+        Self {
+            terms: Vec::with_capacity(conditions),
+            queries: Vec::with_capacity(queries),
+            open_sa: None,
+        }
+    }
+
+    /// The number of resolved queries.
+    pub(crate) fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Each resolved query's NA terms and SA code, in request order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[(AttrId, Term)], u32)> + '_ {
+        self.queries.iter().scan(0, |start, &(end, sa)| {
+            let terms = self.terms.get(*start..end).unwrap_or_default();
+            *start = end;
+            Some((terms, sa))
+        })
+    }
+
+    /// The NA terms of the query being resolved.
+    fn open_terms(&self) -> &[(AttrId, Term)] {
+        let start = self.queries.last().map_or(0, |&(end, _)| end);
+        self.terms.get(start..).unwrap_or_default()
+    }
+}
+
 /// A query-answering service over one release.
 ///
-/// Holds the published schema, the estimator parameters and the per-group
-/// SA histograms; answers single queries ([`QueryEngine::answer`]) and
-/// measures whole Section-6 pools ([`QueryEngine::mean_relative_error`]).
+/// Holds the published schema, the condition index, the estimator
+/// parameters and the per-group SA histograms, and answers count queries
+/// ([`QueryEngine::answer`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryEngine {
     schema: Schema,
@@ -178,12 +316,13 @@ pub struct QueryEngine {
     /// than once per answer.
     z: f64,
     view: GroupedView,
+    index: ConditionIndex,
 }
 
 impl QueryEngine {
     /// Builds the engine from a release: one pass over the published
     /// table keeps each personal group's key and SA histogram, and nothing
-    /// else of the table.
+    /// else of the table; the condition index is built over its schema.
     pub fn new(publication: &Publication) -> Self {
         let spec = publication.spec();
         Self {
@@ -193,6 +332,7 @@ impl QueryEngine {
             p: publication.p(),
             z: critical_value(CI_LEVEL),
             view: GroupedView::from_table(publication.table(), &spec),
+            index: ConditionIndex::new(publication.schema()),
         }
     }
 
@@ -221,6 +361,7 @@ impl QueryEngine {
             p,
             z: critical_value(CI_LEVEL),
             view: GroupedView::from_histograms(groups, hists),
+            index: ConditionIndex::new(schema),
         }
     }
 
@@ -283,6 +424,13 @@ impl QueryEngine {
         Ok(self.view.support_and_observed(query))
     }
 
+    /// `(support, observed)` of resolved NA `terms` and SA code `sa`, with
+    /// no validation: the terms come from [`QueryEngine::resolve_condition`],
+    /// whose codes are the schema's own.
+    pub(crate) fn counts_terms(&self, terms: &[(AttrId, Term)], sa: u32) -> (u64, u64) {
+        self.view.support_and_observed_terms(terms, sa)
+    }
+
     /// Builds the Section-6 answer from raw `(support, observed)` counts
     /// using this release's estimator parameters. The merge point of the
     /// streaming path: a live service sums the base release's counts with
@@ -334,46 +482,85 @@ impl QueryEngine {
         &self,
         conditions: &[(&str, &str)],
     ) -> Result<CountQuery, EngineError> {
-        let mut na = Vec::new();
-        let mut sa_value: Option<u32> = None;
+        let mut resolved = ResolvedQueries::with_capacity(1, conditions.len());
         for &(col, value) in conditions {
-            let attr = self.schema.attr_id(col)?;
-            let code = self
-                .schema
-                .attribute(attr)
-                .dictionary()
-                .code(value)
-                .ok_or_else(|| {
-                    EngineError::Table(TableError::UnknownValue {
-                        attribute: col.to_string(),
-                        value: value.to_string(),
-                    })
-                })?;
-            if attr == self.sa {
-                if sa_value.is_some() {
-                    return Err(EngineError::DuplicateSaCondition {
-                        sa_name: self.sa_name(),
-                    });
-                }
-                sa_value = Some(code);
-            } else {
-                // Pattern construction rejects duplicate attributes with a
-                // panic; catch them here as a typed error instead.
-                if na.iter().any(|&(a, _)| a == attr) {
-                    return Err(EngineError::DuplicateCondition {
-                        name: col.to_string(),
-                    });
-                }
-                na.push((attr, code));
-            }
+            self.resolve_condition(&mut resolved, col, value)?;
         }
-        let Some(sa_value) = sa_value else {
+        self.end_query(&mut resolved)?;
+        let (terms, sa) = resolved.iter().next().unwrap_or_default();
+        self.canonical_query(terms, sa)
+    }
+
+    /// Resolves one condition of the query `resolved` has open through the
+    /// condition index: the SA condition sets the query's SA code, any
+    /// other appends an NA term. The first failing condition of a query
+    /// fails it; its value is looked up before a repeated column is
+    /// reported.
+    pub(crate) fn resolve_condition(
+        &self,
+        resolved: &mut ResolvedQueries,
+        col: &str,
+        value: &str,
+    ) -> Result<(), EngineError> {
+        let Some((attr, code)) = self.index.get(&self.schema, col, value) else {
+            return Err(EngineError::Table(match self.schema.attr_id(col) {
+                Err(unknown) => unknown,
+                Ok(_) => TableError::UnknownValue {
+                    attribute: col.to_string(),
+                    value: value.to_string(),
+                },
+            }));
+        };
+        if attr == self.sa {
+            if resolved.open_sa.replace(code).is_some() {
+                return Err(EngineError::DuplicateSaCondition {
+                    sa_name: self.sa_name(),
+                });
+            }
+        } else {
+            // Pattern construction rejects duplicate attributes with a
+            // panic; catch them here as a typed error instead.
+            if resolved.open_terms().iter().any(|&(a, _)| a == attr) {
+                return Err(EngineError::DuplicateCondition {
+                    name: col.to_string(),
+                });
+            }
+            resolved.terms.push((attr, Term::Value(code)));
+        }
+        Ok(())
+    }
+
+    /// Closes the query `resolved` has open.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::MissingSaCondition`] if it named no SA condition.
+    pub(crate) fn end_query(&self, resolved: &mut ResolvedQueries) -> Result<(), EngineError> {
+        let Some(sa) = resolved.open_sa.take() else {
             return Err(EngineError::MissingSaCondition {
                 sa_name: self.sa_name(),
             });
         };
+        resolved.queries.push((resolved.terms.len(), sa));
+        Ok(())
+    }
+
+    /// The canonical count query of resolved NA `terms` and SA code `sa`:
+    /// NA conditions sorted by attribute.
+    pub(crate) fn canonical_query(
+        &self,
+        terms: &[(AttrId, Term)],
+        sa: u32,
+    ) -> Result<CountQuery, EngineError> {
+        let mut na: Vec<(AttrId, u32)> = terms
+            .iter()
+            .filter_map(|&(attr, term)| match term {
+                Term::Value(code) => Some((attr, code)),
+                Term::Wildcard => None,
+            })
+            .collect();
         na.sort_unstable_by_key(|&(attr, _)| attr);
-        Ok(CountQuery::new(na, self.sa, sa_value)?)
+        Ok(CountQuery::new(na, self.sa, sa)?)
     }
 
     /// Validates a query list once and fingerprints it for
@@ -421,24 +608,6 @@ impl QueryEngine {
             });
         }
         queries.iter().map(|q| self.answer(q)).collect()
-    }
-
-    /// Mean relative error `|est − ans| / ans` over a pool — the paper's
-    /// Section-6 utility measure for one perturbation run. Each pooled
-    /// query is answered through [`QueryEngine::answer`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::answer`].
-    pub fn mean_relative_error(&self, pool: &QueryPool) -> Result<f64, EngineError> {
-        if pool.is_empty() {
-            return Ok(0.0);
-        }
-        let mut total = 0.0;
-        for pq in &pool.queries {
-            total += relative_error(self.answer(&pq.query)?.estimate, pq.answer as f64);
-        }
-        Ok(total / pool.queries.len() as f64)
     }
 }
 

@@ -75,11 +75,16 @@
 //!
 //! One tokenizer reads every `count` and `batch` body (and `insert`
 //! records): it yields each condition as a borrowed `(column, value)` span
-//! of the request line, query by query. A session answers a `count` or
-//! `batch` line straight from those spans; [`Request::parse`] copies them
-//! into owned [`WireQuery`]s, and [`crate::QueryService::handle`] borrows
-//! an owned request back into the same span form, so there is one
-//! answering path and one set of parse errors.
+//! of the request line, query by query. A session keeps a `count` or
+//! `batch` body unsplit and the release that answers it resolves each
+//! condition as the tokenizer yields it, in one pass over the line; a
+//! parse error found on the way is still reported as a parse error, ahead
+//! of any routing or resolution failure, and charged as one (see
+//! [`crate::catalog::CatalogSession::handle_line`]). [`Request::parse`]
+//! walks the same tokenizer into owned [`WireQuery`]s, and
+//! [`crate::QueryService::handle`] walks an owned request's conditions
+//! the same way, so there is one answering path and one set of parse
+//! errors.
 //!
 //! Parsing and encoding are exact inverses over the canonical forms:
 //! `parse(encode(x)) == x` for every value expressible in the token
@@ -254,107 +259,154 @@ impl WireQuery {
     }
 }
 
-/// The `(column, value)` conditions of the queries of one `count` or
-/// `batch` line, borrowed from the line (or from owned [`WireQuery`]s):
-/// the one form every query is resolved and answered from.
-#[derive(Debug, Default)]
+/// The queries of one `count` or `batch` request: the body of a request
+/// line, tokenized only as it is walked, or owned [`WireQuery`]s.
+/// [`Queries::walk`] hands out either one's conditions as borrowed
+/// `(column, value)` pairs, query by query: the one form every query is
+/// resolved and answered from.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Queries<'a> {
-    /// Whether the line is a `batch`, answered as one `batch N` list even
-    /// for a single query, rather than a `count`.
+    /// Whether the request is a `batch`, answered as one `batch N` list
+    /// even for a single query, rather than a `count`.
     pub(crate) batch: bool,
-    /// Every query's conditions, query after query.
-    conditions: Vec<(&'a str, &'a str)>,
-    /// Where each query's conditions end in `conditions`.
-    ends: Vec<usize>,
+    source: Source<'a>,
+}
+
+/// Where the conditions of [`Queries`] come from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// The body of a line after its verb (the whole line for a query
+    /// with no verb).
+    Line(&'a str),
+    /// Owned wire queries, tokenized when they were parsed.
+    Wire(&'a [WireQuery]),
+}
+
+/// One step of [`Queries::walk`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Token<'a> {
+    /// A `(column, value)` condition of the current query.
+    Condition(&'a str, &'a str),
+    /// The end of the current query.
+    End,
 }
 
 impl<'a> Queries<'a> {
     /// Borrows owned wire queries.
     pub(crate) fn of_wire(batch: bool, queries: &'a [WireQuery]) -> Self {
-        let mut spans = Self {
+        Self {
             batch,
-            ..Self::default()
-        };
-        for q in queries {
-            spans
-                .conditions
-                .extend(q.conditions.iter().map(|(c, v)| (c.as_str(), v.as_str())));
-            spans.ends.push(spans.conditions.len());
+            source: Source::Wire(queries),
         }
-        spans
     }
 
-    /// The one tokenizer of query and record bodies: appends the
-    /// whitespace-separated `Column=value` tokens of `body` (the `count`
-    /// verb already stripped if present) as one query, each split at its
-    /// first `=`. At least one condition is required.
-    fn push_query(&mut self, body: &'a str) -> Result<(), ProtocolError> {
-        let start = self.conditions.len();
-        let mut rest = body.trim_start();
-        while !rest.is_empty() {
-            let (token, tail, eq) = split_token(rest);
-            let Some((col, value)) = eq.and_then(|eq| token.get(..eq).zip(token.get(eq + 1..)))
-            else {
-                return Err(bad(format!("expected Column=value, got `{token}`")));
-            };
-            if col.is_empty() || value.is_empty() {
-                return Err(bad(format!("empty column or value in `{token}`")));
-            }
-            self.conditions.push((col, value));
-            rest = tail.trim_start();
+    /// The one query of a `count` body.
+    fn single(body: &'a str) -> Self {
+        Self {
+            batch: false,
+            source: Source::Line(body),
         }
-        if self.conditions.len() == start {
-            return Err(bad("empty query; try `count Column=value ... SA=value`"));
-        }
-        self.ends.push(self.conditions.len());
-        Ok(())
-    }
-
-    /// The conditions of a one-query body.
-    fn single(body: &'a str) -> Result<Self, ProtocolError> {
-        let mut spans = Self::default();
-        spans.push_query(body)?;
-        Ok(spans)
     }
 
     /// The queries of a `batch` body: `;`-separated parts, each with an
     /// optional `count ` verb.
-    fn batch(body: &'a str) -> Result<Self, ProtocolError> {
-        let mut spans = Self {
+    fn batch(body: &'a str) -> Self {
+        Self {
             batch: true,
-            ..Self::default()
-        };
-        for part in body.split(';') {
-            let part = part.trim();
-            spans.push_query(part.strip_prefix("count ").unwrap_or(part))?;
+            source: Source::Line(body),
         }
-        Ok(spans)
     }
 
-    /// The number of queries.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+    /// Upper bounds on the number of queries and of conditions, for
+    /// sizing a request's buffers once: a line body holds at most one
+    /// query more than it has `;` and at most one condition per `=`.
+    pub(crate) fn bounds(&self) -> (usize, usize) {
+        match self.source {
+            Source::Line(body) => {
+                let (mut semicolons, mut equals) = (0, 0);
+                for &b in body.as_bytes() {
+                    semicolons += usize::from(b == b';');
+                    equals += usize::from(b == b'=');
+                }
+                (semicolons + 1, equals)
+            }
+            Source::Wire(queries) => (
+                queries.len(),
+                queries.iter().map(|q| q.conditions.len()).sum(),
+            ),
+        }
     }
 
-    /// Each query's conditions, in line order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(&'a str, &'a str)]> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| self.conditions.get(start..end).unwrap_or_default())
+    /// Walks every query in request order: `f` gets each condition, then
+    /// [`Token::End`] after each query. A line body is tokenized here, in
+    /// this one pass, so its first malformed token stops the walk with
+    /// that parse error; owned queries never fail.
+    pub(crate) fn walk(&self, mut f: impl FnMut(Token<'a>)) -> Result<(), ProtocolError> {
+        match self.source {
+            Source::Wire(queries) => {
+                for q in queries {
+                    for (col, value) in &q.conditions {
+                        f(Token::Condition(col, value));
+                    }
+                    f(Token::End);
+                }
+                Ok(())
+            }
+            Source::Line(body) if !self.batch => walk_query(body, &mut f),
+            Source::Line(body) => body.split(';').try_for_each(|part| {
+                let part = part.trim();
+                walk_query(part.strip_prefix("count ").unwrap_or(part), &mut f)
+            }),
+        }
     }
 
     /// The owned wire queries.
-    fn to_wire(&self) -> Vec<WireQuery> {
-        self.iter()
-            .map(|q| WireQuery {
-                conditions: q
-                    .iter()
-                    .map(|&(c, v)| (c.to_string(), v.to_string()))
-                    .collect(),
-            })
-            .collect()
+    fn to_wire(self) -> Result<Vec<WireQuery>, ProtocolError> {
+        let mut wire = Vec::new();
+        let mut query = WireQuery::default();
+        self.walk(|token| match token {
+            Token::Condition(col, value) => {
+                query.conditions.push((col.to_string(), value.to_string()));
+            }
+            Token::End => wire.push(std::mem::take(&mut query)),
+        })?;
+        Ok(wire)
     }
+}
+
+/// The one tokenizer of query and record bodies: hands `f` the
+/// whitespace-separated `Column=value` tokens of `body` (the `count` verb
+/// already stripped if present), each split at its first `=`, then
+/// [`Token::End`]. At least one condition is required.
+fn walk_query<'a>(body: &'a str, f: &mut impl FnMut(Token<'a>)) -> Result<(), ProtocolError> {
+    let mut rest = body.trim_start();
+    if rest.is_empty() {
+        return Err(bad("empty query; try `count Column=value ... SA=value`"));
+    }
+    while !rest.is_empty() {
+        let (token, tail, eq) = split_token(rest);
+        let Some((col, value)) = eq.and_then(|eq| token.get(..eq).zip(token.get(eq + 1..))) else {
+            return Err(bad(format!("expected Column=value, got `{token}`")));
+        };
+        if col.is_empty() || value.is_empty() {
+            return Err(bad(format!("empty column or value in `{token}`")));
+        }
+        f(Token::Condition(col, value));
+        rest = tail.trim_start();
+    }
+    f(Token::End);
+    Ok(())
+}
+
+/// The `(column, value)` fields of a one-query body, owned.
+fn owned_pairs(body: &str) -> Result<Vec<(String, String)>, ProtocolError> {
+    let mut pairs = Vec::new();
+    walk_query(body, &mut |token| {
+        if let Token::Condition(col, value) = token {
+            pairs.push((col.to_string(), value.to_string()));
+        }
+    })?;
+    Ok(pairs)
 }
 
 /// Splits the token that opens `s` from the rest of `s` at the token's
@@ -570,13 +622,13 @@ impl Request {
     /// lines and [`ErrorCode::UnknownCommand`] when the first token is
     /// neither a verb nor a `Column=value` condition.
     pub fn parse(line: &str) -> Result<Option<Self>, ProtocolError> {
-        Ok(Line::parse(line)?.map(Line::into_request))
+        Line::parse(line)?.map(Line::into_request).transpose()
     }
 }
 
 /// One request line as a session parses it: a `count` or `batch` line
-/// keeps its conditions borrowed from the line, any other line is an
-/// owned [`Request`].
+/// keeps its body borrowed from the line, to be tokenized as it is
+/// resolved; any other line is an owned [`Request`].
 #[derive(Debug)]
 pub(crate) enum Line<'a> {
     /// A `count` or `batch` line, qualified with `@release` or not.
@@ -633,10 +685,10 @@ impl<'a> Line<'a> {
     ) -> Result<Self, ProtocolError> {
         let base = if base == "exit" { "quit" } else { base };
         let queries = match base {
-            "count" => Queries::single(rest)?,
+            "count" => Queries::single(rest),
             "batch" if rest.is_empty() => return Err(bad("empty batch")),
-            "batch" => Queries::batch(rest)?,
-            _ if verb.contains('=') => Queries::single(line)?,
+            "batch" => Queries::batch(rest),
+            _ if verb.contains('=') => Queries::single(line),
             _ => {
                 let request = Self::parse_other(verb, base, rest)?;
                 return Ok(Line::Request(qualify(release, request)));
@@ -671,7 +723,9 @@ impl<'a> Line<'a> {
                     "empty record; try `insert Column=value ...` covering every column",
                 ));
             }
-            "insert" => Request::Insert(WireRecord::new(Queries::single(rest)?.conditions)),
+            "insert" => Request::Insert(WireRecord {
+                fields: owned_pairs(rest)?,
+            }),
             _ => {
                 return Err(ProtocolError::new(
                     ErrorCode::UnknownCommand,
@@ -683,20 +737,20 @@ impl<'a> Line<'a> {
         })
     }
 
-    /// The owned request.
-    fn into_request(self) -> Request {
+    /// The owned request; a `count` or `batch` body is tokenized here.
+    fn into_request(self) -> Result<Request, ProtocolError> {
         let (release, queries) = match self {
-            Line::Request(request) => return request,
+            Line::Request(request) => return Ok(request),
             Line::Queries { release, queries } => (release, queries),
         };
-        let wire = queries.to_wire();
+        let wire = queries.to_wire()?;
         let request = if queries.batch {
             Request::Batch(wire)
         } else {
             // A `count` line holds exactly one query.
             Request::Query(wire.into_iter().next().unwrap_or_default())
         };
-        qualify(release, request)
+        Ok(qualify(release, request))
     }
 }
 
@@ -1175,14 +1229,23 @@ const ANSWER_BYTES: usize = 176;
 impl Response {
     /// Encodes the canonical line for this response (no trailing newline).
     pub fn encode(&self) -> String {
-        // One allocation for the whole line and the `\n` a session appends
-        // to it: a batch is sized from its answer count, any other line as
-        // one answer (a `metrics` line may still grow).
+        // One allocation for the whole line and the `\n` a caller may
+        // append to it: a batch is sized from its answer count, any other
+        // line as one answer (a `metrics` line may still grow).
         let answers = match self {
             Response::Batch(answers) => answers.len(),
             _ => 1,
         };
         let mut out = String::with_capacity(16 + answers * ANSWER_BYTES + 1);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the canonical line for this response (no trailing newline)
+    /// to `out`, exactly the bytes of [`Response::encode`]. A session
+    /// encodes every response into one buffer it reuses, so a line
+    /// allocates only when it outgrows every line before it.
+    pub fn encode_into(&self, out: &mut String) {
         match self {
             Response::Hello {
                 version,
@@ -1192,31 +1255,32 @@ impl Response {
                 p,
                 release,
             } => {
-                put(&mut out, format_args!("HELLO rp/{version}"));
-                sa.put("sa", &mut out);
-                records.put("records", &mut out);
-                groups.put("groups", &mut out);
-                p.put("p", &mut out);
-                release.put("release", &mut out);
+                put(out, format_args!("HELLO rp/{version}"));
+                sa.put("sa", out);
+                records.put("records", out);
+                groups.put("groups", out);
+                p.put("p", out);
+                release.put("release", out);
             }
             Response::Answer(a) => {
-                a.put("", &mut out);
-                out.remove(0); // the answer opens its line: no separator
+                let start = out.len();
+                a.put("", out);
+                out.remove(start); // the answer opens its line: no separator
             }
-            Response::Batch(answers) => put_list(&mut out, "batch", answers),
-            Response::Releases(entries) => put_list(&mut out, "releases", entries),
+            Response::Batch(answers) => put_list(out, "batch", answers),
+            Response::Releases(entries) => put_list(out, "releases", entries),
             Response::Metrics {
                 counters,
                 histograms,
             } => {
                 let (nc, nh) = (counters.len(), histograms.len());
-                put(&mut out, format_args!("metrics counters={nc} hists={nh}"));
+                put(out, format_args!("metrics counters={nc} hists={nh}"));
                 for (name, value) in counters {
-                    put(&mut out, format_args!(" c:{name}={value}"));
+                    put(out, format_args!(" c:{name}={value}"));
                 }
                 for h in histograms {
                     put(
-                        &mut out,
+                        out,
                         format_args!(
                             " h:{}={}:{}:{}:{}:{}:{}",
                             h.name,
@@ -1231,17 +1295,16 @@ impl Response {
                 }
             }
             Response::Trace(events) => {
-                put(&mut out, format_args!("trace n={}", events.len()));
+                put(out, format_args!("trace n={}", events.len()));
                 for e in events {
-                    e.put("", &mut out);
+                    e.put("", out);
                 }
             }
             Response::Error { code, message } => {
-                put(&mut out, format_args!("error code={code} {message}"));
+                put(out, format_args!("error code={code} {message}"));
             }
-            keyed => keyed.put_keyed(&mut out),
+            keyed => keyed.put_keyed(out),
         }
-        out
     }
 
     /// Parses one response line (the client side of the protocol).
@@ -1481,7 +1544,14 @@ mod tests {
             picks in proptest::collection::vec(0usize..TOKEN_PIECES.len(), 0..24),
         ) {
             let body: String = picks.iter().map(|&i| TOKEN_PIECES[i]).collect();
-            let scanned = Queries::single(&body).map(|q| q.conditions);
+            let mut conditions = Vec::new();
+            let scanned = Queries::single(&body)
+                .walk(|token| {
+                    if let Token::Condition(col, value) = token {
+                        conditions.push((col, value));
+                    }
+                })
+                .map(|()| conditions);
             proptest::prop_assert_eq!(scanned, reference_tokens(&body), "{:?}", body);
         }
     }

@@ -25,8 +25,10 @@
 //! ```
 //!
 //! The loop reads each line with `read_until` into one reused byte
-//! buffer and writes each encoded response with one `write_all`, then
-//! flushes. Protocol-level failures answer a structured `error code=...`
+//! buffer, encodes each response into one reused text buffer
+//! ([`crate::protocol::Response::encode_into`]), so a session allocates
+//! for neither once its longest line has been seen, and writes it with
+//! one `write_all`, then flushes. Protocol-level failures answer a structured `error code=...`
 //! line and the loop keeps serving — a bad request must never take a
 //! session down. That includes a line that is not valid UTF-8: it answers
 //! `error code=parse request line is not valid UTF-8`, counts as an error
@@ -73,6 +75,7 @@ pub fn serve<R: BufRead, W: Write>(
     writeln!(output, "{}", banner.encode())?;
     output.flush()?;
     let mut line = Vec::new();
+    let mut text = String::new();
     while !banner.is_error() {
         line.clear();
         if input.read_until(b'\n', &mut line)? == 0 {
@@ -88,7 +91,8 @@ pub fn serve<R: BufRead, W: Write>(
         };
         let encode = &obs.histograms.serve_encode;
         let t0 = obs.sampled_start(encode);
-        let mut text = response.encode();
+        text.clear();
+        response.encode_into(&mut text);
         if let Some(t0) = t0 {
             encode.record(obs.now_ns().saturating_sub(t0));
         }

@@ -54,13 +54,13 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rp_table::CountQuery;
+use rp_table::{AttrId, CountQuery, Term};
 
-use crate::engine::{Answer, QueryEngine};
+use crate::engine::{Answer, QueryEngine, ResolvedQueries};
 use crate::obs::{metric_set, Counter};
 use crate::protocol::{
-    ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer,
-    WireRecord,
+    ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, Token,
+    WireAnswer, WireRecord,
 };
 use crate::publication::Publication;
 use crate::stream::{StreamError, StreamPublisher};
@@ -405,14 +405,20 @@ impl QueryService {
 
     /// Answers the queries of one routed `count` or `batch` line and
     /// counts the request, like [`QueryService::handle`].
+    ///
+    /// # Errors
+    ///
+    /// The parse error of a malformed body, found as it is walked. Nothing
+    /// was answered or counted: the caller reports it as a line that did
+    /// not parse.
     pub(crate) fn handle_queries(
         &self,
         queries: &Queries<'_>,
         session: &mut SessionStats,
-    ) -> Response {
-        let response = self.answer(queries, session);
+    ) -> Result<Response, ProtocolError> {
+        let response = self.answer(queries, session)?;
         self.count(&response, session);
-        response
+        Ok(response)
     }
 
     /// Charges one answered request to `session` and to this release's
@@ -462,10 +468,14 @@ impl QueryService {
                         .collect(),
                 )
             }
-            Request::Query(q) => {
-                self.answer(&Queries::of_wire(false, std::slice::from_ref(q)), session)
-            }
-            Request::Batch(queries) => self.answer(&Queries::of_wire(true, queries), session),
+            // Owned queries were tokenized when they were parsed, so
+            // walking them cannot fail.
+            Request::Query(q) => self
+                .answer(&Queries::of_wire(false, std::slice::from_ref(q)), session)
+                .unwrap_or_else(Response::from),
+            Request::Batch(queries) => self
+                .answer(&Queries::of_wire(true, queries), session)
+                .unwrap_or_else(Response::from),
             Request::Insert(record) => match self.insert(record, session) {
                 Ok(r) => r,
                 Err(e) => Response::from(e),
@@ -644,17 +654,6 @@ impl QueryService {
         }
     }
 
-    /// Resolves one query's `(column, value)` conditions against the
-    /// engine schema, splitting the SA condition out of the NA conditions.
-    fn resolve(&self, conditions: &[(&str, &str)]) -> Result<CountQuery, ProtocolError> {
-        self.engine
-            .query_from_values(conditions)
-            .map_err(|e| ProtocolError {
-                code: ErrorCode::BadQuery,
-                message: e.to_string(),
-            })
-    }
-
     /// Locks the live view for answering: the stream publisher on a
     /// streaming service, `None` on a static one.
     fn live_view(&self) -> Result<Option<MutexGuard<'_, StreamPublisher>>, ProtocolError> {
@@ -664,24 +663,18 @@ impl QueryService {
             .transpose()
     }
 
-    /// Answers one canonical query against the served view: base-release
-    /// counts (bitmap-indexed) plus, given the caller's locked `live`
-    /// view, the live groups' counts, estimated over the union.
-    fn compute(
-        &self,
-        key: &CountQuery,
-        live: Option<&StreamPublisher>,
-    ) -> Result<Answer, ProtocolError> {
-        let (mut support, mut observed) = self.engine.counts(key).map_err(|e| ProtocolError {
-            code: ErrorCode::BadQuery,
-            message: e.to_string(),
-        })?;
+    /// Answers one resolved query, NA `terms` and SA code `sa`, against
+    /// the served view: base-release counts plus, given the caller's
+    /// locked `live` view, the live groups' counts, estimated over the
+    /// union.
+    fn compute(&self, terms: &[(AttrId, Term)], sa: u32, live: Option<&StreamPublisher>) -> Answer {
+        let (mut support, mut observed) = self.engine.counts_terms(terms, sa);
         if let Some(publisher) = live {
-            let (live_support, live_observed) = publisher.live_support_observed(key);
+            let (live_support, live_observed) = publisher.live_support_observed_terms(terms, sa);
             support += live_support;
             observed += live_observed;
         }
-        Ok(self.engine.answer_from_counts(support, observed))
+        self.engine.answer_from_counts(support, observed)
     }
 
     /// Records a cache miss and stores the freshly computed answer.
@@ -691,27 +684,73 @@ impl QueryService {
         self.cache_guard().insert(key, answer);
     }
 
-    /// The response to a `count` line (one query, answered through the
-    /// cache) or a `batch` line (every query, bypassing it).
-    fn answer(&self, queries: &Queries<'_>, session: &mut SessionStats) -> Response {
+    /// The response to a `count` request (one query, answered through the
+    /// cache) or a `batch` request (every query, bypassing it). Every
+    /// condition is resolved through the engine's condition index as the
+    /// request is walked, into one buffer sized once for the request; the
+    /// first failing query fails the request, and in a batch the message
+    /// names it. A streaming release resolves every query before it takes
+    /// the stream lock.
+    ///
+    /// # Errors
+    ///
+    /// The parse error of a malformed line body (see
+    /// [`QueryService::handle_queries`]); it wins over any resolve
+    /// failure, so the walk goes on to the end of the line after one.
+    fn answer(
+        &self,
+        queries: &Queries<'_>,
+        session: &mut SessionStats,
+    ) -> Result<Response, ProtocolError> {
+        let (max_queries, max_conditions) = queries.bounds();
+        let mut resolved = ResolvedQueries::with_capacity(max_queries, max_conditions);
+        let mut failed = None;
+        queries.walk(|token| {
+            if failed.is_some() {
+                return;
+            }
+            let step = match token {
+                Token::Condition(col, value) => {
+                    self.engine.resolve_condition(&mut resolved, col, value)
+                }
+                Token::End => self.engine.end_query(&mut resolved),
+            };
+            failed = step.err();
+        })?;
+        if let Some(e) = failed {
+            let message = if queries.batch {
+                format!("query {}: {e}", resolved.len() + 1)
+            } else {
+                e.to_string()
+            };
+            return Ok(Response::Error {
+                code: ErrorCode::BadQuery,
+                message,
+            });
+        }
         let answered = if queries.batch {
-            self.answer_batch(queries).map(Response::Batch)
+            self.answer_batch(&resolved).map(Response::Batch)
         } else {
-            let conditions = queries.iter().next().unwrap_or_default();
-            self.answer_single(conditions, session)
-                .map(Response::Answer)
+            self.answer_single(&resolved, session).map(Response::Answer)
         };
-        answered.unwrap_or_else(Response::from)
+        Ok(answered.unwrap_or_else(Response::from))
     }
 
     fn answer_single(
         &self,
-        conditions: &[(&str, &str)],
+        resolved: &ResolvedQueries,
         session: &mut SessionStats,
     ) -> Result<WireAnswer, ProtocolError> {
-        // The resolved query is canonical (NA terms sorted by attribute),
-        // so it is the cache key as it stands.
-        let key = self.resolve(conditions)?;
+        let (terms, sa) = resolved.iter().next().unwrap_or_default();
+        // The canonical query (NA terms sorted by attribute) is the cache
+        // key.
+        let key = self
+            .engine
+            .canonical_query(terms, sa)
+            .map_err(|e| ProtocolError {
+                code: ErrorCode::BadQuery,
+                message: e.to_string(),
+            })?;
         if self.cache_capacity > 0 {
             // Sampled lookup timing; the same 1-in-8 decision gates the
             // cache hit/miss trace events so tracing stays off the
@@ -741,26 +780,20 @@ impl QueryService {
         // the locks in the same stream→cache order, so no deadlock. A
         // static release holds no lock: its engine is immutable.
         let live = self.live_view()?;
-        let answer = self.compute(&key, live.as_deref())?;
+        let answer = self.compute(terms, sa, live.as_deref());
         if self.cache_capacity > 0 {
             self.cache_miss(key, answer, session);
         }
         Ok(WireAnswer::from(&answer))
     }
 
-    fn answer_batch(&self, queries: &Queries<'_>) -> Result<Vec<WireAnswer>, ProtocolError> {
-        let mut resolved = Vec::with_capacity(queries.len());
-        for (i, conditions) in queries.iter().enumerate() {
-            let query = self.resolve(conditions).map_err(|e| ProtocolError {
-                code: e.code,
-                message: format!("query {}: {}", i + 1, e.message),
-            })?;
-            resolved.push(query);
-        }
+    /// Every query of a resolved batch, answered under one hold of the
+    /// live view into a list sized once.
+    fn answer_batch(&self, resolved: &ResolvedQueries) -> Result<Vec<WireAnswer>, ProtocolError> {
         let live = self.live_view()?;
         let mut answers = Vec::with_capacity(resolved.len());
-        for query in &resolved {
-            answers.push(WireAnswer::from(&self.compute(query, live.as_deref())?));
+        for (terms, sa) in resolved.iter() {
+            answers.push(WireAnswer::from(&self.compute(terms, sa, live.as_deref())));
         }
         Ok(answers)
     }

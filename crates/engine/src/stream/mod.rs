@@ -100,7 +100,9 @@ use std::path::Path;
 use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::perturb::UniformPerturbation;
 use rp_core::privacy::PrivacyParams;
-use rp_table::{group_histograms, AttrId, CountQuery, Schema, TableBuilder, TableError};
+use rp_table::{
+    group_histograms, terms_match_key, AttrId, CountQuery, Schema, TableBuilder, TableError, Term,
+};
 
 use crate::fault::{self, FaultHandle};
 use crate::publication::{GroupState, LiveState, Publication, PublicationError};
@@ -445,7 +447,22 @@ impl StreamPublisher {
             .collect();
         let (base, base_keys, live_state) = split_artifact(artifact, &na)?;
         let schema = base.schema().clone();
-        let covered = live_state.as_ref().map_or(0, |l| l.wal_seq);
+        // The last event the artifact's live section covers: `None` when
+        // it covers none (no live section, or one taken before the first
+        // event), which is a clean start. A section that covers no event
+        // can hold no live group; one that lists groups would be merged
+        // with a compacted log's state records and replay their events a
+        // second time, so it is refused.
+        let covered = match &live_state {
+            Some(l) if l.wal_seq == 0 && !l.groups.is_empty() => {
+                return Err(StreamError::Mismatch(format!(
+                    "the artifact's live section covers no event yet lists {} live groups",
+                    l.groups.len()
+                )));
+            }
+            Some(l) => Some(l.wal_seq).filter(|&seq| seq > 0),
+            None => None,
+        };
         let header = WalHeader {
             seed: base.seed(),
             p: base.p(),
@@ -453,7 +470,7 @@ impl StreamPublisher {
             sa,
             schema: schema.clone(),
             base_rows: base.table().rows(),
-            first_seq: covered + 1,
+            first_seq: covered.map_or(1, |seq| seq + 1),
         };
         let mut live = LiveGroups::new(&header);
         if let Some(l) = live_state {
@@ -473,35 +490,38 @@ impl StreamPublisher {
         };
         if let Some(file) = file {
             if let Some(compaction) = file.compaction {
-                if covered == 0 {
+                match covered {
                     // Clean start on a compacted log: the state records
                     // stand in for the absorbed events.
-                    live.resume(
+                    None => live.resume(
                         compaction.floor_seq,
                         compaction.absorbed_inserts,
                         compaction.absorbed_republishes,
                         compaction.groups,
-                    )?;
-                } else if covered < compaction.floor_seq {
+                    )?,
                     // The snapshot's cursor falls strictly inside the
                     // absorbed range: those events no longer exist
                     // individually, so a partial replay is impossible.
                     // Refuse rather than guess.
-                    return Err(StreamError::Mismatch(format!(
-                        "snapshot covers events through {covered} but the WAL at {} is \
-                         compacted through {}: resume from the base artifact or from a \
-                         snapshot taken at or past the compaction floor",
-                        wal_path.display(),
-                        compaction.floor_seq
-                    )));
+                    Some(covered) if covered < compaction.floor_seq => {
+                        return Err(StreamError::Mismatch(format!(
+                            "snapshot covers events through {covered} but the WAL at {} is \
+                             compacted through {}: resume from the base artifact or from a \
+                             snapshot taken at or past the compaction floor",
+                            wal_path.display(),
+                            compaction.floor_seq
+                        )));
+                    }
+                    // covered >= floor: the snapshot supersedes the whole
+                    // compaction section; only retained events past the
+                    // cursor replay below.
+                    Some(_) => {}
                 }
-                // covered >= floor: the snapshot supersedes the whole
-                // compaction section; only retained events past the
-                // cursor replay below.
             }
             let obs = crate::obs::global();
             let _replay_span = obs.span(&obs.histograms.stream_replay);
             let mut replayed: u64 = 0;
+            let covered = covered.unwrap_or(0);
             for event in &file.events {
                 if event.seq() > covered {
                     live.apply(event)?;
@@ -875,11 +895,21 @@ impl StreamPublisher {
     /// conditions — the live half of an answer (the base half comes from
     /// the [`crate::QueryEngine`] over the base release).
     pub fn live_support_observed(&self, query: &CountQuery) -> (u64, u64) {
-        let sa_value = query.sa_value() as usize;
+        self.live_support_observed_terms(query.na_pattern().terms(), query.sa_value())
+    }
+
+    /// [`StreamPublisher::live_support_observed`] over borrowed NA `terms`
+    /// and SA code `sa`, the form a served line is resolved into.
+    pub(crate) fn live_support_observed_terms(
+        &self,
+        terms: &[(AttrId, Term)],
+        sa: u32,
+    ) -> (u64, u64) {
+        let sa_value = sa as usize;
         let mut support = 0u64;
         let mut observed = 0u64;
         for g in self.live.groups() {
-            if self.key_matches(&g.key, query) {
+            if terms_match_key(terms, &self.na, &g.key) {
                 support += g.published_hist.iter().sum::<u64>();
                 observed += g.published_hist[sa_value];
             }
@@ -1179,11 +1209,11 @@ mod tests {
     }
 
     #[test]
-    fn a_group_resumed_twice_is_a_typed_error() {
-        // A live section that claims `wal_seq = 0` yet lists groups takes
-        // the clean-start branch on a compacted log, which also resumes
-        // the log's state records: a key held by both is refused, never
-        // merged.
+    fn a_live_section_at_event_zero_listing_groups_is_refused() {
+        // A live section that claims `wal_seq = 0` yet lists groups would
+        // take the clean-start branch on a compacted log, which also
+        // resumes the log's state records; it is refused on open, before
+        // any key held by both could be resumed twice.
         let wal = tmp("resumed-twice.rpwal");
         let mut live =
             StreamPublisher::open(base_publication(), &wal, StreamConfig::default()).unwrap();
@@ -1199,7 +1229,7 @@ mod tests {
         let forged = snapshot.clone().with_live(forged_live);
         let err = StreamPublisher::open(forged, &wal, StreamConfig::default()).unwrap_err();
         assert!(matches!(err, StreamError::Mismatch(_)), "{err}");
-        assert!(err.to_string().contains("resumed twice"), "{err}");
+        assert!(err.to_string().contains("covers no event"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use rp_engine::QueryEngine;
 use rp_stats::summary::{relative_error, OnlineStats};
 
 use crate::config::PreparedDataset;
-use crate::error::{build_pool, ErrorProtocol};
+use crate::error::{build_pool, mean_relative_error, ErrorProtocol};
 
 /// A per-run producer of perturbed per-group histograms.
 type HistogramProducer = Box<dyn FnMut(&mut StdRng) -> Vec<Vec<u64>>>;
@@ -80,8 +80,7 @@ pub fn run(
         for _ in 0..protocol.runs {
             let engine = QueryEngine::from_histograms(groups, make_hists(rng), schema, answer_p);
             err.push(
-                engine
-                    .mean_relative_error(&pool)
+                mean_relative_error(&engine, &pool)
                     .expect("pool queries fit the generalized schema"),
             );
         }

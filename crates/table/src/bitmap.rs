@@ -12,7 +12,9 @@
 //! matcher behind `rp-core`'s `GroupedView`, where each bit stands for one
 //! personal group.
 
-use crate::predicate::{Pattern, Term};
+#[cfg(doc)]
+use crate::predicate::Pattern;
+use crate::predicate::Term;
 use crate::schema::AttrId;
 
 /// Per-`(attribute, code)` selection bitmaps over a sequence of coded
@@ -79,14 +81,20 @@ impl BitmapIndex {
     }
 
     /// The one matcher: calls `f(w, word)` for each 64-position word `w`
-    /// of the pattern's match set, in ascending order. Each word is the
+    /// of the pattern's match set, in ascending order. The pattern is a
+    /// [`Pattern`] or its bare `(attribute, term)` slice. Each word is the
     /// AND of the words of the bitmaps named by the pattern's equality
     /// terms, computed into a stack buffer a chunk of words at a time, so
     /// no bitmap is cloned or allocated. A pattern that constrains no
     /// indexed attribute matches every position; a code outside the
     /// indexed domain matches none, and `f` is never called. Bits past
     /// [`BitmapIndex::len`] are always clear.
-    pub fn for_each_match_word(&self, pattern: &Pattern, mut f: impl FnMut(usize, u64)) {
+    pub fn for_each_match_word(
+        &self,
+        pattern: &(impl AsRef<[(AttrId, Term)]> + ?Sized),
+        mut f: impl FnMut(usize, u64),
+    ) {
+        let terms = pattern.as_ref();
         const CHUNK_WORDS: usize = 64;
         let words = self.len.div_ceil(64);
         let mut buf = [0u64; CHUNK_WORDS];
@@ -95,7 +103,7 @@ impl BitmapIndex {
             chunk.fill(u64::MAX);
             // Every chunk reads every term, so an out-of-domain code is
             // seen in the first chunk, before `f` is first called.
-            for &(attr, term) in pattern.terms() {
+            for &(attr, term) in terms {
                 let Term::Value(code) = term else { continue };
                 let Some(pos) = self.attrs.iter().position(|&a| a == attr) else {
                     continue;
@@ -118,7 +126,11 @@ impl BitmapIndex {
 
     /// Calls `f(position)` for each position matching the pattern, in
     /// ascending order (see [`BitmapIndex::for_each_match_word`]).
-    pub fn for_each_match(&self, pattern: &Pattern, mut f: impl FnMut(usize)) {
+    pub fn for_each_match(
+        &self,
+        pattern: &(impl AsRef<[(AttrId, Term)]> + ?Sized),
+        mut f: impl FnMut(usize),
+    ) {
         self.for_each_match_word(pattern, |w, mut word| {
             while word != 0 {
                 f(w * 64 + word.trailing_zeros() as usize);
@@ -131,6 +143,7 @@ impl BitmapIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Pattern;
     use crate::query::CountQuery;
     use crate::schema::{Attribute, Schema};
     use crate::table::{Table, TableBuilder};

@@ -48,7 +48,7 @@ pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
 pub use error::TableError;
 pub use group::{group_by_hash, group_by_sort, group_histograms, Group, Grouping};
-pub use predicate::{Pattern, Term};
+pub use predicate::{terms_match_key, Pattern, Term};
 pub use query::CountQuery;
 pub use schema::{AttrId, Attribute, Schema};
 pub use table::{Column, RunWriter, Table, TableBuilder};

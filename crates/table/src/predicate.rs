@@ -135,13 +135,25 @@ impl Pattern {
     /// Whether a group key (codes over `attrs`, in the same order) satisfies
     /// the pattern. Attributes absent from `attrs` are treated as wildcards.
     pub fn matches_key(&self, attrs: &[AttrId], key: &[u32]) -> bool {
-        self.terms.iter().all(
-            |&(attr, term)| match attrs.iter().position(|&a| a == attr) {
-                Some(i) => term.matches(key[i]),
-                None => true,
-            },
-        )
+        terms_match_key(&self.terms, attrs, key)
     }
+}
+
+impl AsRef<[(AttrId, Term)]> for Pattern {
+    fn as_ref(&self) -> &[(AttrId, Term)] {
+        &self.terms
+    }
+}
+
+/// [`Pattern::matches_key`] over a bare `(attribute, term)` slice, so a
+/// caller holding terms need not build a [`Pattern`].
+pub fn terms_match_key(terms: &[(AttrId, Term)], attrs: &[AttrId], key: &[u32]) -> bool {
+    terms.iter().all(
+        |&(attr, term)| match attrs.iter().position(|&a| a == attr) {
+            Some(i) => term.matches(key[i]),
+            None => true,
+        },
+    )
 }
 
 #[cfg(test)]

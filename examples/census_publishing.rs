@@ -16,6 +16,7 @@ use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
 use rp_datagen::querypool::{QueryPool, QueryPoolConfig};
 use rp_engine::QueryEngine;
 use rp_experiments::config::PreparedDataset;
+use rp_experiments::error::mean_relative_error;
 use rp_stats::summary::OnlineStats;
 
 fn main() {
@@ -77,16 +78,8 @@ fn main() {
             schema,
             p,
         );
-        up_err.push(
-            up_engine
-                .mean_relative_error(&pool)
-                .expect("pool fits schema"),
-        );
-        sps_err.push(
-            sps_engine
-                .mean_relative_error(&pool)
-                .expect("pool fits schema"),
-        );
+        up_err.push(mean_relative_error(&up_engine, &pool).expect("pool fits schema"));
+        sps_err.push(mean_relative_error(&sps_engine, &pool).expect("pool fits schema"));
     }
     println!(
         "average relative error over {} runs x {} queries:",

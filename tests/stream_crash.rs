@@ -13,6 +13,9 @@
 //!   crashed writer leaves the *old* snapshot fully intact; a truncated
 //!   artifact never loads as a shorter-but-valid one (the v2 magic is
 //!   declared before the data it promises).
+//! * **Live section** — a snapshot whose live section claims to cover no
+//!   event yet lists groups is refused, never merged with a compacted
+//!   log's state records.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -282,4 +285,55 @@ fn crashed_snapshot_writer_leaves_the_old_snapshot_intact() {
         "a completed save cleans up the temp sibling"
     );
     assert!(Publication::load_from_path(&snap).is_ok());
+}
+
+/// A forged snapshot whose live section claims to cover no event yet
+/// lists groups is refused on a compacted log. Taken as a clean start, it
+/// was merged with the log's state records: the groups it holds were
+/// counted once from it and once more from the log, and the stream
+/// reopened with 2,020 inserted and 2,024 live records where 2,010 and
+/// 2,014 are true.
+#[test]
+fn a_live_section_claiming_no_event_is_refused_on_a_compacted_log() {
+    let wal = tmp("forged-seq-zero.rpwal");
+    let mut live = StreamPublisher::open(base_publication(), &wal, StreamConfig::default())
+        .expect("open a fresh stream");
+    for i in 0..10u32 {
+        live.insert_codes(&[0, 0, i % 3]).expect("insert");
+    }
+    live.flush().expect("flush");
+    let early = live.snapshot();
+    for i in 0..2_000u32 {
+        live.insert_codes(&[1, 1, u32::from(i.is_multiple_of(10))])
+            .expect("insert");
+    }
+    live.flush().expect("flush");
+    let (inserted, records) = (live.inserted(), live.live_records());
+    assert_eq!(inserted, 2_010);
+    let late = live.snapshot();
+    drop(live);
+    let stats = rp_repro::engine::stream::wal::compact_wal(&wal, &wal).expect("compact");
+    assert!(stats.absorbed > 0, "the compaction absorbed events");
+
+    // The latest snapshot and a clean start both recover the true counts.
+    for artifact in [late, base_publication()] {
+        let reopened =
+            StreamPublisher::open(artifact, &wal, StreamConfig::default()).expect("reopen");
+        assert_eq!(
+            (reopened.inserted(), reopened.live_records()),
+            (inserted, records)
+        );
+    }
+
+    let mut forged_live = early.live().expect("a live section").clone();
+    forged_live.wal_seq = 0;
+    let forged = early.clone().with_live(forged_live);
+    match StreamPublisher::open(forged, &wal, StreamConfig::default()) {
+        Err(e) => assert!(e.to_string().contains("covers no event"), "{e}"),
+        Ok(s) => panic!(
+            "a forged live section was merged: {} inserted, {} live records",
+            s.inserted(),
+            s.live_records()
+        ),
+    }
 }
