@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::engine::ResolvedQueries;
 use crate::fault::FaultHandle;
 use crate::protocol::{
     is_release_name, ErrorCode, Line, ProtocolError, Queries, ReleaseEntry, Request, Response,
@@ -536,6 +537,9 @@ pub struct CatalogSession<'a> {
     /// Cached route for the current release: its service, valid while
     /// the tagged epoch matches the catalog's (see the [module docs](self)).
     route: Option<(u64, Arc<QueryService>)>,
+    /// The term buffer every `count` and `batch` line of the session is
+    /// resolved into, reused from line to line.
+    resolved: ResolvedQueries,
 }
 
 impl<'a> CatalogSession<'a> {
@@ -545,6 +549,7 @@ impl<'a> CatalogSession<'a> {
             catalog,
             current: catalog.default.clone(),
             route: None,
+            resolved: ResolvedQueries::default(),
         }
     }
 
@@ -635,15 +640,16 @@ impl<'a> CatalogSession<'a> {
         queries: &Queries<'_>,
         session: &mut SessionStats,
     ) -> Response {
+        let mut resolved = std::mem::take(&mut self.resolved);
         let routed = match release {
             Some(name) => self
                 .catalog
                 .checkout(name)
-                .map(|service| service.handle_queries(queries, session)),
+                .map(|service| service.handle_queries(queries, &mut resolved, session)),
             // The routed release is the current one: charge it here.
             None => self.with_current(|service| {
                 Ok(service
-                    .handle_queries(queries, session)
+                    .handle_queries(queries, &mut resolved, session)
                     .unwrap_or_else(|e| {
                         let response = Response::from(e);
                         service.count(&response, session);
@@ -651,6 +657,7 @@ impl<'a> CatalogSession<'a> {
                     }))
             }),
         };
+        self.resolved = resolved;
         match routed {
             Ok(Ok(response)) => response,
             Ok(Err(e)) => self.refuse(e, session),

@@ -175,29 +175,38 @@ impl From<TableError> for EngineError {
     }
 }
 
-/// A fixed, unkeyed hash of a `(column, value)` pair: each string eight
-/// bytes at a time, its length folded in with its last word, so the two
-/// strings of a pair never run together.
-fn pair_hash(column: &str, value: &str) -> u64 {
+/// One step of [`pair_hash`]: `h` mixed with the word `w` by a folded
+/// 64×64→128-bit multiply.
+fn fold(h: u64, w: u64) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h = 0u64;
-    for s in [column, value] {
-        let mut bytes = s.as_bytes();
-        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
-            h = (h ^ u64::from_le_bytes(*word))
-                .wrapping_mul(K)
-                .rotate_left(31);
-            bytes = rest;
-        }
-        let mut tail = [0u8; 8];
-        if let Some(dst) = tail.get_mut(..bytes.len()) {
-            dst.copy_from_slice(bytes);
-        }
-        h = (h ^ u64::from_le_bytes(tail) ^ ((s.len() as u64) << 59))
-            .wrapping_mul(K)
-            .rotate_left(31);
+    let x = u128::from(h ^ w) * u128::from(K);
+    (x as u64) ^ ((x >> 64) as u64)
+}
+
+/// `h` mixed with the length and every byte of `s`: eight bytes at a
+/// time, then a tail of up to seven read as two overlapping four-byte
+/// words (or byte by byte below four), so no byte is copied.
+fn fold_str(h: u64, s: &str) -> u64 {
+    let mut bytes = s.as_bytes();
+    let mut h = fold(h, bytes.len() as u64);
+    while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+        h = fold(h, u64::from_le_bytes(*word));
+        bytes = rest;
     }
-    h ^ (h >> 29)
+    let tail = match (bytes.first_chunk::<4>(), bytes.last_chunk::<4>()) {
+        (Some(lo), Some(hi)) => {
+            u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << 32
+        }
+        _ => bytes.iter().fold(0, |t, &b| t << 8 | u64::from(b)),
+    };
+    fold(h, tail)
+}
+
+/// A fixed, unkeyed hash of a `(column, value)` pair. Each string's
+/// length is mixed in ahead of its bytes, so the two strings of a pair
+/// never run together.
+fn pair_hash(column: &str, value: &str) -> u64 {
+    fold_str(fold_str(0, column), value)
 }
 
 /// A vacant slot of the [`ConditionIndex`].
@@ -259,9 +268,9 @@ impl ConditionIndex {
 
 /// The queries of one request resolved to terms: every query's NA terms
 /// back to back in one buffer, and per query the end of its terms and its
-/// SA code. Sized once from bounds on the request's queries and
-/// conditions, it never grows, so resolving a request allocates the same
-/// whatever its query count.
+/// SA code. A serving session keeps one and clears it for each line, so
+/// once it has held the session's longest line, resolving a line
+/// allocates nothing, whatever its query count.
 #[derive(Debug, Default)]
 pub(crate) struct ResolvedQueries {
     terms: Vec<(AttrId, Term)>,
@@ -278,6 +287,13 @@ impl ResolvedQueries {
             queries: Vec::with_capacity(queries),
             open_sa: None,
         }
+    }
+
+    /// Empties the buffer for the next request, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.terms.clear();
+        self.queries.clear();
+        self.open_sa = None;
     }
 
     /// The number of resolved queries.

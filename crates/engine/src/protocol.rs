@@ -317,26 +317,6 @@ impl<'a> Queries<'a> {
         }
     }
 
-    /// Upper bounds on the number of queries and of conditions, for
-    /// sizing a request's buffers once: a line body holds at most one
-    /// query more than it has `;` and at most one condition per `=`.
-    pub(crate) fn bounds(&self) -> (usize, usize) {
-        match self.source {
-            Source::Line(body) => {
-                let (mut semicolons, mut equals) = (0, 0);
-                for &b in body.as_bytes() {
-                    semicolons += usize::from(b == b';');
-                    equals += usize::from(b == b'=');
-                }
-                (semicolons + 1, equals)
-            }
-            Source::Wire(queries) => (
-                queries.len(),
-                queries.iter().map(|q| q.conditions.len()).sum(),
-            ),
-        }
-    }
-
     /// Walks every query in request order: `f` gets each condition, then
     /// [`Token::End`] after each query. A line body is tokenized here, in
     /// this one pass, so its first malformed token stops the walk with

@@ -60,7 +60,7 @@ use crate::engine::{Answer, QueryEngine, ResolvedQueries};
 use crate::obs::{metric_set, Counter};
 use crate::protocol::{
     ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, Token,
-    WireAnswer, WireRecord,
+    WireAnswer, WireQuery, WireRecord,
 };
 use crate::publication::Publication;
 use crate::stream::{StreamError, StreamPublisher};
@@ -403,7 +403,8 @@ impl QueryService {
         response
     }
 
-    /// Answers the queries of one routed `count` or `batch` line and
+    /// Answers the queries of one routed `count` or `batch` line,
+    /// resolved into the session's reused term buffer `resolved`, and
     /// counts the request, like [`QueryService::handle`].
     ///
     /// # Errors
@@ -414,9 +415,10 @@ impl QueryService {
     pub(crate) fn handle_queries(
         &self,
         queries: &Queries<'_>,
+        resolved: &mut ResolvedQueries,
         session: &mut SessionStats,
     ) -> Result<Response, ProtocolError> {
-        let response = self.answer(queries, session)?;
+        let response = self.answer(queries, resolved, session)?;
         self.count(&response, session);
         Ok(response)
     }
@@ -468,14 +470,8 @@ impl QueryService {
                         .collect(),
                 )
             }
-            // Owned queries were tokenized when they were parsed, so
-            // walking them cannot fail.
-            Request::Query(q) => self
-                .answer(&Queries::of_wire(false, std::slice::from_ref(q)), session)
-                .unwrap_or_else(Response::from),
-            Request::Batch(queries) => self
-                .answer(&Queries::of_wire(true, queries), session)
-                .unwrap_or_else(Response::from),
+            Request::Query(q) => self.answer_wire(false, std::slice::from_ref(q), session),
+            Request::Batch(queries) => self.answer_wire(true, queries, session),
             Request::Insert(record) => match self.insert(record, session) {
                 Ok(r) => r,
                 Err(e) => Response::from(e),
@@ -687,7 +683,7 @@ impl QueryService {
     /// The response to a `count` request (one query, answered through the
     /// cache) or a `batch` request (every query, bypassing it). Every
     /// condition is resolved through the engine's condition index as the
-    /// request is walked, into one buffer sized once for the request; the
+    /// request is walked, into the caller's term buffer `resolved`; the
     /// first failing query fails the request, and in a batch the message
     /// names it. A streaming release resolves every query before it takes
     /// the stream lock.
@@ -700,20 +696,18 @@ impl QueryService {
     fn answer(
         &self,
         queries: &Queries<'_>,
+        resolved: &mut ResolvedQueries,
         session: &mut SessionStats,
     ) -> Result<Response, ProtocolError> {
-        let (max_queries, max_conditions) = queries.bounds();
-        let mut resolved = ResolvedQueries::with_capacity(max_queries, max_conditions);
+        resolved.clear();
         let mut failed = None;
         queries.walk(|token| {
             if failed.is_some() {
                 return;
             }
             let step = match token {
-                Token::Condition(col, value) => {
-                    self.engine.resolve_condition(&mut resolved, col, value)
-                }
-                Token::End => self.engine.end_query(&mut resolved),
+                Token::Condition(col, value) => self.engine.resolve_condition(resolved, col, value),
+                Token::End => self.engine.end_query(resolved),
             };
             failed = step.err();
         })?;
@@ -729,11 +723,26 @@ impl QueryService {
             });
         }
         let answered = if queries.batch {
-            self.answer_batch(&resolved).map(Response::Batch)
+            self.answer_batch(resolved).map(Response::Batch)
         } else {
-            self.answer_single(&resolved, session).map(Response::Answer)
+            self.answer_single(resolved, session).map(Response::Answer)
         };
         Ok(answered.unwrap_or_else(Response::from))
+    }
+
+    /// [`QueryService::answer`] over owned wire queries, resolved into a
+    /// buffer sized for them. They were tokenized when they were parsed,
+    /// so walking them cannot fail.
+    fn answer_wire(
+        &self,
+        batch: bool,
+        queries: &[WireQuery],
+        session: &mut SessionStats,
+    ) -> Response {
+        let conditions = queries.iter().map(|q| q.conditions.len()).sum();
+        let mut resolved = ResolvedQueries::with_capacity(queries.len(), conditions);
+        self.answer(&Queries::of_wire(batch, queries), &mut resolved, session)
+            .unwrap_or_else(Response::from)
     }
 
     fn answer_single(
