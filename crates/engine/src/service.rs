@@ -35,9 +35,12 @@
 //! Batches bypass the answer cache: every query of a `batch` line is
 //! resolved first (a bad one fails the whole line, naming it), then
 //! answered one by one through the same computation as an uncached
-//! `count`, so a batch answer is byte-equal to the single answer. A
-//! streaming batch holds the stream lock across its queries, so every
-//! answer of one line sees the same live view.
+//! `count`, so a batch answer is byte-equal to the single answer. A line
+//! is resolved as it is tokenized, each condition by one probe of the
+//! engine's condition index, into a term buffer the session reuses, and
+//! counted straight from those terms. A streaming batch holds the stream
+//! lock across its queries, taken only once every query is resolved, so
+//! every answer of one line sees the same live view.
 //!
 //! ## Degradation
 //!

@@ -6,7 +6,7 @@
 //! steady-state `count` line and `batch` lines of 1 and of 32 queries are
 //! answered through `CatalogSession::handle_line` and encoded into a
 //! reused buffer, as a serving session does. A `batch` line resolves its
-//! queries into buffers sized once for the line and answers into one
+//! queries into the session's reused term buffer and answers into one
 //! list, so its allocation count must not depend on its query count.
 //! Each line is measured as the fewest allocations over several runs, so
 //! the sampled instrumentation cannot make the count vary.
