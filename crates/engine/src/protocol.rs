@@ -378,17 +378,6 @@ fn walk_query<'a>(body: &'a str, f: &mut impl FnMut(Token<'a>)) -> Result<(), Pr
     Ok(())
 }
 
-/// The `(column, value)` fields of a one-query body, owned.
-fn owned_pairs(body: &str) -> Result<Vec<(String, String)>, ProtocolError> {
-    let mut pairs = Vec::new();
-    walk_query(body, &mut |token| {
-        if let Token::Condition(col, value) = token {
-            pairs.push((col.to_string(), value.to_string()));
-        }
-    })?;
-    Ok(pairs)
-}
-
 /// Splits the token that opens `s` from the rest of `s` at the token's
 /// first whitespace character (as [`char::is_whitespace`] has it), with
 /// the offset of the token's first `=`. Eight bytes are tested at a time
@@ -703,9 +692,12 @@ impl<'a> Line<'a> {
                     "empty record; try `insert Column=value ...` covering every column",
                 ));
             }
-            "insert" => Request::Insert(WireRecord {
-                fields: owned_pairs(rest)?,
-            }),
+            "insert" => {
+                let record = Queries::single(rest).to_wire()?.into_iter().next();
+                Request::Insert(WireRecord {
+                    fields: record.unwrap_or_default().conditions,
+                })
+            }
             _ => {
                 return Err(ProtocolError::new(
                     ErrorCode::UnknownCommand,
