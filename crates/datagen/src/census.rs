@@ -20,9 +20,6 @@ use rand::SeedableRng;
 use rp_stats::sampling::sample_weighted;
 use rp_table::{Attribute, Schema, Table, TableBuilder};
 
-/// Full CENSUS size used by the paper (five samples 100K..500K).
-pub const CENSUS_MAX_ROWS: usize = 500_000;
-
 /// Domain sizes.
 pub mod domain {
     /// Age values.

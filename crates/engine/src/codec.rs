@@ -13,13 +13,15 @@
 //!
 //! A *code row* is tab-separated `u32` dictionary codes: an artifact's
 //! records, a WAL event's codes, a group key. An artifact's records are
-//! read and written as bytes: [`Lines::next_row`] hands each row's bytes
-//! to `TableBuilder::push_code_row`, which parses the digits straight into
-//! the table's columns, and [`write_code_row`] formats them without `fmt`.
-//! A row that parser does not take, like every WAL and group-key code,
-//! goes through [`parse_codes`] as text, so each form `str::parse::<u32>`
-//! accepts (a leading `+`, long runs of leading zeros) still loads and
-//! each rejection carries that parser's exact message.
+//! read and written as bytes: [`Lines::block`] lends the reader's buffered
+//! block to `TableBuilder::push_code_rows`, which parses every whole row
+//! it takes straight into the table's columns, with no copy of the line,
+//! and [`write_code_row`] formats them without `fmt`. A row that parser
+//! does not take, like every WAL and group-key code, goes through
+//! [`parse_codes`] as text, so each form `str::parse::<u32>` accepts (a
+//! leading `+`, long runs of leading zeros, a `\r\n` end) still loads and
+//! each rejection carries that parser's exact message and line. So does a
+//! row that crosses the end of the reader's buffer.
 //!
 //! The module also holds the digit writers. Integers are written by digit
 //! pairs (code rows, and the wire's `u64` fields). Every float that
@@ -552,8 +554,9 @@ pub(crate) fn write_code_row(out: &mut Vec<u8>, codes: impl Iterator<Item = u32>
 
 /// Line reader with position tracking for error messages. Lines are read
 /// as bytes into one reused buffer. A line read as text is checked as
-/// UTF-8, failing with the I/O error `read_line` raises; a record row is
-/// checked only if the byte parser does not take it.
+/// UTF-8, failing with the I/O error `read_line` raises; record rows are
+/// parsed in the reader's own buffer, and one is checked only if the byte
+/// parser does not take it.
 pub(crate) struct Lines<R> {
     inner: R,
     pub(crate) line_no: usize,
@@ -610,21 +613,30 @@ impl<R: BufRead> Lines<R> {
         self.text()
     }
 
-    /// Reads the next line as bytes without its `\n`/`\r` terminator:
-    /// a record row for `TableBuilder::push_code_row`.
-    pub(crate) fn next_row(&mut self) -> Result<&[u8], PublicationError> {
-        self.advance()?;
-        let end = self
-            .buf
-            .iter()
-            .rposition(|&b| b != b'\n' && b != b'\r')
-            .map_or(0, |i| i + 1);
-        Ok(&self.buf[..end])
+    /// The reader's buffered bytes, refilled only when none are left: the
+    /// block `TableBuilder::push_code_rows` parses in place. A row that
+    /// runs past the block's end stays for [`Lines::next_row_codes`]. An
+    /// interrupted read is retried, as `read_until` retries it.
+    pub(crate) fn block(&mut self) -> Result<&[u8], PublicationError> {
+        while let Err(e) = self.inner.fill_buf() {
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e.into());
+            }
+        }
+        Ok(self.inner.fill_buf()?)
     }
 
-    /// Parses the row [`Lines::next_row`] read as text into `codes`
-    /// (cleared first): the path of a row the byte parser did not take.
-    pub(crate) fn row_codes(&self, codes: &mut Vec<u32>) -> Result<(), PublicationError> {
+    /// Consumes the `bytes` of the `rows` whole rows taken from
+    /// [`Lines::block`].
+    pub(crate) fn consume_rows(&mut self, rows: usize, bytes: usize) {
+        self.inner.consume(bytes);
+        self.line_no += rows;
+    }
+
+    /// Reads the next record row and parses it as text into `codes`
+    /// (cleared first): the path of a row the block parser did not take.
+    pub(crate) fn next_row_codes(&mut self, codes: &mut Vec<u32>) -> Result<(), PublicationError> {
+        self.advance()?;
         codes.clear();
         parse_codes(self.text()?.split('\t'), codes).map_err(|message| self.err(message))
     }

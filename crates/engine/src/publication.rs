@@ -13,9 +13,11 @@
 //! The record rows are nearly all of an artifact's bytes, so both
 //! directions treat them as bytes (the code-row codec of `crate::codec`).
 //! [`Publication::save`] formats them without `fmt`. [`Publication::load`]
-//! parses each row's digits straight into the table's columns, and parses
-//! a row as text only when it is in another accepted form or invalid, so
-//! that every error keeps its message and line number.
+//! parses the rows a buffered block at a time, each row's digits straight
+//! from the reader's buffer into the table's columns. It parses a row as
+//! text only when it is in another accepted form, invalid, or cut by the
+//! end of the buffer, so that every error keeps its message and line
+//! number.
 
 use std::fmt;
 use std::fs::File;
@@ -506,14 +508,18 @@ impl Publication {
         // section's key validation is free.
         let mut builder = TableBuilder::with_capacity(schema.clone(), rows.min(1 << 20));
         let mut codes = Vec::new();
-        for _ in 0..rows {
-            if builder.push_code_row(lines.next_row()?) {
-                continue;
+        let mut left = rows;
+        while left > 0 {
+            let (taken, bytes) = builder.push_code_rows(lines.block()?, left);
+            lines.consume_rows(taken, bytes);
+            left -= taken;
+            if taken == 0 {
+                lines.next_row_codes(&mut codes)?;
+                builder
+                    .push_codes(&codes)
+                    .map_err(|e| lines.err(e.to_string()))?;
+                left -= 1;
             }
-            lines.row_codes(&mut codes)?;
-            builder
-                .push_codes(&codes)
-                .map_err(|e| lines.err(e.to_string()))?;
         }
         let live = if version >= 2 {
             Some(read_live(&mut lines, &schema, sa, rows)?)
@@ -967,6 +973,29 @@ mod tests {
             let loaded = Publication::load(&bytes[..]).unwrap();
             assert_eq!(loaded, p, "{:?}", String::from_utf8_lossy(&bytes));
         }
+    }
+
+    /// A reader whose every other read is interrupted, as a read of a pipe
+    /// can be by a signal: the record rows load as from memory, because
+    /// an interrupted fill is retried like an interrupted `read_until`.
+    /// A one-byte buffer is empty at every block, so each block reads.
+    #[test]
+    fn load_retries_interrupted_reads() {
+        struct Interrupting<'a>(&'a [u8], bool);
+        impl io::Read for Interrupting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.0.read(buf)
+            }
+        }
+        let p = demo_publication();
+        let mut bytes = Vec::new();
+        p.save(&mut bytes).unwrap();
+        let reader = BufReader::with_capacity(1, Interrupting(&bytes, false));
+        assert_eq!(Publication::load(reader).unwrap(), p);
     }
 
     /// A random table over multi-digit domains, with its SA attribute.

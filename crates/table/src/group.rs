@@ -14,7 +14,8 @@
 //! per attribute. Tables whose key-domain cross product overflows `u64`
 //! fall back to materialized `Vec<u32>` keys. [`group_histograms`] is the
 //! one-pass kernel for callers that need only each group's key and
-//! histogram, not its member rows.
+//! histogram, not its member rows; it packs the keys a chunk of rows at a
+//! time instead of holding one per row.
 
 use std::collections::HashMap;
 
@@ -91,13 +92,10 @@ fn check_attrs(table: &Table, attrs: &[AttrId]) {
     }
 }
 
-/// Mixed-radix packing of the grouping columns: one `u64` key per row,
-/// accumulated column by column (`key = key * domain + code`), plus the
-/// radices needed to decode. `None` when the domain cross product overflows
-/// `u64` (the callers then fall back to materialized keys). Packed keys
-/// compare in the same order as the code tuples, so sorting them sorts the
-/// groups lexicographically.
-fn pack_keys(table: &Table, attrs: &[AttrId]) -> Option<(Vec<u64>, Vec<u64>)> {
+/// The mixed-radix radices of the grouping columns (their domain sizes),
+/// or `None` when the domain cross product overflows `u64` (the callers
+/// then fall back to materialized keys).
+fn key_radices(table: &Table, attrs: &[AttrId]) -> Option<Vec<u64>> {
     let mut product: u128 = 1;
     let mut radices = Vec::with_capacity(attrs.len());
     for &a in attrs {
@@ -108,18 +106,35 @@ fn pack_keys(table: &Table, attrs: &[AttrId]) -> Option<(Vec<u64>, Vec<u64>)> {
         }
         radices.push(d as u64);
     }
-    let mut keys = vec![0u64; table.rows()];
-    for (&a, &d) in attrs.iter().zip(&radices) {
-        let column = table.column(a).codes();
+    Some(radices)
+}
+
+/// Packs the keys of rows `start..start + keys.len()` into `keys`,
+/// accumulated column by column (`key = key * domain + code`). Packed
+/// keys compare in the same order as the code tuples, so sorting them
+/// sorts the groups lexicographically.
+fn fold_keys(table: &Table, attrs: &[AttrId], radices: &[u64], start: usize, keys: &mut [u64]) {
+    keys.fill(0);
+    for (&a, &d) in attrs.iter().zip(radices) {
+        let column = &table.column(a).codes()[start..start + keys.len()];
         for (key, &code) in keys.iter_mut().zip(column) {
             *key = *key * d + u64::from(code);
         }
     }
+}
+
+/// Mixed-radix packing of the grouping columns: one `u64` key per row
+/// ([`fold_keys`]), plus the radices needed to decode, or `None` as
+/// [`key_radices`].
+fn pack_keys(table: &Table, attrs: &[AttrId]) -> Option<(Vec<u64>, Vec<u64>)> {
+    let radices = key_radices(table, attrs)?;
+    let mut keys = vec![0u64; table.rows()];
+    fold_keys(table, attrs, &radices, 0, &mut keys);
     Some((keys, radices))
 }
 
 /// Decodes a mixed-radix key back into its code tuple (inverse of
-/// [`pack_keys`]' accumulation).
+/// [`fold_keys`]' accumulation).
 fn unpack_key(mut key: u64, radices: &[u64]) -> Vec<u32> {
     let mut codes = vec![0u32; radices.len()];
     for (code, &d) in codes.iter_mut().zip(radices).rev() {
@@ -197,6 +212,9 @@ fn group_by_counting(keys: &[u64], product: usize, radices: &[u64]) -> Vec<Group
         })
         .collect()
 }
+
+/// Rows whose keys [`group_histograms`] packs at a time.
+const KEY_CHUNK: usize = 256;
 
 /// Above this key-space size the hash strategy stops direct addressing and
 /// buckets through a `HashMap` instead.
@@ -314,12 +332,13 @@ pub fn group_by_sort(table: &Table, attrs: &[AttrId]) -> Grouping {
 /// `hist_attr` over the group's rows: the groups of [`group_by_sort`]
 /// summarized, without their member row lists.
 ///
-/// A packed, direct-addressable key space takes one pass over the packed
-/// keys. A key→group slot table (one `u32` per key, bounded to `O(rows)`
-/// like [`group_by_hash`]'s count tables) gives each new key the next
-/// histogram, and one ascending scan of the slots moves the histograms out
-/// in key order. Memory is `O(rows + groups · m)`, never
-/// `O(key space · m)`.
+/// A packed, direct-addressable key space takes one pass over the rows,
+/// packing their keys 256 rows at a time into a stack buffer
+/// rather than into one key per row. A key→group slot table (one `u32`
+/// per key, bounded to `O(rows)` like [`group_by_hash`]'s count tables)
+/// gives each new key the next histogram, and one ascending scan of the
+/// slots moves the histograms out in key order. Memory is
+/// `O(rows + groups · m)`, never `O(key space · m)`.
 /// Sparse or unpackable key spaces fall back to [`group_by_sort`].
 ///
 /// # Panics
@@ -333,19 +352,25 @@ pub fn group_histograms(
 ) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
     check_attrs(table, attrs);
     let m = table.schema().attribute(hist_attr).domain_size();
-    if let Some((keys, radices)) = pack_keys(table, attrs) {
+    if let Some(radices) = key_radices(table, attrs) {
         let product: u128 = radices.iter().map(|&d| d as u128).product();
-        if direct_addressable(product, keys.len()) {
+        if direct_addressable(product, table.rows()) {
             const EMPTY: u32 = u32::MAX;
             let mut slots = vec![EMPTY; product as usize];
             let mut hists: Vec<Vec<u64>> = Vec::new();
-            for (&key, &value) in keys.iter().zip(table.column(hist_attr).codes()) {
-                let slot = &mut slots[key as usize];
-                if *slot == EMPTY {
-                    *slot = hists.len() as u32;
-                    hists.push(vec![0; m]);
+            let mut keys = [0u64; KEY_CHUNK];
+            let values = table.column(hist_attr).codes();
+            for (start, values) in (0..).step_by(KEY_CHUNK).zip(values.chunks(KEY_CHUNK)) {
+                let keys = &mut keys[..values.len()];
+                fold_keys(table, attrs, &radices, start, keys);
+                for (&key, &value) in keys.iter().zip(values) {
+                    let slot = &mut slots[key as usize];
+                    if *slot == EMPTY {
+                        *slot = hists.len() as u32;
+                        hists.push(vec![0; m]);
+                    }
+                    hists[*slot as usize][value as usize] += 1;
                 }
-                hists[*slot as usize][value as usize] += 1;
             }
             return slots
                 .iter()
@@ -541,6 +566,30 @@ mod tests {
                 .collect();
             assert_eq!(keys, want_keys, "attrs {attrs:?}");
             assert_eq!(hists, want_hists, "attrs {attrs:?}");
+        }
+    }
+
+    /// Keys are packed a chunk of rows at a time: a table of several
+    /// chunks and a partial last one groups as the sort does.
+    #[test]
+    fn group_histograms_pack_keys_across_chunks() {
+        let schema = Schema::new(vec![
+            Attribute::with_anonymous_domain("A", 7),
+            Attribute::with_anonymous_domain("B", 5),
+            Attribute::with_anonymous_domain("S", 3),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..3 * KEY_CHUNK as u32 + 37 {
+            b.push_codes(&[(i * 5) % 7, (i / 3) % 5, (i / 7) % 3])
+                .unwrap();
+        }
+        let t = b.build();
+        let (keys, hists) = group_histograms(&t, &[0, 1], 2);
+        let reference = group_by_sort(&t, &[0, 1]);
+        assert_eq!(keys.len(), 35);
+        for ((key, hist), g) in keys.iter().zip(&hists).zip(reference.groups()) {
+            assert_eq!(key, &g.key);
+            assert_eq!(hist, &t.histogram_over(2, &g.rows), "key {key:?}");
         }
     }
 

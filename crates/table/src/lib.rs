@@ -36,7 +36,6 @@ pub mod csv;
 pub mod dictionary;
 pub mod error;
 pub mod group;
-pub mod ops;
 pub mod predicate;
 pub mod query;
 mod recycle;

@@ -42,11 +42,6 @@ impl Column {
         &self.codes
     }
 
-    /// Mutable access to the codes (used by in-place perturbation).
-    pub fn codes_mut(&mut self) -> &mut [u32] {
-        &mut self.codes
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
@@ -345,43 +340,54 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Appends one row written as text, the record format of a saved
-    /// release: tab-separated codes of one to nine ASCII digits each. One
-    /// pass parses the digits straight into the columns, each code checked
-    /// against the domain bounds read at construction. Returns `false`,
-    /// with nothing appended, for a row in any other form (a sign, a longer
-    /// digit run, a stray byte), of the wrong arity or with an out-of-domain
-    /// code: the caller parses such a row field by field, and
+    /// Appends the rows at the front of `block`, at most `max` of them, in
+    /// the record format of a saved release: `\n`-terminated rows of
+    /// tab-separated codes of one to nine ASCII digits each. One pass parses
+    /// the digits straight into the columns, each code checked against the
+    /// domain bounds read at construction. Returns the rows appended and
+    /// the bytes they span, terminators included.
+    ///
+    /// It stops, with nothing of that row appended, at the first row it
+    /// does not take whole: one in another form (a sign, a longer digit
+    /// run, a `\r` or other stray byte), of the wrong arity, with an
+    /// out-of-domain code, or with no `\n` before the block ends. The
+    /// caller parses such a row field by field, and
     /// [`TableBuilder::push_codes`] accepts it or names the exact error.
-    pub fn push_code_row(&mut self, row: &[u8]) -> bool {
-        let base = self.rows();
+    pub fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
+        if max == 0 {
+            return (0, 0);
+        }
         let last = self.columns.len() - 1;
+        let base = self.rows();
+        let (mut rows, mut bytes) = (0, 0);
         let (mut attr, mut code, mut digits) = (0, 0u32, 0);
-        for &b in row {
+        for (i, &b) in block.iter().enumerate() {
             let digit = b.wrapping_sub(b'0');
+            // Nine digits always fit a `u32`; a tenth goes to the caller.
             if digit <= 9 && digits < 9 {
                 code = code * 10 + u32::from(digit);
                 digits += 1;
-            } else if b == b'\t'
-                && digits > 0
-                && attr < last
-                && (code as usize) < self.domains[attr]
-            {
-                self.columns[attr].push(code);
-                (attr, code, digits) = (attr + 1, 0, 0);
-            } else {
-                digits = 0;
+                continue;
+            }
+            let ends_field = (b == b'\t' && attr < last) || (b == b'\n' && attr == last);
+            if !ends_field || digits == 0 || code as usize >= self.domains[attr] {
+                break;
+            }
+            self.columns[attr].push(code);
+            (code, digits) = (0, 0);
+            if b == b'\t' {
+                attr += 1;
+                continue;
+            }
+            (attr, rows, bytes) = (0, rows + 1, i + 1);
+            if rows == max {
                 break;
             }
         }
-        if digits > 0 && attr == last && (code as usize) < self.domains[attr] {
-            self.columns[attr].push(code);
-            return true;
-        }
         for column in &mut self.columns[..attr] {
-            column.truncate(base);
+            column.truncate(base + rows);
         }
-        false
+        (rows, bytes)
     }
 
     /// Appends `copies` identical rows of codes, validating the row once.
@@ -640,9 +646,11 @@ mod tests {
     }
 
     /// Every row up to six bytes over digits, `+`, tab and a stray byte:
-    /// a row `push_code_row` takes appends exactly what a per-field
+    /// a row `push_code_rows` takes appends exactly what a per-field
     /// `str::parse::<u32>` and `push_codes` would, a row it refuses
-    /// appends nothing, and it refuses a valid row only for a sign.
+    /// appends nothing, and it refuses a valid row only for a sign. All
+    /// the rows as one block, each refused row parsed as text, build the
+    /// same table.
     #[test]
     fn push_code_row_agrees_with_str_parse_and_push_codes() {
         let schema = Schema::new(vec![
@@ -661,29 +669,71 @@ mod tests {
                 }
             }
         }
-        let mut b = TableBuilder::new(schema.clone());
-        let mut reference = TableBuilder::new(schema);
-        for row in &rows {
+        let parse = |row: &[u8]| -> Result<Vec<u32>, _> {
             let text = std::str::from_utf8(row).unwrap();
-            let parsed: Result<Vec<u32>, _> = text.split('\t').map(str::parse::<u32>).collect();
+            text.split('\t').map(str::parse::<u32>).collect()
+        };
+        let mut b = TableBuilder::new(schema.clone());
+        let mut reference = TableBuilder::new(schema.clone());
+        let mut block = Vec::new();
+        for row in &rows {
+            let parsed = parse(row);
             let want = parsed
                 .as_ref()
                 .is_ok_and(|codes| reference.push_codes(codes).is_ok());
+            let line = [&row[..], b"\n"].concat();
+            block.extend_from_slice(&line);
             let rows_before = b.rows();
-            let took = b.push_code_row(row);
-            if !took {
-                assert_eq!(b.rows(), rows_before, "{text:?} appended on refusal");
+            let took = b.push_code_rows(&line, 1);
+            if took == (0, 0) {
+                assert_eq!(b.rows(), rows_before, "{row:?} appended on refusal");
                 if let Ok(codes) = &parsed {
                     let _ = b.push_codes(codes);
                 }
+            } else {
+                assert_eq!(took, (1, line.len()), "{row:?}");
             }
-            assert!(took == want || (want && text.contains('+')), "{text:?}");
+            assert!(took.0 == 1 || !want || row.contains(&b'+'), "{row:?}");
+            assert!(took.0 == 0 || want, "{row:?}");
         }
+        let mut by_block = TableBuilder::new(schema);
+        let mut rest = &block[..];
+        while !rest.is_empty() {
+            let (taken, bytes) = by_block.push_code_rows(rest, usize::MAX);
+            rest = &rest[bytes..];
+            if taken == 0 {
+                let end = rest.iter().position(|&b| b == b'\n').unwrap();
+                if let Ok(codes) = parse(&rest[..end]) {
+                    let _ = by_block.push_codes(&codes);
+                }
+                rest = &rest[end + 1..];
+            }
+        }
+        assert_eq!(by_block.build(), reference.clone().build());
         assert_eq!(b.clone().build(), reference.build());
-        assert!(b.push_code_row(b"1\t000000009"));
-        assert!(!b.push_code_row(b"1\t0000000009"), "ten digits");
-        assert!(!b.push_code_row("1\t\u{e9}".as_bytes()), "non-ASCII");
-        assert_eq!(b.build().column(1).codes().last(), Some(&9));
+        assert_eq!(b.push_code_rows(b"1\t000000009\n", 1), (1, 12));
+        assert_eq!(
+            b.push_code_rows(b"1\t0000000009\n", 1),
+            (0, 0),
+            "ten digits"
+        );
+        assert_eq!(
+            b.push_code_rows(b"1\t4294967296\n", 1),
+            (0, 0),
+            "ten digits"
+        );
+        assert_eq!(
+            b.push_code_rows("1\t\u{e9}\n".as_bytes(), 1),
+            (0, 0),
+            "non-ASCII"
+        );
+        assert_eq!(b.push_code_rows(b"1\t2\r\n", 1), (0, 0), "CRLF");
+        assert_eq!(b.push_code_rows(b"1\t2", 1), (0, 0), "no terminator");
+        assert_eq!(b.push_code_rows(b"1\t2\n1\t3\n1\t4", 1), (1, 4), "max");
+        assert_eq!(b.push_code_rows(b"1\t5\n1\t6\n1\t7", 5), (2, 8), "tail");
+        assert_eq!(b.push_code_rows(b"1\t8\n", 0), (0, 0), "max 0");
+        let rows = b.rows();
+        assert_eq!(b.build().column(1).codes()[rows - 4..], [9, 2, 5, 6]);
     }
 
     #[test]
