@@ -1,5 +1,6 @@
 //! The rule set: each rule is a token-stream pass over one
-//! [`SourceFile`] (plus one whole-workspace pass for lock ordering).
+//! [`SourceFile`] (plus two whole-workspace passes: lock ordering and
+//! dead `pub` items).
 //!
 //! Every rule is a deliberate *under-approximation*: purely lexical,
 //! no type inference, tuned so that a finding is almost always real and
@@ -23,6 +24,7 @@ pub const RULES: &[&str] = &[
     "lock-order",
     "safety",
     "obs-clock",
+    "dead-pub",
     "pragma",
 ];
 
@@ -110,6 +112,14 @@ fn floats_scope(path: &str) -> bool {
 /// read `Instant`/`SystemTime` directly.
 fn obs_clock_scope(path: &str) -> bool {
     !path.starts_with("crates/engine/src/obs")
+}
+
+/// `pub` items of the library crates: rustc's `dead_code` already
+/// covers private and `pub(crate)` items, so exported ones are the gap.
+fn dead_pub_scope(path: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
 }
 
 // ---------------------------------------------------------------------------
@@ -861,4 +871,88 @@ pub fn lock_order_findings(mut edges: Vec<LockEdge>) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// Flags every `pub fn`, `pub const` or `pub static` under
+/// `crates/*/src` whose name occurs as a code identifier nowhere but
+/// its own definition. `#[cfg(test)]` code of `files`, comments
+/// (doc tests included) and `pub use` lines are not uses; `refs`
+/// (integration tests, benches, examples, the perf harness) are read
+/// whole, since they are callers by nature. Any same-named token
+/// counts, so the rule can miss a dead item but never flags a live one.
+pub fn dead_pub_findings(
+    files: &[SourceFile],
+    refs: &[SourceFile],
+) -> (Vec<Finding>, Vec<Suppression>) {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let linted = files.iter().map(|f| (f, false));
+    for (file, whole) in linted.chain(refs.iter().map(|f| (f, true))) {
+        let mut c = 0;
+        while c < file.code.len() {
+            if file.text_at(c) == Some("pub") && file.text_at(c + 1) == Some("use") {
+                while c < file.code.len() && file.kind_at(c) != Some(TokKind::Punct(';')) {
+                    c += 1;
+                }
+            } else if file.kind_at(c) == Some(TokKind::Ident)
+                && (whole || !file.is_test_line(file.toks[file.code[c]].line))
+            {
+                *uses.entry(file.text_at(c).unwrap_or("")).or_default() += 1;
+            }
+            c += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    let mut suppressed = Vec::new();
+    for file in files.iter().filter(|f| dead_pub_scope(&f.path)) {
+        let mut sink = Sink::new(file);
+        for (kind, name) in pub_items(file) {
+            let text = file.text_at(name).unwrap_or("");
+            // The definition's own name token is the one counted use.
+            if uses.get(text).copied().unwrap_or(0) <= 1 {
+                sink.emit(
+                    "dead-pub",
+                    file.toks[file.code[name]].line,
+                    format!(
+                        "`pub {kind} {text}` is used only by its definition, test code, \
+                         comments or `pub use` lines — delete it (with its tests)"
+                    ),
+                );
+            }
+        }
+        findings.extend(sink.findings);
+        suppressed.extend(sink.suppressed);
+    }
+    (findings, suppressed)
+}
+
+/// The non-test `pub fn` / `pub const` / `pub static` items of `file`,
+/// as `(keyword, code index of the name)`. Bare `pub` only: a
+/// `pub(crate)` item is rustc's to flag.
+fn pub_items(file: &SourceFile) -> Vec<(&'static str, usize)> {
+    let mut items = Vec::new();
+    for c in 0..file.code.len() {
+        if file.text_at(c) != Some("pub") || file.is_test_line(file.toks[file.code[c]].line) {
+            continue;
+        }
+        // Skip fn qualifiers: `const`, `unsafe`, `async`, `extern "C"`.
+        let mut k = c + 1;
+        while matches!(
+            file.text_at(k),
+            Some("const" | "unsafe" | "async" | "extern")
+        ) || file.kind_at(k) == Some(TokKind::Str)
+        {
+            k += 1;
+        }
+        let item = match file.text_at(k) {
+            Some("fn") => ("fn", k + 1),
+            Some("static") if file.text_at(k + 1) == Some("mut") => ("static", k + 2),
+            Some("static") => ("static", k + 1),
+            _ if file.text_at(c + 1) == Some("const") => ("const", c + 2),
+            _ => continue,
+        };
+        if file.kind_at(item.1) == Some(TokKind::Ident) && file.text_at(item.1) != Some("_") {
+            items.push(item);
+        }
+    }
+    items
 }

@@ -470,3 +470,120 @@ fn counts_cover_every_rule_and_exit_contract_matches_clean() {
         .iter()
         .all(|&(_, found, allowed)| found == 0 && allowed == 0));
 }
+
+// -- dead-pub ---------------------------------------------------------------
+
+/// Runs the whole-tree entry point: `lib` is linted, `refs` are
+/// reference-only.
+fn tree(lib: &[(&str, &str)], refs: &[(&str, &str)]) -> rp_analyze::Report {
+    rp_analyze::analyze_tree(lib, refs)
+}
+
+const DEAD_LIB: &str = r#"
+pub fn unused_fn() -> u32 { 1 }
+pub const UNUSED_CONST: u32 = 2;
+pub static UNUSED_STATIC: u32 = 3;
+pub(crate) fn crate_only() -> u32 { 4 }
+"#;
+
+#[test]
+fn dead_pub_fires_on_unreferenced_pub_items() {
+    let report = tree(&[("crates/core/src/x.rs", DEAD_LIB)], &[]);
+    assert_eq!(
+        rules_hit(&report),
+        vec!["dead-pub", "dead-pub", "dead-pub"],
+        "{:?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("`pub fn unused_fn`"));
+    assert!(report.findings[1]
+        .message
+        .contains("`pub const UNUSED_CONST`"));
+    assert_eq!(report.findings[2].line, 4);
+    // `pub(crate)` is rustc's `dead_code` territory; the root package
+    // and the partial-tree fixture entry point are out of scope.
+    assert!(tree(
+        &[("src/lib.rs", "#![deny(unsafe_code)]\npub fn f() {}\n")],
+        &[]
+    )
+    .clean());
+    assert!(run("crates/core/src/x.rs", DEAD_LIB).clean());
+}
+
+#[test]
+fn dead_pub_is_cleared_by_any_outside_reference() {
+    let lib = "pub fn used() -> u32 { 1 }\n";
+    let call = "fn main() { let _ = rp_core::x::used(); }\n";
+    // Another crate or the root package, both linted themselves...
+    for caller in ["crates/engine/src/y.rs", "src/lib.rs"] {
+        let report = tree(&[("crates/core/src/x.rs", lib), (caller, call)], &[]);
+        assert!(
+            !rules_hit(&report).contains(&"dead-pub"),
+            "a call from {caller} must keep `used` alive: {:?}",
+            report.findings
+        );
+    }
+    // ...or a reference-only file.
+    for caller in [
+        "tests/it.rs",
+        "crates/core/tests/it.rs",
+        "crates/bench/benches/b.rs",
+        "examples/demo.rs",
+        "perfbench/harness/src/main.rs",
+    ] {
+        let report = tree(&[("crates/core/src/x.rs", lib)], &[(caller, call)]);
+        assert!(
+            report.clean(),
+            "a call from {caller}: {:?}",
+            report.findings
+        );
+    }
+}
+
+#[test]
+fn dead_pub_ignores_test_code_comments_and_reexports() {
+    let lib = r#"
+/// Call it as `helper()`:
+/// ```
+/// rp_core::x::helper();
+/// ```
+pub fn helper() -> u32 { 1 }
+
+// helper() is mentioned here too.
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_it() { assert_eq!(super::helper(), 1); }
+}
+"#;
+    let root = "#![deny(unsafe_code)]\npub use x::helper;\npub use y::{helper as h};\n";
+    let report = tree(
+        &[
+            ("crates/core/src/x.rs", lib),
+            ("crates/core/src/lib.rs", root),
+        ],
+        &[],
+    );
+    assert_eq!(
+        rules_hit(&report),
+        vec!["dead-pub"],
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(report.findings[0].line, 6);
+}
+
+#[test]
+fn dead_pub_pragma_waives_with_reason() {
+    let lib = "// rp-analyze: allow(dead-pub, \"called by the operator runbook's script\")\npub fn kept() {}\n";
+    let report = tree(&[("crates/core/src/x.rs", lib)], &[]);
+    assert!(report.clean(), "{:?}", report.findings);
+    assert_eq!(report.suppressed.len(), 1);
+    assert_eq!(report.suppressed[0].rule, "dead-pub");
+    assert_eq!(
+        report.suppressed[0].reason,
+        "called by the operator runbook's script"
+    );
+    let summary = report.counts();
+    assert!(summary.contains(&("dead-pub", 0, 1)), "{summary:?}");
+}

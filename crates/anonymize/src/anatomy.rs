@@ -19,8 +19,6 @@
 //! estimator: a record of bucket `B` matching the `NA` conditions
 //! contributes `count_B(sa) / |B|` to the estimate of `NA ∧ SA = sa`.
 
-use std::collections::HashMap;
-
 use rp_table::{AttrId, CountQuery, Table};
 
 /// Errors raised by the anatomization.
@@ -239,26 +237,6 @@ impl AnatomizedTable {
         }
         estimate
     }
-
-    /// Distribution of bucket sizes, for diagnostics: `(min, max)`.
-    pub fn bucket_size_range(&self) -> (u64, u64) {
-        let sizes: Vec<u64> = self.buckets.iter().map(|h| h.iter().sum()).collect();
-        (
-            sizes.iter().copied().min().unwrap_or(0),
-            sizes.iter().copied().max().unwrap_or(0),
-        )
-    }
-}
-
-/// Convenience map from bucket ids to the rows they contain.
-pub fn rows_by_bucket(anatomized: &AnatomizedTable, rows: usize) -> HashMap<u32, Vec<u32>> {
-    let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-    for row in 0..rows {
-        map.entry(anatomized.bucket_of(row))
-            .or_default()
-            .push(row as u32);
-    }
-    map
 }
 
 #[cfg(test)]
@@ -289,9 +267,6 @@ mod tests {
             .map(|b| a.bucket_histogram(b as u32).iter().sum::<u64>())
             .sum();
         assert_eq!(total, 100);
-        let map = rows_by_bucket(&a, t.rows());
-        let covered: usize = map.values().map(Vec::len).sum();
-        assert_eq!(covered, 100);
     }
 
     #[test]

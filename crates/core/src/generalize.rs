@@ -12,7 +12,7 @@
 
 use rp_stats::chi2::{binned_chi2_test, BinnedTestResult};
 use rp_stats::gtest::binned_g_test;
-use rp_table::{AttrId, Attribute, Column, CountQuery, Schema, Table};
+use rp_table::{AttrId, Attribute, Column, CountQuery, Table};
 
 use crate::groups::SaSpec;
 
@@ -243,15 +243,6 @@ impl Generalization {
     /// pool on original values, then replaces them with aggregated values).
     pub fn translate_query(&self, query: &CountQuery) -> CountQuery {
         query.map_codes(|attr, code| self.translate(attr, code))
-    }
-
-    /// The generalized schema derived from `schema`.
-    pub fn generalized_schema(&self, schema: &Schema) -> Schema {
-        let mut out = schema.clone();
-        for g in &self.per_attr {
-            out = out.with_attribute_replaced(g.attr, g.generalized.clone());
-        }
-        out
     }
 }
 

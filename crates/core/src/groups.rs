@@ -57,16 +57,6 @@ impl SaSpec {
     pub fn m(&self) -> usize {
         self.m
     }
-
-    /// Whether a selection pattern over the public attributes identifies a
-    /// personal group (every public attribute pinned, none wild).
-    pub fn is_personal_pattern(&self, pattern: &Pattern) -> bool {
-        !pattern.has_wildcard()
-            && self
-                .na
-                .iter()
-                .all(|&a| pattern.terms().iter().any(|&(pa, _)| pa == a))
-    }
 }
 
 /// One personal group with its SA statistics.
@@ -192,27 +182,12 @@ impl PersonalGroups {
             .iter()
             .filter(move |g| pattern.matches_key(&attrs, &g.key))
     }
-
-    /// Sums `(support, sa_hist)` over the personal groups matching
-    /// `pattern`: the size and SA histogram of the corresponding aggregate
-    /// group.
-    pub fn aggregate_histogram(&self, pattern: &Pattern) -> (u64, Vec<u64>) {
-        let mut support = 0u64;
-        let mut hist = vec![0u64; self.spec.m()];
-        for g in self.matching(pattern) {
-            support += g.len() as u64;
-            for (h, &c) in hist.iter_mut().zip(&g.sa_hist) {
-                *h += c;
-            }
-        }
-        (support, hist)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_table::{Attribute, Schema, TableBuilder, Term};
+    use rp_table::{Attribute, Schema, TableBuilder};
 
     /// Gender × Job with Disease sensitive — the running Example 2 shape.
     fn demo_table() -> Table {
@@ -271,36 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_histogram_unions_personal_groups() {
-        let t = demo_table();
-        let groups = PersonalGroups::build(&t, SaSpec::new(&t, 2));
-        // Pattern: Job = eng (Gender wild) — D(⁎, eng).
-        let pattern = Pattern::new(vec![(0, Term::Wildcard), (1, Term::Value(0))]);
-        let (support, hist) = groups.aggregate_histogram(&pattern);
-        assert_eq!(support, 6);
-        assert_eq!(hist, vec![3, 1, 2]);
-    }
-
-    #[test]
     fn matching_with_empty_pattern_yields_all() {
         let t = demo_table();
         let groups = PersonalGroups::build(&t, SaSpec::new(&t, 2));
         let all = Pattern::new(vec![]);
         assert_eq!(groups.matching(&all).count(), groups.len());
-        let (support, _) = groups.aggregate_histogram(&all);
+        let support: usize = groups.matching(&all).map(PersonalGroup::len).sum();
         assert_eq!(support, 7);
-    }
-
-    #[test]
-    fn is_personal_pattern_detects_full_specification() {
-        let t = demo_table();
-        let spec = SaSpec::new(&t, 2);
-        let personal = Pattern::from_codes(&[0, 1], &[0, 0]);
-        assert!(spec.is_personal_pattern(&personal));
-        let aggregate = Pattern::new(vec![(0, Term::Wildcard), (1, Term::Value(0))]);
-        assert!(!spec.is_personal_pattern(&aggregate));
-        let partial = Pattern::from_codes(&[1], &[0]);
-        assert!(!spec.is_personal_pattern(&partial));
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! histograms and re-evaluates the group's `(λ, δ)` status, and
 //! [`LiveGroup::republish`] re-samples a group that grew past its
 //! threshold `sg` through SPS — the paper's remedy — leaving every other
-//! group untouched. [`IncrementalPublisher`] keeps the live groups of one
-//! publication in a key-ordered map and drives them with a single RNG;
-//! the streaming subsystem of `rp-engine` drives the same two steps with
-//! one RNG per group.
-
-use std::collections::BTreeMap;
+//! group untouched. The live groups of one release are served by the
+//! streaming subsystem of `rp-engine` (`StreamPublisher` over
+//! `LiveGroups`), which keeps them in a key-ordered map and drives each
+//! with its own RNG.
 
 use rand::Rng;
 
@@ -76,12 +74,6 @@ impl LiveGroup {
     /// Whether the group holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Records inserted since the last SPS re-publication — the subset
-    /// whose plain perturbation the `(λ, δ)` criterion is tested on.
-    pub fn exposed_len(&self) -> u64 {
-        self.len().saturating_sub(self.republished_len)
     }
 
     /// Inserts one record with sensitive code `sa`: perturbs it with one
@@ -156,139 +148,55 @@ impl LiveGroup {
     }
 }
 
-/// A live reconstruction-private publication accepting record insertions.
-#[derive(Debug, Clone)]
-pub struct IncrementalPublisher {
-    op: UniformPerturbation,
-    params: PrivacyParams,
-    groups: BTreeMap<Vec<u32>, LiveGroup>,
-    inserted: u64,
-}
-
-impl IncrementalPublisher {
-    /// Creates an empty publisher for SA domain size `m`, retention `p`
-    /// and privacy demand `params`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid `(p, m)` (see [`UniformPerturbation::new`]).
-    pub fn new(p: f64, m: usize, params: PrivacyParams) -> Self {
-        Self {
-            op: UniformPerturbation::new(p, m),
-            params,
-            groups: BTreeMap::new(),
-            inserted: 0,
-        }
-    }
-
-    /// Inserts one record: `key` is its public-attribute codes, `sa` its
-    /// sensitive code. The record is perturbed immediately and added to
-    /// its group ([`LiveGroup::insert`]). Returns the group's status
-    /// *after* the insertion — discarding it silently drops the paper's
-    /// remedy (a flagged group must be re-sampled before release), hence
-    /// `#[must_use]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sa` is outside the SA domain.
-    #[must_use = "a NeedsResampling status requires re-publishing the group through SPS"]
-    pub fn insert<R: Rng + ?Sized>(&mut self, rng: &mut R, key: &[u32], sa: u32) -> GroupStatus {
-        self.inserted += 1;
-        self.groups
-            .entry(key.to_vec())
-            .or_insert_with(|| LiveGroup::new(key.to_vec(), self.op.domain_size()))
-            .insert(rng, &self.op, self.params, sa)
-    }
-
-    /// Re-publishes one group through SPS ([`LiveGroup::republish`]) and
-    /// returns its new status (always [`GroupStatus::Compliant`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is unknown.
-    pub fn republish_group<R: Rng + ?Sized>(&mut self, rng: &mut R, key: &[u32]) -> GroupStatus {
-        self.groups
-            .get_mut(key)
-            .unwrap_or_else(|| panic!("unknown group key {key:?}"))
-            .republish(rng, &self.op, self.params)
-    }
-
-    /// Re-publishes every group currently flagged
-    /// [`GroupStatus::NeedsResampling`], in key order (so the RNG draws
-    /// follow the keys); returns how many were fixed.
-    pub fn republish_flagged<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let mut fixed = 0;
-        for group in self.groups.values_mut() {
-            if group.status == GroupStatus::NeedsResampling {
-                group.republish(rng, &self.op, self.params);
-                fixed += 1;
-            }
-        }
-        fixed
-    }
-
-    /// Records inserted so far.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Number of live groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Looks up a live group by key.
-    pub fn group(&self, key: &[u32]) -> Option<&LiveGroup> {
-        self.groups.get(key)
-    }
-
-    /// Iterates over all live groups in key order.
-    pub fn groups(&self) -> impl Iterator<Item = &LiveGroup> {
-        self.groups.values()
-    }
-
-    /// Groups currently flagged for resampling, in key order.
-    pub fn flagged(&self) -> impl Iterator<Item = &LiveGroup> {
-        self.groups
-            .values()
-            .filter(|g| g.status == GroupStatus::NeedsResampling)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn publisher() -> IncrementalPublisher {
-        IncrementalPublisher::new(0.5, 2, PrivacyParams::new(0.3, 0.3))
+    /// `p = 0.5` over a binary SA, demanding `(0.3, 0.3)`.
+    fn op() -> UniformPerturbation {
+        UniformPerturbation::new(0.5, 2)
+    }
+
+    fn params() -> PrivacyParams {
+        PrivacyParams::new(0.3, 0.3)
+    }
+
+    fn insert(g: &mut LiveGroup, rng: &mut StdRng, sa: u32) -> GroupStatus {
+        g.insert(rng, &op(), params(), sa)
+    }
+
+    /// Re-publishes `g` if it is flagged; returns whether it was.
+    fn republish_flagged(g: &mut LiveGroup, rng: &mut StdRng) -> bool {
+        let flagged = g.status == GroupStatus::NeedsResampling;
+        if flagged {
+            g.republish(rng, &op(), params());
+        }
+        flagged
     }
 
     #[test]
     fn small_groups_stay_compliant() {
-        let mut p = publisher();
+        let mut g = LiveGroup::new(vec![0], 2);
         let mut rng = StdRng::seed_from_u64(1);
         for i in 0..50u32 {
-            let status = p.insert(&mut rng, &[0], i % 2);
+            let status = insert(&mut g, &mut rng, i % 2);
             assert_eq!(status, GroupStatus::Compliant);
         }
-        assert_eq!(p.inserted(), 50);
-        assert_eq!(p.group_count(), 1);
-        let g = p.group(&[0]).unwrap();
         assert_eq!(g.len(), 50);
         assert_eq!(g.published_hist.iter().sum::<u64>(), 50);
     }
 
     #[test]
     fn growth_past_sg_flags_the_group() {
-        let mut p = publisher();
+        let mut g = LiveGroup::new(vec![1], 2);
         let mut rng = StdRng::seed_from_u64(2);
         // f = 0.7 at p = 0.5, m = 2 gives sg ≈ 131: push past it.
         let mut flagged_at = None;
         for i in 0..500u32 {
             let sa = u32::from(i % 10 >= 7);
-            if p.insert(&mut rng, &[1], sa) == GroupStatus::NeedsResampling && flagged_at.is_none()
+            if insert(&mut g, &mut rng, sa) == GroupStatus::NeedsResampling && flagged_at.is_none()
             {
                 flagged_at = Some(i);
             }
@@ -298,20 +206,18 @@ mod tests {
             (100..200).contains(&at),
             "flagged at {at}, expected near sg ≈ 131"
         );
-        assert_eq!(p.flagged().count(), 1);
+        assert_eq!(g.status, GroupStatus::NeedsResampling);
     }
 
     #[test]
     fn republish_restores_compliance_and_size() {
-        let mut p = publisher();
+        let mut g = LiveGroup::new(vec![0], 2);
         let mut rng = StdRng::seed_from_u64(3);
         for i in 0..1000u32 {
-            let _ = p.insert(&mut rng, &[0], u32::from(i % 10 >= 7));
+            let _ = insert(&mut g, &mut rng, u32::from(i % 10 >= 7));
         }
-        assert_eq!(p.group(&[0]).unwrap().status, GroupStatus::NeedsResampling);
-        let fixed = p.republish_flagged(&mut rng);
-        assert_eq!(fixed, 1);
-        let g = p.group(&[0]).unwrap();
+        assert_eq!(g.status, GroupStatus::NeedsResampling);
+        assert!(republish_flagged(&mut g, &mut rng));
         assert_eq!(g.status, GroupStatus::Compliant);
         // Scaling restores the group's published size near the raw size.
         let published: u64 = g.published_hist.iter().sum();
@@ -325,33 +231,34 @@ mod tests {
 
     #[test]
     fn other_groups_untouched_by_republish() {
-        let mut p = publisher();
+        let mut skewed = LiveGroup::new(vec![0], 2);
+        let mut other = LiveGroup::new(vec![1], 2);
         let mut rng = StdRng::seed_from_u64(4);
         for i in 0..1000u32 {
-            let _ = p.insert(&mut rng, &[0], u32::from(i % 10 >= 7));
+            let _ = insert(&mut skewed, &mut rng, u32::from(i % 10 >= 7));
         }
         for i in 0..20u32 {
-            let _ = p.insert(&mut rng, &[1], i % 2);
+            let _ = insert(&mut other, &mut rng, i % 2);
         }
-        let before = p.group(&[1]).unwrap().published_hist.clone();
-        p.republish_flagged(&mut rng);
-        assert_eq!(p.group(&[1]).unwrap().published_hist, before);
+        let before = other.published_hist.clone();
+        assert!(republish_flagged(&mut skewed, &mut rng));
+        assert!(!republish_flagged(&mut other, &mut rng));
+        assert_eq!(other.published_hist, before);
     }
 
     #[test]
     fn balanced_groups_tolerate_more_records() {
         // f = 0.5 has a larger sg (≈ 214) than f = 0.9 (≈ 93) — at 150
-        // records the publisher must have flagged only the skewed group.
-        let mut p = publisher();
+        // records only the skewed group may be flagged.
+        let mut balanced = LiveGroup::new(vec![0], 2);
+        let mut skewed = LiveGroup::new(vec![1], 2);
         let mut rng = StdRng::seed_from_u64(5);
         for i in 0..150u32 {
-            let _ = p.insert(&mut rng, &[0], i % 2); // balanced
-            let _ = p.insert(&mut rng, &[1], u32::from(i % 10 == 0)); // 90/10 skew
+            let _ = insert(&mut balanced, &mut rng, i % 2);
+            let _ = insert(&mut skewed, &mut rng, u32::from(i % 10 == 0)); // 90/10 skew
         }
-        let balanced = p.group(&[0]).unwrap().status;
-        let skewed = p.group(&[1]).unwrap().status;
-        assert_eq!(skewed, GroupStatus::NeedsResampling);
-        assert_eq!(balanced, GroupStatus::Compliant);
+        assert_eq!(skewed.status, GroupStatus::NeedsResampling);
+        assert_eq!(balanced.status, GroupStatus::Compliant);
     }
 
     #[test]
@@ -360,11 +267,10 @@ mod tests {
         let mut total = [0u64; 2];
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..runs {
-            let mut p = publisher();
+            let mut g = LiveGroup::new(vec![0], 2);
             for i in 0..80u32 {
-                let _ = p.insert(&mut rng, &[0], u32::from(i % 4 == 0)); // f0 = 0.75
+                let _ = insert(&mut g, &mut rng, u32::from(i % 4 == 0)); // f0 = 0.75
             }
-            let g = p.group(&[0]).unwrap();
             total[0] += g.published_hist[0];
             total[1] += g.published_hist[1];
         }
@@ -376,33 +282,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of domain")]
     fn out_of_domain_sa_rejected() {
-        let mut p = publisher();
+        let mut g = LiveGroup::new(vec![0], 2);
         let mut rng = StdRng::seed_from_u64(7);
-        let _ = p.insert(&mut rng, &[0], 5);
+        let _ = insert(&mut g, &mut rng, 5);
     }
 
     #[test]
     fn republished_group_flags_again_only_when_the_tail_crosses_sg() {
-        let mut p = publisher();
+        let mut g = LiveGroup::new(vec![0], 2);
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..1000u32 {
-            let _ = p.insert(&mut rng, &[0], u32::from(i % 10 >= 7));
+            let _ = insert(&mut g, &mut rng, u32::from(i % 10 >= 7));
         }
-        assert_eq!(p.republish_flagged(&mut rng), 1);
-        let g = p.group(&[0]).unwrap();
+        assert!(republish_flagged(&mut g, &mut rng));
         assert_eq!(g.republished_len, 1000);
-        assert_eq!(g.exposed_len(), 0);
+        assert_eq!(g.len(), g.republished_len, "no record is exposed");
         // The sampled prefix is covered: the next insert must NOT
         // immediately re-flag the group...
         assert_eq!(
-            p.insert(&mut rng, &[0], 0),
+            insert(&mut g, &mut rng, 0),
             GroupStatus::Compliant,
             "one fresh record cannot violate"
         );
         // ...but a tail of fresh records that itself crosses sg must.
         let mut reflagged_at = None;
         for i in 0..500u32 {
-            if p.insert(&mut rng, &[0], u32::from(i % 10 >= 7)) == GroupStatus::NeedsResampling {
+            if insert(&mut g, &mut rng, u32::from(i % 10 >= 7)) == GroupStatus::NeedsResampling {
                 reflagged_at = Some(i);
                 break;
             }
@@ -412,13 +317,5 @@ mod tests {
             (100..300).contains(&at),
             "re-flagged after {at} fresh records, expected near sg"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown group key")]
-    fn republish_unknown_group_panics() {
-        let mut p = publisher();
-        let mut rng = StdRng::seed_from_u64(8);
-        p.republish_group(&mut rng, &[9, 9]);
     }
 }

@@ -18,9 +18,8 @@
 //! | §3.4 / Eq. 4: χ²-merging of public-attribute values | [`generalize`] |
 //! | §5: the SPS algorithm (record- and histogram-level) | [`mod@sps`] |
 //! | §6: count-query estimation `est = \|S*\|·F′` | [`estimate`] |
-//! | ρ1-ρ2 / l-diversity / t-closeness side criteria | [`criteria`] |
 //! | §5's rejected alternatives (reduce-p, suppression) | [`alternatives`] |
-//! | §3.1's record-insertion story as a live publisher | [`incremental`] |
+//! | §3.1's record-insertion story: one live group ([`LiveGroup`]), served by `rp-engine`'s stream | [`incremental`] |
 //! | Estimator variance / confidence intervals | [`variance`] |
 //!
 //! ## Quick example
@@ -71,7 +70,6 @@
 
 pub mod alternatives;
 pub mod audit;
-pub mod criteria;
 pub mod em;
 pub mod estimate;
 pub mod generalize;
@@ -89,9 +87,9 @@ pub use audit::{audit, PublicationAudit};
 pub use estimate::{estimate_by_scan, GroupedView};
 pub use generalize::{AttributeGeneralization, Generalization, MergeTest};
 pub use groups::{PersonalGroup, PersonalGroups, SaSpec};
-pub use incremental::{GroupStatus, IncrementalPublisher, LiveGroup};
+pub use incremental::{GroupStatus, LiveGroup};
 pub use matrix::PerturbationMatrix;
-pub use mle::{estimate_count, reconstruct_frequency, reconstruct_histogram};
+pub use mle::{reconstruct_frequency, reconstruct_histogram};
 pub use perturb::UniformPerturbation;
 pub use privacy::{check_groups, group_is_private, max_group_size, PrivacyParams, ViolationReport};
 pub use sps::{sps, sps_histograms, uniform_perturb, up_histograms, SpsConfig, SpsOutput};

@@ -71,19 +71,6 @@ impl PerturbationMatrix {
         }
     }
 
-    /// Applies `P` to a frequency vector: the expected observed distribution
-    /// `E[O*]/|S| = P · f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freqs.len() != m`.
-    pub fn forward(&self, freqs: &[f64]) -> Vec<f64> {
-        assert_eq!(freqs.len(), self.m, "frequency vector must have length m");
-        let base = (1.0 - self.p) / self.m as f64;
-        let total: f64 = freqs.iter().sum();
-        freqs.iter().map(|&f| self.p * f + base * total).collect()
-    }
-
     /// Applies `P⁻¹` to an observed frequency vector: the MLE
     /// `F′ = P⁻¹ · (O*/|S|)`.
     ///
@@ -99,14 +86,6 @@ impl PerturbationMatrix {
             .map(|&o| (o - base * total) / self.p)
             .collect()
     }
-
-    /// Materializes the full `m × m` matrix (row-major), mostly for tests
-    /// and for the EM reconstruction which iterates over entries.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        (0..self.m)
-            .map(|j| (0..self.m).map(|i| self.entry(j, i)).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,6 +97,21 @@ mod tests {
             (actual - expected).abs() <= tol,
             "expected {expected}, got {actual} (tol {tol})"
         );
+    }
+
+    impl PerturbationMatrix {
+        /// Applies `P` to a frequency vector: the expected observed distribution
+        /// `E[O*]/|S| = P · f`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `freqs.len() != m`.
+        fn forward(&self, freqs: &[f64]) -> Vec<f64> {
+            assert_eq!(freqs.len(), self.m, "frequency vector must have length m");
+            let base = (1.0 - self.p) / self.m as f64;
+            let total: f64 = freqs.iter().sum();
+            freqs.iter().map(|&f| self.p * f + base * total).collect()
+        }
     }
 
     #[test]
@@ -181,17 +175,6 @@ mod tests {
         }
         let observed = mat.forward(&f);
         assert_close(observed[0], 0.28 * fd + 0.08 * (1.0 - fd), 1e-12);
-    }
-
-    #[test]
-    fn dense_matches_entries() {
-        let mat = PerturbationMatrix::new(0.4, 4);
-        let dense = mat.to_dense();
-        for (j, row) in dense.iter().enumerate() {
-            for (i, &value) in row.iter().enumerate() {
-                assert_close(value, mat.entry(j, i), 0.0);
-            }
-        }
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::matrix::PerturbationMatrix;
 /// This is Lemma 2(ii). The estimate is unbiased (Lemma 2(iii)) but not
 /// constrained to `[0, 1]` — small supports routinely produce negative
 /// estimates, which the paper keeps as-is (they are exactly what makes
-/// personal reconstruction unreliable). Use [`clamp_frequency`] when a
-/// proper probability is needed downstream.
+/// personal reconstruction unreliable). Clamp to `[0, 1]` when a proper
+/// probability is needed downstream.
 ///
 /// ```
 /// use rp_core::mle::reconstruct_frequency;
@@ -75,22 +75,6 @@ pub fn reconstruct_histogram_via_inverse(hist: &[u64], p: f64) -> Vec<f64> {
     let matrix = PerturbationMatrix::new(p, m);
     let observed: Vec<f64> = hist.iter().map(|&o| o as f64 / support as f64).collect();
     matrix.inverse(&observed)
-}
-
-/// Estimated *count* of a value in the original record set:
-/// `est = |S| · F′`. This is the `est = |S*| · F′` estimator used for the
-/// Section-6 count queries.
-///
-/// # Panics
-///
-/// As [`reconstruct_frequency`].
-pub fn estimate_count(observed: u64, support: u64, p: f64, m: usize) -> f64 {
-    support as f64 * reconstruct_frequency(observed, support, p, m)
-}
-
-/// Clamps a reconstructed frequency into `[0, 1]`.
-pub fn clamp_frequency(f: f64) -> f64 {
-    f.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -175,15 +159,6 @@ mod tests {
         // Observed count far below the noise floor produces a negative MLE.
         let est = reconstruct_frequency(0, 100, 0.2, 10);
         assert!(est < 0.0);
-        assert_eq!(clamp_frequency(est), 0.0);
-        assert_eq!(clamp_frequency(1.7), 1.0);
-        assert_eq!(clamp_frequency(0.3), 0.3);
-    }
-
-    #[test]
-    fn estimate_count_scales_frequency() {
-        let est = estimate_count(20, 100, 0.2, 10);
-        assert_close(est, 100.0 * 0.6, 1e-9);
     }
 
     #[test]

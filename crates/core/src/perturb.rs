@@ -139,10 +139,10 @@ impl UniformPerturbation {
             scattered_total += c - retained;
         }
         if scattered_total > 0 {
-            // Uniform multinomial scatter, mirroring `sample_multinomial`
-            // with `vec![1.0 / m; m]` arithmetic step for step (identical
-            // conditional-binomial sequence, hence an identical RNG stream)
-            // but without materializing the probability and count vectors.
+            // Uniform multinomial scatter by conditional binomials over
+            // `vec![1.0 / m; m]`, step for step (the test module's
+            // reference sampler pins the RNG stream), but without
+            // materializing the probability and count vectors.
             let p = 1.0 / m as f64;
             let mut remaining_n = scattered_total;
             let mut remaining_p = 1.0;
@@ -161,12 +161,6 @@ impl UniformPerturbation {
                 remaining_p -= p;
             }
         }
-    }
-
-    /// Expected observed frequency of a value with true frequency `f`
-    /// (Equation 1 / Lemma 2(i), in fractions): `f·p + (1−p)/m`.
-    pub fn expected_observed_frequency(&self, f: f64) -> f64 {
-        f * self.retention() + (1.0 - self.retention()) / self.domain_size() as f64
     }
 }
 
@@ -265,13 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_observed_frequency_matches_lemma_2() {
-        let op = UniformPerturbation::new(0.2, 10);
-        assert_close(op.expected_observed_frequency(1.0), 0.28, 1e-12);
-        assert_close(op.expected_observed_frequency(0.0), 0.08, 1e-12);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let t = sa_table(&[100, 100]);
         let op = UniformPerturbation::new(0.5, 2);
@@ -291,14 +278,52 @@ mod tests {
         op.perturb_table(&mut rng, &t, 1);
     }
 
+    /// Draws a multinomial sample: `n` items distributed over categories with
+    /// probabilities `probs` (which must sum to ~1).
+    ///
+    /// Implemented by conditional binomials, so it is exact and `O(k)` binomial
+    /// draws for `k` categories.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` is empty, has negative entries, or sums to something
+    /// farther than 1e-9 from 1.
+    fn sample_multinomial<R: Rng + ?Sized>(rng: &mut R, n: u64, probs: &[f64]) -> Vec<u64> {
+        assert!(!probs.is_empty(), "probability vector must be non-empty");
+        let total: f64 = probs.iter().sum();
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "probabilities must sum to 1, got {total}"
+        );
+        let mut counts = Vec::with_capacity(probs.len());
+        let mut remaining_n = n;
+        let mut remaining_p = 1.0;
+        for (i, &p) in probs.iter().enumerate() {
+            assert!(p >= 0.0, "probabilities must be non-negative, got {p}");
+            if i + 1 == probs.len() {
+                counts.push(remaining_n);
+                break;
+            }
+            if remaining_n == 0 || remaining_p <= 0.0 {
+                counts.push(0);
+                continue;
+            }
+            let cond = (p / remaining_p).clamp(0.0, 1.0);
+            let c = rp_stats::sampling::sample_binomial(rng, remaining_n, cond);
+            counts.push(c);
+            remaining_n -= c;
+            remaining_p -= p;
+        }
+        counts
+    }
+
     /// The inlined uniform scatter of `perturb_histogram_into` must stay in
-    /// RNG lockstep with `rp_stats::sampling::sample_multinomial` over a
+    /// RNG lockstep with the reference `sample_multinomial` above over a
     /// uniform probability vector — the byte-identical-publication contract
     /// rests on the two implementations drawing and landing identically.
     /// This pins that equivalence draw for draw.
     #[test]
     fn scatter_stays_in_lockstep_with_sample_multinomial() {
-        use rp_stats::sampling::sample_multinomial;
         for (seed, m, hist) in [
             (7u64, 2usize, vec![120u64, 40]),
             (8, 5, vec![0, 13, 200, 1, 77]),

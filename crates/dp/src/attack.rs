@@ -197,7 +197,7 @@ mod tests {
         let attack = RatioAttack::new(
             CountQuery::new(vec![(0, 0), (1, 0)], 2, 0).expect("valid count query"),
         );
-        let mech = LaplaceMechanism::from_scale(0.5);
+        let mech = LaplaceMechanism::new(2.0, Sensitivity::count_query_batch(1));
         let mut rng = StdRng::seed_from_u64(5);
         let outcome = attack.run(&t, &mech, 400, &mut rng);
         assert_close(outcome.true_confidence, 0.8, 1e-12);
@@ -229,7 +229,7 @@ mod tests {
         let attack = RatioAttack::new(
             CountQuery::new(vec![(0, 0), (1, 0)], 2, 0).expect("valid count query"),
         );
-        let mech = LaplaceMechanism::from_scale(4.0);
+        let mech = LaplaceMechanism::new(0.25, Sensitivity::count_query_batch(1));
         let m = attack.predicted_moments(&t, &mech);
         let expected = ratio_moments(100.0, 80.0, 32.0);
         assert_eq!(m, expected);
@@ -241,7 +241,7 @@ mod tests {
         let attack = RatioAttack::new(
             CountQuery::new(vec![(0, 0), (1, 0)], 2, 0).expect("valid count query"),
         );
-        let mech = LaplaceMechanism::from_scale(10.0);
+        let mech = LaplaceMechanism::new(0.1, Sensitivity::count_query_batch(1));
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             attack.run(&t, &mech, 10, &mut rng)
@@ -257,7 +257,7 @@ mod tests {
         let attack = RatioAttack::new(
             CountQuery::new(vec![(0, 0), (1, 0)], 2, 2).expect("valid count query"),
         );
-        let mech = LaplaceMechanism::from_scale(1.0);
+        let mech = LaplaceMechanism::new(1.0, Sensitivity::count_query_batch(1));
         let mut rng = StdRng::seed_from_u64(1);
         attack.run(&t, &mech, 5, &mut rng);
     }
@@ -269,7 +269,7 @@ mod tests {
         let attack = RatioAttack::new(
             CountQuery::new(vec![(0, 0), (1, 0)], 2, 0).expect("valid count query"),
         );
-        let mech = LaplaceMechanism::from_scale(1.0);
+        let mech = LaplaceMechanism::new(1.0, Sensitivity::count_query_batch(1));
         let mut rng = StdRng::seed_from_u64(1);
         attack.run(&t, &mech, 0, &mut rng);
     }

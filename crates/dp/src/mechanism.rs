@@ -35,11 +35,6 @@ impl Sensitivity {
         Self(delta)
     }
 
-    /// Sensitivity of a single count query.
-    pub fn count_query() -> Self {
-        Self(1.0)
-    }
-
     /// Sensitivity covering a batch of `k` count queries answered together
     /// (the paper's `Δ = 2` for the `Q1, Q2` pair).
     pub fn count_query_batch(k: usize) -> Self {
@@ -87,18 +82,6 @@ impl LaplaceMechanism {
             epsilon,
             sensitivity,
             noise: Laplace::new(sensitivity.value() / epsilon),
-        }
-    }
-
-    /// Creates the mechanism directly from a scale factor `b` (the paper's
-    /// Table 1 parameterizes by `b`).
-    pub fn from_scale(scale: f64) -> Self {
-        let noise = Laplace::new(scale);
-        Self {
-            // With Δ = 1, ε = 1/b; informational only in this constructor.
-            epsilon: 1.0 / scale,
-            sensitivity: Sensitivity::count_query(),
-            noise,
         }
     }
 
@@ -221,11 +204,6 @@ impl GeometricMechanism {
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
-
-    /// Returns the noisy *integer* answer.
-    pub fn answer_integer<R: Rng + ?Sized>(&self, rng: &mut R, ans: i64) -> i64 {
-        ans + self.noise.sample(rng)
-    }
 }
 
 impl Mechanism for GeometricMechanism {
@@ -263,15 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn laplace_from_scale_round_trips() {
-        let m = LaplaceMechanism::from_scale(20.0);
-        assert_close(m.scale(), 20.0, 1e-12);
-    }
-
-    #[test]
     fn laplace_answers_are_centered() {
         let mut rng = StdRng::seed_from_u64(31);
-        let m = LaplaceMechanism::new(0.5, Sensitivity::count_query());
+        let m = LaplaceMechanism::new(0.5, Sensitivity::count_query_batch(1));
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| m.answer(&mut rng, 100.0)).sum::<f64>() / n as f64;
         assert_close(mean, 100.0, 0.1);
@@ -279,7 +251,7 @@ mod tests {
 
     #[test]
     fn gaussian_sigma_matches_calibration() {
-        let m = GaussianMechanism::new(0.5, 1e-5, Sensitivity::count_query());
+        let m = GaussianMechanism::new(0.5, 1e-5, Sensitivity::count_query_batch(1));
         let expected = (2.0 * (1.25 / 1e-5f64).ln()).sqrt() / 0.5;
         assert_close(m.sigma(), expected, 1e-12);
         assert_close(m.noise_variance(), expected * expected, 1e-9);
@@ -288,7 +260,7 @@ mod tests {
     #[test]
     fn geometric_answers_are_integers() {
         let mut rng = StdRng::seed_from_u64(37);
-        let m = GeometricMechanism::new(0.1, Sensitivity::count_query());
+        let m = GeometricMechanism::new(0.1, Sensitivity::count_query_batch(1));
         for _ in 0..100 {
             let a = m.answer(&mut rng, 50.0);
             assert_close(a.fract(), 0.0, 1e-12);
@@ -298,7 +270,7 @@ mod tests {
     #[test]
     fn geometric_variance_matches_closed_form() {
         let eps = 0.2;
-        let m = GeometricMechanism::new(eps, Sensitivity::count_query());
+        let m = GeometricMechanism::new(eps, Sensitivity::count_query_batch(1));
         let alpha: f64 = (-eps).exp();
         assert_close(
             m.noise_variance(),
@@ -314,13 +286,13 @@ mod tests {
         // bucket must differ by at most e^ε (up to sampling error).
         let mut rng = StdRng::seed_from_u64(41);
         let eps = 0.5;
-        let m = GeometricMechanism::new(eps, Sensitivity::count_query());
+        let m = GeometricMechanism::new(eps, Sensitivity::count_query_batch(1));
         let n = 200_000;
         let mut h1 = std::collections::HashMap::new();
         let mut h2 = std::collections::HashMap::new();
         for _ in 0..n {
-            *h1.entry(m.answer_integer(&mut rng, 10)).or_insert(0u64) += 1;
-            *h2.entry(m.answer_integer(&mut rng, 11)).or_insert(0u64) += 1;
+            *h1.entry(m.answer(&mut rng, 10.0) as i64).or_insert(0u64) += 1;
+            *h2.entry(m.answer(&mut rng, 11.0) as i64).or_insert(0u64) += 1;
         }
         let bound = eps.exp() * 1.25; // slack for Monte-Carlo error
         for (k, &c1) in &h1 {
@@ -342,7 +314,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
     fn laplace_rejects_zero_epsilon() {
-        LaplaceMechanism::new(0.0, Sensitivity::count_query());
+        LaplaceMechanism::new(0.0, Sensitivity::count_query_batch(1));
     }
 
     #[test]
@@ -354,6 +326,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon in (0, 1)")]
     fn gaussian_rejects_large_epsilon() {
-        GaussianMechanism::new(1.5, 1e-5, Sensitivity::count_query());
+        GaussianMechanism::new(1.5, 1e-5, Sensitivity::count_query_batch(1));
     }
 }

@@ -107,12 +107,6 @@ pub fn delta_constraint(n: u64, p: f64, delta: f64, s: f64, d: u64, linf: f64) -
     npq >= (23.0 * (10.0 * d as f64 / delta).ln()).max(2.0 * linf / s)
 }
 
-/// Theorem 1's expected squared error of the full `d`-dimensional answer:
-/// `d·s²·N·p·(1−p)` (each coordinate carries variance `s²·N·p·(1−p)`).
-pub fn mechanism_error(n: u64, p: f64, s: f64, d: u64) -> f64 {
-    d as f64 * s * s * n as f64 * p * (1.0 - p)
-}
-
 /// The smallest `N` whose Theorem-1 ε is at most `target_epsilon` *and*
 /// that satisfies the side constraint, by binary search (both the
 /// constraint and ε are monotone in `N`). `None` if no `N ≤ 2⁵³`
@@ -334,12 +328,6 @@ mod tests {
         assert!(!delta_constraint(1_610, 0.5, 1e-6, 1.0, 4, 1.0));
         // The 2Δ∞/s arm takes over for tiny scales.
         assert!(!delta_constraint(1_611, 0.5, 1e-6, 1e-3, 4, 1.0));
-    }
-
-    #[test]
-    fn error_is_d_s2_npq() {
-        assert_close(mechanism_error(2_000, 0.5, 1.0, 4), 2_000.0);
-        assert_close(mechanism_error(5_000, 0.3, 2.0, 16), 67_200.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! to record insertion — each record is perturbed independently, and a
 //! group that outgrows its threshold `sg` is re-sampled in place. Both
 //! per-group steps live on `rp-core`'s [`LiveGroup`]
-//! (`insert` and `republish`); this module wraps them in the machinery a
-//! server needs to run them for real:
+//! (`insert` and `republish`); this module is the one publisher that
+//! drives them, wrapped in the machinery a server needs to run them for
+//! real:
 //!
 //! * **[`wal`]** — a write-ahead log of inserts and re-publications with
 //!   the crate's usual codec discipline (versioned header recording the

@@ -944,40 +944,17 @@ fn cmd_bakeoff(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads an ingest CSV (header + value rows) into `(columns, rows)`.
-fn load_ingest_rows(path: &str) -> Result<(Vec<String>, Vec<Vec<String>>), String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let mut lines = BufReader::new(file).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("{path} is empty"))?
-        .map_err(|e| format!("read {path}: {e}"))?;
-    let columns: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
-    let mut rows = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let line = line.map_err(|e| format!("read {path}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let values: Vec<String> = line.split(',').map(|s| s.trim().to_string()).collect();
-        if values.len() != columns.len() {
-            return Err(format!(
-                "{path} line {}: {} fields, expected {}",
-                i + 2,
-                values.len(),
-                columns.len()
-            ));
-        }
-        rows.push(values);
-    }
-    Ok((columns, rows))
+/// Record `row` of an ingest CSV as `(column, value)` pairs.
+fn ingest_record(records: &Table, row: usize) -> Result<Vec<(&str, &str)>, String> {
+    let values = records.decode_row(row).map_err(|e| e.to_string())?;
+    Ok(records.schema().names().into_iter().zip(values).collect())
 }
 
 fn cmd_ingest(opts: &Options) -> Result<(), String> {
     let input = opts.input.as_deref().ok_or("--input is required")?;
-    let (columns, rows) = load_ingest_rows(input)?;
+    let records = load(input)?;
     if let Some(addr) = opts.connect.as_deref() {
-        return cmd_ingest_remote(addr, opts.client_timeout(), &columns, &rows);
+        return cmd_ingest_remote(addr, opts.client_timeout(), &records);
     }
     // Local ingest: straight into the WAL, then snapshot.
     let wal = opts
@@ -989,15 +966,10 @@ fn cmd_ingest(opts: &Options) -> Result<(), String> {
     let mut stream = StreamPublisher::open(publication, Path::new(wal), opts.stream_config())
         .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))?;
     let mut republished = 0u64;
-    for (i, row) in rows.iter().enumerate() {
-        let values: Vec<(&str, &str)> = columns
-            .iter()
-            .map(String::as_str)
-            .zip(row.iter().map(String::as_str))
-            .collect();
+    for row in 0..records.rows() {
         let outcome = stream
-            .insert_values(&values)
-            .map_err(|e| format!("{input} record {}: {e}", i + 1))?;
+            .insert_values(&ingest_record(&records, row)?)
+            .map_err(|e| format!("{input} record {}: {e}", row + 1))?;
         republished += u64::from(outcome.republished);
     }
     stream.flush().map_err(|e| format!("flush: {e}"))?;
@@ -1007,7 +979,7 @@ fn cmd_ingest(opts: &Options) -> Result<(), String> {
     println!(
         "ingested {} records ({republished} re-publications); wal = {wal} ({} events), \
          snapshot = {output} ({} live groups, {} live records)",
-        rows.len(),
+        records.rows(),
         stream.wal_seq(),
         stream.live_groups(),
         stream.live_records()
@@ -1015,24 +987,13 @@ fn cmd_ingest(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Feeds the rows into a streaming server over TCP: one `insert` line per
-/// record, then `flush` (durability on the server), then `quit`.
-fn cmd_ingest_remote(
-    addr: &str,
-    timeout: Option<Duration>,
-    columns: &[String],
-    rows: &[Vec<String>],
-) -> Result<(), String> {
+/// Feeds the records into a streaming server over TCP: one `insert` line
+/// per record, then `flush` (durability on the server), then `quit`.
+fn cmd_ingest_remote(addr: &str, timeout: Option<Duration>, records: &Table) -> Result<(), String> {
     let mut session = RemoteSession::connect(addr, timeout)?;
     let mut republished = 0u64;
-    for (i, row) in rows.iter().enumerate() {
-        let record = WireRecord::new(
-            columns
-                .iter()
-                .cloned()
-                .zip(row.iter().cloned())
-                .collect::<Vec<(String, String)>>(),
-        );
+    for i in 0..records.rows() {
+        let record = WireRecord::new(ingest_record(records, i)?);
         session.send(&Request::Insert(record))?;
         match session.read_response()? {
             Response::Inserted { republished: r, .. } => republished += u64::from(r),
@@ -1054,7 +1015,7 @@ fn cmd_ingest_remote(
     println!(
         "ingested {} records over {addr} ({republished} re-publications); \
          server durable through event {events}",
-        rows.len()
+        records.rows()
     );
     Ok(())
 }

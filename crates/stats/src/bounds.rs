@@ -5,8 +5,7 @@
 //! frequency. Theorem 2 reduces those tails to the tails of the observed
 //! count `O*`, which is a sum of independent (non-identical) Bernoulli
 //! trials, so the classical bound literature applies. This module provides
-//! Markov, Chebyshev, Hoeffding and — the one the paper adopts — the
-//! simplified Chernoff bounds of Theorem 3.
+//! the bounds the paper adopts: the simplified Chernoff bounds of Theorem 3.
 
 /// Chernoff upper-tail bound (Theorem 3, Equation 5):
 /// `Pr[(X − µ)/µ > ω] < exp(−ω²µ / (2 + ω))` for `ω ∈ (0, ∞)`.
@@ -36,40 +35,6 @@ pub fn chernoff_lower(omega: f64, mu: f64) -> f64 {
     );
     assert!(mu >= 0.0, "mean must be non-negative, got {mu}");
     (-(omega * omega * mu) / 2.0).exp()
-}
-
-/// Markov's inequality for a non-negative variable:
-/// `Pr[X > a] <= E[X]/a`, clamped to 1.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `mean < 0`.
-pub fn markov(mean: f64, a: f64) -> f64 {
-    assert!(a > 0.0, "Markov threshold must be positive, got {a}");
-    assert!(mean >= 0.0, "mean must be non-negative, got {mean}");
-    (mean / a).min(1.0)
-}
-
-/// Chebyshev's inequality: `Pr[|X − µ| >= k·σ] <= 1/k²`, clamped to 1.
-///
-/// # Panics
-///
-/// Panics if `k <= 0`.
-pub fn chebyshev(k: f64) -> f64 {
-    assert!(k > 0.0, "Chebyshev multiple must be positive, got {k}");
-    (1.0 / (k * k)).min(1.0)
-}
-
-/// Hoeffding's inequality for `n` independent trials bounded in `[0, 1]`:
-/// `Pr[X − E[X] >= t·n] <= exp(−2·n·t²)` (one-sided, in fraction `t`).
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `t <= 0`.
-pub fn hoeffding(n: u64, t: f64) -> f64 {
-    assert!(n > 0, "Hoeffding needs at least one trial");
-    assert!(t > 0.0, "Hoeffding deviation must be positive, got {t}");
-    (-2.0 * n as f64 * t * t).exp()
 }
 
 /// The pair of simplified Chernoff bounds `(U, L)` used throughout the paper,
@@ -157,19 +122,6 @@ mod tests {
                 chernoff_lower(omega, mu)
             );
         }
-    }
-
-    #[test]
-    fn markov_and_chebyshev_clamp_to_one() {
-        assert_eq!(markov(10.0, 5.0), 1.0);
-        assert_eq!(chebyshev(0.5), 1.0);
-        assert!((markov(2.0, 10.0) - 0.2).abs() < 1e-12);
-        assert!((chebyshev(2.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hoeffding_decreases_in_n() {
-        assert!(hoeffding(100, 0.1) > hoeffding(1000, 0.1));
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl Laplace {
         -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
     }
 
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        (-x.abs() / self.scale).exp() / (2.0 * self.scale)
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, x: f64) -> f64 {
         if x < 0.0 {
@@ -203,19 +198,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert_close(mean, 0.0, 0.3);
         assert_close(var, dist.variance(), 0.03 * dist.variance());
-    }
-
-    #[test]
-    fn laplace_cdf_pdf_consistency() {
-        let dist = Laplace::new(2.0);
-        assert_close(dist.cdf(0.0), 0.5, 1e-12);
-        assert_close(dist.cdf(f64::INFINITY), 1.0, 1e-12);
-        // Numerical derivative of the CDF equals the PDF.
-        for &x in &[-3.0, -0.5, 0.5, 4.0] {
-            let h = 1e-6;
-            let deriv = (dist.cdf(x + h) - dist.cdf(x - h)) / (2.0 * h);
-            assert_close(deriv, dist.pdf(x), 1e-6);
-        }
     }
 
     #[test]

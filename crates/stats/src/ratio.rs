@@ -62,13 +62,6 @@ pub fn laplace_disclosure_indicator(b: f64, x: f64) -> f64 {
     2.0 * (b / x) * (b / x)
 }
 
-/// Corollary-2 bounds for Laplace noise: `(bias_bound, variance_bound)` =
-/// `(2(b/x)², 4(b/x)²)`.
-pub fn laplace_ratio_bounds(b: f64, x: f64) -> (f64, f64) {
-    let indicator = laplace_disclosure_indicator(b, x);
-    (indicator, 2.0 * indicator)
-}
-
 /// The paper's rule-of-thumb disclosure test: the ratio estimate is
 /// considered accurate enough to disclose when `b/x <= 1/20`.
 pub fn is_disclosive_rule_of_thumb(b: f64, x: f64) -> bool {
@@ -103,6 +96,13 @@ mod tests {
         let m = ratio_moments(200.0, 100.0, 0.0);
         assert_close(m.mean, 0.5, 1e-12);
         assert_close(m.variance, 0.0, 1e-12);
+    }
+
+    /// Corollary-2 bounds for Laplace noise: `(bias_bound, variance_bound)` =
+    /// `(2(b/x)², 4(b/x)²)`.
+    fn laplace_ratio_bounds(b: f64, x: f64) -> (f64, f64) {
+        let indicator = laplace_disclosure_indicator(b, x);
+        (indicator, 2.0 * indicator)
     }
 
     #[test]

@@ -106,45 +106,6 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, q: f64) -> u64 {
     }
 }
 
-/// Draws a multinomial sample: `n` items distributed over categories with
-/// probabilities `probs` (which must sum to ~1).
-///
-/// Implemented by conditional binomials, so it is exact and `O(k)` binomial
-/// draws for `k` categories.
-///
-/// # Panics
-///
-/// Panics if `probs` is empty, has negative entries, or sums to something
-/// farther than 1e-9 from 1.
-pub fn sample_multinomial<R: Rng + ?Sized>(rng: &mut R, n: u64, probs: &[f64]) -> Vec<u64> {
-    assert!(!probs.is_empty(), "probability vector must be non-empty");
-    let total: f64 = probs.iter().sum();
-    assert!(
-        (total - 1.0).abs() < 1e-9,
-        "probabilities must sum to 1, got {total}"
-    );
-    let mut counts = Vec::with_capacity(probs.len());
-    let mut remaining_n = n;
-    let mut remaining_p = 1.0;
-    for (i, &p) in probs.iter().enumerate() {
-        assert!(p >= 0.0, "probabilities must be non-negative, got {p}");
-        if i + 1 == probs.len() {
-            counts.push(remaining_n);
-            break;
-        }
-        if remaining_n == 0 || remaining_p <= 0.0 {
-            counts.push(0);
-            continue;
-        }
-        let cond = (p / remaining_p).clamp(0.0, 1.0);
-        let c = sample_binomial(rng, remaining_n, cond);
-        counts.push(c);
-        remaining_n -= c;
-        remaining_p -= p;
-    }
-    counts
-}
-
 /// Stochastic rounding of a non-negative real target count: returns
 /// `floor(x)` plus one more with probability `frac(x)`.
 ///
@@ -163,28 +124,6 @@ pub fn stochastic_round<R: Rng + ?Sized>(rng: &mut R, x: f64) -> u64 {
     let frac = x - base;
     let extra = u64::from(frac > 0.0 && rng.gen::<f64>() < frac);
     base as u64 + extra
-}
-
-/// Reservoir-free sampling of exactly `k` distinct indices out of `0..n`
-/// using Floyd's algorithm; order is unspecified.
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} items from {n}");
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    let mut out = Vec::with_capacity(k);
-    for j in n - k..n {
-        let t = rng.gen_range(0..=j);
-        if chosen.insert(t) {
-            out.push(t);
-        } else {
-            chosen.insert(j);
-            out.push(j);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -265,26 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn multinomial_totals_and_moments() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let probs = [0.5, 0.2, 0.2, 0.1];
-        let n = 10_000u64;
-        let counts = sample_multinomial(&mut rng, n, &probs);
-        assert_eq!(counts.iter().sum::<u64>(), n);
-        for (c, p) in counts.iter().zip(probs.iter()) {
-            let sd = (n as f64 * p * (1.0 - p)).sqrt();
-            assert_close(*c as f64, n as f64 * p, 5.0 * sd);
-        }
-    }
-
-    #[test]
-    fn multinomial_zero_probability_categories() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let counts = sample_multinomial(&mut rng, 1000, &[0.0, 1.0, 0.0]);
-        assert_eq!(counts, vec![0, 1000, 0]);
-    }
-
-    #[test]
     fn stochastic_round_integer_is_exact() {
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..100 {
@@ -300,40 +219,5 @@ mod tests {
         let n = 100_000;
         let sum: u64 = (0..n).map(|_| stochastic_round(&mut rng, x)).sum();
         assert_close(sum as f64 / n as f64, x, 0.01);
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(12);
-        for &(n, k) in &[(10usize, 10usize), (100, 5), (100, 99), (1, 0)] {
-            let idx = sample_indices(&mut rng, n, k);
-            assert_eq!(idx.len(), k);
-            let set: std::collections::HashSet<_> = idx.iter().collect();
-            assert_eq!(set.len(), k, "indices must be distinct");
-            assert!(idx.iter().all(|&i| i < n));
-        }
-    }
-
-    #[test]
-    fn sample_indices_uniformity() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let trials = 30_000;
-        let mut hits = [0u64; 5];
-        for _ in 0..trials {
-            for i in sample_indices(&mut rng, 5, 2) {
-                hits[i] += 1;
-            }
-        }
-        // Each index appears with probability 2/5.
-        for &h in &hits {
-            assert_close(h as f64 / trials as f64, 0.4, 0.02);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn sample_indices_rejects_oversample() {
-        let mut rng = StdRng::seed_from_u64(14);
-        sample_indices(&mut rng, 3, 4);
     }
 }

@@ -141,17 +141,8 @@ fn gamma_continued_fraction(a: f64, x: f64) -> f64 {
     h * (-x + a * x.ln() - ln_gamma(a)).exp()
 }
 
-/// Error function `erf(x)`, accurate to ~1.2e-7 absolute error.
-///
-/// Uses the Abramowitz–Stegun 7.1.26-style rational approximation on top of
-/// the complementary error function; sufficient for the Gaussian mechanism's
-/// sigma calibration and for test assertions (the workspace never needs
-/// more than ~1e-6 here).
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// Complementary error function `erfc(x) = 1 − erf(x)`.
+/// Complementary error function `erfc(x) = 1 − erf(x)`, accurate to
+/// ~1.2e-7.
 pub fn erfc(x: f64) -> f64 {
     // Numerical Recipes `erfcc` Chebyshev fit; relative error < 1.2e-7.
     let z = x.abs();
@@ -179,24 +170,14 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Natural logarithm of `n!` computed through [`ln_gamma`].
-pub fn ln_factorial(n: u64) -> f64 {
-    ln_gamma(n as f64 + 1.0)
-}
-
-/// Natural logarithm of the binomial coefficient `C(n, k)`.
-///
-/// Returns negative infinity when `k > n` (the coefficient is zero).
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The error function, checked through its complement.
+    fn erf(x: f64) -> f64 {
+        1.0 - erfc(x)
+    }
 
     fn assert_close(actual: f64, expected: f64, tol: f64) {
         assert!(
@@ -288,20 +269,5 @@ mod tests {
         for &x in &[0.3, 1.0, 2.5] {
             assert_close(std_normal_cdf(x) + std_normal_cdf(-x), 1.0, 4e-7);
         }
-    }
-
-    #[test]
-    fn ln_choose_matches_pascal() {
-        assert_close(ln_choose(5, 2), (10.0f64).ln(), 1e-12);
-        assert_close(ln_choose(10, 0), 0.0, 1e-12);
-        assert_close(ln_choose(10, 10), 0.0, 1e-12);
-        assert!(ln_choose(3, 5).is_infinite() && ln_choose(3, 5) < 0.0);
-    }
-
-    #[test]
-    fn ln_factorial_small_values() {
-        assert_close(ln_factorial(0), 0.0, 1e-12);
-        assert_close(ln_factorial(1), 0.0, 1e-12);
-        assert_close(ln_factorial(4), (24.0f64).ln(), 1e-12);
     }
 }

@@ -43,11 +43,6 @@ impl OnlineStats {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Population variance (denominator `n`); `None` when empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
     /// Sample standard deviation; `None` for fewer than two observations.
     pub fn sample_sd(&self) -> Option<f64> {
         self.sample_variance().map(f64::sqrt)
@@ -58,43 +53,6 @@ impl OnlineStats {
     pub fn standard_error(&self) -> Option<f64> {
         self.sample_sd().map(|sd| sd / (self.count as f64).sqrt())
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-    }
-}
-
-/// Mean and standard error of a slice, convenience wrapper over
-/// [`OnlineStats`]. Returns `(mean, standard_error)`; the standard error is
-/// zero for a single observation.
-///
-/// # Panics
-///
-/// Panics if the slice is empty.
-pub fn mean_and_se(values: &[f64]) -> (f64, f64) {
-    assert!(
-        !values.is_empty(),
-        "mean_and_se requires at least one value"
-    );
-    let mut stats = OnlineStats::new();
-    for &v in values {
-        stats.push(v);
-    }
-    (stats.mean().unwrap(), stats.standard_error().unwrap_or(0.0))
 }
 
 /// Relative error `|estimate − actual| / actual`, the utility measure of
@@ -134,7 +92,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), Some(42.0));
         assert_eq!(s.sample_variance(), None);
-        assert_eq!(s.population_variance(), Some(0.0));
     }
 
     #[test]
@@ -144,7 +101,6 @@ mod tests {
             s.push(x);
         }
         assert_close(s.mean().unwrap(), 5.0, 1e-12);
-        assert_close(s.population_variance().unwrap(), 4.0, 1e-12);
         assert_close(s.sample_variance().unwrap(), 32.0 / 7.0, 1e-12);
         assert_close(
             s.standard_error().unwrap(),
@@ -162,53 +118,6 @@ mod tests {
         }
         assert_close(s.mean().unwrap(), offset + 2.0, 1e-3);
         assert_close(s.sample_variance().unwrap(), 1.0, 1e-6);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut sequential = OnlineStats::new();
-        for &v in &values {
-            sequential.push(v);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &values[..37] {
-            left.push(v);
-        }
-        for &v in &values[37..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert_close(left.mean().unwrap(), sequential.mean().unwrap(), 1e-10);
-        assert_close(
-            left.sample_variance().unwrap(),
-            sequential.sample_variance().unwrap(),
-            1e-10,
-        );
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        s.push(3.0);
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn mean_and_se_matches_accumulator() {
-        let values = [1.0, 2.0, 3.0, 4.0];
-        let (mean, se) = mean_and_se(&values);
-        assert_close(mean, 2.5, 1e-12);
-        let expected_se = (5.0 / 3.0f64).sqrt() / 2.0;
-        assert_close(se, expected_se, 1e-12);
     }
 
     #[test]

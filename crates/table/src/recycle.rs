@@ -68,8 +68,10 @@ pub(crate) fn take(capacity: usize) -> Vec<u32> {
     .unwrap_or_else(|_| Vec::with_capacity(capacity))
 }
 
-/// Returns a retired buffer to the pool (or drops it if the pool is full or
-/// the buffer is outside the pooling bounds).
+/// Returns a retired buffer to the pool. A full pool makes room by
+/// dropping its smallest buffer if the retired one is larger, so a thread
+/// moving on to larger tables pools their columns; otherwise, or if the
+/// buffer is outside the pooling bounds, the retired buffer is dropped.
 pub(crate) fn recycle(v: Vec<u32>) {
     if v.capacity() < MIN_CAPACITY || v.capacity() > MAX_CAPACITY {
         return;
@@ -80,8 +82,21 @@ pub(crate) fn recycle(v: Vec<u32>) {
     // buffer just frees normally.
     let _ = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();
-        let retained: usize = pool.iter().map(Vec::capacity).sum();
-        if pool.len() < MAX_POOLED && retained + v.capacity() <= MAX_TOTAL_CAPACITY {
+        let mut retained: usize = pool.iter().map(Vec::capacity).sum();
+        let mut evict = None;
+        if pool.len() == MAX_POOLED {
+            match pool.iter().enumerate().min_by_key(|(_, b)| b.capacity()) {
+                Some((i, b)) if b.capacity() < v.capacity() => {
+                    retained -= b.capacity();
+                    evict = Some(i);
+                }
+                _ => return,
+            }
+        }
+        if retained + v.capacity() <= MAX_TOTAL_CAPACITY {
+            if let Some(i) = evict {
+                pool.swap_remove(i);
+            }
             pool.push(v);
         }
     });
@@ -124,6 +139,25 @@ mod tests {
             recycle(Vec::with_capacity(MIN_CAPACITY));
         }
         POOL.with(|p| assert!(p.borrow().len() <= MAX_POOLED));
+    }
+
+    #[test]
+    fn a_full_pool_trades_its_smallest_buffer_for_a_larger_one() {
+        drain_pool();
+        for _ in 0..MAX_POOLED {
+            recycle(Vec::with_capacity(MIN_CAPACITY));
+        }
+        recycle(Vec::with_capacity(4 * MIN_CAPACITY));
+        // A retired buffer no larger than the smallest pooled one is dropped.
+        recycle(Vec::with_capacity(MIN_CAPACITY));
+        POOL.with(|p| {
+            let pool = p.borrow();
+            assert_eq!(pool.len(), MAX_POOLED);
+            let capacities: usize = pool.iter().map(Vec::capacity).sum();
+            assert_eq!(capacities, (MAX_POOLED + 3) * MIN_CAPACITY);
+        });
+        assert_eq!(take(4 * MIN_CAPACITY).capacity(), 4 * MIN_CAPACITY);
+        drain_pool();
     }
 
     #[test]

@@ -219,32 +219,6 @@ impl Table {
         })
     }
 
-    /// Builds a new table containing only the rows in `keep`, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any index is out of range.
-    pub fn select_rows(&self, keep: &[usize]) -> Result<Self, TableError> {
-        for &r in keep {
-            if r >= self.rows {
-                return Err(TableError::RowOutOfRange {
-                    row: r,
-                    rows: self.rows,
-                });
-            }
-        }
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Column::from_codes(keep.iter().map(|&r| c.code(r)).collect()))
-            .collect();
-        Ok(Self {
-            schema: self.schema.clone(),
-            columns,
-            rows: keep.len(),
-        })
-    }
-
     /// Histogram of attribute `id` over the whole table.
     ///
     /// # Errors
@@ -870,16 +844,6 @@ mod tests {
         let t = demo_table();
         assert_eq!(t.histogram_over(2, &[0, 3]), vec![2, 0, 0]);
         assert_eq!(t.histogram_over(2, &[]), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn select_rows_projects_and_validates() {
-        let t = demo_table();
-        let sub = t.select_rows(&[2, 0]).unwrap();
-        assert_eq!(sub.rows(), 2);
-        assert_eq!(sub.decode_row(0).unwrap(), vec!["female", "doc", "bc"]);
-        assert_eq!(sub.decode_row(1).unwrap(), vec!["male", "eng", "flu"]);
-        assert!(t.select_rows(&[4]).is_err());
     }
 
     #[test]

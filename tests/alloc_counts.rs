@@ -15,7 +15,10 @@
 //!   record rows in the reader's buffer, so it allocates as often for
 //!   either, and `QueryEngine::new` groups the rows without a per-row key
 //!   array, so over the same groups it allocates equal counts and equal
-//!   bytes.
+//!   bytes;
+//! * a thread that opened the saved release opens the doubled one as a
+//!   fresh thread does: its full buffer pool trades the smaller columns
+//!   for the larger ones.
 //!
 //! Each figure is the fewest over several runs, so the sampled
 //! instrumentation and the table crate's buffer pool cannot make it vary.
@@ -232,5 +235,27 @@ fn opening_a_release_allocates_alike_for_twice_the_rows() {
     assert_eq!(
         engine, engine_doubled,
         "QueryEngine::new allocates per row: {engine:?} against {engine_doubled:?} doubled"
+    );
+}
+
+#[test]
+fn a_thread_that_opened_a_smaller_release_pools_a_larger_ones_columns() {
+    let (publication, _) = census_publication();
+    let mut saved = Vec::new();
+    publication.save(&mut saved).expect("in-memory save");
+    let doubled = doubled_rows(&saved);
+
+    let fresh = on_fresh_thread(|| allocations_of(8, || Publication::load(&doubled[..]).unwrap()));
+    let after_smaller = on_fresh_thread(|| {
+        allocations_of(8, || Publication::load(&saved[..]).unwrap());
+        allocations_of(8, || Publication::load(&doubled[..]).unwrap())
+    });
+    println!(
+        "doubled Publication::load (allocations, bytes): fresh thread {fresh:?}, \
+         after the smaller release {after_smaller:?}"
+    );
+    assert_eq!(
+        after_smaller, fresh,
+        "the pool kept the smaller release's buffers over the larger one's"
     );
 }

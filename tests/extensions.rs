@@ -2,6 +2,7 @@
 //! incremental publication, variance/CI, Anatomy, the DP histogram and the
 //! CSV round trip through the whole pipeline.
 
+use std::collections::BTreeMap;
 use std::io::Cursor;
 
 use proptest::prelude::*;
@@ -9,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::audit::audit;
 use rp_core::groups::{PersonalGroups, SaSpec};
-use rp_core::incremental::{GroupStatus, IncrementalPublisher};
+use rp_core::incremental::{GroupStatus, LiveGroup};
+use rp_core::perturb::UniformPerturbation;
 use rp_core::privacy::{check_groups, PrivacyParams};
 use rp_core::sps::{sps, SpsConfig};
 use rp_core::variance::{confidence_interval, reconstruction_se};
@@ -71,7 +73,8 @@ fn incremental_publisher_matches_batch_semantics() {
     let d = PreparedDataset::adult_small(6_000);
     let params = PrivacyParams::new(0.3, 0.3);
     let spec = SaSpec::new(&d.generalized, d.sa);
-    let mut publisher = IncrementalPublisher::new(0.5, spec.m(), params);
+    let op = UniformPerturbation::new(0.5, spec.m());
+    let mut live: BTreeMap<Vec<u32>, LiveGroup> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(2);
     for row in 0..d.generalized.rows() {
         let key: Vec<u32> = spec
@@ -79,24 +82,27 @@ fn incremental_publisher_matches_batch_semantics() {
             .iter()
             .map(|&a| d.generalized.code(row, a))
             .collect();
-        let _ = publisher.insert(&mut rng, &key, d.generalized.code(row, spec.sa()));
+        let _ = live
+            .entry(key.clone())
+            .or_insert_with(|| LiveGroup::new(key, spec.m()))
+            .insert(&mut rng, &op, params, d.generalized.code(row, spec.sa()));
     }
     let batch = PersonalGroups::build(&d.generalized, spec);
-    assert_eq!(publisher.group_count(), batch.len());
+    assert_eq!(live.len(), batch.len());
     for g in batch.groups() {
-        let live = publisher.group(&g.key).expect("group exists");
-        assert_eq!(live.raw_hist, g.sa_hist, "raw histogram mismatch");
+        let group = live.get(&g.key).expect("group exists");
+        assert_eq!(group.raw_hist, g.sa_hist, "raw histogram mismatch");
     }
     // Flagged status must agree with the batch report.
     let report = check_groups(&batch, 0.5, params);
     for (g, verdict) in batch.groups().iter().zip(&report.verdicts) {
-        let live = publisher.group(&g.key).unwrap();
+        let group = &live[&g.key];
         let expect = if verdict.violates {
             GroupStatus::NeedsResampling
         } else {
             GroupStatus::Compliant
         };
-        assert_eq!(live.status, expect, "group {:?}", g.key);
+        assert_eq!(group.status, expect, "group {:?}", g.key);
     }
 }
 
