@@ -1,14 +1,20 @@
 //! Benches for opening a release, the work `rpctl serve` does before its
 //! first `HELLO`:
 //!
-//! * `open/load` — `Publication::load` over a saved CENSUS artifact held
-//!   in memory (every header, schema and record row parsed and checked);
+//! * `open/serve` — `QueryEngine::open` over a saved CENSUS artifact held
+//!   in memory: what `rpctl serve` runs. Every header, schema and record
+//!   row is checked as `open/load` checks it, but each row only adds one
+//!   to its personal group's SA histogram, and no table is built;
+//! * `open/load` — `Publication::load` over the same bytes (every record
+//!   row parsed into the table's columns, a row that repeats the row
+//!   before it copied without a parse);
 //! * `open/scan` — the same bytes through `BufRead::read_until`, line by
 //!   line, with no parse: the I/O floor under `open/load`. CI gates the
 //!   same-run ratio `open/load / open/scan`, which does not depend on the
 //!   host's speed;
 //! * `open/engine_build` — `QueryEngine::new` over the loaded release
-//!   (personal-group keys, SA histograms and the key bitmaps).
+//!   (personal-group keys, SA histograms and the key bitmaps), which
+//!   `open/serve` folds into its one pass.
 
 use std::io::BufRead;
 
@@ -34,6 +40,9 @@ fn bench_open(c: &mut Criterion) {
     let publication = Publication::load(&bytes[..]).expect("artifact loads");
 
     let mut group = c.benchmark_group("open");
+    group.bench_function("serve", |b| {
+        b.iter(|| QueryEngine::open(&bytes[..]).expect("artifact opens"));
+    });
     group.bench_function("load", |b| {
         b.iter(|| Publication::load(&bytes[..]).expect("artifact loads"));
     });

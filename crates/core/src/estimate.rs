@@ -142,11 +142,13 @@ impl GroupedView {
         Self::assemble(spec, keys, hists)
     }
 
-    /// The view over sorted `keys` and their aligned histograms, which are
+    /// The view over sorted `keys` (codes of `spec`'s NA attributes) and
+    /// their aligned histograms, as [`rp_table::group_histograms`] and
+    /// [`rp_table::GroupCounts`] return them. The histograms are
     /// transposed into the SA-major column block and dropped; the same
     /// pass adds each group into the marginals of the whole view and of
     /// each of its key codes.
-    fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
+    pub fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
         let groups = hists.len();
         let m = spec.m();
         // Key domains are `max key code + 1`, as in `build_key_index`.

@@ -8,7 +8,7 @@
 //! is fully described by its key and its SA histogram; member row lists are
 //! never materialized.
 
-use rp_table::{group_histograms, AttrId, Pattern, Table};
+use rp_table::{group_histograms, AttrId, Pattern, Schema, Table};
 
 /// Declares which attribute of a table is sensitive; all others are public.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,13 +28,22 @@ impl SaSpec {
     /// left over, or if the SA domain has fewer than 2 values (the paper
     /// assumes `m > 2`; the algebra needs `m >= 2`).
     pub fn new(table: &Table, sa: AttrId) -> Self {
-        let arity = table.schema().arity();
+        Self::for_schema(table.schema(), sa)
+    }
+
+    /// The spec of a table over `schema`, as [`SaSpec::new`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SaSpec::new`].
+    pub fn for_schema(schema: &Schema, sa: AttrId) -> Self {
+        let arity = schema.arity();
         assert!(
             sa < arity,
             "SA attribute {sa} out of range for arity {arity}"
         );
         assert!(arity >= 2, "need at least one public attribute besides SA");
-        let m = table.schema().attribute(sa).domain_size();
+        let m = schema.attribute(sa).domain_size();
         assert!(m >= 2, "SA domain must have at least 2 values, got {m}");
         Self {
             sa,

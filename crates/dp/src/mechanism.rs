@@ -22,19 +22,6 @@ use rp_stats::dist::{Gaussian, Laplace, TwoSidedGeometric};
 pub struct Sensitivity(f64);
 
 impl Sensitivity {
-    /// Creates a sensitivity value.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `delta > 0` and finite.
-    pub fn new(delta: f64) -> Self {
-        assert!(
-            delta > 0.0 && delta.is_finite(),
-            "sensitivity must be positive and finite, got {delta}"
-        );
-        Self(delta)
-    }
-
     /// Sensitivity covering a batch of `k` count queries answered together
     /// (the paper's `Δ = 2` for the `Q1, Q2` pair).
     pub fn count_query_batch(k: usize) -> Self {
@@ -315,12 +302,6 @@ mod tests {
     #[should_panic(expected = "epsilon must be positive")]
     fn laplace_rejects_zero_epsilon() {
         LaplaceMechanism::new(0.0, Sensitivity::count_query_batch(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "sensitivity must be positive")]
-    fn sensitivity_rejects_zero() {
-        Sensitivity::new(0.0);
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! next request re-routes through a full checkout.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,7 +55,7 @@ use crate::protocol::{
     is_release_name, ErrorCode, Line, ProtocolError, Queries, ReleaseEntry, Request, Response,
     PROTOCOL_VERSION,
 };
-use crate::publication::Publication;
+use crate::publication::{Publication, PublicationError};
 use crate::service::{QueryService, ServiceConfig, SessionStats};
 use crate::stream::{StreamConfig, StreamError, StreamPublisher};
 
@@ -245,8 +247,9 @@ impl Catalog {
         self.insert(name, service, None)
     }
 
-    /// Loads the artifact at `path` and opens it as `name`, remembering
-    /// the path so [`Catalog::reload_from_source`] can hot-swap it later.
+    /// Opens the artifact at `path` as `name` through
+    /// [`QueryService::open`], which builds no table, remembering the
+    /// path so [`Catalog::reload_from_source`] can hot-swap it later.
     ///
     /// # Errors
     ///
@@ -484,11 +487,11 @@ fn build_source(
     let load = |e: &dyn std::fmt::Display| CatalogError::Load(name.to_string(), e.to_string());
     match source {
         TenantSource::Artifact { path, config } => {
-            let publication = Publication::load_from_path(path).map_err(|e| load(&e))?;
-            Ok(Arc::new(QueryService::from_publication(
-                &publication,
-                *config,
-            )))
+            let service = File::open(path)
+                .map_err(PublicationError::from)
+                .and_then(|file| QueryService::open(BufReader::new(file), *config))
+                .map_err(|e| load(&e))?;
+            Ok(Arc::new(service))
         }
         TenantSource::Stream {
             artifact,

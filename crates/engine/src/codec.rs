@@ -14,9 +14,10 @@
 //! A *code row* is tab-separated `u32` dictionary codes: an artifact's
 //! records, a WAL event's codes, a group key. An artifact's records are
 //! read and written as bytes: [`Lines::block`] lends the reader's buffered
-//! block to `TableBuilder::push_code_rows`, which parses every whole row
-//! it takes straight into the table's columns, with no copy of the line,
-//! and [`write_code_row`] formats them without `fmt`. A row that parser
+//! block to `rp_table::CodeRows::push_code_rows`, which parses every
+//! whole row it takes straight into a table's columns or a release's
+//! group histograms, with no copy of the line, and [`write_code_row`]
+//! formats them without `fmt`. A row that parser
 //! does not take, like every WAL and group-key code, goes through
 //! [`parse_codes`] as text, so each form `str::parse::<u32>` accepts (a
 //! leading `+`, long runs of leading zeros, a `\r\n` end) still loads and
@@ -614,7 +615,7 @@ impl<R: BufRead> Lines<R> {
     }
 
     /// The reader's buffered bytes, refilled only when none are left: the
-    /// block `TableBuilder::push_code_rows` parses in place. A row that
+    /// block `rp_table::CodeRows::push_code_rows` parses in place. A row that
     /// runs past the block's end stays for [`Lines::next_row_codes`]. An
     /// interrupted read is retried, as `read_until` retries it.
     pub(crate) fn block(&mut self) -> Result<&[u8], PublicationError> {

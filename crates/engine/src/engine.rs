@@ -5,7 +5,12 @@
 //! SA histograms of the published table (the engine keeps only keys and
 //! histograms, the per-group reconstruction substrate; a direct-addressable
 //! key space builds them in one pass with no member row lists), plus
-//! per-`(NA attribute, code)` selection bitmaps over the group keys. The
+//! per-`(NA attribute, code)` selection bitmaps over the group keys.
+//! Since an answer needs nothing of a release but those histograms,
+//! [`QueryEngine::open`], the open `rpctl serve` and `rpctl query` run,
+//! counts them straight from a saved artifact's record rows as they are
+//! parsed and never builds the table; [`QueryEngine::new`] builds the same
+//! engine from a loaded [`Publication`]. The
 //! histograms are stored SA-major, one contiguous column of group counts
 //! per SA value, beside the marginals of every `(NA attribute, code)`
 //! and of the whole release. A query that pins at most one NA column
@@ -33,14 +38,15 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::io::BufRead;
 
 use rp_core::estimate::GroupedView;
-use rp_core::groups::PersonalGroups;
+use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::mle::reconstruct_frequency;
 use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
-use rp_table::{AttrId, CountQuery, Schema, TableError, Term};
+use rp_table::{AttrId, CountQuery, GroupCounts, Schema, TableError, Term};
 
-use crate::publication::Publication;
+use crate::publication::{read_artifact, Header, Publication, PublicationError};
 
 /// Confidence level of every answer's interval.
 const CI_LEVEL: f64 = 0.95;
@@ -341,14 +347,46 @@ impl QueryEngine {
     /// else of the table; the condition index is built over its schema.
     pub fn new(publication: &Publication) -> Self {
         let spec = publication.spec();
+        let view = GroupedView::from_table(publication.table(), &spec);
+        Self::over_view(publication.schema(), &spec, publication.p(), view)
+    }
+
+    /// Opens a saved release straight into an engine, building no table:
+    /// each record row, parsed in the reader's buffer, adds one to its
+    /// personal group's SA histogram (`rp_table::GroupCounts`), and a row
+    /// that repeats the row before it adds one to the same cell. The
+    /// engine equals `QueryEngine::new(&Publication::load(r)?)`, and the
+    /// two reads share every check, so a bad artifact fails with the
+    /// same error and line.
+    ///
+    /// # Errors
+    ///
+    /// As [`Publication::load`].
+    pub fn open<R: BufRead>(r: R) -> Result<Self, PublicationError> {
+        Self::open_release(r).map(|(engine, _)| engine)
+    }
+
+    /// [`QueryEngine::open`], with the artifact's header.
+    pub(crate) fn open_release<R: BufRead>(r: R) -> Result<(Self, Header), PublicationError> {
+        let (header, counts, _) = read_artifact(r, |h| GroupCounts::new(&h.schema, h.sa, h.rows))?;
+        let spec = SaSpec::for_schema(&header.schema, header.sa);
+        let (keys, hists) = counts.finish();
+        let view = GroupedView::assemble(&spec, keys, hists);
+        Ok((
+            Self::over_view(&header.schema, &spec, header.p, view),
+            header,
+        ))
+    }
+
+    fn over_view(schema: &Schema, spec: &SaSpec, p: f64, view: GroupedView) -> Self {
         Self {
-            schema: publication.schema().clone(),
+            schema: schema.clone(),
             sa: spec.sa(),
             m: spec.m(),
-            p: publication.p(),
+            p,
             z: critical_value(CI_LEVEL),
-            view: GroupedView::from_table(publication.table(), &spec),
-            index: ConditionIndex::new(publication.schema()),
+            view,
+            index: ConditionIndex::new(schema),
         }
     }
 
@@ -370,15 +408,8 @@ impl QueryEngine {
         p: f64,
     ) -> Self {
         assert!(p > 0.0 && p < 1.0, "retention must lie in (0, 1), got {p}");
-        Self {
-            schema: schema.clone(),
-            sa: groups.spec().sa(),
-            m: groups.spec().m(),
-            p,
-            z: critical_value(CI_LEVEL),
-            view: GroupedView::from_histograms(groups, hists),
-            index: ConditionIndex::new(schema),
-        }
+        let view = GroupedView::from_histograms(groups, hists);
+        Self::over_view(schema, groups.spec(), p, view)
     }
 
     /// The published schema.

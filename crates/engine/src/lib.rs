@@ -13,8 +13,10 @@
 //!   counters and the seed, (de)serializable to a line-oriented on-disk
 //!   format ([`Publication::save`] / [`Publication::load`]);
 //! * [`QueryEngine`] — a long-lived answering service built from a
-//!   release: per-group SA histograms, key bitmaps and marginals are built
-//!   at construction, with a condition index over every `(column, value)`
+//!   release, or opened straight from a saved one with no table built
+//!   ([`QueryEngine::open`]): per-group SA histograms, key bitmaps and
+//!   marginals are built at construction, with a condition index over
+//!   every `(column, value)`
 //!   pair of the schema, so a query's text resolves in one probe per
 //!   condition and single queries, batches and whole Section-6 pools are
 //!   answered without rescanning.

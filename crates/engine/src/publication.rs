@@ -12,12 +12,17 @@
 //!
 //! The record rows are nearly all of an artifact's bytes, so both
 //! directions treat them as bytes (the code-row codec of `crate::codec`).
-//! [`Publication::save`] formats them without `fmt`. [`Publication::load`]
-//! parses the rows a buffered block at a time, each row's digits straight
-//! from the reader's buffer into the table's columns. It parses a row as
-//! text only when it is in another accepted form, invalid, or cut by the
-//! end of the buffer, so that every error keeps its message and line
-//! number.
+//! [`Publication::save`] formats them without `fmt`. Reading is split in
+//! three: the header, the record rows into a sink, and the trailer (a v2
+//! artifact's live section, then the end of input). [`Publication::load`]
+//! sends the rows into a table's columns; the serving open
+//! ([`crate::QueryEngine::open`]) sends them into per-group SA histograms
+//! (`rp_table::GroupCounts`) and builds no table. Both sinks take rows a
+//! buffered block at a time, each row's digits straight from the reader's
+//! buffer, and a row whose bytes repeat the row before it in the block
+//! without a parse. A row is parsed as text only when it is in another
+//! accepted form, invalid, or cut by the end of the buffer, so that every
+//! error keeps its message and line number, whichever sink reads it.
 
 use std::fmt;
 use std::fs::File;
@@ -28,7 +33,7 @@ use rp_core::groups::SaSpec;
 use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::privacy::PrivacyParams;
 use rp_core::sps::SpsStats;
-use rp_table::{AttrId, Schema, Table, TableBuilder};
+use rp_table::{AttrId, CodeRows, Schema, Table, TableBuilder};
 
 use crate::codec::{
     parse_code, read_params, read_schema, write_code_row, write_params, write_schema, Lines,
@@ -447,96 +452,20 @@ impl Publication {
     /// magic, missing fields, malformed numbers, out-of-domain codes, an
     /// inconsistent live section).
     pub fn load<R: BufRead>(r: R) -> Result<Self, PublicationError> {
-        let mut lines = Lines::new(r);
-        let version = {
-            let magic = lines.next_line()?;
-            match magic {
-                m if m == MAGIC_V1 => 1,
-                m if m == MAGIC_V2 => 2,
-                other => {
-                    let message =
-                        format!("expected magic `{MAGIC_V1}` or `{MAGIC_V2}`, got `{other}`");
-                    return Err(PublicationError::Format { line: 1, message });
-                }
-            }
-        };
-        let sa: AttrId = lines.field("sa")?.parse_one()?;
-        let sa_line = lines.line_no;
-        let (p, params) = read_params(&mut lines)?;
-        let seed: u64 = lines.field("seed")?.parse_one()?;
-        let stats_fields = lines.field("stats")?;
-        let stats = SpsStats {
-            groups: stats_fields.parse_at(0)?,
-            groups_sampled: stats_fields.parse_at(1)?,
-            input_records: stats_fields.parse_at(2)?,
-            sampled_records: stats_fields.parse_at(3)?,
-            output_records: stats_fields.parse_at(4)?,
-        };
-        let check_fields = lines.field("check")?;
-        let check = DesignCheck {
-            total_groups: check_fields.parse_at(0)?,
-            violating_groups: check_fields.parse_at(1)?,
-            total_records: check_fields.parse_at(2)?,
-            violating_records: check_fields.parse_at(3)?,
-        };
-        let attributes = read_schema(&mut lines)?;
-        let arity = attributes.len();
-        if sa >= arity {
-            return Err(PublicationError::Format {
-                line: sa_line,
-                message: format!("sa index {sa} out of range for arity {arity}"),
-            });
-        }
-        // Mirror the publish-time shape invariants: the answering side
-        // assumes at least one public attribute and a non-trivial SA
-        // domain (`PerturbationMatrix` asserts m >= 2 at query time).
-        if arity < 2 {
-            return Err(lines.err(format!(
-                "publication needs at least one public attribute besides SA, got arity {arity}"
-            )));
-        }
-        let m = attributes[sa].domain_size();
-        if m < 2 {
-            return Err(lines.err(format!("SA domain must have at least 2 values, got {m}")));
-        }
-        let schema = Schema::new(attributes);
-        let rows: usize = lines.field("rows")?.parse_one()?;
         // The row count is untrusted input: cap the pre-allocation so a
         // corrupt header cannot force a huge reservation before any record
         // is parsed (the builder grows past the cap as real rows arrive).
-        // Schema clones are Arc-backed, so keeping one for the live
-        // section's key validation is free.
-        let mut builder = TableBuilder::with_capacity(schema.clone(), rows.min(1 << 20));
-        let mut codes = Vec::new();
-        let mut left = rows;
-        while left > 0 {
-            let (taken, bytes) = builder.push_code_rows(lines.block()?, left);
-            lines.consume_rows(taken, bytes);
-            left -= taken;
-            if taken == 0 {
-                lines.next_row_codes(&mut codes)?;
-                builder
-                    .push_codes(&codes)
-                    .map_err(|e| lines.err(e.to_string()))?;
-                left -= 1;
-            }
-        }
-        let live = if version >= 2 {
-            Some(read_live(&mut lines, &schema, sa, rows)?)
-        } else {
-            None
-        };
-        // A rows header that undercounts the actual content would otherwise
-        // load as a silently truncated release.
-        lines.expect_eof()?;
+        let (header, builder, live) = read_artifact(r, |h| {
+            TableBuilder::with_capacity(h.schema.clone(), h.rows.min(1 << 20))
+        })?;
         Ok(Self {
             table: builder.build(),
-            sa,
-            p,
-            params,
-            seed,
-            stats,
-            check,
+            sa: header.sa,
+            p: header.p,
+            params: header.params,
+            seed: header.seed,
+            stats: header.stats,
+            check: header.check,
             live,
         })
     }
@@ -554,6 +483,135 @@ impl Publication {
 
 const MAGIC_V1: &str = "rp-publication v1";
 const MAGIC_V2: &str = "rp-publication v2";
+
+/// An artifact's header: every line before its record rows, checked.
+pub(crate) struct Header {
+    version: u8,
+    pub(crate) sa: AttrId,
+    pub(crate) p: f64,
+    pub(crate) params: PrivacyParams,
+    pub(crate) seed: u64,
+    stats: SpsStats,
+    check: DesignCheck,
+    pub(crate) schema: Schema,
+    /// The declared record row count.
+    pub(crate) rows: usize,
+}
+
+/// Reads an artifact from `r`: its header, then its record rows into the
+/// sink `sink` makes from the header, then a v2 artifact's live section
+/// and the end of input. [`Publication::load`] and the serving open
+/// ([`crate::QueryEngine::open`]) both read through it, so they share
+/// every check, message and line number.
+pub(crate) fn read_artifact<R: BufRead, S: CodeRows>(
+    r: R,
+    sink: impl FnOnce(&Header) -> S,
+) -> Result<(Header, S, Option<LiveState>), PublicationError> {
+    let mut lines = Lines::new(r);
+    let header = read_header(&mut lines)?;
+    let mut rows = sink(&header);
+    read_rows(&mut lines, header.rows, &mut rows)?;
+    let live = if header.version >= 2 {
+        Some(read_live(
+            &mut lines,
+            &header.schema,
+            header.sa,
+            header.rows,
+        )?)
+    } else {
+        None
+    };
+    // A rows header that undercounts the actual content would otherwise
+    // load as a silently truncated release.
+    lines.expect_eof()?;
+    Ok((header, rows, live))
+}
+
+fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationError> {
+    let version = match lines.next_line()? {
+        m if m == MAGIC_V1 => 1,
+        m if m == MAGIC_V2 => 2,
+        other => {
+            let message = format!("expected magic `{MAGIC_V1}` or `{MAGIC_V2}`, got `{other}`");
+            return Err(PublicationError::Format { line: 1, message });
+        }
+    };
+    let sa: AttrId = lines.field("sa")?.parse_one()?;
+    let sa_line = lines.line_no;
+    let (p, params) = read_params(lines)?;
+    let seed: u64 = lines.field("seed")?.parse_one()?;
+    let stats_fields = lines.field("stats")?;
+    let stats = SpsStats {
+        groups: stats_fields.parse_at(0)?,
+        groups_sampled: stats_fields.parse_at(1)?,
+        input_records: stats_fields.parse_at(2)?,
+        sampled_records: stats_fields.parse_at(3)?,
+        output_records: stats_fields.parse_at(4)?,
+    };
+    let check_fields = lines.field("check")?;
+    let check = DesignCheck {
+        total_groups: check_fields.parse_at(0)?,
+        violating_groups: check_fields.parse_at(1)?,
+        total_records: check_fields.parse_at(2)?,
+        violating_records: check_fields.parse_at(3)?,
+    };
+    let attributes = read_schema(lines)?;
+    let arity = attributes.len();
+    if sa >= arity {
+        return Err(PublicationError::Format {
+            line: sa_line,
+            message: format!("sa index {sa} out of range for arity {arity}"),
+        });
+    }
+    // Mirror the publish-time shape invariants: the answering side
+    // assumes at least one public attribute and a non-trivial SA
+    // domain (`PerturbationMatrix` asserts m >= 2 at query time).
+    if arity < 2 {
+        return Err(lines.err(format!(
+            "publication needs at least one public attribute besides SA, got arity {arity}"
+        )));
+    }
+    let m = attributes[sa].domain_size();
+    if m < 2 {
+        return Err(lines.err(format!("SA domain must have at least 2 values, got {m}")));
+    }
+    let rows: usize = lines.field("rows")?.parse_one()?;
+    Ok(Header {
+        version,
+        sa,
+        p,
+        params,
+        seed,
+        stats,
+        check,
+        schema: Schema::new(attributes),
+        rows,
+    })
+}
+
+/// Reads `rows` record rows into `sink`: a buffered block at a time
+/// through [`CodeRows::push_code_rows`], and each row it does not take
+/// as text.
+fn read_rows<R: BufRead>(
+    lines: &mut Lines<R>,
+    rows: usize,
+    sink: &mut impl CodeRows,
+) -> Result<(), PublicationError> {
+    let mut codes = Vec::new();
+    let mut left = rows;
+    while left > 0 {
+        let (taken, bytes) = sink.push_code_rows(lines.block()?, left);
+        lines.consume_rows(taken, bytes);
+        left -= taken;
+        if taken == 0 {
+            lines.next_row_codes(&mut codes)?;
+            sink.push_codes(&codes)
+                .map_err(|e| lines.err(e.to_string()))?;
+            left -= 1;
+        }
+    }
+    Ok(())
+}
 
 /// Parses the live section of a v2 artifact, validating it against the
 /// already-parsed batch part (key domains, histogram arity `m`, and that

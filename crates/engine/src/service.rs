@@ -54,9 +54,11 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use rp_core::privacy::PrivacyParams;
 use rp_table::{AttrId, CountQuery, Term};
 
 use crate::engine::{Answer, QueryEngine, ResolvedQueries};
@@ -65,8 +67,17 @@ use crate::protocol::{
     ErrorCode, ProtocolError, Queries, ReleaseMeta, Request, Response, StatsSnapshot, Token,
     WireAnswer, WireQuery, WireRecord,
 };
-use crate::publication::Publication;
+use crate::publication::{Publication, PublicationError};
 use crate::stream::{StreamError, StreamPublisher};
+
+/// What `info` reports of a release with these parameters and seed.
+fn release_meta(params: PrivacyParams, seed: u64) -> ReleaseMeta {
+    ReleaseMeta {
+        lambda: params.lambda(),
+        delta: params.delta(),
+        seed,
+    }
+}
 
 /// The error a checkpoint/seal returns when the publisher lock was
 /// poisoned by an earlier panic: an I/O-classed stream failure, so the
@@ -243,11 +254,7 @@ impl QueryService {
         config: ServiceConfig,
     ) -> Self {
         let base = stream.base();
-        let release = ReleaseMeta {
-            lambda: base.params().lambda(),
-            delta: base.params().delta(),
-            seed: base.seed(),
-        };
+        let release = release_meta(base.params(), base.seed());
         let mut service = Self::new(Arc::new(QueryEngine::new(base)), Some(release), config);
         service.stream = Some(StreamBackend {
             publisher: Mutex::new(stream),
@@ -309,16 +316,25 @@ impl QueryService {
     /// Builds the engine from a publication artifact and wraps it in a
     /// service carrying the artifact's `(λ, δ, seed)` for `info`.
     pub fn from_publication(publication: &Publication, config: ServiceConfig) -> Self {
-        let release = ReleaseMeta {
-            lambda: publication.params().lambda(),
-            delta: publication.params().delta(),
-            seed: publication.seed(),
-        };
+        let release = release_meta(publication.params(), publication.seed());
         Self::new(
             Arc::new(QueryEngine::new(publication)),
             Some(release),
             config,
         )
+    }
+
+    /// Opens a saved release as a static service through
+    /// [`QueryEngine::open`], building no table: the service equals
+    /// `QueryService::from_publication(&Publication::load(r)?, config)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Publication::load`].
+    pub fn open<R: BufRead>(r: R, config: ServiceConfig) -> Result<Self, PublicationError> {
+        let (engine, header) = QueryEngine::open_release(r)?;
+        let release = release_meta(header.params, header.seed);
+        Ok(Self::new(Arc::new(engine), Some(release), config))
     }
 
     /// The engine answering for this service.

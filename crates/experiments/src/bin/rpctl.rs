@@ -123,9 +123,9 @@ use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::PrivacyParams;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
-    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
-    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
-    WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
+    serve, Catalog, FaultHandle, FaultSchedule, Publication, PublicationError, Publisher,
+    QueryEngine, QueryService, Request, Response, Server, ServerConfig, ServiceConfig,
+    StreamConfig, StreamPublisher, WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
 };
 use rp_experiments::bakeoff;
 use rp_table::{read_csv, write_csv, Pattern, Table, Term};
@@ -308,12 +308,25 @@ fn load(path: &str) -> Result<Table, String> {
     read_csv(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn load_publication(opts: &Options) -> Result<Publication, String> {
-    let path = opts
+fn publication_path(opts: &Options) -> Result<&str, String> {
+    Ok(opts
         .publication
         .as_deref()
-        .ok_or("--publication is required")?;
+        .ok_or("--publication is required")?)
+}
+
+fn load_publication(opts: &Options) -> Result<Publication, String> {
+    let path = publication_path(opts)?;
     Publication::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))
+}
+
+/// The engine over `--publication`, opened with no table built.
+fn open_engine(opts: &Options) -> Result<QueryEngine, String> {
+    let path = publication_path(opts)?;
+    File::open(path)
+        .map_err(PublicationError::from)
+        .and_then(|file| QueryEngine::open(BufReader::new(file)))
+        .map_err(|e| format!("cannot load {path}: {e}"))
 }
 
 fn sa_attr(table: &Table, name: &str) -> Result<usize, String> {
@@ -430,20 +443,19 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         return cmd_query_remote(opts, addr);
     }
     let value = opts.value.as_deref().ok_or("--value is required")?;
-    let publication = load_publication(opts)?;
-    let engine = QueryEngine::new(&publication);
+    let engine = open_engine(opts)?;
     let mut conditions: Vec<(&str, &str)> = opts
         .conditions
         .iter()
         .map(|(c, v)| (c.as_str(), v.as_str()))
         .collect();
-    let sa_name = publication.sa_name().to_string();
+    let sa_name = engine.schema().attribute(engine.sa()).name().to_string();
     conditions.push((&sa_name, value));
     let query = engine
         .query_from_values(&conditions)
         .map_err(|e| e.to_string())?;
     let answer = engine.answer(&query).map_err(|e| e.to_string())?;
-    print_answer(&WireAnswer::from(&answer), publication.p(), "artifact");
+    print_answer(&WireAnswer::from(&answer), engine.p(), "artifact");
     if answer.support == 0 {
         return Ok(());
     }

@@ -15,12 +15,16 @@
 //! fall back to materialized `Vec<u32>` keys. [`group_histograms`] is the
 //! one-pass kernel for callers that need only each group's key and
 //! histogram, not its member rows; it packs the keys a chunk of rows at a
-//! time instead of holding one per row.
+//! time instead of holding one per row. [`GroupCounts`] counts the same
+//! keys and histograms from a saved release's record rows as they are
+//! parsed, so a release can be served with no table built; the two share
+//! the key→histogram index that sorts the groups.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::schema::AttrId;
-use crate::table::Table;
+use crate::error::TableError;
+use crate::schema::{AttrId, Schema};
+use crate::table::{check_row, parse_code_rows, CodeRows, RowSink, Table};
 
 /// One group: its key (codes over the grouping attributes, in the order they
 /// were supplied) and the member row indices.
@@ -95,11 +99,11 @@ fn check_attrs(table: &Table, attrs: &[AttrId]) {
 /// The mixed-radix radices of the grouping columns (their domain sizes),
 /// or `None` when the domain cross product overflows `u64` (the callers
 /// then fall back to materialized keys).
-fn key_radices(table: &Table, attrs: &[AttrId]) -> Option<Vec<u64>> {
+fn key_radices(schema: &Schema, attrs: &[AttrId]) -> Option<Vec<u64>> {
     let mut product: u128 = 1;
     let mut radices = Vec::with_capacity(attrs.len());
     for &a in attrs {
-        let d = table.schema().attribute(a).domain_size().max(1) as u128;
+        let d = schema.attribute(a).domain_size().max(1) as u128;
         product = product.checked_mul(d)?;
         if product > u64::MAX as u128 {
             return None;
@@ -127,7 +131,7 @@ fn fold_keys(table: &Table, attrs: &[AttrId], radices: &[u64], start: usize, key
 /// ([`fold_keys`]), plus the radices needed to decode, or `None` as
 /// [`key_radices`].
 fn pack_keys(table: &Table, attrs: &[AttrId]) -> Option<(Vec<u64>, Vec<u64>)> {
-    let radices = key_radices(table, attrs)?;
+    let radices = key_radices(table.schema(), attrs)?;
     let mut keys = vec![0u64; table.rows()];
     fold_keys(table, attrs, &radices, 0, &mut keys);
     Some((keys, radices))
@@ -225,7 +229,7 @@ const DIRECT_ADDRESS_MAX: usize = 1 << 22;
 /// be comparable to the row count (small products are always fine — the
 /// tables fit in cache), and are capped at [`DIRECT_ADDRESS_MAX`] outright.
 fn direct_addressable(product: u128, rows: usize) -> bool {
-    product <= DIRECT_ADDRESS_MAX as u128 && product <= (4 * rows).max(1 << 16) as u128
+    product <= DIRECT_ADDRESS_MAX as u128 && product <= (4 * rows as u128).max(1 << 16)
 }
 
 /// Hash-based group-by: one pass, `O(|D|)` expected.
@@ -328,18 +332,132 @@ pub fn group_by_sort(table: &Table, attrs: &[AttrId]) -> Grouping {
     }
 }
 
+/// A key slot with no group yet.
+const EMPTY: u32 = u32::MAX;
+
+/// How a [`Tally`] finds a group key's slot.
+#[derive(Debug)]
+enum KeyIndex {
+    /// A packed key space small enough to address directly
+    /// ([`direct_addressable`]): one slot per key, [`EMPTY`] where no row
+    /// has it. Holds the radices that unpack a key.
+    Direct(Vec<u32>, Vec<u64>),
+    /// A packed key space too large to address: the keys met so far.
+    Packed(BTreeMap<u64, u32>, Vec<u64>),
+    /// A key space too large to pack into a `u64`: the code tuples met.
+    Tuple(BTreeMap<Vec<u32>, u32>),
+}
+
+/// One histogram per distinct group key, in order of first appearance,
+/// and the index from key to slot: the part of [`group_histograms`] and
+/// [`GroupCounts`] that turns keyed values into sorted keys and
+/// histograms. Memory is `O(min(key space, rows) + groups · m)`.
+#[derive(Debug)]
+struct Tally {
+    index: KeyIndex,
+    hists: Vec<Vec<u64>>,
+    m: usize,
+}
+
+impl Tally {
+    /// A tally of `m`-value histograms over keys packed with `radices`
+    /// (`None`: keys are code tuples), sized for about `rows` rows.
+    fn new(radices: Option<Vec<u64>>, rows: usize, m: usize) -> Self {
+        let index = match radices {
+            Some(radices) => {
+                let product: u128 = radices.iter().map(|&d| d as u128).product();
+                if direct_addressable(product, rows) {
+                    KeyIndex::Direct(vec![EMPTY; product as usize], radices)
+                } else {
+                    KeyIndex::Packed(BTreeMap::new(), radices)
+                }
+            }
+            None => KeyIndex::Tuple(BTreeMap::new()),
+        };
+        Self {
+            index,
+            hists: Vec::new(),
+            m,
+        }
+    }
+
+    /// Adds one to cell `value` of the histogram of the group with packed
+    /// key `key`, or with code tuple `tuple` when keys do not pack, and
+    /// returns the cell. A key met before in a directly addressed space
+    /// takes one load; any other goes through [`Tally::open`].
+    // Inlined into the row loops, with the rarer opening path kept out of
+    // them, so the loops keep the tally's fields in registers: as one
+    // ordinary method, `group_histograms` ran about 40% slower on the
+    // perfbench CENSUS table.
+    #[inline(always)]
+    fn add(&mut self, key: u64, tuple: &[u32], value: u32) -> (usize, usize) {
+        let slot = match &self.index {
+            KeyIndex::Direct(slots, _) => match slots[key as usize] {
+                EMPTY => self.open(key, tuple),
+                slot => slot,
+            },
+            _ => self.open(key, tuple),
+        };
+        let cell = (slot as usize, value as usize);
+        self.hists[cell.0][cell.1] += 1;
+        cell
+    }
+
+    /// The slot of a key not found in a direct table, or of any key of
+    /// the other indexes, opened with an empty histogram if it is new.
+    #[inline(never)]
+    fn open(&mut self, key: u64, tuple: &[u32]) -> u32 {
+        let next = self.hists.len() as u32;
+        let slot = match &mut self.index {
+            KeyIndex::Direct(slots, _) => {
+                slots[key as usize] = next;
+                next
+            }
+            KeyIndex::Packed(met, _) => *met.entry(key).or_insert(next),
+            KeyIndex::Tuple(met) => match met.get(tuple) {
+                Some(&slot) => slot,
+                None => *met.entry(tuple.to_vec()).or_insert(next),
+            },
+        };
+        if slot == next {
+            self.hists.push(vec![0; self.m]);
+        }
+        slot
+    }
+
+    /// The sorted keys, as code tuples, and their aligned histograms.
+    fn finish(self) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
+        let mut hists = self.hists;
+        let mut hist = |slot: u32| std::mem::take(&mut hists[slot as usize]);
+        match self.index {
+            KeyIndex::Direct(slots, radices) => slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &slot)| slot != EMPTY)
+                .map(|(key, &slot)| (unpack_key(key as u64, &radices), hist(slot)))
+                .unzip(),
+            KeyIndex::Packed(met, radices) => met
+                .into_iter()
+                .map(|(key, slot)| (unpack_key(key, &radices), hist(slot)))
+                .unzip(),
+            KeyIndex::Tuple(met) => met.into_iter().map(|(key, slot)| (key, hist(slot))).unzip(),
+        }
+    }
+}
+
 /// Sorted group keys over `attrs`, each with the histogram of
 /// `hist_attr` over the group's rows: the groups of [`group_by_sort`]
 /// summarized, without their member row lists.
 ///
-/// A packed, direct-addressable key space takes one pass over the rows,
-/// packing their keys 256 rows at a time into a stack buffer
-/// rather than into one key per row. A key→group slot table (one `u32`
-/// per key, bounded to `O(rows)` like [`group_by_hash`]'s count tables)
-/// gives each new key the next histogram, and one ascending scan of the
-/// slots moves the histograms out in key order. Memory is
-/// `O(rows + groups · m)`, never `O(key space · m)`.
-/// Sparse or unpackable key spaces fall back to [`group_by_sort`].
+/// One pass over the rows packs their keys 256 rows at a time into a
+/// stack buffer rather than into one key per row. A key→slot index gives
+/// each new key the next histogram: a slot table (one `u32` per key,
+/// bounded to `O(rows)` like [`group_by_hash`]'s count tables) when the
+/// key space can be addressed directly, otherwise an ordered map of the
+/// keys met. One ascending walk of the index moves the histograms out in
+/// key order. Memory is `O(min(key space, rows) + groups · m)`, never
+/// `O(key space · m)`. [`GroupCounts`] counts the same histograms from
+/// the record rows of a saved release.
 ///
 /// # Panics
 ///
@@ -352,47 +470,146 @@ pub fn group_histograms(
 ) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
     check_attrs(table, attrs);
     let m = table.schema().attribute(hist_attr).domain_size();
-    if let Some(radices) = key_radices(table, attrs) {
-        let product: u128 = radices.iter().map(|&d| d as u128).product();
-        if direct_addressable(product, table.rows()) {
-            const EMPTY: u32 = u32::MAX;
-            let mut slots = vec![EMPTY; product as usize];
-            let mut hists: Vec<Vec<u64>> = Vec::new();
-            let mut keys = [0u64; KEY_CHUNK];
-            let values = table.column(hist_attr).codes();
-            for (start, values) in (0..).step_by(KEY_CHUNK).zip(values.chunks(KEY_CHUNK)) {
-                let keys = &mut keys[..values.len()];
-                fold_keys(table, attrs, &radices, start, keys);
-                for (&key, &value) in keys.iter().zip(values) {
-                    let slot = &mut slots[key as usize];
-                    if *slot == EMPTY {
-                        *slot = hists.len() as u32;
-                        hists.push(vec![0; m]);
-                    }
-                    hists[*slot as usize][value as usize] += 1;
-                }
+    let values = table.column(hist_attr).codes();
+    let radices = key_radices(table.schema(), attrs);
+    let mut tally = Tally::new(radices.clone(), table.rows(), m);
+    if let Some(radices) = radices {
+        let mut keys = [0u64; KEY_CHUNK];
+        for (start, values) in (0..).step_by(KEY_CHUNK).zip(values.chunks(KEY_CHUNK)) {
+            let keys = &mut keys[..values.len()];
+            fold_keys(table, attrs, &radices, start, keys);
+            for (&key, &value) in keys.iter().zip(values) {
+                tally.add(key, &[], value);
             }
-            return slots
-                .iter()
-                .enumerate()
-                .filter(|&(_, &slot)| slot != EMPTY)
-                .map(|(key, &slot)| {
-                    (
-                        unpack_key(key as u64, &radices),
-                        std::mem::take(&mut hists[slot as usize]),
-                    )
-                })
-                .unzip();
+        }
+    } else {
+        let mut tuple = Vec::with_capacity(attrs.len());
+        for (row, &value) in values.iter().enumerate() {
+            tuple.clear();
+            tuple.extend(attrs.iter().map(|&a| table.code(row, a)));
+            tally.add(0, &tuple, value);
         }
     }
-    group_by_sort(table, attrs)
-        .groups
-        .into_iter()
-        .map(|g| {
-            let hist = table.histogram_over(hist_attr, &g.rows);
-            (g.key, hist)
-        })
-        .unzip()
+    tally.finish()
+}
+
+/// Each personal group's histogram of one attribute, counted from the
+/// record rows of a saved release as they are parsed ([`CodeRows`]), with
+/// no table built: the groups are keyed by every other attribute, in
+/// schema order, and [`GroupCounts::finish`] returns what
+/// [`group_histograms`] returns for the table of those rows.
+///
+/// Each parsed row folds its key codes into a packed key as the parser
+/// hands them over (or collects them, when the key space does not pack
+/// into a `u64`) and adds one to its `(group, value)` cell; a repeated
+/// row adds one to the previous row's cell. Memory is
+/// `O(min(key space, rows) + groups · m)`, whatever the row count.
+#[derive(Debug)]
+pub struct GroupCounts {
+    schema: Schema,
+    domains: Vec<usize>,
+    cells: Cells,
+}
+
+/// The counting state of [`GroupCounts`], apart from the domains its
+/// parser reads.
+#[derive(Debug)]
+struct Cells {
+    hist_attr: AttrId,
+    /// Each attribute's radix in the packed key (its domain size; the
+    /// histogram attribute's is unused), or empty when keys do not pack.
+    radices: Vec<u64>,
+    tally: Tally,
+    /// The row being parsed: its packed key, its key codes when keys do
+    /// not pack, and its value.
+    key: u64,
+    tuple: Vec<u32>,
+    value: u32,
+    /// The `(slot, value)` cell of the last row counted.
+    last: (usize, usize),
+}
+
+impl GroupCounts {
+    /// Counts over `schema`'s rows the histogram of `hist_attr` per group
+    /// of the other attributes. `rows`, the expected row count, only
+    /// chooses the key index ([`group_histograms`]'s rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hist_attr` is out of range or is the only attribute.
+    pub fn new(schema: &Schema, hist_attr: AttrId, rows: usize) -> Self {
+        assert!(
+            hist_attr < schema.arity() && schema.arity() >= 2,
+            "histogram attribute {hist_attr} needs another attribute to group by"
+        );
+        let attrs: Vec<AttrId> = (0..schema.arity()).filter(|&a| a != hist_attr).collect();
+        let domains: Vec<usize> = schema.iter().map(|(_, a)| a.domain_size()).collect();
+        let packed = key_radices(schema, &attrs);
+        let radices = match packed {
+            Some(_) => domains.iter().map(|&d| d.max(1) as u64).collect(),
+            None => Vec::new(),
+        };
+        Self {
+            schema: schema.clone(),
+            cells: Cells {
+                hist_attr,
+                radices,
+                tally: Tally::new(packed, rows, domains[hist_attr]),
+                key: 0,
+                tuple: Vec::new(),
+                value: 0,
+                last: (0, 0),
+            },
+            domains,
+        }
+    }
+
+    /// The sorted group keys and their aligned histograms.
+    pub fn finish(self) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
+        self.cells.tally.finish()
+    }
+}
+
+impl RowSink for Cells {
+    fn field(&mut self, attr: AttrId, code: u32) {
+        if attr == self.hist_attr {
+            self.value = code;
+        } else if let Some(&radix) = self.radices.get(attr) {
+            self.key = self.key * radix + u64::from(code);
+        } else {
+            self.tuple.push(code);
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.last = self.tally.add(self.key, &self.tuple, self.value);
+        self.abandon_row(0);
+    }
+
+    fn repeat_row(&mut self) {
+        let (slot, value) = self.last;
+        self.tally.hists[slot][value] += 1;
+    }
+
+    fn abandon_row(&mut self, _fields: usize) {
+        self.key = 0;
+        self.tuple.clear();
+    }
+}
+
+impl CodeRows for GroupCounts {
+    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
+        parse_code_rows(&self.domains, block, max, &mut self.cells)
+    }
+
+    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError> {
+        check_row(&self.schema, &self.domains, codes)?;
+        for (attr, &code) in codes.iter().enumerate() {
+            self.cells.field(attr, code);
+        }
+        self.cells.end_row();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -590,6 +807,57 @@ mod tests {
         for ((key, hist), g) in keys.iter().zip(&hists).zip(reference.groups()) {
             assert_eq!(key, &g.key);
             assert_eq!(hist, &t.histogram_over(2, &g.rows), "key {key:?}");
+        }
+    }
+
+    /// Counting a table's rows as bytes, a whole block at a time and a
+    /// row at a time through the text path, gives what the kernel gives
+    /// for the table, on a dense key space, a sparse one and one too wide
+    /// for a `u64`, with the rows in table order and sorted (so that most
+    /// repeat the row before).
+    #[test]
+    fn group_counts_match_group_histograms() {
+        let dense = demo_table();
+        let wide = unpackable_table();
+        // 2^48 keys: packed, but too many to address.
+        let sparse = {
+            let schema = Schema::new(vec![
+                Attribute::with_anonymous_domain("A", 1 << 16),
+                Attribute::with_anonymous_domain("B", 1 << 16),
+                Attribute::with_anonymous_domain("C", 1 << 16),
+                Attribute::with_anonymous_domain("S", 7),
+            ]);
+            let mut b = TableBuilder::new(schema);
+            for i in 0..200u32 {
+                b.push_codes(&[i % 3, (i % 5) * 1000, 65_535 - i % 2, i % 7])
+                    .unwrap();
+            }
+            b.build()
+        };
+        for (t, hist_attr) in [(&dense, 2), (&dense, 0), (&sparse, 3), (&wide, 4)] {
+            let attrs: Vec<AttrId> = (0..t.schema().arity())
+                .filter(|&a| a != hist_attr)
+                .collect();
+            let want = group_histograms(t, &attrs, hist_attr);
+            let mut rows: Vec<Vec<u32>> = (0..t.rows()).map(|r| t.row(r).unwrap()).collect();
+            for order in 0..2 {
+                if order == 1 {
+                    rows.sort();
+                }
+                let mut block = Vec::new();
+                let mut by_row = GroupCounts::new(t.schema(), hist_attr, t.rows());
+                for row in &rows {
+                    let text: Vec<String> = row.iter().map(u32::to_string).collect();
+                    block.extend_from_slice(text.join("\t").as_bytes());
+                    block.push(b'\n');
+                    by_row.push_codes(row).unwrap();
+                }
+                let mut by_block = GroupCounts::new(t.schema(), hist_attr, t.rows());
+                let taken = by_block.push_code_rows(&block, usize::MAX);
+                assert_eq!(taken, (rows.len(), block.len()));
+                assert_eq!(by_block.finish(), want, "hist_attr {hist_attr}");
+                assert_eq!(by_row.finish(), want, "hist_attr {hist_attr}");
+            }
         }
     }
 

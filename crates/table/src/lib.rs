@@ -16,7 +16,8 @@
 //!   (personal vs aggregate groups, Section 3.2).
 //! * [`group`] — sort-based (as prescribed by the paper's SPS algorithm) and
 //!   hash-based group-by, and the one-pass per-group histogram kernel that
-//!   personal grouping and the query engine are built from.
+//!   personal grouping and the query engine are built from, also fed
+//!   straight from a saved release's record rows ([`GroupCounts`]).
 //! * [`query`] — the Section-6 conjunctive count queries with one `SA`
 //!   condition.
 //! * [`bitmap`] — per-`(attribute, code)` selection bitmaps combined with
@@ -46,8 +47,8 @@ pub use bitmap::BitmapIndex;
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
 pub use error::TableError;
-pub use group::{group_by_hash, group_by_sort, group_histograms, Group, Grouping};
+pub use group::{group_by_hash, group_by_sort, group_histograms, Group, GroupCounts, Grouping};
 pub use predicate::{terms_match_key, Pattern, Term};
 pub use query::CountQuery;
 pub use schema::{AttrId, Attribute, Schema};
-pub use table::{Column, RunWriter, Table, TableBuilder};
+pub use table::{CodeRows, Column, RunWriter, Table, TableBuilder};

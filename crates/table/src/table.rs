@@ -297,71 +297,11 @@ impl TableBuilder {
     ///
     /// Returns an error on arity mismatch or out-of-domain codes.
     pub fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError> {
-        if codes.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                got: codes.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        for (id, (&code, &domain)) in codes.iter().zip(&self.domains).enumerate() {
-            if code as usize >= domain {
-                return self.schema.check_code(id, code);
-            }
-        }
+        check_row(&self.schema, &self.domains, codes)?;
         for (col, &code) in self.columns.iter_mut().zip(codes) {
             col.push(code);
         }
         Ok(())
-    }
-
-    /// Appends the rows at the front of `block`, at most `max` of them, in
-    /// the record format of a saved release: `\n`-terminated rows of
-    /// tab-separated codes of one to nine ASCII digits each. One pass parses
-    /// the digits straight into the columns, each code checked against the
-    /// domain bounds read at construction. Returns the rows appended and
-    /// the bytes they span, terminators included.
-    ///
-    /// It stops, with nothing of that row appended, at the first row it
-    /// does not take whole: one in another form (a sign, a longer digit
-    /// run, a `\r` or other stray byte), of the wrong arity, with an
-    /// out-of-domain code, or with no `\n` before the block ends. The
-    /// caller parses such a row field by field, and
-    /// [`TableBuilder::push_codes`] accepts it or names the exact error.
-    pub fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
-        if max == 0 {
-            return (0, 0);
-        }
-        let last = self.columns.len() - 1;
-        let base = self.rows();
-        let (mut rows, mut bytes) = (0, 0);
-        let (mut attr, mut code, mut digits) = (0, 0u32, 0);
-        for (i, &b) in block.iter().enumerate() {
-            let digit = b.wrapping_sub(b'0');
-            // Nine digits always fit a `u32`; a tenth goes to the caller.
-            if digit <= 9 && digits < 9 {
-                code = code * 10 + u32::from(digit);
-                digits += 1;
-                continue;
-            }
-            let ends_field = (b == b'\t' && attr < last) || (b == b'\n' && attr == last);
-            if !ends_field || digits == 0 || code as usize >= self.domains[attr] {
-                break;
-            }
-            self.columns[attr].push(code);
-            (code, digits) = (0, 0);
-            if b == b'\t' {
-                attr += 1;
-                continue;
-            }
-            (attr, rows, bytes) = (0, rows + 1, i + 1);
-            if rows == max {
-                break;
-            }
-        }
-        for column in &mut self.columns[..attr] {
-            column.truncate(base + rows);
-        }
-        (rows, bytes)
     }
 
     /// Appends `copies` identical rows of codes, validating the row once.
@@ -453,6 +393,167 @@ impl TableBuilder {
             columns: self.columns.into_iter().map(Column::from_codes).collect(),
             rows,
         }
+    }
+}
+
+impl CodeRows for TableBuilder {
+    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
+        parse_code_rows(&self.domains, block, max, &mut self.columns)
+    }
+
+    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError> {
+        TableBuilder::push_codes(self, codes)
+    }
+}
+
+/// Where the record rows of a saved release go: a [`TableBuilder`]'s
+/// columns, or a [`crate::GroupCounts`]'s per-group histograms. Both
+/// parse with one byte parser and check with one row check, so a row
+/// either accepts the other accepts, and a row either refuses fails
+/// with the same error.
+pub trait CodeRows {
+    /// Appends the rows at the front of `block`, at most `max` of them, in
+    /// the record format of a saved release: `\n`-terminated rows of
+    /// tab-separated codes of one to nine ASCII digits each. One pass
+    /// parses the digits, each code checked against its attribute's
+    /// domain. A row whose bytes, `\n` included, equal those of the row
+    /// this call took just before it is that row again, and is appended
+    /// with no parse: a release is written group-major with its SA values
+    /// sorted, so most of its rows repeat the one before. Returns the rows
+    /// appended and the bytes they span, terminators included.
+    ///
+    /// It stops, with nothing of that row appended, at the first row it
+    /// does not take whole: one in another form (a sign, a longer digit
+    /// run, a `\r` or other stray byte), of the wrong arity, with an
+    /// out-of-domain code, or with no `\n` before the block ends. The
+    /// caller parses such a row field by field, and
+    /// [`CodeRows::push_codes`] accepts it or names the exact error.
+    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize);
+
+    /// Appends a row of codes, checked as [`TableBuilder::push_codes`]
+    /// checks it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on arity mismatch or out-of-domain codes.
+    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError>;
+}
+
+/// Checks a row of codes against the schema and its domain sizes.
+pub(crate) fn check_row(
+    schema: &Schema,
+    domains: &[usize],
+    codes: &[u32],
+) -> Result<(), TableError> {
+    if codes.len() != domains.len() {
+        return Err(TableError::ArityMismatch {
+            got: codes.len(),
+            expected: domains.len(),
+        });
+    }
+    for (id, (&code, &domain)) in codes.iter().zip(domains).enumerate() {
+        if code as usize >= domain {
+            return schema.check_code(id, code);
+        }
+    }
+    Ok(())
+}
+
+/// What [`parse_code_rows`] hands each field and row it takes.
+pub(crate) trait RowSink {
+    /// Field `attr` of the row being parsed is `code`, in domain.
+    fn field(&mut self, attr: AttrId, code: u32);
+    /// Every field of the row was handed over.
+    fn end_row(&mut self);
+    /// The row just ended occurs again.
+    fn repeat_row(&mut self);
+    /// The row being parsed is refused: drop its first `fields` fields.
+    fn abandon_row(&mut self, fields: usize);
+}
+
+impl RowSink for Vec<Vec<u32>> {
+    fn field(&mut self, attr: AttrId, code: u32) {
+        self[attr].push(code);
+    }
+
+    fn end_row(&mut self) {}
+
+    fn repeat_row(&mut self) {
+        for column in self {
+            if let Some(&code) = column.last() {
+                column.push(code);
+            }
+        }
+    }
+
+    fn abandon_row(&mut self, fields: usize) {
+        for column in &mut self[..fields] {
+            column.pop();
+        }
+    }
+}
+
+/// The parser of [`CodeRows::push_code_rows`], over attributes of the
+/// given domain sizes.
+pub(crate) fn parse_code_rows(
+    domains: &[usize],
+    block: &[u8],
+    max: usize,
+    sink: &mut impl RowSink,
+) -> (usize, usize) {
+    let last = domains.len() - 1;
+    // `prev` is the length of the row last taken from this block, 0 at
+    // first: a row is compared with it only within one block.
+    let (mut rows, mut bytes, mut prev) = (0, 0, 0);
+    'rows: while rows < max {
+        if prev > 0 && repeats(block, bytes, prev) {
+            sink.repeat_row();
+            (rows, bytes) = (rows + 1, bytes + prev);
+            continue;
+        }
+        let (mut attr, mut code, mut digits) = (0, 0u32, 0);
+        for (i, &b) in block[bytes..].iter().enumerate() {
+            let digit = b.wrapping_sub(b'0');
+            // Nine digits always fit a `u32`; a tenth goes to the caller.
+            if digit <= 9 && digits < 9 {
+                code = code * 10 + u32::from(digit);
+                digits += 1;
+                continue;
+            }
+            let ends_field = (b == b'\t' && attr < last) || (b == b'\n' && attr == last);
+            if !ends_field || digits == 0 || code as usize >= domains[attr] {
+                break;
+            }
+            sink.field(attr, code);
+            if b == b'\t' {
+                (attr, code, digits) = (attr + 1, 0, 0);
+                continue;
+            }
+            sink.end_row();
+            (rows, bytes, prev) = (rows + 1, bytes + i + 1, i + 1);
+            continue 'rows;
+        }
+        sink.abandon_row(attr);
+        break;
+    }
+    (rows, bytes)
+}
+
+/// Whether the `len` bytes at `at` in `block` equal the `len` bytes
+/// before them, compared eight bytes at a time: the first and the last
+/// eight, then (past sixteen) the rest. Rows shorter than eight bytes
+/// compare as slices.
+fn repeats(block: &[u8], at: usize, len: usize) -> bool {
+    let (Some(prev), Some(next)) = (block.get(at - len..at), block.get(at..at + len)) else {
+        return false;
+    };
+    match (prev.first_chunk::<8>(), next.first_chunk::<8>()) {
+        (Some(a), Some(b)) => {
+            a == b
+                && prev.last_chunk::<8>() == next.last_chunk::<8>()
+                && (len <= 16 || prev == next)
+        }
+        _ => prev == next,
     }
 }
 

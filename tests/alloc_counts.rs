@@ -11,11 +11,13 @@
 //!   one list, so its allocation count must not depend on its query
 //!   count;
 //! * the saved release and the same release with every record row twice
-//!   are opened as `rpctl serve` opens one: `Publication::load` parses the
-//!   record rows in the reader's buffer, so it allocates as often for
-//!   either, and `QueryEngine::new` groups the rows without a per-row key
-//!   array, so over the same groups it allocates equal counts and equal
-//!   bytes;
+//!   are opened as `rpctl serve` opens one, through `QueryEngine::open`:
+//!   it counts the record rows straight into per-group histograms, so
+//!   its cost is `O(groups)` and it allocates equal counts and equal bytes
+//!   for either. Beside it, `Publication::load` parses the record rows in
+//!   the reader's buffer, so it allocates as often for either, and
+//!   `QueryEngine::new` groups the rows without a per-row key array, so
+//!   over the same groups it allocates equal counts and equal bytes;
 //! * a thread that opened the saved release opens the doubled one as a
 //!   fresh thread does: its full buffer pool trades the smaller columns
 //!   for the larger ones.
@@ -222,12 +224,25 @@ fn opening_a_release_allocates_alike_for_twice_the_rows() {
     let engine = on_fresh_thread(|| allocations_of(8, || QueryEngine::new(&loaded)));
     let engine_doubled =
         on_fresh_thread(|| allocations_of(8, || QueryEngine::new(&loaded_doubled)));
+    let open = on_fresh_thread(|| allocations_of(8, || QueryEngine::open(&saved[..]).unwrap()));
+    let open_doubled =
+        on_fresh_thread(|| allocations_of(8, || QueryEngine::open(&doubled[..]).unwrap()));
     println!(
         "Publication::load (allocations, bytes): {} rows {load:?}, {} rows {load_doubled:?}",
         loaded.table().rows(),
         loaded_doubled.table().rows()
     );
     println!("QueryEngine::new (allocations, bytes): {engine:?}, doubled {engine_doubled:?}");
+    println!("QueryEngine::open (allocations, bytes): {open:?}, doubled {open_doubled:?}");
+    assert_eq!(
+        QueryEngine::open(&saved[..]).unwrap(),
+        QueryEngine::new(&loaded),
+        "the serving open differs from load and build"
+    );
+    assert_eq!(
+        open, open_doubled,
+        "QueryEngine::open allocates per row: {open:?} against {open_doubled:?} doubled"
+    );
     assert_eq!(
         load.0, load_doubled.0,
         "Publication::load allocates per row: {load:?} against {load_doubled:?} doubled"

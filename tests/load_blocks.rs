@@ -1,20 +1,27 @@
-//! Block boundaries of `Publication::load`.
+//! Block boundaries of the two ways to read a saved release.
 //!
-//! `Publication::load` parses record rows a buffered block at a time and
-//! sends every row the block parser does not take whole through the
-//! per-row text path: a row in another accepted form, an invalid row, a
-//! CRLF row, a last row with no `\n`, and a row cut by the end of the
-//! reader's buffer. Where the buffer ends must therefore never show. Each
-//! artifact here — valid or corrupted — is loaded through
-//! `BufReader::with_capacity(k)` for several `k` and as an in-memory
-//! slice (one block holding everything), and every load must give an
-//! equal `Publication` or the same error text, line number included.
-//! Capacity 1 never holds a whole row, so it runs the per-row path alone
-//! and is the reference.
+//! `Publication::load` parses record rows a buffered block at a time into
+//! a table; `QueryEngine::open`, the serving open, parses them the same way
+//! into per-group SA histograms and builds no table. Both take a row whose
+//! bytes repeat the row before it in the block with no parse, and send
+//! every row the block parser does not take whole through the per-row text
+//! path: a row in another accepted form, an invalid row, a CRLF row, a
+//! last row with no `\n`, and a row cut by the end of the reader's
+//! buffer. Where the buffer ends must therefore never show. Each artifact
+//! here — valid or corrupted — is read both ways through
+//! `BufReader::with_capacity(k)` for several `k` and as an in-memory slice
+//! (one block holding everything), and every load must give an equal
+//! `Publication` or the same error text, line number included, and every
+//! open an engine equal to `QueryEngine::new` over that publication or
+//! that same error. Capacity 1 never holds a whole row, so it runs the
+//! per-row path alone and is the reference.
 //!
 //! The corrupted artifacts are those of `publication.rs`'s error tables,
 //! rebuilt on the same fixtures, plus every prefix of each fixture and
-//! random one-byte corruptions of random tables.
+//! random one-byte corruptions of random tables. The valid ones add rows
+//! that repeat, rows that repeat but for their last digit, repeats after a
+//! text-path row, unsorted rows and a key space too large to address
+//! directly.
 
 use std::io::BufReader;
 
@@ -25,7 +32,10 @@ use rp_bench::census_fixture;
 use rp_repro::core::incremental::{GroupStatus, LiveGroup};
 use rp_repro::core::privacy::PrivacyParams;
 use rp_repro::core::sps::SpsStats;
-use rp_repro::engine::{DesignCheck, GroupState, LiveState, Publication, Publisher};
+use rp_repro::engine::{
+    DesignCheck, GroupState, LiveState, Publication, Publisher, QueryEngine, QueryService,
+    ServiceConfig,
+};
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
 /// Buffer capacities every artifact is loaded with, besides the
@@ -42,21 +52,40 @@ fn load(bytes: &[u8], capacity: Option<usize>) -> Result<Publication, String> {
     .map_err(|e| e.to_string())
 }
 
-/// Loads `bytes` with every capacity and checks each load against the
-/// capacity-1 reference, which it returns.
+/// Opens `bytes` as `rpctl serve` does, through the serving open, with
+/// `capacity` bytes of buffer as [`load`].
+fn open(bytes: &[u8], capacity: Option<usize>) -> Result<QueryEngine, String> {
+    match capacity {
+        Some(k) => QueryEngine::open(BufReader::with_capacity(k, bytes)),
+        None => QueryEngine::open(bytes),
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Loads and opens `bytes` with every capacity and checks each load
+/// against the capacity-1 reference, which it returns, and each open
+/// against the engine built from the reference (or its error).
 fn load_everywhere(what: &str, bytes: &[u8], rng: &mut StdRng) -> Result<Publication, String> {
     let reference = load(bytes, Some(1));
+    let engine = reference
+        .as_ref()
+        .map(QueryEngine::new)
+        .map_err(Clone::clone);
     let random = rng.gen_range(2..300);
-    for capacity in CAPACITIES
+    for capacity in [Some(1)]
         .into_iter()
-        .chain([random])
-        .map(Some)
+        .chain(CAPACITIES.into_iter().chain([random]).map(Some))
         .chain([None])
     {
         assert_eq!(
             load(bytes, capacity),
             reference,
             "{what}: capacity {capacity:?} differs from capacity 1"
+        );
+        assert_eq!(
+            open(bytes, capacity),
+            engine,
+            "{what}: the serving open at capacity {capacity:?} differs from load"
         );
     }
     reference
@@ -228,6 +257,113 @@ fn valid_artifacts() -> Vec<(String, Vec<u8>, Publication)> {
         v1_bytes[..v1_bytes.len() - 1].to_vec(),
         v1,
     ));
+    out.extend(repeating_artifacts());
+    out
+}
+
+/// A v1 publication of `rows` over `schema`, its SA the last attribute.
+fn publication_of(schema: Schema, rows: &[Vec<u32>]) -> Publication {
+    let sa = schema.arity() - 1;
+    let mut b = TableBuilder::new(schema);
+    for row in rows {
+        b.push_codes(row).unwrap();
+    }
+    Publication::from_parts(
+        b.build(),
+        sa,
+        0.5,
+        PrivacyParams::new(0.3, 0.3),
+        9,
+        SpsStats::default(),
+        DesignCheck::default(),
+    )
+}
+
+/// Artifacts whose rows repeat the row before them, and their neighbours:
+/// runs of equal rows, which a block end cuts at every capacity; rows
+/// that differ from the one before only in their last digit; repeats
+/// after a CRLF row and after a `+1` row, which go the text path; the
+/// same rows unsorted; and a key space of 300³ keys, too large to address
+/// directly.
+fn repeating_artifacts() -> Vec<(String, Vec<u8>, Publication)> {
+    let schema = |domains: &[usize]| {
+        Schema::new(
+            (0..domains.len())
+                .map(|i| Attribute::with_anonymous_domain(format!("W{i}"), domains[i]))
+                .collect(),
+        )
+    };
+    let two_digit = schema(&[40, 40, 20]);
+    let mut runs = Vec::new();
+    for (key, value, copies) in [
+        (10, 11, 5),
+        (10, 12, 3),
+        (10, 13, 1),
+        (11, 13, 4),
+        (21, 19, 6),
+    ] {
+        runs.extend(std::iter::repeat_n(vec![key, key + 2, value], copies));
+    }
+    let sorted = publication_of(two_digit.clone(), &runs);
+    let sorted_bytes = save(&sorted);
+    let mut unsorted_rows = runs.clone();
+    unsorted_rows.reverse();
+    unsorted_rows.swap(3, 11);
+    let unsorted = publication_of(two_digit, &unsorted_rows);
+    let sparse_rows: Vec<Vec<u32>> = (0..120u32)
+        .map(|i| {
+            let g = i / 7;
+            vec![(g * 37) % 300, 299 - g, (g * g) % 300, i % 3]
+        })
+        .collect();
+    let sparse = publication_of(schema(&[300, 300, 300, 3]), &sparse_rows);
+    let text = String::from_utf8(sorted_bytes.clone()).unwrap();
+    let mut out = vec![
+        ("repeats".to_string(), sorted_bytes.clone(), sorted.clone()),
+        ("unsorted".to_string(), save(&unsorted), unsorted),
+        ("sparse key space".to_string(), save(&sparse), sparse),
+        (
+            "repeats after crlf".to_string(),
+            replaced(
+                &text,
+                "10\t12\t11\n10\t12\t11\n",
+                "10\t12\t11\r\n10\t12\t11\n",
+            ),
+            sorted.clone(),
+        ),
+        (
+            "repeats after a sign".to_string(),
+            replaced(
+                &text,
+                "21\t23\t19\n21\t23\t19\n",
+                "+21\t23\t19\n21\t23\t19\n",
+            ),
+            sorted.clone(),
+        ),
+        (
+            "repeat of a sign".to_string(),
+            replaced(
+                &text,
+                "10\t12\t12\n10\t12\t12\n",
+                "+10\t12\t12\n+10\t12\t12\n",
+            ),
+            sorted.clone(),
+        ),
+    ];
+    // The same rows ending in CRLF and LF by turns: each LF row of a run
+    // repeats the codes of the row before it but not its bytes.
+    let header = text.find("\nrows\t").unwrap() + 1;
+    let rows_start = header + text[header..].find('\n').unwrap() + 1;
+    let mut alternating = text[..rows_start].to_string();
+    for (i, line) in text[rows_start..].lines().enumerate() {
+        alternating.push_str(line);
+        alternating.push_str(["\r\n", "\n"][i % 2]);
+    }
+    out.push((
+        "alternating crlf".to_string(),
+        alternating.into_bytes(),
+        sorted,
+    ));
     out
 }
 
@@ -298,6 +434,20 @@ fn corrupted_artifacts() -> Vec<(String, Vec<u8>)> {
             replaced(&v2, needle, replacement),
         ));
     }
+    // A row equal to the one before but for a last digit that leaves the
+    // domain, a stray tab or a letter.
+    let repeats = String::from_utf8(repeating_artifacts().swap_remove(0).1).unwrap();
+    for (needle, replacement) in [
+        ("10\t12\t11\n10\t12\t11\n", "10\t12\t11\n10\t12\t21\n"),
+        ("10\t12\t11\n10\t12\t11\n", "10\t12\t11\n10\t12\t111\n"),
+        ("10\t12\t11\n10\t12\t11\n", "10\t12\t11\n10\t12\t11\t\n"),
+        ("21\t23\t19\n21\t23\t19\n", "21\t23\t19\n21\t23\t1x\n"),
+    ] {
+        out.push((
+            format!("repeats {needle:?} -> {replacement:?}"),
+            replaced(&repeats, needle, replacement),
+        ));
+    }
     let g0 = v2.lines().find(|l| l.starts_with("lgroup\t0")).unwrap();
     let g1 = v2.lines().find(|l| l.starts_with("lgroup\t1")).unwrap();
     let swapped = v2
@@ -338,9 +488,9 @@ fn every_prefix_loads_alike_whatever_the_buffer() {
     }
 }
 
-/// The reduced CENSUS release saved to a file loads from its path, as
-/// `rpctl serve` opens it, through dozens of buffer ends, as it loads
-/// from memory.
+/// The reduced CENSUS release saved to a file loads from its path, and
+/// opens from it as `rpctl serve` opens it, through dozens of buffer
+/// ends, as it loads and opens from memory.
 #[test]
 fn a_release_loads_from_its_path_as_from_memory() {
     let dataset = census_fixture();
@@ -354,8 +504,13 @@ fn a_release_loads_from_its_path_as_from_memory() {
     let bytes = std::fs::read(&path).unwrap();
     assert!(bytes.len() > 32 * 8192, "{} bytes", bytes.len());
     let from_path = Publication::load_from_path(&path);
+    let served = std::fs::File::open(&path)
+        .map(|file| QueryService::open(BufReader::new(file), ServiceConfig::default()));
     std::fs::remove_file(&path).unwrap();
+    let engine = QueryEngine::new(&publication);
     assert_eq!(from_path.unwrap(), publication);
+    assert_eq!(served.unwrap().unwrap().engine(), &engine);
+    assert_eq!(open(&bytes, None), Ok(engine));
     assert_eq!(load(&bytes, None), Ok(publication));
 }
 
