@@ -66,7 +66,7 @@
 //!   invalidates exactly the cached answers whose match set contains its
 //!   group;
 //! * [`server`] — the transports: [`serve()`](serve::serve) runs one
-//!   session over any `BufRead`/`Write` pair (stdin/stdout included), and
+//!   session over any `Read`/`Write` pair (stdin/stdout included), and
 //!   [`Server`] is a TCP listener running that same loop
 //!   thread-per-connection over a shared catalog, with a connection cap
 //!   and graceful shutdown. Both surfaces answer a given request stream

@@ -100,6 +100,7 @@ metric_set! {
         fault_injected => "fault.injected",
         serve_sessions_closed => "serve.sessions_closed",
         serve_sessions_opened => "serve.sessions_opened",
+        serve_writes => "serve.writes",
         server_busy_refused => "server.busy_refused",
         stream_degraded => "stream.degraded",
         stream_replayed_events => "stream.replayed_events",

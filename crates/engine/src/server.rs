@@ -19,8 +19,13 @@
 //! ([`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`])
 //! reap idle or wedged sessions so stuck clients cannot pin connection
 //! slots forever.
+//!
+//! Accepted sessions turn Nagle's algorithm off (`TCP_NODELAY`): the
+//! session loop already writes one segment per ready batch of requests
+//! (see [`crate::serve::serve`]), so holding a lone answer back until the
+//! client's ACK of the previous one only adds latency.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -274,8 +279,9 @@ impl Drop for SlotGuard {
     }
 }
 
-/// One session: buffered reader/writer halves over the same socket, then
-/// the shared loop. A session that trips its read/write deadline is
+/// One session: the shared loop reads the socket directly (it buffers
+/// its own input) and writes through a `BufWriter` over the same socket,
+/// with Nagle off. A session that trips its read/write deadline is
 /// *reaped* — reported as a clean end, its connection closed — rather
 /// than treated as an I/O failure.
 fn handle_connection(
@@ -285,9 +291,8 @@ fn handle_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(config.read_timeout)?;
     stream.set_write_timeout(config.write_timeout)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let writer = BufWriter::new(stream);
-    match serve(catalog, reader, writer) {
+    stream.set_nodelay(true)?;
+    match serve(catalog, &stream, BufWriter::new(&stream)) {
         // Platform-dependent: a timed-out socket read reports
         // WouldBlock (Unix) or TimedOut (Windows).
         Err(e)
@@ -321,7 +326,7 @@ mod tests {
     use crate::publisher::Publisher;
     use crate::service::ServiceConfig;
     use rp_table::{Attribute, Schema, TableBuilder};
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader};
 
     fn fixture_service() -> Arc<QueryService> {
         let schema = Schema::new(vec![

@@ -792,7 +792,10 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         );
         server.run().map_err(|e| format!("serve loop: {e}"))?;
     } else {
-        let stats = serve(&catalog, std::io::stdin().lock(), std::io::stdout().lock())
+        // `serve` flushes once per ready batch; the BufWriter keeps the
+        // line-buffered stdout from writing each answer on its own.
+        let stdout = BufWriter::new(std::io::stdout().lock());
+        let stats = serve(&catalog, std::io::stdin().lock(), stdout)
             .map_err(|e| format!("serve loop: {e}"))?;
         eprintln!(
             "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \

@@ -21,14 +21,21 @@
 //! * two catalog tenants served concurrently stay isolated: per-tenant
 //!   transcripts are byte-identical to their stdio references and no
 //!   session's queries touch the other tenant's cache.
+//! * the session loop's transport contract: a request stream cut into
+//!   random reads, answered through random short writes, yields the
+//!   one-line-at-a-time transcript byte for byte; the loop never reads
+//!   while an answer sits unflushed; and it writes once per ready batch
+//!   (32 lines in one read → one write, one per read → 32 writes);
 //! * condition resolution: `QueryEngine::query_from_values` resolves every
 //!   `(column, value)` pair of random schemas (with `=` inside names and
 //!   values), and random misses, exactly as `Schema::attr_id` plus
 //!   `Dictionary::code` do.
 
-use std::io::{BufRead, BufReader, Write};
+use std::cell::RefCell;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -786,6 +793,8 @@ fn metrics_and_trace_verbs_answer_canonical_lines() {
     // accounted, so only the preceding ping + count are visible.
     assert_eq!(get("service.requests"), 2, "ping + count");
     assert_eq!(get("service.answered"), 2);
+    // The process scope exports the session loop's flushes.
+    get("serve.writes");
     let trace_line = text
         .lines()
         .find(|l| l.starts_with("trace "))
@@ -920,4 +929,228 @@ fn concurrent_tenants_get_isolated_byte_identical_transcripts() {
     // release); `use beta` does not re-charge.
     assert_eq!(alpha_stats.sessions, 4);
     assert_eq!(beta_stats.sessions, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The session loop's transport contract: split reads, short writes, and
+// one write per ready batch of requests.
+// ---------------------------------------------------------------------------
+
+/// Every write the session loop made to a [`WireOutput`], in order.
+type Writes = Rc<RefCell<Vec<Vec<u8>>>>;
+
+/// The client's side of a session's input: `stream` delivered one chunk
+/// per read, in the sizes `chunk` picks. A client that waits for its
+/// answers before sending more deadlocks unless every answer to the
+/// complete lines it sent has reached the wire before the server reads
+/// again, so each read first checks exactly that.
+struct WireInput<F> {
+    stream: Vec<u8>,
+    sent: usize,
+    chunk: F,
+    writes: Writes,
+}
+
+impl<F: FnMut(usize) -> usize> Read for WireInput<F> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let answered = self.writes.borrow().concat();
+        let answered_lines = answered.iter().filter(|&&b| b == b'\n').count();
+        let sent = &self.stream[..self.sent];
+        let complete = sent.rsplit(|&b| b == b'\n').skip(1);
+        let sent_requests = complete.filter(|line| !is_blank(line)).count();
+        assert_eq!(
+            answered_lines,
+            1 + sent_requests,
+            "read while answers sat unflushed; wire so far:\n{}",
+            String::from_utf8_lossy(&answered)
+        );
+        let left = self.stream.len() - self.sent;
+        let n = (self.chunk)(left).min(left).min(buf.len());
+        buf[..n].copy_from_slice(&self.stream[self.sent..self.sent + n]);
+        self.sent += n;
+        Ok(n)
+    }
+}
+
+/// Whether the protocol skips `line` without an answer.
+fn is_blank(line: &[u8]) -> bool {
+    std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty())
+}
+
+/// The server's side of a session's output: records every write, and
+/// takes at most `max_write(len)` bytes of each.
+struct WireOutput<F> {
+    writes: Writes,
+    max_write: F,
+}
+
+impl<F: FnMut(usize) -> usize> Write for WireOutput<F> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = (self.max_write)(buf.len()).min(buf.len());
+        self.writes.borrow_mut().push(buf[..n].to_vec());
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serves `stream` over a [`WireInput`] cut by `chunk` and a buffered
+/// [`WireOutput`] cut by `max_write`, as the TCP server wires a socket;
+/// returns every write the loop made.
+fn serve_wire(
+    catalog: &Catalog,
+    stream: &[u8],
+    chunk: impl FnMut(usize) -> usize,
+    capacity: usize,
+    max_write: impl FnMut(usize) -> usize,
+) -> Vec<Vec<u8>> {
+    let writes = Writes::default();
+    let input = WireInput {
+        stream: stream.to_vec(),
+        sent: 0,
+        chunk,
+        writes: Rc::clone(&writes),
+    };
+    let output = WireOutput {
+        writes: Rc::clone(&writes),
+        max_write,
+    };
+    serve(catalog, input, BufWriter::with_capacity(capacity, output))
+        .expect("in-memory serve cannot fail");
+    writes.take()
+}
+
+/// One catalog for every transport case: its answers do not depend on
+/// what earlier sessions asked (the cache changes no bytes).
+fn transport_catalog() -> &'static Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(|| Catalog::single(Arc::new(fixture_service(1024))))
+}
+
+/// Request lines of every kind the loop must frame, `\n` excluded.
+const WIRE_LINES: &[&[u8]] = &[
+    b"count Job=eng Disease=flu",
+    b"Disease=none City=oslo",
+    b"batch Job=eng Disease=flu; City=oslo Disease=none; Job=law Disease=flu",
+    b"info",
+    b"ping",
+    b"garbage",
+    b"count Nope=1 Disease=flu",
+    b"count Job=eng",
+    b"\xff\xfeping",
+    b"",
+    b"   ",
+    b"ping\r",
+    b"count Job=doc Disease=none\r",
+];
+
+/// A random request stream: `WIRE_LINES` in random order, sometimes a
+/// `quit` mid-stream, and a last line that may lack its `\n`.
+fn arb_wire_stream(rng: &mut StdRng) -> Vec<u8> {
+    let n = rng.gen_range(1..=40usize);
+    let quit_at = rng.gen_bool(0.3).then(|| rng.gen_range(0..n));
+    let mut stream = Vec::new();
+    for i in 0..n {
+        let line: &[u8] = if Some(i) == quit_at {
+            b"quit"
+        } else {
+            WIRE_LINES[rng.gen_range(0..WIRE_LINES.len())]
+        };
+        stream.extend_from_slice(line);
+        if i + 1 < n || rng.gen_bool(0.5) {
+            stream.push(b'\n');
+        }
+    }
+    stream
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Framing is independent of how the stream arrives and leaves: cut
+    /// into random reads (1 byte up to the whole stream) and answered
+    /// through random short writes, a session's wire bytes equal the
+    /// transcript of its lines up to `quit` sent one read per line.
+    #[test]
+    fn split_reads_and_short_writes_keep_the_transcript(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream = arb_wire_stream(&mut rng);
+        let catalog = transport_catalog();
+
+        let mut lines: Vec<&[u8]> = stream.split_inclusive(|&b| b == b'\n').collect();
+        if let Some(quit) = lines.iter().position(|l| l.strip_suffix(b"\n").unwrap_or(l) == b"quit") {
+            lines.truncate(quit + 1);
+        }
+        let mut next_line = lines.iter().map(|l| l.len());
+        let reference = serve_wire(
+            catalog,
+            &lines.concat(),
+            |_| next_line.next().unwrap_or(0),
+            8 * 1024,
+            |len| len,
+        )
+        .concat();
+
+        let max_chunk = rng.gen_range(1..=stream.len().max(1));
+        let max_write = rng.gen_range(1..=64usize);
+        let capacity = rng.gen_range(1..=256usize);
+        let mut chunk_rng = StdRng::seed_from_u64(rng.gen());
+        let mut write_rng = StdRng::seed_from_u64(rng.gen());
+        let wire = serve_wire(
+            catalog,
+            &stream,
+            |_| chunk_rng.gen_range(1..=max_chunk),
+            capacity,
+            |len| write_rng.gen_range(1..=len.clamp(1, max_write)),
+        )
+        .concat();
+        prop_assert_eq!(
+            String::from_utf8_lossy(&wire),
+            String::from_utf8_lossy(&reference)
+        );
+    }
+}
+
+/// Writes per ready batch, counted on a buffered transport that takes
+/// every write whole, as a socket with room does.
+#[test]
+fn one_write_per_ready_batch_of_requests() {
+    let catalog = transport_catalog();
+    let stream = "count Job=eng Disease=flu\n".repeat(32);
+    let answer_lines = |write: &[u8]| write.iter().filter(|&&b| b == b'\n').count();
+
+    // 32 lines in one read: the banner, then one write of all 32 answers.
+    let writes = serve_wire(catalog, stream.as_bytes(), |left| left, 8 * 1024, |len| len);
+    assert_eq!(writes.len(), 2, "banner + one batch");
+    assert_eq!(answer_lines(&writes[1]), 32);
+
+    // One line per read: one write per answer.
+    let line = "count Job=eng Disease=flu\n".len();
+    let writes = serve_wire(catalog, stream.as_bytes(), |_| line, 8 * 1024, |len| len);
+    assert_eq!(writes.len(), 1 + 32, "banner + one write per line");
+    assert!(writes[1..].iter().all(|w| answer_lines(w) == 1));
+
+    // A read that ends in a partial line or a blank line, and `quit`,
+    // flush what is ready: `WireInput` fails the test on any read while
+    // an answer sits unflushed, and nothing after `quit` is answered.
+    let stream = b"ping\ninfo\npi|ng\n\n|\n   \nping\n\n|ping\nquit\nping\n";
+    let mut cuts = stream.split(|&b| b == b'|').map(<[u8]>::len);
+    let joined: Vec<u8> = stream.iter().copied().filter(|&b| b != b'|').collect();
+    let writes = serve_wire(
+        catalog,
+        &joined,
+        |_| cuts.next().unwrap_or(0),
+        8 * 1024,
+        |len| len,
+    );
+    let per_write: Vec<usize> = writes.iter().map(|w| answer_lines(w)).collect();
+    assert_eq!(
+        per_write,
+        [1, 2, 1, 1, 2],
+        "banner, then one write per read"
+    );
+    let wire = String::from_utf8(writes.concat()).unwrap();
+    assert!(wire.ends_with("pong\npong\nbye\n"), "{wire}");
 }
