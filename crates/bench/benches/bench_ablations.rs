@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices called out in DESIGN.md §6:
+//! Ablation benches for the design choices the workspace keeps two ways
+//! of making (README, *Performance: the vectorized data path*):
 //!
 //! 1. sort-based vs hash-based grouping;
 //! 2. closed-form MLE vs matrix-inverse MLE vs EM reconstruction;

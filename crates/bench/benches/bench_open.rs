@@ -2,21 +2,15 @@
 //! first `HELLO`:
 //!
 //! * `open/serve` — `QueryEngine::open` over a saved CENSUS artifact held
-//!   in memory: what `rpctl serve` runs. Every header, schema and record
-//!   row is checked as `open/load` checks it, but each row only adds one
-//!   to its personal group's SA histogram, and no table is built;
-//! * `open/load` — `Publication::load` over the same bytes (every record
-//!   row parsed into the table's columns, a row that repeats the row
-//!   before it copied without a parse);
-//! * `open/scan` — the same bytes through `BufRead::read_until`, line by
-//!   line, with no parse: the I/O floor under `open/load`. CI gates the
-//!   same-run ratio `open/load / open/scan`, which does not depend on the
-//!   host's speed;
+//!   in memory: what `rpctl serve` runs. The header and every group line
+//!   are checked as `open/load` checks them, and the groups' keys and SA
+//!   histograms go straight into the grouped view, with no table built;
+//! * `open/load` — `Publication::load` over the same bytes (every group
+//!   line expanded into its records in the table's columns);
 //! * `open/engine_build` — `QueryEngine::new` over the loaded release
-//!   (personal-group keys, SA histograms and the key bitmaps), which
-//!   `open/serve` folds into its one pass.
-
-use std::io::BufRead;
+//!   (personal-group keys, SA histograms and the key bitmaps, grouped
+//!   from the table's rows), which `open/serve` reads from the artifact
+//!   instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rp_bench::census_fixture;
@@ -45,20 +39,6 @@ fn bench_open(c: &mut Criterion) {
     });
     group.bench_function("load", |b| {
         b.iter(|| Publication::load(&bytes[..]).expect("artifact loads"));
-    });
-    group.bench_function("scan", |b| {
-        let mut line = Vec::new();
-        b.iter(|| {
-            let mut reader = &bytes[..];
-            let mut lines = 0usize;
-            loop {
-                line.clear();
-                match reader.read_until(b'\n', &mut line).expect("in-memory read") {
-                    0 => break lines,
-                    _ => lines += 1,
-                }
-            }
-        });
     });
     group.bench_function("engine_build", |b| {
         b.iter(|| QueryEngine::new(&publication));

@@ -12,7 +12,7 @@
 //! which converges to the maximum-likelihood distribution *constrained to
 //! the simplex*. It agrees with the closed form whenever the closed form is
 //! already a probability vector, and projects gracefully when it is not.
-//! DESIGN.md lists closed-form vs EM as ablation #2.
+//! `bench_ablations` times the closed form against EM.
 
 use crate::matrix::PerturbationMatrix;
 

@@ -11,7 +11,8 @@
 //! (public attributes are never perturbed, so `S*` is exact) and `F′` is
 //! the MLE of `sa`'s frequency reconstructed from `S*`.
 //!
-//! Two evaluation strategies are provided (DESIGN.md ablation #4):
+//! Two evaluation strategies are provided (timed against each other by
+//! `bench_ablations`):
 //!
 //! * [`estimate_by_scan`] — select `S*` with a full table scan per query;
 //! * [`GroupedView`] — pre-aggregate per-personal-group SA histograms once,
@@ -34,7 +35,7 @@
 //! code)` and of the whole view, its summed size and its summed count of
 //! every SA code, so such a query reads two entries.
 
-use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, Table, Term};
+use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, GroupHistograms, Table, Term};
 
 use crate::groups::{PersonalGroups, SaSpec};
 use crate::mle::reconstruct_frequency;
@@ -95,10 +96,10 @@ pub struct GroupedView {
 /// Builds the per-`(attribute, code)` bitmap index over group keys. Code
 /// domains are taken as `max key code + 1` per attribute — queries naming a
 /// larger code match no group, exactly like the key scan they replace.
-fn build_key_index(na_attrs: &[AttrId], keys: &[Vec<u32>]) -> BitmapIndex {
+fn build_key_index(na_attrs: &[AttrId], groups: &GroupHistograms) -> BitmapIndex {
     let width = na_attrs.len();
-    let mut columns: Vec<Vec<u32>> = vec![vec![0u32; keys.len()]; width];
-    for (g, key) in keys.iter().enumerate() {
+    let mut columns: Vec<Vec<u32>> = vec![vec![0u32; groups.len()]; width];
+    for (g, (key, _)) in groups.iter().enumerate() {
         for (column, &code) in columns.iter_mut().zip(key) {
             column[g] = code;
         }
@@ -129,8 +130,11 @@ impl GroupedView {
         for h in &hists {
             assert_eq!(h.len(), m, "histogram arity must equal the SA domain size");
         }
-        let keys = groups.groups().iter().map(|g| g.key.clone()).collect();
-        Self::assemble(groups.spec(), keys, hists)
+        let mut summary = GroupHistograms::with_capacity(groups.spec().na().len(), m, hists.len());
+        for (group, hist) in groups.groups().iter().zip(&hists) {
+            summary.push(&group.key, hist);
+        }
+        Self::assemble(groups.spec(), &summary)
     }
 
     /// Builds the view straight from a published table: the sorted keys
@@ -138,23 +142,23 @@ impl GroupedView {
     /// [`group_histograms`] (one pass and no member row lists when the
     /// key space can be addressed directly).
     pub fn from_table(table: &Table, spec: &SaSpec) -> Self {
-        let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
-        Self::assemble(spec, keys, hists)
+        Self::assemble(spec, &group_histograms(table, spec.na(), spec.sa()))
     }
 
-    /// The view over sorted `keys` (codes of `spec`'s NA attributes) and
-    /// their aligned histograms, as [`rp_table::group_histograms`] and
-    /// [`rp_table::GroupCounts`] return them. The histograms are
-    /// transposed into the SA-major column block and dropped; the same
-    /// pass adds each group into the marginals of the whole view and of
-    /// each of its key codes.
-    pub fn assemble(spec: &SaSpec, keys: Vec<Vec<u32>>, hists: Vec<Vec<u64>>) -> Self {
-        let groups = hists.len();
+    /// The view over sorted personal groups (keys over `spec`'s NA
+    /// attributes, histograms over its SA), as
+    /// [`rp_table::group_histograms`] returns them and a saved release's
+    /// group lines hold them. The histograms are transposed into the
+    /// SA-major column block; the same pass adds each group into the
+    /// marginals of the whole view and of each of its key codes.
+    pub fn assemble(spec: &SaSpec, summary: &GroupHistograms) -> Self {
+        let groups = summary.len();
         let m = spec.m();
         // Key domains are `max key code + 1`, as in `build_key_index`.
         let mut term_slots = vec![1];
         for pos in 0..spec.na().len() {
-            let domain = keys.iter().map(|k| k[pos] as usize + 1).max().unwrap_or(0);
+            let keys = summary.iter().map(|(key, _)| key[pos] as usize + 1);
+            let domain = keys.max().unwrap_or(0);
             term_slots.push(term_slots[pos] + domain);
         }
         let slots = term_slots[spec.na().len()] + 1;
@@ -162,7 +166,7 @@ impl GroupedView {
         let mut sizes = Vec::with_capacity(groups);
         let mut marginal_sizes = vec![0u64; slots];
         let mut marginal_counts = vec![0u64; m * slots];
-        for (g, (key, hist)) in keys.iter().zip(&hists).enumerate() {
+        for (g, (key, hist)) in summary.iter().enumerate() {
             let size = hist.iter().sum();
             sizes.push(size);
             let group_slots = key
@@ -180,7 +184,7 @@ impl GroupedView {
                 counts[sa * groups + g] = count;
             }
         }
-        let key_index = build_key_index(spec.na(), &keys);
+        let key_index = build_key_index(spec.na(), summary);
         Self {
             na_attrs: spec.na().to_vec(),
             sa_attr: spec.sa(),

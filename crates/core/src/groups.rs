@@ -125,11 +125,12 @@ impl PersonalGroups {
     /// paper's sort-based strategy (`rp_table::group_by_sort`) yields the
     /// same groups and is kept as the grouping ablation.
     pub fn build(table: &Table, spec: SaSpec) -> Self {
-        let (keys, hists) = group_histograms(table, spec.na(), spec.sa());
-        let groups = keys
-            .into_iter()
-            .zip(hists)
-            .map(|(key, sa_hist)| PersonalGroup { key, sa_hist })
+        let groups = group_histograms(table, spec.na(), spec.sa())
+            .iter()
+            .map(|(key, hist)| PersonalGroup {
+                key: key.to_vec(),
+                sa_hist: hist.to_vec(),
+            })
             .collect();
         Self {
             spec,

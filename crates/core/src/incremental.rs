@@ -188,6 +188,23 @@ mod tests {
         assert_eq!(g.published_hist.iter().sum::<u64>(), 50);
     }
 
+    /// A group within `sg` re-publishes as plain perturbation, which
+    /// exposes every record again: no sampled prefix is recorded.
+    #[test]
+    fn republishing_a_group_within_sg_keeps_no_sampled_prefix() {
+        let mut g = LiveGroup::new(vec![0], 2);
+        let mut rng = StdRng::seed_from_u64(4);
+        for i in 0..10u32 {
+            assert_eq!(insert(&mut g, &mut rng, i % 2), GroupStatus::Compliant);
+        }
+        assert_eq!(
+            g.republish(&mut rng, &op(), params()),
+            GroupStatus::Compliant
+        );
+        assert_eq!(g.republished_len, 0);
+        assert_eq!(g.raw_hist, vec![5, 5]);
+    }
+
     #[test]
     fn growth_past_sg_flags_the_group() {
         let mut g = LiveGroup::new(vec![1], 2);

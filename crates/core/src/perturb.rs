@@ -9,8 +9,8 @@
 //! * **histogram-level** — draws the perturbed SA *histogram* of a record
 //!   set directly via binomial/multinomial sampling. Distributionally
 //!   identical for any consumer that only looks at counts, and orders of
-//!   magnitude faster for the large parameter sweeps of Section 6
-//!   (ablation #3 in DESIGN.md).
+//!   magnitude faster for the large parameter sweeps of Section 6 (README,
+//!   *Performance: the vectorized data path*).
 
 use rand::Rng;
 use rp_stats::sampling::sample_binomial;

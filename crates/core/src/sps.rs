@@ -144,9 +144,10 @@ pub fn sps_group<R: Rng + ?Sized>(
 ///
 /// The input is consumed as [`PersonalGroups`] (the grouping preprocessing
 /// of Section 5); `table` must be the table those groups were built from.
-/// Each group runs [`sps_group`] and is emitted as one columnar run: every
-/// NA column a constant fill from the group key, the SA column one fill
-/// per non-empty value of the published histogram.
+/// Each group runs [`sps_group`] and is emitted as one columnar run
+/// (`TableBuilder::push_group`): every NA column a constant fill from the
+/// group key, the SA column one fill per non-empty value of the published
+/// histogram.
 ///
 /// # Panics
 ///
@@ -177,20 +178,9 @@ pub fn sps<R: Rng + ?Sized>(
             stats.groups_sampled += 1;
             stats.sampled_records += g1;
         }
-        let rows = hist.iter().sum::<u64>() as usize;
-        let mut run = builder.begin_run(rows);
-        for (&attr, &code) in spec.na().iter().zip(&group.key) {
-            run.fill(attr, code, rows)
-                .expect("group key codes are valid");
-        }
-        for (sa_code, &count) in (0u32..).zip(&hist) {
-            if count > 0 {
-                run.fill(spec.sa(), sa_code, count as usize)
-                    .expect("SA codes index the SA domain");
-            }
-        }
-        run.finish()
-            .expect("every column filled to the declared run length");
+        builder
+            .push_group(&group.key, spec.sa(), &hist)
+            .expect("group key and SA codes are valid");
     }
     let table = builder.build();
     stats.output_records = table.rows() as u64;
@@ -203,8 +193,8 @@ pub fn sps<R: Rng + ?Sized>(
 ///
 /// Both executors run [`sps_group`] in group order, so for one seed these
 /// histograms equal the per-group SA histograms of [`sps`]'s table exactly.
-/// This is the fast path used by the Figure 3/5 sweeps (DESIGN.md ablation
-/// #3).
+/// This is the fast path used by the Figure 3/5 sweeps (README,
+/// *Performance: the vectorized data path*).
 pub fn sps_histograms<R: Rng + ?Sized>(
     rng: &mut R,
     groups: &PersonalGroups,
@@ -418,8 +408,9 @@ mod tests {
             let groups = PersonalGroups::build(&table, spec.clone());
             let out = sps(&mut StdRng::seed_from_u64(seed), &table, &groups, config);
             let hists = sps_histograms(&mut StdRng::seed_from_u64(seed), &groups, config);
-            let (keys, published) = rp_table::group_histograms(&out.table, spec.na(), spec.sa());
-            let want_keys: Vec<Vec<u32>> = groups.groups().iter().map(|g| g.key.clone()).collect();
+            let published = rp_table::group_histograms(&out.table, spec.na(), spec.sa());
+            let (keys, published): (Vec<&[u32]>, Vec<&[u64]>) = published.iter().unzip();
+            let want_keys: Vec<&[u32]> = groups.groups().iter().map(|g| &g.key[..]).collect();
             assert_eq!(keys, want_keys, "seed {seed}");
             assert_eq!(published, hists, "seed {seed}");
             assert_eq!(out.stats.groups_sampled, sampled, "seed {seed}");

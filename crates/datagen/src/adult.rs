@@ -3,7 +3,7 @@
 //! The paper evaluates on the UCI ADULT extract (45,222 complete records;
 //! attributes Education, Occupation, Race, Gender + sensitive Income).
 //! We do not ship the UCI file; instead this generator synthesizes a table
-//! with the same *shape* (see DESIGN.md §4):
+//! with the same *shape*:
 //!
 //! * the original domain sizes 16 / 14 / 5 / 2 and Income = {<=50K, >50K};
 //! * an overall Income marginal calibrated to 75.22% / 24.78%;

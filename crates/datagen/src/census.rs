@@ -5,7 +5,7 @@
 //! papers) with attributes Age (77), Gender (2), Education (14),
 //! Marital (6), Race (9) and sensitive Occupation (50 roughly balanced
 //! values). The file is not publicly distributed, so this generator
-//! synthesizes the same shape (DESIGN.md §4):
+//! synthesizes the same shape:
 //!
 //! * Occupation depends on Gender, Education, Marital and Race — each value
 //!   of those attributes carries a *distinct* occupation profile — but is

@@ -6,9 +6,8 @@
 //! the UCI ADULT extract and a 500K CENSUS extract. This crate synthesizes
 //! both with the properties the experiments actually exercise (domain
 //! sizes, marginals, the Example-1 rule, and the latent-class conditional
-//! structure that drives the χ²-merge of Section 3.4) — see DESIGN.md §4
-//! for the substitution rationale — plus the Section-6 query-pool
-//! generator.
+//! structure that drives the χ²-merge of Section 3.4), plus the Section-6
+//! query-pool generator.
 //!
 //! * [`adult`] — 45,222-record ADULT-like table (Income sensitive).
 //! * [`census`] — 100K–500K CENSUS-like table (Occupation sensitive).

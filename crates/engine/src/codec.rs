@@ -8,24 +8,13 @@
 //! reader, `key\tv1\tv2...` field parsing, the token check for writable
 //! strings, the perturbation section (`p`, `lambda` and `delta` lines,
 //! validated once) and the schema section (`attrs` + `attr` lines) both
-//! formats embed so either file is self-describing, and the code-row
-//! codec.
-//!
-//! A *code row* is tab-separated `u32` dictionary codes: an artifact's
-//! records, a WAL event's codes, a group key. An artifact's records are
-//! read and written as bytes: [`Lines::block`] lends the reader's buffered
-//! block to `rp_table::CodeRows::push_code_rows`, which parses every
-//! whole row it takes straight into a table's columns or a release's
-//! group histograms, with no copy of the line, and [`write_code_row`]
-//! formats them without `fmt`. A row that parser
-//! does not take, like every WAL and group-key code, goes through
-//! [`parse_codes`] as text, so each form `str::parse::<u32>` accepts (a
-//! leading `+`, long runs of leading zeros, a `\r\n` end) still loads and
-//! each rejection carries that parser's exact message and line. So does a
-//! row that crosses the end of the reader's buffer.
+//! formats embed so either file is self-describing, and the code parsers
+//! every code row (a WAL event's codes, a group key) goes through, as
+//! text: each form `str::parse::<u32>` accepts loads, and each rejection
+//! carries that parser's exact message and line.
 //!
 //! The module also holds the digit writers. Integers are written by digit
-//! pairs (code rows, and the wire's `u64` fields). Every float that
+//! pairs (an artifact's group lines, and the wire's `u64` fields). Every float that
 //! reaches the wire or an artifact goes through [`canon_f64`], one
 //! in-tree shortest-round-trip writer: Ryu's digits over power-of-five
 //! tables computed at compile time, laid out with their sign, point and
@@ -539,25 +528,9 @@ pub(crate) fn parse_codes<'a>(
     Ok(())
 }
 
-/// Appends one code row, newline included, to `out`.
-pub(crate) fn write_code_row(out: &mut Vec<u8>, codes: impl Iterator<Item = u32>) {
-    let mut buf = [0u8; 10];
-    for (i, code) in codes.enumerate() {
-        if i > 0 {
-            out.push(b'\t');
-        }
-        let digits = &mut buf[..decimal_len(code.into())];
-        write_digits(code.into(), digits);
-        out.extend_from_slice(digits);
-    }
-    out.push(b'\n');
-}
-
 /// Line reader with position tracking for error messages. Lines are read
-/// as bytes into one reused buffer. A line read as text is checked as
-/// UTF-8, failing with the I/O error `read_line` raises; record rows are
-/// parsed in the reader's own buffer, and one is checked only if the byte
-/// parser does not take it.
+/// as bytes into one reused buffer and checked as UTF-8, failing with the
+/// I/O error `read_line` raises.
 pub(crate) struct Lines<R> {
     inner: R,
     pub(crate) line_no: usize,
@@ -587,17 +560,6 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
-    /// Reads the next line's bytes, terminator included, into the buffer.
-    fn advance(&mut self) -> Result<(), PublicationError> {
-        self.buf.clear();
-        let n = self.inner.read_until(b'\n', &mut self.buf)?;
-        self.line_no += 1;
-        if n == 0 {
-            return Err(self.err("unexpected end of input".to_string()));
-        }
-        Ok(())
-    }
-
     /// The buffered line as text, without its `\n`/`\r` terminator.
     fn text(&self) -> Result<&str, PublicationError> {
         let text = std::str::from_utf8(&self.buf).map_err(|_| {
@@ -609,50 +571,27 @@ impl<R: BufRead> Lines<R> {
         Ok(text.trim_end_matches(['\n', '\r']))
     }
 
+    /// Reads the next line into the buffer and returns it as text.
     pub(crate) fn next_line(&mut self) -> Result<&str, PublicationError> {
-        self.advance()?;
+        self.buf.clear();
+        let n = self.inner.read_until(b'\n', &mut self.buf)?;
+        self.line_no += 1;
+        if n == 0 {
+            return Err(self.err("unexpected end of input".to_string()));
+        }
         self.text()
     }
 
-    /// The reader's buffered bytes, refilled only when none are left: the
-    /// block `rp_table::CodeRows::push_code_rows` parses in place. A row that
-    /// runs past the block's end stays for [`Lines::next_row_codes`]. An
-    /// interrupted read is retried, as `read_until` retries it.
-    pub(crate) fn block(&mut self) -> Result<&[u8], PublicationError> {
-        while let Err(e) = self.inner.fill_buf() {
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e.into());
+    /// Whether the input is exhausted, reading ahead without consuming
+    /// anything. An interrupted read is retried, as `read_until` retries
+    /// it.
+    pub(crate) fn at_eof(&mut self) -> Result<bool, PublicationError> {
+        loop {
+            match self.inner.fill_buf() {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                buf => return Ok(buf?.is_empty()),
             }
         }
-        Ok(self.inner.fill_buf()?)
-    }
-
-    /// Consumes the `bytes` of the `rows` whole rows taken from
-    /// [`Lines::block`].
-    pub(crate) fn consume_rows(&mut self, rows: usize, bytes: usize) {
-        self.inner.consume(bytes);
-        self.line_no += rows;
-    }
-
-    /// Reads the next record row and parses it as text into `codes`
-    /// (cleared first): the path of a row the block parser did not take.
-    pub(crate) fn next_row_codes(&mut self, codes: &mut Vec<u32>) -> Result<(), PublicationError> {
-        self.advance()?;
-        codes.clear();
-        parse_codes(self.text()?.split('\t'), codes).map_err(|message| self.err(message))
-    }
-
-    pub(crate) fn expect_eof(&mut self) -> Result<(), PublicationError> {
-        self.buf.clear();
-        if self.inner.read_until(b'\n', &mut self.buf)? != 0 {
-            // A tail that is not UTF-8 fails as `read_line` failed on it.
-            self.text()?;
-            return Err(PublicationError::Format {
-                line: self.line_no + 1,
-                message: "trailing content after the declared row count".to_string(),
-            });
-        }
-        Ok(())
     }
 
     pub(crate) fn field(&mut self, key: &'static str) -> Result<Field<'_>, PublicationError> {
@@ -809,12 +748,5 @@ mod tests {
             POW5_INV_SPLIT[341],
             0x12ab_168c_c36c_acbf_0958_f94b_3484_98a1
         );
-    }
-
-    #[test]
-    fn code_rows_are_tab_separated_digits() {
-        let mut out = Vec::new();
-        write_code_row(&mut out, [0, 7, 42, 100, u32::MAX].into_iter());
-        assert_eq!(out, b"0\t7\t42\t100\t4294967295\n");
     }
 }

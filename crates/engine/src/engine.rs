@@ -6,11 +6,12 @@
 //! histograms, the per-group reconstruction substrate; a direct-addressable
 //! key space builds them in one pass with no member row lists), plus
 //! per-`(NA attribute, code)` selection bitmaps over the group keys.
-//! Since an answer needs nothing of a release but those histograms,
+//! Since an answer needs nothing of a release but those histograms, and a
+//! saved artifact stores exactly those, one line per personal group,
 //! [`QueryEngine::open`], the open `rpctl serve` and `rpctl query` run,
-//! counts them straight from a saved artifact's record rows as they are
-//! parsed and never builds the table; [`QueryEngine::new`] builds the same
-//! engine from a loaded [`Publication`]. The
+//! reads them straight into the grouped view and never builds the table;
+//! [`QueryEngine::new`] builds the same engine from a loaded
+//! [`Publication`]. The
 //! histograms are stored SA-major, one contiguous column of group counts
 //! per SA value, beside the marginals of every `(NA attribute, code)`
 //! and of the whole release. A query that pins at most one NA column
@@ -44,7 +45,7 @@ use rp_core::estimate::GroupedView;
 use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::mle::reconstruct_frequency;
 use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
-use rp_table::{AttrId, CountQuery, GroupCounts, Schema, TableError, Term};
+use rp_table::{AttrId, CountQuery, Schema, TableError, Term};
 
 use crate::publication::{read_artifact, Header, Publication, PublicationError};
 
@@ -352,9 +353,9 @@ impl QueryEngine {
     }
 
     /// Opens a saved release straight into an engine, building no table:
-    /// each record row, parsed in the reader's buffer, adds one to its
-    /// personal group's SA histogram (`rp_table::GroupCounts`), and a row
-    /// that repeats the row before it adds one to the same cell. The
+    /// the artifact's group lines, sorted keys with their published SA
+    /// histograms, are assembled into the grouped view as they are read,
+    /// and a snapshot's live groups are first added into their keys. The
     /// engine equals `QueryEngine::new(&Publication::load(r)?)`, and the
     /// two reads share every check, so a bad artifact fails with the
     /// same error and line.
@@ -368,10 +369,13 @@ impl QueryEngine {
 
     /// [`QueryEngine::open`], with the artifact's header.
     pub(crate) fn open_release<R: BufRead>(r: R) -> Result<(Self, Header), PublicationError> {
-        let (header, counts, _) = read_artifact(r, |h| GroupCounts::new(&h.schema, h.sa, h.rows))?;
+        let (header, mut groups, live) = read_artifact(r)?;
+        if let Some(live) = &live {
+            let live = live.groups.iter().map(|state| &state.group);
+            groups = groups.merged(live.map(|g| (&g.key[..], &g.published_hist[..])));
+        }
         let spec = SaSpec::for_schema(&header.schema, header.sa);
-        let (keys, hists) = counts.finish();
-        let view = GroupedView::assemble(&spec, keys, hists);
+        let view = GroupedView::assemble(&spec, &groups);
         Ok((
             Self::over_view(&header.schema, &spec, header.p, view),
             header,

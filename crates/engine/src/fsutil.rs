@@ -1,6 +1,6 @@
 //! Crash-safe filesystem helpers shared by the persistent artifacts.
 //!
-//! Every durable file this crate owns (the publication artifact, the v2
+//! Every durable file this crate owns (the publication artifact, a stream
 //! snapshot, a compacted WAL) is replaced through the same three-step
 //! dance: write the new content to a temporary sibling, force it to
 //! stable storage, then atomically rename it over the target and sync

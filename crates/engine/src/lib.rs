@@ -29,7 +29,7 @@
 //! shells over them):
 //!
 //! ```text
-//! Publisher ─▶ Publication (v1 batch / v2 streaming artifact)
+//! Publisher ─▶ Publication (group-line artifact, + live section)
 //!                  │                        ▲
 //!                  ▼                        │ snapshot / restore
 //!             QueryEngine ◀── base ─── stream::StreamPublisher
@@ -54,7 +54,7 @@
 //!   republish steps behind a write-ahead log of inserts, counter-based
 //!   per-group RNG streams (one `u64` cursor each, kept in the group's
 //!   own record), automatic SPS re-publication when a group
-//!   crosses `sg`, WAL compaction, and v2 snapshots — every live group
+//!   crosses `sg`, WAL compaction, and snapshots — every live group
 //!   stays resident and persists as one [`GroupState`] record, and state
 //!   is a pure function of `(base artifact, WAL)`, so replay and
 //!   snapshot+tail restore are byte-identical to the live run;

@@ -10,20 +10,22 @@
 //! a simple line-oriented on-disk format so the publish and query sides of
 //! a deployment stop re-deriving parameters out-of-band.
 //!
-//! The record rows are nearly all of an artifact's bytes, so both
-//! directions treat them as bytes (the code-row codec of `crate::codec`).
-//! [`Publication::save`] formats them without `fmt`. Reading is split in
-//! three: the header, the record rows into a sink, and the trailer (a v2
-//! artifact's live section, then the end of input). [`Publication::load`]
-//! sends the rows into a table's columns; the serving open
-//! ([`crate::QueryEngine::open`]) sends them into per-group SA histograms
-//! (`rp_table::GroupCounts`) and builds no table. Both sinks take rows a
-//! buffered block at a time, each row's digits straight from the reader's
-//! buffer, and a row whose bytes repeat the row before it in the block
-//! without a parse. A row is parsed as text only when it is in another
-//! accepted form, invalid, or cut by the end of the buffer, so that every
-//! error keeps its message and line number, whichever sink reads it.
+//! Every record of a personal group carries the group's key, and SPS
+//! publishes a group as one run per SA value, so a release is fully
+//! described by each group's published SA histogram. The artifact stores
+//! exactly that: one line per non-empty personal group, its key codes then
+//! its `m` counts, in strictly increasing key order. One reader,
+//! `read_artifact`, checks the header, the group lines and a snapshot's
+//! live section, and returns the sorted keys and histograms. The serving
+//! open ([`crate::QueryEngine::open`]) assembles them into the grouped
+//! view and builds no table; [`Publication::load`] expands them back into
+//! the table's rows, group by group in key order and each group's SA
+//! values in code order, the row order [`crate::Publisher`] and
+//! [`crate::stream::StreamPublisher::snapshot`] produce. So both read every
+//! artifact with the same checks, messages and line numbers, and every
+//! artifact the system writes loads back into an equal `Publication`.
 
+use std::collections::TryReserveError;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
@@ -33,10 +35,10 @@ use rp_core::groups::SaSpec;
 use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::privacy::PrivacyParams;
 use rp_core::sps::SpsStats;
-use rp_table::{AttrId, CodeRows, Schema, Table, TableBuilder};
+use rp_table::{group_histograms, AttrId, GroupHistograms, Schema, Table, TableBuilder};
 
 use crate::codec::{
-    parse_code, read_params, read_schema, write_code_row, write_params, write_schema, Lines,
+    parse_code, put_u64, read_params, read_schema, write_params, write_schema, Lines,
 };
 
 /// Summary of the Equation-10 design check the publisher ran before SPS:
@@ -84,7 +86,7 @@ impl DesignCheck {
 /// [`crate::stream::StreamPublisher`] needs to resume the group exactly
 /// where the live run left it — the group itself plus its RNG cursor.
 ///
-/// Two containers persist it — the `lgroup` lines of a streaming (v2)
+/// Two containers persist it — the `lgroup` lines of a snapshot
 /// artifact and the `s` state records of a compacted WAL — and both
 /// write the same tab-separated fields after their tag:
 ///
@@ -121,12 +123,6 @@ impl GroupState {
         sa: AttrId,
         after: Option<&[u32]>,
     ) -> Result<Self, String> {
-        fn number<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
-        where
-            T::Err: fmt::Display,
-        {
-            raw.parse().map_err(|e| format!("bad {what} `{raw}`: {e}"))
-        }
         let m = schema.attribute(sa).domain_size();
         let k = schema.arity() - 1;
         let width = k + 2 * m + 3;
@@ -136,21 +132,8 @@ impl GroupState {
                 fields.len()
             ));
         }
-        let key = (0..schema.arity())
-            .filter(|&a| a != sa)
-            .zip(fields)
-            .map(|(attr, raw)| {
-                let code = parse_code(raw, "key code")?;
-                let domain = schema.attribute(attr).domain_size();
-                if code as usize >= domain {
-                    return Err(format!(
-                        "key code {code} out of range for attribute `{}` (domain {domain})",
-                        schema.attribute(attr).name()
-                    ));
-                }
-                Ok(code)
-            })
-            .collect::<Result<Vec<u32>, String>>()?;
+        let mut key = Vec::with_capacity(k);
+        parse_key(fields[..k].iter().copied(), schema, sa, after, &mut key)?;
         let hist = |raw: &[&str]| -> Result<Vec<u64>, String> {
             raw.iter().map(|r| number(r, "count")).collect()
         };
@@ -163,9 +146,6 @@ impl GroupState {
             other => return Err(format!("bad status `{other}` (want `c` or `f`)")),
         };
         let republished_len = number(fields[k + 2 * m + 2], "republished_len")?;
-        if after.is_some_and(|prev| prev >= key.as_slice()) {
-            return Err("group keys must be strictly increasing".into());
-        }
         Ok(Self {
             group: LiveGroup {
                 key,
@@ -199,9 +179,80 @@ impl fmt::Display for EncodedFields<'_> {
     }
 }
 
-/// The live extension of a v2 publication: the owner-side state of a
-/// streaming run, serialized alongside the batch fields so live and
-/// batch releases share one artifact format.
+/// Parses one number field; a rejection reads ``bad {what} `{raw}`: {e}``.
+fn number<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    raw.parse().map_err(|e| format!("bad {what} `{raw}`: {e}"))
+}
+
+/// Parses a group key into `key` (cleared first): one code per public
+/// attribute of `schema`, in schema order (every attribute but `sa`),
+/// each inside its domain, the key strictly after `after`, the key of the
+/// record before it.
+fn parse_key<'a>(
+    fields: impl Iterator<Item = &'a str>,
+    schema: &Schema,
+    sa: AttrId,
+    after: Option<&[u32]>,
+    key: &mut Vec<u32>,
+) -> Result<(), String> {
+    key.clear();
+    for (attr, raw) in (0..schema.arity()).filter(|&a| a != sa).zip(fields) {
+        let code = parse_code(raw, "key code")?;
+        let domain = schema.attribute(attr).domain_size();
+        if code as usize >= domain {
+            let name = schema.attribute(attr).name();
+            return Err(format!(
+                "key code {code} out of range for attribute `{name}` (domain {domain})"
+            ));
+        }
+        key.push(code);
+    }
+    if after.is_some_and(|prev| prev >= key.as_slice()) {
+        return Err("group keys must be strictly increasing".into());
+    }
+    Ok(())
+}
+
+/// Parses one group line of an artifact's record section into `key` and
+/// `hist`: the group's key codes, then its `m` published counts, strictly
+/// after `after`. A group with no record has no line.
+fn parse_group_line(
+    line: &str,
+    schema: &Schema,
+    sa: AttrId,
+    after: Option<&[u32]>,
+    (key, hist): (&mut Vec<u32>, &mut Vec<u64>),
+) -> Result<(), String> {
+    let (k, m) = (schema.arity() - 1, schema.attribute(sa).domain_size());
+    // A one-char array pattern walks the line; on fields this short it
+    // splits about a quarter faster than the `'\t'` pattern's search.
+    let mut fields = line.split(['\t']);
+    parse_key(fields.by_ref().take(k), schema, sa, after, key)?;
+    hist.clear();
+    for raw in fields.by_ref().take(m) {
+        hist.push(number(raw, "count")?);
+    }
+    let width = key.len() + hist.len() + fields.count();
+    if width != k + m {
+        return Err(format!("group line needs {} fields, got {width}", k + m));
+    }
+    if hist.iter().all(|&count| count == 0) {
+        return Err("group histogram is all zero (an empty group has no line)".into());
+    }
+    Ok(())
+}
+
+/// The sum of `counts`, or `None` if it overflows `u64`.
+fn count_rows<'a>(mut counts: impl Iterator<Item = &'a u64>) -> Option<u64> {
+    counts.try_fold(0u64, |sum, &count| sum.checked_add(count))
+}
+
+/// The live extension of a stream snapshot: the owner-side state of a
+/// streaming run, serialized after the base groups so live and batch
+/// releases share one artifact format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveState {
     /// Rows of [`Publication::table`] that belong to the immutable batch
@@ -223,8 +274,8 @@ pub struct LiveState {
 ///
 /// Build one with [`crate::Publisher`], persist it with
 /// [`Publication::save`], and answer from it with [`crate::QueryEngine`].
-/// A release produced by the streaming path additionally carries a
-/// [`LiveState`] extension (the v2 on-disk format) from which
+/// A snapshot of the streaming path additionally carries a [`LiveState`]
+/// extension (the artifact's `live` section) from which
 /// [`crate::stream::StreamPublisher`] resumes; batch consumers can ignore
 /// it — the [`Publication::table`] already includes the rows
 /// materialized from the live groups.
@@ -245,9 +296,16 @@ impl Publication {
     /// [`crate::Publisher`] and deserialization; answering code should not
     /// need it.
     ///
+    /// A saved release keeps each personal group's published SA histogram,
+    /// not its rows ([`Publication::save`]), so it loads back in
+    /// key-then-SA order: a `table` in another row order loads back
+    /// reordered, as an unequal `Publication` with the same groups.
+    ///
     /// # Panics
     ///
-    /// Panics if `sa` is out of range for the table's schema.
+    /// Panics if `sa` is out of range for the table's schema, or if the
+    /// schema has no public attribute besides it (a release is stored as
+    /// its personal groups, which the public attributes key).
     pub fn from_parts(
         table: Table,
         sa: AttrId,
@@ -257,11 +315,12 @@ impl Publication {
         stats: SpsStats,
         check: DesignCheck,
     ) -> Self {
+        let arity = table.schema().arity();
         assert!(
-            sa < table.schema().arity(),
-            "SA attribute {sa} out of range for arity {}",
-            table.schema().arity()
+            sa < arity,
+            "SA attribute {sa} out of range for arity {arity}"
         );
+        assert!(arity >= 2, "need at least one public attribute besides SA");
         Self {
             table,
             sa,
@@ -274,35 +333,30 @@ impl Publication {
         }
     }
 
-    /// Attaches a live-state extension (turning the artifact into the v2
-    /// format on save). Intended for [`crate::stream::StreamPublisher`].
+    /// Attaches a live-state extension (saved as the artifact's `live`
+    /// section). Intended for [`crate::stream::StreamPublisher`].
     ///
     /// # Panics
     ///
     /// Panics if `live.base_rows` exceeds the table's row count or the
     /// live published histograms do not sum to the non-base rows.
     pub fn with_live(mut self, live: LiveState) -> Self {
-        assert!(
-            live.base_rows <= self.table.rows(),
-            "base_rows {} exceeds table rows {}",
-            live.base_rows,
-            self.table.rows()
-        );
         let live_rows: u64 = live
             .groups
             .iter()
-            .map(|g| g.group.published_hist.iter().sum::<u64>())
+            .flat_map(|g| &g.group.published_hist)
             .sum();
         assert_eq!(
-            live_rows,
-            (self.table.rows() - live.base_rows) as u64,
-            "live published histograms must account for every non-base row"
+            (self.table.rows() as u64).checked_sub(live.base_rows as u64),
+            Some(live_rows),
+            "live published histograms must account for every row past base_rows {}",
+            live.base_rows
         );
         self.live = Some(live);
         self
     }
 
-    /// The live-state extension of a streaming (v2) release, if any.
+    /// The live-state extension of a stream snapshot, if any.
     pub fn live(&self) -> Option<&LiveState> {
         self.live.as_ref()
     }
@@ -358,15 +412,36 @@ impl Publication {
         SaSpec::new(&self.table, self.sa)
     }
 
-    /// Serializes the publication to its on-disk format: v1 for batch
-    /// releases, v2 when a [`LiveState`] extension is attached.
+    /// Serializes the publication to its on-disk format.
     ///
     /// The format is line-oriented and tab-separated: a magic line, one
     /// `key\t...` metadata line per field, one `attr` line per schema
-    /// attribute (name followed by its domain values), then the records as
-    /// rows of dictionary codes; a v2 artifact appends a `live` header and
-    /// one `lgroup` line per live group. Identical publications serialize
-    /// to identical bytes, so `save ∘ load` is the identity on files.
+    /// attribute (name followed by its domain values), the `rows` and
+    /// `groups` counts, then one line per non-empty personal group of the
+    /// base release in strictly increasing key order — its key codes
+    /// (every public attribute, in schema order), then its `m` published
+    /// SA counts. A snapshot appends a `live` header and one `lgroup` line
+    /// per live group; its group lines hold the base rows alone, and
+    /// `rows` counts base and live records. Identical publications
+    /// serialize to identical bytes, so `save ∘ load` is the identity on
+    /// files.
+    ///
+    /// What is saved is the groups, not the rows: the row order of the
+    /// table is not kept, and a snapshot's rows past its `base_rows` are
+    /// not written, its live groups' published histograms standing for
+    /// them. So `load ∘ save` is the identity on publications whose rows
+    /// are in key-then-SA order, base groups then live groups, as every
+    /// [`crate::Publisher`] output and stream snapshot is.
+    ///
+    /// ```text
+    /// rp-publication v3
+    /// sa, p, lambda, delta, seed, stats, check   -- one line each
+    /// attrs N, then N attr lines                 -- the schema
+    /// rows R
+    /// groups G
+    /// (code TAB){arity-1} count (TAB count){m-1} -- G group lines
+    /// live ..., then lgroup lines                -- a snapshot only
+    /// ```
     ///
     /// # Errors
     ///
@@ -374,12 +449,7 @@ impl Publication {
     /// value contains a tab or newline (unrepresentable in the format).
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), PublicationError> {
         let schema = self.table.schema();
-        let magic = if self.live.is_some() {
-            MAGIC_V2
-        } else {
-            MAGIC_V1
-        };
-        writeln!(w, "{magic}")?;
+        writeln!(w, "{MAGIC}")?;
         writeln!(w, "sa\t{}", self.sa)?;
         write_params(&mut w, self.p, self.params)?;
         writeln!(w, "seed\t{}", self.seed)?;
@@ -402,18 +472,31 @@ impl Publication {
         )?;
         write_schema(&mut w, schema)?;
         writeln!(w, "rows\t{}", self.table.rows())?;
-        let columns: Vec<&[u32]> = (0..schema.arity())
-            .map(|a| self.table.column(a).codes())
-            .collect();
-        let mut out = Vec::with_capacity(1 << 16);
-        for r in 0..self.table.rows() {
-            write_code_row(&mut out, columns.iter().map(|c| c[r]));
-            if out.len() >= 1 << 16 {
-                w.write_all(&out)?;
-                out.clear();
+        let head;
+        let base = match &self.live {
+            Some(live) => {
+                head = self.table.head(live.base_rows);
+                &head
             }
+            None => &self.table,
+        };
+        let groups = group_histograms(base, self.spec().na(), self.sa);
+        writeln!(w, "groups\t{}", groups.len())?;
+        let mut line = String::new();
+        for (key, hist) in groups.iter() {
+            line.clear();
+            for field in key
+                .iter()
+                .map(|&c| u64::from(c))
+                .chain(hist.iter().copied())
+            {
+                put_u64(&mut line, field);
+                line.push('\t');
+            }
+            line.pop();
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
         }
-        w.write_all(&out)?;
         if let Some(live) = &self.live {
             writeln!(
                 w,
@@ -443,23 +526,31 @@ impl Publication {
         crate::fsutil::write_atomic(path.as_ref(), |w| self.save(w))
     }
 
-    /// Deserializes a publication from the on-disk format (v1 or v2 —
-    /// the two magics; v1 artifacts keep loading unchanged).
+    /// Deserializes a publication from the on-disk format, expanding each
+    /// group line into its records: the base groups, then a snapshot's
+    /// live groups, each in key order and each group's records in SA code
+    /// order. This builds the whole table; serving needs only the groups
+    /// ([`crate::QueryEngine::open`]).
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure or any structural problem (bad
-    /// magic, missing fields, malformed numbers, out-of-domain codes, an
-    /// inconsistent live section).
+    /// Returns an error on I/O failure or any structural problem (bad or
+    /// retired magic, missing fields, malformed numbers, out-of-domain or
+    /// unsorted keys, counts that do not add up, an inconsistent live
+    /// section), or if the table cannot be allocated for the declared
+    /// rows (reported at the `rows` line).
     pub fn load<R: BufRead>(r: R) -> Result<Self, PublicationError> {
-        // The row count is untrusted input: cap the pre-allocation so a
-        // corrupt header cannot force a huge reservation before any record
-        // is parsed (the builder grows past the cap as real rows arrive).
-        let (header, builder, live) = read_artifact(r, |h| {
-            TableBuilder::with_capacity(h.schema.clone(), h.rows.min(1 << 20))
-        })?;
+        let (header, groups, live) = read_artifact(r)?;
+        let live_groups = live.as_ref().map_or(&[][..], |l| &l.groups);
+        let table =
+            expand(&header.schema, header.sa, header.rows, &groups, live_groups).map_err(|e| {
+                PublicationError::Format {
+                    line: header.rows_line,
+                    message: format!("cannot allocate the {} declared rows: {e}", header.rows),
+                }
+            })?;
         Ok(Self {
-            table: builder.build(),
+            table,
             sa: header.sa,
             p: header.p,
             params: header.params,
@@ -481,12 +572,43 @@ impl Publication {
     }
 }
 
-const MAGIC_V1: &str = "rp-publication v1";
-const MAGIC_V2: &str = "rp-publication v2";
+/// The table of a release's records: the `base` groups, then the `live`
+/// groups, each in key order and each group's records in SA code order
+/// ([`TableBuilder::push_group`]), `rows` rows in all.
+///
+/// # Errors
+///
+/// Fails, before it fills anything, if the columns cannot be allocated
+/// for `rows` rows. A loaded artifact's row count is untrusted: a few
+/// bytes of group line can declare any count, so an absurd one must fail
+/// cleanly, not abort the process.
+pub(crate) fn expand(
+    schema: &Schema,
+    sa: AttrId,
+    rows: usize,
+    base: &GroupHistograms,
+    live: &[GroupState],
+) -> Result<Table, TryReserveError> {
+    let mut builder = TableBuilder::with_capacity(schema.clone(), rows.min(1 << 20));
+    builder.try_reserve_exact(rows)?;
+    let live = live
+        .iter()
+        .map(|g| (&g.group.key[..], &g.group.published_hist[..]));
+    for (key, hist) in base.iter().chain(live) {
+        builder
+            .push_group(key, sa, hist)
+            .expect("group codes are in their domains");
+    }
+    Ok(builder.build())
+}
 
-/// An artifact's header: every line before its record rows, checked.
+const MAGIC: &str = "rp-publication v3";
+
+/// The magics of the record-row formats this one replaced.
+const RETIRED_MAGICS: [&str; 2] = ["rp-publication v1", "rp-publication v2"];
+
+/// An artifact's header: every line before its group lines, checked.
 pub(crate) struct Header {
-    version: u8,
     pub(crate) sa: AttrId,
     pub(crate) p: f64,
     pub(crate) params: PrivacyParams,
@@ -494,48 +616,69 @@ pub(crate) struct Header {
     stats: SpsStats,
     check: DesignCheck,
     pub(crate) schema: Schema,
-    /// The declared record row count.
-    pub(crate) rows: usize,
+    /// The declared record count, base and live.
+    rows: usize,
+    /// The line number of the `rows` line.
+    rows_line: usize,
+    /// The declared number of group lines.
+    groups: usize,
 }
 
-/// Reads an artifact from `r`: its header, then its record rows into the
-/// sink `sink` makes from the header, then a v2 artifact's live section
-/// and the end of input. [`Publication::load`] and the serving open
-/// ([`crate::QueryEngine::open`]) both read through it, so they share
-/// every check, message and line number.
-pub(crate) fn read_artifact<R: BufRead, S: CodeRows>(
+/// Reads an artifact from `r`: its header, its base groups, a snapshot's
+/// live section and the end of input. [`Publication::load`] and the
+/// serving open ([`crate::QueryEngine::open`]) both read through it, so
+/// they share every check, message and line number. The group lines are
+/// parsed into the two flat buffers of a [`GroupHistograms`], with no
+/// allocation per group.
+pub(crate) fn read_artifact<R: BufRead>(
     r: R,
-    sink: impl FnOnce(&Header) -> S,
-) -> Result<(Header, S, Option<LiveState>), PublicationError> {
+) -> Result<(Header, GroupHistograms, Option<LiveState>), PublicationError> {
     let mut lines = Lines::new(r);
     let header = read_header(&mut lines)?;
-    let mut rows = sink(&header);
-    read_rows(&mut lines, header.rows, &mut rows)?;
-    let live = if header.version >= 2 {
-        Some(read_live(
-            &mut lines,
-            &header.schema,
-            header.sa,
-            header.rows,
-        )?)
-    } else {
-        None
+    let (schema, sa) = (&header.schema, header.sa);
+    let (k, m) = (schema.arity() - 1, schema.attribute(sa).domain_size());
+    // Like the row count, the group count is untrusted: cap the
+    // pre-allocation at about 2^20 fields; real groups past it still load.
+    let reserve = header.groups.min((1 << 20) / (k + m));
+    let mut groups = GroupHistograms::with_capacity(k, m, reserve);
+    let (mut key, mut hist) = (Vec::with_capacity(k), Vec::with_capacity(m));
+    for g in 0..header.groups {
+        let after = g.checked_sub(1).map(|last| groups.key(last));
+        parse_group_line(lines.next_line()?, schema, sa, after, (&mut key, &mut hist))
+            .map_err(|message| lines.err(message))?;
+        groups.push(&key, &hist);
+    }
+    let base_rows = count_rows(groups.iter().flat_map(|(_, hist)| hist));
+    let base_rows = base_rows.ok_or_else(|| lines.err("group counts overflow u64".into()))?;
+    let live = match lines.at_eof()? {
+        true => None,
+        false => Some(read_live(&mut lines, &header, base_rows)?),
     };
-    // A rows header that undercounts the actual content would otherwise
-    // load as a silently truncated release.
-    lines.expect_eof()?;
-    Ok((header, rows, live))
+    let live_counts = live
+        .iter()
+        .flat_map(|l| &l.groups)
+        .flat_map(|g| &g.group.published_hist);
+    let rows = count_rows(live_counts).and_then(|live_rows| live_rows.checked_add(base_rows));
+    if rows != Some(header.rows as u64) {
+        let held = rows.map_or("more than u64::MAX".to_string(), |rows| rows.to_string());
+        let (line, declared) = (header.rows_line, header.rows);
+        let message = format!("the groups hold {held} rows but `rows` declares {declared}");
+        return Err(PublicationError::Format { line, message });
+    }
+    Ok((header, groups, live))
 }
 
 fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationError> {
-    let version = match lines.next_line()? {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        other => {
-            let message = format!("expected magic `{MAGIC_V1}` or `{MAGIC_V2}`, got `{other}`");
-            return Err(PublicationError::Format { line: 1, message });
-        }
-    };
+    let magic = lines.next_line()?;
+    if magic != MAGIC {
+        let message = match RETIRED_MAGICS.contains(&magic) {
+            true => format!(
+                "`{magic}` is a retired record-row artifact format; re-publish it as `{MAGIC}`"
+            ),
+            false => format!("expected magic `{MAGIC}`, got `{magic}`"),
+        };
+        return Err(PublicationError::Format { line: 1, message });
+    }
     let sa: AttrId = lines.field("sa")?.parse_one()?;
     let sa_line = lines.line_no;
     let (p, params) = read_params(lines)?;
@@ -558,9 +701,10 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationEr
     let attributes = read_schema(lines)?;
     let arity = attributes.len();
     if sa >= arity {
+        let message = format!("sa index {sa} out of range for arity {arity}");
         return Err(PublicationError::Format {
             line: sa_line,
-            message: format!("sa index {sa} out of range for arity {arity}"),
+            message,
         });
     }
     // Mirror the publish-time shape invariants: the answering side
@@ -576,8 +720,9 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationEr
         return Err(lines.err(format!("SA domain must have at least 2 values, got {m}")));
     }
     let rows: usize = lines.field("rows")?.parse_one()?;
+    let rows_line = lines.line_no;
+    let groups: usize = lines.field("groups")?.parse_one()?;
     Ok(Header {
-        version,
         sa,
         p,
         params,
@@ -586,69 +731,46 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationEr
         check,
         schema: Schema::new(attributes),
         rows,
+        rows_line,
+        groups,
     })
 }
 
-/// Reads `rows` record rows into `sink`: a buffered block at a time
-/// through [`CodeRows::push_code_rows`], and each row it does not take
-/// as text.
-fn read_rows<R: BufRead>(
-    lines: &mut Lines<R>,
-    rows: usize,
-    sink: &mut impl CodeRows,
-) -> Result<(), PublicationError> {
-    let mut codes = Vec::new();
-    let mut left = rows;
-    while left > 0 {
-        let (taken, bytes) = sink.push_code_rows(lines.block()?, left);
-        lines.consume_rows(taken, bytes);
-        left -= taken;
-        if taken == 0 {
-            lines.next_row_codes(&mut codes)?;
-            sink.push_codes(&codes)
-                .map_err(|e| lines.err(e.to_string()))?;
-            left -= 1;
-        }
-    }
-    Ok(())
-}
-
-/// Parses the live section of a v2 artifact, validating it against the
-/// already-parsed batch part (key domains, histogram arity `m`, and that
-/// the live published histograms account exactly for the non-base rows).
+/// Parses a snapshot's live section, validating it against the base part
+/// already read: key domains, histogram arity `m`, and `base_rows` equal
+/// to the `base` rows the group lines hold.
 fn read_live<R: BufRead>(
     lines: &mut Lines<R>,
-    schema: &Schema,
-    sa: AttrId,
-    rows: usize,
+    header: &Header,
+    base: u64,
 ) -> Result<LiveState, PublicationError> {
-    let header = lines.field("live")?;
-    let count: usize = header.parse_at(0)?;
-    let base_rows: usize = header.parse_at(1)?;
-    let wal_seq: u64 = header.parse_at(2)?;
-    let inserted: u64 = header.parse_at(3)?;
-    let republished: u64 = header.parse_at(4)?;
-    if base_rows > rows {
-        return Err(lines.err(format!(
-            "live base_rows {base_rows} exceeds row count {rows}"
+    let f = lines.field("live")?;
+    let count: usize = f.parse_at(0)?;
+    let base_rows: usize = f.parse_at(1)?;
+    let wal_seq: u64 = f.parse_at(2)?;
+    let inserted: u64 = f.parse_at(3)?;
+    let republished: u64 = f.parse_at(4)?;
+    if base_rows as u64 != base {
+        return Err(f.error(format!(
+            "live base_rows {base_rows} but the group lines hold {base} rows"
         )));
     }
     // Like the row count, the group count is untrusted: cap the
     // pre-allocation; real groups past the cap still load.
     let mut groups: Vec<GroupState> = Vec::with_capacity(count.min(1 << 16));
-    let mut live_rows = 0u64;
     for _ in 0..count {
         let f = lines.field("lgroup")?;
         let after = groups.last().map(|g| g.group.key.as_slice());
-        let g = GroupState::parse(&f.values, schema, sa, after).map_err(|m| f.error(m))?;
-        live_rows += g.group.published_hist.iter().sum::<u64>();
+        let g = GroupState::parse(&f.values, &header.schema, header.sa, after)
+            .map_err(|m| f.error(m))?;
         groups.push(g);
     }
-    if live_rows != (rows - base_rows) as u64 {
-        return Err(lines.err(format!(
-            "live published histograms sum to {live_rows} but the artifact has {} non-base rows",
-            rows - base_rows
-        )));
+    if !lines.at_eof()? {
+        let message = "trailing content after the live section".to_string();
+        return Err(PublicationError::Format {
+            line: lines.line_no + 1,
+            message,
+        });
     }
     Ok(LiveState {
         base_rows,
@@ -710,17 +832,25 @@ mod tests {
     use super::*;
     use rp_table::Attribute;
 
+    /// A table of `rows` over `schema`, pushed in sorted order: the row
+    /// order a saved release loads back in.
+    fn sorted_table(schema: Schema, mut rows: Vec<Vec<u32>>) -> Table {
+        rows.sort();
+        let mut b = TableBuilder::new(schema);
+        for row in &rows {
+            b.push_codes(row).unwrap();
+        }
+        b.build()
+    }
+
     fn demo_publication() -> Publication {
         let schema = Schema::new(vec![
             Attribute::new("Gender", ["male", "female"]),
             Attribute::new("Disease", ["flu", "hiv", "none"]),
         ]);
-        let mut b = TableBuilder::new(schema);
-        for i in 0..50u32 {
-            b.push_codes(&[i % 2, i % 3]).unwrap();
-        }
+        let rows = (0..50u32).map(|i| vec![i % 2, i % 3]).collect();
         Publication::from_parts(
-            b.build(),
+            sorted_table(schema, rows),
             1,
             0.5,
             PrivacyParams::new(0.3, 0.3),
@@ -741,24 +871,48 @@ mod tests {
         )
     }
 
-    #[test]
-    fn save_load_round_trips_value() {
-        let p = demo_publication();
+    fn saved(p: &Publication) -> Vec<u8> {
         let mut bytes = Vec::new();
         p.save(&mut bytes).unwrap();
-        let p2 = Publication::load(&bytes[..]).unwrap();
-        assert_eq!(p, p2);
+        bytes
+    }
+
+    /// `bytes` with each 1-based line `n` of `edits` replaced by its bytes.
+    fn with_lines(bytes: &[u8], edits: &[(usize, &[u8])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+            match edits.iter().find(|&&(n, _)| n == i + 1) {
+                Some(&(_, edit)) => {
+                    out.extend_from_slice(edit);
+                    out.push(b'\n');
+                }
+                None => out.extend_from_slice(line),
+            }
+        }
+        out
     }
 
     #[test]
+    fn save_load_round_trips_value() {
+        let p = demo_publication();
+        let p2 = Publication::load(&saved(&p)[..]).unwrap();
+        assert_eq!(p, p2);
+    }
+
+    /// The record section is one line per personal group, its key then
+    /// its SA counts.
+    #[test]
     fn save_load_save_is_byte_identical() {
         let p = demo_publication();
-        let mut first = Vec::new();
-        p.save(&mut first).unwrap();
+        let first = saved(&p);
+        let text = String::from_utf8(first.clone()).unwrap();
+        assert!(
+            text.starts_with("rp-publication v3\n")
+                && text.ends_with("rows\t50\ngroups\t2\n0\t9\t8\t8\n1\t8\t9\t8\n"),
+            "{text}"
+        );
         let p2 = Publication::load(&first[..]).unwrap();
-        let mut second = Vec::new();
-        p2.save(&mut second).unwrap();
-        assert_eq!(first, second);
+        assert_eq!(first, saved(&p2));
     }
 
     #[test]
@@ -769,9 +923,7 @@ mod tests {
 
     #[test]
     fn load_rejects_truncation() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
+        let bytes = saved(&demo_publication());
         let cut = bytes.len() - 10;
         let err = Publication::load(&bytes[..cut]).unwrap_err();
         assert!(err.to_string().contains("end of input") || err.to_string().contains("bad"));
@@ -779,10 +931,7 @@ mod tests {
 
     #[test]
     fn load_rejects_invalid_privacy_params_without_panicking() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(saved(&demo_publication())).unwrap();
         for (needle, replacement, expect) in [
             ("lambda\t0.3\n", "lambda\t0\n", "lambda"),
             ("delta\t0.3\n", "delta\t2\n", "delta"),
@@ -796,10 +945,7 @@ mod tests {
 
     #[test]
     fn load_caps_preallocation_from_untrusted_arity() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(saved(&demo_publication())).unwrap();
         // A huge claimed arity must fail cleanly (truncation), not panic
         // with a capacity overflow while pre-allocating.
         let broken = text.replace("attrs\t2\n", "attrs\t99999999999999999\n");
@@ -810,10 +956,7 @@ mod tests {
 
     #[test]
     fn load_rejects_degenerate_shapes() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(saved(&demo_publication())).unwrap();
         // SA domain collapsed to one value: must fail at load, not panic
         // at answer time.
         let broken = text.replace("attr\tDisease\tflu\thiv\tnone\n", "attr\tDisease\tflu\n");
@@ -822,221 +965,194 @@ mod tests {
         assert!(err.to_string().contains("at least 2 values"), "{err}");
     }
 
+    /// Content past the last section is refused, whether it follows the
+    /// group lines of a batch release or a snapshot's live section.
     #[test]
     fn load_rejects_trailing_content() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        // An undercounting rows header must not load as a truncated release.
-        let text = String::from_utf8(bytes).unwrap();
-        let broken = text.replace("rows\t50\n", "rows\t49\n");
-        assert_ne!(text, broken);
-        let err = Publication::load(broken.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("trailing content"), "{err}");
+        let mut batch = saved(&demo_publication());
+        batch.extend_from_slice(b"0\t1\t0\t0\n");
+        let err = Publication::load(&batch[..]).unwrap_err();
+        assert_eq!(err.to_string(), "line 16: expected `live` line, got `0`");
+        let mut snapshot = saved(&demo_v2_publication());
+        snapshot.extend_from_slice(b"\n");
+        let err = Publication::load(&snapshot[..]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 19: trailing content after the live section"
+        );
     }
 
+    /// Huge claimed row and group counts fail with a clean error, not an
+    /// allocation abort: the rows never match the group lines, the groups
+    /// run out, or, where the group lines do hold the declared rows, the
+    /// columns cannot be reserved for them, before any row is written.
     #[test]
     fn load_caps_preallocation_from_untrusted_row_count() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        // A huge claimed row count with no rows behind it must fail with a
-        // clean truncation error, not an allocation abort.
-        let broken = text.replace("rows\t50\n", &format!("rows\t{}\n", u64::MAX));
-        assert_ne!(text, broken);
-        let err = Publication::load(broken.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("end of input"), "{err}");
+        let bytes = saved(&demo_publication());
+        let max = u64::MAX;
+        let (half, peta) = (max / 2, 1_000_000_000_000_000u64);
+        let overflow = "memory allocation failed because the computed capacity exceeded \
+                        the collection's maximum";
+        let refused = "memory allocation failed because the memory allocator returned an error";
+        for (edits, want) in [
+            (
+                vec![(12, format!("rows\t{max}"))],
+                format!("line 12: the groups hold 50 rows but `rows` declares {max}"),
+            ),
+            (
+                vec![(13, format!("groups\t{max}"))],
+                "line 16: unexpected end of input".to_string(),
+            ),
+            // The second group line holds 25 rows: both artifacts add up.
+            (
+                vec![
+                    (12, format!("rows\t{half}")),
+                    (14, format!("0\t{}\t0\t0", half - 25)),
+                ],
+                format!("line 12: cannot allocate the {half} declared rows: {overflow}"),
+            ),
+            (
+                vec![
+                    (12, format!("rows\t{peta}")),
+                    (14, format!("0\t{}\t0\t0", peta - 25)),
+                ],
+                format!("line 12: cannot allocate the {peta} declared rows: {refused}"),
+            ),
+        ] {
+            let edits: Vec<(usize, &[u8])> =
+                edits.iter().map(|(n, e)| (*n, e.as_bytes())).collect();
+            let broken = with_lines(&bytes, &edits);
+            let err = Publication::load(&broken[..]).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]
     fn load_rejects_out_of_domain_code() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let broken = text.replace("\n0\t0\n", "\n0\t9\n");
-        assert_ne!(text, broken, "fixture must contain the row");
+        let text = String::from_utf8(saved(&demo_publication())).unwrap();
+        let broken = text.replace("\n1\t8\t9\t8\n", "\n9\t8\t9\t8\n");
+        assert_ne!(text, broken, "fixture must contain the group line");
         let err = Publication::load(broken.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
-    /// The demo artifact with the record on row `row` (line `13 + row`)
-    /// replaced by `bytes` and the `rows` header set to `rows`.
-    fn demo_bytes_with_row(row: usize, bytes: &[u8], rows: usize) -> Vec<u8> {
-        let p = demo_publication();
-        let mut saved = Vec::new();
-        p.save(&mut saved).unwrap();
-        let mut out = Vec::new();
-        for (i, line) in saved.split_inclusive(|&b| b == b'\n').enumerate() {
-            match i {
-                11 => out.extend_from_slice(format!("rows\t{rows}\n").as_bytes()),
-                i if i == 12 + row => {
-                    out.extend_from_slice(bytes);
-                    out.push(b'\n');
-                }
-                _ => out.extend_from_slice(line),
-            }
-        }
-        out
-    }
-
-    /// Golden table of malformed record rows: each case pins the whole
-    /// message, line number included.
+    /// Golden table of malformed group lines and counts: each case pins
+    /// the whole message, line number included. Lines 12 and 13 are the
+    /// `rows` and `groups` counts, lines 14 and 15 the two group lines.
     #[test]
     fn load_rejects_malformed_rows_with_exact_messages() {
-        for (row, bytes, rows, want) in [
+        let bytes = saved(&demo_publication());
+        let max = u64::MAX;
+        let overflow = format!("0\t{max}\t1\t0");
+        let at_max = format!("0\t{max}\t0\t0");
+        for (edits, want) in [
             (
-                3,
-                &b"1\tx"[..],
-                50,
-                "line 16: bad code `x`: invalid digit found in string",
+                vec![(14, &b"0\tx\t8\t8"[..])],
+                "line 14: bad count `x`: invalid digit found in string",
             ),
             (
-                3,
-                b"1\t",
-                50,
-                "line 16: bad code ``: cannot parse integer from empty string",
+                vec![(14, b"0\t9\t8")],
+                "line 14: group line needs 4 fields, got 3",
             ),
             (
-                3,
-                b"",
-                50,
-                "line 16: bad code ``: cannot parse integer from empty string",
+                vec![(14, b"0\t9\t8\t8\t")],
+                "line 14: group line needs 4 fields, got 5",
             ),
             (
-                4,
-                b"4294967296\t0",
-                50,
-                "line 17: bad code `4294967296`: number too large to fit in target type",
+                vec![(14, b"")],
+                "line 14: bad key code ``: cannot parse integer from empty string",
             ),
             (
-                4,
-                b"-1\t0",
-                50,
-                "line 17: bad code `-1`: invalid digit found in string",
+                vec![(14, b"2\t9\t8\t8")],
+                "line 14: key code 2 out of range for attribute `Gender` (domain 2)",
             ),
             (
-                4,
-                b"+\t0",
-                50,
-                "line 17: bad code `+`: invalid digit found in string",
+                vec![(14, b"x\t9\t8\t8")],
+                "line 14: bad key code `x`: invalid digit found in string",
             ),
             (
-                4,
-                b"++1\t0",
-                50,
-                "line 17: bad code `++1`: invalid digit found in string",
+                vec![(14, b"4294967296\t9\t8\t8")],
+                "line 14: bad key code `4294967296`: number too large to fit in target type",
             ),
             (
-                4,
-                b" 1\t0",
-                50,
-                "line 17: bad code ` 1`: invalid digit found in string",
+                vec![(14, b"-1\t9\t8\t8")],
+                "line 14: bad key code `-1`: invalid digit found in string",
             ),
             (
-                4,
-                b"1\r\t0",
-                50,
-                "line 17: bad code `1\r`: invalid digit found in string",
+                vec![(14, b"0\t-9\t8\t8")],
+                "line 14: bad count `-9`: invalid digit found in string",
             ),
             (
-                5,
-                b"0\t9",
-                50,
-                "line 18: code 9 out of range for attribute `Disease` (domain size 3)",
+                vec![(14, b"0\t0\t0\t0")],
+                "line 14: group histogram is all zero (an empty group has no line)",
             ),
             (
-                5,
-                b"7\tx",
-                50,
-                "line 18: bad code `x`: invalid digit found in string",
+                vec![(14, overflow.as_bytes())],
+                "line 15: group counts overflow u64",
             ),
             (
-                5,
-                b"2\t0",
-                50,
-                "line 18: code 2 out of range for attribute `Gender` (domain size 2)",
+                vec![(14, at_max.as_bytes()), (15, b"1\t1\t0\t0")],
+                "line 15: group counts overflow u64",
             ),
             (
-                6,
-                b"1\t\xff",
-                50,
+                vec![(15, b"0\t8\t9\t8")],
+                "line 15: group keys must be strictly increasing",
+            ),
+            (
+                vec![(14, b"1\t9\t8\t8"), (15, b"0\t8\t9\t8")],
+                "line 15: group keys must be strictly increasing",
+            ),
+            (
+                vec![(15, b"1\t8\t9\t\xff")],
                 "I/O error: stream did not contain valid UTF-8",
             ),
             (
-                6,
-                b"x\t\xff",
-                50,
-                "I/O error: stream did not contain valid UTF-8",
+                vec![(14, b"0\t9\t8\t7")],
+                "line 12: the groups hold 49 rows but `rows` declares 50",
             ),
             (
-                7,
-                b"1",
-                50,
-                "line 20: row has 1 values but the schema has 2 attributes",
+                vec![(12, b"rows\t51")],
+                "line 12: the groups hold 50 rows but `rows` declares 51",
+            ),
+            (vec![(13, b"groups\t3")], "line 16: unexpected end of input"),
+            (
+                vec![(13, b"groups\t1")],
+                "line 15: expected `live` line, got `1`",
             ),
             (
-                7,
-                b"1\t0\t0",
-                50,
-                "line 20: row has 3 values but the schema has 2 attributes",
+                vec![(13, b"group\t2")],
+                "line 13: expected `groups` line, got `group`",
             ),
-            (
-                7,
-                b"1\t0\t9\t9",
-                50,
-                "line 20: row has 4 values but the schema has 2 attributes",
-            ),
-            (
-                7,
-                b"1\t0\tz",
-                50,
-                "line 20: bad code `z`: invalid digit found in string",
-            ),
-            (
-                0,
-                b"0\t0",
-                49,
-                "line 62: trailing content after the declared row count",
-            ),
-            (0, b"0\t0", 51, "line 63: unexpected end of input"),
         ] {
-            let broken = demo_bytes_with_row(row, bytes, rows);
+            let broken = with_lines(&bytes, &edits);
             let err = Publication::load(&broken[..]).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                want,
-                "row {row} = {:?}",
-                bytes.escape_ascii()
-            );
+            assert_eq!(err.to_string(), want, "{edits:?}");
         }
     }
 
-    /// Forms `str::parse::<u32>` accepts keep loading as the same table:
-    /// a leading `+`, leading zeros, CRLF endings, a missing final newline.
+    /// Forms `str::parse` accepts keep loading as the same table: a
+    /// leading `+` and leading zeros in a group line, CRLF endings, a
+    /// missing final newline.
     #[test]
     fn load_accepts_every_form_str_parse_accepts() {
         let p = demo_publication();
-        let mut saved = Vec::new();
-        p.save(&mut saved).unwrap();
-        let text = String::from_utf8(saved.clone()).unwrap();
-        let plus = demo_bytes_with_row(3, b"+1\t+0", 50);
-        let zeros = demo_bytes_with_row(3, b"0001\t000", 50);
-        let long_zeros = demo_bytes_with_row(3, b"0000000001\t0000000000000", 50);
+        let bytes = saved(&p);
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        let plus = with_lines(&bytes, &[(14, b"+0\t+9\t8\t8")]);
+        let zeros = with_lines(&bytes, &[(15, b"0001\t008\t09\t0000000000008")]);
         let crlf = text.replace('\n', "\r\n").into_bytes();
         let cr_runs = text.replace('\n', "\r\r\n").into_bytes();
-        let unterminated = saved[..saved.len() - 1].to_vec();
-        for bytes in [plus, zeros, long_zeros, crlf, cr_runs, unterminated] {
+        let unterminated = bytes[..bytes.len() - 1].to_vec();
+        for bytes in [plus, zeros, crlf, cr_runs, unterminated] {
             let loaded = Publication::load(&bytes[..]).unwrap();
             assert_eq!(loaded, p, "{:?}", String::from_utf8_lossy(&bytes));
         }
     }
 
     /// A reader whose every other read is interrupted, as a read of a pipe
-    /// can be by a signal: the record rows load as from memory, because
-    /// an interrupted fill is retried like an interrupted `read_until`.
-    /// A one-byte buffer is empty at every block, so each block reads.
+    /// can be by a signal: the artifact loads as from memory, because an
+    /// interrupted fill is retried like an interrupted `read_until`. A
+    /// one-byte buffer is empty at the end of every line.
     #[test]
     fn load_retries_interrupted_reads() {
         struct Interrupting<'a>(&'a [u8], bool);
@@ -1049,11 +1165,11 @@ mod tests {
                 self.0.read(buf)
             }
         }
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let reader = BufReader::with_capacity(1, Interrupting(&bytes, false));
-        assert_eq!(Publication::load(reader).unwrap(), p);
+        for p in [demo_publication(), demo_v2_publication()] {
+            let bytes = saved(&p);
+            let reader = BufReader::with_capacity(1, Interrupting(&bytes, false));
+            assert_eq!(Publication::load(reader).unwrap(), p);
+        }
     }
 
     /// A random table over multi-digit domains, with its SA attribute.
@@ -1076,15 +1192,25 @@ mod tests {
                 .map(|(i, &d)| Attribute::with_anonymous_domain(format!("A{i}"), d))
                 .collect(),
         );
-        let mut b = TableBuilder::new(schema);
-        for _ in 0..rng.gen_range(0..200) {
-            let codes: Vec<u32> = domains
-                .iter()
-                .map(|&d| rng.gen_range(0..d) as u32)
-                .collect();
-            b.push_codes(&codes).unwrap();
-        }
         let sa = rng.gen_range(0..arity);
+        // Sorted by key, then SA code: the row order of a saved release.
+        let mut rows: Vec<Vec<u32>> = (0..rng.gen_range(0..200))
+            .map(|_| {
+                domains
+                    .iter()
+                    .map(|&d| rng.gen_range(0..d) as u32)
+                    .collect()
+            })
+            .collect();
+        rows.sort_by_key(|row| {
+            let mut key = row.clone();
+            key.remove(sa);
+            (key, row[sa])
+        });
+        let mut b = TableBuilder::new(schema);
+        for row in &rows {
+            b.push_codes(row).unwrap();
+        }
         Publication::from_parts(
             b.build(),
             sa,
@@ -1102,13 +1228,10 @@ mod tests {
         #[test]
         fn save_load_round_trips_random_tables(seed in proptest::any::<u64>()) {
             let p = random_publication(seed);
-            let mut first = Vec::new();
-            p.save(&mut first).unwrap();
+            let first = saved(&p);
             let loaded = Publication::load(&first[..]).unwrap();
             proptest::prop_assert_eq!(&loaded, &p);
-            let mut second = Vec::new();
-            loaded.save(&mut second).unwrap();
-            proptest::prop_assert_eq!(first, second);
+            proptest::prop_assert_eq!(first, saved(&loaded));
         }
     }
 
@@ -1135,16 +1258,13 @@ mod tests {
         ));
     }
 
-    /// A v2 publication: the 50 base rows plus two live groups
-    /// materialized as 5 extra rows.
+    /// A snapshot: the 50 base rows plus two live groups materialized as
+    /// 5 extra rows.
     fn demo_v2_publication() -> Publication {
-        let schema = Schema::new(vec![
-            Attribute::new("Gender", ["male", "female"]),
-            Attribute::new("Disease", ["flu", "hiv", "none"]),
-        ]);
-        let mut b = TableBuilder::new(schema);
-        for i in 0..50u32 {
-            b.push_codes(&[i % 2, i % 3]).unwrap();
+        let base = demo_publication();
+        let mut b = TableBuilder::new(base.schema().clone());
+        for r in 0..50 {
+            b.push_codes(&base.table().row(r).unwrap()).unwrap();
         }
         // Materialized live rows, sorted by (key, sa).
         for codes in [[0, 0], [0, 0], [0, 2], [1, 1], [1, 1]] {
@@ -1190,49 +1310,76 @@ mod tests {
         .with_live(live)
     }
 
+    /// A snapshot's group lines hold its base rows alone: its live rows
+    /// are in its `lgroup` lines and are not written twice.
     #[test]
     fn v2_save_load_round_trips_value_and_bytes() {
         let p = demo_v2_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
+        let bytes = saved(&p);
         let text = String::from_utf8(bytes.clone()).unwrap();
-        assert!(text.starts_with("rp-publication v2\n"), "{text}");
+        assert!(
+            text.contains("rows\t55\ngroups\t2\n0\t9\t8\t8\n1\t8\t9\t8\nlive\t2\t50\t7\t5\t1\n"),
+            "{text}"
+        );
         let p2 = Publication::load(&bytes[..]).unwrap();
         assert_eq!(p, p2);
         assert_eq!(p2.live().unwrap().groups.len(), 2);
-        let mut second = Vec::new();
-        p2.save(&mut second).unwrap();
-        assert_eq!(bytes, second, "v2 save ∘ load must be byte-identical");
+        assert_eq!(bytes, saved(&p2), "save ∘ load must be byte-identical");
     }
 
+    /// An artifact of the record-row formats v3 replaced is refused, by
+    /// its magic, with the advice to re-publish.
     #[test]
-    fn v1_artifacts_still_load_without_live_state() {
-        let p = demo_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        assert!(bytes.starts_with(b"rp-publication v1\n"));
-        let p2 = Publication::load(&bytes[..]).unwrap();
-        assert!(p2.live().is_none());
-        assert_eq!(p, p2);
+    fn retired_formats_are_refused_by_their_magic() {
+        let bytes = saved(&demo_publication());
+        for version in [1, 2] {
+            let magic = format!("rp-publication v{version}");
+            let broken = with_lines(&bytes, &[(1, magic.as_bytes())]);
+            let err = Publication::load(&broken[..]).unwrap_err();
+            assert!(matches!(err, PublicationError::Format { line: 1, .. }));
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "line 1: `{magic}` is a retired record-row artifact format; \
+                     re-publish it as `rp-publication v3`"
+                )
+            );
+        }
     }
 
     #[test]
     fn v2_rejects_inconsistent_live_sections() {
-        let p = demo_v2_publication();
-        let mut bytes = Vec::new();
-        p.save(&mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(saved(&demo_v2_publication())).unwrap();
         for (needle, replacement, expect) in [
             // Published sums no longer match the non-base rows.
-            ("\t2\t0\t1\t3735928559", "\t9\t0\t1\t3735928559", "sum to"),
+            (
+                "\t2\t0\t1\t3735928559",
+                "\t9\t0\t1\t3735928559",
+                "line 12: the groups hold 62 rows but `rows` declares 55",
+            ),
             // Unknown status token.
             ("\t3735928559\tc\t3", "\t3735928559\tz\t3", "bad status"),
-            // base_rows beyond the row count.
-            ("live\t2\t50\t7", "live\t2\t5000\t7", "exceeds row count"),
+            // base_rows other than the rows of the group lines.
+            (
+                "live\t2\t50\t7",
+                "live\t2\t5000\t7",
+                "live base_rows 5000 but the group lines hold 50 rows",
+            ),
+            (
+                "live\t2\t50\t7",
+                "live\t2\t49\t7",
+                "the group lines hold 50 rows",
+            ),
             // Key out of the attribute domain.
             ("lgroup\t1\t0\t2\t0", "lgroup\t7\t0\t2\t0", "out of range"),
             // Truncated live section: fewer lgroup lines than declared.
             ("live\t2\t50\t7", "live\t3\t50\t7", "end of input"),
+            // Live counts that overflow.
+            (
+                "\t2\t0\t1\t3735928559",
+                "\t18446744073709551615\t0\t1\t3735928559",
+                "line 12: the groups hold more than u64::MAX rows",
+            ),
         ] {
             let broken = text.replace(needle, replacement);
             assert_ne!(text, broken, "fixture must contain `{needle}`");

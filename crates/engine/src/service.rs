@@ -242,7 +242,7 @@ impl QueryService {
     /// Builds a *streaming* service: the engine answers the immutable
     /// base of `stream` and every answer is merged with the live view,
     /// so `insert`/`flush` work and queries see new records immediately.
-    /// `state_out` is where `flush` writes the v2 snapshot (WAL sync
+    /// `state_out` is where `flush` writes the snapshot (WAL sync
     /// alone when `None`).
     ///
     /// Cache coherence is surgical: an insert to group *g* invalidates

@@ -31,7 +31,7 @@
 //!   [`compaction`](wal::compact_wal) all go through it, and all persist
 //!   a group as that same record, in the map's order.
 //! * **snapshot/restore** — [`StreamPublisher::snapshot`] materializes
-//!   the whole stream as a v2 [`Publication`]: base rows + live rows in
+//!   the whole stream as a snapshot [`Publication`]: base rows + live rows in
 //!   one table (so batch consumers just see a bigger release) plus the
 //!   [`LiveState`] extension to resume from. Restore = load snapshot +
 //!   replay the WAL tail.
@@ -102,11 +102,12 @@ use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::perturb::UniformPerturbation;
 use rp_core::privacy::PrivacyParams;
 use rp_table::{
-    group_histograms, terms_match_key, AttrId, CountQuery, Schema, TableBuilder, TableError, Term,
+    group_histograms, terms_match_key, AttrId, CountQuery, GroupHistograms, Schema, TableError,
+    Term,
 };
 
 use crate::fault::{self, FaultHandle};
-use crate::publication::{GroupState, LiveState, Publication, PublicationError};
+use crate::publication::{expand, GroupState, LiveState, Publication, PublicationError};
 use crate::stream::commit::LogManager;
 use crate::stream::rng::GroupRng;
 use crate::stream::wal::{Wal, WalEvent, WalHeader};
@@ -295,8 +296,8 @@ impl LiveGroups {
     ///
     /// # Errors
     ///
-    /// A re-publication of a group with no prior state (a corrupted
-    /// log); inserts cannot fail.
+    /// A re-publication of a group with no prior state, or of one no
+    /// insert flagged (a corrupted or forged log); inserts cannot fail.
     fn apply(&mut self, event: &WalEvent) -> Result<(Vec<u32>, GroupStatus), StreamError> {
         let key = event.group_key(self.sa);
         let state = match event {
@@ -308,11 +309,22 @@ impl LiveGroups {
                         group: LiveGroup::new(key.clone(), self.op.domain_size()),
                     })
             }
-            WalEvent::Republish { seq, .. } => self.groups.get_mut(&key).ok_or_else(|| {
-                StreamError::Mismatch(format!(
-                    "event {seq} re-publishes unknown group {key:?} (corrupted log?)"
-                ))
-            })?,
+            WalEvent::Republish { seq, .. } => {
+                let state = self.groups.get_mut(&key).ok_or_else(|| {
+                    StreamError::Mismatch(format!(
+                        "event {seq} re-publishes unknown group {key:?} (corrupted log?)"
+                    ))
+                })?;
+                // The live run logs a re-publication only right after the
+                // insert that flagged its group.
+                if state.group.status != GroupStatus::NeedsResampling {
+                    return Err(StreamError::Mismatch(format!(
+                        "event {seq} re-publishes group {key:?}, which no insert flagged \
+                         (corrupted log?)"
+                    )));
+                }
+                state
+            }
         };
         let mut rng = GroupRng::from_state(state.rng_state);
         let status = match event {
@@ -349,19 +361,20 @@ impl LiveGroups {
 /// A durable live publication: the streaming counterpart of
 /// [`crate::Publisher`].
 ///
-/// Opened over a base artifact (a v1 batch release to start streaming on,
-/// or a v2 snapshot to resume) plus a WAL path. Every insert is logged
+/// Opened over a base artifact (a batch release to start streaming on,
+/// or a snapshot to resume) plus a WAL path. Every insert is logged
 /// before it is applied; a group crossing its threshold is automatically
 /// re-sampled through SPS and the re-publication is logged too.
 /// [`StreamPublisher::snapshot`] folds the whole live state back into a
-/// v2 [`Publication`].
+/// snapshot [`Publication`].
 #[derive(Debug)]
 pub struct StreamPublisher {
     base: Publication,
-    /// The sorted group keys of the base release, computed once per open
-    /// — so group counts (and the snapshot's `SpsStats::groups`) count a
-    /// key shared by base and live once, not twice.
-    base_keys: Vec<Vec<u32>>,
+    /// The base release's groups, computed once per open: sorted keys,
+    /// so group counts (and the snapshot's `SpsStats::groups`) count a
+    /// key shared by base and live once, not twice, and the histograms a
+    /// snapshot expands.
+    base_groups: GroupHistograms,
     schema: Schema,
     sa: AttrId,
     /// The public attributes in schema order: the attributes a group key
@@ -376,8 +389,8 @@ pub struct StreamPublisher {
 }
 
 impl StreamPublisher {
-    /// Opens a stream for appending: `artifact` is the base release (v1)
-    /// or a snapshot to resume (v2), `wal_path` the log. An existing log
+    /// Opens a stream for appending: `artifact` is the base release or a
+    /// snapshot to resume, `wal_path` the log. An existing log
     /// is validated against the artifact and its tail (events after the
     /// snapshot's cursor) replayed; a missing log is created fresh,
     /// taking over at the snapshot's cursor — so "snapshot, archive the
@@ -446,7 +459,7 @@ impl StreamPublisher {
         let na: Vec<AttrId> = (0..artifact.schema().arity())
             .filter(|&a| a != sa)
             .collect();
-        let (base, base_keys, live_state) = split_artifact(artifact, &na)?;
+        let (base, base_groups, live_state) = split_artifact(artifact, &na);
         let schema = base.schema().clone();
         // The last event the artifact's live section covers: `None` when
         // it covers none (no live section, or one taken before the first
@@ -536,7 +549,7 @@ impl StreamPublisher {
         }
         Ok(Self {
             base,
-            base_keys,
+            base_groups,
             schema,
             sa,
             na,
@@ -600,7 +613,7 @@ impl StreamPublisher {
     pub fn novel_live_groups(&self) -> usize {
         self.live
             .groups()
-            .filter(|g| self.base_keys.binary_search(&g.key).is_err())
+            .filter(|g| !self.base_groups.contains_key(&g.key))
             .count()
     }
 
@@ -795,50 +808,19 @@ impl StreamPublisher {
         }
     }
 
-    /// Materializes the stream as a v2 [`Publication`]: the base rows
-    /// plus every live group's published histogram expanded to rows
+    /// Materializes the stream as a snapshot [`Publication`]: the base
+    /// rows plus every live group's published histogram expanded to rows
     /// (sorted by key, then SA code — the canonical order), with the
     /// [`LiveState`] extension attached.
     /// A pure function of the stream state: live run, clean-start replay
     /// and snapshot+tail restore all serialize to identical bytes.
     pub fn snapshot(&self) -> Publication {
         let groups = self.live.states();
-        let base_table = self.base.table();
-        let base_rows = base_table.rows();
-        let arity = self.schema.arity();
-        let live_rows: u64 = groups
-            .iter()
-            .map(|g| g.group.published_hist.iter().sum::<u64>())
-            .sum();
-        let mut builder =
-            TableBuilder::with_capacity(self.schema.clone(), base_rows + live_rows as usize);
-        let mut row = Vec::with_capacity(arity);
-        for r in 0..base_rows {
-            row.clear();
-            for a in 0..arity {
-                row.push(base_table.code(r, a));
-            }
-            builder.push_codes(&row).expect("base rows are in-domain");
-        }
-        for GroupState { group: g, .. } in &groups {
-            for (sa_code, &count) in g.published_hist.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                row.clear();
-                let mut k = g.key.iter();
-                for a in 0..arity {
-                    if a == self.sa {
-                        row.push(sa_code as u32);
-                    } else {
-                        row.push(*k.next().expect("key covers every NA attribute"));
-                    }
-                }
-                builder
-                    .push_codes_batch(&row, count as usize)
-                    .expect("live rows are in-domain");
-            }
-        }
+        let base_rows = self.base.table().rows();
+        let live_rows = self.live_records();
+        let rows = base_rows + live_rows as usize;
+        let table = expand(&self.schema, self.sa, rows, &self.base_groups, &groups)
+            .expect("the live rows fit in memory");
         let mut stats = self.base.stats();
         stats.groups += self.novel_live_groups();
         stats.groups_sampled += self.live.republished as usize;
@@ -852,7 +834,7 @@ impl StreamPublisher {
             groups,
         };
         Publication::from_parts(
-            builder.build(),
+            table,
             self.sa,
             self.base.p(),
             self.base.params(),
@@ -927,41 +909,30 @@ impl StreamPublisher {
     }
 }
 
-/// An artifact split into its base release, the sorted group keys of the
-/// base and its live extension.
-type Split = (Publication, Vec<Vec<u32>>, Option<LiveState>);
+/// An artifact split into its base release, the base's groups and its
+/// live extension.
+type Split = (Publication, GroupHistograms, Option<LiveState>);
 
 /// Splits an artifact into its immutable base publication (table
 /// truncated to the base rows, batch counters rolled back to the base
-/// release), the sorted group keys of the base over the public
-/// attributes `na`, and its live extension.
-fn split_artifact(artifact: Publication, na: &[AttrId]) -> Result<Split, StreamError> {
+/// release), the groups of the base over the public attributes `na`, and
+/// its live extension.
+fn split_artifact(artifact: Publication, na: &[AttrId]) -> Split {
     let Some(live) = artifact.live().cloned() else {
-        let (base_keys, _) = group_histograms(artifact.table(), na, artifact.sa());
-        return Ok((artifact, base_keys, None));
+        let base_groups = group_histograms(artifact.table(), na, artifact.sa());
+        return (artifact, base_groups, None);
     };
-    let table = artifact.table();
-    let arity = table.schema().arity();
-    let mut builder = TableBuilder::with_capacity(table.schema().clone(), live.base_rows);
-    let mut row = Vec::with_capacity(arity);
-    for r in 0..live.base_rows {
-        row.clear();
-        for a in 0..arity {
-            row.push(table.code(r, a));
-        }
-        builder.push_codes(&row)?;
-    }
+    let base = artifact.table().head(live.base_rows);
     // Roll the stream's contributions back out of the snapshot counters
     // so re-snapshotting reproduces them identically (saturating: a
     // hand-edited artifact must not panic here). The group rollback
     // mirrors `snapshot`: only live groups whose key is absent from the
     // base were counted.
-    let base = builder.build();
-    let (base_keys, _) = group_histograms(&base, na, artifact.sa());
+    let base_groups = group_histograms(&base, na, artifact.sa());
     let novel = live
         .groups
         .iter()
-        .filter(|g| base_keys.binary_search(&g.group.key).is_err())
+        .filter(|g| !base_groups.contains_key(&g.group.key))
         .count();
     let mut stats = artifact.stats();
     stats.groups = stats.groups.saturating_sub(novel);
@@ -979,14 +950,14 @@ fn split_artifact(artifact: Publication, na: &[AttrId]) -> Result<Split, StreamE
         stats,
         artifact.check(),
     );
-    Ok((base, base_keys, Some(live)))
+    (base, base_groups, Some(live))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::publisher::Publisher;
-    use rp_table::Attribute;
+    use rp_table::{Attribute, TableBuilder};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1059,6 +1030,37 @@ mod tests {
         // Replay-only streams refuse writes.
         assert!(replayed.insert_codes(&record(0)).is_err());
         assert!(replayed.flush().is_err());
+    }
+
+    /// The live run logs a re-publication only right after the insert
+    /// that flagged its group, so a `Republish` appended for a compliant
+    /// group is a forged log: open and replay both refuse it.
+    #[test]
+    fn a_forged_republish_of_a_compliant_group_is_refused() {
+        use std::io::Write as _;
+        let wal = tmp("forged-republish.rpwal");
+        let mut live =
+            StreamPublisher::open(base_publication(), &wal, StreamConfig::default()).unwrap();
+        let outcome = live.insert_codes(&record(0)).unwrap();
+        assert!(
+            !outcome.republished,
+            "one insert leaves its group compliant"
+        );
+        live.flush().unwrap();
+        let forged = WalEvent::Republish {
+            seq: live.wal_seq() + 1,
+            key: outcome.key,
+        };
+        drop(live);
+        let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+        writeln!(file, "{}", forged.encode()).unwrap();
+        drop(file);
+        let opened = StreamPublisher::open(base_publication(), &wal, StreamConfig::default());
+        let replayed = StreamPublisher::replay(base_publication(), &wal, StreamConfig::default());
+        for err in [opened.unwrap_err(), replayed.unwrap_err()] {
+            assert!(matches!(err, StreamError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains("which no insert flagged"), "{err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   every group's stream exactly even though wall-clock arrival order
 //!   at the server may differ from the log order of unrelated groups.
 //! * **O(1) snapshot/restore** — the generator is counter-based
-//!   (SplitMix64): its *entire* state is one `u64`, which the v2
+//!   (SplitMix64): its *entire* state is one `u64`, which a snapshot
 //!   artifact records as the group's RNG cursor
 //!   ([`crate::publication::GroupState::rng_state`]) and restore
 //!   reloads verbatim. No replaying of draws, no opaque state blobs.

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! `group` is the field codec of [`GroupState`], shared with the `lgroup`
-//! lines of a v2 artifact.
+//! lines of a snapshot artifact.
 //!
 //! Sequence numbers are contiguous from the header's `first_seq` (1 for
 //! a stream's first log; a log started fresh after a snapshot records
@@ -940,11 +940,16 @@ mod tests {
     }
 
     /// A log where group `[0]` re-publishes at seq 3 and group `[1]`
-    /// never does: events 1..3 are absorbable, 4..5 are not.
+    /// never does: events 1..3 are absorbable, 4..5 are not. Its `δ` of
+    /// 0.99 puts `sg` below 2, so the inserts at seq 1 and 2 flag group
+    /// `[0]` and the re-publication is one replay accepts.
     fn compactable_log(name: &str) -> (std::path::PathBuf, WalHeader) {
         let path = tmp(name);
         let _ = std::fs::remove_file(&path);
-        let h = header();
+        let h = WalHeader {
+            params: PrivacyParams::new(0.3, 0.99),
+            ..header()
+        };
         let mut wal = Wal::create(&path, &h).unwrap();
         for event in [
             WalEvent::Insert {
@@ -1080,7 +1085,7 @@ mod tests {
         let _ = h;
     }
 
-    // -- the group-state codec, shared with the v2 artifact ---------------
+    // -- the group-state codec, shared with the snapshot artifact ---------
 
     /// SA in the middle of the schema, so a key skips a position.
     fn codec_header() -> WalHeader {
@@ -1130,7 +1135,7 @@ mod tests {
             .collect()
     }
 
-    /// The groups through a v2 artifact: the live rows materialized, the
+    /// The groups through a snapshot artifact: the live rows materialized, the
     /// artifact saved, then loaded back.
     fn artifact_round_trip(groups: &[GroupState]) -> Vec<GroupState> {
         let h = codec_header();
@@ -1196,7 +1201,7 @@ mod tests {
     }
 
     /// Loads `records` (the fields after the tag) as the `lgroup` lines
-    /// of a v2 artifact.
+    /// of a snapshot artifact.
     fn load_as_lgroups(records: &[&str]) -> Result<Vec<GroupState>, String> {
         let h = codec_header();
         let empty = Publication::from_parts(
@@ -1253,7 +1258,7 @@ mod tests {
         // The valid record parses in both containers (the artifact then
         // refuses it only because its rows are not materialized).
         let err = load_as_lgroups(&[valid]).unwrap_err();
-        assert!(err.contains("sum to"), "{err}");
+        assert!(err.contains("the groups hold 3 rows"), "{err}");
         assert_eq!(
             read_as_s_records("codec-valid.rpwal", &[valid])
                 .unwrap()

@@ -52,7 +52,7 @@
 //! With `--wal`, `serve` becomes a **streaming** server: `insert`/`flush`
 //! requests mutate the live release (each record perturbed on arrival,
 //! groups re-sampled through SPS when they cross `sg`), every mutation is
-//! write-ahead logged, `flush` syncs the log and writes the v2 snapshot
+//! write-ahead logged, `flush` syncs the log and writes the snapshot
 //! to `--state-out`. `--commit-batch N` turns on group commit: the WAL
 //! is fsynced every N events instead of only on explicit `flush`,
 //! amortizing the sync cost over a batch — the logged bytes are

@@ -4,8 +4,7 @@
 //!
 //! `G = 2 Σ o·ln(o/e)` summed over both histograms, where the expected
 //! counts `e` come from the pooled distribution. The generalization pass
-//! (`rp-core::generalize`) can run on either statistic; DESIGN.md lists
-//! the comparison as an extension ablation.
+//! (`rp-core::generalize`) can run on either statistic.
 
 use crate::chi2::{BinnedTestResult, ChiSquared};
 

@@ -2,7 +2,8 @@
 //! sampler and stochastic rounding.
 //!
 //! These back the histogram-level fast path of the perturbation operator
-//! (ablation #3 in DESIGN.md) and the fractional record picks of the SPS
+//! (timed against the record level by `bench_ablations`) and the
+//! fractional record picks of the SPS
 //! Sampling/Scaling steps.
 
 use rand::Rng;

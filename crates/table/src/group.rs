@@ -4,9 +4,9 @@
 //! A *personal group* `D(x1, ..., xn)` contains all records agreeing on
 //! every public attribute (Section 3.2 of the paper). The paper's SPS
 //! algorithm obtains them by sorting on `NA` followed by `SA`; a hash-based
-//! group-by is provided as well and kept as an ablation target
-//! (DESIGN.md §6.1) — both produce identical partitions, normalized to key
-//! order.
+//! group-by is provided as well and kept as an ablation target (README,
+//! *Performance: the vectorized data path*) — both produce identical
+//! partitions, normalized to key order.
 //!
 //! All strategies run on *packed keys*: the grouping columns are folded into
 //! one mixed-radix `u64` per row, column by column, so comparisons, hashing
@@ -15,16 +15,14 @@
 //! fall back to materialized `Vec<u32>` keys. [`group_histograms`] is the
 //! one-pass kernel for callers that need only each group's key and
 //! histogram, not its member rows; it packs the keys a chunk of rows at a
-//! time instead of holding one per row. [`GroupCounts`] counts the same
-//! keys and histograms from a saved release's record rows as they are
-//! parsed, so a release can be served with no table built; the two share
-//! the key→histogram index that sorts the groups.
+//! time instead of holding one per row, and returns the groups as a
+//! [`GroupHistograms`]: every key, then every histogram, in two flat
+//! buffers, with no allocation per group.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::error::TableError;
 use crate::schema::{AttrId, Schema};
-use crate::table::{check_row, parse_code_rows, CodeRows, RowSink, Table};
+use crate::table::Table;
 
 /// One group: its key (codes over the grouping attributes, in the order they
 /// were supplied) and the member row indices.
@@ -139,13 +137,18 @@ fn pack_keys(table: &Table, attrs: &[AttrId]) -> Option<(Vec<u64>, Vec<u64>)> {
 
 /// Decodes a mixed-radix key back into its code tuple (inverse of
 /// [`fold_keys`]' accumulation).
-fn unpack_key(mut key: u64, radices: &[u64]) -> Vec<u32> {
+fn unpack_key(key: u64, radices: &[u64]) -> Vec<u32> {
     let mut codes = vec![0u32; radices.len()];
+    unpack_key_into(key, radices, &mut codes);
+    codes
+}
+
+/// [`unpack_key`], into `codes` (one per radix).
+fn unpack_key_into(mut key: u64, radices: &[u64], codes: &mut [u32]) {
     for (code, &d) in codes.iter_mut().zip(radices).rev() {
         *code = (key % d) as u32;
         key /= d;
     }
-    codes
 }
 
 /// Materialized row keys for the (rare) unpackable case: one flat buffer,
@@ -349,13 +352,15 @@ enum KeyIndex {
 }
 
 /// One histogram per distinct group key, in order of first appearance,
-/// and the index from key to slot: the part of [`group_histograms`] and
-/// [`GroupCounts`] that turns keyed values into sorted keys and
-/// histograms. Memory is `O(min(key space, rows) + groups · m)`.
+/// and the index from key to slot: the part of [`group_histograms`] that
+/// turns keyed values into sorted keys and histograms. Memory is
+/// `O(min(key space, rows) + groups · m)`.
 #[derive(Debug)]
 struct Tally {
     index: KeyIndex,
-    hists: Vec<Vec<u64>>,
+    /// The histograms, `m` counts a slot, in slot order.
+    hists: Vec<u64>,
+    slots: u32,
     m: usize,
 }
 
@@ -377,20 +382,21 @@ impl Tally {
         Self {
             index,
             hists: Vec::new(),
+            slots: 0,
             m,
         }
     }
 
     /// Adds one to cell `value` of the histogram of the group with packed
-    /// key `key`, or with code tuple `tuple` when keys do not pack, and
-    /// returns the cell. A key met before in a directly addressed space
-    /// takes one load; any other goes through [`Tally::open`].
+    /// key `key`, or with code tuple `tuple` when keys do not pack. A key
+    /// met before in a directly addressed space takes one load; any other
+    /// goes through [`Tally::open`].
     // Inlined into the row loops, with the rarer opening path kept out of
     // them, so the loops keep the tally's fields in registers: as one
     // ordinary method, `group_histograms` ran about 40% slower on the
     // perfbench CENSUS table.
     #[inline(always)]
-    fn add(&mut self, key: u64, tuple: &[u32], value: u32) -> (usize, usize) {
+    fn add(&mut self, key: u64, tuple: &[u32], value: u32) {
         let slot = match &self.index {
             KeyIndex::Direct(slots, _) => match slots[key as usize] {
                 EMPTY => self.open(key, tuple),
@@ -398,16 +404,14 @@ impl Tally {
             },
             _ => self.open(key, tuple),
         };
-        let cell = (slot as usize, value as usize);
-        self.hists[cell.0][cell.1] += 1;
-        cell
+        self.hists[slot as usize * self.m + value as usize] += 1;
     }
 
     /// The slot of a key not found in a direct table, or of any key of
     /// the other indexes, opened with an empty histogram if it is new.
     #[inline(never)]
     fn open(&mut self, key: u64, tuple: &[u32]) -> u32 {
-        let next = self.hists.len() as u32;
+        let next = self.slots;
         let slot = match &mut self.index {
             KeyIndex::Direct(slots, _) => {
                 slots[key as usize] = next;
@@ -420,29 +424,168 @@ impl Tally {
             },
         };
         if slot == next {
-            self.hists.push(vec![0; self.m]);
+            self.slots += 1;
+            self.hists.resize(self.hists.len() + self.m, 0);
         }
         slot
     }
 
-    /// The sorted keys, as code tuples, and their aligned histograms.
-    fn finish(self) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
-        let mut hists = self.hists;
-        let mut hist = |slot: u32| std::mem::take(&mut hists[slot as usize]);
-        match self.index {
-            KeyIndex::Direct(slots, radices) => slots
-                .iter()
-                .enumerate()
-                .filter(|&(_, &slot)| slot != EMPTY)
-                .map(|(key, &slot)| (unpack_key(key as u64, &radices), hist(slot)))
-                .unzip(),
-            KeyIndex::Packed(met, radices) => met
-                .into_iter()
-                .map(|(key, slot)| (unpack_key(key, &radices), hist(slot)))
-                .unzip(),
-            KeyIndex::Tuple(met) => met.into_iter().map(|(key, slot)| (key, hist(slot))).unzip(),
+    /// The groups in key order, with keys of `width` codes.
+    fn finish(self, width: usize) -> GroupHistograms {
+        let m = self.m;
+        let mut groups = GroupHistograms::with_capacity(width, m, self.slots as usize);
+        let hist = |slot: u32| &self.hists[slot as usize * m..][..m];
+        let mut key = vec![0u32; width];
+        match &self.index {
+            KeyIndex::Direct(slots, radices) => {
+                for (packed, &slot) in slots.iter().enumerate().filter(|&(_, &s)| s != EMPTY) {
+                    unpack_key_into(packed as u64, radices, &mut key);
+                    groups.push(&key, hist(slot));
+                }
+            }
+            KeyIndex::Packed(met, radices) => {
+                for (&packed, &slot) in met {
+                    unpack_key_into(packed, radices, &mut key);
+                    groups.push(&key, hist(slot));
+                }
+            }
+            KeyIndex::Tuple(met) => {
+                for (key, &slot) in met {
+                    groups.push(key, hist(slot));
+                }
+            }
+        }
+        groups
+    }
+}
+
+/// Personal groups summarized as their keys, in strictly increasing
+/// order, and each group's histogram, held in two flat buffers: group
+/// `g`'s key is `keys[g * width..][..width]` and its histogram
+/// `hists[g * m..][..m]`. [`group_histograms`] builds one from a table's
+/// rows; a saved release's group lines hold one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupHistograms {
+    width: usize,
+    m: usize,
+    len: usize,
+    keys: Vec<u32>,
+    hists: Vec<u64>,
+}
+
+impl GroupHistograms {
+    /// No groups, over keys of `width` codes and histograms of `m`
+    /// counts, with room for `groups` groups.
+    pub fn with_capacity(width: usize, m: usize, groups: usize) -> Self {
+        Self {
+            width,
+            m,
+            len: 0,
+            keys: Vec::with_capacity(width * groups),
+            hists: Vec::with_capacity(m * groups),
         }
     }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there is no group.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Group `g`'s key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn key(&self, g: usize) -> &[u32] {
+        &self.keys[g * self.width..][..self.width]
+    }
+
+    /// Group `g`'s histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn hist(&self, g: usize) -> &[u64] {
+        &self.hists[g * self.m..][..self.m]
+    }
+
+    /// The groups in key order, each as its key and its histogram.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u32], &[u64])> + '_ {
+        (0..self.len).map(|g| (self.key(g), self.hist(g)))
+    }
+
+    /// Appends a group after every group held; the caller keeps the keys
+    /// strictly increasing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not `width` codes long or `hist` not `m` counts.
+    pub fn push(&mut self, key: &[u32], hist: &[u64]) {
+        assert_eq!(key.len(), self.width, "group key width");
+        assert_eq!(hist.len(), self.m, "group histogram arity");
+        self.keys.extend_from_slice(key);
+        self.hists.extend_from_slice(hist);
+        self.len += 1;
+    }
+
+    /// Whether a group has key `key` (a binary search).
+    pub fn contains_key(&self, key: &[u32]) -> bool {
+        let first_not_below = partition_point(self.len, |g| self.key(g) < key);
+        first_not_below < self.len && self.key(first_not_below) == key
+    }
+
+    /// These groups and those of `other`, which must be in strictly
+    /// increasing key order too, merged in key order: a key held by both
+    /// takes the sum of its two histograms. A group of `other` whose
+    /// histogram is all zero holds no record, and is no group here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key or histogram of `other` has the wrong length.
+    pub fn merged<'a>(&self, other: impl IntoIterator<Item = (&'a [u32], &'a [u64])>) -> Self {
+        let mut merged = Self::with_capacity(self.width, self.m, self.len);
+        let mut other = other
+            .into_iter()
+            .filter(|(_, h)| h.iter().any(|&count| count > 0))
+            .peekable();
+        for (key, hist) in self.iter() {
+            while let Some((k, h)) = other.next_if(|&(k, _)| k < key) {
+                merged.push(k, h);
+            }
+            merged.push(key, hist);
+            if let Some((_, h)) = other.next_if(|&(k, _)| k == key) {
+                let last = &mut merged.hists[(merged.len - 1) * self.m..];
+                assert_eq!(h.len(), self.m, "group histogram arity");
+                for (total, &count) in last.iter_mut().zip(h) {
+                    *total += count;
+                }
+            }
+        }
+        for (key, hist) in other {
+            merged.push(key, hist);
+        }
+        merged
+    }
+}
+
+/// The first of `0..len` at which `below` turns false, `below` being true
+/// on a prefix of the range.
+fn partition_point(len: usize, below: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Sorted group keys over `attrs`, each with the histogram of
@@ -456,18 +599,13 @@ impl Tally {
 /// key space can be addressed directly, otherwise an ordered map of the
 /// keys met. One ascending walk of the index moves the histograms out in
 /// key order. Memory is `O(min(key space, rows) + groups · m)`, never
-/// `O(key space · m)`. [`GroupCounts`] counts the same histograms from
-/// the record rows of a saved release.
+/// `O(key space · m)`.
 ///
 /// # Panics
 ///
 /// Panics if `attrs` is empty or contains an out-of-range attribute, or if
 /// `hist_attr` is out of range.
-pub fn group_histograms(
-    table: &Table,
-    attrs: &[AttrId],
-    hist_attr: AttrId,
-) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
+pub fn group_histograms(table: &Table, attrs: &[AttrId], hist_attr: AttrId) -> GroupHistograms {
     check_attrs(table, attrs);
     let m = table.schema().attribute(hist_attr).domain_size();
     let values = table.column(hist_attr).codes();
@@ -490,126 +628,7 @@ pub fn group_histograms(
             tally.add(0, &tuple, value);
         }
     }
-    tally.finish()
-}
-
-/// Each personal group's histogram of one attribute, counted from the
-/// record rows of a saved release as they are parsed ([`CodeRows`]), with
-/// no table built: the groups are keyed by every other attribute, in
-/// schema order, and [`GroupCounts::finish`] returns what
-/// [`group_histograms`] returns for the table of those rows.
-///
-/// Each parsed row folds its key codes into a packed key as the parser
-/// hands them over (or collects them, when the key space does not pack
-/// into a `u64`) and adds one to its `(group, value)` cell; a repeated
-/// row adds one to the previous row's cell. Memory is
-/// `O(min(key space, rows) + groups · m)`, whatever the row count.
-#[derive(Debug)]
-pub struct GroupCounts {
-    schema: Schema,
-    domains: Vec<usize>,
-    cells: Cells,
-}
-
-/// The counting state of [`GroupCounts`], apart from the domains its
-/// parser reads.
-#[derive(Debug)]
-struct Cells {
-    hist_attr: AttrId,
-    /// Each attribute's radix in the packed key (its domain size; the
-    /// histogram attribute's is unused), or empty when keys do not pack.
-    radices: Vec<u64>,
-    tally: Tally,
-    /// The row being parsed: its packed key, its key codes when keys do
-    /// not pack, and its value.
-    key: u64,
-    tuple: Vec<u32>,
-    value: u32,
-    /// The `(slot, value)` cell of the last row counted.
-    last: (usize, usize),
-}
-
-impl GroupCounts {
-    /// Counts over `schema`'s rows the histogram of `hist_attr` per group
-    /// of the other attributes. `rows`, the expected row count, only
-    /// chooses the key index ([`group_histograms`]'s rule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hist_attr` is out of range or is the only attribute.
-    pub fn new(schema: &Schema, hist_attr: AttrId, rows: usize) -> Self {
-        assert!(
-            hist_attr < schema.arity() && schema.arity() >= 2,
-            "histogram attribute {hist_attr} needs another attribute to group by"
-        );
-        let attrs: Vec<AttrId> = (0..schema.arity()).filter(|&a| a != hist_attr).collect();
-        let domains: Vec<usize> = schema.iter().map(|(_, a)| a.domain_size()).collect();
-        let packed = key_radices(schema, &attrs);
-        let radices = match packed {
-            Some(_) => domains.iter().map(|&d| d.max(1) as u64).collect(),
-            None => Vec::new(),
-        };
-        Self {
-            schema: schema.clone(),
-            cells: Cells {
-                hist_attr,
-                radices,
-                tally: Tally::new(packed, rows, domains[hist_attr]),
-                key: 0,
-                tuple: Vec::new(),
-                value: 0,
-                last: (0, 0),
-            },
-            domains,
-        }
-    }
-
-    /// The sorted group keys and their aligned histograms.
-    pub fn finish(self) -> (Vec<Vec<u32>>, Vec<Vec<u64>>) {
-        self.cells.tally.finish()
-    }
-}
-
-impl RowSink for Cells {
-    fn field(&mut self, attr: AttrId, code: u32) {
-        if attr == self.hist_attr {
-            self.value = code;
-        } else if let Some(&radix) = self.radices.get(attr) {
-            self.key = self.key * radix + u64::from(code);
-        } else {
-            self.tuple.push(code);
-        }
-    }
-
-    fn end_row(&mut self) {
-        self.last = self.tally.add(self.key, &self.tuple, self.value);
-        self.abandon_row(0);
-    }
-
-    fn repeat_row(&mut self) {
-        let (slot, value) = self.last;
-        self.tally.hists[slot][value] += 1;
-    }
-
-    fn abandon_row(&mut self, _fields: usize) {
-        self.key = 0;
-        self.tuple.clear();
-    }
-}
-
-impl CodeRows for GroupCounts {
-    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
-        parse_code_rows(&self.domains, block, max, &mut self.cells)
-    }
-
-    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError> {
-        check_row(&self.schema, &self.domains, codes)?;
-        for (attr, &code) in codes.iter().enumerate() {
-            self.cells.field(attr, code);
-        }
-        self.cells.end_row();
-        Ok(())
-    }
+    tally.finish(attrs.len())
 }
 
 #[cfg(test)]
@@ -772,17 +791,17 @@ mod tests {
             (&wide, vec![0, 1], 4),
             (&wide, vec![0, 1, 2, 3], 4),
         ] {
-            let (keys, hists) = group_histograms(t, &attrs, hist_attr);
-            let reference = group_by_sort(t, &attrs);
-            let want_keys: Vec<Vec<u32>> =
-                reference.groups().iter().map(|g| g.key.clone()).collect();
-            let want_hists: Vec<Vec<u64>> = reference
+            let groups = group_histograms(t, &attrs, hist_attr);
+            let got: Vec<(Vec<u32>, Vec<u64>)> = groups
+                .iter()
+                .map(|(key, hist)| (key.to_vec(), hist.to_vec()))
+                .collect();
+            let want: Vec<(Vec<u32>, Vec<u64>)> = group_by_sort(t, &attrs)
                 .groups()
                 .iter()
-                .map(|g| t.histogram_over(hist_attr, &g.rows))
+                .map(|g| (g.key.clone(), t.histogram_over(hist_attr, &g.rows)))
                 .collect();
-            assert_eq!(keys, want_keys, "attrs {attrs:?}");
-            assert_eq!(hists, want_hists, "attrs {attrs:?}");
+            assert_eq!(got, want, "attrs {attrs:?}");
         }
     }
 
@@ -801,64 +820,51 @@ mod tests {
                 .unwrap();
         }
         let t = b.build();
-        let (keys, hists) = group_histograms(&t, &[0, 1], 2);
+        let groups = group_histograms(&t, &[0, 1], 2);
         let reference = group_by_sort(&t, &[0, 1]);
-        assert_eq!(keys.len(), 35);
-        for ((key, hist), g) in keys.iter().zip(&hists).zip(reference.groups()) {
-            assert_eq!(key, &g.key);
+        assert_eq!(groups.len(), 35);
+        for ((key, hist), g) in groups.iter().zip(reference.groups()) {
+            assert_eq!(key, g.key);
             assert_eq!(hist, &t.histogram_over(2, &g.rows), "key {key:?}");
         }
     }
 
-    /// Counting a table's rows as bytes, a whole block at a time and a
-    /// row at a time through the text path, gives what the kernel gives
-    /// for the table, on a dense key space, a sparse one and one too wide
-    /// for a `u64`, with the rows in table order and sorted (so that most
-    /// repeat the row before).
+    /// `contains_key` finds exactly the held keys, and `merged` interleaves
+    /// two sorted summaries, summing a shared key's histograms and
+    /// skipping a group with no record.
     #[test]
-    fn group_counts_match_group_histograms() {
-        let dense = demo_table();
-        let wide = unpackable_table();
-        // 2^48 keys: packed, but too many to address.
-        let sparse = {
-            let schema = Schema::new(vec![
-                Attribute::with_anonymous_domain("A", 1 << 16),
-                Attribute::with_anonymous_domain("B", 1 << 16),
-                Attribute::with_anonymous_domain("C", 1 << 16),
-                Attribute::with_anonymous_domain("S", 7),
-            ]);
-            let mut b = TableBuilder::new(schema);
-            for i in 0..200u32 {
-                b.push_codes(&[i % 3, (i % 5) * 1000, 65_535 - i % 2, i % 7])
-                    .unwrap();
-            }
-            b.build()
-        };
-        for (t, hist_attr) in [(&dense, 2), (&dense, 0), (&sparse, 3), (&wide, 4)] {
-            let attrs: Vec<AttrId> = (0..t.schema().arity())
-                .filter(|&a| a != hist_attr)
-                .collect();
-            let want = group_histograms(t, &attrs, hist_attr);
-            let mut rows: Vec<Vec<u32>> = (0..t.rows()).map(|r| t.row(r).unwrap()).collect();
-            for order in 0..2 {
-                if order == 1 {
-                    rows.sort();
-                }
-                let mut block = Vec::new();
-                let mut by_row = GroupCounts::new(t.schema(), hist_attr, t.rows());
-                for row in &rows {
-                    let text: Vec<String> = row.iter().map(u32::to_string).collect();
-                    block.extend_from_slice(text.join("\t").as_bytes());
-                    block.push(b'\n');
-                    by_row.push_codes(row).unwrap();
-                }
-                let mut by_block = GroupCounts::new(t.schema(), hist_attr, t.rows());
-                let taken = by_block.push_code_rows(&block, usize::MAX);
-                assert_eq!(taken, (rows.len(), block.len()));
-                assert_eq!(by_block.finish(), want, "hist_attr {hist_attr}");
-                assert_eq!(by_row.finish(), want, "hist_attr {hist_attr}");
-            }
+    fn group_histograms_search_and_merge_in_key_order() {
+        let mut a = GroupHistograms::with_capacity(2, 2, 3);
+        for (key, hist) in [([0, 1], [1, 0]), ([0, 3], [2, 2]), ([2, 0], [0, 5])] {
+            a.push(&key, &hist);
         }
+        for key in [[0, 1], [0, 3], [2, 0]] {
+            assert!(a.contains_key(&key), "{key:?}");
+        }
+        for key in [[0, 0], [0, 2], [1, 9], [2, 1]] {
+            assert!(!a.contains_key(&key), "{key:?}");
+        }
+        let other: [(&[u32], &[u64]); 4] = [
+            (&[0, 0], &[4, 0]),
+            (&[0, 3], &[1, 1]),
+            (&[1, 0], &[0, 0]),
+            (&[3, 0], &[0, 1]),
+        ];
+        let merged: Vec<(Vec<u32>, Vec<u64>)> = a
+            .merged(other)
+            .iter()
+            .map(|(key, hist)| (key.to_vec(), hist.to_vec()))
+            .collect();
+        assert_eq!(
+            merged,
+            [
+                (vec![0, 0], vec![4, 0]),
+                (vec![0, 1], vec![1, 0]),
+                (vec![0, 3], vec![3, 3]),
+                (vec![2, 0], vec![0, 5]),
+                (vec![3, 0], vec![0, 1]),
+            ]
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The columnar table: dictionary-encoded categorical microdata.
 
+use std::collections::TryReserveError;
+
 use crate::error::TableError;
 use crate::schema::{AttrId, Schema};
 
@@ -194,6 +196,24 @@ impl Table {
             .collect())
     }
 
+    /// A copy of the first `rows` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the row count.
+    pub fn head(&self, rows: usize) -> Self {
+        assert!(rows <= self.rows, "head of {rows} rows past {}", self.rows);
+        Self {
+            schema: self.schema.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Column::from_codes(c.codes[..rows].to_vec()))
+                .collect(),
+            rows,
+        }
+    }
+
     /// Returns a copy of this table with one column replaced.
     ///
     /// # Errors
@@ -291,6 +311,21 @@ impl TableBuilder {
         Self::with_columns(schema, columns)
     }
 
+    /// Reserves room for exactly `rows` rows past those appended, in every
+    /// column: for a row count read from untrusted input, which must fail
+    /// cleanly where a plain reservation would abort.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error if a column cannot grow by `rows`
+    /// codes.
+    pub fn try_reserve_exact(&mut self, rows: usize) -> Result<(), TryReserveError> {
+        for column in &mut self.columns {
+            column.try_reserve_exact(rows)?;
+        }
+        Ok(())
+    }
+
     /// Appends a row of codes.
     ///
     /// # Errors
@@ -306,10 +341,7 @@ impl TableBuilder {
 
     /// Appends `copies` identical rows of codes, validating the row once.
     ///
-    /// This is the bulk-emission path for duplication-heavy producers (the
-    /// SPS scaling step emits each perturbed record `⌊τ′⌋ + Bernoulli` times
-    /// and every record of a personal-group cell shares one code template);
-    /// it skips the per-row arity/domain re-validation and extends each
+    /// It skips the per-row arity/domain re-validation and extends each
     /// column buffer in one call. `copies == 0` is a validated no-op.
     ///
     /// # Errors
@@ -329,6 +361,31 @@ impl TableBuilder {
             col.extend(std::iter::repeat_n(code, copies));
         }
         Ok(())
+    }
+
+    /// Appends a personal group's records as one columnar run
+    /// ([`TableBuilder::begin_run`]): for each non-empty entry of `hist`,
+    /// that many rows holding the group's `key` codes at every attribute
+    /// but `at`, in schema order, and the entry's index at `at`. Each key
+    /// column is one constant fill and the `at` column one fill per
+    /// non-empty entry. The inverse of a group's key and histogram in
+    /// [`crate::group_histograms`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error (appending nothing) on a key of the wrong length
+    /// or out-of-domain codes.
+    pub fn push_group(&mut self, key: &[u32], at: AttrId, hist: &[u64]) -> Result<(), TableError> {
+        let rows = hist.iter().sum::<u64>() as usize;
+        let attrs = (0..self.schema.arity()).filter(|&a| a != at);
+        let mut run = self.begin_run(rows);
+        for (attr, &code) in attrs.zip(key) {
+            run.fill(attr, code, rows)?;
+        }
+        for (code, &count) in (0u32..).zip(hist).filter(|&(_, &count)| count > 0) {
+            run.fill(at, code, count as usize)?;
+        }
+        run.finish()
     }
 
     /// Appends a row of string values, resolving them through the schema's
@@ -372,9 +429,10 @@ impl TableBuilder {
     /// without finishing rolls the whole run back, so a failed run never
     /// leaves the builder ragged.
     ///
-    /// This is the bulk-emission path the columnar SPS executor uses: a
-    /// personal group's output is one run — each `NA` column a single
-    /// constant fill, the `SA` column one fill per non-empty value.
+    /// [`TableBuilder::push_group`] writes a personal group as one run —
+    /// each `NA` column a single constant fill, the `SA` column one fill
+    /// per non-empty value — for the SPS executor and for loading a saved
+    /// release.
     pub fn begin_run(&mut self, rows: usize) -> RunWriter<'_> {
         let base = self.rows();
         RunWriter {
@@ -396,55 +454,8 @@ impl TableBuilder {
     }
 }
 
-impl CodeRows for TableBuilder {
-    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize) {
-        parse_code_rows(&self.domains, block, max, &mut self.columns)
-    }
-
-    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError> {
-        TableBuilder::push_codes(self, codes)
-    }
-}
-
-/// Where the record rows of a saved release go: a [`TableBuilder`]'s
-/// columns, or a [`crate::GroupCounts`]'s per-group histograms. Both
-/// parse with one byte parser and check with one row check, so a row
-/// either accepts the other accepts, and a row either refuses fails
-/// with the same error.
-pub trait CodeRows {
-    /// Appends the rows at the front of `block`, at most `max` of them, in
-    /// the record format of a saved release: `\n`-terminated rows of
-    /// tab-separated codes of one to nine ASCII digits each. One pass
-    /// parses the digits, each code checked against its attribute's
-    /// domain. A row whose bytes, `\n` included, equal those of the row
-    /// this call took just before it is that row again, and is appended
-    /// with no parse: a release is written group-major with its SA values
-    /// sorted, so most of its rows repeat the one before. Returns the rows
-    /// appended and the bytes they span, terminators included.
-    ///
-    /// It stops, with nothing of that row appended, at the first row it
-    /// does not take whole: one in another form (a sign, a longer digit
-    /// run, a `\r` or other stray byte), of the wrong arity, with an
-    /// out-of-domain code, or with no `\n` before the block ends. The
-    /// caller parses such a row field by field, and
-    /// [`CodeRows::push_codes`] accepts it or names the exact error.
-    fn push_code_rows(&mut self, block: &[u8], max: usize) -> (usize, usize);
-
-    /// Appends a row of codes, checked as [`TableBuilder::push_codes`]
-    /// checks it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on arity mismatch or out-of-domain codes.
-    fn push_codes(&mut self, codes: &[u32]) -> Result<(), TableError>;
-}
-
 /// Checks a row of codes against the schema and its domain sizes.
-pub(crate) fn check_row(
-    schema: &Schema,
-    domains: &[usize],
-    codes: &[u32],
-) -> Result<(), TableError> {
+fn check_row(schema: &Schema, domains: &[usize], codes: &[u32]) -> Result<(), TableError> {
     if codes.len() != domains.len() {
         return Err(TableError::ArityMismatch {
             got: codes.len(),
@@ -457,104 +468,6 @@ pub(crate) fn check_row(
         }
     }
     Ok(())
-}
-
-/// What [`parse_code_rows`] hands each field and row it takes.
-pub(crate) trait RowSink {
-    /// Field `attr` of the row being parsed is `code`, in domain.
-    fn field(&mut self, attr: AttrId, code: u32);
-    /// Every field of the row was handed over.
-    fn end_row(&mut self);
-    /// The row just ended occurs again.
-    fn repeat_row(&mut self);
-    /// The row being parsed is refused: drop its first `fields` fields.
-    fn abandon_row(&mut self, fields: usize);
-}
-
-impl RowSink for Vec<Vec<u32>> {
-    fn field(&mut self, attr: AttrId, code: u32) {
-        self[attr].push(code);
-    }
-
-    fn end_row(&mut self) {}
-
-    fn repeat_row(&mut self) {
-        for column in self {
-            if let Some(&code) = column.last() {
-                column.push(code);
-            }
-        }
-    }
-
-    fn abandon_row(&mut self, fields: usize) {
-        for column in &mut self[..fields] {
-            column.pop();
-        }
-    }
-}
-
-/// The parser of [`CodeRows::push_code_rows`], over attributes of the
-/// given domain sizes.
-pub(crate) fn parse_code_rows(
-    domains: &[usize],
-    block: &[u8],
-    max: usize,
-    sink: &mut impl RowSink,
-) -> (usize, usize) {
-    let last = domains.len() - 1;
-    // `prev` is the length of the row last taken from this block, 0 at
-    // first: a row is compared with it only within one block.
-    let (mut rows, mut bytes, mut prev) = (0, 0, 0);
-    'rows: while rows < max {
-        if prev > 0 && repeats(block, bytes, prev) {
-            sink.repeat_row();
-            (rows, bytes) = (rows + 1, bytes + prev);
-            continue;
-        }
-        let (mut attr, mut code, mut digits) = (0, 0u32, 0);
-        for (i, &b) in block[bytes..].iter().enumerate() {
-            let digit = b.wrapping_sub(b'0');
-            // Nine digits always fit a `u32`; a tenth goes to the caller.
-            if digit <= 9 && digits < 9 {
-                code = code * 10 + u32::from(digit);
-                digits += 1;
-                continue;
-            }
-            let ends_field = (b == b'\t' && attr < last) || (b == b'\n' && attr == last);
-            if !ends_field || digits == 0 || code as usize >= domains[attr] {
-                break;
-            }
-            sink.field(attr, code);
-            if b == b'\t' {
-                (attr, code, digits) = (attr + 1, 0, 0);
-                continue;
-            }
-            sink.end_row();
-            (rows, bytes, prev) = (rows + 1, bytes + i + 1, i + 1);
-            continue 'rows;
-        }
-        sink.abandon_row(attr);
-        break;
-    }
-    (rows, bytes)
-}
-
-/// Whether the `len` bytes at `at` in `block` equal the `len` bytes
-/// before them, compared eight bytes at a time: the first and the last
-/// eight, then (past sixteen) the rest. Rows shorter than eight bytes
-/// compare as slices.
-fn repeats(block: &[u8], at: usize, len: usize) -> bool {
-    let (Some(prev), Some(next)) = (block.get(at - len..at), block.get(at..at + len)) else {
-        return false;
-    };
-    match (prev.first_chunk::<8>(), next.first_chunk::<8>()) {
-        (Some(a), Some(b)) => {
-            a == b
-                && prev.last_chunk::<8>() == next.last_chunk::<8>()
-                && (len <= 16 || prev == next)
-        }
-        _ => prev == next,
-    }
 }
 
 /// An in-progress columnar run on a [`TableBuilder`] — see
@@ -718,97 +631,6 @@ mod tests {
             Err(TableError::CodeOutOfRange { .. })
         ));
         assert_eq!(b.rows(), 0, "failed batch must not partially append");
-    }
-
-    /// Every row up to six bytes over digits, `+`, tab and a stray byte:
-    /// a row `push_code_rows` takes appends exactly what a per-field
-    /// `str::parse::<u32>` and `push_codes` would, a row it refuses
-    /// appends nothing, and it refuses a valid row only for a sign. All
-    /// the rows as one block, each refused row parsed as text, build the
-    /// same table.
-    #[test]
-    fn push_code_row_agrees_with_str_parse_and_push_codes() {
-        let schema = Schema::new(vec![
-            Attribute::new("A", ["a0", "a1"]),
-            Attribute::with_anonymous_domain("B", 10),
-        ]);
-        let alphabet = b"019+\tx";
-        let mut rows: Vec<Vec<u8>> = vec![Vec::new()];
-        for len in 1..=6 {
-            let start = rows.len() - alphabet.len().pow(len - 1);
-            for i in start..rows.len() {
-                for &b in alphabet {
-                    let mut row = rows[i].clone();
-                    row.push(b);
-                    rows.push(row);
-                }
-            }
-        }
-        let parse = |row: &[u8]| -> Result<Vec<u32>, _> {
-            let text = std::str::from_utf8(row).unwrap();
-            text.split('\t').map(str::parse::<u32>).collect()
-        };
-        let mut b = TableBuilder::new(schema.clone());
-        let mut reference = TableBuilder::new(schema.clone());
-        let mut block = Vec::new();
-        for row in &rows {
-            let parsed = parse(row);
-            let want = parsed
-                .as_ref()
-                .is_ok_and(|codes| reference.push_codes(codes).is_ok());
-            let line = [&row[..], b"\n"].concat();
-            block.extend_from_slice(&line);
-            let rows_before = b.rows();
-            let took = b.push_code_rows(&line, 1);
-            if took == (0, 0) {
-                assert_eq!(b.rows(), rows_before, "{row:?} appended on refusal");
-                if let Ok(codes) = &parsed {
-                    let _ = b.push_codes(codes);
-                }
-            } else {
-                assert_eq!(took, (1, line.len()), "{row:?}");
-            }
-            assert!(took.0 == 1 || !want || row.contains(&b'+'), "{row:?}");
-            assert!(took.0 == 0 || want, "{row:?}");
-        }
-        let mut by_block = TableBuilder::new(schema);
-        let mut rest = &block[..];
-        while !rest.is_empty() {
-            let (taken, bytes) = by_block.push_code_rows(rest, usize::MAX);
-            rest = &rest[bytes..];
-            if taken == 0 {
-                let end = rest.iter().position(|&b| b == b'\n').unwrap();
-                if let Ok(codes) = parse(&rest[..end]) {
-                    let _ = by_block.push_codes(&codes);
-                }
-                rest = &rest[end + 1..];
-            }
-        }
-        assert_eq!(by_block.build(), reference.clone().build());
-        assert_eq!(b.clone().build(), reference.build());
-        assert_eq!(b.push_code_rows(b"1\t000000009\n", 1), (1, 12));
-        assert_eq!(
-            b.push_code_rows(b"1\t0000000009\n", 1),
-            (0, 0),
-            "ten digits"
-        );
-        assert_eq!(
-            b.push_code_rows(b"1\t4294967296\n", 1),
-            (0, 0),
-            "ten digits"
-        );
-        assert_eq!(
-            b.push_code_rows("1\t\u{e9}\n".as_bytes(), 1),
-            (0, 0),
-            "non-ASCII"
-        );
-        assert_eq!(b.push_code_rows(b"1\t2\r\n", 1), (0, 0), "CRLF");
-        assert_eq!(b.push_code_rows(b"1\t2", 1), (0, 0), "no terminator");
-        assert_eq!(b.push_code_rows(b"1\t2\n1\t3\n1\t4", 1), (1, 4), "max");
-        assert_eq!(b.push_code_rows(b"1\t5\n1\t6\n1\t7", 5), (2, 8), "tail");
-        assert_eq!(b.push_code_rows(b"1\t8\n", 0), (0, 0), "max 0");
-        let rows = b.rows();
-        assert_eq!(b.build().column(1).codes()[rows - 4..], [9, 2, 5, 6]);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!   its queries into the session's reused term buffer and answers into
 //!   one list, so its allocation count must not depend on its query
 //!   count;
-//! * the saved release and the same release with every record row twice
-//!   are opened as `rpctl serve` opens one, through `QueryEngine::open`:
-//!   it counts the record rows straight into per-group histograms, so
-//!   its cost is `O(groups)` and it allocates equal counts and equal bytes
-//!   for either. Beside it, `Publication::load` parses the record rows in
-//!   the reader's buffer, so it allocates as often for either, and
+//! * the saved release and the same release with every record twice — the
+//!   same group lines with doubled counts — are opened as `rpctl serve`
+//!   opens one, through `QueryEngine::open`: it reads the group lines
+//!   straight into the grouped view, so its cost is `O(groups)` and it
+//!   allocates equal counts and equal bytes for either. Beside it,
+//!   `Publication::load` expands the same lines into a table whose
+//!   columns it reserves once, so it allocates as often for either, and
 //!   `QueryEngine::new` groups the rows without a per-row key array, so
 //!   over the same groups it allocates equal counts and equal bytes;
 //! * a thread that opened the saved release opens the doubled one as a
@@ -37,6 +38,7 @@ use rp_repro::engine::{
     Catalog, CatalogSession, Publication, Publisher, QueryEngine, QueryService, Request,
     ServiceConfig, SessionStats, WireQuery,
 };
+use rp_repro::table::TableBuilder;
 
 thread_local! {
     /// Allocations (and reallocations) this thread made through
@@ -183,37 +185,44 @@ fn batch_lines_allocate_the_same_whatever_their_query_count() {
     );
 }
 
-/// `saved` (a v1 artifact) with its record rows written twice and its
-/// `rows` header doubled: the same personal groups, each twice as large.
-fn doubled_rows(saved: &[u8]) -> Vec<u8> {
-    let header = saved
-        .windows(6)
-        .position(|w| w == b"\nrows\t")
-        .expect("a rows header")
-        + 1;
-    let records = header
-        + saved[header..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .expect("a terminated rows header")
-        + 1;
-    let rows: usize = std::str::from_utf8(&saved[header + 5..records - 1])
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mut out = saved[..header].to_vec();
-    out.extend_from_slice(format!("rows\t{}\n", 2 * rows).as_bytes());
-    out.extend_from_slice(&saved[records..]);
-    out.extend_from_slice(&saved[records..]);
-    out
+/// `publication` with every record twice, saved: the same group lines
+/// with each count doubled, and `rows` doubled.
+fn doubled_records(publication: &Publication) -> Vec<u8> {
+    let table = publication.table();
+    let mut b = TableBuilder::new(table.schema().clone());
+    for r in 0..table.rows() {
+        b.push_codes_batch(&table.row(r).unwrap(), 2).unwrap();
+    }
+    let doubled = Publication::from_parts(
+        b.build(),
+        publication.sa(),
+        publication.p(),
+        publication.params(),
+        publication.seed(),
+        publication.stats(),
+        publication.check(),
+    );
+    let mut bytes = Vec::new();
+    doubled.save(&mut bytes).expect("in-memory save");
+    bytes
 }
+
+/// The saved fixture's length in bytes: its header, then one line per
+/// personal group.
+const SAVED_LEN: usize = 168_041;
 
 #[test]
 fn opening_a_release_allocates_alike_for_twice_the_rows() {
     let (publication, _) = census_publication();
     let mut saved = Vec::new();
     publication.save(&mut saved).expect("in-memory save");
-    let doubled = doubled_rows(&saved);
+    assert_eq!(saved.len(), SAVED_LEN, "the saved fixture's length");
+    let doubled = doubled_records(&publication);
+    assert_eq!(
+        saved.iter().filter(|&&b| b == b'\n').count(),
+        doubled.iter().filter(|&&b| b == b'\n').count(),
+        "the doubled release has as many lines"
+    );
     let loaded = Publication::load(&saved[..]).expect("artifact loads");
     let loaded_doubled = Publication::load(&doubled[..]).expect("doubled artifact loads");
     assert_eq!(loaded_doubled.table().rows(), 2 * loaded.table().rows());
@@ -258,7 +267,7 @@ fn a_thread_that_opened_a_smaller_release_pools_a_larger_ones_columns() {
     let (publication, _) = census_publication();
     let mut saved = Vec::new();
     publication.save(&mut saved).expect("in-memory save");
-    let doubled = doubled_rows(&saved);
+    let doubled = doubled_records(&publication);
 
     let fresh = on_fresh_thread(|| allocations_of(8, || Publication::load(&doubled[..]).unwrap()));
     let after_smaller = on_fresh_thread(|| {

@@ -105,7 +105,7 @@ fn stream_snapshot_wal_and_compaction_bytes_are_pinned() {
         ("compacted wal", fingerprint(&compacted_bytes)),
     ];
     let want = [
-        ("snapshot", (16_742, 0x983c_b280_ecc0_45ec)),
+        ("snapshot", (615, 0x8625_5c22_9b0c_e947)),
         ("wal", (30_323, 0x8faf_e012_ffaa_7272)),
         ("compacted wal", (19_247, 0xb46e_a8ec_c63c_4690)),
     ];

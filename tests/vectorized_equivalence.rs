@@ -195,7 +195,8 @@ fn reference_sps<R: Rng + ?Sized>(
 
 /// The published per-group SA histograms of `sps`' table, in key order.
 fn published_histograms(table: &Table, spec: &SaSpec) -> Vec<Vec<u64>> {
-    group_histograms(table, spec.na(), spec.sa()).1
+    let groups = group_histograms(table, spec.na(), spec.sa());
+    groups.iter().map(|(_, hist)| hist.to_vec()).collect()
 }
 
 /// Over `RUNS` seeded runs per fixture, every (group, SA value) output
