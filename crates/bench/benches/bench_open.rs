@@ -2,15 +2,14 @@
 //! first `HELLO`:
 //!
 //! * `open/serve` — `QueryEngine::open` over a saved CENSUS artifact held
-//!   in memory: what `rpctl serve` runs. The header and every group line
-//!   are checked as `open/load` checks them, and the groups' keys and SA
-//!   histograms go straight into the grouped view, with no table built;
-//! * `open/load` — `Publication::load` over the same bytes (every group
-//!   line expanded into its records in the table's columns);
+//!   in memory: what `rpctl serve` runs, `open/load` then
+//!   `open/engine_build`;
+//! * `open/load` — `Publication::load` over the same bytes (the header
+//!   and every group line checked, the groups read into the
+//!   publication's two flat buffers, no table built);
 //! * `open/engine_build` — `QueryEngine::new` over the loaded release
-//!   (personal-group keys, SA histograms and the key bitmaps, grouped
-//!   from the table's rows), which `open/serve` reads from the artifact
-//!   instead.
+//!   (the grouped view and its key bitmaps and marginals, assembled from
+//!   a borrow of the publication's groups).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rp_bench::census_fixture;

@@ -18,11 +18,15 @@
 //! Every public attribute is constant within a personal group, so a
 //! group's output is fully described by its histogram of SA codes.
 //! [`sps_group`] is the one per-group kernel: it maps a raw SA histogram to
-//! the published one. The record-level executor [`sps`] (producing a
-//! publishable [`Table`]), the histogram-level executor [`sps_histograms`]
-//! (used by the Section-6 parameter sweeps) and the streaming re-publication
-//! in [`crate::incremental`] all run it, so for one seed the per-group SA
-//! histograms of [`sps`]'s table equal [`sps_histograms`] exactly.
+//! the published one, and the streaming re-publication in
+//! [`crate::incremental`] runs it group by group. [`sps_groups`] is the one
+//! loop that runs it over a whole table's personal groups, counting the
+//! run; the record-level executor [`sps`] (producing a publishable
+//! [`Table`]), the histogram-level executor [`sps_histograms`] (used by the
+//! Section-6 parameter sweeps) and the engine's publisher (keeping each
+//! group's key and published histogram) all run that loop, so for one seed
+//! the per-group SA histograms of [`sps`]'s table equal [`sps_histograms`]
+//! exactly.
 
 use rand::Rng;
 use rp_stats::sampling::{sample_binomial, stochastic_round};
@@ -140,14 +144,46 @@ pub fn sps_group<R: Rng + ?Sized>(
     Some(g1)
 }
 
+/// SPS over every personal group of `groups`, in key order: runs
+/// [`sps_group`] on each group's raw SA histogram, hands the group's key
+/// and published histogram to `emit`, and returns the run's counters
+/// (`output_records` is the published histograms' total).
+///
+/// # Panics
+///
+/// Panics on invalid `p`.
+pub fn sps_groups<R: Rng + ?Sized>(
+    rng: &mut R,
+    groups: &PersonalGroups,
+    config: SpsConfig,
+    mut emit: impl FnMut(&[u32], &[u64]),
+) -> SpsStats {
+    let op = UniformPerturbation::new(config.p, groups.spec().m());
+    let mut stats = SpsStats {
+        groups: groups.len(),
+        input_records: groups.total_rows() as u64,
+        ..SpsStats::default()
+    };
+    let mut hist = Vec::new();
+    for group in groups.groups() {
+        if let Some(g1) = sps_group(rng, &op, config.params, &group.sa_hist, &mut hist) {
+            stats.groups_sampled += 1;
+            stats.sampled_records += g1;
+        }
+        stats.output_records += hist.iter().sum::<u64>();
+        emit(&group.key, &hist);
+    }
+    stats
+}
+
 /// Record-level SPS: returns the published `D*₂` plus run statistics.
 ///
 /// The input is consumed as [`PersonalGroups`] (the grouping preprocessing
 /// of Section 5); `table` must be the table those groups were built from.
-/// Each group runs [`sps_group`] and is emitted as one columnar run
-/// (`TableBuilder::push_group`): every NA column a constant fill from the
-/// group key, the SA column one fill per non-empty value of the published
-/// histogram.
+/// Each group runs [`sps_group`] through [`sps_groups`] and is emitted as
+/// one columnar run (`TableBuilder::push_group`): every NA column a constant
+/// fill from the group key, the SA column one fill per non-empty value of
+/// the published histogram.
 ///
 /// # Panics
 ///
@@ -164,52 +200,35 @@ pub fn sps<R: Rng + ?Sized>(
         table.rows(),
         "groups were not built from this table"
     );
-    let spec = groups.spec();
-    let op = UniformPerturbation::new(config.p, spec.m());
+    let sa = groups.spec().sa();
     let mut builder = TableBuilder::with_capacity(table.schema().clone(), table.rows());
-    let mut stats = SpsStats {
-        groups: groups.len(),
-        input_records: table.rows() as u64,
-        ..SpsStats::default()
-    };
-    let mut hist = Vec::new();
-    for group in groups.groups() {
-        if let Some(g1) = sps_group(rng, &op, config.params, &group.sa_hist, &mut hist) {
-            stats.groups_sampled += 1;
-            stats.sampled_records += g1;
-        }
+    let stats = sps_groups(rng, groups, config, |key, hist| {
         builder
-            .push_group(&group.key, spec.sa(), &hist)
+            .push_group(key, sa, hist)
             .expect("group key and SA codes are valid");
+    });
+    SpsOutput {
+        table: builder.build(),
+        stats,
     }
-    let table = builder.build();
-    stats.output_records = table.rows() as u64;
-    SpsOutput { table, stats }
 }
 
 /// Histogram-level SPS: per personal group, the perturbed-and-scaled SA
 /// histogram of `g*₂` without materializing records. Returns one histogram
 /// per group, aligned with `groups.groups()`.
 ///
-/// Both executors run [`sps_group`] in group order, so for one seed these
-/// histograms equal the per-group SA histograms of [`sps`]'s table exactly.
-/// This is the fast path used by the Figure 3/5 sweeps (README,
-/// *Performance: the vectorized data path*).
+/// Both executors run [`sps_groups`], so for one seed these histograms
+/// equal the per-group SA histograms of [`sps`]'s table exactly. This is
+/// the fast path used by the Figure 3/5 sweeps (README, *Performance: the
+/// vectorized data path*).
 pub fn sps_histograms<R: Rng + ?Sized>(
     rng: &mut R,
     groups: &PersonalGroups,
     config: SpsConfig,
 ) -> Vec<Vec<u64>> {
-    let op = UniformPerturbation::new(config.p, groups.spec().m());
-    groups
-        .groups()
-        .iter()
-        .map(|group| {
-            let mut out = Vec::new();
-            sps_group(rng, &op, config.params, &group.sa_hist, &mut out);
-            out
-        })
-        .collect()
+    let mut hists = Vec::with_capacity(groups.len());
+    sps_groups(rng, groups, config, |_, hist| hists.push(hist.to_vec()));
+    hists
 }
 
 /// Histogram-level UP: per personal group, the perturbed SA histogram under

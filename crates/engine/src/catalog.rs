@@ -248,8 +248,8 @@ impl Catalog {
     }
 
     /// Opens the artifact at `path` as `name` through
-    /// [`QueryService::open`], which builds no table, remembering the
-    /// path so [`Catalog::reload_from_source`] can hot-swap it later.
+    /// [`QueryService::open`], remembering the path so
+    /// [`Catalog::reload_from_source`] can hot-swap it later.
     ///
     /// # Errors
     ///

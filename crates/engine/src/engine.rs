@@ -2,16 +2,14 @@
 //! from one release without rescanning it.
 //!
 //! Construction pays the preprocessing once — the personal-group keys and
-//! SA histograms of the published table (the engine keeps only keys and
-//! histograms, the per-group reconstruction substrate; a direct-addressable
-//! key space builds them in one pass with no member row lists), plus
-//! per-`(NA attribute, code)` selection bitmaps over the group keys.
-//! Since an answer needs nothing of a release but those histograms, and a
-//! saved artifact stores exactly those, one line per personal group,
-//! [`QueryEngine::open`], the open `rpctl serve` and `rpctl query` run,
-//! reads them straight into the grouped view and never builds the table;
-//! [`QueryEngine::new`] builds the same engine from a loaded
-//! [`Publication`]. The
+//! SA histograms of the release, plus per-`(NA attribute, code)` selection
+//! bitmaps over the group keys. An answer needs nothing of a release but
+//! those histograms, and a [`Publication`] holds exactly those, as a saved
+//! artifact does, so [`QueryEngine::new`] assembles the grouped view
+//! straight from the publication's groups (a snapshot's live groups added
+//! into their keys first) and never builds a table;
+//! [`QueryEngine::open`], the open `rpctl serve` and `rpctl query` run, is
+//! [`Publication::load`] then [`QueryEngine::new`]. The
 //! histograms are stored SA-major, one contiguous column of group counts
 //! per SA value, beside the marginals of every `(NA attribute, code)`
 //! and of the whole release. A query that pins at most one NA column
@@ -47,7 +45,7 @@ use rp_core::mle::reconstruct_frequency;
 use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
 use rp_table::{AttrId, CountQuery, Schema, TableError, Term};
 
-use crate::publication::{read_artifact, Header, Publication, PublicationError};
+use crate::publication::{Publication, PublicationError};
 
 /// Confidence level of every answer's interval.
 const CI_LEVEL: f64 = 0.95;
@@ -343,43 +341,36 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Builds the engine from a release: one pass over the published
-    /// table keeps each personal group's key and SA histogram, and nothing
-    /// else of the table; the condition index is built over its schema.
+    /// Builds the engine from a release: its groups, sorted keys with
+    /// their published SA histograms, are assembled into the grouped
+    /// view as the publication holds them, with a snapshot's live groups
+    /// first added into their keys; the condition index is built over its
+    /// schema.
     pub fn new(publication: &Publication) -> Self {
         let spec = publication.spec();
-        let view = GroupedView::from_table(publication.table(), &spec);
+        let merged;
+        let groups = match publication.live() {
+            None => publication.groups(),
+            Some(live) => {
+                let live = live.groups.iter().map(|state| &state.group);
+                merged = publication
+                    .groups()
+                    .merged(live.map(|g| (&g.key[..], &g.published_hist[..])));
+                &merged
+            }
+        };
+        let view = GroupedView::assemble(&spec, groups);
         Self::over_view(publication.schema(), &spec, publication.p(), view)
     }
 
-    /// Opens a saved release straight into an engine, building no table:
-    /// the artifact's group lines, sorted keys with their published SA
-    /// histograms, are assembled into the grouped view as they are read,
-    /// and a snapshot's live groups are first added into their keys. The
-    /// engine equals `QueryEngine::new(&Publication::load(r)?)`, and the
-    /// two reads share every check, so a bad artifact fails with the
-    /// same error and line.
+    /// Opens a saved release straight into an engine:
+    /// `QueryEngine::new(&Publication::load(r)?)`.
     ///
     /// # Errors
     ///
     /// As [`Publication::load`].
     pub fn open<R: BufRead>(r: R) -> Result<Self, PublicationError> {
-        Self::open_release(r).map(|(engine, _)| engine)
-    }
-
-    /// [`QueryEngine::open`], with the artifact's header.
-    pub(crate) fn open_release<R: BufRead>(r: R) -> Result<(Self, Header), PublicationError> {
-        let (header, mut groups, live) = read_artifact(r)?;
-        if let Some(live) = &live {
-            let live = live.groups.iter().map(|state| &state.group);
-            groups = groups.merged(live.map(|g| (&g.key[..], &g.published_hist[..])));
-        }
-        let spec = SaSpec::for_schema(&header.schema, header.sa);
-        let view = GroupedView::assemble(&spec, &groups);
-        Ok((
-            Self::over_view(&header.schema, &spec, header.p, view),
-            header,
-        ))
+        Ok(Self::new(&Publication::load(r)?))
     }
 
     fn over_view(schema: &Schema, spec: &SaSpec, p: f64, view: GroupedView) -> Self {
@@ -703,7 +694,7 @@ mod tests {
             CountQuery::new(vec![(0, 1), (1, 1)], 2, 1).unwrap(),
             CountQuery::new(vec![], 2, 3).unwrap(),
         ] {
-            let scan = estimate_by_scan(publication.table(), &q, publication.p());
+            let scan = estimate_by_scan(&publication.table(), &q, publication.p());
             let a = engine.answer(&q).unwrap();
             assert!((a.estimate - scan).abs() < 1e-9, "{a:?} vs {scan}");
         }

@@ -8,14 +8,15 @@
 //!
 //! * [`Publisher`] — a builder that runs personal grouping, the
 //!   Equation-10 design check and SPS in one `publish()` call;
-//! * [`Publication`] — the published table bundled with its schema, the
-//!   retention probability `p`, the `(λ, δ)` parameters, the SPS run
-//!   counters and the seed, (de)serializable to a line-oriented on-disk
-//!   format ([`Publication::save`] / [`Publication::load`]);
+//! * [`Publication`] — the published personal groups, each its key and
+//!   published SA histogram, bundled with the schema, the retention
+//!   probability `p`, the `(λ, δ)` parameters, the SPS run counters and
+//!   the seed, (de)serializable to a line-oriented on-disk format of one
+//!   line per group ([`Publication::save`] / [`Publication::load`]);
 //! * [`QueryEngine`] — a long-lived answering service built from a
-//!   release, or opened straight from a saved one with no table built
-//!   ([`QueryEngine::open`]): per-group SA histograms, key bitmaps and
-//!   marginals are built at construction, with a condition index over
+//!   release's groups with no table built ([`QueryEngine::new`], or
+//!   [`QueryEngine::open`] over a saved one): per-group SA histograms, key
+//!   bitmaps and marginals are built at construction, with a condition index over
 //!   every `(column, value)`
 //!   pair of the schema, so a query's text resolves in one probe per
 //!   condition and single queries, batches and whole Section-6 pools are

@@ -1,5 +1,5 @@
-//! The [`Publication`] artifact: a published table bundled with everything
-//! needed to answer queries on it correctly.
+//! The [`Publication`] artifact: a release's personal groups bundled with
+//! everything needed to answer queries on them correctly.
 //!
 //! The paper's workflow is *publish once, answer many count queries*
 //! (Section 6: `est = |S*| · F′`). Answering requires more than the
@@ -12,20 +12,17 @@
 //!
 //! Every record of a personal group carries the group's key, and SPS
 //! publishes a group as one run per SA value, so a release is fully
-//! described by each group's published SA histogram. The artifact stores
-//! exactly that: one line per non-empty personal group, its key codes then
-//! its `m` counts, in strictly increasing key order. One reader,
-//! `read_artifact`, checks the header, the group lines and a snapshot's
-//! live section, and returns the sorted keys and histograms. The serving
-//! open ([`crate::QueryEngine::open`]) assembles them into the grouped
-//! view and builds no table; [`Publication::load`] expands them back into
-//! the table's rows, group by group in key order and each group's SA
-//! values in code order, the row order [`crate::Publisher`] and
-//! [`crate::stream::StreamPublisher::snapshot`] produce. So both read every
-//! artifact with the same checks, messages and line numbers, and every
-//! artifact the system writes loads back into an equal `Publication`.
+//! described by each group's published SA histogram. A `Publication`
+//! holds exactly that, in memory as on disk: its base groups as one
+//! [`GroupHistograms`] (sorted keys and their histograms in two flat
+//! buffers), plus a snapshot's live groups. The artifact stores one line
+//! per non-empty personal group, its key codes then its `m` counts, in
+//! strictly increasing key order; [`Publication::load`] reads those lines
+//! straight back into the flat buffers and [`Publication::save`] writes
+//! them out, with no table in between. [`crate::QueryEngine::new`]
+//! assembles its grouped view from the same buffers. The one place a
+//! release becomes records again is [`Publication::table`].
 
-use std::collections::TryReserveError;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
@@ -35,7 +32,7 @@ use rp_core::groups::SaSpec;
 use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::privacy::PrivacyParams;
 use rp_core::sps::SpsStats;
-use rp_table::{group_histograms, AttrId, GroupHistograms, Schema, Table, TableBuilder};
+use rp_table::{AttrId, GroupHistograms, Schema, Table, TableBuilder};
 
 use crate::codec::{
     parse_code, put_u64, read_params, read_schema, write_params, write_schema, Lines,
@@ -255,8 +252,8 @@ fn count_rows<'a>(mut counts: impl Iterator<Item = &'a u64>) -> Option<u64> {
 /// releases share one artifact format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveState {
-    /// Rows of [`Publication::table`] that belong to the immutable batch
-    /// base; the remaining rows are materialized from the live groups.
+    /// Records of the immutable batch base, the records its groups hold;
+    /// the live groups' published histograms hold the rest.
     pub base_rows: usize,
     /// Sequence number of the last WAL event this snapshot covers;
     /// restore replays only events after it.
@@ -269,19 +266,21 @@ pub struct LiveState {
     pub groups: Vec<GroupState>,
 }
 
-/// A reconstruction-private release: the published table `D*₂` plus the
-/// metadata required to audit it and to answer count queries from it.
+/// A reconstruction-private release: the personal groups of the published
+/// table `D*₂`, each its key and published SA histogram, plus the metadata
+/// required to audit it and to answer count queries from it.
 ///
 /// Build one with [`crate::Publisher`], persist it with
 /// [`Publication::save`], and answer from it with [`crate::QueryEngine`].
 /// A snapshot of the streaming path additionally carries a [`LiveState`]
 /// extension (the artifact's `live` section) from which
-/// [`crate::stream::StreamPublisher`] resumes; batch consumers can ignore
-/// it — the [`Publication::table`] already includes the rows
-/// materialized from the live groups.
+/// [`crate::stream::StreamPublisher`] resumes; its live groups are part of
+/// the release ([`Publication::records`], [`Publication::table`] and the
+/// engine count them), its [`Publication::groups`] are the base's alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Publication {
-    table: Table,
+    schema: Schema,
+    groups: GroupHistograms,
     sa: AttrId,
     p: f64,
     params: PrivacyParams,
@@ -292,22 +291,25 @@ pub struct Publication {
 }
 
 impl Publication {
-    /// Assembles a publication from its parts. Intended for
-    /// [`crate::Publisher`] and deserialization; answering code should not
-    /// need it.
-    ///
-    /// A saved release keeps each personal group's published SA histogram,
-    /// not its rows ([`Publication::save`]), so it loads back in
-    /// key-then-SA order: a `table` in another row order loads back
-    /// reordered, as an unequal `Publication` with the same groups.
+    /// Assembles a publication from its parts: the published `schema` and
+    /// its base `groups`, keyed over every attribute but `sa` in schema
+    /// order. Intended for [`crate::Publisher`] and deserialization;
+    /// answering code should not need it. A table groups into its parts
+    /// through [`rp_table::group_histograms`].
     ///
     /// # Panics
     ///
-    /// Panics if `sa` is out of range for the table's schema, or if the
-    /// schema has no public attribute besides it (a release is stored as
-    /// its personal groups, which the public attributes key).
+    /// Panics if `sa` is out of range for `schema`, if the schema has no
+    /// public attribute besides it (a release is stored as its personal
+    /// groups, which the public attributes key), or if a group is not a
+    /// personal group of the schema: a key of the wrong width or out of
+    /// key order, or a histogram of the wrong arity or with no record.
+    // One argument per part of a release; a parameter struct would only
+    // restate the publication.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
-        table: Table,
+        schema: Schema,
+        groups: GroupHistograms,
         sa: AttrId,
         p: f64,
         params: PrivacyParams,
@@ -315,14 +317,29 @@ impl Publication {
         stats: SpsStats,
         check: DesignCheck,
     ) -> Self {
-        let arity = table.schema().arity();
+        let arity = schema.arity();
         assert!(
             sa < arity,
             "SA attribute {sa} out of range for arity {arity}"
         );
         assert!(arity >= 2, "need at least one public attribute besides SA");
+        let m = schema.attribute(sa).domain_size();
+        let mut after: Option<&[u32]> = None;
+        for (key, hist) in groups.iter() {
+            assert!(
+                key.len() == arity - 1 && hist.len() == m,
+                "group shape {}+{} is not {}+{m}",
+                key.len(),
+                hist.len(),
+                arity - 1
+            );
+            assert!(after < Some(key), "group keys must be strictly increasing");
+            assert!(hist.iter().any(|&c| c > 0), "group {key:?} holds no record");
+            after = Some(key);
+        }
         Self {
-            table,
+            schema,
+            groups,
             sa,
             p,
             params,
@@ -338,19 +355,13 @@ impl Publication {
     ///
     /// # Panics
     ///
-    /// Panics if `live.base_rows` exceeds the table's row count or the
-    /// live published histograms do not sum to the non-base rows.
+    /// Panics if `live.base_rows` is not the number of records the base
+    /// groups hold.
     pub fn with_live(mut self, live: LiveState) -> Self {
-        let live_rows: u64 = live
-            .groups
-            .iter()
-            .flat_map(|g| &g.group.published_hist)
-            .sum();
         assert_eq!(
-            (self.table.rows() as u64).checked_sub(live.base_rows as u64),
-            Some(live_rows),
-            "live published histograms must account for every row past base_rows {}",
-            live.base_rows
+            live.base_rows as u64,
+            self.base_records(),
+            "live base_rows must count the base groups' records"
         );
         self.live = Some(live);
         self
@@ -361,14 +372,59 @@ impl Publication {
         self.live.as_ref()
     }
 
-    /// The published table `D*₂`.
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// The base release's personal groups: sorted keys over the public
+    /// attributes in schema order, each with its published SA histogram.
+    /// A snapshot's live groups are in its [`Publication::live`] section.
+    pub fn groups(&self) -> &GroupHistograms {
+        &self.groups
+    }
+
+    /// The published table `D*₂`, expanded from the groups: the base
+    /// groups, then a snapshot's live groups, each in key order and each
+    /// group's records in SA code order ([`TableBuilder::push_group`]),
+    /// the row order [`crate::Publisher`] emits. Serving needs only the
+    /// groups; this is for consumers of records (a CSV export, a scan).
+    pub fn table(&self) -> Table {
+        let mut builder = TableBuilder::with_capacity(self.schema.clone(), self.records() as usize);
+        let live = self.live.iter().flat_map(|l| &l.groups);
+        let live = live.map(|g| (&g.group.key[..], &g.group.published_hist[..]));
+        for (key, hist) in self.groups.iter().chain(live) {
+            builder
+                .push_group(key, self.sa, hist)
+                .expect("group codes are in their domains");
+        }
+        builder.build()
+    }
+
+    /// Records in the release: the base groups' and a snapshot's live
+    /// groups'.
+    pub fn records(&self) -> u64 {
+        let live = self.live.iter().flat_map(|l| &l.groups);
+        self.base_records() + live.flat_map(|g| &g.group.published_hist).sum::<u64>()
+    }
+
+    /// Records the base groups hold.
+    fn base_records(&self) -> u64 {
+        self.groups.iter().flat_map(|(_, hist)| hist).sum()
+    }
+
+    /// Takes the live section off a snapshot, leaving its base release.
+    /// Intended for [`crate::stream::StreamPublisher`].
+    pub(crate) fn take_live(&mut self) -> Option<LiveState> {
+        self.live.take()
+    }
+
+    /// The release with `stats` as its SPS counters. Intended for
+    /// [`crate::stream::StreamPublisher`], whose counters a snapshot
+    /// extends and a resumed base rolls back.
+    pub(crate) fn with_stats(mut self, stats: SpsStats) -> Self {
+        self.stats = stats;
+        self
     }
 
     /// The published schema (generalized public attributes + SA).
     pub fn schema(&self) -> &Schema {
-        self.table.schema()
+        &self.schema
     }
 
     /// The sensitive attribute index.
@@ -409,7 +465,7 @@ impl Publication {
 
     /// The SA/NA split of the published schema.
     pub fn spec(&self) -> SaSpec {
-        SaSpec::new(&self.table, self.sa)
+        SaSpec::for_schema(&self.schema, self.sa)
     }
 
     /// Serializes the publication to its on-disk format.
@@ -421,17 +477,10 @@ impl Publication {
     /// base release in strictly increasing key order — its key codes
     /// (every public attribute, in schema order), then its `m` published
     /// SA counts. A snapshot appends a `live` header and one `lgroup` line
-    /// per live group; its group lines hold the base rows alone, and
-    /// `rows` counts base and live records. Identical publications
-    /// serialize to identical bytes, so `save ∘ load` is the identity on
-    /// files.
-    ///
-    /// What is saved is the groups, not the rows: the row order of the
-    /// table is not kept, and a snapshot's rows past its `base_rows` are
-    /// not written, its live groups' published histograms standing for
-    /// them. So `load ∘ save` is the identity on publications whose rows
-    /// are in key-then-SA order, base groups then live groups, as every
-    /// [`crate::Publisher`] output and stream snapshot is.
+    /// per live group; its group lines hold the base groups alone, and
+    /// `rows` counts base and live records. The lines are the groups the
+    /// publication holds, so `save ∘ load` is the identity on files and
+    /// `load ∘ save` the identity on publications.
     ///
     /// ```text
     /// rp-publication v3
@@ -448,7 +497,6 @@ impl Publication {
     /// Returns an error on I/O failure or if an attribute name or domain
     /// value contains a tab or newline (unrepresentable in the format).
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), PublicationError> {
-        let schema = self.table.schema();
         writeln!(w, "{MAGIC}")?;
         writeln!(w, "sa\t{}", self.sa)?;
         write_params(&mut w, self.p, self.params)?;
@@ -470,20 +518,11 @@ impl Publication {
             self.check.total_records,
             self.check.violating_records
         )?;
-        write_schema(&mut w, schema)?;
-        writeln!(w, "rows\t{}", self.table.rows())?;
-        let head;
-        let base = match &self.live {
-            Some(live) => {
-                head = self.table.head(live.base_rows);
-                &head
-            }
-            None => &self.table,
-        };
-        let groups = group_histograms(base, self.spec().na(), self.sa);
-        writeln!(w, "groups\t{}", groups.len())?;
+        write_schema(&mut w, &self.schema)?;
+        writeln!(w, "rows\t{}", self.records())?;
+        writeln!(w, "groups\t{}", self.groups.len())?;
         let mut line = String::new();
-        for (key, hist) in groups.iter() {
+        for (key, hist) in self.groups.iter() {
             line.clear();
             for field in key
                 .iter()
@@ -526,32 +565,55 @@ impl Publication {
         crate::fsutil::write_atomic(path.as_ref(), |w| self.save(w))
     }
 
-    /// Deserializes a publication from the on-disk format, expanding each
-    /// group line into its records: the base groups, then a snapshot's
-    /// live groups, each in key order and each group's records in SA code
-    /// order. This builds the whole table; serving needs only the groups
-    /// ([`crate::QueryEngine::open`]).
+    /// Deserializes a publication from the on-disk format. The group
+    /// lines are parsed into the two flat buffers of the publication's
+    /// [`GroupHistograms`], with no allocation per group and none per
+    /// record: the declared `rows` is checked against the counts, never
+    /// allocated for.
     ///
     /// # Errors
     ///
     /// Returns an error on I/O failure or any structural problem (bad or
     /// retired magic, missing fields, malformed numbers, out-of-domain or
     /// unsorted keys, counts that do not add up, an inconsistent live
-    /// section), or if the table cannot be allocated for the declared
-    /// rows (reported at the `rows` line).
+    /// section).
     pub fn load<R: BufRead>(r: R) -> Result<Self, PublicationError> {
-        let (header, groups, live) = read_artifact(r)?;
-        let live_groups = live.as_ref().map_or(&[][..], |l| &l.groups);
-        let table =
-            expand(&header.schema, header.sa, header.rows, &groups, live_groups).map_err(|e| {
-                PublicationError::Format {
-                    line: header.rows_line,
-                    message: format!("cannot allocate the {} declared rows: {e}", header.rows),
-                }
-            })?;
+        let mut lines = Lines::new(r);
+        let header = read_header(&mut lines)?;
+        let (schema, sa) = (&header.schema, header.sa);
+        let (k, m) = (schema.arity() - 1, schema.attribute(sa).domain_size());
+        // Like the row count, the group count is untrusted: cap the
+        // pre-allocation at about 2^20 fields; real groups past it still load.
+        let reserve = header.groups.min((1 << 20) / (k + m));
+        let mut groups = GroupHistograms::with_capacity(k, m, reserve);
+        let (mut key, mut hist) = (Vec::with_capacity(k), Vec::with_capacity(m));
+        for g in 0..header.groups {
+            let after = g.checked_sub(1).map(|last| groups.key(last));
+            parse_group_line(lines.next_line()?, schema, sa, after, (&mut key, &mut hist))
+                .map_err(|message| lines.err(message))?;
+            groups.push(&key, &hist);
+        }
+        let base_rows = count_rows(groups.iter().flat_map(|(_, hist)| hist));
+        let base_rows = base_rows.ok_or_else(|| lines.err("group counts overflow u64".into()))?;
+        let live = match lines.at_eof()? {
+            true => None,
+            false => Some(read_live(&mut lines, &header, base_rows)?),
+        };
+        let live_counts = live
+            .iter()
+            .flat_map(|l| &l.groups)
+            .flat_map(|g| &g.group.published_hist);
+        let rows = count_rows(live_counts).and_then(|live_rows| live_rows.checked_add(base_rows));
+        if rows != Some(header.rows as u64) {
+            let held = rows.map_or("more than u64::MAX".to_string(), |rows| rows.to_string());
+            let (line, declared) = (header.rows_line, header.rows);
+            let message = format!("the groups hold {held} rows but `rows` declares {declared}");
+            return Err(PublicationError::Format { line, message });
+        }
         Ok(Self {
-            table,
-            sa: header.sa,
+            schema: header.schema,
+            groups,
+            sa,
             p: header.p,
             params: header.params,
             seed: header.seed,
@@ -572,100 +634,26 @@ impl Publication {
     }
 }
 
-/// The table of a release's records: the `base` groups, then the `live`
-/// groups, each in key order and each group's records in SA code order
-/// ([`TableBuilder::push_group`]), `rows` rows in all.
-///
-/// # Errors
-///
-/// Fails, before it fills anything, if the columns cannot be allocated
-/// for `rows` rows. A loaded artifact's row count is untrusted: a few
-/// bytes of group line can declare any count, so an absurd one must fail
-/// cleanly, not abort the process.
-pub(crate) fn expand(
-    schema: &Schema,
-    sa: AttrId,
-    rows: usize,
-    base: &GroupHistograms,
-    live: &[GroupState],
-) -> Result<Table, TryReserveError> {
-    let mut builder = TableBuilder::with_capacity(schema.clone(), rows.min(1 << 20));
-    builder.try_reserve_exact(rows)?;
-    let live = live
-        .iter()
-        .map(|g| (&g.group.key[..], &g.group.published_hist[..]));
-    for (key, hist) in base.iter().chain(live) {
-        builder
-            .push_group(key, sa, hist)
-            .expect("group codes are in their domains");
-    }
-    Ok(builder.build())
-}
-
 const MAGIC: &str = "rp-publication v3";
 
 /// The magics of the record-row formats this one replaced.
 const RETIRED_MAGICS: [&str; 2] = ["rp-publication v1", "rp-publication v2"];
 
 /// An artifact's header: every line before its group lines, checked.
-pub(crate) struct Header {
-    pub(crate) sa: AttrId,
-    pub(crate) p: f64,
-    pub(crate) params: PrivacyParams,
-    pub(crate) seed: u64,
+struct Header {
+    sa: AttrId,
+    p: f64,
+    params: PrivacyParams,
+    seed: u64,
     stats: SpsStats,
     check: DesignCheck,
-    pub(crate) schema: Schema,
+    schema: Schema,
     /// The declared record count, base and live.
     rows: usize,
     /// The line number of the `rows` line.
     rows_line: usize,
     /// The declared number of group lines.
     groups: usize,
-}
-
-/// Reads an artifact from `r`: its header, its base groups, a snapshot's
-/// live section and the end of input. [`Publication::load`] and the
-/// serving open ([`crate::QueryEngine::open`]) both read through it, so
-/// they share every check, message and line number. The group lines are
-/// parsed into the two flat buffers of a [`GroupHistograms`], with no
-/// allocation per group.
-pub(crate) fn read_artifact<R: BufRead>(
-    r: R,
-) -> Result<(Header, GroupHistograms, Option<LiveState>), PublicationError> {
-    let mut lines = Lines::new(r);
-    let header = read_header(&mut lines)?;
-    let (schema, sa) = (&header.schema, header.sa);
-    let (k, m) = (schema.arity() - 1, schema.attribute(sa).domain_size());
-    // Like the row count, the group count is untrusted: cap the
-    // pre-allocation at about 2^20 fields; real groups past it still load.
-    let reserve = header.groups.min((1 << 20) / (k + m));
-    let mut groups = GroupHistograms::with_capacity(k, m, reserve);
-    let (mut key, mut hist) = (Vec::with_capacity(k), Vec::with_capacity(m));
-    for g in 0..header.groups {
-        let after = g.checked_sub(1).map(|last| groups.key(last));
-        parse_group_line(lines.next_line()?, schema, sa, after, (&mut key, &mut hist))
-            .map_err(|message| lines.err(message))?;
-        groups.push(&key, &hist);
-    }
-    let base_rows = count_rows(groups.iter().flat_map(|(_, hist)| hist));
-    let base_rows = base_rows.ok_or_else(|| lines.err("group counts overflow u64".into()))?;
-    let live = match lines.at_eof()? {
-        true => None,
-        false => Some(read_live(&mut lines, &header, base_rows)?),
-    };
-    let live_counts = live
-        .iter()
-        .flat_map(|l| &l.groups)
-        .flat_map(|g| &g.group.published_hist);
-    let rows = count_rows(live_counts).and_then(|live_rows| live_rows.checked_add(base_rows));
-    if rows != Some(header.rows as u64) {
-        let held = rows.map_or("more than u64::MAX".to_string(), |rows| rows.to_string());
-        let (line, declared) = (header.rows_line, header.rows);
-        let message = format!("the groups hold {held} rows but `rows` declares {declared}");
-        return Err(PublicationError::Format { line, message });
-    }
-    Ok((header, groups, live))
 }
 
 fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, PublicationError> {
@@ -832,15 +820,21 @@ mod tests {
     use super::*;
     use rp_table::Attribute;
 
-    /// A table of `rows` over `schema`, pushed in sorted order: the row
-    /// order a saved release loads back in.
-    fn sorted_table(schema: Schema, mut rows: Vec<Vec<u32>>) -> Table {
-        rows.sort();
-        let mut b = TableBuilder::new(schema);
-        for row in &rows {
-            b.push_codes(row).unwrap();
+    /// The personal groups of `rows` over `schema`, with SA `sa`, grouped
+    /// through an ordered map.
+    fn groups_of(schema: &Schema, sa: AttrId, rows: &[Vec<u32>]) -> GroupHistograms {
+        let m = schema.attribute(sa).domain_size();
+        let mut by_key = std::collections::BTreeMap::new();
+        for row in rows {
+            let mut key = row.clone();
+            let value = key.remove(sa);
+            by_key.entry(key).or_insert_with(|| vec![0u64; m])[value as usize] += 1;
         }
-        b.build()
+        let mut groups = GroupHistograms::with_capacity(schema.arity() - 1, m, by_key.len());
+        for (key, hist) in &by_key {
+            groups.push(key, hist);
+        }
+        groups
     }
 
     fn demo_publication() -> Publication {
@@ -848,9 +842,10 @@ mod tests {
             Attribute::new("Gender", ["male", "female"]),
             Attribute::new("Disease", ["flu", "hiv", "none"]),
         ]);
-        let rows = (0..50u32).map(|i| vec![i % 2, i % 3]).collect();
+        let rows: Vec<Vec<u32>> = (0..50u32).map(|i| vec![i % 2, i % 3]).collect();
         Publication::from_parts(
-            sorted_table(schema, rows),
+            schema.clone(),
+            groups_of(&schema, 1, &rows),
             1,
             0.5,
             PrivacyParams::new(0.3, 0.3),
@@ -982,18 +977,15 @@ mod tests {
         );
     }
 
-    /// Huge claimed row and group counts fail with a clean error, not an
-    /// allocation abort: the rows never match the group lines, the groups
-    /// run out, or, where the group lines do hold the declared rows, the
-    /// columns cannot be reserved for them, before any row is written.
+    /// Huge claimed row and group counts never allocate for what they
+    /// claim: the rows never match the group lines, or the groups run
+    /// out, with a clean error; and where the group lines do hold the
+    /// declared rows, the release loads, holding them as counts, and
+    /// saves back to the same bytes.
     #[test]
     fn load_caps_preallocation_from_untrusted_row_count() {
         let bytes = saved(&demo_publication());
         let max = u64::MAX;
-        let (half, peta) = (max / 2, 1_000_000_000_000_000u64);
-        let overflow = "memory allocation failed because the computed capacity exceeded \
-                        the collection's maximum";
-        let refused = "memory allocation failed because the memory allocator returned an error";
         for (edits, want) in [
             (
                 vec![(12, format!("rows\t{max}"))],
@@ -1003,27 +995,20 @@ mod tests {
                 vec![(13, format!("groups\t{max}"))],
                 "line 16: unexpected end of input".to_string(),
             ),
-            // The second group line holds 25 rows: both artifacts add up.
-            (
-                vec![
-                    (12, format!("rows\t{half}")),
-                    (14, format!("0\t{}\t0\t0", half - 25)),
-                ],
-                format!("line 12: cannot allocate the {half} declared rows: {overflow}"),
-            ),
-            (
-                vec![
-                    (12, format!("rows\t{peta}")),
-                    (14, format!("0\t{}\t0\t0", peta - 25)),
-                ],
-                format!("line 12: cannot allocate the {peta} declared rows: {refused}"),
-            ),
         ] {
             let edits: Vec<(usize, &[u8])> =
                 edits.iter().map(|(n, e)| (*n, e.as_bytes())).collect();
             let broken = with_lines(&bytes, &edits);
             let err = Publication::load(&broken[..]).unwrap_err();
             assert_eq!(err.to_string(), want);
+        }
+        // The second group line holds 25 rows: both artifacts add up.
+        for rows in [max / 2, 1_000_000_000_000_000] {
+            let (declared, group) = (format!("rows\t{rows}"), format!("0\t{}\t0\t0", rows - 25));
+            let huge = with_lines(&bytes, &[(12, declared.as_bytes()), (14, group.as_bytes())]);
+            let loaded = Publication::load(&huge[..]).unwrap();
+            assert_eq!(loaded.records(), rows);
+            assert_eq!(saved(&loaded), huge);
         }
     }
 
@@ -1130,7 +1115,7 @@ mod tests {
         }
     }
 
-    /// Forms `str::parse` accepts keep loading as the same table: a
+    /// Forms `str::parse` accepts keep loading as the same release: a
     /// leading `+` and leading zeros in a group line, CRLF endings, a
     /// missing final newline.
     #[test]
@@ -1193,8 +1178,7 @@ mod tests {
                 .collect(),
         );
         let sa = rng.gen_range(0..arity);
-        // Sorted by key, then SA code: the row order of a saved release.
-        let mut rows: Vec<Vec<u32>> = (0..rng.gen_range(0..200))
+        let rows: Vec<Vec<u32>> = (0..rng.gen_range(0..200))
             .map(|_| {
                 domains
                     .iter()
@@ -1202,17 +1186,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        rows.sort_by_key(|row| {
-            let mut key = row.clone();
-            key.remove(sa);
-            (key, row[sa])
-        });
-        let mut b = TableBuilder::new(schema);
-        for row in &rows {
-            b.push_codes(row).unwrap();
-        }
         Publication::from_parts(
-            b.build(),
+            schema.clone(),
+            groups_of(&schema, sa, &rows),
             sa,
             0.5,
             PrivacyParams::new(0.3, 0.3),
@@ -1241,9 +1217,9 @@ mod tests {
             Attribute::new("A", ["x\ty"]),
             Attribute::new("B", ["u", "v"]),
         ]);
-        let t = TableBuilder::new(schema).build();
         let p = Publication::from_parts(
-            t,
+            schema,
+            GroupHistograms::with_capacity(1, 2, 0),
             1,
             0.5,
             PrivacyParams::new(0.3, 0.3),
@@ -1258,18 +1234,9 @@ mod tests {
         ));
     }
 
-    /// A snapshot: the 50 base rows plus two live groups materialized as
-    /// 5 extra rows.
+    /// A snapshot: the 50 base records plus two live groups holding 5.
     fn demo_v2_publication() -> Publication {
         let base = demo_publication();
-        let mut b = TableBuilder::new(base.schema().clone());
-        for r in 0..50 {
-            b.push_codes(&base.table().row(r).unwrap()).unwrap();
-        }
-        // Materialized live rows, sorted by (key, sa).
-        for codes in [[0, 0], [0, 0], [0, 2], [1, 1], [1, 1]] {
-            b.push_codes(&codes).unwrap();
-        }
         let live = LiveState {
             base_rows: 50,
             wal_seq: 7,
@@ -1299,7 +1266,8 @@ mod tests {
             ],
         };
         Publication::from_parts(
-            b.build(),
+            base.schema().clone(),
+            base.groups().clone(),
             1,
             0.5,
             PrivacyParams::new(0.3, 0.3),
@@ -1310,8 +1278,8 @@ mod tests {
         .with_live(live)
     }
 
-    /// A snapshot's group lines hold its base rows alone: its live rows
-    /// are in its `lgroup` lines and are not written twice.
+    /// A snapshot's group lines hold its base groups alone: its live
+    /// groups are in its `lgroup` lines and are not written twice.
     #[test]
     fn v2_save_load_round_trips_value_and_bytes() {
         let p = demo_v2_publication();
@@ -1403,6 +1371,41 @@ mod tests {
             .replace("PLACEHOLDER", &g1);
         let err = Publication::load(swapped.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("strictly increasing"), "{err}");
+    }
+
+    /// The one expansion of a release into records: base groups, then
+    /// live groups, each in key order and each group's records in SA
+    /// code order.
+    #[test]
+    fn table_expands_base_then_live_groups_in_key_then_sa_order() {
+        let snapshot = demo_v2_publication();
+        let table = snapshot.table();
+        assert_eq!(table.rows() as u64, snapshot.records());
+        let rows: Vec<Vec<u32>> = (0..table.rows()).map(|r| table.row(r).unwrap()).collect();
+        let mut want = Vec::new();
+        for (key, hist) in [
+            (0, [9, 8, 8]),
+            (1, [8, 9, 8]),
+            (0, [2, 0, 1]),
+            (1, [0, 2, 0]),
+        ] {
+            for (sa, &count) in (0u32..).zip(&hist) {
+                want.extend(std::iter::repeat_n(vec![key, sa], count));
+            }
+        }
+        assert_eq!(rows, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_parts_refuses_groups_out_of_key_order() {
+        let schema = demo_publication().schema().clone();
+        let mut groups = GroupHistograms::with_capacity(1, 3, 2);
+        groups.push(&[1], &[1, 0, 0]);
+        groups.push(&[0], &[1, 0, 0]);
+        let params = PrivacyParams::new(0.3, 0.3);
+        let (stats, check) = (SpsStats::default(), DesignCheck::default());
+        Publication::from_parts(schema, groups, 1, 0.5, params, 0, stats, check);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! runs the paper's enforcement pipeline — personal grouping (Section 3.2),
 //! the Equation-10 design check (Corollary 4), and SPS (Section 5) — and
-//! returns the published table bundled with every parameter a query side
-//! needs. Unlike the free functions in `rp-core`, the builder validates all
-//! parameters up front and returns typed errors instead of panicking.
+//! returns the published personal groups, each its key and published SA
+//! histogram, bundled with every parameter a query side needs. Unlike the
+//! free functions in `rp-core`, the builder validates all parameters up
+//! front and returns typed errors instead of panicking.
 
 use std::fmt;
 
@@ -17,8 +18,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::{check_groups, PrivacyParams};
-use rp_core::sps::{sps, SpsConfig};
-use rp_table::{AttrId, Table, TableError};
+use rp_core::sps::{sps_groups, SpsConfig};
+use rp_table::{AttrId, GroupHistograms, Table, TableError};
 
 use crate::publication::{DesignCheck, Publication};
 
@@ -150,14 +151,21 @@ impl Publisher {
             violating_records: report.violating_records,
         };
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let out = sps(
-            &mut rng,
-            &self.table,
-            &groups,
-            SpsConfig { p: self.p, params },
-        );
+        let config = SpsConfig { p: self.p, params };
+        let mut published =
+            GroupHistograms::with_capacity(groups.spec().na().len(), m, groups.len());
+        let stats = sps_groups(&mut rng, &groups, config, |key, hist| {
+            published.push(key, hist);
+        });
         Ok(Publication::from_parts(
-            out.table, sa, self.p, params, self.seed, out.stats, check,
+            self.table.schema().clone(),
+            published,
+            sa,
+            self.p,
+            params,
+            self.seed,
+            stats,
+            check,
         ))
     }
 }
@@ -227,7 +235,7 @@ impl From<TableError> for PublishError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_core::sps::uniform_perturb;
+    use rp_core::sps::{sps, uniform_perturb};
     use rp_table::{Attribute, Schema, TableBuilder};
 
     fn demo_table() -> Table {
@@ -268,7 +276,7 @@ mod tests {
                 params: PrivacyParams::new(0.3, 0.3),
             },
         );
-        assert_eq!(publication.table(), &out.table);
+        assert_eq!(publication.table(), out.table);
         assert_eq!(publication.stats(), out.stats);
         assert_eq!(publication.seed(), 77);
         assert!(!publication.check().is_private(), "big group violates");

@@ -324,17 +324,14 @@ impl QueryService {
         )
     }
 
-    /// Opens a saved release as a static service through
-    /// [`QueryEngine::open`], building no table: the service equals
+    /// Opens a saved release as a static service:
     /// `QueryService::from_publication(&Publication::load(r)?, config)`.
     ///
     /// # Errors
     ///
     /// As [`Publication::load`].
     pub fn open<R: BufRead>(r: R, config: ServiceConfig) -> Result<Self, PublicationError> {
-        let (engine, header) = QueryEngine::open_release(r)?;
-        let release = release_meta(header.params, header.seed);
-        Ok(Self::new(Arc::new(engine), Some(release), config))
+        Ok(Self::from_publication(&Publication::load(r)?, config))
     }
 
     /// The engine answering for this service.

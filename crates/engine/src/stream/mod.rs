@@ -30,11 +30,11 @@
 //!   The live insert path, replay, restore and
 //!   [`compaction`](wal::compact_wal) all go through it, and all persist
 //!   a group as that same record, in the map's order.
-//! * **snapshot/restore** — [`StreamPublisher::snapshot`] materializes
-//!   the whole stream as a snapshot [`Publication`]: base rows + live rows in
-//!   one table (so batch consumers just see a bigger release) plus the
-//!   [`LiveState`] extension to resume from. Restore = load snapshot +
-//!   replay the WAL tail.
+//! * **snapshot/restore** — [`StreamPublisher::snapshot`] captures the
+//!   whole stream as a snapshot [`Publication`]: the base release's groups
+//!   plus the [`LiveState`] extension, whose live groups are part of the
+//!   release (an engine over the snapshot counts them) and hold what the
+//!   stream resumes from. Restore = load snapshot + replay the WAL tail.
 //!
 //! ## The determinism contract, extended to streams
 //!
@@ -101,13 +101,10 @@ use std::path::Path;
 use rp_core::incremental::{GroupStatus, LiveGroup};
 use rp_core::perturb::UniformPerturbation;
 use rp_core::privacy::PrivacyParams;
-use rp_table::{
-    group_histograms, terms_match_key, AttrId, CountQuery, GroupHistograms, Schema, TableError,
-    Term,
-};
+use rp_table::{terms_match_key, AttrId, CountQuery, Schema, TableError, Term};
 
 use crate::fault::{self, FaultHandle};
-use crate::publication::{expand, GroupState, LiveState, Publication, PublicationError};
+use crate::publication::{GroupState, LiveState, Publication, PublicationError};
 use crate::stream::commit::LogManager;
 use crate::stream::rng::GroupRng;
 use crate::stream::wal::{Wal, WalEvent, WalHeader};
@@ -370,11 +367,6 @@ impl LiveGroups {
 #[derive(Debug)]
 pub struct StreamPublisher {
     base: Publication,
-    /// The base release's groups, computed once per open: sorted keys,
-    /// so group counts (and the snapshot's `SpsStats::groups`) count a
-    /// key shared by base and live once, not twice, and the histograms a
-    /// snapshot expands.
-    base_groups: GroupHistograms,
     schema: Schema,
     sa: AttrId,
     /// The public attributes in schema order: the attributes a group key
@@ -459,7 +451,7 @@ impl StreamPublisher {
         let na: Vec<AttrId> = (0..artifact.schema().arity())
             .filter(|&a| a != sa)
             .collect();
-        let (base, base_groups, live_state) = split_artifact(artifact, &na);
+        let (base, live_state) = split_artifact(artifact);
         let schema = base.schema().clone();
         // The last event the artifact's live section covers: `None` when
         // it covers none (no live section, or one taken before the first
@@ -483,7 +475,7 @@ impl StreamPublisher {
             params: base.params(),
             sa,
             schema: schema.clone(),
-            base_rows: base.table().rows(),
+            base_rows: base.records() as usize,
             first_seq: covered.map_or(1, |seq| seq + 1),
         };
         let mut live = LiveGroups::new(&header);
@@ -549,7 +541,6 @@ impl StreamPublisher {
         }
         Ok(Self {
             base,
-            base_groups,
             schema,
             sa,
             na,
@@ -613,7 +604,7 @@ impl StreamPublisher {
     pub fn novel_live_groups(&self) -> usize {
         self.live
             .groups()
-            .filter(|g| !self.base_groups.contains_key(&g.key))
+            .filter(|g| !self.base.groups().contains_key(&g.key))
             .count()
     }
 
@@ -808,41 +799,26 @@ impl StreamPublisher {
         }
     }
 
-    /// Materializes the stream as a snapshot [`Publication`]: the base
-    /// rows plus every live group's published histogram expanded to rows
-    /// (sorted by key, then SA code — the canonical order), with the
-    /// [`LiveState`] extension attached.
+    /// Captures the stream as a snapshot [`Publication`]: the base
+    /// release's groups, with the [`LiveState`] extension holding every
+    /// live group (sorted by key, the canonical order) attached.
     /// A pure function of the stream state: live run, clean-start replay
     /// and snapshot+tail restore all serialize to identical bytes.
     pub fn snapshot(&self) -> Publication {
-        let groups = self.live.states();
-        let base_rows = self.base.table().rows();
-        let live_rows = self.live_records();
-        let rows = base_rows + live_rows as usize;
-        let table = expand(&self.schema, self.sa, rows, &self.base_groups, &groups)
-            .expect("the live rows fit in memory");
+        let base_rows = self.base.records();
         let mut stats = self.base.stats();
         stats.groups += self.novel_live_groups();
         stats.groups_sampled += self.live.republished as usize;
         stats.input_records += self.live.inserted;
-        stats.output_records = base_rows as u64 + live_rows;
+        stats.output_records = base_rows + self.live_records();
         let live = LiveState {
-            base_rows,
+            base_rows: base_rows as usize,
             wal_seq: self.live.seq,
             inserted: self.live.inserted,
             republished: self.live.republished,
-            groups,
+            groups: self.live.states(),
         };
-        Publication::from_parts(
-            table,
-            self.sa,
-            self.base.p(),
-            self.base.params(),
-            self.base.seed(),
-            stats,
-            self.base.check(),
-        )
-        .with_live(live)
+        self.base.clone().with_stats(stats).with_live(live)
     }
 
     /// Snapshots to a file, atomically and durably (temp sibling +
@@ -909,30 +885,22 @@ impl StreamPublisher {
     }
 }
 
-/// An artifact split into its base release, the base's groups and its
-/// live extension.
-type Split = (Publication, GroupHistograms, Option<LiveState>);
-
-/// Splits an artifact into its immutable base publication (table
-/// truncated to the base rows, batch counters rolled back to the base
-/// release), the groups of the base over the public attributes `na`, and
-/// its live extension.
-fn split_artifact(artifact: Publication, na: &[AttrId]) -> Split {
-    let Some(live) = artifact.live().cloned() else {
-        let base_groups = group_histograms(artifact.table(), na, artifact.sa());
-        return (artifact, base_groups, None);
+/// Splits an artifact into its immutable base publication (no live
+/// section, batch counters rolled back to the base release) and its live
+/// extension.
+fn split_artifact(mut artifact: Publication) -> (Publication, Option<LiveState>) {
+    let Some(live) = artifact.take_live() else {
+        return (artifact, None);
     };
-    let base = artifact.table().head(live.base_rows);
     // Roll the stream's contributions back out of the snapshot counters
     // so re-snapshotting reproduces them identically (saturating: a
     // hand-edited artifact must not panic here). The group rollback
     // mirrors `snapshot`: only live groups whose key is absent from the
     // base were counted.
-    let base_groups = group_histograms(&base, na, artifact.sa());
     let novel = live
         .groups
         .iter()
-        .filter(|g| !base_groups.contains_key(&g.group.key))
+        .filter(|g| !artifact.groups().contains_key(&g.group.key))
         .count();
     let mut stats = artifact.stats();
     stats.groups = stats.groups.saturating_sub(novel);
@@ -941,16 +909,7 @@ fn split_artifact(artifact: Publication, na: &[AttrId]) -> Split {
         .saturating_sub(live.republished as usize);
     stats.input_records = stats.input_records.saturating_sub(live.inserted);
     stats.output_records = live.base_rows as u64;
-    let base = Publication::from_parts(
-        base,
-        artifact.sa(),
-        artifact.p(),
-        artifact.params(),
-        artifact.seed(),
-        stats,
-        artifact.check(),
-    );
-    (base, base_groups, Some(live))
+    (artifact.with_stats(stats), Some(live))
 }
 
 #[cfg(test)]

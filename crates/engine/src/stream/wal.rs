@@ -766,7 +766,7 @@ mod tests {
     use crate::publication::{DesignCheck, LiveState, Publication};
     use rp_core::incremental::{GroupStatus, LiveGroup};
     use rp_core::sps::SpsStats;
-    use rp_table::{Attribute, TableBuilder};
+    use rp_table::{Attribute, GroupHistograms};
 
     fn header() -> WalHeader {
         WalHeader {
@@ -1135,20 +1135,14 @@ mod tests {
             .collect()
     }
 
-    /// The groups through a snapshot artifact: the live rows materialized, the
-    /// artifact saved, then loaded back.
-    fn artifact_round_trip(groups: &[GroupState]) -> Vec<GroupState> {
+    /// A snapshot with no base group over the codec schema, with `groups`
+    /// as its live section at `wal_seq`.
+    fn snapshot_of(groups: &[GroupState], wal_seq: u64) -> Publication {
         let h = codec_header();
-        let mut b = TableBuilder::new(h.schema.clone());
-        for g in groups {
-            let g = &g.group;
-            for (sa_code, &count) in g.published_hist.iter().enumerate() {
-                let row = [g.key[0], sa_code as u32, g.key[1]];
-                b.push_codes_batch(&row, count as usize).unwrap();
-            }
-        }
-        let publication = Publication::from_parts(
-            b.build(),
+        let m = h.schema.attribute(h.sa).domain_size();
+        Publication::from_parts(
+            h.schema.clone(),
+            GroupHistograms::with_capacity(h.schema.arity() - 1, m, 0),
             h.sa,
             h.p,
             h.params,
@@ -1158,13 +1152,17 @@ mod tests {
         )
         .with_live(LiveState {
             base_rows: 0,
-            wal_seq: 9,
+            wal_seq,
             inserted: 0,
             republished: 0,
             groups: groups.to_vec(),
-        });
+        })
+    }
+
+    /// The groups through a snapshot artifact: saved, then loaded back.
+    fn artifact_round_trip(groups: &[GroupState]) -> Vec<GroupState> {
         let mut bytes = Vec::new();
-        publication.save(&mut bytes).unwrap();
+        snapshot_of(groups, 9).save(&mut bytes).unwrap();
         let loaded = Publication::load(&bytes[..]).unwrap();
         loaded.live().unwrap().groups.clone()
     }
@@ -1203,25 +1201,8 @@ mod tests {
     /// Loads `records` (the fields after the tag) as the `lgroup` lines
     /// of a snapshot artifact.
     fn load_as_lgroups(records: &[&str]) -> Result<Vec<GroupState>, String> {
-        let h = codec_header();
-        let empty = Publication::from_parts(
-            TableBuilder::new(h.schema.clone()).build(),
-            h.sa,
-            h.p,
-            h.params,
-            h.seed,
-            SpsStats::default(),
-            DesignCheck::default(),
-        )
-        .with_live(LiveState {
-            base_rows: 0,
-            wal_seq: 0,
-            inserted: 0,
-            republished: 0,
-            groups: vec![],
-        });
         let mut bytes = Vec::new();
-        empty.save(&mut bytes).unwrap();
+        snapshot_of(&[], 0).save(&mut bytes).unwrap();
         let mut text = String::from_utf8(bytes).unwrap();
         assert!(text.ends_with("live\t0\t0\t0\t0\t0\n"));
         text.truncate(text.len() - "live\t0\t0\t0\t0\t0\n".len());

@@ -123,9 +123,9 @@ use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::PrivacyParams;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
-    serve, Catalog, FaultHandle, FaultSchedule, Publication, PublicationError, Publisher,
-    QueryEngine, QueryService, Request, Response, Server, ServerConfig, ServiceConfig,
-    StreamConfig, StreamPublisher, WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
+    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
+    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
+    WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
 };
 use rp_experiments::bakeoff;
 use rp_table::{read_csv, write_csv, Pattern, Table, Term};
@@ -308,25 +308,12 @@ fn load(path: &str) -> Result<Table, String> {
     read_csv(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn publication_path(opts: &Options) -> Result<&str, String> {
-    Ok(opts
+fn load_publication(opts: &Options) -> Result<Publication, String> {
+    let path = opts
         .publication
         .as_deref()
-        .ok_or("--publication is required")?)
-}
-
-fn load_publication(opts: &Options) -> Result<Publication, String> {
-    let path = publication_path(opts)?;
+        .ok_or("--publication is required")?;
     Publication::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))
-}
-
-/// The engine over `--publication`, opened with no table built.
-fn open_engine(opts: &Options) -> Result<QueryEngine, String> {
-    let path = publication_path(opts)?;
-    File::open(path)
-        .map_err(PublicationError::from)
-        .and_then(|file| QueryEngine::open(BufReader::new(file)))
-        .map_err(|e| format!("cannot load {path}: {e}"))
 }
 
 fn sa_attr(table: &Table, name: &str) -> Result<usize, String> {
@@ -431,7 +418,7 @@ fn cmd_publish(opts: &Options) -> Result<(), String> {
     println!("wrote {output} (p = {}, seed = {})", opts.p, opts.seed);
     if let Some(csv_path) = opts.csv.as_deref() {
         let file = File::create(csv_path).map_err(|e| format!("cannot create {csv_path}: {e}"))?;
-        write_csv(publication.table(), BufWriter::new(file))
+        write_csv(&publication.table(), BufWriter::new(file))
             .map_err(|e| format!("cannot write: {e}"))?;
         println!("wrote {csv_path} (records only, no metadata)");
     }
@@ -443,7 +430,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         return cmd_query_remote(opts, addr);
     }
     let value = opts.value.as_deref().ok_or("--value is required")?;
-    let engine = open_engine(opts)?;
+    let engine = QueryEngine::new(&load_publication(opts)?);
     let mut conditions: Vec<(&str, &str)> = opts
         .conditions
         .iter()

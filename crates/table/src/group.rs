@@ -463,7 +463,8 @@ impl Tally {
 /// order, and each group's histogram, held in two flat buffers: group
 /// `g`'s key is `keys[g * width..][..width]` and its histogram
 /// `hists[g * m..][..m]`. [`group_histograms`] builds one from a table's
-/// rows; a saved release's group lines hold one.
+/// rows; a release holds its groups as one, and its artifact's group
+/// lines are read straight into one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupHistograms {
     width: usize,

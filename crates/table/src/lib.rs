@@ -16,9 +16,9 @@
 //!   (personal vs aggregate groups, Section 3.2).
 //! * [`group`] — sort-based (as prescribed by the paper's SPS algorithm) and
 //!   hash-based group-by, and the one-pass per-group histogram kernel that
-//!   personal grouping, the query engine and a saved release's group
-//!   lines are built from, with [`GroupHistograms`], the sorted keys and
-//!   histograms it yields in two flat buffers.
+//!   personal grouping is built from, with [`GroupHistograms`], the sorted
+//!   keys and histograms it yields in two flat buffers: the shape a
+//!   release holds its groups in, in memory and in its artifact.
 //! * [`query`] — the Section-6 conjunctive count queries with one `SA`
 //!   condition.
 //! * [`bitmap`] — per-`(attribute, code)` selection bitmaps combined with

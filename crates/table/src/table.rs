@@ -1,7 +1,5 @@
 //! The columnar table: dictionary-encoded categorical microdata.
 
-use std::collections::TryReserveError;
-
 use crate::error::TableError;
 use crate::schema::{AttrId, Schema};
 
@@ -196,24 +194,6 @@ impl Table {
             .collect())
     }
 
-    /// A copy of the first `rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the row count.
-    pub fn head(&self, rows: usize) -> Self {
-        assert!(rows <= self.rows, "head of {rows} rows past {}", self.rows);
-        Self {
-            schema: self.schema.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Column::from_codes(c.codes[..rows].to_vec()))
-                .collect(),
-            rows,
-        }
-    }
-
     /// Returns a copy of this table with one column replaced.
     ///
     /// # Errors
@@ -311,21 +291,6 @@ impl TableBuilder {
         Self::with_columns(schema, columns)
     }
 
-    /// Reserves room for exactly `rows` rows past those appended, in every
-    /// column: for a row count read from untrusted input, which must fail
-    /// cleanly where a plain reservation would abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocator's error if a column cannot grow by `rows`
-    /// codes.
-    pub fn try_reserve_exact(&mut self, rows: usize) -> Result<(), TryReserveError> {
-        for column in &mut self.columns {
-            column.try_reserve_exact(rows)?;
-        }
-        Ok(())
-    }
-
     /// Appends a row of codes.
     ///
     /// # Errors
@@ -335,30 +300,6 @@ impl TableBuilder {
         check_row(&self.schema, &self.domains, codes)?;
         for (col, &code) in self.columns.iter_mut().zip(codes) {
             col.push(code);
-        }
-        Ok(())
-    }
-
-    /// Appends `copies` identical rows of codes, validating the row once.
-    ///
-    /// It skips the per-row arity/domain re-validation and extends each
-    /// column buffer in one call. `copies == 0` is a validated no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on arity mismatch or out-of-domain codes.
-    pub fn push_codes_batch(&mut self, codes: &[u32], copies: usize) -> Result<(), TableError> {
-        if codes.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                got: codes.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        for (id, &code) in codes.iter().enumerate() {
-            self.schema.check_code(id, code)?;
-        }
-        for (col, &code) in self.columns.iter_mut().zip(codes) {
-            col.extend(std::iter::repeat_n(code, copies));
         }
         Ok(())
     }
@@ -600,37 +541,6 @@ mod tests {
                 expected: 3
             })
         ));
-    }
-
-    #[test]
-    fn push_codes_batch_duplicates_rows() {
-        let mut b = TableBuilder::new(demo_schema());
-        b.push_codes_batch(&[0, 0, 1], 3).unwrap();
-        b.push_codes_batch(&[1, 1, 2], 0).unwrap(); // validated no-op
-        b.push_codes_batch(&[1, 0, 0], 1).unwrap();
-        let t = b.build();
-        assert_eq!(t.rows(), 4);
-        for r in 0..3 {
-            assert_eq!(t.row(r).unwrap(), vec![0, 0, 1]);
-        }
-        assert_eq!(t.row(3).unwrap(), vec![1, 0, 0]);
-    }
-
-    #[test]
-    fn push_codes_batch_validates_before_append() {
-        let mut b = TableBuilder::new(demo_schema());
-        assert!(matches!(
-            b.push_codes_batch(&[0, 0], 2),
-            Err(TableError::ArityMismatch {
-                got: 2,
-                expected: 3
-            })
-        ));
-        assert!(matches!(
-            b.push_codes_batch(&[0, 9, 0], 2),
-            Err(TableError::CodeOutOfRange { .. })
-        ));
-        assert_eq!(b.rows(), 0, "failed batch must not partially append");
     }
 
     #[test]

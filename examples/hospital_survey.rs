@@ -106,7 +106,7 @@ fn main() {
         "SPS sampled {} of {} groups; publication has {} records",
         stats.groups_sampled,
         stats.groups,
-        publication.table().rows()
+        publication.records()
     );
 
     // 3. Statistical learning on the publication: the smoking/lung-cancer
@@ -146,13 +146,12 @@ fn main() {
     let truth_hist = &groups.groups()[victim_group].sa_hist;
     let n = groups.groups()[victim_group].len();
     // The published counterpart of that group.
-    let regrouped = PersonalGroups::build(publication.table(), publication.spec());
-    let published = regrouped
+    let (_, published) = publication
         .groups()
         .iter()
-        .find(|g| &g.key == key)
+        .find(|&(k, _)| k == &key[..])
         .expect("group survives publication");
-    let reconstructed = reconstruct_histogram(&published.sa_hist, p);
+    let reconstructed = reconstruct_histogram(published, p);
     println!("\npersonal reconstruction of the largest group ({n} records):");
     for (i, name) in DISEASES.iter().enumerate() {
         let truth = truth_hist[i] as f64 / n as f64;

@@ -12,22 +12,24 @@
 //!   count;
 //! * the saved release and the same release with every record twice — the
 //!   same group lines with doubled counts — are opened as `rpctl serve`
-//!   opens one, through `QueryEngine::open`: it reads the group lines
-//!   straight into the grouped view, so its cost is `O(groups)` and it
-//!   allocates equal counts and equal bytes for either. Beside it,
-//!   `Publication::load` expands the same lines into a table whose
-//!   columns it reserves once, so it allocates as often for either, and
-//!   `QueryEngine::new` groups the rows without a per-row key array, so
-//!   over the same groups it allocates equal counts and equal bytes;
-//! * a thread that opened the saved release opens the doubled one as a
-//!   fresh thread does: its full buffer pool trades the smaller columns
-//!   for the larger ones.
+//!   opens one, through `QueryEngine::open`: `Publication::load` reads the
+//!   group lines into the publication's two flat group buffers and
+//!   `QueryEngine::new` assembles the grouped view from them, so each
+//!   step, and the open as a whole, costs `O(groups)` and allocates equal
+//!   counts and equal bytes for either. So does `StreamPublisher::open`
+//!   of either over a fresh WAL, which splits a release from its live
+//!   section without touching a record;
+//! * a thread that expanded the saved release into its table
+//!   (`Publication::table`) expands the doubled one as a fresh thread
+//!   does: its full buffer pool trades the smaller columns for the larger
+//!   ones.
 //!
 //! Each figure is the fewest over several runs, so the sampled
 //! instrumentation and the table crate's buffer pool cannot make it vary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::Path;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -36,9 +38,9 @@ use rp_bench::census_fixture;
 use rp_repro::engine::protocol::is_token;
 use rp_repro::engine::{
     Catalog, CatalogSession, Publication, Publisher, QueryEngine, QueryService, Request,
-    ServiceConfig, SessionStats, WireQuery,
+    ServiceConfig, SessionStats, StreamConfig, StreamPublisher, WireQuery,
 };
-use rp_repro::table::TableBuilder;
+use rp_repro::table::GroupHistograms;
 
 thread_local! {
     /// Allocations (and reallocations) this thread made through
@@ -58,10 +60,22 @@ fn count(bytes: usize) {
 /// The `(allocations, bytes)` `f` makes on this thread: the fewest of
 /// each over `runs` runs.
 fn allocations_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (u64, u64) {
+    allocations_after(runs, || (), |()| f())
+}
+
+/// The `(allocations, bytes)` `f` makes on this thread from what `setup`
+/// returns, `setup` itself not counted: the fewest of each over `runs`
+/// runs.
+fn allocations_after<S, T>(
+    runs: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> (u64, u64) {
     let mut fewest = (u64::MAX, u64::MAX);
     for _ in 0..runs {
+        let input = setup();
         let before = ALLOCATED.with(Cell::get);
-        let value = f();
+        let value = f(input);
         let after = ALLOCATED.with(Cell::get);
         drop(value);
         fewest.0 = fewest.0.min(after.0 - before.0);
@@ -188,13 +202,19 @@ fn batch_lines_allocate_the_same_whatever_their_query_count() {
 /// `publication` with every record twice, saved: the same group lines
 /// with each count doubled, and `rows` doubled.
 fn doubled_records(publication: &Publication) -> Vec<u8> {
-    let table = publication.table();
-    let mut b = TableBuilder::new(table.schema().clone());
-    for r in 0..table.rows() {
-        b.push_codes_batch(&table.row(r).unwrap(), 2).unwrap();
+    let schema = publication.schema();
+    let m = schema.attribute(publication.sa()).domain_size();
+    let groups = publication.groups();
+    let mut twice = GroupHistograms::with_capacity(schema.arity() - 1, m, groups.len());
+    for (key, hist) in groups.iter() {
+        twice.push(
+            key,
+            &hist.iter().map(|&count| 2 * count).collect::<Vec<_>>(),
+        );
     }
     let doubled = Publication::from_parts(
-        b.build(),
+        schema.clone(),
+        twice,
         publication.sa(),
         publication.p(),
         publication.params(),
@@ -211,6 +231,21 @@ fn doubled_records(publication: &Publication) -> Vec<u8> {
 /// personal group.
 const SAVED_LEN: usize = 168_041;
 
+/// The `(allocations, bytes)` of opening a stream over `publication` and
+/// a fresh WAL at `wal`, on a fresh thread; the publication's copy and
+/// the removal of the last run's WAL are not counted.
+fn stream_open_allocations(publication: &Publication, wal: &Path) -> (u64, u64) {
+    on_fresh_thread(|| {
+        let fresh = || {
+            let _ = std::fs::remove_file(wal);
+            publication.clone()
+        };
+        allocations_after(8, fresh, |base| {
+            StreamPublisher::open(base, wal, StreamConfig::default()).unwrap()
+        })
+    })
+}
+
 #[test]
 fn opening_a_release_allocates_alike_for_twice_the_rows() {
     let (publication, _) = census_publication();
@@ -225,7 +260,7 @@ fn opening_a_release_allocates_alike_for_twice_the_rows() {
     );
     let loaded = Publication::load(&saved[..]).expect("artifact loads");
     let loaded_doubled = Publication::load(&doubled[..]).expect("doubled artifact loads");
-    assert_eq!(loaded_doubled.table().rows(), 2 * loaded.table().rows());
+    assert_eq!(loaded_doubled.records(), 2 * loaded.records());
 
     let load = on_fresh_thread(|| allocations_of(8, || Publication::load(&saved[..]).unwrap()));
     let load_doubled =
@@ -236,13 +271,20 @@ fn opening_a_release_allocates_alike_for_twice_the_rows() {
     let open = on_fresh_thread(|| allocations_of(8, || QueryEngine::open(&saved[..]).unwrap()));
     let open_doubled =
         on_fresh_thread(|| allocations_of(8, || QueryEngine::open(&doubled[..]).unwrap()));
+    let dir = std::env::temp_dir().join(format!("rp-alloc-counts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (wal, wal_doubled) = (dir.join("release.rpwal"), dir.join("doubled.rpwal"));
+    let stream = stream_open_allocations(&loaded, &wal);
+    let stream_doubled = stream_open_allocations(&loaded_doubled, &wal_doubled);
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
     println!(
-        "Publication::load (allocations, bytes): {} rows {load:?}, {} rows {load_doubled:?}",
-        loaded.table().rows(),
-        loaded_doubled.table().rows()
+        "Publication::load (allocations, bytes): {} records {load:?}, {} records {load_doubled:?}",
+        loaded.records(),
+        loaded_doubled.records()
     );
     println!("QueryEngine::new (allocations, bytes): {engine:?}, doubled {engine_doubled:?}");
     println!("QueryEngine::open (allocations, bytes): {open:?}, doubled {open_doubled:?}");
+    println!("StreamPublisher::open (allocations, bytes): {stream:?}, doubled {stream_doubled:?}");
     assert_eq!(
         QueryEngine::open(&saved[..]).unwrap(),
         QueryEngine::new(&loaded),
@@ -253,29 +295,31 @@ fn opening_a_release_allocates_alike_for_twice_the_rows() {
         "QueryEngine::open allocates per row: {open:?} against {open_doubled:?} doubled"
     );
     assert_eq!(
-        load.0, load_doubled.0,
+        load, load_doubled,
         "Publication::load allocates per row: {load:?} against {load_doubled:?} doubled"
     );
     assert_eq!(
         engine, engine_doubled,
         "QueryEngine::new allocates per row: {engine:?} against {engine_doubled:?} doubled"
     );
+    assert_eq!(
+        stream, stream_doubled,
+        "StreamPublisher::open allocates per row: {stream:?} against {stream_doubled:?} doubled"
+    );
 }
 
 #[test]
 fn a_thread_that_opened_a_smaller_release_pools_a_larger_ones_columns() {
     let (publication, _) = census_publication();
-    let mut saved = Vec::new();
-    publication.save(&mut saved).expect("in-memory save");
-    let doubled = doubled_records(&publication);
+    let doubled = Publication::load(&doubled_records(&publication)[..]).unwrap();
 
-    let fresh = on_fresh_thread(|| allocations_of(8, || Publication::load(&doubled[..]).unwrap()));
+    let fresh = on_fresh_thread(|| allocations_of(8, || doubled.table()));
     let after_smaller = on_fresh_thread(|| {
-        allocations_of(8, || Publication::load(&saved[..]).unwrap());
-        allocations_of(8, || Publication::load(&doubled[..]).unwrap())
+        allocations_of(8, || publication.table());
+        allocations_of(8, || doubled.table())
     });
     println!(
-        "doubled Publication::load (allocations, bytes): fresh thread {fresh:?}, \
+        "doubled Publication::table (allocations, bytes): fresh thread {fresh:?}, \
          after the smaller release {after_smaller:?}"
     );
     assert_eq!(

@@ -2,8 +2,8 @@
 //!
 //! A release is saved as one line per personal group: its key codes,
 //! then its published SA counts. `Publication::load` reads those lines
-//! and expands them into a table; `QueryEngine::open`, the serving open,
-//! reads them through the same reader into the grouped view and builds no
+//! into the publication's group buffers; `QueryEngine::open`, the serving
+//! open, is that load followed by `QueryEngine::new`. Neither builds a
 //! table. Where the reader's buffer ends must never show. Each artifact
 //! here — valid or corrupted — is read both ways through
 //! `BufReader::with_capacity(k)` for several `k` and as an in-memory slice
@@ -21,7 +21,8 @@
 //! fixture and random one-byte corruptions of random tables. The valid
 //! ones add CRLF and unterminated forms and a key space too large to
 //! address directly. A consistent artifact that declares more rows than
-//! memory holds must fail to load cleanly.
+//! memory holds must open and answer everywhere: nothing on an untrusted
+//! path allocates per declared row.
 
 use std::io::BufReader;
 
@@ -34,9 +35,9 @@ use rp_repro::core::privacy::PrivacyParams;
 use rp_repro::core::sps::SpsStats;
 use rp_repro::engine::{
     DesignCheck, GroupState, LiveState, Publication, Publisher, QueryEngine, QueryService,
-    ServiceConfig,
+    ServiceConfig, StreamConfig, StreamPublisher,
 };
-use rp_repro::table::{Attribute, Schema, TableBuilder};
+use rp_repro::table::{group_histograms, Attribute, Schema, TableBuilder};
 
 /// Buffer capacities every artifact is loaded with, besides the
 /// reference capacity 1, one random capacity and the in-memory slice.
@@ -104,20 +105,17 @@ fn demo_schema() -> Schema {
     ])
 }
 
-/// A publication of `rows` over `schema` with SA `sa`, its rows pushed in
-/// key-then-SA order: the order a saved release loads back in.
-fn publication_of(schema: Schema, sa: usize, mut rows: Vec<Vec<u32>>) -> Publication {
-    rows.sort_by_key(|row| {
-        let mut key = row.clone();
-        key.remove(sa);
-        (key, row[sa])
-    });
-    let mut b = TableBuilder::new(schema);
+/// A publication of the personal groups of `rows` over `schema`, with SA
+/// `sa`.
+fn publication_of(schema: Schema, sa: usize, rows: Vec<Vec<u32>>) -> Publication {
+    let mut b = TableBuilder::new(schema.clone());
     for row in &rows {
         b.push_codes(row).unwrap();
     }
+    let na: Vec<usize> = (0..schema.arity()).filter(|&a| a != sa).collect();
     Publication::from_parts(
-        b.build(),
+        schema,
+        group_histograms(&b.build(), &na, sa),
         sa,
         0.5,
         PrivacyParams::new(0.3, 0.3),
@@ -133,7 +131,8 @@ fn demo_batch() -> Publication {
     let rows = (0..50u32).map(|i| vec![i % 2, i % 3]).collect();
     let p = publication_of(demo_schema(), 1, rows);
     Publication::from_parts(
-        p.table().clone(),
+        demo_schema(),
+        p.groups().clone(),
         1,
         0.5,
         PrivacyParams::new(0.3, 0.3),
@@ -154,17 +153,10 @@ fn demo_batch() -> Publication {
     )
 }
 
-/// The snapshot fixture of `publication.rs`'s tests: the 50 base rows
-/// plus two live groups materialized as 5 extra rows.
+/// The snapshot fixture of `publication.rs`'s tests: the 50 base records
+/// plus two live groups holding 5.
 fn demo_snapshot() -> Publication {
     let base = demo_batch();
-    let mut b = TableBuilder::new(demo_schema());
-    for r in 0..50 {
-        b.push_codes(&base.table().row(r).unwrap()).unwrap();
-    }
-    for codes in [[0, 0], [0, 0], [0, 2], [1, 1], [1, 1]] {
-        b.push_codes(&codes).unwrap();
-    }
     let group =
         |key: u32, raw_hist, published_hist, status, republished_len, rng_state| GroupState {
             group: LiveGroup {
@@ -201,7 +193,8 @@ fn demo_snapshot() -> Publication {
         ],
     };
     Publication::from_parts(
-        b.build(),
+        demo_schema(),
+        base.groups().clone(),
         1,
         0.5,
         PrivacyParams::new(0.3, 0.3),
@@ -412,12 +405,14 @@ fn every_prefix_loads_alike_whatever_the_buffer() {
     }
 }
 
-/// A short artifact whose one group line declares as many rows as `rows`
-/// does, far more than memory holds: loading it fails at the `rows` line
-/// at every buffer capacity, cleanly, before it writes any row. The
-/// serving open builds no table, so it opens the same bytes.
+/// A short artifact whose one group line holds as many records as `rows`
+/// declares, far more than memory holds. Nothing that opens an untrusted
+/// artifact allocates per declared record, so at every buffer capacity it
+/// loads and opens, and answers a query over all of them; a stream opens
+/// on it, takes an insert and saves a snapshot that loads and answers
+/// too.
 #[test]
-fn a_huge_consistent_row_count_fails_cleanly_at_load() {
+fn a_huge_consistent_row_count_opens_and_answers_everywhere() {
     let rows = u64::MAX / 2;
     let text = String::from_utf8(save(&demo_batch())).unwrap();
     let groups = "rows\t50\ngroups\t2\n0\t9\t8\t8\n1\t8\t9\t8\n";
@@ -426,16 +421,36 @@ fn a_huge_consistent_row_count_fails_cleanly_at_load() {
         &format!("rows\t{rows}\ngroups\t1\n0\t{rows}\t0\t0\n"),
     );
     assert_ne!(huge, text, "fixture must end with its group lines");
-    let want = format!("line 12: cannot allocate the {rows} declared rows: ");
+    let male_flu = [("Gender", "male"), ("Disease", "flu")];
+    let support = |engine: &QueryEngine| {
+        let query = engine.query_from_values(&male_flu).unwrap();
+        engine.answer(&query).unwrap().support
+    };
     for capacity in [Some(1)]
         .into_iter()
         .chain(CAPACITIES.map(Some))
         .chain([None])
     {
-        let err = load(huge.as_bytes(), capacity).unwrap_err();
-        assert!(err.starts_with(&want), "capacity {capacity:?}: {err}");
-        assert!(open(huge.as_bytes(), capacity).is_ok(), "{capacity:?}");
+        let loaded = load(huge.as_bytes(), capacity).unwrap();
+        assert_eq!(loaded.records(), rows, "{capacity:?}");
+        assert_eq!(support(&QueryEngine::new(&loaded)), rows, "{capacity:?}");
+        assert_eq!(support(&open(huge.as_bytes(), capacity).unwrap()), rows);
     }
+    let dir = std::env::temp_dir().join(format!("rp-load-blocks-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wal, state) = (dir.join("huge.rpwal"), dir.join("huge-state.rppub"));
+    let _ = std::fs::remove_file(&wal);
+    let base = load(huge.as_bytes(), None).unwrap();
+    let mut stream = StreamPublisher::open(base, &wal, StreamConfig::default()).unwrap();
+    stream.insert_values(&male_flu).unwrap();
+    stream.save_snapshot(&state).unwrap();
+    drop(stream);
+    let snapshot = Publication::load_from_path(&state);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let snapshot = snapshot.unwrap();
+    assert_eq!(snapshot.records(), rows + 1);
+    let live = support(&QueryEngine::new(&snapshot));
+    assert!((rows..=rows + 1).contains(&live), "{live}");
 }
 
 /// The reduced CENSUS release saved to a file loads from its path, and
@@ -484,24 +499,16 @@ fn random_artifact(rng: &mut StdRng) -> Vec<u8> {
             .map(|(i, &d)| Attribute::with_anonymous_domain(format!("A{i}"), d))
             .collect(),
     );
-    let mut b = TableBuilder::new(schema);
-    for _ in 0..rng.gen_range(0..300) {
-        let codes: Vec<u32> = domains
-            .iter()
-            .map(|&d| rng.gen_range(0..d) as u32)
-            .collect();
-        b.push_codes(&codes).unwrap();
-    }
+    let rows: Vec<Vec<u32>> = (0..rng.gen_range(0..300))
+        .map(|_| {
+            domains
+                .iter()
+                .map(|&d| rng.gen_range(0..d) as u32)
+                .collect()
+        })
+        .collect();
     let sa = rng.gen_range(0..arity);
-    save(&Publication::from_parts(
-        b.build(),
-        sa,
-        0.5,
-        PrivacyParams::new(0.3, 0.3),
-        rng.gen(),
-        SpsStats::default(),
-        DesignCheck::default(),
-    ))
+    save(&publication_of(schema, sa, rows))
 }
 
 proptest! {

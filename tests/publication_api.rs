@@ -54,7 +54,7 @@ fn publisher_reproduces_the_legacy_pipeline() {
             params: PrivacyParams::new(0.3, 0.3),
         },
     );
-    assert_eq!(publication.table(), &legacy.table);
+    assert_eq!(publication.table(), legacy.table);
     assert_eq!(publication.stats(), legacy.stats);
 }
 
@@ -87,7 +87,7 @@ fn engine_answers_match_one_shot_estimation_over_a_pool() {
 
     for pq in &pool.queries {
         let answer = engine.answer(&pq.query).expect("query fits");
-        let scan = estimate_by_scan(publication.table(), &pq.query, P);
+        let scan = estimate_by_scan(&publication.table(), &pq.query, P);
         assert!(
             (answer.estimate - scan).abs() < 1e-9,
             "engine {} vs scan {scan} on {:?}",

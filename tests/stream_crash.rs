@@ -11,8 +11,9 @@
 //!   a cut inside the header is a structured error, not a guess.
 //! * **Snapshot** — replacement is atomic (temp sibling + rename), so a
 //!   crashed writer leaves the *old* snapshot fully intact; a truncated
-//!   artifact never loads as a shorter-but-valid one (the v2 magic is
-//!   declared before the data it promises).
+//!   artifact never loads as a shorter-but-valid one (the header's
+//!   `rows` and `groups` counts and the `live` line's group count are
+//!   declared before the data they promise).
 //! * **Live section** — a snapshot whose live section claims to cover no
 //!   event yet lists groups is refused, never merged with a compacted
 //!   log's state records.
@@ -179,9 +180,9 @@ fn snapshot_truncation_fails_loudly_never_quietly() {
     for (case, &cut) in cuts.iter().enumerate() {
         let path = tmp(&format!("snap-trunc-{case}.rppub"));
         std::fs::write(&path, &full[..cut]).unwrap();
-        // A truncated artifact must refuse to load — the v2 magic
-        // promises a live section, so losing the tail cannot masquerade
-        // as a complete shorter artifact. The one admissible exception:
+        // A truncated artifact must refuse to load — the header's counts
+        // and the `live` line promise every line after them, so losing
+        // the tail cannot masquerade as a complete shorter artifact. The one admissible exception:
         // a cut that only lost the final newline still carries every
         // byte of data, and then the loaded artifact must round-trip to
         // exactly the full bytes. Loud error or right answer — nothing

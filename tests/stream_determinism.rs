@@ -1,10 +1,10 @@
 //! The determinism contract, extended to streams: a streaming
 //! publication's state is a pure function of `(base artifact, WAL)`.
 //!
-//! The property proven here (satellite of the Publication-v2 PR): for a
-//! random insert sequence split across N restarts — each restart either
-//! resuming from a fresh snapshot ("clean handoff") or from the previous
-//! artifact plus the WAL tail ("crash recovery") — the final snapshot
+//! The property proven here: for a random insert sequence split across N
+//! restarts — each restart either resuming from a fresh snapshot ("clean
+//! handoff") or from the previous artifact plus the WAL tail ("crash
+//! recovery") — the final snapshot
 //! bytes and the query answers are identical to the single uninterrupted
 //! run's. A clean-start replay of the full WAL lands on the same bytes
 //! too.
@@ -159,8 +159,9 @@ proptest! {
         );
 
         // Query answers agree between the live view (base engine + live
-        // groups) and the materialized v2 table — and therefore between
-        // the single run and every restart (identical bytes).
+        // groups) and an engine over the snapshot, its base and live
+        // groups merged — and therefore between the single run and every
+        // restart (identical bytes).
         let service = QueryService::streaming(last, None, ServiceConfig::default());
         let batch_engine = QueryEngine::new(&reference_snapshot);
         let mut session = SessionStats::default();
