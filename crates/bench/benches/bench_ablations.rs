@@ -15,7 +15,7 @@ use rp_core::estimate::{estimate_by_scan, GroupedView};
 use rp_core::groups::SaSpec;
 use rp_core::mle::{reconstruct_histogram, reconstruct_histogram_via_inverse};
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps, sps_histograms, uniform_perturb, SpsConfig};
+use rp_core::sps::{sps, sps_groups, uniform_perturb, SpsConfig};
 use rp_datagen::adult;
 use rp_table::{group_by_hash, group_by_sort, CountQuery};
 
@@ -62,7 +62,7 @@ fn ablation_sps_level(c: &mut Criterion) {
     });
     group.bench_function("histogram_level", |b| {
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| sps_histograms(&mut rng, &dataset.groups, config));
+        b.iter(|| sps_groups(&mut rng, &dataset.groups, config));
     });
     group.finish();
 }

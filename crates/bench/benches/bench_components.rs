@@ -95,9 +95,9 @@ fn bench_chi2(c: &mut Criterion) {
 fn bench_query_answering(c: &mut Criterion) {
     let dataset = adult_fixture();
     let mut rng = StdRng::seed_from_u64(2);
-    let view = GroupedView::from_histograms(
-        &dataset.groups,
-        up_histograms(&mut rng, &dataset.groups, 0.5),
+    let view = GroupedView::assemble(
+        dataset.groups.spec(),
+        &up_histograms(&mut rng, &dataset.groups, 0.5),
     );
     let query = CountQuery::new(vec![(0, 0)], adult::attr::INCOME, 1).expect("valid count query");
     let mut group = c.benchmark_group("query_answering");

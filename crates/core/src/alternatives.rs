@@ -15,6 +15,7 @@
 //! `ablation_enforcement` bench and the `repro ablation` target).
 
 use rand::Rng;
+use rp_table::GroupHistograms;
 
 use crate::groups::PersonalGroups;
 use crate::privacy::{check_groups, group_is_private, PrivacyParams};
@@ -63,8 +64,9 @@ pub fn max_private_retention(
 /// Outcome of the suppression baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuppressionOutput {
-    /// Per-group perturbed SA histograms; suppressed groups are all-zero.
-    pub histograms: Vec<Vec<u64>>,
+    /// Every personal group's key with its perturbed SA histogram, in key
+    /// order; a suppressed group's histogram is all zero.
+    pub histograms: GroupHistograms,
     /// Indices of the suppressed (violating) groups.
     pub suppressed: Vec<usize>,
     /// Records dropped by suppression.
@@ -86,10 +88,10 @@ pub fn suppress_and_perturb<R: Rng + ?Sized>(
     let mut histograms = up_histograms(rng, groups, p);
     let mut suppressed = Vec::new();
     let mut suppressed_records = 0u64;
-    for (i, g) in groups.groups().iter().enumerate() {
+    for (i, g) in groups.groups().enumerate() {
         let f = if g.is_empty() { 0.0 } else { g.max_frequency() };
         if !group_is_private(params, p, m, f, g.len() as u64) {
-            histograms[i] = vec![0; m];
+            histograms.hist_mut(i).fill(0);
             suppressed.push(i);
             suppressed_records += g.len() as u64;
         }
@@ -173,8 +175,8 @@ mod tests {
         let out = suppress_and_perturb(&mut rng, &groups, 0.5, params);
         assert_eq!(out.suppressed, vec![0], "only the 5000-record group");
         assert_eq!(out.suppressed_records, 5000);
-        assert!(out.histograms[0].iter().all(|&c| c == 0));
-        assert_eq!(out.histograms[1].iter().sum::<u64>(), 20);
+        assert!(out.histograms.hist(0).iter().all(|&c| c == 0));
+        assert_eq!(out.histograms.hist(1).iter().sum::<u64>(), 20);
     }
 
     #[test]
@@ -186,7 +188,7 @@ mod tests {
         let out = suppress_and_perturb(&mut rng, &groups, 0.5, params);
         assert!(out.suppressed.is_empty());
         assert_eq!(out.suppressed_records, 0);
-        let total: u64 = out.histograms.iter().flatten().sum();
+        let total: u64 = out.histograms.iter().flat_map(|(_, h)| h).sum();
         assert_eq!(total, 60);
     }
 

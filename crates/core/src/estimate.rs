@@ -37,7 +37,7 @@
 
 use rp_table::{group_histograms, AttrId, BitmapIndex, CountQuery, GroupHistograms, Table, Term};
 
-use crate::groups::{PersonalGroups, SaSpec};
+use crate::groups::SaSpec;
 use crate::mle::reconstruct_frequency;
 
 /// Estimates the answer to `query` against the perturbed table by a full
@@ -59,10 +59,11 @@ pub fn estimate_by_scan(perturbed: &Table, query: &CountQuery, p: f64) -> f64 {
 /// Per-personal-group SA histograms of a perturbed publication, indexed for
 /// fast aggregate-query answering.
 ///
-/// Built either from a perturbed [`Table`] ([`GroupedView::from_table`])
-/// or directly from histogram-level perturbation output (`up_histograms` /
-/// `sps_histograms`), paired with the *raw* table's [`PersonalGroups`] for
-/// the group keys.
+/// Built from published personal groups, each its key and published SA
+/// histogram ([`GroupedView::assemble`]): the groups a release holds, or
+/// those the histogram-level executors (`sps_groups` / `up_histograms`)
+/// return; or from a perturbed [`Table`] ([`GroupedView::from_table`]),
+/// grouped first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupedView {
     na_attrs: Vec<AttrId>,
@@ -113,30 +114,6 @@ fn build_key_index(na_attrs: &[AttrId], groups: &GroupHistograms) -> BitmapIndex
 }
 
 impl GroupedView {
-    /// Builds the view from per-group perturbed histograms aligned with
-    /// `groups.groups()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hists` is not aligned with the groups or a histogram has
-    /// the wrong arity.
-    pub fn from_histograms(groups: &PersonalGroups, hists: Vec<Vec<u64>>) -> Self {
-        assert_eq!(
-            hists.len(),
-            groups.len(),
-            "one histogram per personal group required"
-        );
-        let m = groups.spec().m();
-        for h in &hists {
-            assert_eq!(h.len(), m, "histogram arity must equal the SA domain size");
-        }
-        let mut summary = GroupHistograms::with_capacity(groups.spec().na().len(), m, hists.len());
-        for (group, hist) in groups.groups().iter().zip(&hists) {
-            summary.push(&group.key, hist);
-        }
-        Self::assemble(groups.spec(), &summary)
-    }
-
     /// Builds the view straight from a published table: the sorted keys
     /// of `spec`'s personal groups with their SA histograms, from
     /// [`group_histograms`] (one pass and no member row lists when the
@@ -151,9 +128,18 @@ impl GroupedView {
     /// group lines hold them. The histograms are transposed into the
     /// SA-major column block; the same pass adds each group into the
     /// marginals of the whole view and of each of its key codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are not over `spec`'s NA attributes or the
+    /// histograms not over its SA domain.
     pub fn assemble(spec: &SaSpec, summary: &GroupHistograms) -> Self {
         let groups = summary.len();
         let m = spec.m();
+        if let Some((key, hist)) = summary.iter().next() {
+            assert_eq!(key.len(), spec.na().len(), "group key width");
+            assert_eq!(hist.len(), m, "group histogram arity");
+        }
         // Key domains are `max key code + 1`, as in `build_key_index`.
         let mut term_slots = vec![1];
         for pos in 0..spec.na().len() {
@@ -290,6 +276,7 @@ impl GroupedView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groups::PersonalGroups;
     use crate::sps::{uniform_perturb, up_histograms};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -358,8 +345,7 @@ mod tests {
         let spec = SaSpec::new(&t, 2);
         let groups = PersonalGroups::build(&t, spec);
         let mut rng = StdRng::seed_from_u64(53);
-        let hists = up_histograms(&mut rng, &groups, 0.5);
-        let view = GroupedView::from_histograms(&groups, hists);
+        let view = GroupedView::assemble(groups.spec(), &up_histograms(&mut rng, &groups, 0.5));
         assert_eq!(view.total_records(), 2000);
         let q = CountQuery::new(vec![(0, 0)], 2, 0).expect("valid count query");
         let (support, _) = view.support_and_observed(&q);
@@ -389,7 +375,7 @@ mod tests {
         let runs = 500;
         let mut mean = 0.0;
         for _ in 0..runs {
-            let view = GroupedView::from_histograms(&groups, up_histograms(&mut rng, &groups, 0.4));
+            let view = GroupedView::assemble(groups.spec(), &up_histograms(&mut rng, &groups, 0.4));
             mean += view.estimate(&q, 0.4) / runs as f64;
         }
         assert_close(mean, 600.0, 10.0);
@@ -401,7 +387,7 @@ mod tests {
         let spec = SaSpec::new(&t, 2);
         let groups = PersonalGroups::build(&t, spec);
         let mut rng = StdRng::seed_from_u64(57);
-        let view = GroupedView::from_histograms(&groups, up_histograms(&mut rng, &groups, 0.5));
+        let view = GroupedView::assemble(groups.spec(), &up_histograms(&mut rng, &groups, 0.5));
         let queries = [
             CountQuery::new(vec![(0, 0)], 2, 0).expect("valid count query"),
             CountQuery::new(vec![(0, 1), (1, 1)], 2, 1).expect("valid count query"),
@@ -413,8 +399,8 @@ mod tests {
             let sa = q.sa_value() as usize;
             let mut support = 0u64;
             let mut observed = 0u64;
-            for (g, (group, &size)) in groups.groups().iter().zip(&view.sizes).enumerate() {
-                if q.na_pattern().matches_key(&view.na_attrs, &group.key) {
+            for (g, (group, &size)) in groups.groups().zip(&view.sizes).enumerate() {
+                if q.na_pattern().matches_key(&view.na_attrs, group.key) {
                     support += size;
                     observed += view.counts[sa * view.len() + g];
                 }
@@ -489,8 +475,7 @@ mod tests {
             let (t, sa) = random_table(seed, shape);
             let spec = SaSpec::new(&t, sa);
             let groups = PersonalGroups::build(&t, spec.clone());
-            let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
-            let reference = GroupedView::from_histograms(&groups, hists);
+            let reference = GroupedView::assemble(&spec, groups.histograms());
             let view = GroupedView::from_table(&t, &spec);
             proptest::prop_assert_eq!(&view.counts, &reference.counts);
             proptest::prop_assert_eq!(&view.sizes, &reference.sizes);
@@ -554,7 +539,7 @@ mod tests {
                 let q = CountQuery::new(na, sa, sa_value).unwrap();
                 let mut reference = (0u64, 0u64);
                 for g in groups.groups() {
-                    if q.na_pattern().matches_key(spec.na(), &g.key) {
+                    if q.na_pattern().matches_key(spec.na(), g.key) {
                         reference.0 += g.sa_hist.iter().sum::<u64>();
                         reference.1 += g.sa_hist[sa_value as usize];
                     }
@@ -604,7 +589,7 @@ mod tests {
                 let q = CountQuery::new(na.clone(), 3, sa_value).unwrap();
                 let mut reference = (0u64, 0u64);
                 for g in groups.groups() {
-                    if q.na_pattern().matches_key(spec.na(), &g.key) {
+                    if q.na_pattern().matches_key(spec.na(), g.key) {
                         reference.0 += g.sa_hist.iter().sum::<u64>();
                         reference.1 += g.sa_hist[sa_value as usize];
                     }
@@ -617,11 +602,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one histogram per personal group")]
+    #[should_panic(expected = "group histogram arity")]
     fn misaligned_histograms_panic() {
         let t = demo_table();
         let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec);
-        GroupedView::from_histograms(&groups, vec![vec![0; 4]]);
+        let mut groups = GroupHistograms::with_capacity(spec.na().len(), spec.m() - 1, 1);
+        groups.push(&[0, 0], &[1, 0, 0]);
+        GroupedView::assemble(&spec, &groups);
     }
 }

@@ -8,7 +8,7 @@
 //! is fully described by its key and its SA histogram; member row lists are
 //! never materialized.
 
-use rp_table::{group_histograms, AttrId, Pattern, Schema, Table};
+use rp_table::{group_histograms, AttrId, GroupHistograms, Pattern, Schema, Table};
 
 /// Declares which attribute of a table is sensitive; all others are public.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,16 +68,17 @@ impl SaSpec {
     }
 }
 
-/// One personal group with its SA statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersonalGroup {
+/// One personal group with its SA statistics, borrowed from the
+/// [`PersonalGroups`] that hold it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PersonalGroup<'a> {
     /// Codes of the public attributes (in [`SaSpec::na`] order).
-    pub key: Vec<u32>,
+    pub key: &'a [u32],
     /// Histogram of SA values within the group.
-    pub sa_hist: Vec<u64>,
+    pub sa_hist: &'a [u64],
 }
 
-impl PersonalGroup {
+impl PersonalGroup<'_> {
     /// Group size `|g|`: the sum of the SA histogram.
     pub fn len(&self) -> usize {
         self.sa_hist.iter().sum::<u64>() as usize
@@ -111,12 +112,13 @@ impl PersonalGroup {
     }
 }
 
-/// All personal groups of a table under an [`SaSpec`].
+/// All personal groups of a table under an [`SaSpec`]: the sorted keys
+/// and SA histograms [`group_histograms`] returns, in its two flat
+/// buffers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersonalGroups {
     spec: SaSpec,
-    total_rows: usize,
-    groups: Vec<PersonalGroup>,
+    groups: GroupHistograms,
 }
 
 impl PersonalGroups {
@@ -125,18 +127,8 @@ impl PersonalGroups {
     /// paper's sort-based strategy (`rp_table::group_by_sort`) yields the
     /// same groups and is kept as the grouping ablation.
     pub fn build(table: &Table, spec: SaSpec) -> Self {
-        let groups = group_histograms(table, spec.na(), spec.sa())
-            .iter()
-            .map(|(key, hist)| PersonalGroup {
-                key: key.to_vec(),
-                sa_hist: hist.to_vec(),
-            })
-            .collect();
-        Self {
-            spec,
-            total_rows: table.rows(),
-            groups,
-        }
+        let groups = group_histograms(table, spec.na(), spec.sa());
+        Self { spec, groups }
     }
 
     /// Forwards to [`PersonalGroups::build`]; `shards` and `threads` are
@@ -152,7 +144,14 @@ impl PersonalGroups {
     }
 
     /// All groups, sorted by key.
-    pub fn groups(&self) -> &[PersonalGroup] {
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = PersonalGroup<'_>> + '_ {
+        self.groups
+            .iter()
+            .map(|(key, sa_hist)| PersonalGroup { key, sa_hist })
+    }
+
+    /// The groups' sorted keys and SA histograms.
+    pub fn histograms(&self) -> &GroupHistograms {
         &self.groups
     }
 
@@ -168,7 +167,7 @@ impl PersonalGroups {
 
     /// Total number of records `|D|` in the grouped table.
     pub fn total_rows(&self) -> usize {
-        self.total_rows
+        self.groups().map(|g| g.len()).sum()
     }
 
     /// Average personal-group size `|D| / |G|` (Tables 4 and 5).
@@ -178,7 +177,7 @@ impl PersonalGroups {
     /// Panics if there are no groups.
     pub fn average_size(&self) -> f64 {
         assert!(!self.is_empty(), "no groups to average over");
-        self.total_rows as f64 / self.len() as f64
+        self.total_rows() as f64 / self.len() as f64
     }
 
     /// The groups whose keys satisfy `pattern` (an aggregate group is a
@@ -186,11 +185,10 @@ impl PersonalGroups {
     pub fn matching<'a>(
         &'a self,
         pattern: &'a Pattern,
-    ) -> impl Iterator<Item = &'a PersonalGroup> + 'a {
-        let attrs = self.spec.na().to_vec();
-        self.groups
-            .iter()
-            .filter(move |g| pattern.matches_key(&attrs, &g.key))
+    ) -> impl Iterator<Item = PersonalGroup<'a>> + 'a {
+        let attrs = self.spec.na();
+        self.groups()
+            .filter(move |g| pattern.matches_key(attrs, g.key))
     }
 }
 
@@ -235,7 +233,7 @@ mod tests {
         let t = demo_table();
         let groups = PersonalGroups::build(&t, SaSpec::new(&t, 2));
         assert_eq!(groups.len(), 3); // (m,e), (m,d), (f,e)
-        let total: usize = groups.groups().iter().map(PersonalGroup::len).sum();
+        let total: usize = groups.groups().map(|g| g.len()).sum();
         assert_eq!(total, t.rows());
         assert_eq!(groups.total_rows(), 7);
     }
@@ -245,12 +243,8 @@ mod tests {
         let t = demo_table();
         let groups = PersonalGroups::build(&t, SaSpec::new(&t, 2));
         // Key [0, 0] = male engineers: 2 flu, 1 hiv.
-        let me = groups
-            .groups()
-            .iter()
-            .find(|g| g.key == vec![0, 0])
-            .unwrap();
-        assert_eq!(me.sa_hist, vec![2, 1, 0]);
+        let me = groups.groups().find(|g| g.key == [0, 0]).unwrap();
+        assert_eq!(me.sa_hist, [2, 1, 0]);
         assert!((me.frequency(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((me.max_frequency() - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -261,7 +255,7 @@ mod tests {
         let groups = PersonalGroups::build(&t, SaSpec::new(&t, 2));
         let all = Pattern::new(vec![]);
         assert_eq!(groups.matching(&all).count(), groups.len());
-        let support: usize = groups.matching(&all).map(PersonalGroup::len).sum();
+        let support: usize = groups.matching(&all).map(|g| g.len()).sum();
         assert_eq!(support, 7);
     }
 

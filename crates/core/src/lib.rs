@@ -92,7 +92,7 @@ pub use matrix::PerturbationMatrix;
 pub use mle::{reconstruct_frequency, reconstruct_histogram};
 pub use perturb::UniformPerturbation;
 pub use privacy::{check_groups, group_is_private, max_group_size, PrivacyParams, ViolationReport};
-pub use sps::{sps, sps_histograms, uniform_perturb, up_histograms, SpsConfig, SpsOutput};
+pub use sps::{sps, sps_groups, uniform_perturb, up_histograms, SpsConfig, SpsOutput, SpsStats};
 pub use variance::{
     confidence_interval, confidence_interval_z, critical_value, reconstruction_se,
     reconstruction_variance, ConfidenceInterval,

@@ -106,36 +106,30 @@ impl UniformPerturbation {
     ///
     /// Panics if `hist.len() != m`.
     pub fn perturb_histogram<R: Rng + ?Sized>(&self, rng: &mut R, hist: &[u64]) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.perturb_histogram_into(rng, hist, &mut out);
+        let mut out = hist.to_vec();
+        self.perturb_in_place(rng, &mut out);
         out
     }
 
-    /// As [`UniformPerturbation::perturb_histogram`], writing the perturbed
-    /// histogram into `out` (cleared and refilled) so per-group callers on
-    /// the hot SPS path can reuse one buffer instead of allocating per
+    /// As [`UniformPerturbation::perturb_histogram`], overwriting `counts`
+    /// with its perturbed histogram, so per-group callers on the SPS and
+    /// UP paths perturb a group where it is held instead of allocating per
     /// group. Identical RNG draws and results.
     ///
     /// # Panics
     ///
-    /// Panics if `hist.len() != m`.
-    pub fn perturb_histogram_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        hist: &[u64],
-        out: &mut Vec<u64>,
-    ) {
+    /// Panics if `counts.len() != m`.
+    pub fn perturb_in_place<R: Rng + ?Sized>(&self, rng: &mut R, counts: &mut [u64]) {
         let m = self.domain_size();
-        assert_eq!(hist.len(), m, "histogram must have length m");
-        out.clear();
-        out.resize(m, 0);
+        assert_eq!(counts.len(), m, "histogram must have length m");
         let mut scattered_total = 0u64;
-        for (i, &c) in hist.iter().enumerate() {
+        for count in counts.iter_mut() {
+            let c = *count;
             if c == 0 {
                 continue;
             }
             let retained = sample_binomial(rng, c, self.retention());
-            out[i] += retained;
+            *count = retained;
             scattered_total += c - retained;
         }
         if scattered_total > 0 {
@@ -146,7 +140,7 @@ impl UniformPerturbation {
             let p = 1.0 / m as f64;
             let mut remaining_n = scattered_total;
             let mut remaining_p = 1.0;
-            for (i, o) in out.iter_mut().enumerate() {
+            for (i, o) in counts.iter_mut().enumerate() {
                 if i + 1 == m {
                     *o += remaining_n;
                     break;
@@ -317,7 +311,7 @@ mod tests {
         counts
     }
 
-    /// The inlined uniform scatter of `perturb_histogram_into` must stay in
+    /// The inlined uniform scatter of `perturb_in_place` must stay in
     /// RNG lockstep with the reference `sample_multinomial` above over a
     /// uniform probability vector — the byte-identical-publication contract
     /// rests on the two implementations drawing and landing identically.

@@ -235,7 +235,7 @@ pub fn check_groups(groups: &PersonalGroups, p: f64, params: PrivacyParams) -> V
     let mut verdicts = Vec::with_capacity(groups.len());
     let mut total_records = 0u64;
     let mut violating_records = 0u64;
-    for (i, g) in groups.groups().iter().enumerate() {
+    for (i, g) in groups.groups().enumerate() {
         let size = g.len() as u64;
         total_records += size;
         let f = if g.is_empty() { 0.0 } else { g.max_frequency() };

@@ -20,17 +20,18 @@
 //! [`sps_group`] is the one per-group kernel: it maps a raw SA histogram to
 //! the published one, and the streaming re-publication in
 //! [`crate::incremental`] runs it group by group. [`sps_groups`] is the one
-//! loop that runs it over a whole table's personal groups, counting the
-//! run; the record-level executor [`sps`] (producing a publishable
-//! [`Table`]), the histogram-level executor [`sps_histograms`] (used by the
-//! Section-6 parameter sweeps) and the engine's publisher (keeping each
-//! group's key and published histogram) all run that loop, so for one seed
-//! the per-group SA histograms of [`sps`]'s table equal [`sps_histograms`]
-//! exactly.
+//! loop that runs it over a whole table's personal groups: it returns the
+//! published groups as one [`GroupHistograms`] (the input keys, in order,
+//! each with its published histogram) with the run's counters. The
+//! Section-6 parameter sweeps and the engine's publisher keep those
+//! groups as they are; the record-level executor [`sps`] expands them
+//! into a publishable [`Table`], so for one seed the per-group SA
+//! histograms of [`sps`]'s table equal [`sps_groups`]' exactly.
+//! [`up_histograms`] is the plain-UP baseline at the same level.
 
 use rand::Rng;
 use rp_stats::sampling::{sample_binomial, stochastic_round};
-use rp_table::{Table, TableBuilder};
+use rp_table::{GroupHistograms, Table, TableBuilder};
 
 use crate::groups::{PersonalGroups, SaSpec};
 use crate::perturb::UniformPerturbation;
@@ -87,8 +88,8 @@ pub fn uniform_perturb<R: Rng + ?Sized>(
 /// refilled) and returns `Some(|g1|)` when the group exceeded its threshold
 /// `sg` and was sampled, `None` when it was perturbed whole.
 ///
-/// Draw order: within the threshold, one `perturb_histogram`; above it,
-/// one `stochastic_round` per SA value (sampling), `perturb_histogram` of
+/// Draw order: within the threshold, one `perturb_in_place`; above it,
+/// one `stochastic_round` per SA value (sampling), `perturb_in_place` of
 /// the sample, then one `sample_binomial` per SA value (scaling: the `c`
 /// records of a cell get `⌊τ′⌋` copies each plus `Binomial(c, frac(τ′))`
 /// extras). An empty histogram draws nothing and publishes zeros.
@@ -106,35 +107,36 @@ pub fn sps_group<R: Rng + ?Sized>(
 ) -> Option<u64> {
     let size: u64 = hist.iter().sum();
     let max = hist.iter().copied().max().unwrap_or(0);
+    out.clear();
     if size == 0 {
-        out.clear();
         out.resize(hist.len(), 0);
         return None;
     }
     let f_max = max as f64 / size as f64;
     let sg = max_group_size(params, op.retention(), op.domain_size(), f_max);
     if size as f64 <= sg {
-        op.perturb_histogram_into(rng, hist, out);
+        out.extend_from_slice(hist);
+        op.perturb_in_place(rng, out);
         return None;
     }
     // Sampling: per SA value, a frequency-preserving draw. Records within
     // one (group, SA value) cell are identical, so sampling "any" ⌊c·τ⌋
     // records is just a count.
     let tau = sg / size as f64;
-    let mut sample: Vec<u64> = hist
-        .iter()
-        .map(|&c| stochastic_round(rng, c as f64 * tau).min(c))
-        .collect();
-    let mut g1: u64 = sample.iter().sum();
+    out.extend(
+        hist.iter()
+            .map(|&c| stochastic_round(rng, c as f64 * tau).min(c)),
+    );
+    let mut g1: u64 = out.iter().sum();
     if g1 == 0 {
         // Degenerate draw (tiny sg): keep one record of the most common
         // value (the last one on a tie) so the group does not vanish from
         // the publication.
         let argmax = hist.iter().rposition(|&c| c == max).expect("non-empty");
-        sample[argmax] = 1;
+        out[argmax] = 1;
         g1 = 1;
     }
-    op.perturb_histogram_into(rng, &sample, out);
+    op.perturb_in_place(rng, out);
     // Scaling back to the original size.
     let tau_prime = size as f64 / g1 as f64;
     let floor = tau_prime.floor();
@@ -145,9 +147,10 @@ pub fn sps_group<R: Rng + ?Sized>(
 }
 
 /// SPS over every personal group of `groups`, in key order: runs
-/// [`sps_group`] on each group's raw SA histogram, hands the group's key
-/// and published histogram to `emit`, and returns the run's counters
-/// (`output_records` is the published histograms' total).
+/// [`sps_group`] on each group's raw SA histogram and returns the
+/// published groups — each input key with its published histogram — and
+/// the run's counters (`output_records` is the published histograms'
+/// total).
 ///
 /// # Panics
 ///
@@ -156,34 +159,35 @@ pub fn sps_groups<R: Rng + ?Sized>(
     rng: &mut R,
     groups: &PersonalGroups,
     config: SpsConfig,
-    mut emit: impl FnMut(&[u32], &[u64]),
-) -> SpsStats {
-    let op = UniformPerturbation::new(config.p, groups.spec().m());
+) -> (GroupHistograms, SpsStats) {
+    let spec = groups.spec();
+    let op = UniformPerturbation::new(config.p, spec.m());
     let mut stats = SpsStats {
         groups: groups.len(),
         input_records: groups.total_rows() as u64,
         ..SpsStats::default()
     };
+    let mut published = GroupHistograms::with_capacity(spec.na().len(), spec.m(), groups.len());
     let mut hist = Vec::new();
     for group in groups.groups() {
-        if let Some(g1) = sps_group(rng, &op, config.params, &group.sa_hist, &mut hist) {
+        if let Some(g1) = sps_group(rng, &op, config.params, group.sa_hist, &mut hist) {
             stats.groups_sampled += 1;
             stats.sampled_records += g1;
         }
         stats.output_records += hist.iter().sum::<u64>();
-        emit(&group.key, &hist);
+        published.push(group.key, &hist);
     }
-    stats
+    (published, stats)
 }
 
 /// Record-level SPS: returns the published `D*₂` plus run statistics.
 ///
 /// The input is consumed as [`PersonalGroups`] (the grouping preprocessing
 /// of Section 5); `table` must be the table those groups were built from.
-/// Each group runs [`sps_group`] through [`sps_groups`] and is emitted as
-/// one columnar run (`TableBuilder::push_group`): every NA column a constant
-/// fill from the group key, the SA column one fill per non-empty value of
-/// the published histogram.
+/// The groups run through [`sps_groups`], and each published group is
+/// emitted as one columnar run (`TableBuilder::push_group`): every NA
+/// column a constant fill from the group key, the SA column one fill per
+/// non-empty value of the published histogram.
 ///
 /// # Panics
 ///
@@ -200,51 +204,34 @@ pub fn sps<R: Rng + ?Sized>(
         table.rows(),
         "groups were not built from this table"
     );
+    let (published, stats) = sps_groups(rng, groups, config);
     let sa = groups.spec().sa();
     let mut builder = TableBuilder::with_capacity(table.schema().clone(), table.rows());
-    let stats = sps_groups(rng, groups, config, |key, hist| {
+    for (key, hist) in published.iter() {
         builder
             .push_group(key, sa, hist)
             .expect("group key and SA codes are valid");
-    });
+    }
     SpsOutput {
         table: builder.build(),
         stats,
     }
 }
 
-/// Histogram-level SPS: per personal group, the perturbed-and-scaled SA
-/// histogram of `g*₂` without materializing records. Returns one histogram
-/// per group, aligned with `groups.groups()`.
-///
-/// Both executors run [`sps_groups`], so for one seed these histograms
-/// equal the per-group SA histograms of [`sps`]'s table exactly. This is
-/// the fast path used by the Figure 3/5 sweeps (README, *Performance: the
-/// vectorized data path*).
-pub fn sps_histograms<R: Rng + ?Sized>(
-    rng: &mut R,
-    groups: &PersonalGroups,
-    config: SpsConfig,
-) -> Vec<Vec<u64>> {
-    let mut hists = Vec::with_capacity(groups.len());
-    sps_groups(rng, groups, config, |_, hist| hists.push(hist.to_vec()));
-    hists
-}
-
-/// Histogram-level UP: per personal group, the perturbed SA histogram under
-/// plain uniform perturbation. The baseline counterpart of
-/// [`sps_histograms`].
+/// Histogram-level UP: every personal group's key with its SA histogram
+/// perturbed by plain uniform perturbation, in key order. The baseline
+/// counterpart of [`sps_groups`].
 pub fn up_histograms<R: Rng + ?Sized>(
     rng: &mut R,
     groups: &PersonalGroups,
     p: f64,
-) -> Vec<Vec<u64>> {
+) -> GroupHistograms {
     let op = UniformPerturbation::new(p, groups.spec().m());
-    groups
-        .groups()
-        .iter()
-        .map(|g| op.perturb_histogram(rng, &g.sa_hist))
-        .collect()
+    let mut published = groups.histograms().clone();
+    for g in 0..published.len() {
+        op.perturb_in_place(rng, published.hist_mut(g));
+    }
+    published
 }
 
 #[cfg(test)]
@@ -360,8 +347,8 @@ mod tests {
         let runs = 300;
         let mut mean_est = [0f64; 2];
         for _ in 0..runs {
-            let hists = sps_histograms(&mut rng, &groups, config());
-            let hist = &hists[0];
+            let (hists, _) = sps_groups(&mut rng, &groups, config());
+            let hist = hists.hist(0);
             let support: u64 = hist.iter().sum();
             if support == 0 {
                 continue;
@@ -387,9 +374,9 @@ mod tests {
         for _ in 0..runs {
             let out = sps(&mut rng, &t, &groups, config());
             let h = out.table.histogram(1).unwrap();
-            let hists = sps_histograms(&mut rng, &groups, config());
+            let (hists, _) = sps_groups(&mut rng, &groups, config());
             let mut h2 = [0u64; 2];
-            for hist in &hists {
+            for (_, hist) in hists.iter() {
                 h2[0] += hist[0];
                 h2[1] += hist[1];
             }
@@ -408,7 +395,7 @@ mod tests {
     }
 
     /// For one seed, the per-group SA histograms of `sps`' table equal
-    /// `sps_histograms`, and `sampled_records` is Σ g1 over the groups
+    /// `sps_groups`' groups, and `sampled_records` is Σ g1 over the groups
     /// `sps_group` sampled: within the threshold, sampled, and with every
     /// sample degenerate (δ = 1 makes `sg` = 0, so each draw keeps no record
     /// and falls back to g1 = 1).
@@ -426,12 +413,11 @@ mod tests {
             let spec = SaSpec::new(&table, 1);
             let groups = PersonalGroups::build(&table, spec.clone());
             let out = sps(&mut StdRng::seed_from_u64(seed), &table, &groups, config);
-            let hists = sps_histograms(&mut StdRng::seed_from_u64(seed), &groups, config);
+            let (hists, _) = sps_groups(&mut StdRng::seed_from_u64(seed), &groups, config);
             let published = rp_table::group_histograms(&out.table, spec.na(), spec.sa());
-            let (keys, published): (Vec<&[u32]>, Vec<&[u64]>) = published.iter().unzip();
-            let want_keys: Vec<&[u32]> = groups.groups().iter().map(|g| &g.key[..]).collect();
-            assert_eq!(keys, want_keys, "seed {seed}");
             assert_eq!(published, hists, "seed {seed}");
+            let keys = hists.iter().map(|(key, _)| key);
+            assert!(keys.eq(groups.groups().map(|g| g.key)), "seed {seed}");
             assert_eq!(out.stats.groups_sampled, sampled, "seed {seed}");
 
             let mut rng = StdRng::seed_from_u64(seed);
@@ -439,8 +425,7 @@ mod tests {
             let mut scratch = Vec::new();
             let g1: u64 = groups
                 .groups()
-                .iter()
-                .filter_map(|g| sps_group(&mut rng, &op, config.params, &g.sa_hist, &mut scratch))
+                .filter_map(|g| sps_group(&mut rng, &op, config.params, g.sa_hist, &mut scratch))
                 .sum();
             assert_eq!(out.stats.sampled_records, g1, "seed {seed}");
             if config == degenerate {
@@ -458,7 +443,8 @@ mod tests {
         let runs = 300;
         let mut mean = [0f64; 2];
         for _ in 0..runs {
-            let h = &up_histograms(&mut rng, &groups, 0.5)[0];
+            let up = up_histograms(&mut rng, &groups, 0.5);
+            let h = up.hist(0);
             mean[0] += h[0] as f64 / runs as f64;
             mean[1] += h[1] as f64 / runs as f64;
         }

@@ -40,10 +40,10 @@ use std::hash::{Hash, Hasher};
 use std::io::BufRead;
 
 use rp_core::estimate::GroupedView;
-use rp_core::groups::{PersonalGroups, SaSpec};
+use rp_core::groups::SaSpec;
 use rp_core::mle::reconstruct_frequency;
 use rp_core::variance::{confidence_interval_z, critical_value, ConfidenceInterval};
-use rp_table::{AttrId, CountQuery, Schema, TableError, Term};
+use rp_table::{AttrId, CountQuery, GroupHistograms, Schema, TableError, Term};
 
 use crate::publication::{Publication, PublicationError};
 
@@ -359,8 +359,7 @@ impl QueryEngine {
                 &merged
             }
         };
-        let view = GroupedView::assemble(&spec, groups);
-        Self::over_view(publication.schema(), &spec, publication.p(), view)
+        Self::from_groups(publication.schema(), &spec, publication.p(), groups)
     }
 
     /// Opens a saved release straight into an engine:
@@ -373,38 +372,27 @@ impl QueryEngine {
         Ok(Self::new(&Publication::load(r)?))
     }
 
-    fn over_view(schema: &Schema, spec: &SaSpec, p: f64, view: GroupedView) -> Self {
+    /// Builds the engine over published personal groups: `groups` holds
+    /// their sorted keys over `spec`'s NA attributes with their published
+    /// SA histograms, as a release holds them or as the histogram-level
+    /// executors (`sps_groups`, `up_histograms`) return them for the
+    /// paper's parameter sweeps; `schema` is the published schema and `p`
+    /// the retention the estimator inverts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `(0, 1)`, or as [`GroupedView::assemble`].
+    pub fn from_groups(schema: &Schema, spec: &SaSpec, p: f64, groups: &GroupHistograms) -> Self {
+        assert!(p > 0.0 && p < 1.0, "retention must lie in (0, 1), got {p}");
         Self {
             schema: schema.clone(),
             sa: spec.sa(),
             m: spec.m(),
             p,
             z: critical_value(CI_LEVEL),
-            view,
+            view: GroupedView::assemble(spec, groups),
             index: ConditionIndex::new(schema),
         }
-    }
-
-    /// Builds the engine directly from histogram-level perturbation output
-    /// (`up_histograms` / `sps_histograms`) — the fast path of the paper's
-    /// parameter sweeps, which never materializes published records.
-    ///
-    /// `groups` is the *raw* table's grouping (for the keys), `hists` one
-    /// perturbed histogram per group, `schema` the published schema.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hists` is not aligned with `groups` or `p` is outside
-    /// `(0, 1)`.
-    pub fn from_histograms(
-        groups: &PersonalGroups,
-        hists: Vec<Vec<u64>>,
-        schema: &Schema,
-        p: f64,
-    ) -> Self {
-        assert!(p > 0.0 && p < 1.0, "retention must lie in (0, 1), got {p}");
-        let view = GroupedView::from_histograms(groups, hists);
-        Self::over_view(schema, groups.spec(), p, view)
     }
 
     /// The published schema.
@@ -867,26 +855,17 @@ mod tests {
 
         let t = demo_table();
         let spec = SaSpec::new(&t, 2);
-        let groups = PersonalGroups::build(&t, spec);
+        let groups = PersonalGroups::build(&t, spec.clone());
         let mut rng = StdRng::seed_from_u64(31);
         let queries = vec![
             CountQuery::new(vec![(0, 0)], 2, 0).unwrap(),
             CountQuery::new(vec![(1, 1)], 2, 1).unwrap(),
         ];
-        let base = QueryEngine::from_histograms(
-            &groups,
-            groups.groups().iter().map(|g| g.sa_hist.clone()).collect(),
-            t.schema(),
-            0.5,
-        );
+        let base = QueryEngine::from_groups(t.schema(), &spec, 0.5, groups.histograms());
         let prepared = base.prepare(&queries).unwrap();
         for _ in 0..3 {
-            let engine = QueryEngine::from_histograms(
-                &groups,
-                up_histograms(&mut rng, &groups, 0.5),
-                t.schema(),
-                0.5,
-            );
+            let published = up_histograms(&mut rng, &groups, 0.5);
+            let engine = QueryEngine::from_groups(t.schema(), &spec, 0.5, &published);
             let batch = engine.answer_batch(&queries, &prepared).unwrap();
             for (q, b) in queries.iter().zip(&batch) {
                 assert_eq!(&engine.answer(q).unwrap(), b);

@@ -174,7 +174,7 @@ pub use protocol::{
     WireAnswer, WireQuery, WireRecord, PROTOCOL_VERSION,
 };
 pub use publication::{DesignCheck, GroupState, LiveState, Publication, PublicationError};
-pub use publisher::{PublishError, Publisher};
+pub use publisher::{check_parameters, PublishError, Publisher};
 pub use serve::serve;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownHandle};
 pub use service::{QueryService, ServiceConfig, SessionStats};

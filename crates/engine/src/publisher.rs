@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::{check_groups, PrivacyParams};
 use rp_core::sps::{sps_groups, SpsConfig};
-use rp_table::{AttrId, GroupHistograms, Table, TableError};
+use rp_table::{AttrId, Schema, Table, TableError};
 
 use crate::publication::{DesignCheck, Publication};
 
@@ -124,24 +124,8 @@ impl Publisher {
             }
             SaSelector::Name(name) => self.table.schema().attr_id(&name)?,
         };
-        if !(self.p > 0.0 && self.p < 1.0) {
-            return Err(PublishError::InvalidRetention(self.p));
-        }
-        if !(self.lambda > 0.0 && self.lambda.is_finite()) {
-            return Err(PublishError::InvalidLambda(self.lambda));
-        }
-        if !(self.delta > 0.0 && self.delta <= 1.0) {
-            return Err(PublishError::InvalidDelta(self.delta));
-        }
-        if self.table.schema().arity() < 2 {
-            return Err(PublishError::NoPublicAttributes);
-        }
-        let m = self.table.schema().attribute(sa).domain_size();
-        if m < 2 {
-            return Err(PublishError::SaDomainTooSmall { m });
-        }
-        let params = PrivacyParams::new(self.lambda, self.delta);
-        let spec = SaSpec::new(&self.table, sa);
+        let (spec, params) =
+            check_parameters(self.table.schema(), sa, self.p, self.lambda, self.delta)?;
         let groups = PersonalGroups::build(&self.table, spec);
         let report = check_groups(&groups, self.p, params);
         let check = DesignCheck {
@@ -152,11 +136,7 @@ impl Publisher {
         };
         let mut rng = StdRng::seed_from_u64(self.seed);
         let config = SpsConfig { p: self.p, params };
-        let mut published =
-            GroupHistograms::with_capacity(groups.spec().na().len(), m, groups.len());
-        let stats = sps_groups(&mut rng, &groups, config, |key, hist| {
-            published.push(key, hist);
-        });
+        let (published, stats) = sps_groups(&mut rng, &groups, config);
         Ok(Publication::from_parts(
             self.table.schema().clone(),
             published,
@@ -168,6 +148,48 @@ impl Publisher {
             check,
         ))
     }
+}
+
+/// The checks [`Publisher::publish`] runs before it groups a table over
+/// `schema` with the attribute at `sa` sensitive: `p` in `(0, 1)`, `λ`
+/// positive and finite, `δ` in `(0, 1]`, a public attribute besides SA
+/// and an SA domain of at least 2 values. Returns the grouping's spec and
+/// the privacy requirement.
+///
+/// # Errors
+///
+/// The [`PublishError`] of the first check that fails, in that order.
+///
+/// # Panics
+///
+/// Panics if `sa` is out of range for `schema`.
+pub fn check_parameters(
+    schema: &Schema,
+    sa: AttrId,
+    p: f64,
+    lambda: f64,
+    delta: f64,
+) -> Result<(SaSpec, PrivacyParams), PublishError> {
+    if !(p > 0.0 && p < 1.0) {
+        return Err(PublishError::InvalidRetention(p));
+    }
+    if !(lambda > 0.0 && lambda.is_finite()) {
+        return Err(PublishError::InvalidLambda(lambda));
+    }
+    if !(delta > 0.0 && delta <= 1.0) {
+        return Err(PublishError::InvalidDelta(delta));
+    }
+    if schema.arity() < 2 {
+        return Err(PublishError::NoPublicAttributes);
+    }
+    let m = schema.attribute(sa).domain_size();
+    if m < 2 {
+        return Err(PublishError::SaDomainTooSmall { m });
+    }
+    Ok((
+        SaSpec::for_schema(schema, sa),
+        PrivacyParams::new(lambda, delta),
+    ))
 }
 
 /// Errors raised by [`Publisher::publish`].

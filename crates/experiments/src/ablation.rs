@@ -21,16 +21,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::alternatives::{max_private_retention, suppress_and_perturb};
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
+use rp_core::sps::{sps_groups, up_histograms, SpsConfig};
 use rp_dp::histogram::DpHistogram;
 use rp_engine::QueryEngine;
 use rp_stats::summary::{relative_error, OnlineStats};
+use rp_table::GroupHistograms;
 
 use crate::config::PreparedDataset;
 use crate::error::{build_pool, mean_relative_error, ErrorProtocol};
 
 /// A per-run producer of perturbed per-group histograms.
-type HistogramProducer = Box<dyn FnMut(&mut StdRng) -> Vec<Vec<u64>>>;
+type HistogramProducer<'a> = Box<dyn FnMut(&mut StdRng) -> GroupHistograms + 'a>;
 
 /// Result of the strategy comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +72,7 @@ pub fn run(
     let pool = build_pool(dataset, protocol);
     let groups = &dataset.groups;
     let schema = dataset.generalized.schema();
+    let spec = groups.spec();
     let mut rng = StdRng::seed_from_u64(protocol.seed ^ 0x0B1A);
 
     // Evaluate a per-run histogram producer against the pool through a
@@ -78,7 +80,7 @@ pub fn run(
     let evaluate = |mut make_hists: HistogramProducer, answer_p: f64, rng: &mut StdRng| {
         let mut err = OnlineStats::new();
         for _ in 0..protocol.runs {
-            let engine = QueryEngine::from_histograms(groups, make_hists(rng), schema, answer_p);
+            let engine = QueryEngine::from_groups(schema, spec, answer_p, &make_hists(rng));
             err.push(
                 mean_relative_error(&engine, &pool)
                     .expect("pool queries fit the generalized schema"),
@@ -88,26 +90,19 @@ pub fn run(
     };
 
     // SPS at the nominal retention.
-    let groups_ref = groups.clone();
     let sps_err = evaluate(
-        Box::new(move |rng| sps_histograms(rng, &groups_ref, SpsConfig { p, params })),
+        Box::new(|rng| sps_groups(rng, groups, SpsConfig { p, params }).0),
         p,
         &mut rng,
     );
 
     // Plain UP at the nominal retention (the unsafe baseline).
-    let groups_ref = groups.clone();
-    let up_err = evaluate(
-        Box::new(move |rng| up_histograms(rng, &groups_ref, p)),
-        p,
-        &mut rng,
-    );
+    let up_err = evaluate(Box::new(|rng| up_histograms(rng, groups, p)), p, &mut rng);
 
     // Reduce-p: find the largest compliant retention below the nominal.
     let reduce_p = max_private_retention(groups, params, 0.01, p, 1e-3).map(|p_safe| {
-        let groups_ref = groups.clone();
         let err = evaluate(
-            Box::new(move |rng| up_histograms(rng, &groups_ref, p_safe)),
+            Box::new(move |rng| up_histograms(rng, groups, p_safe)),
             p_safe,
             &mut rng,
         );
@@ -115,9 +110,8 @@ pub fn run(
     });
 
     // Suppression.
-    let groups_ref = groups.clone();
     let suppress_err = evaluate(
-        Box::new(move |rng| suppress_and_perturb(rng, &groups_ref, p, params).histograms),
+        Box::new(|rng| suppress_and_perturb(rng, groups, p, params).histograms),
         p,
         &mut rng,
     );

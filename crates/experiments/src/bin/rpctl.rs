@@ -38,8 +38,11 @@
 //! `publish` runs the full paper pipeline — χ²-generalization of the
 //! public attributes (Section 3.4), the (λ, δ) design check (Corollary 4)
 //! and SPS enforcement (Section 5) — through `rp_engine::Publisher`, and
-//! writes a `Publication` artifact that carries the published records
-//! *and* every estimator parameter (`p`, λ, δ, seed, SPS counters).
+//! writes a `Publication` artifact that carries each personal group's key
+//! and published SA histogram *and* every estimator parameter (`p`, λ, δ,
+//! seed, SPS counters). `audit` and `publish` refuse the parameters and
+//! tables that `Publisher` refuses, with its messages
+//! (`rp_engine::check_parameters`).
 //!
 //! `query` and `serve` answer count queries through a
 //! `rp_engine::QueryService` with the MLE estimator `est = |S*|·F′` and
@@ -119,13 +122,12 @@ use std::time::Duration;
 
 use rp_core::audit::{audit, render as render_audit};
 use rp_core::generalize::Generalization;
-use rp_core::groups::{PersonalGroups, SaSpec};
-use rp_core::privacy::PrivacyParams;
+use rp_core::groups::PersonalGroups;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
-    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
-    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
-    WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
+    check_parameters, serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher,
+    QueryEngine, QueryService, Request, Response, Server, ServerConfig, ServiceConfig,
+    StreamConfig, StreamPublisher, WireAnswer, WireQuery, WireRecord, UNNAMED_RELEASE,
 };
 use rp_experiments::bakeoff;
 use rp_table::{read_csv, write_csv, Pattern, Table, Term};
@@ -328,15 +330,14 @@ fn cmd_audit(opts: &Options) -> Result<(), String> {
     let sa_name = opts.sa.as_deref().ok_or("--sa is required")?;
     let table = load(input)?;
     let sa = sa_attr(&table, sa_name)?;
-    let params = PrivacyParams::new(opts.lambda, opts.delta);
-    let spec = SaSpec::new(&table, sa);
+    let (spec, params) = check_parameters(table.schema(), sa, opts.p, opts.lambda, opts.delta)
+        .map_err(|e| e.to_string())?;
     let (table, label) = if opts.generalize {
         let g = Generalization::fit(&table, &spec, 0.05);
         (g.apply(&table), "generalized")
     } else {
-        (table.clone(), "raw")
+        (table, "raw")
     };
-    let spec = SaSpec::new(&table, sa);
     let groups = PersonalGroups::build(&table, spec);
     println!(
         "{input}: {} records, {} personal groups ({label} public attributes)",
@@ -376,8 +377,9 @@ fn cmd_publish(opts: &Options) -> Result<(), String> {
         (None, None) => return Err("--input or --adult is required".into()),
     };
     let sa = sa_attr(&table, sa_name)?;
+    let (spec, _) = check_parameters(table.schema(), sa, opts.p, opts.lambda, opts.delta)
+        .map_err(|e| e.to_string())?;
     let published_input = if opts.generalize {
-        let spec = SaSpec::new(&table, sa);
         let g = Generalization::fit(&table, &spec, 0.05);
         let t = g.apply(&table);
         for ag in g.attributes() {

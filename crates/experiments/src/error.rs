@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
+use rp_core::sps::{sps_groups, up_histograms, SpsConfig};
 use rp_datagen::querypool::{QueryPool, QueryPoolConfig};
 use rp_engine::{EngineError, QueryEngine};
 use rp_stats::summary::relative_error;
@@ -77,14 +77,10 @@ fn measure(
     let mut up_total = 0.0;
     let mut sps_total = 0.0;
     for _ in 0..runs {
-        let up_engine =
-            QueryEngine::from_histograms(groups, up_histograms(rng, groups, p), schema, p);
-        let sps_engine = QueryEngine::from_histograms(
-            groups,
-            sps_histograms(rng, groups, SpsConfig { p, params }),
-            schema,
-            p,
-        );
+        let up = up_histograms(rng, groups, p);
+        let up_engine = QueryEngine::from_groups(schema, groups.spec(), p, &up);
+        let (sps, _) = sps_groups(rng, groups, SpsConfig { p, params });
+        let sps_engine = QueryEngine::from_groups(schema, groups.spec(), p, &sps);
         up_total +=
             mean_relative_error(&up_engine, pool).expect("pool queries fit the generalized schema");
         sps_total += mean_relative_error(&sps_engine, pool)

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
+use rp_core::sps::{sps_groups, up_histograms, SpsConfig};
 use rp_dp::histogram::DpHistogram;
 use rp_engine::QueryEngine;
 use rp_learn::{NaiveBayes, SufficientStats};
@@ -88,25 +88,19 @@ pub fn run(
 
     let raw_model = NaiveBayes::fit(&SufficientStats::from_raw(&train.generalized, sa), alpha);
 
-    let up_engine = QueryEngine::from_histograms(
-        &train.groups,
-        up_histograms(&mut rng, &train.groups, p),
-        train.generalized.schema(),
-        p,
-    );
+    let schema = train.generalized.schema();
+    let spec = train.groups.spec();
+    let up = up_histograms(&mut rng, &train.groups, p);
+    let up_engine = QueryEngine::from_groups(schema, spec, p, &up);
     let up_model = NaiveBayes::fit(
-        &SufficientStats::from_view(up_engine.view(), train.generalized.schema(), sa, p),
+        &SufficientStats::from_view(up_engine.view(), schema, sa, p),
         alpha,
     );
 
-    let sps_engine = QueryEngine::from_histograms(
-        &train.groups,
-        sps_histograms(&mut rng, &train.groups, SpsConfig { p, params }),
-        train.generalized.schema(),
-        p,
-    );
+    let (sps, _) = sps_groups(&mut rng, &train.groups, SpsConfig { p, params });
+    let sps_engine = QueryEngine::from_groups(schema, spec, p, &sps);
     let sps_model = NaiveBayes::fit(
-        &SufficientStats::from_view(sps_engine.view(), train.generalized.schema(), sa, p),
+        &SufficientStats::from_view(sps_engine.view(), schema, sa, p),
         alpha,
     );
 

@@ -289,7 +289,7 @@ mod tests {
         let groups = PersonalGroups::build(&train, spec);
         let mut rng = StdRng::seed_from_u64(6);
         let p = 0.5;
-        let view = GroupedView::from_histograms(&groups, up_histograms(&mut rng, &groups, p));
+        let view = GroupedView::assemble(groups.spec(), &up_histograms(&mut rng, &groups, p));
         let stats = SufficientStats::from_view(&view, train.schema(), 2, p);
         let recon_model = NaiveBayes::fit(&stats, 1.0);
         let raw_acc = raw_model.accuracy(&test);

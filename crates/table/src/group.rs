@@ -515,6 +515,15 @@ impl GroupHistograms {
         &self.hists[g * self.m..][..self.m]
     }
 
+    /// Group `g`'s histogram, to rewrite in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn hist_mut(&mut self, g: usize) -> &mut [u64] {
+        &mut self.hists[g * self.m..][..self.m]
+    }
+
     /// The groups in key order, each as its key and its histogram.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u32], &[u64])> + '_ {
         (0..self.len).map(|g| (self.key(g), self.hist(g)))
@@ -560,9 +569,8 @@ impl GroupHistograms {
             }
             merged.push(key, hist);
             if let Some((_, h)) = other.next_if(|&(k, _)| k == key) {
-                let last = &mut merged.hists[(merged.len - 1) * self.m..];
                 assert_eq!(h.len(), self.m, "group histogram arity");
-                for (total, &count) in last.iter_mut().zip(h) {
+                for (total, &count) in merged.hist_mut(merged.len - 1).iter_mut().zip(h) {
                     *total += count;
                 }
             }

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::privacy::{check_groups, PrivacyParams};
-use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
+use rp_core::sps::{sps_groups, up_histograms, SpsConfig};
 use rp_datagen::querypool::{QueryPool, QueryPoolConfig};
 use rp_engine::QueryEngine;
 use rp_experiments::config::PreparedDataset;
@@ -66,18 +66,11 @@ fn main() {
     let mut up_err = OnlineStats::new();
     let mut sps_err = OnlineStats::new();
     for _ in 0..5 {
-        let up_engine = QueryEngine::from_histograms(
-            &dataset.groups,
-            up_histograms(&mut rng, &dataset.groups, p),
-            schema,
-            p,
-        );
-        let sps_engine = QueryEngine::from_histograms(
-            &dataset.groups,
-            sps_histograms(&mut rng, &dataset.groups, SpsConfig { p, params }),
-            schema,
-            p,
-        );
+        let spec = dataset.groups.spec();
+        let up = up_histograms(&mut rng, &dataset.groups, p);
+        let up_engine = QueryEngine::from_groups(schema, spec, p, &up);
+        let (sps, _) = sps_groups(&mut rng, &dataset.groups, SpsConfig { p, params });
+        let sps_engine = QueryEngine::from_groups(schema, spec, p, &sps);
         up_err.push(mean_relative_error(&up_engine, &pool).expect("pool fits schema"));
         sps_err.push(mean_relative_error(&sps_engine, &pool).expect("pool fits schema"));
     }

@@ -135,21 +135,17 @@ fn main() {
     // 4. Personal reconstruction about one victim stays unreliable: take
     //    the victim's personal group in the publication and reconstruct.
     let groups = PersonalGroups::build(&published_input, publication.spec());
-    let victim_group = groups
+    let victim = groups
         .groups()
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, g)| g.len())
-        .map(|(i, _)| i)
+        .max_by_key(|g| g.len())
         .expect("non-empty grouping");
-    let key = &groups.groups()[victim_group].key;
-    let truth_hist = &groups.groups()[victim_group].sa_hist;
-    let n = groups.groups()[victim_group].len();
+    let truth_hist = victim.sa_hist;
+    let n = victim.len();
     // The published counterpart of that group.
     let (_, published) = publication
         .groups()
         .iter()
-        .find(|&(k, _)| k == &key[..])
+        .find(|&(k, _)| k == victim.key)
         .expect("group survives publication");
     let reconstructed = reconstruct_histogram(published, p);
     println!("\npersonal reconstruction of the largest group ({n} records):");

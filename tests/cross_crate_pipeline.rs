@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::estimate::GroupedView;
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps_histograms, up_histograms, SpsConfig};
+use rp_core::sps::{sps_groups, up_histograms, SpsConfig};
 use rp_dp::attack::RatioAttack;
 use rp_dp::mechanism::{LaplaceMechanism, Sensitivity};
 use rp_experiments::config::{defaults, PreparedDataset};
@@ -42,8 +42,8 @@ fn dp_attack_discloses_while_sps_publication_does_not_expose_the_cell() {
     let gen_query = dataset.generalization.translate_query(&example1_query(raw));
     let mut estimates = Vec::new();
     for _ in 0..20 {
-        let hists = sps_histograms(&mut rng, &dataset.groups, SpsConfig { p, params });
-        let view = GroupedView::from_histograms(&dataset.groups, hists);
+        let (published, _) = sps_groups(&mut rng, &dataset.groups, SpsConfig { p, params });
+        let view = GroupedView::assemble(dataset.groups.spec(), &published);
         let (support, observed) = view.support_and_observed(&gen_query);
         assert!(support > 0);
         let est = rp_core::mle::reconstruct_frequency(observed, support, p, 2);
@@ -113,11 +113,13 @@ fn up_and_sps_histograms_have_consistent_group_counts() {
     let mut rng = StdRng::seed_from_u64(11);
     let params = PrivacyParams::new(0.3, 0.3);
     let up = up_histograms(&mut rng, &d.groups, 0.5);
-    let sp = sps_histograms(&mut rng, &d.groups, SpsConfig { p: 0.5, params });
+    let (sp, _) = sps_groups(&mut rng, &d.groups, SpsConfig { p: 0.5, params });
     assert_eq!(up.len(), d.groups.len());
     assert_eq!(sp.len(), d.groups.len());
-    // UP preserves each group's size exactly; SPS in expectation.
-    for (g, h) in d.groups.groups().iter().zip(&up) {
-        assert_eq!(g.len() as u64, h.iter().sum::<u64>());
+    // UP preserves each group's key and size exactly; SPS its key, and its
+    // size in expectation.
+    for ((g, (up_key, up_hist)), (sps_key, _)) in d.groups.groups().zip(up.iter()).zip(sp.iter()) {
+        assert_eq!((g.key, g.key), (up_key, sps_key));
+        assert_eq!(g.len() as u64, up_hist.iter().sum::<u64>());
     }
 }

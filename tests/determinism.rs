@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::PrivacyParams;
-use rp_core::sps::{sps, sps_histograms, uniform_perturb, up_histograms, SpsConfig};
+use rp_core::sps::{sps, sps_groups, uniform_perturb, up_histograms, SpsConfig};
 use rp_datagen::{adult, census};
 use rp_table::{write_csv, Table};
 
@@ -103,11 +103,11 @@ fn histogram_level_paths_are_deterministic_per_seed() {
 
     let mut rng = StdRng::seed_from_u64(5);
     let up_a = up_histograms(&mut rng, &groups, 0.5);
-    let sps_a = sps_histograms(&mut rng, &groups, config);
+    let sps_a = sps_groups(&mut rng, &groups, config);
     let mut rng = StdRng::seed_from_u64(5);
     let up_b = up_histograms(&mut rng, &groups, 0.5);
-    let sps_b = sps_histograms(&mut rng, &groups, config);
+    let sps_b = sps_groups(&mut rng, &groups, config);
 
     assert_eq!(up_a, up_b, "up_histograms must replay exactly");
-    assert_eq!(sps_a, sps_b, "sps_histograms must replay exactly");
+    assert_eq!(sps_a, sps_b, "sps_groups must replay exactly");
 }

@@ -40,7 +40,6 @@ fn up_violates_and_sps_sample_sizes_respect_sg() {
     let total_budget: f64 = d
         .groups
         .groups()
-        .iter()
         .map(|g| {
             let sg = max_group_size(params, p, m, g.max_frequency());
             (g.len() as f64).min(sg.max(1.0)) + 2.0

@@ -90,13 +90,13 @@ fn incremental_publisher_matches_batch_semantics() {
     let batch = PersonalGroups::build(&d.generalized, spec);
     assert_eq!(live.len(), batch.len());
     for g in batch.groups() {
-        let group = live.get(&g.key).expect("group exists");
+        let group = live.get(g.key).expect("group exists");
         assert_eq!(group.raw_hist, g.sa_hist, "raw histogram mismatch");
     }
     // Flagged status must agree with the batch report.
     let report = check_groups(&batch, 0.5, params);
-    for (g, verdict) in batch.groups().iter().zip(&report.verdicts) {
-        let group = &live[&g.key];
+    for (g, verdict) in batch.groups().zip(&report.verdicts) {
+        let group = &live[g.key];
         let expect = if verdict.violates {
             GroupStatus::NeedsResampling
         } else {
@@ -113,7 +113,6 @@ fn confidence_intervals_scale_with_group_size() {
     let mut sizes: Vec<(usize, u64)> = d
         .groups
         .groups()
-        .iter()
         .enumerate()
         .map(|(i, g)| (i, g.len() as u64))
         .collect();
@@ -148,9 +147,9 @@ fn dp_histogram_and_reconstruction_answer_the_same_query() {
     let mut mean = 0.0;
     let runs = 30;
     for _ in 0..runs {
-        let view = rp_core::estimate::GroupedView::from_histograms(
-            &d.groups,
-            rp_core::sps::up_histograms(&mut rng, &d.groups, 0.5),
+        let view = rp_core::estimate::GroupedView::assemble(
+            d.groups.spec(),
+            &rp_core::sps::up_histograms(&mut rng, &d.groups, 0.5),
         );
         mean += view.estimate(&query, 0.5) / runs as f64;
     }

@@ -431,8 +431,7 @@ proptest! {
         }
         let table = b.build();
         let groups = PersonalGroups::build(&table, SaSpec::new(&table, sa));
-        let hists = groups.groups().iter().map(|g| g.sa_hist.clone()).collect();
-        let engine = QueryEngine::from_histograms(&groups, hists, &schema, 0.5);
+        let engine = QueryEngine::from_groups(&schema, groups.spec(), 0.5, groups.histograms());
         let resolve = |conditions: &[(&str, &str)]| {
             engine.query_from_values(conditions).map_err(|e| e.to_string())
         };

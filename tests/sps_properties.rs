@@ -43,8 +43,7 @@ fn random_table(seed: u64, rows: usize, na1: usize, na2: usize, m: usize) -> Tab
 fn sizes_by_key(groups: &PersonalGroups) -> HashMap<Vec<u32>, u64> {
     groups
         .groups()
-        .iter()
-        .map(|g| (g.key.clone(), g.len() as u64))
+        .map(|g| (g.key.to_vec(), g.len() as u64))
         .collect()
 }
 
@@ -138,7 +137,7 @@ proptest! {
         for g in groups.groups() {
             let sg = max_group_size(params, p, m, g.max_frequency());
             if g.len() as f64 <= sg {
-                let published = out_sizes.get(&g.key).copied().unwrap_or(0);
+                let published = out_sizes.get(g.key).copied().unwrap_or(0);
                 prop_assert_eq!(
                     published,
                     g.len() as u64,

@@ -129,9 +129,9 @@ proptest! {
         prop_assert_eq!(&sorted, &group_by_hash(&table, spec.na()));
         let groups = PersonalGroups::build(&table, spec.clone());
         prop_assert_eq!(groups.len(), sorted.len());
-        for (group, reference) in groups.groups().iter().zip(sorted.groups()) {
-            prop_assert_eq!(&group.key, &reference.key);
-            prop_assert_eq!(&group.sa_hist, &table.histogram_over(spec.sa(), &reference.rows));
+        for (group, reference) in groups.groups().zip(sorted.groups()) {
+            prop_assert_eq!(group.key, &reference.key[..]);
+            prop_assert_eq!(group.sa_hist, &table.histogram_over(spec.sa(), &reference.rows)[..]);
             prop_assert_eq!(group.len(), reference.len());
         }
     }
